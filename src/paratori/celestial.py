@@ -319,20 +319,35 @@ class RestrictedField:
 
     sys: PrimarySystem
 
+    def __post_init__(self):
+        # every primary stacked once: the union of their modes and the
+        # (n_primaries, n_modes) matrix of the coefficients of qx + i qy
+        sys = self.sys
+        modes = sorted({k for s in (*sys.qx, *sys.qy) for k in s.coeffs})
+        self._omega = np.array(sys.omega, dtype=float)
+        self._modes = np.array(modes, dtype=float).reshape(len(modes), sys.qx[0].dim)
+        self._qmat = np.array(
+            [[ax.coeff(k) + 1j * ay.coeff(k) for k in modes] for ax, ay in zip(sys.qx, sys.qy)],
+            dtype=complex,
+        )
+
     @property
     def dim(self) -> int:
         return 4
 
-    def _phase(self, t: float):
-        return tuple(w * t for w in self.sys.omega)
+    def positions(self, t: float) -> np.ndarray:
+        """Complex positions q_j of the primaries at time t (phase omega t)."""
+        phase = self._modes @ (self._omega * t)
+        return self._qmat @ np.exp(2j * math.pi * phase)
 
     def potential_and_gradient(self, r: float, theta_rad: float, t: float):
+        r, theta_rad, t = float(r), float(theta_rad), float(t)
         z = r * complex(math.cos(theta_rad), math.sin(theta_rad))
         e = complex(math.cos(theta_rad), math.sin(theta_rad))
         V = 0.0
         dVdr = 0.0
         dVdth = 0.0
-        for mj, qj in zip(self.sys.masses, self.sys.positions(self._phase(t))):
+        for mj, qj in zip(self.sys.masses, self.positions(t).tolist()):
             D = z - qj
             nrm = abs(D)
             V += mj / nrm

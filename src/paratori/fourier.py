@@ -26,7 +26,6 @@ _TWO_PI = 2.0 * math.pi
 __all__ = [
     "FourierSeries",
     "FrequencyVector",
-    "evaluate",
     "average",
     "oscillatory",
     "rotate",
@@ -64,7 +63,7 @@ class FourierSeries:
     :meth:`real_symmetry_defect` measures it.
     """
 
-    __slots__ = ("dim", "order_cap", "coeffs", "trunc_loss")
+    __slots__ = ("dim", "order_cap", "coeffs", "trunc_loss", "_arrays")
 
     def __init__(
         self,
@@ -95,6 +94,7 @@ class FourierSeries:
                 table[k] = table.get(k, 0.0) + c
         self.coeffs = {k: c for k, c in table.items() if c != 0.0}
         self.trunc_loss = loss
+        self._arrays = None
 
     # ---------------------------------------------------------------- util
 
@@ -198,32 +198,33 @@ class FourierSeries:
 
     # -------------------------------------------------------- torus values
 
-    def evaluate(self, theta, dtype=complex):
-        """Sum of coeff(k) * exp(2*pi*i*k.theta) at one point.
+    def _mode_arrays(self):
+        """The mode table as arrays (modes (n, dim), coeffs (n,)), built on first use."""
+        if self._arrays is None:
+            n = len(self.coeffs)
+            self._arrays = (
+                np.array(list(self.coeffs), dtype=float).reshape(n, self.dim),
+                np.array(list(self.coeffs.values()), dtype=complex),
+            )
+        return self._arrays
 
-        ``theta`` is a scalar (dim = 1 shorthand) or a length-dim sequence;
-        complex entries evaluate the series on a strip.  Pass
-        ``dtype=numpy.clongdouble`` for extended-precision accumulation.
+    def evaluate(self, theta, dtype=complex):
+        """Sum of coeff(k) * exp(2*pi*i*k.theta) at one point or a batch.
+
+        ``theta`` is a scalar (dim = 1 shorthand), a length-dim point, or an
+        array of points of shape (..., dim); a single point gives a ``dtype``
+        scalar, a batch an array of shape (...).  Complex entries evaluate
+        the series on a strip.  Pass ``dtype=numpy.clongdouble`` for
+        extended-precision accumulation.
         """
-        if self.dim == 0:
-            acc = dtype(0)
-            for c in self.coeffs.values():
-                acc = acc + dtype(c)
-            return acc
-        if np.isscalar(theta):
-            theta = (theta,)
-        th = [dtype(t) for t in theta]
-        if len(th) != self.dim:
-            raise DimensionMismatch(f"theta of length {len(th)} on T^{self.dim}")
+        modes, coeffs = self._mode_arrays()
+        th = np.asarray(theta, dtype=dtype)
+        if th.ndim == 0 and self.dim <= 1:
+            th = th.reshape(1)[: self.dim]  # a scalar on T^1; ignored on T^0
+        if th.shape[-1:] != (self.dim,):
+            raise DimensionMismatch(f"theta of shape {th.shape} on T^{self.dim}")
         two_pi_i = dtype(2j) * dtype(np.pi)
-        acc = dtype(0)
-        for k, c in self.coeffs.items():
-            phase = dtype(0)
-            for ki, ti in zip(k, th):
-                if ki:
-                    phase = phase + dtype(ki) * ti
-            acc = acc + dtype(c) * np.exp(two_pi_i * phase)
-        return acc
+        return np.exp(two_pi_i * (th @ modes.T)) @ coeffs.astype(dtype, copy=False)
 
     def evaluate_real(self, theta, dtype=float):
         """Evaluate and return the real part (real-symmetric series)."""
@@ -307,10 +308,6 @@ class FourierSeries:
 
 
 # ------------------------------------------------------------------ wrappers
-
-
-def evaluate(s: FourierSeries, theta, dtype=complex):
-    return s.evaluate(theta, dtype=dtype)
 
 
 def average(s: FourierSeries) -> complex:

@@ -253,19 +253,24 @@ class Jet:
     # ------------------------------------------------------------- values
 
     def evaluate(self, x, y=(), theta=(), dtype=complex):
-        """Evaluate the jet at a numeric point."""
+        """Evaluate the jet at a numeric point, or at arrays of points: ``x``,
+        the entries of ``y`` and the components of ``theta`` (a scalar when
+        dim = 1) are scalars or arrays of one shape."""
         y = tuple(y)
         if len(y) != self.m:
             raise DimensionMismatch(f"jet with m={self.m} evaluated at {len(y)} y-values")
-        xv = dtype(x)
-        yv = [dtype(v) for v in y]
+        xv = np.asarray(x, dtype=dtype)
+        yv = [np.asarray(v, dtype=dtype) for v in y]
+        th = np.asarray(theta, dtype=dtype)
+        if th.ndim > 1:  # components (d, ...) -> points (..., d)
+            th = np.moveaxis(th, 0, -1)
         acc = dtype(0)
         for (l, k), s in self.terms.items():
             mono = xv ** l if l else dtype(1)
             for ki, yi in zip(k, yv):
                 if ki:
                     mono = mono * yi ** ki
-            acc = acc + s.evaluate(theta, dtype=dtype) * mono
+            acc = acc + s.evaluate(th, dtype=dtype) * mono
         return acc
 
 
@@ -458,12 +463,17 @@ class ParamMap:
         return (self.x,) + self.y + self.theta_dev
 
     def evaluate(self, x, theta, dtype=complex):
-        """Numeric image (x', y'-vector, theta'-vector) at a real point."""
+        """Numeric image (x', y'-vector, theta'-vector) at a point or arrays of points.
+
+        ``x`` and the theta components may be arrays of one shape; the
+        theta'-vector is then a list of component arrays, so that
+        ``skew.evaluate(*K.evaluate(x, theta))`` chains.
+        """
         th = (theta,) if np.isscalar(theta) else tuple(theta)
         xv = self.x.evaluate(x, (), th, dtype=dtype)
         yv = [j.evaluate(x, (), th, dtype=dtype) for j in self.y]
         thv = [
-            dtype(t) + dtype(r) + d.evaluate(x, (), th, dtype=dtype)
+            np.asarray(t, dtype=dtype) + dtype(r) + d.evaluate(x, (), th, dtype=dtype)
             for t, r, d in zip(th, self.rot, self.theta_dev)
         ]
         return xv, yv, thv
@@ -498,11 +508,12 @@ class SkewMap:
         )
 
     def evaluate(self, x, y, theta, dtype=complex):
+        """Numeric image of (x, y, theta); arrays of points as in :meth:`ParamMap.evaluate`."""
         th = (theta,) if np.isscalar(theta) else tuple(theta)
         xv = self.x.evaluate(x, y, th, dtype=dtype)
         yv = [j.evaluate(x, y, th, dtype=dtype) for j in self.y]
         thv = [
-            dtype(t) + dtype(r) + d.evaluate(x, y, th, dtype=dtype)
+            np.asarray(t, dtype=dtype) + dtype(r) + d.evaluate(x, y, th, dtype=dtype)
             for t, r, d in zip(th, self.rot, self.theta_dev)
         ]
         return xv, yv, thv

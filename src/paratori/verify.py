@@ -64,30 +64,54 @@ class OrderReport:
 
 
 def _theta_grid(d: int, n: int):
+    """The n^d grid points k/n on T^d as an (n^d, d) array."""
     if d == 0:
-        return [()]
+        return np.zeros((1, 0))
     axes = [np.arange(n) / n for _ in range(d)]
     grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    return [tuple(p) for p in pts]
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def _map_residual_at(skew, K, R, x, th):
-    """Components of F(K(x, th)) - K(R(x, th)) in extended precision."""
+def _cabs(v):
+    """|v| in double precision, bit for bit as ``abs(complex(v))`` pointwise
+    (``np.abs`` on complex arrays may round differently from ``hypot``)."""
+    v = np.asarray(v, dtype=complex)
+    return np.hypot(v.real, v.imag)
+
+
+def _max_diff(pairs) -> float:
+    """Largest |u - v| over every point of every (u, v) pair; 0 for no pairs."""
+    return max((float(np.max(_cabs(u - v))) for u, v in pairs), default=0.0)
+
+
+def _map_residual_at(skew, K, R, x, thetas):
+    """Largest |F(K(x, th)) - K(R(x, th))| per component over the rows of
+    ``thetas``, in extended precision, and the largest magnitude."""
+    th = thetas.T
     kx, ky, kth = K.evaluate(x, th, dtype=_CDT)
     fx, fy, fth = skew.evaluate(kx, ky, kth, dtype=_CDT)
     rx, _, rth = R.evaluate(x, th, dtype=_CDT)
     gx, gy, gth = K.evaluate(rx, rth, dtype=_CDT)
-    ex = abs(complex(fx - gx))
-    ey = max((abs(complex(u - v)) for u, v in zip(fy, gy)), default=0.0)
-    eth = max((abs(complex(u - v)) for u, v in zip(fth, gth)), default=0.0)
-    mag = abs(complex(fx)) + abs(complex(gx)) + 1.0
-    return ex, ey, eth, mag
+    mag = float(np.max(_cabs(fx) + _cabs(gx) + 1.0))
+    return _max_diff([(fx, gx)]), _max_diff(zip(fy, gy)), _max_diff(zip(fth, gth)), mag
 
 
-def _flow_residual_at(model, fld, sol, K, x, th):
-    """Components of X(K) - DK Y - dK/dt at a point, extended precision."""
+def _transport_jets(model, sol, K):
+    """Per component of K: d/dx, L_(omega,nu) and d/dtheta_r for each angle r
+    the reduced flow moves, grouped as (x, y-list, theta-list)."""
     full = tuple(model.freq.omega) + tuple(model.freq.nu)
+    moving = [r for r in range(model.d) if any(v[r] for v in sol.reduced.theta_terms.values())]
+
+    def jets(j):
+        return j.derivative_x(), j.directional_theta(full), {r: j.derivative_theta(r) for r in moving}
+
+    return jets(K.x), [jets(j) for j in K.y], [jets(j) for j in K.theta_dev]
+
+
+def _flow_residual_at(model, fld, sol, K, tjets, x, thetas):
+    """As :func:`_map_residual_at` for X(K) - DK Y - dK/dt; ``tjets`` is
+    :func:`_transport_jets`."""
+    th = thetas.T
     kx, ky, kth = K.evaluate(x, th, dtype=_CDT)
     Xx = fld.x.evaluate(kx, ky, kth, dtype=_CDT)
     Xy = [j.evaluate(kx, ky, kth, dtype=_CDT) for j in fld.y]
@@ -101,23 +125,20 @@ def _flow_residual_at(model, fld, sol, K, x, th):
                 acc = acc + _CDT(vec[r]) * _CDT(x) ** order
         ydev.append(acc)
 
-    def transported(jet):
-        v = jet.derivative_x().evaluate(x, (), th, dtype=_CDT) * yx
-        v = v + jet.directional_theta(full).evaluate(x, (), th, dtype=_CDT)
+    def transported(jets):
+        dx, dt, dth = jets
+        v = dx.evaluate(x, (), th, dtype=_CDT) * yx
+        v = v + dt.evaluate(x, (), th, dtype=_CDT)
         for r in range(model.d):
             if ydev[r] != 0:
-                v = v + jet.derivative_theta(r).evaluate(x, (), th, dtype=_CDT) * ydev[r]
+                v = v + dth[r].evaluate(x, (), th, dtype=_CDT) * ydev[r]
         return v
 
-    ex = abs(complex(Xx - transported(K.x)))
-    ey = max(
-        (abs(complex(Xy[i] - transported(K.y[i]))) for i in range(model.m)),
-        default=0.0,
-    )
-    eth = 0.0
-    for r in range(model.d):
-        eth = max(eth, abs(complex(Xdev[r] - ydev[r] - transported(K.theta_dev[r]))))
-    mag = abs(complex(Xx)) + abs(complex(yx)) + 1.0
+    tx, ty, tth = tjets
+    ex = _max_diff([(Xx, transported(tx))])
+    ey = _max_diff((Xy[i], transported(ty[i])) for i in range(model.m))
+    eth = _max_diff((Xdev[r] - ydev[r], transported(tth[r])) for r in range(model.d))
+    mag = float(np.max(_cabs(Xx) + abs(complex(yx)) + 1.0))
     return ex, ey, eth, mag
 
 
@@ -154,30 +175,17 @@ def fit_error_orders(
         R = sol.reduced.as_param(deg, sol.dim, sol.order_cap, n_angles=sol.dim)
     else:
         fld = model.as_field(deg)
-        R = None
+        tjets = _transport_jets(model, sol, K)
 
     rows = []
     for x in xs:
-        worst = {"x": 0.0, "y": 0.0, "theta": 0.0}
-        floor = 0.0
-        for th in thetas:
-            if model.kind == "map":
-                ex, ey, eth, mag = _map_residual_at(skew, K, R, x, th)
-            else:
-                ex, ey, eth, mag = _flow_residual_at(model, fld, sol, K, x, th)
-            worst["x"] = max(worst["x"], ex)
-            worst["y"] = max(worst["y"], ey)
-            worst["theta"] = max(worst["theta"], eth)
-            floor = max(floor, 60.0 * eps * mag)
-        rows.append(
-            {
-                "x": float(x),
-                "floor": float(floor),
-                "e_x": float(worst["x"]),
-                "e_y": float(worst["y"]),
-                "e_theta": float(worst["theta"]),
-            }
-        )
+        # one theta-row per x-sample keeps the batch, and its memory, small
+        if model.kind == "map":
+            ex, ey, eth, mag = _map_residual_at(skew, K, R, x, thetas)
+        else:
+            ex, ey, eth, mag = _flow_residual_at(model, fld, sol, K, tjets, x, thetas)
+        rows.append({"x": float(x), "floor": float(60.0 * eps * mag),
+                     "e_x": ex, "e_y": ey, "e_theta": eth})
 
     # a component whose error jet vanishes identically and whose numeric
     # residual sits at the floor everywhere satisfies any decay order
@@ -304,12 +312,12 @@ class MembershipReport:
         return self.distances[0] if self.distances else math.nan
 
 
-def _project_fiber(K, x_target: float, th, u_hint: float) -> float:
-    """Solve K_x(u, th) = x_target for u by a guarded Newton iteration."""
+def _project_fiber(kx, dkx, x_target: float, th, u_hint: float) -> float:
+    """Solve kx(u, th) = x_target for u by a guarded Newton iteration (dkx = d kx/dx)."""
     u = max(u_hint, 1e-14)
     for _ in range(60):
-        f = K.x.evaluate(u, (), th).real - x_target
-        df = K.x.derivative_x().evaluate(u, (), th).real
+        f = kx.evaluate(u, (), th).real - x_target
+        df = dkx.evaluate(u, (), th).real
         step = f / df
         u_new = u - step
         if u_new <= 0:
@@ -333,6 +341,7 @@ def stable_set_membership(model, point, sol: ManifoldSolution, horizon: int,
 
     deg = sol.j + sol.N + 1
     K = sol.param(deg)
+    dkx = K.x.derivative_x()
     orbit = iterate_map(model, point, horizon, domain_radius=rho, require_positive_x=True)
     dists = []
     fibs = []
@@ -343,7 +352,7 @@ def stable_set_membership(model, point, sol: ManifoldSolution, horizon: int,
         base = list(th_pt)
         u = max(x, 1e-14)
         for _ in range(30):
-            u = _project_fiber(K, x, tuple(base), u)
+            u = _project_fiber(K.x, dkx, x, tuple(base), u)
             new_base = []
             shift = 0.0
             for r in range(sol.d):

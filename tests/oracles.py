@@ -109,3 +109,25 @@ def _dense_oracle_step(model, sol_prev, j, cap):
     return out
 
 
+
+
+def reference_evaluate(s, theta, dtype=complex):
+    """The per-mode loop that ``FourierSeries.evaluate`` replaced: one point,
+    every phase and every sum accumulated in ``dtype`` in mode-table order."""
+    if s.dim == 0:
+        acc = dtype(0)
+        for c in s.coeffs.values():
+            acc = acc + dtype(c)
+        return acc
+    if np.isscalar(theta):
+        theta = (theta,)
+    th = [dtype(t) for t in theta]
+    two_pi_i = dtype(2j) * dtype(np.pi)
+    acc = dtype(0)
+    for k, c in s.coeffs.items():
+        phase = dtype(0)
+        for ki, ti in zip(k, th):
+            if ki:
+                phase = phase + dtype(ki) * ti
+        acc = acc + dtype(c) * np.exp(two_pi_i * phase)
+    return acc

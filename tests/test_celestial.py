@@ -18,6 +18,7 @@ from paratori.cohomology import solve_manifold
 from paratori.errors import HypothesisViolation, InsufficientTorusData
 from paratori.fourier import FourierSeries
 from paratori.model import validate
+from conftest import random_real_series
 
 
 # ---------------------------------------------------------------- primaries
@@ -38,6 +39,67 @@ def test_binary_is_exact_two_body_solution():
     # Kepler's third law for the circular pair: Omega^2 (2R)^3 = M_total
     Omega = 2 * math.pi * sys.omega[0]
     assert Omega ** 2 * 8.0 == pytest.approx(1.0, rel=1e-12)
+
+
+def _three_primaries():
+    """Three primaries on T^2 with random orbits inside |q| < 1 and the centre of mass at 0."""
+    rng = np.random.default_rng(11)
+    masses = (0.2, 0.3, 0.5)
+    qx = [random_real_series(rng, dim=2, cap=4, scale=0.1) for _ in range(2)]
+    qy = [random_real_series(rng, dim=2, cap=4, scale=0.1) for _ in range(2)]
+    for q in (qx, qy):
+        q.append((q[0].scale(masses[0]) + q[1].scale(masses[1])).scale(-1.0 / masses[2]))
+    sys = PrimarySystem(masses, tuple(qx), tuple(qy), (0.11, 0.11 * math.sqrt(2.0)))
+    sys.check()
+    return sys
+
+
+_SYSTEMS = {
+    "binary": PrimarySystem.circular_binary,
+    "single": PrimarySystem.single,
+    "three": _three_primaries,
+}
+
+
+def _reference_rhs(sys, t, state):
+    """RestrictedField.rhs with the primaries evaluated one series at a time."""
+    r, th, y, G = state
+    e = complex(math.cos(th), math.sin(th))
+    z = r * e
+    dVdr = dVdth = 0.0
+    for mj, qj in zip(sys.masses, sys.positions(tuple(w * t for w in sys.omega))):
+        D = z - qj
+        dVdr -= mj * (D.conjugate() * e).real / abs(D) ** 3
+        dVdth -= mj * (D.conjugate() * (1j * r * e)).real / abs(D) ** 3
+    return np.array([y, G / r ** 2, G ** 2 / r ** 3 + dVdr, dVdth])
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_stacked_positions_equal_per_series(name):
+    sys = _SYSTEMS[name]()
+    fld = RestrictedField(sys)
+    for t in (0.0, 0.37, 12.5, 4.1e3):
+        got = fld.positions(t)
+        want = sys.positions(tuple(w * t for w in sys.omega))
+        assert got.shape == (sys.n,)
+        assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_restricted_rhs_unchanged_by_stacking(name):
+    sys = _SYSTEMS[name]()
+    fld = RestrictedField(sys)
+    rng = np.random.default_rng(3)
+    # r >= 2 keeps the test body clear of every orbit (|q| < 1), where the
+    # RHS would amplify the last-bit differences of the stacked positions
+    for _ in range(20):
+        state = np.array([rng.uniform(2.0, 50.0), rng.uniform(-math.pi, math.pi),
+                          rng.standard_normal(), rng.standard_normal()])
+        t = rng.uniform(0.0, 1e4)
+        want = _reference_rhs(sys, t, state)
+        for st, tt in ((state, np.float64(t)), (state.tolist(), t)):
+            got = fld.rhs(tt, st)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # ------------------------------------------------------- potential expansion

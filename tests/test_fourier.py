@@ -4,19 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paratori.errors import DimensionMismatch, NonzeroAverage, ResonantMode, ZeroDivisor
 from paratori.fourier import (
     FourierSeries,
     average,
     diophantine_scan,
-    evaluate,
     oscillatory,
     rotate,
     sd_solve_flow,
     sd_solve_map,
 )
 from conftest import random_real_series
+from oracles import reference_evaluate
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -27,13 +28,13 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def test_evaluate_constant():
     s = FourierSeries.constant(3.0, 1, 4)
     for th in (0.0, 0.37, 2.5):
-        assert evaluate(s, th) == pytest.approx(3.0)
+        assert s.evaluate(th) == pytest.approx(3.0)
 
 
 def test_evaluate_cosine_zero_and_quarter():
     c = FourierSeries.cosine((1,), 1, 4)
-    assert abs(evaluate(c, 0.0) - 1.0) < 1e-15
-    assert abs(evaluate(c, 0.25)) < 1e-15
+    assert abs(c.evaluate(0.0) - 1.0) < 1e-15
+    assert abs(c.evaluate(0.25)) < 1e-15
 
 
 def test_evaluate_real_output_for_real_symmetric(rng):
@@ -41,6 +42,69 @@ def test_evaluate_real_output_for_real_symmetric(rng):
     for th in ((0.1, 0.9), (0.33, 0.71)):
         v = s.evaluate(th)
         assert abs(v.imag) <= 1e-12 * s.strip_norm()
+
+
+# the array evaluator against the per-mode loop it replaced, relative to
+# strip_norm(): rounding of the complex path, none of the extended one
+_EVAL_TOL = {complex: 1e-13, np.clongdouble: 1e-16}
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("dtype", [complex, np.clongdouble])
+@pytest.mark.parametrize("strip", [0.0, 0.02])
+@pytest.mark.parametrize("dim", [0, 1, 2])
+def test_evaluate_matches_reference_loop(rng, dim, strip, dtype):
+    s = random_real_series(rng, dim=dim, cap=6)
+    scale = s.strip_norm()
+    for _ in range(6):
+        th = rng.random(dim) + 1j * strip * rng.standard_normal(dim)
+        got = s.evaluate(th, dtype=dtype)
+        assert abs(complex(got - reference_evaluate(s, th, dtype))) <= _EVAL_TOL[dtype] * scale
+        if dim == 1:
+            assert s.evaluate(th[0], dtype=dtype) == got
+
+
+def test_evaluate_empty_series_and_bad_shape():
+    z = FourierSeries.zeros(2, 4)
+    assert z.evaluate((0.3, 0.1)) == 0
+    assert z.evaluate(np.zeros((3, 2))).shape == (3,)
+    with pytest.raises(DimensionMismatch):
+        z.evaluate((0.3, 0.1, 0.2))
+    with pytest.raises(DimensionMismatch):
+        FourierSeries.cosine((1,), 1, 4).evaluate(np.zeros(3))
+
+
+@_PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(0, 2), cap=st.integers(0, 6),
+       shape=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       dtype=st.sampled_from([complex, np.clongdouble]))
+def test_evaluate_batch_equals_stacked_points(seed, dim, cap, shape, dtype):
+    rng = np.random.default_rng(seed)
+    s = random_real_series(rng, dim=dim, cap=cap)
+    pts = rng.random((*shape, dim)) + 0.01j * rng.standard_normal((*shape, dim))
+    batch = s.evaluate(pts, dtype=dtype)
+    assert batch.shape == tuple(shape) and batch.dtype == np.dtype(dtype)
+    pointwise = np.array([s.evaluate(pts[i], dtype=dtype) for i in np.ndindex(*shape)])
+    err = np.max(np.abs(batch.reshape(-1) - pointwise))
+    if dtype is np.clongdouble:
+        assert err == 0
+    else:
+        assert err <= 1e-14 * max(s.strip_norm(), 1.0)
+
+
+@_PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(0, 2),
+       dtype=st.sampled_from([complex, np.clongdouble]))
+def test_evaluate_single_point_is_dtype_scalar(seed, dim, dtype):
+    rng = np.random.default_rng(seed)
+    s = random_real_series(rng, dim=dim, cap=4)
+    points = [tuple(rng.random(dim)), rng.random(dim)]
+    if dim == 1:
+        points.append(float(rng.random()))
+    for p in points:
+        v = s.evaluate(p, dtype=dtype)
+        assert isinstance(v, np.clongdouble if dtype is np.clongdouble else complex)
+        assert not isinstance(v, np.ndarray)
 
 
 # --------------------------------------------------------- average/oscillate

@@ -211,6 +211,40 @@ def test_evaluation_homomorphism_full_composition(rng, golden_freq):
             assert abs(fth[0] - gth[0]) < 1e-10
 
 
+@pytest.mark.parametrize("dtype", [complex, np.clongdouble])
+def test_array_evaluation_equals_loop_over_points(rng, dtype):
+    cap, deg, m, dim = 8, 5, 1, 2
+
+    def series(scale=0.3):
+        return random_real_series(rng, dim=dim, cap=cap, scale=scale, max_mode=2)
+
+    F = SkewMap.identity(m, dim, deg, dim, cap, rot=(0.3, 0.7))
+    F.x = F.x - Jet.monomial(2, (0,), series(), m, deg, dim, cap)
+    F.y = (F.y[0] + Jet.monomial(1, (1,), series(), m, deg, dim, cap),)
+    F.theta_dev = tuple(Jet.monomial(1, (1,), series(), m, deg, dim, cap) for _ in range(dim))
+    K = ParamMap(
+        x=Jet.var_x(0, deg, dim, cap) + Jet.monomial(2, (), series(), 0, deg, dim, cap),
+        y=(Jet.monomial(2, (), series(), 0, deg, dim, cap),),
+        theta_dev=tuple(Jet.monomial(1, (), series(), 0, deg, dim, cap) for _ in range(dim)),
+        rot=(0.0, 0.0),
+    )
+    xs = rng.uniform(0.01, 0.05, (3, 4))
+    ths = [rng.random((3, 4)) for _ in range(dim)]
+    kx, ky, kth = K.evaluate(xs, ths, dtype=dtype)
+    fx, fy, fth = F.evaluate(*K.evaluate(xs, ths, dtype=dtype), dtype=dtype)
+    jy = F.y[0].evaluate(xs, (xs,), ths, dtype=dtype)
+    tol = 1e-14 if dtype is complex else 0.0
+    for i in np.ndindex(xs.shape):
+        th = tuple(t[i] for t in ths)
+        px, py, pth = K.evaluate(xs[i], th, dtype=dtype)
+        qx, qy, qth = F.evaluate(px, py, pth, dtype=dtype)
+        for arrays, points in ((kx, px), (fx, qx)):
+            assert abs(complex(arrays[i] - points)) <= tol
+        for arrays, points in ((ky, py), (kth, pth), (fy, qy), (fth, qth)):
+            assert all(abs(complex(a[i] - p)) <= tol for a, p in zip(arrays, points))
+        assert abs(complex(jy[i] - F.y[0].evaluate(xs[i], (xs[i],), th, dtype=dtype))) <= tol
+
+
 # -------------------------------------------------------------- derivatives
 
 
