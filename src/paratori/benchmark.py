@@ -14,7 +14,7 @@ import numpy as np
 
 from .fourier import FourierSeries, FrequencyVector, diophantine_scan
 from .jet import Jet, SkewMap, compose_skew_skew, invert_x_jet
-from .model import MapModel, FlowModel, model_from_skew
+from .model import MapModel, FlowModel, model_from
 
 __all__ = [
     "GOLDEN",
@@ -166,7 +166,7 @@ def conjugacy_fixture(
         Ti = SkewMap.identity(0, dim, deg, dim, order_cap)
         Ti.x = invert_x_jet(T.x, deg)
         F = compose_skew_skew(T, compose_skew_skew(F, Ti, deg), deg)
-    return model_from_skew(F, N=N, P=N, freq=freq, order_cap=order_cap)
+    return model_from(F, N=N, P=N, freq=freq, order_cap=order_cap)
 
 
 def builtin_model(name: str):

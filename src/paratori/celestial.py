@@ -28,7 +28,7 @@ import numpy as np
 from .errors import HypothesisViolation, InsufficientTorusData, OrbitLeftDomain
 from .fourier import FourierSeries, diophantine_scan
 from .jet import Jet, divide_by_x_plus_y
-from .model import FlowModel, SkewField, model_from_field
+from .model import FlowModel, SkewField, model_from
 
 __all__ = [
     "PrimarySystem",
@@ -462,7 +462,7 @@ def build_restricted_field(
     if tau is None:
         tau = max(d - 1, 1)
     freq = diophantine_scan(sys.omega, (), tau=tau, k_max=k_max, sense="flow")
-    model = model_from_field(fld, N=computed_N, P=computed_N, freq=freq, order_cap=cap)
+    model = model_from(fld, N=computed_N, P=computed_N, freq=freq, order_cap=cap)
     a_val = model.a.average().real
     chart = RestrictedChart(
         total_mass=M, alpha0=alpha0, gtilde0=gtilde0, omega=tuple(sys.omega),
@@ -579,8 +579,8 @@ def build_full_skeleton(
     if tau is None:
         tau = max(d - 1, 1)
     freq = diophantine_scan(torus.omega0, (), tau=tau, k_max=k_max, sense="flow")
-    model = model_from_field(fld, N=4, P=6, freq=freq, order_cap=cap,
-                             params=(theta_n0, G_n0))
+    model = model_from(fld, N=4, P=6, freq=freq, order_cap=cap,
+                       params=(theta_n0, G_n0))
     declared = {
         "N": 4,
         "P": 6,

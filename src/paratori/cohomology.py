@@ -38,7 +38,7 @@ from .jet import (
     compose_skew_param,
     jet_compose,
 )
-from .model import FlowModel, MapModel, ReducedField, ReducedMap
+from .model import MapModel, ReducedField, ReducedMap
 
 __all__ = [
     "FreeChoicePolicy",
@@ -47,7 +47,6 @@ __all__ = [
     "SolveResult",
     "base_step",
     "extend_order",
-    "extend_order_flow",
     "invariance_error",
     "solve_manifold",
     "conjugate_normal_form",
@@ -88,38 +87,25 @@ class ErrorJet:
     def lead_theta(self, order: int) -> list[FourierSeries]:
         return [j.x_coeff(order) for j in self.eth]
 
+    def _below_order(self):
+        """(component, l, norm) for every x^l coefficient below the declared orders."""
+        dx, dy, dth = self.declared
+        for comp, jets, order in (
+            ("x", (self.ex,), dx), ("y", self.ey, dy), ("theta", self.eth, dth)
+        ):
+            for j in jets:
+                for l in range(order):
+                    yield comp, l, j.x_coeff(l).strip_norm()
+
     def below_order_norms(self) -> dict[str, float]:
         """Largest coefficient norm sitting below each declared order."""
-        dx, dy, dth = self.declared
         out = {"x": 0.0, "y": 0.0, "theta": 0.0}
-        for l in range(dx):
-            out["x"] = max(out["x"], self.ex.x_coeff(l).strip_norm())
-        for j in self.ey:
-            for l in range(dy):
-                out["y"] = max(out["y"], j.x_coeff(l).strip_norm())
-        for j in self.eth:
-            for l in range(dth):
-                out["theta"] = max(out["theta"], j.x_coeff(l).strip_norm())
+        for comp, _, n in self._below_order():
+            out[comp] = max(out[comp], n)
         return out
 
     def order_violations(self, tol: float) -> list[tuple[str, int, float]]:
-        dx, dy, dth = self.declared
-        bad = []
-        for l in range(dx):
-            n = self.ex.x_coeff(l).strip_norm()
-            if n > tol:
-                bad.append(("x", l, n))
-        for j in self.ey:
-            for l in range(dy):
-                n = j.x_coeff(l).strip_norm()
-                if n > tol:
-                    bad.append(("y", l, n))
-        for j in self.eth:
-            for l in range(dth):
-                n = j.x_coeff(l).strip_norm()
-                if n > tol:
-                    bad.append(("theta", l, n))
-        return bad
+        return [(comp, l, n) for comp, l, n in self._below_order() if n > tol]
 
     def sample(self, xs, thetas, dtype=complex):
         """Numeric values of the error jet on a grid, max over components."""
@@ -456,13 +442,6 @@ def extend_order(
     err = invariance_error(model, new, deg=deg)
     _order_guard(model, new, err, order_tolerance)
     return new, err
-
-
-def extend_order_flow(model: FlowModel, sol, E_prev, choices=None, **kw):
-    """Flow-path induction step (same formulas with the flow SD operator)."""
-    if model.kind != "flow":
-        raise HypothesisViolation("extend_order_flow expects a flow model")
-    return extend_order(model, sol, E_prev, choices, **kw)
 
 
 # ------------------------------------------------------------------ drivers

@@ -35,9 +35,6 @@ class Orbit:
     meta: dict = field(default_factory=dict)
     early_stop: int | None = None
 
-    def column(self, i: int) -> np.ndarray:
-        return self.states[:, i]
-
     def __len__(self) -> int:
         return len(self.times)
 

@@ -26,9 +26,6 @@ _TWO_PI = 2.0 * math.pi
 __all__ = [
     "FourierSeries",
     "FrequencyVector",
-    "average",
-    "oscillatory",
-    "rotate",
     "sd_solve_map",
     "sd_solve_flow",
     "diophantine_scan",
@@ -226,11 +223,6 @@ class FourierSeries:
         two_pi_i = dtype(2j) * dtype(np.pi)
         return np.exp(two_pi_i * (th @ modes.T)) @ coeffs.astype(dtype, copy=False)
 
-    def evaluate_real(self, theta, dtype=float):
-        """Evaluate and return the real part (real-symmetric series)."""
-        cdtype = np.clongdouble if dtype is np.longdouble else complex
-        return dtype((self.evaluate(theta, dtype=cdtype)).real)
-
     def average(self) -> complex:
         """Zero mode (torus average)."""
         return self.coeffs.get((0,) * self.dim, 0.0 + 0.0j)
@@ -294,32 +286,9 @@ class FourierSeries:
             worst = max(worst, abs(self.coeffs.get(mk, 0.0) - c.conjugate()))
         return worst
 
-    def symmetrized(self) -> "FourierSeries":
-        """Project onto real-symmetric series (average with its reflection)."""
-        out = {}
-        for k, c in self.coeffs.items():
-            mk = tuple(-x for x in k)
-            out[k] = 0.5 * (c + self.coeffs.get(mk, 0.0).conjugate())
-        return self._like(out, self.trunc_loss)
-
     def pad_modes(self, order_cap: int) -> "FourierSeries":
         """Same series viewed with a different order cap."""
         return FourierSeries(self.dim, order_cap, self.coeffs, self.trunc_loss)
-
-
-# ------------------------------------------------------------------ wrappers
-
-
-def average(s: FourierSeries) -> complex:
-    return s.average()
-
-
-def oscillatory(s: FourierSeries) -> FourierSeries:
-    return s.oscillatory()
-
-
-def rotate(s: FourierSeries, step) -> FourierSeries:
-    return s.rotate(step)
 
 
 # ------------------------------------------------------- frequency vectors

@@ -34,15 +34,10 @@ __all__ = [
     "Jet",
     "ParamMap",
     "SkewMap",
-    "jet_add",
-    "jet_scale",
-    "jet_mul",
-    "jet_derivative",
     "jet_compose",
     "compose_skew_param",
     "compose_param_param",
     "compose_skew_skew",
-    "compose_reduced",
     "invert_x_jet",
     "divide_by_x_plus_y",
 ]
@@ -223,9 +218,6 @@ class Jet:
                 out[key] = t
         return self._like(out)
 
-    def rotate_coeffs(self, step) -> "Jet":
-        return self.map_coeffs(lambda s: s.rotate(step))
-
     # -------------------------------------------------------- derivatives
 
     def derivative_x(self) -> "Jet":
@@ -272,33 +264,6 @@ class Jet:
                     mono = mono * yi ** ki
             acc = acc + s.evaluate(th, dtype=dtype) * mono
         return acc
-
-
-# --------------------------------------------------- spec-named thin wrappers
-
-
-def jet_add(a: Jet, b: Jet) -> Jet:
-    return a + b
-
-
-def jet_scale(a: Jet, c) -> Jet:
-    return a.scale(c)
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    return a.jet_mul(b)
-
-
-def jet_derivative(a: Jet, direction) -> Jet:
-    """direction: "x", ("y", i) or ("theta", r)."""
-    if direction == "x":
-        return a.derivative_x()
-    kind, i = direction
-    if kind == "y":
-        return a.derivative_y(i)
-    if kind == "theta":
-        return a.derivative_theta(i)
-    raise ValueError(f"unknown direction {direction!r}")
 
 
 # ----------------------------------------------------------- substitution
@@ -554,11 +519,6 @@ def compose_param_param(K: ParamMap, R: ParamMap, deg: int | None = None) -> Par
         theta_dev=new_dev,
         rot=rot,
     )
-
-
-def compose_reduced(K: ParamMap, R: ParamMap, deg: int | None = None) -> ParamMap:
-    """Alias for K o R with R the reduced dynamics (rotation plus x-polynomial)."""
-    return compose_param_param(K, R, deg)
 
 
 def compose_skew_skew(G: SkewMap, H: SkewMap, deg: int | None = None) -> SkewMap:

@@ -12,14 +12,15 @@ The flow form replaces the first two right-hand sides by time derivatives
 and allows quasiperiodic time dependence through d' extra angles with
 frequency nu.
 
-Averaging normalization conjugates away the theta-dependence of a and B
-and rescales so that the averaged leading coefficient becomes 1.
+Averaging normalization removes the theta-dependence of a and B (by
+conjugating a map, by pushing a field forward) and rescales so that the
+averaged leading coefficient becomes 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
     SingularB,
 )
 from .fourier import FourierSeries, FrequencyVector, sd_solve_flow, sd_solve_map
-from .jet import Jet, SkewMap, compose_skew_skew, invert_x_jet, jet_compose
+from .jet import Jet, ParamMap, SkewMap, compose_skew_skew, invert_x_jet, jet_compose
 
 __all__ = [
     "MapModel",
@@ -40,21 +41,17 @@ __all__ = [
     "ReducedField",
     "ChangeLog",
     "validate",
+    "model_from",
     "normalize",
-    "normalize_flow",
 ]
 
 _B_EIG_FLOOR = 1e-9
 _STRUCT_TOL = 1e-12
 
 
-def _zeros_jet(m, deg, dim, cap):
-    return Jet.zero(m, deg, dim, cap)
-
-
 def _as_tuple_jets(js, m, deg, dim, cap, count):
     if js is None:
-        return tuple(_zeros_jet(m, deg, dim, cap) for _ in range(count))
+        return tuple(Jet.zero(m, deg, dim, cap) for _ in range(count))
     js = tuple(js)
     if len(js) != count:
         raise DimensionMismatch(f"expected {count} component jets, got {len(js)}")
@@ -62,8 +59,8 @@ def _as_tuple_jets(js, m, deg, dim, cap, count):
 
 
 @dataclass
-class ReducedMap:
-    """R(x, theta) = (x - a_bar x^N [+ b x^(2N-1)], theta + omega + corrections).
+class _Reduced:
+    """Reduced dynamics -a_bar x^N [+ b x^(2N-1)] with constant angle corrections.
 
     ``theta_terms`` maps an x-order to a length-d vector of real constants
     (nonempty only when P < N in the source model).
@@ -75,49 +72,10 @@ class ReducedMap:
     b: float | None = None
     theta_terms: dict[int, tuple[float, ...]] = field(default_factory=dict)
 
-    def x_poly_coeffs(self) -> dict[int, float]:
-        out = {1: 1.0, self.N: -self.a_bar}
-        if self.b is not None:
-            out[2 * self.N - 1] = out.get(2 * self.N - 1, 0.0) + self.b
-        return out
-
-    def x_value(self, x):
-        acc = type(x)(0)
-        for l, c in self.x_poly_coeffs().items():
-            acc = acc + c * x ** l
-        return acc
-
-    def as_param(self, deg: int, dim: int, order_cap: int, n_angles: int | None = None):
-        """The reduced dynamics as a ParamMap for jet composition."""
-        from .jet import ParamMap
-
-        n_angles = len(self.omega) if n_angles is None else n_angles
-        x = Jet.zero(0, deg, dim, order_cap)
-        for l, c in self.x_poly_coeffs().items():
-            x = x + Jet.monomial(l, (), c, 0, deg, dim, order_cap)
-        dev = []
-        for r in range(n_angles):
-            j = Jet.zero(0, deg, dim, order_cap)
-            for order, vec in self.theta_terms.items():
-                if vec[r]:
-                    j = j + Jet.monomial(order, (), vec[r], 0, deg, dim, order_cap)
-            dev.append(j)
-        rot = tuple(self.omega) + (0.0,) * (dim - len(self.omega))
-        return ParamMap(x=x, y=(), theta_dev=tuple(dev), rot=rot)
-
-
-@dataclass
-class ReducedField:
-    """Y(x) = (-a_bar x^N [+ b x^(2N-1)], omega + corrections)."""
-
-    N: int
-    a_bar: float
-    omega: tuple[float, ...]
-    b: float | None = None
-    theta_terms: dict[int, tuple[float, ...]] = field(default_factory=dict)
+    _x_identity = {}  # {1: 1.0} for a map, whose x-component starts with x
 
     def x_poly_coeffs(self) -> dict[int, float]:
-        out = {self.N: -self.a_bar}
+        out = {**self._x_identity, self.N: -self.a_bar}
         if self.b is not None:
             out[2 * self.N - 1] = out.get(2 * self.N - 1, 0.0) + self.b
         return out
@@ -143,6 +101,27 @@ class ReducedField:
                     j = j + Jet.monomial(order, (), vec[r], 0, deg, dim, order_cap)
             out.append(j)
         return tuple(out)
+
+
+@dataclass
+class ReducedMap(_Reduced):
+    """R(x, theta) = (x - a_bar x^N [+ b x^(2N-1)], theta + omega + corrections)."""
+
+    _x_identity = {1: 1.0}
+
+    def as_param(self, deg: int, dim: int, order_cap: int, n_angles: int | None = None):
+        """The reduced dynamics as a ParamMap for jet composition."""
+        n_angles = len(self.omega) if n_angles is None else n_angles
+        rot = tuple(self.omega) + (0.0,) * (dim - len(self.omega))
+        return ParamMap(
+            x=self.x_jet(deg, dim, order_cap), y=(),
+            theta_dev=self.theta_jets(deg, dim, order_cap, n_angles), rot=rot,
+        )
+
+
+@dataclass
+class ReducedField(_Reduced):
+    """Y(x) = (-a_bar x^N [+ b x^(2N-1)], omega + corrections)."""
 
 
 @dataclass
@@ -201,12 +180,23 @@ class _ModelBase:
             s += j.norm()
         return max(s, 1.0)
 
-
-def _fold_P(N, P, h_jets, m, dim, cap):
-    """Inputs with P > N are rewritten as P = N with an empty degree-N slot."""
-    if P <= N:
-        return P, None
-    return N, P
+    def _components(self, x: Jet, ys, n_angles: int, deg: int):
+        """(x - a x^N + f, y_i + x^(N-1) (B y)_i + g_i, h_r) at working degree
+        ``deg``, from the given x and y jets (the identity for a map, zero
+        for a field)."""
+        m, dim, cap = self.m, self.dim, self.order_cap
+        x = x - Jet.monomial(self.N, (0,) * m, self.a, m, deg, dim, cap)
+        x = x + self.f_N.truncated(deg) + self.f_tail.truncated(deg)
+        out_y = []
+        for i, yi in enumerate(ys):
+            for j in range(m):
+                kj = tuple(1 if t == j else 0 for t in range(m))
+                yi = yi + Jet.monomial(self.N - 1, kj, self.B[i][j], m, deg, dim, cap)
+            out_y.append(yi + self.g_N[i].truncated(deg) + self.g_tail[i].truncated(deg))
+        dev = tuple(
+            self.h_P[r].truncated(deg) + self.h_tail[r].truncated(deg) for r in range(n_angles)
+        )
+        return x, tuple(out_y), dev
 
 
 @dataclass
@@ -239,7 +229,7 @@ class MapModel(_ModelBase):
         """
         dim = a.dim
         deg = deg if deg is not None else max(N, P) + 4
-        f = f if f is not None else _zeros_jet(m, deg, dim, order_cap)
+        f = f if f is not None else Jet.zero(m, deg, dim, order_cap)
         g = _as_tuple_jets(g, m, deg, dim, order_cap, m)
         h = _as_tuple_jets(h, m, deg, dim, order_cap, dim if h is None else len(tuple(h)))
         declared_P = None
@@ -284,28 +274,13 @@ class MapModel(_ModelBase):
     def as_skew(self, deg: int) -> SkewMap:
         """The full map as a SkewMap at the requested working degree."""
         m, dim, cap = self.m, self.dim, self.order_cap
-        x = Jet.var_x(m, deg, dim, cap)
-        x = x - Jet.monomial(self.N, (0,) * m, self.a, m, deg, dim, cap)
-        x = x + self.f_N.truncated(deg) + self.f_tail.truncated(deg)
-        ys = []
-        for i in range(m):
-            yi = Jet.var_y(i, m, deg, dim, cap)
-            for j in range(m):
-                kj = tuple(1 if t == j else 0 for t in range(m))
-                yi = yi + Jet.monomial(self.N - 1, kj, self.B[i][j], m, deg, dim, cap)
-            yi = yi + self.g_N[i].truncated(deg) + self.g_tail[i].truncated(deg)
-            ys.append(yi)
-        dev = tuple(
-            (self.h_P[r].truncated(deg) + self.h_tail[r].truncated(deg))
-            for r in range(self.dim)
+        x, ys, dev = self._components(
+            Jet.var_x(m, deg, dim, cap),
+            [Jet.var_y(i, m, deg, dim, cap) for i in range(m)],
+            self.dim, deg,
         )
         rot = tuple(self.freq.omega) + (0.0,) * (dim - len(self.freq.omega))
-        return SkewMap(x=x, y=tuple(ys), theta_dev=dev, rot=rot)
-
-    def eval_map(self, x, y, theta, deg: int | None = None, dtype=complex):
-        """Numeric image of one point under the full map."""
-        skew = self.as_skew(deg if deg is not None else self.native_degree())
-        return skew.evaluate(x, y, theta, dtype=dtype)
+        return SkewMap(x=x, y=ys, theta_dev=dev, rot=rot)
 
 
 @dataclass
@@ -351,10 +326,6 @@ class FlowModel(_ModelBase):
 
     kind: str = "flow"
 
-    @property
-    def dprime(self) -> int:
-        return len(self.freq.nu)
-
     @classmethod
     def build(
         cls,
@@ -371,49 +342,22 @@ class FlowModel(_ModelBase):
         deg: int | None = None,
         params: Sequence[float] = (),
     ) -> "FlowModel":
+        """As :meth:`MapModel.build`, keeping the theta-components of the d state angles."""
         base = MapModel.build(
             N, P, freq, a, m, order_cap, B=B, f=f, g=g, h=h, deg=deg, params=params
         )
-        d = len(freq.omega)
-        h_P = base.h_P[:d]
-        h_tail = base.h_tail[:d]
-        return cls(
-            N=base.N,
-            P=base.P,
-            m=base.m,
-            d=d,
-            freq=freq,
-            order_cap=base.order_cap,
-            a=base.a,
-            B=base.B,
-            f_N=base.f_N,
-            g_N=base.g_N,
-            h_P=h_P,
-            f_tail=base.f_tail,
-            g_tail=base.g_tail,
-            h_tail=h_tail,
-            declared_P=base.declared_P,
-            params=base.params,
-        )
+        kw = {fd.name: getattr(base, fd.name) for fd in fields(_ModelBase)}
+        kw.update(h_P=base.h_P[: base.d], h_tail=base.h_tail[: base.d])
+        return cls(**kw)
 
     def as_field(self, deg: int) -> SkewField:
         m, dim, cap = self.m, self.dim, self.order_cap
-        x = -Jet.monomial(self.N, (0,) * m, self.a, m, deg, dim, cap)
-        x = x + self.f_N.truncated(deg) + self.f_tail.truncated(deg)
-        ys = []
-        for i in range(m):
-            yi = Jet.zero(m, deg, dim, cap)
-            for j in range(m):
-                kj = tuple(1 if t == j else 0 for t in range(m))
-                yi = yi + Jet.monomial(self.N - 1, kj, self.B[i][j], m, deg, dim, cap)
-            yi = yi + self.g_N[i].truncated(deg) + self.g_tail[i].truncated(deg)
-            ys.append(yi)
-        dev = tuple(
-            (self.h_P[r].truncated(deg) + self.h_tail[r].truncated(deg))
-            for r in range(self.d)
+        x, ys, dev = self._components(
+            Jet.zero(m, deg, dim, cap), [Jet.zero(m, deg, dim, cap) for _ in range(m)],
+            self.d, deg,
         )
         return SkewField(
-            x=x, y=tuple(ys), theta_dev=dev,
+            x=x, y=ys, theta_dev=dev,
             omega=tuple(self.freq.omega), nu=tuple(self.freq.nu),
         )
 
@@ -496,12 +440,107 @@ def validate(model: _ModelBase) -> list[str]:
     return out
 
 
+# ---------------------------------------------------------------- extract
+
+
+def model_from(
+    obj: SkewMap | SkewField,
+    N: int,
+    P: int,
+    freq: FrequencyVector,
+    order_cap: int,
+    params=(),
+    clamp_tol: float = 1e-11,
+) -> MapModel | FlowModel:
+    """Re-extract a model from a SkewMap (a MapModel) or a SkewField (a FlowModel).
+
+    A map's linear part must be the identity, as after a conjugation; a
+    field's linear slots must vanish.  Coefficients sitting in structurally
+    forbidden slots below ``clamp_tol`` (relative to the jet scale) are
+    dropped as conjugation roundoff.
+    """
+    is_map = isinstance(obj, SkewMap)
+    m, dim, deg = obj.m, obj.x.dim, obj.x.deg
+    zk = (0,) * m
+    x_terms, y_terms = obj.x.terms, [j.terms for j in obj.y]
+    if is_map:
+        scale = max(obj.x.norm(), 1.0)
+        tol = clamp_tol * scale
+        lin = obj.x.coeff(1, zk)
+        if abs(lin.average() - 1.0) > 1e-9 or lin.oscillatory().strip_norm() > 1e-9 * scale:
+            raise HypothesisViolation("x-component linear part is not x after conjugation")
+        for i, terms in enumerate(y_terms):
+            for (l, k), s in terms.items():
+                if l == 0 and sum(k) == 1:
+                    if k.index(1) == i:
+                        s = s - FourierSeries.constant(1.0, dim, order_cap)
+                    if s.strip_norm() > tol:
+                        raise HypothesisViolation("y-component linear part is not the identity")
+        x_terms = {key: s for key, s in x_terms.items() if key != (1, zk)}
+        y_terms = [
+            {(l, k): s for (l, k), s in terms.items() if (l, sum(k)) != (0, 1)}
+            for terms in y_terms
+        ]
+    else:
+        tol = clamp_tol * max(obj.x.norm() + sum(j.norm() for j in obj.y), 1.0)
+
+    a = -obj.x.coeff(N, zk)
+    f_all = {}
+    for (l, k), s in x_terms.items():
+        order = l + sum(k)
+        if order < N:
+            if s.strip_norm() > tol:
+                raise HypothesisViolation(f"x-component has a low-order term at {(l, k)}")
+        elif not (k == zk and order == N):
+            f_all[(l, k)] = s
+    f = Jet(m, deg, dim, order_cap, f_all)
+
+    B = [[FourierSeries.zeros(dim, order_cap) for _ in range(m)] for _ in range(m)]
+    gs = []
+    for i, terms in enumerate(y_terms):
+        g_all = {}
+        for (l, k), s in terms.items():
+            order = l + sum(k)
+            if l == N - 1 and sum(k) == 1:
+                B[i][k.index(1)] = s
+            elif order < N:
+                if s.strip_norm() > tol:
+                    raise HypothesisViolation(f"y[{i}] has a low-order term at {(l, k)}")
+            elif order == N and sum(k) <= 1:
+                if s.strip_norm() > tol:
+                    raise HypothesisViolation(
+                        f"y[{i}] violates the structural zeros of g_N at {(l, k)}"
+                    )
+            else:
+                g_all[(l, k)] = s
+        gs.append(Jet(m, deg, dim, order_cap, g_all))
+
+    hs = []
+    for r, j in enumerate(obj.theta_dev):
+        h_all = {}
+        for (l, k), s in j.terms.items():
+            if l + sum(k) >= P:
+                h_all[(l, k)] = s
+            elif s.strip_norm() > tol:
+                raise HypothesisViolation(f"theta[{r}] has a term below degree P")
+        hs.append(Jet(m, deg, dim, order_cap, h_all))
+
+    return (MapModel if is_map else FlowModel).build(
+        N=N, P=P, freq=freq, a=a, m=m, order_cap=order_cap,
+        B=B, f=f, g=gs, h=hs, deg=deg, params=params,
+    )
+
+
 # ---------------------------------------------------------------- normalize
 
 
 @dataclass
 class ChangeLog:
-    """Record of the averaging changes, sufficient to map results back."""
+    """Record of the averaging changes, sufficient to map results back.
+
+    ``T`` and ``T_inv``, the composite change and its inverse, are kept for
+    maps only.
+    """
 
     c1: FourierSeries | None = None
     C2: list[list[FourierSeries]] | None = None
@@ -607,182 +646,6 @@ def _skew_x_scale(mu: float, m: int, deg: int, dim: int, cap: int) -> tuple[Skew
     T.x = Jet.monomial(1, (0,) * m, mu, m, deg, dim, cap)
     Ti.x = Jet.monomial(1, (0,) * m, 1.0 / mu, m, deg, dim, cap)
     return T, Ti
-
-
-def model_from_skew(
-    skew: SkewMap,
-    N: int,
-    P: int,
-    freq: FrequencyVector,
-    order_cap: int,
-    params=(),
-    clamp_tol: float = 1e-11,
-) -> MapModel:
-    """Re-extract a MapModel from a skew map in (possibly conjugated) form.
-
-    Coefficients sitting in structurally forbidden slots below ``clamp_tol``
-    (relative to the jet scale) are dropped as conjugation roundoff.
-    """
-    m = skew.m
-    dim = skew.x.dim
-    deg = skew.deg
-    scale = max(skew.x.norm(), 1.0)
-    tol = clamp_tol * scale
-    zero_k = (0,) * m
-
-    lin = skew.x.coeff(1, zero_k)
-    if abs(lin.average() - 1.0) > 1e-9 or lin.oscillatory().strip_norm() > 1e-9 * scale:
-        raise HypothesisViolation("x-component linear part is not x after conjugation")
-    a = -skew.x.coeff(N, zero_k)
-    f_all = {}
-    for (l, k), s in skew.x.terms.items():
-        order = l + sum(k)
-        if order < N:
-            if (l, k) == (1, zero_k):
-                continue
-            if s.strip_norm() > tol:
-                raise HypothesisViolation(f"x-component has a low-order term at {(l, k)}")
-            continue
-        if (l, k) == (N, zero_k):
-            continue
-        if k == zero_k and order == N:
-            continue
-        f_all[(l, k)] = s
-    f = Jet(m, deg, dim, order_cap, f_all)
-
-    B = [[FourierSeries.zeros(dim, order_cap) for _ in range(m)] for _ in range(m)]
-    gs = []
-    for i in range(m):
-        g_all = {}
-        for (l, k), s in skew.y[i].terms.items():
-            order = l + sum(k)
-            if l == 0 and sum(k) == 1:
-                j = k.index(1)
-                if j == i:
-                    s0 = s - FourierSeries.constant(1.0, dim, order_cap)
-                else:
-                    s0 = s
-                if s0.strip_norm() > tol:
-                    raise HypothesisViolation("y-component linear part is not the identity")
-                continue
-            if l == N - 1 and sum(k) == 1:
-                B[i][k.index(1)] = s
-                continue
-            if order < N:
-                if s.strip_norm() > tol:
-                    raise HypothesisViolation(f"y[{i}] has a low-order term at {(l, k)}")
-                continue
-            if order == N and (k == zero_k or sum(k) == 1):
-                if s.strip_norm() > tol:
-                    raise HypothesisViolation(
-                        f"y[{i}] violates the structural zeros of g_N at {(l, k)}"
-                    )
-                continue
-            g_all[(l, k)] = s
-        gs.append(Jet(m, deg, dim, order_cap, g_all))
-
-    hs = []
-    for r in range(len(skew.theta_dev)):
-        h_all = {}
-        for (l, k), s in skew.theta_dev[r].terms.items():
-            if l + sum(k) < P:
-                if s.strip_norm() > tol:
-                    raise HypothesisViolation(f"theta[{r}] has a term below degree P")
-                continue
-            h_all[(l, k)] = s
-        hs.append(Jet(m, deg, dim, order_cap, h_all))
-
-    return MapModel.build(
-        N=N, P=P, freq=freq, a=a, m=m, order_cap=order_cap,
-        B=B, f=f, g=gs, h=hs, deg=deg, params=params,
-    )
-
-
-def normalize(
-    model: MapModel,
-    jordanize: bool = False,
-    eps: float | None = None,
-    deg: int | None = None,
-    divisor_floor: float = 1e-12,
-) -> tuple[MapModel, ChangeLog]:
-    """Average away the theta-dependence of a and B and rescale a_bar to 1.
-
-    The change is the composition of an x-shear killing the oscillatory
-    part of a, a y-shear killing the oscillatory part of B, the scaling
-    x -> mu x with mu = a_bar^(-1/(N-1)), and optionally a diagonalizing
-    linear change of y and the scaling y -> eps y.  Returns the transformed
-    model and a :class:`ChangeLog` with the composite change T, its inverse,
-    and the individual ingredients.
-    """
-    m, dim, cap, N = model.m, model.dim, model.order_cap, model.N
-    deg = deg if deg is not None else model.native_degree()
-    scale = model.coefficient_scale()
-    log = ChangeLog()
-    skew = model.as_skew(deg)
-
-    chain: list[tuple[SkewMap, SkewMap]] = []
-
-    a_osc = model.a_osc
-    if a_osc.strip_norm() > 1e-14 * scale:
-        c1 = sd_solve_map(-a_osc, model.freq, divisor_floor)
-        log.c1 = c1
-        chain.append(_skew_x_change(c1, N, m, deg))
-
-    if m and any(
-        model.B[i][j].oscillatory().strip_norm() > 1e-14 * scale
-        for i in range(m)
-        for j in range(m)
-    ):
-        C2 = [
-            [sd_solve_map(model.B[i][j].oscillatory(), model.freq, divisor_floor)
-             for j in range(m)]
-            for i in range(m)
-        ]
-        log.C2 = C2
-        chain.append(_skew_y_change(C2, N, m, deg))
-
-    abar = model.a_bar
-    if abar <= 0:
-        raise HypothesisViolation("normalize requires a_bar > 0 for the x-scaling")
-    if abs(abar - 1.0) > 1e-15:
-        mu = abar ** (-1.0 / (N - 1))
-        log.mu = mu
-        chain.append(_skew_x_scale(mu, m, deg, dim, cap))
-
-    if jordanize and m:
-        Bbar = model.B_bar() * (log.mu ** (N - 1))
-        w, V = np.linalg.eig(Bbar)
-        if np.max(np.abs(w.imag)) > 1e-12 or np.linalg.cond(V) > 1e8:
-            raise SingularB(
-                "B_bar is not real-diagonalizable within tolerance; "
-                "Jordanization with complex or defective spectra is not supported"
-            )
-        log.D = V.real
-        chain.append(_skew_linear_y(V.real, m, deg, dim, cap))
-
-    if eps is not None and eps != 1.0:
-        log.eps = float(eps)
-        E = np.eye(m) * eps
-        chain.append(_skew_linear_y(E, m, deg, dim, cap))
-
-    for T, Ti in chain:
-        skew = compose_skew_skew(compose_skew_skew(Ti, skew, deg), T, deg)
-
-    if chain:
-        T_total, Ti_total = chain[0]
-        for T, Ti in chain[1:]:
-            T_total = compose_skew_skew(T_total, T, deg)
-            Ti_total = compose_skew_skew(Ti, Ti_total, deg)
-        log.T, log.T_inv = T_total, Ti_total
-
-    out = model_from_skew(
-        skew, N, model.P, model.freq, cap, params=model.params
-    )
-    out.declared_P = model.declared_P
-    return out, log
-
-
-# ----------------------------------------------------------- flow normalize
 
 
 def _identity_subs(m: int, deg: int, dim: int, cap: int):
@@ -910,134 +773,109 @@ def _field_push_y_linear(field: SkewField, Dm: np.ndarray, deg: int) -> SkewFiel
     return _field_sub(shifted, sub_x, tuple(sub_y), deg)
 
 
-def model_from_field(
-    fld: SkewField,
-    N: int,
-    P: int,
-    freq: FrequencyVector,
-    order_cap: int,
-    params=(),
-    clamp_tol: float = 1e-11,
-) -> FlowModel:
-    """Re-extract a FlowModel from a skew field (linear slots must vanish)."""
-    m = fld.m
-    dim = fld.x.dim
-    deg = fld.x.deg
-    scale = max(fld.x.norm() + sum(j.norm() for j in fld.y), 1.0)
-    tol = clamp_tol * scale
-    zk = (0,) * m
-
-    a = -fld.x.coeff(N, zk)
-    f_all = {}
-    for (l, k), s in fld.x.terms.items():
-        order = l + sum(k)
-        if order < N:
-            if s.strip_norm() > tol:
-                raise HypothesisViolation(f"x-component has a low-order term at {(l, k)}")
-            continue
-        if (l, k) == (N, zk):
-            continue
-        if k == zk and order == N:
-            continue
-        f_all[(l, k)] = s
-    f = Jet(m, deg, dim, order_cap, f_all)
-
-    B = [[FourierSeries.zeros(dim, order_cap) for _ in range(m)] for _ in range(m)]
-    gs = []
-    for i in range(m):
-        g_all = {}
-        for (l, k), s in fld.y[i].terms.items():
-            order = l + sum(k)
-            if l == N - 1 and sum(k) == 1:
-                B[i][k.index(1)] = s
-                continue
-            if order < N:
-                if s.strip_norm() > tol:
-                    raise HypothesisViolation(f"y[{i}] has a low-order term at {(l, k)}")
-                continue
-            if order == N and (k == zk or sum(k) == 1):
-                if s.strip_norm() > tol:
-                    raise HypothesisViolation(
-                        f"y[{i}] violates the structural zeros of g_N at {(l, k)}"
-                    )
-                continue
-            g_all[(l, k)] = s
-        gs.append(Jet(m, deg, dim, order_cap, g_all))
-
-    hs = []
-    for r in range(len(fld.theta_dev)):
-        h_all = {}
-        for (l, k), s in fld.theta_dev[r].terms.items():
-            if l + sum(k) < P:
-                if s.strip_norm() > tol:
-                    raise HypothesisViolation(f"theta[{r}] has a term below degree P")
-                continue
-            h_all[(l, k)] = s
-        hs.append(Jet(m, deg, dim, order_cap, h_all))
-
-    return FlowModel.build(
-        N=N, P=P, freq=freq, a=a, m=m, order_cap=order_cap,
-        B=B, f=f, g=gs, h=hs, deg=deg, params=params,
-    )
+def _conjugate(skew: SkewMap, steps, N: int, deg: int, log: ChangeLog) -> SkewMap:
+    """Apply each change T of ``steps`` as T^-1 o F o T; record the composite T in ``log``."""
+    m, dim, cap = skew.m, skew.x.dim, skew.x.order_cap
+    changes = {
+        "x_shear": lambda c: _skew_x_change(c, N, m, deg),
+        "y_shear": lambda C: _skew_y_change(C, N, m, deg),
+        "x_scale": lambda mu: _skew_x_scale(mu, m, deg, dim, cap),
+        "y_linear": lambda D: _skew_linear_y(D, m, deg, dim, cap),
+    }
+    for name, value in steps:
+        T, Ti = changes[name](value)
+        skew = compose_skew_skew(compose_skew_skew(Ti, skew, deg), T, deg)
+        if log.T is None:
+            log.T, log.T_inv = T, Ti
+        else:
+            log.T = compose_skew_skew(log.T, T, deg)
+            log.T_inv = compose_skew_skew(Ti, log.T_inv, deg)
+    return skew
 
 
-def normalize_flow(
-    model: FlowModel,
+def _push_forward(fld: SkewField, steps, N: int, deg: int) -> SkewField:
+    """Push the field forward under each change of variables of ``steps``."""
+    pushes = {
+        "x_shear": lambda f, c: _field_push_x_shear(f, c, N, deg),
+        "y_shear": lambda f, C: _field_push_y_shear(f, C, N, deg),
+        "x_scale": lambda f, mu: _field_push_x_scale(f, mu, deg),
+        # y = D y' makes the new variable y' = D^-1 y
+        "y_linear": lambda f, D: _field_push_y_linear(f, np.linalg.inv(D), deg),
+    }
+    for name, value in steps:
+        fld = pushes[name](fld, value)
+    return fld
+
+
+def normalize(
+    model: MapModel | FlowModel,
     jordanize: bool = False,
     eps: float | None = None,
     deg: int | None = None,
     divisor_floor: float = 1e-12,
-) -> tuple[FlowModel, ChangeLog]:
-    """Flow analogue of :func:`normalize` using the directional-derivative SD.
+) -> tuple[MapModel | FlowModel, ChangeLog]:
+    """Average away the theta-dependence of a and B and rescale a_bar to 1.
 
-    The shear coefficients solve L c1 = a_osc and L C2 = -B_osc, where L is
-    the derivative along (omega, nu).
+    The change is the composition of an x-shear killing the oscillatory
+    part of a, a y-shear killing the oscillatory part of B, the scaling
+    x -> mu x with mu = a_bar^(-1/(N-1)), and optionally a diagonalizing
+    linear change of y and the scaling y -> eps y.  The same changes serve
+    maps and flows: a map is conjugated, T^-1 o F o T, and a field is pushed
+    forward.  The shear coefficients solve c1(th) - c1(th + omega) = a_osc
+    and C2(th + omega) - C2(th) = B_osc for maps, L c1 = a_osc and
+    L C2 = -B_osc for flows, where L is the derivative along (omega, nu).
+    Returns the transformed model and a :class:`ChangeLog` with the
+    individual ingredients (and, for a map, the composite change T and its
+    inverse).
     """
-    m, dim, cap, N = model.m, model.dim, model.order_cap, model.N
+    m, N = model.m, model.N
     deg = deg if deg is not None else model.native_degree()
     scale = model.coefficient_scale()
-    log = ChangeLog()
-    fld = model.as_field(deg)
+    is_map = model.kind == "map"
+    sd_solve = sd_solve_map if is_map else sd_solve_flow
+    sign = -1 if is_map else 1  # of a_osc in the x-shear equation; B_osc takes the other
 
+    def sd(h, s):
+        return sd_solve(-h if s < 0 else h, model.freq, divisor_floor)
+
+    log = ChangeLog()
+    steps = []
     a_osc = model.a_osc
     if a_osc.strip_norm() > 1e-14 * scale:
-        c1 = sd_solve_flow(a_osc, model.freq, divisor_floor)
-        log.c1 = c1
-        fld = _field_push_x_shear(fld, c1, N, deg)
+        log.c1 = sd(a_osc, sign)
+        steps.append(("x_shear", log.c1))
 
-    if m and any(
-        model.B[i][j].oscillatory().strip_norm() > 1e-14 * scale
-        for i in range(m)
-        for j in range(m)
-    ):
-        C2 = [
-            [sd_solve_flow(-model.B[i][j].oscillatory(), model.freq, divisor_floor)
-             for j in range(m)]
-            for i in range(m)
-        ]
-        log.C2 = C2
-        fld = _field_push_y_shear(fld, C2, N, deg)
+    B_osc = model.B_osc()
+    if any(s.strip_norm() > 1e-14 * scale for row in B_osc for s in row):
+        log.C2 = [[sd(s, -sign) for s in row] for row in B_osc]
+        steps.append(("y_shear", log.C2))
 
     abar = model.a_bar
     if abar <= 0:
         raise HypothesisViolation("normalize requires a_bar > 0 for the x-scaling")
     if abs(abar - 1.0) > 1e-15:
-        mu = abar ** (-1.0 / (N - 1))
-        log.mu = mu
-        fld = _field_push_x_scale(fld, mu, deg)
+        log.mu = abar ** (-1.0 / (N - 1))
+        steps.append(("x_scale", log.mu))
 
     if jordanize and m:
         Bbar = model.B_bar() * (log.mu ** (N - 1))
         w, V = np.linalg.eig(Bbar)
         if np.max(np.abs(w.imag)) > 1e-12 or np.linalg.cond(V) > 1e8:
-            raise SingularB("B_bar is not real-diagonalizable within tolerance")
+            raise SingularB(
+                "B_bar is not real-diagonalizable within tolerance; "
+                "Jordanization with complex or defective spectra is not supported"
+            )
         log.D = V.real
-        fld = _field_push_y_linear(fld, np.linalg.inv(V.real), deg)
+        steps.append(("y_linear", log.D))
 
     if eps is not None and eps != 1.0:
         log.eps = float(eps)
-        fld = _field_push_y_linear(fld, np.eye(m) / eps, deg)
+        steps.append(("y_linear", np.eye(m) * eps))
 
-    out = model_from_field(fld, N, model.P, model.freq, cap, params=model.params)
+    if is_map:
+        obj = _conjugate(model.as_skew(deg), steps, N, deg, log)
+    else:
+        obj = _push_forward(model.as_field(deg), steps, N, deg)
+    out = model_from(obj, N, model.P, model.freq, model.order_cap, params=model.params)
     out.declared_P = model.declared_P
     return out, log

@@ -142,6 +142,18 @@ def _flow_residual_at(model, fld, sol, K, tjets, x, thetas):
     return ex, ey, eth, mag
 
 
+def _error_jet_norms(model, sol, deg) -> dict[str, float]:
+    """Norm of each component of the jet-level invariance error at ``deg``."""
+    from .cohomology import invariance_error
+
+    ejet = invariance_error(model, sol, deg=deg)
+    return {
+        "x": ejet.ex.norm(),
+        "y": max((j.norm() for j in ejet.ey), default=0.0),
+        "theta": max((j.norm() for j in ejet.eth), default=0.0),
+    }
+
+
 def fit_error_orders(
     model,
     sol: ManifoldSolution,
@@ -187,24 +199,19 @@ def fit_error_orders(
         rows.append({"x": float(x), "floor": float(60.0 * eps * mag),
                      "e_x": ex, "e_y": ey, "e_theta": eth})
 
-    # a component whose error jet vanishes identically and whose numeric
-    # residual sits at the floor everywhere satisfies any decay order
-    from .cohomology import invariance_error
-
-    ejet = invariance_error(model, sol, deg=deg)
-    jet_norm = {
-        "x": ejet.ex.norm(),
-        "y": max((j.norm() for j in ejet.ey), default=0.0),
-        "theta": max((j.norm() for j in ejet.eth), default=0.0),
-    }
+    jet_norm = None  # built only for a component with no sample above the floor
     jet_scale = max(model.coefficient_scale(), 1.0)
 
     slopes = {}
     for comp in targets:
         pts = [(r["x"], r["e_" + comp]) for r in rows if r["e_" + comp] > r["floor"]]
-        if not pts and jet_norm[comp] <= 1e-13 * jet_scale:
-            slopes[comp] = math.inf
-            continue
+        if not pts:
+            # a component whose error jet vanishes identically and whose numeric
+            # residual sits at the floor everywhere satisfies any decay order
+            jet_norm = jet_norm or _error_jet_norms(model, sol, deg)
+            if jet_norm[comp] <= 1e-13 * jet_scale:
+                slopes[comp] = math.inf
+                continue
         if len(pts) < max(4, n_samples // 3):
             raise WindowTooWide(
                 f"component {comp}: residual at rounding floor across most of "

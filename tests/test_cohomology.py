@@ -16,7 +16,6 @@ from paratori.cohomology import (
     base_step,
     conjugate_normal_form,
     extend_order,
-    extend_order_flow,
     invariance_error,
     solve_manifold,
 )
@@ -124,13 +123,6 @@ def test_order_condition_through_five(bench_map):
     for entry in res.per_order:
         for comp, norm in entry["below_order"].items():
             assert norm <= 1e-9 * scale, (entry["j"], comp, norm)
-
-
-def test_extend_flow_requires_flow_model(bench_map):
-    sol = base_step(bench_map)
-    err = invariance_error(bench_map, sol)
-    with pytest.raises(Exception):
-        extend_order_flow(bench_map, sol, err)
 
 
 # ---------------------------------------------- dense linear-system oracle

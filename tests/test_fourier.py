@@ -9,10 +9,7 @@ from hypothesis import given, settings, strategies as st
 from paratori.errors import DimensionMismatch, NonzeroAverage, ResonantMode, ZeroDivisor
 from paratori.fourier import (
     FourierSeries,
-    average,
     diophantine_scan,
-    oscillatory,
-    rotate,
     sd_solve_flow,
     sd_solve_map,
 )
@@ -112,22 +109,22 @@ def test_evaluate_single_point_is_dtype_scalar(seed, dim, dtype):
 
 def test_average_oscillatory_split():
     s = FourierSeries(1, 4, {(0,): 2.0, (1,): 0.5, (-1,): 0.5})
-    assert average(s) == pytest.approx(2.0)
-    osc = oscillatory(s)
+    assert s.average() == pytest.approx(2.0)
+    osc = s.oscillatory()
     assert osc.coeffs == {(1,): 0.5, (-1,): 0.5}
-    total = osc + FourierSeries.constant(average(s), 1, 4)
+    total = osc + FourierSeries.constant(s.average(), 1, 4)
     assert (total - s).strip_norm() == 0.0
 
 
 def test_average_zero_series():
     z = FourierSeries.zeros(2, 3)
-    assert average(z) == 0
-    assert oscillatory(z).is_zero()
+    assert z.average() == 0
+    assert z.oscillatory().is_zero()
 
 
 def test_oscillatory_idempotent(rng):
     s = random_real_series(rng)
-    assert (oscillatory(oscillatory(s)) - oscillatory(s)).strip_norm() == 0.0
+    assert (s.oscillatory().oscillatory() - s.oscillatory()).strip_norm() == 0.0
 
 
 # -------------------------------------------------------------------- rotate
@@ -135,18 +132,18 @@ def test_oscillatory_idempotent(rng):
 
 def test_rotate_constant_invariant():
     s = FourierSeries.constant(1.5, 1, 4)
-    assert (rotate(s, 0.4321) - s).strip_norm() == 0.0
+    assert (s.rotate(0.4321) - s).strip_norm() == 0.0
 
 
 def test_rotate_half_period_negates_cosine():
     c = FourierSeries.cosine((1,), 1, 4)
-    assert (rotate(c, 0.5) + c).strip_norm() < 1e-15
+    assert (c.rotate(0.5) + c).strip_norm() < 1e-15
 
 
 def test_rotate_group_law(rng):
     s = random_real_series(rng)
     u, v = 0.313, 0.177
-    d = rotate(rotate(s, u), v) - rotate(s, u + v)
+    d = s.rotate(u).rotate(v) - s.rotate(u + v)
     assert d.strip_norm() < 1e-14
 
 
@@ -155,13 +152,13 @@ def test_rotate_evaluation_homomorphism(rng):
     u = 0.2718
     scale = s.strip_norm()
     for th in np.arange(64) / 64:
-        assert abs(rotate(s, u).evaluate(th) - s.evaluate(th + u)) <= 1e-13 * scale
+        assert abs(s.rotate(u).evaluate(th) - s.evaluate(th + u)) <= 1e-13 * scale
 
 
 def test_rotate_preserves_average_and_norm(rng):
     s = random_real_series(rng)
-    r = rotate(s, 0.123)
-    assert abs(average(r) - average(s)) < 1e-15
+    r = s.rotate(0.123)
+    assert abs(r.average() - s.average()) < 1e-15
     assert r.strip_norm(0.3) == pytest.approx(s.strip_norm(0.3), rel=1e-13)
 
 

@@ -1,14 +1,17 @@
-"""Model validation and the averaging normalization (map and flow)."""
+"""Model validation, the averaging normalization and model extraction (map and flow)."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from paratori.benchmark import benchmark_flow_model, benchmark_map_model
 from paratori.errors import HypothesisViolation, ResonantMode
 from paratori.fourier import FourierSeries, FrequencyVector, diophantine_scan
 from paratori.jet import Jet, compose_skew_skew
-from paratori.model import FlowModel, MapModel, normalize, normalize_flow, validate
+from paratori.model import FlowModel, MapModel, model_from, normalize, validate
 from conftest import random_real_series
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -144,14 +147,14 @@ def test_normalize_resonant_omega_raises():
         normalize(model)
 
 
-# ----------------------------------------------------------- normalize_flow
+# ------------------------------------------------------ normalize (flows)
 
 
 def test_normalize_flow_constant_unchanged():
     freq = diophantine_scan([GOLDEN], tau=1.0, k_max=30, sense="flow")
     model = FlowModel.build(N=2, P=2, freq=freq,
                             a=FourierSeries.constant(1.0, 1, 16), m=0, order_cap=16)
-    out, log = normalize_flow(model)
+    out, log = normalize(model)
     assert log.is_identity()
     assert (out.a - model.a).strip_norm() < 1e-14
 
@@ -163,7 +166,7 @@ def test_normalize_flow_single_mode_residual():
          + FourierSeries.cosine((1, 0), 2, cap, 0.4)
          + FourierSeries.cosine((1, -1), 2, cap, 0.2))
     model = FlowModel.build(N=2, P=2, freq=freq, a=a, m=0, order_cap=cap)
-    out, log = normalize_flow(model)
+    out, log = normalize(model)
     assert out.a.oscillatory().strip_norm() < 1e-11
     res = log.c1.directional_derivative((1.0, math.sqrt(2))) - a.oscillatory()
     assert res.strip_norm() <= 1e-12
@@ -177,7 +180,7 @@ def test_normalize_flow_resonant_nu():
     a = FourierSeries.constant(1.0, 2, cap) + FourierSeries.cosine((2, 1), 2, cap, 0.3)
     model = FlowModel.build(N=2, P=2, freq=freq, a=a, m=0, order_cap=cap)
     with pytest.raises(ResonantMode):
-        normalize_flow(model)
+        normalize(model)
 
 
 def test_normalize_flow_b_block():
@@ -186,7 +189,7 @@ def test_normalize_flow_b_block():
     a = FourierSeries.constant(2.0, 2, cap) + FourierSeries.cosine((1, 0), 2, cap, 0.5)
     B = [[FourierSeries.constant(1.5, 2, cap) + FourierSeries.cosine((0, 1), 2, cap, 0.4)]]
     model = FlowModel.build(N=2, P=2, freq=freq, a=a, m=m, order_cap=cap, B=B, deg=deg)
-    out, log = normalize_flow(model)
+    out, log = normalize(model)
     assert abs(out.a.average().real - 1.0) < 1e-11
     assert out.a.oscillatory().strip_norm() < 1e-10
     assert out.B[0][0].oscillatory().strip_norm() < 1e-10
@@ -197,15 +200,14 @@ def test_normalize_flow_b_block():
 # ------------------------------------------------------------ T4/T5 options
 
 
-def test_normalize_jordanize_and_eps(golden_freq):
+def _check_jordanize_and_eps(cls, freq):
     cap, m, deg = 16, 2, 6
     a = FourierSeries.constant(2.0, 1, cap)
     B = [[FourierSeries.constant(3.0, 1, cap), FourierSeries.constant(1.0, 1, cap)],
          [FourierSeries.constant(0.5, 1, cap), FourierSeries.constant(2.0, 1, cap)]]
     g = [Jet.monomial(0, (0, 2), 0.3, m, deg, 1, cap), None]
     g[1] = Jet.monomial(0, (2, 0), 0.2, m, deg, 1, cap)
-    model = MapModel.build(N=2, P=2, freq=golden_freq, a=a, m=m, order_cap=cap,
-                           B=B, g=g, deg=deg)
+    model = cls.build(N=2, P=2, freq=freq, a=a, m=m, order_cap=cap, B=B, g=g, deg=deg)
     out, log = normalize(model, jordanize=True, eps=0.1)
     assert validate(out) == []
     Bb = out.B_bar()
@@ -214,6 +216,15 @@ def test_normalize_jordanize_and_eps(golden_freq):
     want = np.sort(np.linalg.eigvals(model.B_bar()).real) / 2.0
     assert np.allclose(np.sort(np.diag(Bb)), want)
     assert log.eps == 0.1
+
+
+def test_normalize_jordanize_and_eps(golden_freq):
+    _check_jordanize_and_eps(MapModel, golden_freq)
+
+
+def test_normalize_flow_jordanize_and_eps():
+    # the flow pushes the linear y-change forward instead of conjugating
+    _check_jordanize_and_eps(FlowModel, diophantine_scan([GOLDEN], tau=1.0, k_max=30, sense="flow"))
 
 
 def test_normalize_defective_B_raises(golden_freq):
@@ -226,3 +237,106 @@ def test_normalize_defective_B_raises(golden_freq):
     model = MapModel.build(N=2, P=2, freq=golden_freq, a=a, m=m, order_cap=cap, B=B)
     with pytest.raises(SingularB):
         normalize(model, jordanize=True)
+
+
+
+# ----------------------------------------------------------------- model_from
+
+
+def _torus2_model(cls, sense):
+    """A d = 2 model with mixed modes in every coefficient slot."""
+    dim, cap, m, deg = 2, 8, 1, 6
+    freq = diophantine_scan([GOLDEN, math.sqrt(2.0) - 1.0], tau=2.0, k_max=16, sense=sense)
+
+    def series(mean, *modes):
+        s = FourierSeries.constant(mean, dim, cap)
+        for k, amp in modes:
+            s = s + FourierSeries.cosine(k, dim, cap, amp)
+        return s
+
+    a = series(1.0, ((1, 0), 0.2), ((0, 1), 0.1))
+    B = [[series(0.8, ((1, -1), 0.1))]]
+    f = (Jet.monomial(1, (1,), series(0.3, ((0, 1), 0.05)), m, deg, dim, cap)
+         + Jet.monomial(3, (0,), series(-0.2, ((1, 1), 0.04)), m, deg, dim, cap))
+    g = [Jet.monomial(0, (2,), series(0.25, ((1, 0), 0.1)), m, deg, dim, cap)
+         + Jet.monomial(3, (0,), 0.3, m, deg, dim, cap)]
+    h = [Jet.monomial(2, (0,), series(0.1, ((0, 1), 0.02)), m, deg, dim, cap)
+         + Jet.monomial(1, (1,), 0.12, m, deg, dim, cap) for _ in range(dim)]
+    return cls.build(N=2, P=2, freq=freq, a=a, m=m, order_cap=cap,
+                     B=B, f=f, g=g, h=h, deg=deg)
+
+
+def _skew_or_field(model, deg):
+    return model.as_skew(deg) if model.kind == "map" else model.as_field(deg)
+
+
+def _coeff_tables(model):
+    """Every coefficient of a model as plain mode tables, for exact comparison."""
+    def jet(j):
+        return {key: s.coeffs for key, s in j.terms.items()}
+    return {
+        "a": model.a.coeffs,
+        "B": [[s.coeffs for s in row] for row in model.B],
+        "f_N": jet(model.f_N), "f_tail": jet(model.f_tail),
+        **{name: [jet(j) for j in getattr(model, name)]
+           for name in ("g_N", "h_P", "g_tail", "h_tail")},
+    }
+
+
+_ROUND_TRIP_MODELS = {
+    "benchmark-map": benchmark_map_model,
+    "benchmark-flow": benchmark_flow_model,
+    "torus2-map": lambda: _torus2_model(MapModel, "map"),
+    "torus2-flow": lambda: _torus2_model(FlowModel, "flow"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUND_TRIP_MODELS))
+def test_model_from_round_trip_is_exact(name):
+    model = _ROUND_TRIP_MODELS[name]()
+    out = model_from(_skew_or_field(model, model.native_degree()), model.N, model.P,
+                     model.freq, model.order_cap, params=model.params)
+    assert type(out) is type(model)
+    assert (out.N, out.P, out.m, out.d) == (model.N, model.P, model.m, model.d)
+    assert _coeff_tables(out) == _coeff_tables(model)
+
+
+def _bumped(model, comp, l, k):
+    """The model's skew map or field with 0.1 x^l y^k added to one component."""
+    deg = model.native_degree()
+    obj = _skew_or_field(model, deg)
+    bump = Jet.monomial(l, k, 0.1, model.m, deg, model.dim, model.order_cap)
+    if comp == "x":
+        return replace(obj, x=obj.x + bump)
+    if comp == "y":
+        return replace(obj, y=(obj.y[0] + bump,) + tuple(obj.y[1:]))
+    return replace(obj, theta_dev=(obj.theta_dev[0] + bump,) + tuple(obj.theta_dev[1:]))
+
+
+# (component, l, k) of the bump, and the message for a map and for a field;
+# a field has no identity part, so its linear slots are low-order terms
+_VIOLATIONS = [
+    pytest.param("x", 1, (0,), "x-component linear part is not x",
+                 "x-component has a low-order term", id="x-linear"),
+    pytest.param("y", 0, (1,), "y-component linear part is not the identity",
+                 "y[0] has a low-order term", id="y-linear"),
+    pytest.param("x", 0, (1,), "x-component has a low-order term",
+                 "x-component has a low-order term", id="x-low-order"),
+    pytest.param("y", 1, (0,), "y[0] has a low-order term",
+                 "y[0] has a low-order term", id="y-low-order"),
+    pytest.param("y", 2, (0,), "y[0] violates the structural zeros of g_N",
+                 "y[0] violates the structural zeros of g_N", id="g_N-structural-zero"),
+    pytest.param("theta", 1, (0,), "theta[0] has a term below degree P",
+                 "theta[0] has a term below degree P", id="theta-below-P"),
+]
+
+
+@pytest.mark.parametrize("kind", ["map", "flow"])
+@pytest.mark.parametrize("comp, l, k, map_msg, flow_msg", _VIOLATIONS)
+def test_model_from_hypothesis_violations(bench_map, bench_flow, kind, comp, l, k,
+                                          map_msg, flow_msg):
+    model = bench_map if kind == "map" else bench_flow
+    obj = _bumped(model, comp, l, k)
+    msg = map_msg if kind == "map" else flow_msg
+    with pytest.raises(HypothesisViolation, match=re.escape(msg)):
+        model_from(obj, model.N, model.P, model.freq, model.order_cap)
