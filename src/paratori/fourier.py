@@ -398,13 +398,29 @@ def diophantine_scan(
 # ------------------------------------------------------ small divisors (SD)
 
 
-def _require_zero_average(h: FourierSeries) -> None:
+def _sd_divide(h: FourierSeries, vec, divisor, divisor_floor: float) -> FourierSeries:
+    """phi_k = h_k / divisor(k.vec) for every nonzero mode k of a zero-average h."""
     scale = h.strip_norm(0.0)
     if abs(h.average()) > 1e-13 * max(scale, 1e-300):
         raise NonzeroAverage(
             f"average {h.average():.3e} vs strip norm {scale:.3e}; split "
             "off the averaged part before calling the SD solver"
         )
+    if len(vec) != h.dim:
+        raise DimensionMismatch(
+            f"series on T^{h.dim} with frequency vector of length {len(vec)}"
+        )
+    out = {}
+    for k, c in h.coeffs.items():
+        if _norm1(k) == 0:
+            continue
+        div = divisor(sum(ki * wi for ki, wi in zip(k, vec)))
+        if abs(div) < divisor_floor:
+            if c != 0.0:
+                raise ResonantMode(k, div)
+            continue
+        out[k] = c / div
+    return FourierSeries(h.dim, h.order_cap, out, h.trunc_loss)
 
 
 def sd_solve_map(
@@ -418,24 +434,9 @@ def sd_solve_map(
     :class:`ResonantMode`; regularizing them would silently destroy the
     decay the Diophantine hypothesis guarantees.
     """
-    _require_zero_average(h)
-    omega = freq.omega
-    if len(omega) != h.dim:
-        raise DimensionMismatch(
-            f"series on T^{h.dim} with frequency vector of length {len(omega)}"
-        )
-    out = {}
-    for k, c in h.coeffs.items():
-        if _norm1(k) == 0:
-            continue
-        ph = sum(ki * wi for ki, wi in zip(k, omega))
-        div = cmath.exp(2j * math.pi * ph) - 1.0
-        if abs(div) < divisor_floor:
-            if c != 0.0:
-                raise ResonantMode(k, div)
-            continue
-        out[k] = c / div
-    return FourierSeries(h.dim, h.order_cap, out, h.trunc_loss)
+    return _sd_divide(
+        h, freq.omega, lambda ph: cmath.exp(2j * math.pi * ph) - 1.0, divisor_floor
+    )
 
 
 def sd_solve_flow(
@@ -445,21 +446,4 @@ def sd_solve_flow(
 
     The series lives on T^(d+d'); modewise phi_k = h_k / (2*pi*i*k.(omega, nu)).
     """
-    _require_zero_average(h)
-    vec = freq.full
-    if len(vec) != h.dim:
-        raise DimensionMismatch(
-            f"series on T^{h.dim} with frequency vector of length {len(vec)}"
-        )
-    out = {}
-    for k, c in h.coeffs.items():
-        if _norm1(k) == 0:
-            continue
-        dot = sum(ki * wi for ki, wi in zip(k, vec))
-        div = 2j * math.pi * dot
-        if abs(div) < divisor_floor:
-            if c != 0.0:
-                raise ResonantMode(k, div)
-            continue
-        out[k] = c / div
-    return FourierSeries(h.dim, h.order_cap, out, h.trunc_loss)
+    return _sd_divide(h, freq.full, lambda dot: 2j * math.pi * dot, divisor_floor)

@@ -469,13 +469,14 @@ def model_from(
         lin = obj.x.coeff(1, zk)
         if abs(lin.average() - 1.0) > 1e-9 or lin.oscillatory().strip_norm() > 1e-9 * scale:
             raise HypothesisViolation("x-component linear part is not x after conjugation")
-        for i, terms in enumerate(y_terms):
-            for (l, k), s in terms.items():
-                if l == 0 and sum(k) == 1:
-                    if k.index(1) == i:
-                        s = s - FourierSeries.constant(1.0, dim, order_cap)
-                    if s.strip_norm() > tol:
-                        raise HypothesisViolation("y-component linear part is not the identity")
+        # every slot, so that a missing y_i term (y_i -> 0 y_i + ...) is caught
+        for i, yi in enumerate(obj.y):
+            for t in range(m):
+                s = yi.coeff(0, tuple(1 if q == t else 0 for q in range(m)))
+                if t == i:
+                    s = s - FourierSeries.constant(1.0, dim, order_cap)
+                if s.strip_norm() > tol:
+                    raise HypothesisViolation("y-component linear part is not the identity")
         x_terms = {key: s for key, s in x_terms.items() if key != (1, zk)}
         y_terms = [
             {(l, k): s for (l, k), s in terms.items() if (l, sum(k)) != (0, 1)}
@@ -648,140 +649,19 @@ def _skew_x_scale(mu: float, m: int, deg: int, dim: int, cap: int) -> tuple[Skew
     return T, Ti
 
 
-def _identity_subs(m: int, deg: int, dim: int, cap: int):
-    return tuple(Jet.var_y(i, m, deg, dim, cap) for i in range(m))
-
-
-def _field_sub(field: SkewField, sub_x: Jet, sub_y: tuple[Jet, ...], deg: int) -> SkewField:
-    """Substitute (x, y) slots in every component of a field."""
-    return SkewField(
-        x=jet_compose(field.x, sub_x, sub_y, deg=deg),
-        y=tuple(jet_compose(j, sub_x, sub_y, deg=deg) for j in field.y),
-        theta_dev=tuple(jet_compose(j, sub_x, sub_y, deg=deg) for j in field.theta_dev),
-        omega=field.omega,
-        nu=field.nu,
-    )
-
-
-def _field_push_x_shear(field: SkewField, c: FourierSeries, N: int, deg: int) -> SkewField:
-    """Pushforward under w = x + c(theta, tau) x^N."""
-    m, dim, cap = field.m, field.x.dim, field.x.order_cap
-    d = len(field.omega)
-    zk = (0,) * m
-    freqs = field.omega + field.nu
-    one_plus = Jet.monomial(0, zk, 1.0, m, deg, dim, cap) + Jet.monomial(
-        N - 1, zk, c.scale(N), m, deg, dim, cap
-    )
-    wdot = field.x.jet_mul(one_plus)
-    wdot = wdot + Jet.monomial(N, zk, c.directional_derivative(freqs), m, deg, dim, cap)
-    for r in range(d):
-        dc = c.derivative(r)
-        if dc.coeffs:
-            wdot = wdot + Jet.monomial(N, zk, dc, m, deg, dim, cap).jet_mul(
-                field.theta_dev[r]
-            )
-    A = Jet.var_x(0, deg, dim, cap) + Jet.monomial(N, (), c, 0, deg, dim, cap)
-    sub_x = _lift_x_jet(invert_x_jet(A, deg), m)
-    sub_y = _identity_subs(m, deg, dim, cap)
-    shifted = SkewField(
-        x=wdot, y=field.y, theta_dev=field.theta_dev,
-        omega=field.omega, nu=field.nu,
-    )
-    return _field_sub(shifted, sub_x, sub_y, deg)
-
-
-def _field_push_y_shear(field: SkewField, C: list[list[FourierSeries]], N: int, deg: int) -> SkewField:
-    """Pushforward under y' = (I + C(theta, tau) x^(N-1)) y."""
-    m, dim, cap = field.m, field.x.dim, field.x.order_cap
-    d = len(field.omega)
-    zk = (0,) * m
-    freqs = field.omega + field.nu
-
-    def y_slot(j):
-        return tuple(1 if t == j else 0 for t in range(m))
-
-    # dy'/dt = Mdot y + M ydot, as jets in the old (x, y)
-    new_y = []
-    for i in range(m):
-        acc = field.y[i]
-        for j in range(m):
-            cij = C[i][j]
-            yj = Jet.var_y(j, m, deg, dim, cap)
-            # Mdot y: [L C + sum_r dC/dtheta_r h_r] x^(N-1) y + (N-1) C x^(N-2) xdot y
-            acc = acc + Jet.monomial(
-                N - 1, y_slot(j), cij.directional_derivative(freqs), m, deg, dim, cap
-            )
-            for r in range(d):
-                dc = cij.derivative(r)
-                if dc.coeffs:
-                    acc = acc + Jet.monomial(N - 1, y_slot(j), dc, m, deg, dim, cap).jet_mul(
-                        field.theta_dev[r]
-                    )
-            shear = Jet.monomial(N - 2, zk, cij.scale(N - 1), m, deg, dim, cap) if N >= 2 else None
-            if shear is not None:
-                acc = acc + shear.jet_mul(field.x).jet_mul(yj)
-            # M ydot (off-identity part)
-            acc = acc + Jet.monomial(N - 1, zk, cij, m, deg, dim, cap).jet_mul(field.y[j])
-        new_y.append(acc)
-
-    # substitute y = (I + C x^(N-1))^{-1} y'
-    _, Ti = _skew_y_change(C, N, m, deg)
-    sub_x = Jet.var_x(m, deg, dim, cap)
-    sub_y = Ti.y
-    shifted = SkewField(
-        x=field.x, y=tuple(new_y), theta_dev=field.theta_dev,
-        omega=field.omega, nu=field.nu,
-    )
-    return _field_sub(shifted, sub_x, sub_y, deg)
-
-
-def _field_push_x_scale(field: SkewField, mu: float, deg: int) -> SkewField:
-    # new variable w = x / mu, so wdot = xdot / mu evaluated at x = mu w
-    m, dim, cap = field.m, field.x.dim, field.x.order_cap
-    sub_x = Jet.monomial(1, (0,) * m, mu, m, deg, dim, cap)
-    sub_y = _identity_subs(m, deg, dim, cap)
-    scaled = SkewField(
-        x=field.x.scale(1.0 / mu), y=field.y, theta_dev=field.theta_dev,
-        omega=field.omega, nu=field.nu,
-    )
-    return _field_sub(scaled, sub_x, sub_y, deg)
-
-
-def _field_push_y_linear(field: SkewField, Dm: np.ndarray, deg: int) -> SkewField:
-    m, dim, cap = field.m, field.x.dim, field.x.order_cap
-    Dinv = np.linalg.inv(Dm)
-    new_y = []
-    for i in range(m):
-        acc = Jet.zero(m, deg, dim, cap)
-        for j in range(m):
-            if Dm[i, j]:
-                acc = acc + field.y[j].scale(float(Dm[i, j]))
-        new_y.append(acc)
-    sub_x = Jet.var_x(m, deg, dim, cap)
-    sub_y = []
-    for j in range(m):
-        acc = Jet.zero(m, deg, dim, cap)
-        for t in range(m):
-            if Dinv[j, t]:
-                kt = tuple(1 if q == t else 0 for q in range(m))
-                acc = acc + Jet.monomial(0, kt, float(Dinv[j, t]), m, deg, dim, cap)
-        sub_y.append(acc)
-    shifted = SkewField(
-        x=field.x, y=tuple(new_y), theta_dev=field.theta_dev,
-        omega=field.omega, nu=field.nu,
-    )
-    return _field_sub(shifted, sub_x, tuple(sub_y), deg)
-
-
-def _conjugate(skew: SkewMap, steps, N: int, deg: int, log: ChangeLog) -> SkewMap:
-    """Apply each change T of ``steps`` as T^-1 o F o T; record the composite T in ``log``."""
-    m, dim, cap = skew.m, skew.x.dim, skew.x.order_cap
-    changes = {
+def _changes(m: int, N: int, deg: int, dim: int, cap: int):
+    """The builder of each averaging change, as the pair (T, T^-1) of skew maps."""
+    return {
         "x_shear": lambda c: _skew_x_change(c, N, m, deg),
         "y_shear": lambda C: _skew_y_change(C, N, m, deg),
         "x_scale": lambda mu: _skew_x_scale(mu, m, deg, dim, cap),
         "y_linear": lambda D: _skew_linear_y(D, m, deg, dim, cap),
     }
+
+
+def _conjugate(skew: SkewMap, steps, N: int, deg: int, log: ChangeLog) -> SkewMap:
+    """Apply each change T of ``steps`` as T^-1 o F o T; record the composite T in ``log``."""
+    changes = _changes(skew.m, N, deg, skew.x.dim, skew.x.order_cap)
     for name, value in steps:
         T, Ti = changes[name](value)
         skew = compose_skew_skew(compose_skew_skew(Ti, skew, deg), T, deg)
@@ -793,17 +673,43 @@ def _conjugate(skew: SkewMap, steps, N: int, deg: int, log: ChangeLog) -> SkewMa
     return skew
 
 
+def _push(fld: SkewField, W: SkewMap, S: SkewMap, deg: int) -> SkewField:
+    """The field in the new variables (W.x, W.y), functions of the old (x, y, theta)
+    whose inverse is (x, y) = (S.x, S.y): the time derivative of each new
+    variable along the field, with S substituted in every component."""
+    freqs = fld.omega + fld.nu
+
+    def along(w: Jet) -> Jet:
+        acc = fld.x.jet_mul(w.derivative_x())
+        for i, yi in enumerate(fld.y):
+            acc = acc + yi.jet_mul(w.derivative_y(i))
+        acc = acc + w.directional_theta(freqs)
+        for r, dev in enumerate(fld.theta_dev):
+            acc = acc + w.derivative_theta(r).jet_mul(dev)
+        return acc
+
+    def sub(j: Jet) -> Jet:
+        return jet_compose(j, S.x, S.y, deg=deg)
+
+    return SkewField(
+        x=sub(along(W.x)), y=tuple(sub(along(w)) for w in W.y),
+        theta_dev=tuple(sub(j) for j in fld.theta_dev), omega=fld.omega, nu=fld.nu,
+    )
+
+
 def _push_forward(fld: SkewField, steps, N: int, deg: int) -> SkewField:
-    """Push the field forward under each change of variables of ``steps``."""
-    pushes = {
-        "x_shear": lambda f, c: _field_push_x_shear(f, c, N, deg),
-        "y_shear": lambda f, C: _field_push_y_shear(f, C, N, deg),
-        "x_scale": lambda f, mu: _field_push_x_scale(f, mu, deg),
-        # y = D y' makes the new variable y' = D^-1 y
-        "y_linear": lambda f, D: _field_push_y_linear(f, np.linalg.inv(D), deg),
-    }
+    """Push the field forward under each change (T, T^-1) of ``steps``.
+
+    A scaling or linear y-change acts as on a map, old = T(new), so the new
+    variables are W = T^-1.  A shear's new variables are W = T: with
+    w = x + c1 x^N the field gives dw/dt = (L c1 - a) x^N + ..., so the
+    flow's c1 solves L c1 = +a_osc (and C2 solves L C2 = -B_osc), the sign
+    its ``ChangeLog`` records; W = T^-1 would flip it.
+    """
+    changes = _changes(fld.m, N, deg, fld.x.dim, fld.x.order_cap)
     for name, value in steps:
-        fld = pushes[name](fld, value)
+        T, Ti = changes[name](value)
+        fld = _push(fld, T, Ti, deg) if name in ("x_shear", "y_shear") else _push(fld, Ti, T, deg)
     return fld
 
 
@@ -824,9 +730,12 @@ def normalize(
     forward.  The shear coefficients solve c1(th) - c1(th + omega) = a_osc
     and C2(th + omega) - C2(th) = B_osc for maps, L c1 = a_osc and
     L C2 = -B_osc for flows, where L is the derivative along (omega, nu).
-    Returns the transformed model and a :class:`ChangeLog` with the
-    individual ingredients (and, for a map, the composite change T and its
-    inverse).
+    With these signs a map's shears give the old variables from the new,
+    old = T(new), and a flow's shears give the new from the old,
+    new = T(old); the scalings and the linear y-change give the old
+    variables from the new for both kinds.  Returns the transformed model
+    and a :class:`ChangeLog` with the individual ingredients (and, for a
+    map, the composite change T and its inverse).
     """
     m, N = model.m, model.N
     deg = deg if deg is not None else model.native_degree()

@@ -10,7 +10,7 @@ import pytest
 from paratori.benchmark import benchmark_flow_model, benchmark_map_model
 from paratori.errors import HypothesisViolation, ResonantMode
 from paratori.fourier import FourierSeries, FrequencyVector, diophantine_scan
-from paratori.jet import Jet, compose_skew_skew
+from paratori.jet import Jet, compose_skew_skew, jet_compose
 from paratori.model import FlowModel, MapModel, model_from, normalize, validate
 from conftest import random_real_series
 
@@ -197,6 +197,89 @@ def test_normalize_flow_b_block():
     assert validate(out) == []
 
 
+def _quasiperiodic_flow(m, a, B):
+    """A flow on T^(1+1) with x y, y^2, x^3 and theta-dependent x^2 angle terms."""
+    freq = diophantine_scan([1.0], [math.sqrt(2)], tau=1.0, k_max=40, sense="flow")
+    cap, deg, dim = 16, 6, 2
+
+    def series(mean, *modes):
+        s = FourierSeries.constant(mean, dim, cap)
+        for k, amp in modes:
+            s = s + FourierSeries.cosine(k, dim, cap, amp)
+        return s
+
+    e = [tuple(int(q == t) for q in range(m)) for t in range(m)]
+    f = Jet.monomial(1, e[0], series(0.3, ((1, 0), 0.2)), m, deg, dim, cap)
+    g = [Jet.monomial(0, tuple(2 * v for v in e[i]), 0.25, m, deg, dim, cap)
+         + Jet.monomial(3, (0,) * m, 0.1, m, deg, dim, cap) for i in range(m)]
+    h = [Jet.monomial(2, (0,) * m, series(0.1, ((1, 0), 0.3), ((0, 1), 0.1)), m, deg, dim, cap)]
+    B = [[series(*entry) for entry in row] for row in B]
+    return FlowModel.build(N=2, P=2, freq=freq, a=series(*a), m=m, order_cap=cap,
+                           B=B, f=f, g=g, h=h, deg=deg)
+
+
+# (m, a, B, normalize options) of flows whose normalization takes one step
+_ONE_STEP_FLOWS = [
+    pytest.param(1, (1.0, ((1, 0), 0.4), ((1, -1), 0.2)), [[(1.5,)]], {}, id="x-shear"),
+    pytest.param(1, (1.0,), [[(1.5, ((0, 1), 0.4), ((1, 0), 0.1))]], {}, id="y-shear"),
+    pytest.param(1, (1.3,), [[(1.5,)]], {}, id="mu"),
+    pytest.param(2, (1.0,), [[(3.0,), (1.0,)], [(0.5,), (2.0,)]], {"jordanize": True},
+                 id="jordanize"),
+    pytest.param(1, (1.0,), [[(1.5,)]], {"eps": 0.1}, id="eps"),
+]
+
+
+@pytest.mark.parametrize("m, a, B, options", _ONE_STEP_FLOWS)
+def test_normalize_flow_is_push_forward(m, a, B, options):
+    # oracle: X' o W == dW/dt along X coefficient-wise at working degree, for the
+    # new variables W(x, y, theta) rebuilt from the ChangeLog
+    model = _quasiperiodic_flow(m, a, B)
+    N, deg, dim, cap = model.N, 6, model.dim, model.order_cap
+    out, log = normalize(model, deg=deg, **options)
+    fired = [log.c1 is not None, log.C2 is not None, log.mu != 1.0,
+             log.D is not None, log.eps != 1.0]
+    assert sum(fired) == 1
+
+    def mono(l, k, c):
+        return Jet.monomial(l, k, c, m, deg, dim, cap)
+
+    e = [tuple(int(q == t) for q in range(m)) for t in range(m)]
+    zk = (0,) * m
+    # a flow's shears are new = T(old); its scalings are old = T(new)
+    Wx = mono(1, zk, 1.0 / log.mu)
+    if log.c1 is not None:
+        Wx = Wx + mono(N, zk, log.c1)
+    lin = (np.linalg.inv(log.D) if log.D is not None else np.eye(m)) / log.eps
+    Wy = []
+    for i in range(m):
+        w = Jet.zero(m, deg, dim, cap)
+        for j in range(m):
+            w = w + mono(0, e[j], float(lin[i, j]))
+            if log.C2 is not None:
+                w = w + mono(N - 1, e[j], log.C2[i][j])
+        Wy.append(w)
+
+    X, Xp = model.as_field(deg), out.as_field(deg)
+
+    def along_X(w):
+        acc = X.x.jet_mul(w.derivative_x())
+        for i in range(m):
+            acc = acc + X.y[i].jet_mul(w.derivative_y(i))
+        acc = acc + w.directional_theta(X.omega + X.nu)
+        for r in range(len(X.theta_dev)):
+            acc = acc + w.derivative_theta(r).jet_mul(X.theta_dev[r])
+        return acc
+
+    def at_W(j):
+        return jet_compose(j, Wx, Wy, deg=deg)
+
+    err = (at_W(Xp.x) - along_X(Wx)).norm()
+    err += sum((at_W(u) - along_X(w)).norm() for u, w in zip(Xp.y, Wy))
+    # W leaves theta alone, so the angle deviations only move by the substitution
+    err += sum((at_W(u) - v).norm() for u, v in zip(Xp.theta_dev, X.theta_dev))
+    assert err < 1e-10
+
+
 # ------------------------------------------------------------ T4/T5 options
 
 
@@ -301,11 +384,11 @@ def test_model_from_round_trip_is_exact(name):
     assert _coeff_tables(out) == _coeff_tables(model)
 
 
-def _bumped(model, comp, l, k):
-    """The model's skew map or field with 0.1 x^l y^k added to one component."""
+def _bumped(model, comp, l, k, amp):
+    """The model's skew map or field with amp x^l y^k added to one component."""
     deg = model.native_degree()
     obj = _skew_or_field(model, deg)
-    bump = Jet.monomial(l, k, 0.1, model.m, deg, model.dim, model.order_cap)
+    bump = Jet.monomial(l, k, amp, model.m, deg, model.dim, model.order_cap)
     if comp == "x":
         return replace(obj, x=obj.x + bump)
     if comp == "y":
@@ -313,30 +396,33 @@ def _bumped(model, comp, l, k):
     return replace(obj, theta_dev=(obj.theta_dev[0] + bump,) + tuple(obj.theta_dev[1:]))
 
 
-# (component, l, k) of the bump, and the message for a map and for a field;
-# a field has no identity part, so its linear slots are low-order terms
+# (component, l, k, amp) of the bump, and the message for a map and for a
+# field; a field has no identity part, so its linear slots are low-order terms
 _VIOLATIONS = [
-    pytest.param("x", 1, (0,), "x-component linear part is not x",
+    pytest.param("x", 1, (0,), 0.1, "x-component linear part is not x",
                  "x-component has a low-order term", id="x-linear"),
-    pytest.param("y", 0, (1,), "y-component linear part is not the identity",
+    pytest.param("y", 0, (1,), 0.1, "y-component linear part is not the identity",
                  "y[0] has a low-order term", id="y-linear"),
-    pytest.param("x", 0, (1,), "x-component has a low-order term",
+    # amp -1 deletes a map's y-slot: y -> 0 y + ...
+    pytest.param("y", 0, (1,), -1.0, "y-component linear part is not the identity",
+                 "y[0] has a low-order term", id="y-linear-missing"),
+    pytest.param("x", 0, (1,), 0.1, "x-component has a low-order term",
                  "x-component has a low-order term", id="x-low-order"),
-    pytest.param("y", 1, (0,), "y[0] has a low-order term",
+    pytest.param("y", 1, (0,), 0.1, "y[0] has a low-order term",
                  "y[0] has a low-order term", id="y-low-order"),
-    pytest.param("y", 2, (0,), "y[0] violates the structural zeros of g_N",
+    pytest.param("y", 2, (0,), 0.1, "y[0] violates the structural zeros of g_N",
                  "y[0] violates the structural zeros of g_N", id="g_N-structural-zero"),
-    pytest.param("theta", 1, (0,), "theta[0] has a term below degree P",
+    pytest.param("theta", 1, (0,), 0.1, "theta[0] has a term below degree P",
                  "theta[0] has a term below degree P", id="theta-below-P"),
 ]
 
 
 @pytest.mark.parametrize("kind", ["map", "flow"])
-@pytest.mark.parametrize("comp, l, k, map_msg, flow_msg", _VIOLATIONS)
-def test_model_from_hypothesis_violations(bench_map, bench_flow, kind, comp, l, k,
+@pytest.mark.parametrize("comp, l, k, amp, map_msg, flow_msg", _VIOLATIONS)
+def test_model_from_hypothesis_violations(bench_map, bench_flow, kind, comp, l, k, amp,
                                           map_msg, flow_msg):
     model = bench_map if kind == "map" else bench_flow
-    obj = _bumped(model, comp, l, k)
+    obj = _bumped(model, comp, l, k, amp)
     msg = map_msg if kind == "map" else flow_msg
     with pytest.raises(HypothesisViolation, match=re.escape(msg)):
         model_from(obj, model.N, model.P, model.freq, model.order_cap)
