@@ -439,7 +439,7 @@ def build_restricted_field(
         scale_y = -(1 + s) * M ** (-(s + 3) / 3.0)
         tail_y = tail_y + sub0(series).jet_mul(xi_pow).jet_mul(xt4).scale(0.25 * scale_y)
         dth = d_theta_rad(series)
-        if dth.coeffs:
+        if not dth.is_zero():
             scale_g = M ** (-(s + 3) / 3.0)
             gt_dot = gt_dot + sub0(dth).jet_mul(xi_pow.jet_mul(xt2).scale(0.5)).scale(scale_g)
     yt_dot = xt4.scale(-0.25) + tail_y

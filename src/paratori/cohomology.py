@@ -179,7 +179,7 @@ class ManifoldSolution:
                 if vec[i]:
                     yi = yi + Jet.monomial(l, (), vec[i], 0, deg, dim, cap)
             for o, row in self.ktil_y.items():
-                if row[i].coeffs:
+                if not row[i].is_zero():
                     yi = yi + Jet.monomial(o, (), row[i], 0, deg, dim, cap)
             ys.append(yi)
         devs = []
@@ -189,7 +189,7 @@ class ManifoldSolution:
                 if vec[r]:
                     dr = dr + Jet.monomial(l, (), vec[r], 0, deg, dim, cap)
             for o, row in self.ktil_th.items():
-                if row[r].coeffs:
+                if not row[r].is_zero():
                     dr = dr + Jet.monomial(o, (), row[r], 0, deg, dim, cap)
             devs.append(dr)
         if rot is None:
@@ -302,7 +302,7 @@ def base_step(model, divisor_floor: float = 1e-12, deg: int | None = None) -> Ma
         j=1, N=N, P=model.P, m=model.m, d=model.d, dim=model.dim,
         order_cap=model.order_cap, kind=model.kind,
     )
-    if a_osc.coeffs:
+    if not a_osc.is_zero():
         sol.ktil_x[N] = -_sd(model, a_osc, divisor_floor)
     if model.kind == "map":
         sol.reduced = ReducedMap(N=N, a_bar=abar, omega=tuple(model.freq.omega))
@@ -365,9 +365,9 @@ def extend_order(
         for i in range(m):
             rhs = Ey[i].oscillatory()
             for t in range(m):
-                if kbar_y[t] and B_osc[i][t].coeffs:
+                if kbar_y[t] and not B_osc[i][t].is_zero():
                     rhs = rhs + B_osc[i][t].scale(kbar_y[t])
-            row.append(_sd(model, rhs, divisor_floor) if rhs.coeffs
+            row.append(_sd(model, rhs, divisor_floor) if not rhs.is_zero()
                        else FourierSeries.zeros(model.dim, model.order_cap))
         new.ktil_y[ox] = row
 
@@ -391,7 +391,7 @@ def extend_order(
         row = []
         for r in range(d):
             rhs = Eth[r].oscillatory()
-            row.append(_sd(model, rhs, divisor_floor) if rhs.coeffs
+            row.append(_sd(model, rhs, divisor_floor) if not rhs.is_zero()
                        else FourierSeries.zeros(model.dim, model.order_cap))
         new.ktil_th[oth] = row
 
@@ -400,13 +400,13 @@ def extend_order(
     if d and any(kbar_th):
         for r in range(d):
             da = model.a.derivative(r)
-            if kbar_th[r] and da.coeffs:
+            if kbar_th[r] and not da.is_zero():
                 psi = psi - da.scale(kbar_th[r])
     if m:
         e_i = [tuple(1 if t == i else 0 for t in range(m)) for i in range(m)]
         for i in range(m):
             f_lin = model.f_N.coeff(N - 1, e_i[i])
-            if kbar_y[i] and f_lin.coeffs:
+            if kbar_y[i] and not f_lin.is_zero():
                 psi = psi + f_lin.scale(kbar_y[i])
     if P == 1 and d:
         ktn = sol.ktil_x.get(N)
@@ -418,7 +418,7 @@ def extend_order(
                 psi = psi - dk.scale(r_th_new[r])
             da = model.a.derivative(r)
             kth_t = new.ktil_th.get(oth)
-            if kth_t is not None and da.coeffs and kth_t[r].coeffs:
+            if kth_t is not None and not da.is_zero() and not kth_t[r].is_zero():
                 psi = psi - da.series_mul(kth_t[r])
 
     psi_avg = _real_average(psi, "psi")
@@ -434,9 +434,9 @@ def extend_order(
         if kx:
             new.kbar_x[j] = kx
     rhs = psi_osc
-    if kx and a_osc.coeffs:
+    if kx and not a_osc.is_zero():
         rhs = rhs - a_osc.scale(N * kx)
-    if rhs.coeffs:
+    if not rhs.is_zero():
         new.ktil_x[ox] = _sd(model, rhs, divisor_floor)
 
     err = invariance_error(model, new, deg=deg)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import StepUnderflow
 
@@ -105,6 +104,8 @@ def integrate_flow(
     Dense output is kept so callers can resample; integration failure
     (typically a collision-driven step collapse) raises StepUnderflow.
     """
+    from scipy.integrate import solve_ivp  # slow to import, and only flows need it
+
     y0 = np.asarray(state0, dtype=float)
     sol = solve_ivp(
         field.rhs,
@@ -139,6 +140,8 @@ def integrate_fixed_step(field, state0, t_end: float, h: float, method: str = "R
     Used by the convergence-order test: halving h must shrink the error by
     the pair's order.
     """
+    from scipy.integrate import solve_ivp
+
     y0 = np.asarray(state0, dtype=float)
     sol = solve_ivp(
         field.rhs,

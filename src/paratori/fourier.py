@@ -2,8 +2,11 @@
 
 Angles live in "turns": a point on T^d is a vector theta with period 1 in
 each component and the basis functions are exp(2*pi*i*k.theta) for integer
-multi-indices k.  A series keeps only modes with |k|_1 <= order_cap; an
-absent index means an exactly zero coefficient.
+multi-indices k.  A series keeps only modes with |k|_1 <= order_cap.  Its
+coefficients are one flat complex array over the box [-cap, cap]^d in
+lexicographic mode order (so k and -k sit at mirrored positions); entries
+with |k|_1 > cap are always zero, and a mode is present exactly when its
+entry is nonzero.
 
 All values are immutable after construction and every operation returns a
 fresh series, so instances can be shared freely across threads.
@@ -11,10 +14,11 @@ fresh series, so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _iproduct
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -36,6 +40,109 @@ def _norm1(k: tuple[int, ...]) -> int:
     return sum(abs(x) for x in k)
 
 
+# ------------------------------------------------------------ mode tables
+
+
+class _Box:
+    """Index tables of the box [-cap, cap]^dim, flat in lexicographic order."""
+
+    def __init__(self, dim: int, cap: int):
+        n = 2 * cap + 1
+        self.size = n ** dim
+        self.modes = np.array(
+            list(_iproduct(range(-cap, cap + 1), repeat=dim)), dtype=np.int64
+        ).reshape(self.size, dim)
+        self.fmodes = self.modes.astype(float)
+        self.norm1 = np.abs(self.modes).sum(axis=1)
+        self.zero = self.size // 2
+        self._strides = [n ** (dim - 1 - i) for i in range(dim)]
+        self._offset = cap * sum(self._strides)
+
+    def index(self, k: tuple[int, ...]) -> int:
+        return self._offset + sum(ki * s for ki, s in zip(k, self._strides))
+
+    def dots(self, vec) -> np.ndarray:
+        """k.vec for every mode, summed axis by axis."""
+        out = np.zeros(self.size)
+        for i, w in enumerate(vec):
+            out = out + self.fmodes[:, i] * w
+        return out
+
+
+@lru_cache(maxsize=None)
+def _box(dim: int, cap: int) -> _Box:
+    return _Box(dim, cap)
+
+
+@lru_cache(maxsize=None)
+def _positions(dim: int, src: int, dst: int) -> np.ndarray:
+    """For every mode of the box of cap ``src``: its position in the box of
+    cap ``dst``, or -1 when |k|_1 > min(src, dst)."""
+    a = _box(dim, src)
+    fits = a.norm1 <= min(src, dst)
+    pos = np.full(a.size, -1, dtype=np.int64)
+    pos[fits] = np.flatnonzero(_box(dim, dst).norm1 <= min(src, dst))
+    return pos
+
+
+def _recap(data: np.ndarray, dim: int, src: int, dst: int) -> tuple[np.ndarray, float]:
+    """A src-box coefficient array on the dst box, and the l1 mass that does not fit."""
+    if src == dst:
+        return data, 0.0
+    pos = _positions(dim, src, dst)
+    fits = pos >= 0
+    out = np.zeros(_box(dim, dst).size, dtype=complex)
+    out[pos[fits]] = data[fits]
+    return out, float(np.abs(data[~fits]).sum())
+
+
+@lru_cache(maxsize=None)
+def _product_plan(dim: int, ca: int, cb: int):
+    """Index tables for the product of a cap-``ca`` and a cap-``cb`` series.
+
+    The pairs land in the box of cap ca + cb (``wide``), where
+    position(k1 + k2) = position(k1) + position(k2) - position(0), plus one
+    trailing bin that stays zero.  Returns a's positions from the centre
+    out (each k next to -k) with their shifts in the wide box, b's positions
+    in the wide box, the wide position of each mode of the product's box
+    (-1, the zero bin, off the mask), the wide positions beyond the
+    product's cap, and the number of bins.
+    """
+    cap, wide = min(ca, cb), _box(dim, ca + cb)
+    box = _box(dim, ca)
+    out = np.arange(box.zero + 1, box.size)
+    order = np.concatenate(([box.zero], np.column_stack((out, box.size - 1 - out)).ravel()))
+    order = order[box.norm1[order] <= ca]
+    shift = _positions(dim, ca, ca + cb)[order] - wide.zero
+    beyond = np.flatnonzero(wide.norm1 > cap)
+    return (order, shift, _positions(dim, cb, ca + cb), _positions(dim, cap, ca + cb),
+            beyond, wide.size + 1)
+
+
+def _pair_product(a: "FourierSeries", b: "FourierSeries") -> tuple[np.ndarray, float]:
+    """The product's coefficients on the smaller cap's box and the l1 mass
+    beyond it, summed pair by pair over the nonzero modes in a's centre-out
+    order, so that a term and its mirror image cancel exactly."""
+    order, shift, pos_b, gather, beyond, bins = _product_plan(a.dim, a.order_cap, b.order_cap)
+    va = a._data[order]
+    ia, ib = va.nonzero()[0], b._support()
+    full = np.zeros(bins, dtype=complex)
+    np.add.at(full, (shift[ia][:, None] + pos_b[ib]).ravel(), (va[ia][:, None] * b._data[ib]).ravel())
+    lost = full[beyond]
+    return full[gather], float(np.abs(lost).sum()) if np.count_nonzero(lost) else 0.0
+
+
+@lru_cache(maxsize=256)
+def _factors(dim: int, cap: int, kind: str, vec) -> np.ndarray:
+    """Per-mode multipliers: the rotation e^(2*pi*i*k.vec), the derivative
+    2*pi*i*k.vec, or the map divisor e^(2*pi*i*k.vec) - 1."""
+    arg = 1j * (_TWO_PI * _box(dim, cap).dots(vec))
+    if kind == "derivative":
+        return arg
+    rot = np.exp(arg)
+    return rot if kind == "rotation" else rot - 1.0
+
+
 class FourierSeries:
     """A truncated complex Fourier series on T^dim.
 
@@ -54,13 +161,23 @@ class FourierSeries:
 
     Notes
     -----
+    ``trunc_loss`` is the l1 mass the caps cut off on the way to this
+    series: each result carries the losses of its operands (a scaling by s
+    multiplies them by |s|) and adds sum |c_k| over its own coefficients c_k
+    with |k|_1 > cap.  In a product c_k is summed over every pair of modes
+    that lands on k before its modulus is taken, so terms that cancel there
+    lose nothing.
+
+    ``coeffs`` is a read-only mapping of the nonzero modes in lexicographic
+    order, built from the array on each access.
+
     Real-valued functions satisfy coeff(-k) == conj(coeff(k)); the class
     does not enforce this on construction (intermediate complex objects
     are legitimate) but every public operation preserves it, and
     :meth:`real_symmetry_defect` measures it.
     """
 
-    __slots__ = ("dim", "order_cap", "coeffs", "trunc_loss", "_arrays")
+    __slots__ = ("dim", "order_cap", "trunc_loss", "_data")
 
     def __init__(
         self,
@@ -73,7 +190,8 @@ class FourierSeries:
             raise ValueError("dim and order_cap must be nonnegative")
         self.dim = int(dim)
         self.order_cap = int(order_cap)
-        table: dict[tuple[int, ...], complex] = {}
+        box = _box(self.dim, self.order_cap)
+        data = np.zeros(box.size, dtype=complex)
         loss = float(trunc_loss)
         if coeffs:
             for k, c in coeffs.items():
@@ -88,16 +206,25 @@ class FourierSeries:
                 if _norm1(k) > self.order_cap:
                     loss += abs(c)
                     continue
-                table[k] = table.get(k, 0.0) + c
-        self.coeffs = {k: c for k, c in table.items() if c != 0.0}
+                data[box.index(k)] += c
+        self._data = data
         self.trunc_loss = loss
-        self._arrays = None
+
+    @classmethod
+    def _of(cls, dim: int, order_cap: int, data: np.ndarray, trunc_loss: float) -> "FourierSeries":
+        """A series around a box array of its own (never written to again)."""
+        s = object.__new__(cls)
+        s.dim = dim
+        s.order_cap = order_cap
+        s.trunc_loss = trunc_loss
+        s._data = data
+        return s
 
     # ---------------------------------------------------------------- util
 
     @classmethod
     def zeros(cls, dim: int, order_cap: int) -> "FourierSeries":
-        return cls(dim, order_cap, {})
+        return cls(dim, order_cap)
 
     @classmethod
     def constant(cls, value: complex, dim: int, order_cap: int) -> "FourierSeries":
@@ -117,8 +244,8 @@ class FourierSeries:
         mk = tuple(-x for x in k)
         return cls(dim, order_cap, {k: -0.5j * amp, mk: 0.5j * amp})
 
-    def _like(self, coeffs, loss=0.0) -> "FourierSeries":
-        return FourierSeries(self.dim, self.order_cap, coeffs, loss)
+    def _like(self, data: np.ndarray, loss: float) -> "FourierSeries":
+        return FourierSeries._of(self.dim, self.order_cap, data, loss)
 
     def _check_compatible(self, other: "FourierSeries") -> None:
         if self.dim != other.dim:
@@ -126,40 +253,53 @@ class FourierSeries:
                 f"series on T^{self.dim} combined with series on T^{other.dim}"
             )
 
+    def _support(self) -> np.ndarray:
+        """Positions of the nonzero modes, in lexicographic order."""
+        return self._data.nonzero()[0]
+
+    @property
+    def coeffs(self) -> Mapping[tuple[int, ...], complex]:
+        """The nonzero modes as a read-only mapping k -> coefficient, built
+        on each access."""
+        idx = self._support()
+        modes = _box(self.dim, self.order_cap).modes[idx].tolist()
+        return MappingProxyType(dict(zip(map(tuple, modes), self._data[idx].tolist())))
+
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.coeffs.values())
+        if tol == 0.0:
+            return not np.count_nonzero(self._data)
+        return bool(np.abs(self._data).max() <= tol)
 
     def coeff(self, k: Iterable[int]) -> complex:
-        return self.coeffs.get(tuple(int(x) for x in k), 0.0 + 0.0j)
+        k = tuple(int(x) for x in k)
+        if len(k) != self.dim or _norm1(k) > self.order_cap:
+            return 0.0 + 0.0j
+        return complex(self._data[_box(self.dim, self.order_cap).index(k)])
 
     def __repr__(self) -> str:
-        n = len(self.coeffs)
+        n = self._support().size
         return f"FourierSeries(dim={self.dim}, cap={self.order_cap}, modes={n})"
 
     # ------------------------------------------------------------- algebra
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
         self._check_compatible(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + c
-        return FourierSeries(
-            self.dim,
-            min(self.order_cap, other.order_cap),
-            out,
-            self.trunc_loss + other.trunc_loss,
-        )
+        loss = self.trunc_loss + other.trunc_loss
+        if self.order_cap == other.order_cap:
+            return self._like(self._data + other._data, loss)
+        cap = min(self.order_cap, other.order_cap)
+        a, lost_a = _recap(self._data, self.dim, self.order_cap, cap)
+        b, lost_b = _recap(other._data, self.dim, other.order_cap, cap)
+        return FourierSeries._of(self.dim, cap, a + b, loss + lost_a + lost_b)
 
     def __sub__(self, other: "FourierSeries") -> "FourierSeries":
         return self + (-other)
 
     def __neg__(self) -> "FourierSeries":
-        return self._like({k: -c for k, c in self.coeffs.items()}, self.trunc_loss)
+        return self._like(-self._data, self.trunc_loss)
 
     def scale(self, s: complex) -> "FourierSeries":
-        return self._like(
-            {k: s * c for k, c in self.coeffs.items()}, abs(s) * self.trunc_loss
-        )
+        return self._like(self._data * s, abs(s) * self.trunc_loss)
 
     def __mul__(self, other):
         if isinstance(other, FourierSeries):
@@ -169,41 +309,24 @@ class FourierSeries:
     __rmul__ = __mul__
 
     def series_mul(self, other: "FourierSeries") -> "FourierSeries":
-        """Pointwise product; modes beyond the cap feed ``trunc_loss``."""
+        """Pointwise product: the direct convolution of the coefficients.
+
+        Nothing reaches a mode but the products of nonzero pairs, so a mode
+        no pair lands on stays an exact zero.  The coefficients beyond the
+        smaller cap feed ``trunc_loss``.
+        """
         self._check_compatible(other)
-        cap = min(self.order_cap, other.order_cap)
-        out: dict[tuple[int, ...], complex] = {}
-        dropped = 0.0
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                c = c1 * c2
-                if _norm1(k) > cap:
-                    dropped += abs(c)
-                else:
-                    out[k] = out.get(k, 0.0) + c
-        return FourierSeries(
-            self.dim, cap, out, self.trunc_loss + other.trunc_loss + dropped
+        data, dropped = _pair_product(self, other)
+        return FourierSeries._of(
+            self.dim, min(self.order_cap, other.order_cap), data,
+            self.trunc_loss + other.trunc_loss + dropped,
         )
 
     def conjugate(self) -> "FourierSeries":
         """Coefficientwise complex conjugate with mode reflection (conj of the function)."""
-        return self._like(
-            {tuple(-x for x in k): c.conjugate() for k, c in self.coeffs.items()},
-            self.trunc_loss,
-        )
+        return self._like(self._data[::-1].conj(), self.trunc_loss)
 
     # -------------------------------------------------------- torus values
-
-    def _mode_arrays(self):
-        """The mode table as arrays (modes (n, dim), coeffs (n,)), built on first use."""
-        if self._arrays is None:
-            n = len(self.coeffs)
-            self._arrays = (
-                np.array(list(self.coeffs), dtype=float).reshape(n, self.dim),
-                np.array(list(self.coeffs.values()), dtype=complex),
-            )
-        return self._arrays
 
     def evaluate(self, theta, dtype=complex):
         """Sum of coeff(k) * exp(2*pi*i*k.theta) at one point or a batch.
@@ -214,81 +337,63 @@ class FourierSeries:
         the series on a strip.  Pass ``dtype=numpy.clongdouble`` for
         extended-precision accumulation.
         """
-        modes, coeffs = self._mode_arrays()
+        idx = self._support()
+        modes = _box(self.dim, self.order_cap).fmodes[idx]
         th = np.asarray(theta, dtype=dtype)
         if th.ndim == 0 and self.dim <= 1:
             th = th.reshape(1)[: self.dim]  # a scalar on T^1; ignored on T^0
         if th.shape[-1:] != (self.dim,):
             raise DimensionMismatch(f"theta of shape {th.shape} on T^{self.dim}")
         two_pi_i = dtype(2j) * dtype(np.pi)
-        return np.exp(two_pi_i * (th @ modes.T)) @ coeffs.astype(dtype, copy=False)
+        return np.exp(two_pi_i * (th @ modes.T)) @ self._data[idx].astype(dtype)
 
     def average(self) -> complex:
         """Zero mode (torus average)."""
-        return self.coeffs.get((0,) * self.dim, 0.0 + 0.0j)
+        return complex(self._data[self._data.size // 2])
 
     def oscillatory(self) -> "FourierSeries":
         """The series minus its average."""
-        zero = (0,) * self.dim
-        return self._like(
-            {k: c for k, c in self.coeffs.items() if k != zero}, self.trunc_loss
-        )
+        data = self._data.copy()
+        data[data.size // 2] = 0.0
+        return self._like(data, self.trunc_loss)
+
+    def _times(self, kind: str, vec) -> "FourierSeries":
+        vec = tuple(float(v) for v in vec)
+        if len(vec) != self.dim:
+            raise DimensionMismatch(f"vector of length {len(vec)} on T^{self.dim}")
+        return self._like(self._data * _factors(self.dim, self.order_cap, kind, vec), self.trunc_loss)
 
     def rotate(self, step) -> "FourierSeries":
         """Composition with theta -> theta + step: coeff(k) *= e^(2*pi*i*k.step)."""
-        if np.isscalar(step):
-            step = (step,)
-        step = tuple(float(s) for s in step)
-        if len(step) != self.dim:
-            raise DimensionMismatch(f"step of length {len(step)} on T^{self.dim}")
-        out = {}
-        for k, c in self.coeffs.items():
-            ph = sum(ki * si for ki, si in zip(k, step))
-            out[k] = c * cmath.exp(2j * math.pi * ph)
-        return self._like(out, self.trunc_loss)
+        return self._times("rotation", (step,) if np.isscalar(step) else step)
 
     def derivative(self, axis: int) -> "FourierSeries":
         """Exact termwise d/d(theta_axis): multiply mode k by 2*pi*i*k_axis."""
-        out = {}
-        for k, c in self.coeffs.items():
-            if k[axis]:
-                out[k] = c * (2j * math.pi * k[axis])
-        return self._like(out, self.trunc_loss)
+        unit = [0.0] * self.dim
+        unit[axis] = 1.0
+        return self._times("derivative", unit)
 
     def directional_derivative(self, freqs) -> "FourierSeries":
         """Sum over axes of freqs[i] * d/d(theta_i) (the operator L_omega)."""
-        freqs = tuple(float(w) for w in freqs)
-        if len(freqs) != self.dim:
-            raise DimensionMismatch("frequency vector length mismatch")
-        out = {}
-        for k, c in self.coeffs.items():
-            dot = sum(ki * wi for ki, wi in zip(k, freqs))
-            if dot != 0.0:
-                out[k] = c * (2j * math.pi * dot)
-        return self._like(out, self.trunc_loss)
+        return self._times("derivative", freqs)
 
     # ------------------------------------------------------------- norms
 
     def strip_norm(self, sigma: float = 0.0) -> float:
         """Weighted l1 coefficient norm sum |c_k| e^(2*pi*|k|*sigma)."""
-        if sigma == 0.0:
-            return sum(abs(c) for c in self.coeffs.values())
-        return sum(
-            abs(c) * math.exp(_TWO_PI * _norm1(k) * sigma)
-            for k, c in self.coeffs.items()
-        )
+        mags = np.abs(self._data)
+        if sigma != 0.0:
+            mags = mags * np.exp(_TWO_PI * _box(self.dim, self.order_cap).norm1 * sigma)
+        return float(mags.sum())
 
     def real_symmetry_defect(self) -> float:
         """max_k |coeff(-k) - conj(coeff(k))| over stored modes."""
-        worst = 0.0
-        for k, c in self.coeffs.items():
-            mk = tuple(-x for x in k)
-            worst = max(worst, abs(self.coeffs.get(mk, 0.0) - c.conjugate()))
-        return worst
+        return float(np.abs(self._data[::-1] - self._data.conj()).max())
 
     def pad_modes(self, order_cap: int) -> "FourierSeries":
         """Same series viewed with a different order cap."""
-        return FourierSeries(self.dim, order_cap, self.coeffs, self.trunc_loss)
+        data, lost = _recap(self._data, self.dim, self.order_cap, int(order_cap))
+        return FourierSeries._of(self.dim, int(order_cap), data, self.trunc_loss + lost)
 
 
 # ------------------------------------------------------- frequency vectors
@@ -398,7 +503,22 @@ def diophantine_scan(
 # ------------------------------------------------------ small divisors (SD)
 
 
-def _sd_divide(h: FourierSeries, vec, divisor, divisor_floor: float) -> FourierSeries:
+def _quotient(h: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """h / d entry by entry, rounded as Python's complex division rounds it:
+    Smith's method, dividing by the scaled denominator where numpy multiplies
+    by its reciprocal.  Needs |d| > 0."""
+    swap = np.abs(d.real) < np.abs(d.imag)  # then divide -i h by -i d
+    hr, hi = np.where(swap, h.imag, h.real), np.where(swap, -h.real, h.imag)
+    dr, di = np.where(swap, d.imag, d.real), np.where(swap, -d.real, d.imag)
+    ratio = di / dr
+    denom = dr + di * ratio
+    out = np.empty(h.shape, dtype=complex)
+    out.real = (hr + hi * ratio) / denom
+    out.imag = (hi - hr * ratio) / denom
+    return out
+
+
+def _sd_divide(h: FourierSeries, vec, kind: str, divisor_floor: float) -> FourierSeries:
     """phi_k = h_k / divisor(k.vec) for every nonzero mode k of a zero-average h."""
     scale = h.strip_norm(0.0)
     if abs(h.average()) > 1e-13 * max(scale, 1e-300):
@@ -410,17 +530,17 @@ def _sd_divide(h: FourierSeries, vec, divisor, divisor_floor: float) -> FourierS
         raise DimensionMismatch(
             f"series on T^{h.dim} with frequency vector of length {len(vec)}"
         )
-    out = {}
-    for k, c in h.coeffs.items():
-        if _norm1(k) == 0:
-            continue
-        div = divisor(sum(ki * wi for ki, wi in zip(k, vec)))
-        if abs(div) < divisor_floor:
-            if c != 0.0:
-                raise ResonantMode(k, div)
-            continue
-        out[k] = c / div
-    return FourierSeries(h.dim, h.order_cap, out, h.trunc_loss)
+    box = _box(h.dim, h.order_cap)
+    idx = h._support()
+    idx = idx[idx != box.zero]
+    div = _factors(h.dim, h.order_cap, kind, tuple(vec))[idx]
+    small = np.abs(div) < divisor_floor
+    if small.any():
+        at = int(np.argmax(small))
+        raise ResonantMode(tuple(box.modes[idx[at]].tolist()), complex(div[at]))
+    data = np.zeros_like(h._data)
+    data[idx] = _quotient(h._data[idx], div)
+    return h._like(data, h.trunc_loss)
 
 
 def sd_solve_map(
@@ -434,9 +554,7 @@ def sd_solve_map(
     :class:`ResonantMode`; regularizing them would silently destroy the
     decay the Diophantine hypothesis guarantees.
     """
-    return _sd_divide(
-        h, freq.omega, lambda ph: cmath.exp(2j * math.pi * ph) - 1.0, divisor_floor
-    )
+    return _sd_divide(h, freq.omega, "divisor", divisor_floor)
 
 
 def sd_solve_flow(
@@ -446,4 +564,4 @@ def sd_solve_flow(
 
     The series lives on T^(d+d'); modewise phi_k = h_k / (2*pi*i*k.(omega, nu)).
     """
-    return _sd_divide(h, freq.full, lambda dot: 2j * math.pi * dot, divisor_floor)
+    return _sd_divide(h, freq.full, "derivative", divisor_floor)

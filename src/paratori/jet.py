@@ -81,7 +81,7 @@ class Jet:
                     s = FourierSeries.constant(s, self.dim, self.order_cap)
                 if s.dim != self.dim:
                     raise DimensionMismatch("coefficient on the wrong torus")
-                if s.coeffs:
+                if not s.is_zero():
                     table[(int(l), k)] = s
         self.terms = table
 
@@ -127,6 +127,8 @@ class Jet:
         return min(l + _knorm(k) for (l, k) in self.terms)
 
     def is_zero(self, tol: float = 0.0) -> bool:
+        if tol == 0.0:
+            return not self.terms  # the constructor keeps no zero series
         return all(s.strip_norm(0.0) <= tol for s in self.terms.values())
 
     def norm(self) -> float:
@@ -214,7 +216,7 @@ class Jet:
         out = {}
         for key, s in self.terms.items():
             t = fn(s)
-            if t.coeffs:
+            if not t.is_zero():
                 out[key] = t
         return self._like(out)
 
@@ -348,7 +350,7 @@ class _Substitution:
                 for _ in range(p):
                     der = der.derivative(r)
                 fact *= math.factorial(p)
-            if not der.coeffs:
+            if der.is_zero():
                 continue
             result = result + self.devprod(mi).scale(der.scale(1.0 / fact))
         return result
@@ -558,7 +560,7 @@ def invert_x_jet(A: Jet, deg: int | None = None) -> Jet:
     for order in range(2, deg + 1):
         C = jet_compose(A.truncated(deg), B, deg=deg)
         err = C.x_coeff(order)
-        if err.coeffs:
+        if not err.is_zero():
             B = B + Jet.monomial(order, (), -err, 0, deg, A.dim, A.order_cap)
     return B
 
@@ -598,7 +600,7 @@ def divide_by_x_plus_y(N: Jet, y_index: int) -> Jet:
         if j[y_index] > 0:
             jm = tuple(v - 1 if r == y_index else v for r, v in enumerate(j))
             val = val - out.get((p + 1, jm), zero)
-        if val.coeffs:
+        if not val.is_zero():
             out[(p, j)] = val
     q = Jet(m, N.deg, N.dim, N.order_cap, out)
     lin = Jet.var_x(m, max(N.deg, max_deg), N.dim, N.order_cap) + Jet.var_y(

@@ -615,7 +615,7 @@ def _skew_y_change(C: list[list[FourierSeries]], N: int, m: int, deg: int) -> tu
         for i in range(m):
             for j in range(m):
                 s = power[i][j].scale((-1.0) ** p)
-                if s.coeffs:
+                if not s.is_zero():
                     kj = tuple(1 if t == j else 0 for t in range(m))
                     inv_ys[i] = inv_ys[i] + Jet.monomial(p * (N - 1), kj, s, m, deg, dim, cap)
     Ti.y = tuple(inv_ys)

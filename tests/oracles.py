@@ -1,10 +1,16 @@
-"""Shared independent oracles for engine tests (kept apart from the
+"""Shared independent oracles for engine tests, kept apart from the
 implementation: a dense generic linear solve of the full coefficient system
-assembled by probing the exact jet composition)."""
+assembled by probing the exact jet composition, the per-mode evaluation
+loop, and the dict-of-tuples Fourier arithmetic that the array store
+replaced."""
+
+import cmath
+import math
 
 import numpy as np
 
 from paratori.cohomology import invariance_error
+from paratori.errors import ResonantMode
 from paratori.fourier import FourierSeries
 from paratori.model import ReducedMap
 
@@ -109,8 +115,6 @@ def _dense_oracle_step(model, sol_prev, j, cap):
     return out
 
 
-
-
 def reference_evaluate(s, theta, dtype=complex):
     """The per-mode loop that ``FourierSeries.evaluate`` replaced: one point,
     every phase and every sum accumulated in ``dtype`` in mode-table order."""
@@ -131,3 +135,97 @@ def reference_evaluate(s, theta, dtype=complex):
                 phase = phase + dtype(ki) * ti
         acc = acc + dtype(c) * np.exp(two_pi_i * phase)
     return acc
+
+
+# ------------------------------------------------- the dict-of-tuples series
+#
+# The mode-table code that the array store of ``FourierSeries`` replaced,
+# kept as references for the differential tests: a series is a dict
+# k -> complex of its nonzero modes, every sum runs in Python complex
+# arithmetic in table order.
+
+
+def _norm1(k):
+    return sum(abs(x) for x in k)
+
+
+def reference_table(dim, cap, coeffs, loss=0.0):
+    """The stored table of ``FourierSeries(dim, cap, coeffs, loss)``: exact
+    zeros dropped, modes beyond the cap dropped into the loss."""
+    table = {}
+    loss = float(loss)
+    for k, c in coeffs.items():
+        k = tuple(int(x) for x in k)
+        assert len(k) == dim
+        c = complex(c)
+        if c == 0.0:
+            continue
+        if _norm1(k) > cap:
+            loss += abs(c)
+            continue
+        table[k] = table.get(k, 0.0) + c
+    return {k: c for k, c in table.items() if c != 0.0}, loss
+
+
+def reference_add(a, b):
+    """(table, cap, trunc_loss) of a + b."""
+    out = dict(a.coeffs)
+    for k, c in b.coeffs.items():
+        out[k] = out.get(k, 0.0) + c
+    cap = min(a.order_cap, b.order_cap)
+    table, loss = reference_table(a.dim, cap, out, a.trunc_loss + b.trunc_loss)
+    return table, cap, loss
+
+
+def reference_mul(a, b):
+    """(table, cap, trunc_loss) of a * b, pair by pair; the loss is the l1
+    mass of the summed coefficients beyond the cap."""
+    cap = min(a.order_cap, b.order_cap)
+    out = {}
+    for k1, c1 in a.coeffs.items():
+        for k2, c2 in b.coeffs.items():
+            k = tuple(x + y for x, y in zip(k1, k2))
+            out[k] = out.get(k, 0.0) + c1 * c2
+    dropped = sum(abs(c) for k, c in out.items() if _norm1(k) > cap)
+    table = {k: c for k, c in out.items() if _norm1(k) <= cap and c != 0.0}
+    return table, cap, a.trunc_loss + b.trunc_loss + dropped
+
+
+def reference_rotate(s, step):
+    """The table of s(theta + step)."""
+    out = {}
+    for k, c in s.coeffs.items():
+        ph = sum(ki * si for ki, si in zip(k, step))
+        out[k] = c * cmath.exp(2j * math.pi * ph)
+    return {k: c for k, c in out.items() if c != 0.0}
+
+
+def reference_derivative(s, axis):
+    """The table of d s / d theta_axis."""
+    out = {}
+    for k, c in s.coeffs.items():
+        if k[axis]:
+            out[k] = c * (2j * math.pi * k[axis])
+    return out
+
+
+def reference_sd_divide(h, vec, divisor, divisor_floor):
+    """The table of phi_k = h_k / divisor(k.vec) over the nonzero modes of a
+    zero-average h; raises ResonantMode at the first small divisor met."""
+    out = {}
+    for k, c in h.coeffs.items():
+        if _norm1(k) == 0:
+            continue
+        div = divisor(sum(ki * wi for ki, wi in zip(k, vec)))
+        if abs(div) < divisor_floor:
+            raise ResonantMode(k, div)
+        out[k] = c / div
+    return out
+
+
+def map_divisor(ph):
+    return cmath.exp(2j * math.pi * ph) - 1.0
+
+
+def flow_divisor(dot):
+    return 2j * math.pi * dot

@@ -1,10 +1,14 @@
 """Trajectory generation: map iteration and the embedded RK integrator."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import paratori
 from paratori.benchmark import GOLDEN, toy_x2_flow_model
 from paratori.celestial import PrimarySystem, RestrictedField
 from paratori.cohomology import solve_manifold
@@ -117,3 +121,12 @@ def test_step_underflow_near_collision():
         # if the integrator survives to r <= 0 the field itself raises
         assert orbit.states[-1][0] > 0
         raise StepUnderflow("reached the end without collapsing")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.integrate is imported by the integrators themselves, so the
+    # map commands never pay for it
+    src = os.path.dirname(os.path.dirname(paratori.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import paratori.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
