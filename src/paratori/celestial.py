@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HypothesisViolation, InsufficientTorusData, OrbitLeftDomain
+from .errors import HypothesisViolation, InsufficientTorusData, OrbitLeftDomain, StepUnderflow
 from .fourier import FourierSeries, diophantine_scan
 from .jet import Jet, divide_by_x_plus_y
 from .model import FlowModel, SkewField, model_from
@@ -341,12 +341,11 @@ class RestrictedField:
         return self._qmat @ np.exp(2j * math.pi * phase)
 
     def potential_and_gradient(self, r: float, theta_rad: float, t: float):
+        """V = sum m_j / |z - q_j| at z = r e^(i theta), with dV/dr and dV/dtheta."""
         r, theta_rad, t = float(r), float(theta_rad), float(t)
-        z = r * complex(math.cos(theta_rad), math.sin(theta_rad))
         e = complex(math.cos(theta_rad), math.sin(theta_rad))
-        V = 0.0
-        dVdr = 0.0
-        dVdth = 0.0
+        z = r * e
+        V = dVdr = dVdth = 0.0
         for mj, qj in zip(self.sys.masses, self.positions(t).tolist()):
             D = z - qj
             nrm = abs(D)
@@ -361,12 +360,7 @@ class RestrictedField:
         if r <= 0:
             raise OrbitLeftDomain(0, state)
         _, dVdr, dVdth = self.potential_and_gradient(r, th, t)
-        return np.array([
-            y,
-            G / r ** 2,
-            G ** 2 / r ** 3 + dVdr,
-            dVdth,
-        ])
+        return (y, G / r ** 2, G ** 2 / r ** 3 + dVdr, dVdth)
 
     def energy(self, state, t: float) -> float:
         r, th, y, G = state
@@ -607,6 +601,7 @@ class EscapeReport:
     energy_end: float
     energy_ok: bool
     control_law_fails: bool
+    orbit_nfev: dict = field(default_factory=dict)
     samples: list[dict] = field(default_factory=list)
 
     @property
@@ -680,14 +675,16 @@ def escape_demo(
     # hyperbolic, so the ratio leaves the band well before the horizon
     control_T = min(3.0e4, horizon)
     control_fail = True
+    control_nfev = None
     try:
         co = integrate_flow(
             field, [r0, th0, y0 + control_offset, G0], (0.0, control_T), tol=tol,
             t_eval=np.linspace(0.0, control_T, 200),
         )
+        control_nfev = co.meta["nfev"]
         cr = [float(_law_ratio(row[0], t, t0, M)) for t, row in zip(co.times, co.states)]
         control_fail = not (0.98 <= min(cr[-20:]) and max(cr[-20:]) <= 1.02)
-    except Exception:
+    except (StepUnderflow, OrbitLeftDomain):
         control_fail = True  # collapse/collision counts as failing the law
 
     report = EscapeReport(
@@ -700,6 +697,7 @@ def escape_demo(
         energy_end=E_end,
         energy_ok=bool(abs(E_end) <= 1e-4),
         control_law_fails=bool(control_fail),
+        orbit_nfev={"main": orbit.meta["nfev"], "control": control_nfev},
         samples=samples,
     )
     return report, orbit

@@ -288,6 +288,7 @@ def cmd_restricted_demo(args) -> int:
         "y_end": rep.y_end, "y_ok": rep.y_ok,
         "energy_end": rep.energy_end, "energy_ok": rep.energy_ok,
         "control_law_fails": rep.control_law_fails,
+        "orbit_nfev": rep.orbit_nfev,
         "all_pass": rep.all_pass,
     }
     ser.dump_json(summary, os.path.join(out, "summary.json"))

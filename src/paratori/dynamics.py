@@ -2,9 +2,9 @@
 
 Map orbits store theta unwrapped (lifted to the reals) so continuity
 diagnostics stay meaningful; Fourier evaluation is periodic, so no wrapping
-is needed numerically.  Flows go through scipy's embedded RK5(4) pair with
-dense output; a fixed-step variant (tolerances opened up, step pinned by
-max_step) backs the convergence-order test.
+is needed numerically.  Flows go through a Dormand–Prince 5(4) stepper on
+Python floats with RK45's step control and dense output at requested times;
+the same step at a fixed size backs the convergence-order test.
 """
 
 from __future__ import annotations
@@ -90,6 +90,98 @@ def iterate_reduced(reduced, x0: complex, k: int) -> np.ndarray:
     return out
 
 
+# Dormand–Prince 5(4) (Hairer, Nørsett, Wanner, *Solving Ordinary Differential
+# Equations I*, §II.4–5), as in scipy's RK45: the tableau, the error weights
+# E = b - b_hat over the seven stages (the last is the FSAL stage) and the
+# 4th-order dense output P.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40,
+)
+_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5  # the 4th-order estimate's error scales as h^5
+
+
+def _dp_step(rhs, t, y, f, h):
+    """One Dormand–Prince step of size h from (t, y), where f = rhs(t, y).
+
+    Returns the 5th-order state at t + h and the seven stages; the last is
+    rhs(t + h, y_new), the first stage of the next step (FSAL).
+    """
+    k1 = f
+    k2 = rhs(t + _C2 * h, [yi + _A21 * a * h for yi, a in zip(y, k1)])
+    k3 = rhs(t + _C3 * h, [yi + (_A31 * a + _A32 * b) * h
+                           for yi, a, b in zip(y, k1, k2)])
+    k4 = rhs(t + _C4 * h, [yi + (_A41 * a + _A42 * b + _A43 * c) * h
+                           for yi, a, b, c in zip(y, k1, k2, k3)])
+    k5 = rhs(t + _C5 * h, [yi + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
+                           for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = rhs(t + h, [yi + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
+                     for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+             for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(t + h, y_new)
+    return y_new, (k1, k2, k3, k4, k5, k6, k7)
+
+
+def _rms(values: list) -> float:
+    return math.sqrt(sum(v * v for v in values)) / len(values) ** 0.5
+
+
+def _error_norm(y, y_new, ks, h, rtol, atol) -> float:
+    """RMS of the embedded error estimate over atol + max(|y|, |y_new|) rtol."""
+    k1, _, k3, k4, k5, k6, k7 = ks
+    return _rms([
+        (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * q) * h
+        / (atol + max(abs(yi), abs(zi)) * rtol)
+        for yi, zi, a, c, d, e, g, q in zip(y, y_new, k1, k3, k4, k5, k6, k7)
+    ])
+
+
+def _initial_step(rhs, t0, y0, f0, t_end, max_step, rtol, atol) -> float:
+    """RK45's starting step (Hairer, Nørsett, Wanner §II.4); one rhs call."""
+    span = abs(t_end - t0)
+    if span == 0.0:
+        return 0.0
+    direction = 1.0 if t_end > t0 else -1.0
+    scale = [atol + abs(v) * rtol for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    f1 = rhs(t0 + h0 * direction, [v + h0 * direction * w for v, w in zip(y0, f0)])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    return min(100 * h0, h1, span, max_step)
+
+
+def _interpolate(y_old, ks, h, x):
+    """The step's 4th-order dense output at the fraction x of the step."""
+    powers = (x, x * x, x * x * x, x * x * x * x)
+    out = []
+    for i, yi in enumerate(y_old):
+        q = [sum(k[i] * row[j] for k, row in zip(ks, _P)) for j in range(4)]
+        out.append(yi + h * sum(qj * pj for qj, pj in zip(q, powers)))
+    return out
+
+
 def integrate_flow(
     field,
     state0,
@@ -97,66 +189,90 @@ def integrate_flow(
     tol: float = 1e-10,
     t_eval=None,
     max_step: float = math.inf,
-    method: str = "RK45",
 ) -> Orbit:
-    """Adaptive embedded Runge-Kutta orbit of anything with .rhs(t, state).
+    """Adaptive Dormand–Prince 5(4) orbit of anything with .rhs(t, state).
 
-    Dense output is kept so callers can resample; integration failure
-    (typically a collision-driven step collapse) raises StepUnderflow.
+    The step control is RK45's, with rtol = tol and atol = tol/100.  Without
+    ``t_eval`` every accepted step is recorded; with it, each point is read
+    from the dense output of the step that contains it.  A step collapse
+    (typically a collision) raises StepUnderflow.
     """
-    from scipy.integrate import solve_ivp  # slow to import, and only flows need it
+    rhs = field.rhs
+    t0, t_end = float(t_span[0]), float(t_span[1])
+    direction = 1.0 if t_end >= t0 else -1.0
+    rtol, atol = tol, tol * 1e-2
+    samples = None if t_eval is None else [float(v) for v in t_eval]
+    lo, hi = min(t0, t_end), max(t0, t_end)
+    if samples is not None and not (
+        all(lo <= s <= hi for s in samples)
+        and all(direction * (b - a) > 0 for a, b in zip(samples, samples[1:]))
+    ):
+        raise ValueError("t_eval must lie in t_span, strictly ordered along it")
 
-    y0 = np.asarray(state0, dtype=float)
-    sol = solve_ivp(
-        field.rhs,
-        tuple(t_span),
-        y0,
-        method=method,
-        rtol=tol,
-        atol=tol * 1e-2,
-        t_eval=None if t_eval is None else np.asarray(t_eval, dtype=float),
-        max_step=max_step,
-        dense_output=True,
+    t, y = t0, [float(v) for v in state0]
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, t, y, f, t_end, max_step, rtol, atol)
+    nfev = 2
+    times, states = ([t], [y]) if samples is None else (samples, [])
+    while direction * (t - t_end) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = min(max(h_abs, min_step), max_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepUnderflow(
+                    f"integrator stopped at t = {t!r}: the step fell below "
+                    f"10 ulp ({min_step:.3e})"
+                )
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, ks = _dp_step(rhs, t, y, f, h)
+            nfev += 6
+            err = _error_norm(y, y_new, ks, h, rtol, atol)
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else min(
+                    _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+            rejected = True
+        if samples is None:
+            times.append(t_new)
+            states.append(y_new)
+        else:
+            while len(states) < len(samples) and direction * (samples[len(states)] - t_new) <= 0:
+                states.append(_interpolate(y, ks, h, (samples[len(states)] - t) / h))
+        t, y, f = t_new, y_new, ks[-1]
+    # only an empty span leaves points unsampled: all of them sit at t0
+    states += [y] * (len(times) - len(states))
+    return Orbit(
+        times=np.array(times, dtype=float),
+        states=np.array(states, dtype=float).reshape(len(times), len(y)),
+        meta={"kind": "flow", "integrator": "RK45", "tol": tol, "nfev": nfev},
     )
-    if not sol.success:
-        raise StepUnderflow(f"integrator stopped: {sol.message}")
-    orbit = Orbit(
-        times=sol.t,
-        states=sol.y.T.copy(),
-        meta={
-            "kind": "flow",
-            "integrator": method,
-            "tol": tol,
-            "nfev": int(sol.nfev),
-        },
-    )
-    orbit.meta["dense"] = sol.sol
-    return orbit
 
 
-def integrate_fixed_step(field, state0, t_end: float, h: float, method: str = "RK45") -> Orbit:
-    """Fixed-step run of the same pair (error control opened wide).
+def integrate_fixed_step(field, state0, t_end: float, h: float) -> Orbit:
+    """Fixed-step run of the same pair, with no error control.
 
     Used by the convergence-order test: halving h must shrink the error by
-    the pair's order.
+    the pair's order.  The last step is cut short to end at t_end.
     """
-    from scipy.integrate import solve_ivp
-
-    y0 = np.asarray(state0, dtype=float)
-    sol = solve_ivp(
-        field.rhs,
-        (0.0, float(t_end)),
-        y0,
-        method=method,
-        rtol=1e9,
-        atol=1e9,
-        first_step=h,
-        max_step=h,
-    )
-    if not sol.success:
-        raise StepUnderflow(f"integrator stopped: {sol.message}")
+    rhs = field.rhs
+    t, t_end, y = 0.0, float(t_end), [float(v) for v in state0]
+    f = rhs(t, y)
+    times, states = [t], [y]
+    while t < t_end:
+        t_new = min(t + h, t_end)
+        y, ks = _dp_step(rhs, t, y, f, t_new - t)
+        t, f = t_new, ks[-1]
+        times.append(t)
+        states.append(y)
     return Orbit(
-        times=sol.t,
-        states=sol.y.T.copy(),
-        meta={"kind": "flow-fixed", "h": h, "integrator": method},
+        times=np.array(times, dtype=float),
+        states=np.array(states, dtype=float),
+        meta={"kind": "flow-fixed", "h": h, "integrator": "RK45"},
     )

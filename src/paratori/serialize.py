@@ -260,6 +260,6 @@ def orbit_to_obj(orbit) -> dict:
     return {
         "times": [float(t) for t in orbit.times],
         "states": [[float(v) for v in row] for row in orbit.states],
-        "meta": {k: v for k, v in orbit.meta.items() if k != "dense"},
+        "meta": dict(orbit.meta),
         "early_stop": orbit.early_stop,
     }

@@ -102,6 +102,27 @@ def test_restricted_rhs_unchanged_by_stacking(name):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_float_rhs_and_energy_match_reference(name):
+    # rhs works on Python floats end to end and returns them; energy shares
+    # its potential, checked against the direct sum over the primaries
+    sys = _SYSTEMS[name]()
+    fld = RestrictedField(sys)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        state = [rng.uniform(2.0, 50.0), rng.uniform(-math.pi, math.pi),
+                 float(rng.standard_normal()), float(rng.standard_normal())]
+        t = rng.uniform(0.0, 1e4)
+        got = fld.rhs(t, state)
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        want = _reference_rhs(sys, t, state)
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-14 * np.max(np.abs(want))
+        r, th, y, G = state
+        energy = 0.5 * (y ** 2 + G ** 2 / r ** 2) - sys.potential_direct(
+            r, th, tuple(w * t for w in sys.omega))
+        assert fld.energy(state, t) == pytest.approx(energy, rel=1e-14, abs=1e-14)
+
+
 # ------------------------------------------------------- potential expansion
 
 
@@ -259,6 +280,28 @@ def test_escape_demo_single_primary_fast():
     # the radial velocity decays trendwise along the escape
     ys = [s["y"] for s in rep.samples if s["t"] >= 1.0]
     assert ys[-1] < ys[0]
+
+
+def test_escape_demo_control_error_is_not_a_failed_law(monkeypatch):
+    # only a collapse or a collision counts as the control failing the law;
+    # any other error in the control run propagates
+    import paratori.dynamics as dynamics
+
+    real = dynamics.integrate_flow
+    calls = []
+
+    def broken_control(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise TypeError("not a collapse")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate_flow", broken_control)
+    sys = PrimarySystem.single(mass=1.0)
+    model, chart = build_restricted_field(sys, degree=8, gtilde0=0.15)
+    res = solve_manifold(model, 3)
+    with pytest.raises(TypeError, match="not a collapse"):
+        escape_demo(sys, res.solution, chart, x0=0.05, horizon=1.0e5, n_samples=20)
 
 
 def test_escape_demo_off_manifold_control_is_distinct():

@@ -1,7 +1,11 @@
 """CLI subcommands end to end: artifacts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
+import paratori
 from paratori.benchmark import benchmark_map_model
 from paratori.cli import main
 from paratori import serialize as ser
@@ -160,6 +164,23 @@ def test_restricted_demo_short(tmp_path):
     assert summary["chart"]["a"] == 0.25
     header = (tmp_path / "demo" / "demo.csv").read_text().splitlines()[0]
     assert header == "t,r,y,energy,law_ratio"
+
+
+def test_restricted_demo_leaves_scipy_unloaded(tmp_path):
+    # the escape orbit runs on the in-house stepper, so the demo never
+    # imports scipy; its summary counts the evaluations of both orbits
+    out = tmp_path / "demo"
+    src = os.path.dirname(os.path.dirname(paratori.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys; from paratori.cli import main; "
+        f"assert main(['restricted-demo', '--system', 'single', '--order', '3', '--outdir', {str(out)!r}]) == 0; "
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    nfev = _read(out / "summary.json")["orbit_nfev"]
+    assert set(nfev) == {"main", "control"}
+    assert all(isinstance(v, int) and v > 0 for v in nfev.values())
 
 
 def test_solve_resonant_omega_names_resonant_mode(tmp_path):

@@ -130,3 +130,29 @@ def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import paratori.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_collapse_raises_step_underflow():
+    # the same radial infall: the step collapses before r reaches 0
+    field = RestrictedField(PrimarySystem.single(mass=1.0))
+    with pytest.raises(StepUnderflow, match="10 ulp"):
+        integrate_flow(field, [1.0, 0.0, -0.5, 0.0], (0.0, 50.0), tol=1e-10)
+
+
+def test_t_eval_must_be_ordered_within_span():
+    field = toy_x2_flow_model(m=0).as_field(4)
+    for bad in ([0.5, 0.2], [0.2, 0.2], [-0.1, 0.5], [0.5, 1.5]):
+        with pytest.raises(ValueError):
+            integrate_flow(field, [1.0, 0.0], (0.0, 1.0), t_eval=bad)
+
+
+def test_t_eval_start_returns_initial_state_and_backward_span():
+    # x' = -x^2 from x(0) = 1 is x(t) = 1/(1 + t), also backwards in time
+    field = toy_x2_flow_model(m=0).as_field(4)
+    orbit = integrate_flow(field, [1.0, 0.0], (0.0, 1.0), tol=1e-11, t_eval=[0.0, 0.5])
+    assert orbit.states[0].tolist() == [1.0, 0.0]
+    assert orbit.states[1][0] == pytest.approx(1.0 / 1.5, abs=1e-9)
+    back = integrate_flow(field, [0.5, 0.0], (1.0, 0.0), tol=1e-11, t_eval=[0.5, 0.0])
+    assert back.times.tolist() == [0.5, 0.0]
+    assert back.states[:, 0] == pytest.approx([1.0 / 1.5, 1.0], abs=1e-9)
+
