@@ -187,6 +187,7 @@ def _solve_one(cfg) -> int:
         n_samples=int(cfg["n_samples"]),
         theta_samples=int(cfg["theta_samples"]),
         slope_slack=float(cfg["slope_slack"]),
+        error=res.error,
     )
     _write_order_report(out, report)
     summary = {"status": "ok", "command": f"solve-{model.kind}",

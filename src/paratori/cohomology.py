@@ -34,9 +34,10 @@ from .fourier import FourierSeries, sd_solve_flow, sd_solve_map
 from .jet import (
     Jet,
     ParamMap,
+    _Substitution,
     compose_param_param,
     compose_skew_param,
-    jet_compose,
+    evaluate_jets,
 )
 from .model import MapModel, ReducedField, ReducedMap
 
@@ -109,16 +110,9 @@ class ErrorJet:
 
     def sample(self, xs, thetas, dtype=complex):
         """Numeric values of the error jet on a grid, max over components."""
-        rows = []
-        for x in xs:
-            worst = 0.0
-            for th in thetas:
-                vx = abs(self.ex.evaluate(x, (), th, dtype=dtype))
-                vy = max((abs(j.evaluate(x, (), th, dtype=dtype)) for j in self.ey), default=0.0)
-                vt = max((abs(j.evaluate(x, (), th, dtype=dtype)) for j in self.eth), default=0.0)
-                worst = max(worst, vx, vy, vt)
-            rows.append(worst)
-        return rows
+        jets = (self.ex, *self.ey, *self.eth)
+        return [max([0.0] + [abs(v) for th in thetas for v in evaluate_jets(jets, x, (), th, dtype)])
+                for x in xs]
 
 
 @dataclass
@@ -205,11 +199,6 @@ class ManifoldSolution:
         s += sum(t.strip_norm() for row in self.ktil_th.values() for t in row)
         return s
 
-    def evaluate(self, x, theta, dtype=complex):
-        """Numeric point K(x, theta) = (xk, y-vector, theta-vector)."""
-        deg = max(self.j + self.N, 2)
-        return self.param(deg).evaluate(x, theta, dtype=dtype)
-
 
 # --------------------------------------------------------------- error jets
 
@@ -260,17 +249,11 @@ def invariance_error(model, sol: ManifoldSolution, deg: int | None = None) -> Er
                 out = out + C.derivative_theta(r).jet_mul(Ydev[r])
         return out
 
-    XxK = jet_compose(X.x, K.x, K.y, K.theta_dev, None, deg)
-    ex = XxK - transport(K.x)
-    eys = []
-    for i in range(model.m):
-        XyK = jet_compose(X.y[i], K.x, K.y, K.theta_dev, None, deg)
-        eys.append(XyK - transport(K.y[i]))
-    eths = []
-    for r in range(model.d):
-        XtK = jet_compose(X.theta_dev[r], K.x, K.y, K.theta_dev, None, deg)
-        eths.append(XtK - Ydev[r] - transport(K.theta_dev[r]))
-    return ErrorJet(ex=ex, ey=tuple(eys), eth=tuple(eths), declared=declared)
+    sub = _Substitution(K.x, K.y, K.theta_dev, None, 0, deg, K.x.dim, K.x.order_cap).apply
+    ex = sub(X.x) - transport(K.x)
+    eys = tuple(sub(X.y[i]) - transport(K.y[i]) for i in range(model.m))
+    eths = tuple(sub(X.theta_dev[r]) - Ydev[r] - transport(K.theta_dev[r]) for r in range(model.d))
+    return ErrorJet(ex=ex, ey=eys, eth=eths, declared=declared)
 
 
 def _order_guard(model, sol, err: ErrorJet, order_tolerance: float):
@@ -284,7 +267,7 @@ def _order_guard(model, sol, err: ErrorJet, order_tolerance: float):
 # ---------------------------------------------------------------- the steps
 
 
-def base_step(model, divisor_floor: float = 1e-12, deg: int | None = None) -> ManifoldSolution:
+def base_step(model, divisor_floor: float = 1e-12) -> ManifoldSolution:
     """First-order solution: K_x = x + Ktil_x^N(theta) x^N, R_x = x - abar x^N.
 
     The oscillatory coefficient solves the difference (or derivative)
@@ -330,13 +313,13 @@ def extend_order(
     divisor_floor: float = 1e-12,
     order_tolerance: float = 1e-9,
     inverse_cap: float = 1e12,
-    deg: int | None = None,
 ) -> tuple[ManifoldSolution, ErrorJet]:
     """One induction step j-1 -> j; returns the new solution and its error.
 
     ``E_prev`` must be the invariance error of ``sol`` (its leading
     coefficients are the data of the cohomological equations).  The new
-    error is recomputed exactly and checked against the declared orders.
+    error is recomputed exactly, at the guard degree j + N + 1, and checked
+    against the declared orders.
     """
     choices = choices or FreeChoicePolicy()
     j = sol.j + 1
@@ -439,7 +422,7 @@ def extend_order(
     if not rhs.is_zero():
         new.ktil_x[ox] = _sd(model, rhs, divisor_floor)
 
-    err = invariance_error(model, new, deg=deg)
+    err = invariance_error(model, new)
     _order_guard(model, new, err, order_tolerance)
     return new, err
 
@@ -464,15 +447,18 @@ def solve_manifold(
     choices: FreeChoicePolicy | None = None,
     divisor_floor: float = 1e-12,
     order_tolerance: float = 1e-9,
-    deg: int | None = None,
     callback: Callable | None = None,
 ) -> SolveResult:
-    """Run the engine to the requested order; one guard degree is retained."""
+    """Run the engine to the requested order.
+
+    Step j computes its invariance error at its own guard degree j + N + 1,
+    which holds every coefficient the next step reads and the guard checks,
+    so the last step's error, ``SolveResult.error``, is at order + N + 1.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    deg = deg if deg is not None else order + model.N + 1
-    sol = base_step(model, divisor_floor, deg)
-    err = invariance_error(model, sol, deg=deg)
+    sol = base_step(model, divisor_floor)
+    err = invariance_error(model, sol)
     _order_guard(model, sol, err, order_tolerance)
     diags = [_diag_entry(sol, err)]
     if callback:
@@ -482,7 +468,6 @@ def solve_manifold(
             model, sol, err, choices,
             divisor_floor=divisor_floor,
             order_tolerance=order_tolerance,
-            deg=deg,
         )
         diags.append(_diag_entry(sol, err))
         if callback:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ _TWO_PI = 2.0 * math.pi
 __all__ = [
     "FourierSeries",
     "FrequencyVector",
+    "evaluate_series",
     "sd_solve_map",
     "sd_solve_flow",
     "diophantine_scan",
@@ -335,17 +336,9 @@ class FourierSeries:
         array of points of shape (..., dim); a single point gives a ``dtype``
         scalar, a batch an array of shape (...).  Complex entries evaluate
         the series on a strip.  Pass ``dtype=numpy.clongdouble`` for
-        extended-precision accumulation.
+        extended-precision accumulation.  See :func:`evaluate_series`.
         """
-        idx = self._support()
-        modes = _box(self.dim, self.order_cap).fmodes[idx]
-        th = np.asarray(theta, dtype=dtype)
-        if th.ndim == 0 and self.dim <= 1:
-            th = th.reshape(1)[: self.dim]  # a scalar on T^1; ignored on T^0
-        if th.shape[-1:] != (self.dim,):
-            raise DimensionMismatch(f"theta of shape {th.shape} on T^{self.dim}")
-        two_pi_i = dtype(2j) * dtype(np.pi)
-        return np.exp(two_pi_i * (th @ modes.T)) @ self._data[idx].astype(dtype)
+        return evaluate_series((self,), theta, dtype)[0]
 
     def average(self) -> complex:
         """Zero mode (torus average)."""
@@ -394,6 +387,39 @@ class FourierSeries:
         """Same series viewed with a different order cap."""
         data, lost = _recap(self._data, self.dim, self.order_cap, int(order_cap))
         return FourierSeries._of(self.dim, int(order_cap), data, self.trunc_loss + lost)
+
+
+def evaluate_series(series: Sequence[FourierSeries], theta, dtype=complex) -> list:
+    """The values of several series at the same ``theta``, each as
+    :meth:`FourierSeries.evaluate` gives it, from one phase table per
+    (dim, cap) over the union of their nonzero modes.
+
+    k.theta is summed from zero one axis at a time, one product per entry,
+    so no entry depends on the width of the table (a BLAS product over all
+    axes sums in an order that does), and each series sums its own columns
+    in mode order: every value is bit for bit the one-series value.
+    """
+    th = np.asarray(theta, dtype=dtype)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, s in enumerate(series):
+        groups.setdefault((s.dim, s.order_cap), []).append(i)
+    out = [None] * len(series)
+    for (dim, cap), members in groups.items():
+        t = th.reshape(1)[:dim] if th.ndim == 0 and dim <= 1 else th  # a scalar on T^1; ignored on T^0
+        if t.shape[-1:] != (dim,):
+            raise DimensionMismatch(f"theta of shape {t.shape} on T^{dim}")
+        supports = [series[i]._support() for i in members]
+        modes = np.flatnonzero(np.bincount(np.concatenate(supports), minlength=1))  # sorted union
+        table = np.zeros(t.shape[:-1] + (modes.size,), dtype=dtype)
+        for r, k in enumerate(_box(dim, cap).fmodes[modes].T):  # (..., 1) @ (1, n): no ufunc buffers
+            table += t[..., r:r + 1] @ k[None]
+        np.exp(np.multiply(dtype(2j) * dtype(np.pi), table, out=table), out=table)
+        for i, idx in zip(members, supports):
+            # np.take keeps the columns C-ordered, as a table of their own would be
+            cols = table if idx.size == modes.size else np.take(table, np.searchsorted(modes, idx), axis=-1)
+            out[i] = cols @ series[i]._data[idx].astype(dtype)
+            del cols  # before the next series takes its own
+    return out
 
 
 # ------------------------------------------------------- frequency vectors

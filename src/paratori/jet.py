@@ -28,12 +28,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DegreeOverflow, DimensionMismatch
-from .fourier import FourierSeries
+from .fourier import FourierSeries, evaluate_series
 
 __all__ = [
     "Jet",
     "ParamMap",
     "SkewMap",
+    "evaluate_jets",
     "jet_compose",
     "compose_skew_param",
     "compose_param_param",
@@ -250,22 +251,43 @@ class Jet:
         """Evaluate the jet at a numeric point, or at arrays of points: ``x``,
         the entries of ``y`` and the components of ``theta`` (a scalar when
         dim = 1) are scalars or arrays of one shape."""
-        y = tuple(y)
-        if len(y) != self.m:
-            raise DimensionMismatch(f"jet with m={self.m} evaluated at {len(y)} y-values")
-        xv = np.asarray(x, dtype=dtype)
-        yv = [np.asarray(v, dtype=dtype) for v in y]
-        th = np.asarray(theta, dtype=dtype)
-        if th.ndim > 1:  # components (d, ...) -> points (..., d)
-            th = np.moveaxis(th, 0, -1)
+        return evaluate_jets((self,), x, y, theta, dtype)[0]
+
+
+def evaluate_jets(jets: Sequence[Jet], x, y=(), theta=(), dtype=complex) -> list:
+    """The values of several jets at the same (x, y, theta), each as
+    :meth:`Jet.evaluate` gives it, from one phase table over the
+    coefficients of all their terms (:func:`~paratori.fourier.evaluate_series`)."""
+    y = tuple(y)
+    for jet in jets:
+        if len(y) != jet.m:
+            raise DimensionMismatch(f"jet with m={jet.m} evaluated at {len(y)} y-values")
+    xv = np.asarray(x, dtype=dtype)
+    yv = [np.asarray(v, dtype=dtype) for v in y]
+    th = np.asarray(theta, dtype=dtype)
+    if th.ndim > 1:  # components (d, ...) -> points (..., d)
+        th = np.moveaxis(th, 0, -1)
+    values = iter(evaluate_series([s for jet in jets for s in jet.terms.values()], th, dtype))
+    out = []
+    for jet in jets:
         acc = dtype(0)
-        for (l, k), s in self.terms.items():
+        for l, k in jet.terms:
             mono = xv ** l if l else dtype(1)
             for ki, yi in zip(k, yv):
                 if ki:
                     mono = mono * yi ** ki
-            acc = acc + s.evaluate(th, dtype=dtype) * mono
-        return acc
+            acc = acc + next(values) * mono
+        out.append(acc)
+    return out
+
+
+def _evaluate_map(F, x, y, theta, dtype):
+    """(x', y'-list, theta'-list) of a ParamMap or SkewMap from one phase table."""
+    th = (theta,) if np.isscalar(theta) else tuple(theta)
+    values = evaluate_jets((F.x, *F.y, *F.theta_dev), x, y, th, dtype)
+    n = 1 + len(F.y)
+    thv = [np.asarray(t, dtype=dtype) + dtype(r) + v for t, r, v in zip(th, F.rot, values[n:])]
+    return values[0], values[1:n], thv
 
 
 # ----------------------------------------------------------- substitution
@@ -436,14 +458,7 @@ class ParamMap:
         theta'-vector is then a list of component arrays, so that
         ``skew.evaluate(*K.evaluate(x, theta))`` chains.
         """
-        th = (theta,) if np.isscalar(theta) else tuple(theta)
-        xv = self.x.evaluate(x, (), th, dtype=dtype)
-        yv = [j.evaluate(x, (), th, dtype=dtype) for j in self.y]
-        thv = [
-            np.asarray(t, dtype=dtype) + dtype(r) + d.evaluate(x, (), th, dtype=dtype)
-            for t, r, d in zip(th, self.rot, self.theta_dev)
-        ]
-        return xv, yv, thv
+        return _evaluate_map(self, x, (), theta, dtype)
 
 
 @dataclass
@@ -476,14 +491,7 @@ class SkewMap:
 
     def evaluate(self, x, y, theta, dtype=complex):
         """Numeric image of (x, y, theta); arrays of points as in :meth:`ParamMap.evaluate`."""
-        th = (theta,) if np.isscalar(theta) else tuple(theta)
-        xv = self.x.evaluate(x, y, th, dtype=dtype)
-        yv = [j.evaluate(x, y, th, dtype=dtype) for j in self.y]
-        thv = [
-            np.asarray(t, dtype=dtype) + dtype(r) + d.evaluate(x, y, th, dtype=dtype)
-            for t, r, d in zip(th, self.rot, self.theta_dev)
-        ]
-        return xv, yv, thv
+        return _evaluate_map(self, x, y, theta, dtype)
 
 
 def compose_skew_param(F: SkewMap, K: ParamMap, deg: int | None = None) -> ParamMap:

@@ -31,7 +31,7 @@ from .errors import (
     SingularB,
 )
 from .fourier import FourierSeries, FrequencyVector, sd_solve_flow, sd_solve_map
-from .jet import Jet, ParamMap, SkewMap, compose_skew_skew, invert_x_jet, jet_compose
+from .jet import Jet, ParamMap, SkewMap, _Substitution, compose_skew_skew, evaluate_jets, invert_x_jet
 
 __all__ = [
     "MapModel",
@@ -308,11 +308,8 @@ class SkewField:
         y = tuple(state[1 : 1 + m])
         th = tuple(state[1 + m : 1 + m + d])
         ang = self.angle_point(th, t)
-        out = [self.x.evaluate(x, y, ang, dtype=dtype).real]
-        for j in self.y:
-            out.append(j.evaluate(x, y, ang, dtype=dtype).real)
-        for r in range(d):
-            out.append(self.omega[r] + self.theta_dev[r].evaluate(x, y, ang, dtype=dtype).real)
+        v = evaluate_jets((self.x, *self.y, *self.theta_dev[:d]), x, y, ang, dtype)
+        out = [u.real for u in v[:1 + m]] + [self.omega[r] + v[1 + m + r].real for r in range(d)]
         return np.array(out, dtype=float)
 
 
@@ -688,9 +685,7 @@ def _push(fld: SkewField, W: SkewMap, S: SkewMap, deg: int) -> SkewField:
             acc = acc + w.derivative_theta(r).jet_mul(dev)
         return acc
 
-    def sub(j: Jet) -> Jet:
-        return jet_compose(j, S.x, S.y, deg=deg)
-
+    sub = _Substitution(S.x, S.y, (), None, S.m, deg, S.x.dim, S.x.order_cap).apply
     return SkewField(
         x=sub(along(W.x)), y=tuple(sub(along(w)) for w in W.y),
         theta_dev=tuple(sub(j) for j in fld.theta_dev), omega=fld.omega, nu=fld.nu,

@@ -10,14 +10,16 @@ candidate points are classified against the computed stable set.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BoundViolated, EscapedSector, WindowTooWide
-from .cohomology import ManifoldSolution
+from .cohomology import ManifoldSolution, invariance_error
 from .dynamics import iterate_reduced
+from .jet import evaluate_jets
 
 __all__ = [
     "OrderReport",
@@ -113,9 +115,8 @@ def _flow_residual_at(model, fld, sol, K, tjets, x, thetas):
     :func:`_transport_jets`."""
     th = thetas.T
     kx, ky, kth = K.evaluate(x, th, dtype=_CDT)
-    Xx = fld.x.evaluate(kx, ky, kth, dtype=_CDT)
-    Xy = [j.evaluate(kx, ky, kth, dtype=_CDT) for j in fld.y]
-    Xdev = [fld.theta_dev[r].evaluate(kx, ky, kth, dtype=_CDT) for r in range(model.d)]
+    Xx, *rest = evaluate_jets((fld.x, *fld.y, *fld.theta_dev[:model.d]), kx, ky, kth, _CDT)
+    Xy, Xdev = rest[:model.m], rest[model.m:]
     yx = sol.reduced.x_value(_CDT(x))
     ydev = []
     for r in range(model.d):
@@ -125,13 +126,14 @@ def _flow_residual_at(model, fld, sol, K, tjets, x, thetas):
                 acc = acc + _CDT(vec[r]) * _CDT(x) ** order
         ydev.append(acc)
 
+    moving = [r for r in range(model.d) if ydev[r] != 0]
+
     def transported(jets):
         dx, dt, dth = jets
-        v = dx.evaluate(x, (), th, dtype=_CDT) * yx
-        v = v + dt.evaluate(x, (), th, dtype=_CDT)
-        for r in range(model.d):
-            if ydev[r] != 0:
-                v = v + dth[r].evaluate(x, (), th, dtype=_CDT) * ydev[r]
+        vx, vt, *vth = evaluate_jets((dx, dt, *(dth[r] for r in moving)), x, (), th, _CDT)
+        v = vx * yx + vt
+        for r, w in zip(moving, vth):
+            v = v + w * ydev[r]
         return v
 
     tx, ty, tth = tjets
@@ -142,11 +144,12 @@ def _flow_residual_at(model, fld, sol, K, tjets, x, thetas):
     return ex, ey, eth, mag
 
 
-def _error_jet_norms(model, sol, deg) -> dict[str, float]:
-    """Norm of each component of the jet-level invariance error at ``deg``."""
-    from .cohomology import invariance_error
-
-    ejet = invariance_error(model, sol, deg=deg)
+def _error_jet_norms(error, model, sol) -> dict[str, float]:
+    """Norm of each component of the invariance error of ``sol``: ``error``,
+    what it returns when it is a function, or built here when None."""
+    if error is None:
+        error = invariance_error(model, sol)
+    ejet = error() if callable(error) else error
     return {
         "x": ejet.ex.norm(),
         "y": max((j.norm() for j in ejet.ey), default=0.0),
@@ -161,6 +164,7 @@ def fit_error_orders(
     n_samples: int = 24,
     theta_samples: int = 16,
     slope_slack: float = 0.1,
+    error=None,
 ) -> OrderReport:
     """Fit the decay order of the full-model invariance residual.
 
@@ -168,6 +172,10 @@ def fit_error_orders(
     which also catches truncation and assembly bugs, at ``n_samples``
     log-spaced x values and a theta grid.  Raises :class:`WindowTooWide`
     when the residual sits at the rounding floor across the window.
+
+    ``error`` is the invariance error of ``sol`` (``SolveResult.error``), or
+    a function returning it, read only for a component with no sample above
+    the floor; it is built then when not given.
     """
     j, N, P = sol.j, sol.N, sol.P
     targets = {"x": j + N, "y": j + N, "theta": min(j + P - 1, j + N - 1)}
@@ -208,7 +216,7 @@ def fit_error_orders(
         if not pts:
             # a component whose error jet vanishes identically and whose numeric
             # residual sits at the floor everywhere satisfies any decay order
-            jet_norm = jet_norm or _error_jet_norms(model, sol, deg)
+            jet_norm = jet_norm or _error_jet_norms(error, model, sol)
             if jet_norm[comp] <= 1e-13 * jet_scale:
                 slopes[comp] = math.inf
                 continue
@@ -232,13 +240,17 @@ def fit_error_orders(
     )
 
 
-def fit_error_orders_auto(model, sol, x_window=(1e-3, 1e-2), max_shrinks: int = 4, **kw):
-    """Retry :func:`fit_error_orders`, raising the lower edge on WindowTooWide."""
+def fit_error_orders_auto(model, sol, x_window=(1e-3, 1e-2), max_shrinks: int = 4,
+                          error=None, **kw):
+    """Retry :func:`fit_error_orders`, raising the lower edge on WindowTooWide;
+    without ``error`` the windows share one error jet, built on first need."""
+    if error is None:
+        error = functools.cache(functools.partial(invariance_error, model, sol))
     lo, hi = x_window
     last = None
     for _ in range(max_shrinks + 1):
         try:
-            return fit_error_orders(model, sol, (lo, hi), **kw)
+            return fit_error_orders(model, sol, (lo, hi), error=error, **kw)
         except WindowTooWide as e:
             last = e
             lo = lo * 2.5

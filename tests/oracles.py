@@ -1,8 +1,8 @@
 """Shared independent oracles for engine tests, kept apart from the
 implementation: a dense generic linear solve of the full coefficient system
-assembled by probing the exact jet composition, the per-mode evaluation
-loop, and the dict-of-tuples Fourier arithmetic that the array store
-replaced."""
+assembled by probing the exact jet composition, the per-mode and per-series
+evaluation loops, and the dict-of-tuples Fourier arithmetic that the array
+store replaced."""
 
 import cmath
 import math
@@ -135,6 +135,37 @@ def reference_evaluate(s, theta, dtype=complex):
                 phase = phase + dtype(ki) * ti
         acc = acc + dtype(c) * np.exp(two_pi_i * phase)
     return acc
+
+
+def per_series_jet_evaluate(jet, x, y=(), theta=(), dtype=complex):
+    """The jet evaluator the shared phase table replaced: every term's
+    series evaluated on its own, with a table of its own modes."""
+    xv = np.asarray(x, dtype=dtype)
+    yv = [np.asarray(v, dtype=dtype) for v in y]
+    th = np.asarray(theta, dtype=dtype)
+    if th.ndim > 1:
+        th = np.moveaxis(th, 0, -1)
+    acc = dtype(0)
+    for (l, k), s in jet.terms.items():
+        mono = xv ** l if l else dtype(1)
+        for ki, yi in zip(k, yv):
+            if ki:
+                mono = mono * yi ** ki
+        acc = acc + s.evaluate(th, dtype=dtype) * mono
+    return acc
+
+
+def per_series_map_evaluate(F, x, y, theta, dtype=complex):
+    """The ParamMap/SkewMap evaluator the shared phase table replaced: one
+    :func:`per_series_jet_evaluate` per component."""
+    th = (theta,) if np.isscalar(theta) else tuple(theta)
+    xv = per_series_jet_evaluate(F.x, x, y, th, dtype)
+    yv = [per_series_jet_evaluate(j, x, y, th, dtype) for j in F.y]
+    thv = [
+        np.asarray(t, dtype=dtype) + dtype(r) + per_series_jet_evaluate(d, x, y, th, dtype)
+        for t, r, d in zip(th, F.rot, F.theta_dev)
+    ]
+    return xv, yv, thv
 
 
 # ------------------------------------------------- the dict-of-tuples series
