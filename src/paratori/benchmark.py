@@ -69,9 +69,7 @@ def benchmark_flow_model(order_cap: int = 24, deg: int = 12) -> FlowModel:
     )
     return FlowModel.build(
         N=2, P=2, freq=freq, a=mm.a, m=1, order_cap=order_cap,
-        B=[[mm.B[0][0]]],
-        f=mm.f_N + mm.f_tail, g=[mm.g_N[0] + mm.g_tail[0]], h=[mm.h_P[0] + mm.h_tail[0]],
-        deg=deg,
+        B=mm.B, f=mm.f, g=mm.g, h=mm.h, deg=deg,
     )
 
 

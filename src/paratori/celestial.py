@@ -42,6 +42,8 @@ __all__ = [
     "EscapeReport",
 ]
 
+_CONTROL_KICK = -0.05  # y-offset of escape_demo's control orbit
+
 
 # ---------------------------------------------------------------- primaries
 
@@ -621,7 +623,6 @@ def escape_demo(
     phase0=None,
     horizon: float = 3.0e9,
     law_window: tuple[float, float] = (1.0e3, 1.0e4),
-    control_offset: float = -0.05,
     tol: float = 1e-10,
     n_samples: int = 200,
 ):
@@ -671,14 +672,14 @@ def escape_demo(
     y_end = float(orbit.states[-1][2])
     E_end = float(field.energy(orbit.states[-1], float(orbit.times[-1])))
 
-    # control orbit: same point kicked inward; it must fall back or go
-    # hyperbolic, so the ratio leaves the band well before the horizon
+    # control orbit: same point kicked inward (y by _CONTROL_KICK); it must fall
+    # back or go hyperbolic, so the ratio leaves the band well before the horizon
     control_T = min(3.0e4, horizon)
     control_fail = True
     control_nfev = None
     try:
         co = integrate_flow(
-            field, [r0, th0, y0 + control_offset, G0], (0.0, control_T), tol=tol,
+            field, [r0, th0, y0 + _CONTROL_KICK, G0], (0.0, control_T), tol=tol,
             t_eval=np.linspace(0.0, control_T, 200),
         )
         control_nfev = co.meta["nfev"]

@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import benchmark
 from .celestial import PrimarySystem, build_restricted_field, escape_demo
@@ -45,8 +44,6 @@ _DEFAULTS = {
     "divisor_floor": 1e-12,
     "order_tolerance": 1e-9,
     "slope_slack": 0.1,
-    "beta": math.pi / 3,
-    "rho": 0.1,
     "x_window": [1e-3, 1e-2],
     "n_samples": 24,
     "theta_samples": 16,
@@ -83,7 +80,7 @@ def _load_config(args) -> dict:
             continue
         if val is not None:
             cfg[key] = val
-    for key in ("divisor_floor", "order_tolerance", "slope_slack", "rho", "beta"):
+    for key in ("divisor_floor", "order_tolerance", "slope_slack"):
         if cfg.get(key) is not None and float(cfg[key]) <= 0:
             raise ParatoriError(f"config field {key} must be positive")
     if int(cfg.get("order", 1)) < 1:
@@ -366,6 +363,8 @@ def _run_sweep(cfg, command: str) -> int:
     entries.sort(key=lambda e: e[1])
     workers = int(cfg.get("workers", 1))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_entry, entries))
     else:

@@ -39,7 +39,7 @@ from .jet import (
     compose_skew_param,
     evaluate_jets,
 )
-from .model import MapModel, ReducedField, ReducedMap
+from .model import MapModel, ReducedField, ReducedMap, SkewField
 
 __all__ = [
     "FreeChoicePolicy",
@@ -52,6 +52,9 @@ __all__ = [
     "solve_manifold",
     "conjugate_normal_form",
 ]
+
+# condition number above which (B_bar + j a_bar Id) counts as singular
+_INVERSE_CAP = 1e12
 
 
 @dataclass
@@ -161,34 +164,26 @@ class ManifoldSolution:
     def param(self, deg: int, rot=None) -> ParamMap:
         """Assemble the parameterization as a ParamMap at working degree."""
         dim, cap = self.dim, self.order_cap
-        kx = Jet.var_x(0, deg, dim, cap)
-        for l, c in self.kbar_x.items():
-            kx = kx + Jet.monomial(l, (), c, 0, deg, dim, cap)
-        for o, s in self.ktil_x.items():
-            kx = kx + Jet.monomial(o, (), s, 0, deg, dim, cap)
-        ys = []
-        for i in range(self.m):
-            yi = Jet.zero(0, deg, dim, cap)
-            for l, vec in self.kbar_y.items():
-                if vec[i]:
-                    yi = yi + Jet.monomial(l, (), vec[i], 0, deg, dim, cap)
-            for o, row in self.ktil_y.items():
-                if not row[i].is_zero():
-                    yi = yi + Jet.monomial(o, (), row[i], 0, deg, dim, cap)
-            ys.append(yi)
-        devs = []
-        for r in range(self.d):
-            dr = Jet.zero(0, deg, dim, cap)
-            for l, vec in self.kbar_th.items():
-                if vec[r]:
-                    dr = dr + Jet.monomial(l, (), vec[r], 0, deg, dim, cap)
-            for o, row in self.ktil_th.items():
-                if not row[r].is_zero():
-                    dr = dr + Jet.monomial(o, (), row[r], 0, deg, dim, cap)
-            devs.append(dr)
+
+        def jet(start, kbar, ktil):
+            """One x-jet from its averaged and oscillatory tables; a slot in
+            both holds the constant plus the series, in that order."""
+            terms = dict(start)
+            slots = [(l, FourierSeries.constant(c, dim, cap)) for l, c in kbar.items() if c]
+            slots += [(o, s) for o, s in ktil.items() if not s.is_zero()]
+            for l, s in slots:
+                terms[(l, ())] = terms[(l, ())] + s if (l, ()) in terms else s
+            return Jet(0, deg, dim, cap, terms)
+
+        def column(table, i):
+            return {key: row[i] for key, row in table.items()}
+
+        kx = jet(Jet.var_x(0, deg, dim, cap).terms, self.kbar_x, self.ktil_x)
+        ys = tuple(jet({}, column(self.kbar_y, i), column(self.ktil_y, i)) for i in range(self.m))
+        devs = tuple(jet({}, column(self.kbar_th, r), column(self.ktil_th, r)) for r in range(self.d))
         if rot is None:
             rot = (0.0,) * dim
-        return ParamMap(x=kx, y=tuple(ys), theta_dev=tuple(devs), rot=tuple(rot))
+        return ParamMap(x=kx, y=ys, theta_dev=devs, rot=tuple(rot))
 
     def coefficient_norm(self) -> float:
         s = sum(abs(c) for c in self.kbar_x.values())
@@ -237,22 +232,18 @@ def invariance_error(model, sol: ManifoldSolution, deg: int | None = None) -> Er
 
     X = model.as_field(deg)
     K = sol.param(deg)
-    full = tuple(model.freq.omega) + tuple(model.freq.nu)
-    Yx = sol.reduced.x_jet(deg, model.dim, model.order_cap)
-    Ydev = sol.reduced.theta_jets(deg, model.dim, model.order_cap, model.d)
-
-    def transport(C: Jet) -> Jet:
-        out = C.derivative_x().jet_mul(Yx)
-        out = out + C.directional_theta(full)
-        for r in range(model.d):
-            if not Ydev[r].is_zero():
-                out = out + C.derivative_theta(r).jet_mul(Ydev[r])
-        return out
-
+    Y = SkewField(
+        x=sol.reduced.x_jet(deg, model.dim, model.order_cap), y=(),
+        theta_dev=sol.reduced.theta_jets(deg, model.dim, model.order_cap, model.d),
+        omega=tuple(model.freq.omega), nu=tuple(model.freq.nu),
+    )
     sub = _Substitution(K.x, K.y, K.theta_dev, None, 0, deg, K.x.dim, K.x.order_cap).apply
-    ex = sub(X.x) - transport(K.x)
-    eys = tuple(sub(X.y[i]) - transport(K.y[i]) for i in range(model.m))
-    eths = tuple(sub(X.theta_dev[r]) - Ydev[r] - transport(K.theta_dev[r]) for r in range(model.d))
+    ex = sub(X.x) - Y.derivative_along(K.x)
+    eys = tuple(sub(X.y[i]) - Y.derivative_along(K.y[i]) for i in range(model.m))
+    eths = tuple(
+        sub(X.theta_dev[r]) - Y.theta_dev[r] - Y.derivative_along(K.theta_dev[r])
+        for r in range(model.d)
+    )
     return ErrorJet(ex=ex, ey=eys, eth=eths, declared=declared)
 
 
@@ -312,7 +303,6 @@ def extend_order(
     choices: FreeChoicePolicy | None = None,
     divisor_floor: float = 1e-12,
     order_tolerance: float = 1e-9,
-    inverse_cap: float = 1e12,
 ) -> tuple[ManifoldSolution, ErrorJet]:
     """One induction step j-1 -> j; returns the new solution and its error.
 
@@ -337,7 +327,7 @@ def extend_order(
         Ey = E_prev.lead_y(ox)
         Ey_avg = np.array([_real_average(s, f"E_y[{i}]") for i, s in enumerate(Ey)])
         M = model.B_bar() + j * abar * np.eye(m)
-        if np.linalg.cond(M) > inverse_cap:
+        if np.linalg.cond(M) > _INVERSE_CAP:
             raise SingularBlock(
                 f"(B_bar + {j} a_bar Id) is singular within cap at step {j}"
             )
@@ -388,7 +378,7 @@ def extend_order(
     if m:
         e_i = [tuple(1 if t == i else 0 for t in range(m)) for i in range(m)]
         for i in range(m):
-            f_lin = model.f_N.coeff(N - 1, e_i[i])
+            f_lin = model.f.coeff(N - 1, e_i[i])
             if kbar_y[i] and not f_lin.is_zero():
                 psi = psi + f_lin.scale(kbar_y[i])
     if P == 1 and d:

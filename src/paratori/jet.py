@@ -44,10 +44,6 @@ __all__ = [
 ]
 
 
-def _knorm(k: tuple[int, ...]) -> int:
-    return sum(k)
-
-
 class Jet:
     """Taylor expansion in (x, y) with FourierSeries coefficients.
 
@@ -76,7 +72,7 @@ class Jet:
                 k = tuple(int(v) for v in k)
                 if len(k) != self.m:
                     raise DimensionMismatch(f"monomial {k} does not match m={self.m}")
-                if l + _knorm(k) > self.deg:
+                if l + sum(k) > self.deg:
                     continue
                 if not isinstance(s, FourierSeries):
                     s = FourierSeries.constant(s, self.dim, self.order_cap)
@@ -125,7 +121,7 @@ class Jet:
     def min_order(self) -> int:
         if not self.terms:
             return self.deg + 1
-        return min(l + _knorm(k) for (l, k) in self.terms)
+        return min(l + sum(k) for (l, k) in self.terms)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if tol == 0.0:
@@ -177,9 +173,9 @@ class Jet:
         deg = min(self.deg, other.deg)
         out: dict[tuple[int, tuple[int, ...]], FourierSeries] = {}
         for (l1, k1), s1 in self.terms.items():
-            o1 = l1 + _knorm(k1)
+            o1 = l1 + sum(k1)
             for (l2, k2), s2 in other.terms.items():
-                if o1 + l2 + _knorm(k2) > deg:
+                if o1 + l2 + sum(k2) > deg:
                     continue
                 key = (l1 + l2, tuple(a + b for a, b in zip(k1, k2)))
                 prod = s1.series_mul(s2)
@@ -205,12 +201,12 @@ class Jet:
     def drop_below(self, order: int) -> "Jet":
         """Remove monomials of total degree < order."""
         return self._like(
-            {key: s for key, s in self.terms.items() if key[0] + _knorm(key[1]) >= order}
+            {key: s for key, s in self.terms.items() if key[0] + sum(key[1]) >= order}
         )
 
     def part_of_degree(self, order: int) -> "Jet":
         return self._like(
-            {key: s for key, s in self.terms.items() if key[0] + _knorm(key[1]) == order}
+            {key: s for key, s in self.terms.items() if key[0] + sum(key[1]) == order}
         )
 
     def map_coeffs(self, fn) -> "Jet":
@@ -494,59 +490,36 @@ class SkewMap:
         return _evaluate_map(self, x, y, theta, dtype)
 
 
+def _compose(outer, inner, deg: int):
+    """outer o inner, in inner's shape: the outer components with inner
+    substituted, each angle deviation of inner plus the outer one over it,
+    and the rotations added."""
+    x = inner.x
+    sub = _Substitution(x, inner.y, inner.theta_dev, inner.rot, x.m, deg, x.dim, x.order_cap)
+    return type(inner)(
+        x=sub.apply(outer.x),
+        y=tuple(sub.apply(j) for j in outer.y),
+        theta_dev=tuple(
+            dv + sub.apply(outer.theta_dev[r]) if r < len(outer.theta_dev) else dv
+            for r, dv in enumerate(inner.theta_dev)
+        ),
+        rot=tuple(a + b for a, b in zip(outer.rot, inner.rot)),
+    )
+
+
 def compose_skew_param(F: SkewMap, K: ParamMap, deg: int | None = None) -> ParamMap:
     """F o K: plug a parameterization into a model map."""
-    deg = K.deg if deg is None else deg
-    sub = _Substitution(
-        K.x, K.y, K.theta_dev, K.rot, 0, deg, K.x.dim, K.x.order_cap
-    )
-    new_dev = []
-    for r, dv in enumerate(K.theta_dev):
-        extra = sub.apply(F.theta_dev[r]) if r < len(F.theta_dev) else None
-        new_dev.append(dv if extra is None else dv + extra)
-    rot = tuple(a + b for a, b in zip(F.rot, K.rot))
-    return ParamMap(
-        x=sub.apply(F.x),
-        y=tuple(sub.apply(j) for j in F.y),
-        theta_dev=tuple(new_dev),
-        rot=rot,
-    )
+    return _compose(F, K, K.deg if deg is None else deg)
 
 
 def compose_param_param(K: ParamMap, R: ParamMap, deg: int | None = None) -> ParamMap:
     """K o R for an inner map with no y-components (a reduced map)."""
-    deg = K.deg if deg is None else deg
-    sub = _Substitution(
-        R.x, (), R.theta_dev, R.rot, 0, deg, R.x.dim, R.x.order_cap
-    )
-    new_dev = tuple(
-        R.theta_dev[r] + sub.apply(K.theta_dev[r]) for r in range(len(K.theta_dev))
-    )
-    rot = tuple(a + b for a, b in zip(K.rot, R.rot))
-    return ParamMap(
-        x=sub.apply(K.x),
-        y=tuple(sub.apply(j) for j in K.y),
-        theta_dev=new_dev,
-        rot=rot,
-    )
+    return _compose(K, R, K.deg if deg is None else deg)
 
 
 def compose_skew_skew(G: SkewMap, H: SkewMap, deg: int | None = None) -> SkewMap:
     """G o H for two skew maps (changes of variables, model conjugations)."""
-    deg = H.deg if deg is None else deg
-    sub = _Substitution(
-        H.x, H.y, H.theta_dev, H.rot, H.m, deg, H.x.dim, H.x.order_cap
-    )
-    new_dev = tuple(
-        H.theta_dev[r] + sub.apply(G.theta_dev[r]) for r in range(len(G.theta_dev))
-    )
-    rot = tuple(a + b for a, b in zip(G.rot, H.rot))
-    return SkewMap(
-        x=sub.apply(G.x),
-        y=tuple(sub.apply(j) for j in G.y),
-        theta_dev=new_dev,
-        rot=rot,
-    )
+    return _compose(G, H, H.deg if deg is None else deg)
 
 
 # --------------------------------------------------------------- inversion
@@ -593,14 +566,14 @@ def divide_by_x_plus_y(N: Jet, y_index: int) -> Jet:
     m = N.m
     if not N.terms:
         return N._like({})
-    max_deg = max(l + _knorm(k) for (l, k) in N.terms)
+    max_deg = max(l + sum(k) for (l, k) in N.terms)
     zero = FourierSeries.zeros(N.dim, N.order_cap)
     out: dict[tuple[int, tuple[int, ...]], FourierSeries] = {}
 
     slots = [
         (p, j)
         for j in _multis(m, max_deg - 1)
-        for p in range(0, max_deg - _knorm(j))
+        for p in range(0, max_deg - sum(j))
     ]
     slots.sort(key=lambda pj: pj[1][y_index])
     for p, j in slots:

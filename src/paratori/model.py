@@ -2,12 +2,12 @@
 
 A map model is
 
-    x  ->  x - a(theta) x^N + f_N(x, y, theta) + f_tail(x, y, theta)
-    y  ->  y + x^(N-1) B(theta) y + g_N(x, y, theta) + g_tail(x, y, theta)
-    th ->  th + omega + h_P(x, y, theta) + h_tail(x, y, theta)
+    x  ->  x - a(theta) x^N + f(x, y, theta)
+    y  ->  y + x^(N-1) B(theta) y + g(x, y, theta)
+    th ->  th + omega + h(x, y, theta)
 
-with f_N, g_N homogeneous of degree N satisfying f_N(x,0)=0, g_N(x,0)=0,
-D_y g_N(x,0)=0, h_P homogeneous of degree P, and tails of order N+1 / P+1.
+with f, g of order N and h of order P, whose degree-N parts f_N, g_N satisfy
+f_N(x,0)=0, g_N(x,0)=0 and D_y g_N(x,0)=0.  Each of f, g and h is one jet.
 The flow form replaces the first two right-hand sides by time derivatives
 and allows quasiperiodic time dependence through d' extra angles with
 frequency nu.
@@ -20,7 +20,7 @@ averaged leading coefficient becomes 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -47,15 +47,7 @@ __all__ = [
 
 _B_EIG_FLOOR = 1e-9
 _STRUCT_TOL = 1e-12
-
-
-def _as_tuple_jets(js, m, deg, dim, cap, count):
-    if js is None:
-        return tuple(Jet.zero(m, deg, dim, cap) for _ in range(count))
-    js = tuple(js)
-    if len(js) != count:
-        raise DimensionMismatch(f"expected {count} component jets, got {len(js)}")
-    return js
+_CLAMP_TOL = 1e-11  # relative size of forbidden-slot roundoff model_from drops
 
 
 @dataclass
@@ -87,20 +79,15 @@ class _Reduced:
         return acc
 
     def x_jet(self, deg: int, dim: int, order_cap: int) -> Jet:
-        x = Jet.zero(0, deg, dim, order_cap)
-        for l, c in self.x_poly_coeffs().items():
-            x = x + Jet.monomial(l, (), c, 0, deg, dim, order_cap)
-        return x
+        terms = {(l, ()): c for l, c in self.x_poly_coeffs().items()}
+        return Jet(0, deg, dim, order_cap, terms)
 
     def theta_jets(self, deg: int, dim: int, order_cap: int, n_angles: int):
-        out = []
-        for r in range(n_angles):
-            j = Jet.zero(0, deg, dim, order_cap)
-            for order, vec in self.theta_terms.items():
-                if vec[r]:
-                    j = j + Jet.monomial(order, (), vec[r], 0, deg, dim, order_cap)
-            out.append(j)
-        return tuple(out)
+        return tuple(
+            Jet(0, deg, dim, order_cap,
+                {(order, ()): vec[r] for order, vec in self.theta_terms.items() if vec[r]})
+            for r in range(n_angles)
+        )
 
 
 @dataclass
@@ -134,14 +121,73 @@ class _ModelBase:
     order_cap: int
     a: FourierSeries
     B: tuple[tuple[FourierSeries, ...], ...]
-    f_N: Jet
-    g_N: tuple[Jet, ...]
-    h_P: tuple[Jet, ...]
-    f_tail: Jet
-    g_tail: tuple[Jet, ...]
-    h_tail: tuple[Jet, ...]
+    f: Jet
+    g: tuple[Jet, ...]
+    h: tuple[Jet, ...]
     declared_P: int | None = None
     params: tuple[float, ...] = ()
+
+    @classmethod
+    def build(
+        cls,
+        N: int,
+        P: int,
+        freq: FrequencyVector,
+        a: FourierSeries,
+        m: int,
+        order_cap: int,
+        B: Sequence[Sequence[FourierSeries]] | None = None,
+        f: Jet | None = None,
+        g: Sequence[Jet] | None = None,
+        h: Sequence[Jet] | None = None,
+        deg: int | None = None,
+        params: Sequence[float] = (),
+    ):
+        """Assemble a model, checking the orders of f, g and h.
+
+        ``f``/``g``/``h`` hold everything except the structural monomials
+        (-a x^N, x^(N-1) B y).  Each is stored with its degree-N (for h,
+        degree-P) terms first, and P > N is folded to P = N after h is
+        checked against the declared P.  A flow keeps the theta-components
+        of its d state angles.
+        """
+        dim = a.dim
+        deg = deg if deg is not None else max(N, P) + 4
+        zero = Jet.zero(m, deg, dim, order_cap)
+        f = f if f is not None else zero
+        g = tuple(g) if g is not None else (zero,) * m
+        h = tuple(h) if h is not None else (zero,) * dim
+        if len(g) != m:
+            raise DimensionMismatch(f"expected {m} component jets, got {len(g)}")
+        bad = _low_order_terms(f, g, h, N, P)
+        if bad:
+            raise HypothesisViolation("; ".join(bad))
+        declared_P = P if P > N else None
+        P = min(P, N)
+        d = len(freq.omega)
+        if B is None:
+            B = [[FourierSeries.zeros(dim, order_cap) for _ in range(m)] for _ in range(m)]
+
+        def lead_first(j: Jet, order: int) -> Jet:
+            """j with its degree-``order`` terms first: jet sums and products
+            iterate in term order, which fixes how they round."""
+            return j.part_of_degree(order) + j.drop_below(order + 1)
+
+        return cls(
+            N=N,
+            P=P,
+            m=m,
+            d=d,
+            freq=freq,
+            order_cap=order_cap,
+            a=a,
+            B=tuple(tuple(row) for row in B),
+            f=lead_first(f, N),
+            g=tuple(lead_first(j, N) for j in g),
+            h=tuple(lead_first(j, P) for j in (h if cls.kind == "map" else h[:d])),
+            declared_P=declared_P,
+            params=tuple(params),
+        )
 
     @property
     def dim(self) -> int:
@@ -166,7 +212,7 @@ class _ModelBase:
 
     def native_degree(self) -> int:
         degs = [self.N, self.P]
-        for j in (self.f_N, self.f_tail, *self.g_N, *self.g_tail, *self.h_P, *self.h_tail):
+        for j in (self.f, *self.g, *self.h):
             for (l, k) in j.terms:
                 degs.append(l + sum(k))
         return max(degs)
@@ -176,7 +222,7 @@ class _ModelBase:
         s = self.a.strip_norm() + sum(
             self.B[i][j].strip_norm() for i in range(self.m) for j in range(self.m)
         )
-        for j in (self.f_N, self.f_tail, *self.g_N, *self.g_tail, *self.h_P, *self.h_tail):
+        for j in (self.f, *self.g, *self.h):
             s += j.norm()
         return max(s, 1.0)
 
@@ -186,16 +232,14 @@ class _ModelBase:
         for a field)."""
         m, dim, cap = self.m, self.dim, self.order_cap
         x = x - Jet.monomial(self.N, (0,) * m, self.a, m, deg, dim, cap)
-        x = x + self.f_N.truncated(deg) + self.f_tail.truncated(deg)
+        x = x + self.f.truncated(deg)
         out_y = []
         for i, yi in enumerate(ys):
             for j in range(m):
                 kj = tuple(1 if t == j else 0 for t in range(m))
                 yi = yi + Jet.monomial(self.N - 1, kj, self.B[i][j], m, deg, dim, cap)
-            out_y.append(yi + self.g_N[i].truncated(deg) + self.g_tail[i].truncated(deg))
-        dev = tuple(
-            self.h_P[r].truncated(deg) + self.h_tail[r].truncated(deg) for r in range(n_angles)
-        )
+            out_y.append(yi + self.g[i].truncated(deg))
+        dev = tuple(self.h[r].truncated(deg) for r in range(n_angles))
         return x, tuple(out_y), dev
 
 
@@ -204,72 +248,6 @@ class MapModel(_ModelBase):
     """Skew-product map in the parabolic normal form around the torus."""
 
     kind: str = "map"
-
-    @classmethod
-    def build(
-        cls,
-        N: int,
-        P: int,
-        freq: FrequencyVector,
-        a: FourierSeries,
-        m: int,
-        order_cap: int,
-        B: Sequence[Sequence[FourierSeries]] | None = None,
-        f: Jet | None = None,
-        g: Sequence[Jet] | None = None,
-        h: Sequence[Jet] | None = None,
-        deg: int | None = None,
-        params: Sequence[float] = (),
-    ) -> "MapModel":
-        """Assemble a model, splitting f/g/h into leading and tail parts.
-
-        ``f``/``g``/``h`` hold everything except the structural monomials
-        (-a x^N, x^(N-1) B y); degree-N parts and tails are separated here,
-        and P > N is folded to P = N with an empty leading slot.
-        """
-        dim = a.dim
-        deg = deg if deg is not None else max(N, P) + 4
-        f = f if f is not None else Jet.zero(m, deg, dim, order_cap)
-        g = _as_tuple_jets(g, m, deg, dim, order_cap, m)
-        h = _as_tuple_jets(h, m, deg, dim, order_cap, dim if h is None else len(tuple(h)))
-        declared_P = None
-        if P > N:
-            declared_P = P
-            P = N
-        if f.min_order() < N:
-            raise HypothesisViolation("f has terms below degree N")
-        for j in g:
-            if j.min_order() < N:
-                raise HypothesisViolation("g has terms below degree N")
-        for j in h:
-            if j.min_order() < P and declared_P is None:
-                raise HypothesisViolation("h has terms below degree P")
-        B = (
-            tuple(tuple(row) for row in B)
-            if B is not None
-            else tuple(
-                tuple(FourierSeries.zeros(dim, order_cap) for _ in range(m))
-                for _ in range(m)
-            )
-        )
-        return cls(
-            N=N,
-            P=P,
-            m=m,
-            d=len(freq.omega),
-            freq=freq,
-            order_cap=order_cap,
-            a=a,
-            B=B,
-            f_N=f.part_of_degree(N),
-            g_N=tuple(j.part_of_degree(N) for j in g),
-            h_P=tuple(j.part_of_degree(P) if declared_P is None else Jet.zero(m, j.deg, dim, order_cap) for j in h),
-            f_tail=f.drop_below(N + 1),
-            g_tail=tuple(j.drop_below(N + 1) for j in g),
-            h_tail=tuple(j.drop_below(P + 1) for j in h),
-            declared_P=declared_P,
-            params=tuple(params),
-        )
 
     def as_skew(self, deg: int) -> SkewMap:
         """The full map as a SkewMap at the requested working degree."""
@@ -312,6 +290,19 @@ class SkewField:
         out = [u.real for u in v[:1 + m]] + [self.omega[r] + v[1 + m + r].real for r in range(d)]
         return np.array(out, dtype=float)
 
+    def derivative_along(self, w: Jet) -> Jet:
+        """The Lie derivative of the function w(x, y, theta) along the field:
+        X_x w_x + sum X_y_i w_y_i + L w + sum X_theta_r w_theta_r, where L is
+        the derivative along (omega, nu); zero angle deviations are skipped."""
+        acc = self.x.jet_mul(w.derivative_x())
+        for i, yi in enumerate(self.y):
+            acc = acc + yi.jet_mul(w.derivative_y(i))
+        acc = acc + w.directional_theta(self.omega + self.nu)
+        for r, dev in enumerate(self.theta_dev):
+            if not dev.is_zero():
+                acc = acc + w.derivative_theta(r).jet_mul(dev)
+        return acc
+
 
 @dataclass
 class FlowModel(_ModelBase):
@@ -322,30 +313,6 @@ class FlowModel(_ModelBase):
     """
 
     kind: str = "flow"
-
-    @classmethod
-    def build(
-        cls,
-        N: int,
-        P: int,
-        freq: FrequencyVector,
-        a: FourierSeries,
-        m: int,
-        order_cap: int,
-        B: Sequence[Sequence[FourierSeries]] | None = None,
-        f: Jet | None = None,
-        g: Sequence[Jet] | None = None,
-        h: Sequence[Jet] | None = None,
-        deg: int | None = None,
-        params: Sequence[float] = (),
-    ) -> "FlowModel":
-        """As :meth:`MapModel.build`, keeping the theta-components of the d state angles."""
-        base = MapModel.build(
-            N, P, freq, a, m, order_cap, B=B, f=f, g=g, h=h, deg=deg, params=params
-        )
-        kw = {fd.name: getattr(base, fd.name) for fd in fields(_ModelBase)}
-        kw.update(h_P=base.h_P[: base.d], h_tail=base.h_tail[: base.d])
-        return cls(**kw)
 
     def as_field(self, deg: int) -> SkewField:
         m, dim, cap = self.m, self.dim, self.order_cap
@@ -362,36 +329,27 @@ class FlowModel(_ModelBase):
 # ----------------------------------------------------------------- validate
 
 
+def _low_order_terms(f: Jet, g, h, N: int, P: int) -> list[str]:
+    """The components of f and g with terms below degree N, of h below degree P."""
+    parts = [("f", f, "N", N)] + [(f"g[{i}]", j, "N", N) for i, j in enumerate(g)]
+    parts += [(f"h[{r}]", j, "P", P) for r, j in enumerate(h)]
+    return [f"{name} has terms below degree {what}" for name, j, what, order in parts
+            if j.min_order() < order]
+
+
 def _structural_violations(model: _ModelBase) -> list[str]:
-    out = []
     tol = _STRUCT_TOL * model.coefficient_scale()
-    m = model.m
-    zero_k = (0,) * m
-    for (l, k), s in model.f_N.terms.items():
-        if l + sum(k) != model.N:
-            out.append(f"f_N contains a monomial of degree {l + sum(k)} != N")
+    N, zero_k = model.N, (0,) * model.m
+    out = _low_order_terms(model.f, model.g, model.h, N, model.P)
+    for (l, k), s in model.f.part_of_degree(N).terms.items():
         if k == zero_k and s.strip_norm() > tol:
             out.append(f"f_N(x,0,theta) != 0: monomial x^{l}")
-    for i, g in enumerate(model.g_N):
-        for (l, k), s in g.terms.items():
-            if l + sum(k) != model.N:
-                out.append(f"g_N[{i}] contains a monomial of degree {l + sum(k)} != N")
+    for i, g in enumerate(model.g):
+        for (l, k), s in g.part_of_degree(N).terms.items():
             if k == zero_k and s.strip_norm() > tol:
                 out.append(f"g_N[{i}](x,0,theta) != 0: monomial x^{l}")
             if sum(k) == 1 and s.strip_norm() > tol:
                 out.append(f"D_y g_N(x,0,theta) != 0: monomial (l={l}, k={k}) in component {i}")
-    for r, h in enumerate(model.h_P):
-        for (l, k) in h.terms:
-            if l + sum(k) != model.P:
-                out.append(f"h_P[{r}] contains a monomial of degree {l + sum(k)} != P")
-    if model.f_tail.min_order() <= model.N and not model.f_tail.is_zero(tol):
-        out.append("f_tail has terms of order <= N")
-    for i, g in enumerate(model.g_tail):
-        if g.min_order() <= model.N and not g.is_zero(tol):
-            out.append(f"g_tail[{i}] has terms of order <= N")
-    for r, h in enumerate(model.h_tail):
-        if h.min_order() <= model.P and not h.is_zero(tol):
-            out.append(f"h_tail[{r}] has terms of order <= P")
     return out
 
 
@@ -447,13 +405,12 @@ def model_from(
     freq: FrequencyVector,
     order_cap: int,
     params=(),
-    clamp_tol: float = 1e-11,
 ) -> MapModel | FlowModel:
     """Re-extract a model from a SkewMap (a MapModel) or a SkewField (a FlowModel).
 
     A map's linear part must be the identity, as after a conjugation; a
     field's linear slots must vanish.  Coefficients sitting in structurally
-    forbidden slots below ``clamp_tol`` (relative to the jet scale) are
+    forbidden slots below ``_CLAMP_TOL`` (relative to the jet scale) are
     dropped as conjugation roundoff.
     """
     is_map = isinstance(obj, SkewMap)
@@ -462,7 +419,7 @@ def model_from(
     x_terms, y_terms = obj.x.terms, [j.terms for j in obj.y]
     if is_map:
         scale = max(obj.x.norm(), 1.0)
-        tol = clamp_tol * scale
+        tol = _CLAMP_TOL * scale
         lin = obj.x.coeff(1, zk)
         if abs(lin.average() - 1.0) > 1e-9 or lin.oscillatory().strip_norm() > 1e-9 * scale:
             raise HypothesisViolation("x-component linear part is not x after conjugation")
@@ -480,7 +437,7 @@ def model_from(
             for terms in y_terms
         ]
     else:
-        tol = clamp_tol * max(obj.x.norm() + sum(j.norm() for j in obj.y), 1.0)
+        tol = _CLAMP_TOL * max(obj.x.norm() + sum(j.norm() for j in obj.y), 1.0)
 
     a = -obj.x.coeff(N, zk)
     f_all = {}
@@ -580,14 +537,11 @@ def _skew_y_change(C: list[list[FourierSeries]], N: int, m: int, deg: int) -> tu
     dim, cap = C[0][0].dim, C[0][0].order_cap
     T = SkewMap.identity(m, dim, deg, dim, cap)
     Ti = SkewMap.identity(m, dim, deg, dim, cap)
-    ys = []
-    for i in range(m):
-        yi = Jet.var_y(i, m, deg, dim, cap)
-        for j in range(m):
-            kj = tuple(1 if t == j else 0 for t in range(m))
-            yi = yi + Jet.monomial(N - 1, kj, C[i][j], m, deg, dim, cap)
-        ys.append(yi)
-    T.y = tuple(ys)
+    e = [tuple(1 if t == j else 0 for t in range(m)) for j in range(m)]
+    T.y = tuple(
+        Jet(m, deg, dim, cap, {(0, e[i]): 1.0, **{(N - 1, e[j]): C[i][j] for j in range(m)}})
+        for i in range(m)
+    )
     # (I + C x^(N-1))^{-1} = sum_p (-C x^(N-1))^p, truncated by the degree cap
     p_max = max(0, (deg - 1) // (N - 1)) if N > 1 else 0
 
@@ -601,21 +555,17 @@ def _skew_y_change(C: list[list[FourierSeries]], N: int, m: int, deg: int) -> tu
                 out[i][j] = acc
         return out
 
-    Cm = [[C[i][j] for j in range(m)] for i in range(m)]
     power = [
         [FourierSeries.constant(1.0 if i == j else 0.0, dim, cap) for j in range(m)]
         for i in range(m)
     ]
-    inv_ys = [Jet.var_y(i, m, deg, dim, cap) for i in range(m)]
+    inv_terms = [{(0, e[i]): 1.0} for i in range(m)]
     for p in range(1, p_max + 1):
-        power = mat_mul(power, Cm)
+        power = mat_mul(power, C)
         for i in range(m):
             for j in range(m):
-                s = power[i][j].scale((-1.0) ** p)
-                if not s.is_zero():
-                    kj = tuple(1 if t == j else 0 for t in range(m))
-                    inv_ys[i] = inv_ys[i] + Jet.monomial(p * (N - 1), kj, s, m, deg, dim, cap)
-    Ti.y = tuple(inv_ys)
+                inv_terms[i][(p * (N - 1), e[j])] = power[i][j].scale((-1.0) ** p)
+    Ti.y = tuple(Jet(m, deg, dim, cap, terms) for terms in inv_terms)
     return T, Ti
 
 
@@ -623,16 +573,13 @@ def _skew_linear_y(Dm: np.ndarray, m: int, deg: int, dim: int, cap: int) -> tupl
     T = SkewMap.identity(m, dim, deg, dim, cap)
     Ti = SkewMap.identity(m, dim, deg, dim, cap)
     Dinv = np.linalg.inv(Dm)
+    e = [tuple(1 if t == j else 0 for t in range(m)) for j in range(m)]
+
     def lin(mat):
-        ys = []
-        for i in range(m):
-            yi = Jet.zero(m, deg, dim, cap)
-            for j in range(m):
-                if mat[i, j]:
-                    kj = tuple(1 if t == j else 0 for t in range(m))
-                    yi = yi + Jet.monomial(0, kj, float(mat[i, j]), m, deg, dim, cap)
-            ys.append(yi)
-        return tuple(ys)
+        return tuple(
+            Jet(m, deg, dim, cap, {(0, e[j]): float(mat[i, j]) for j in range(m) if mat[i, j]})
+            for i in range(m)
+        )
     T.y = lin(Dm)
     Ti.y = lin(Dinv)
     return T, Ti
@@ -674,20 +621,9 @@ def _push(fld: SkewField, W: SkewMap, S: SkewMap, deg: int) -> SkewField:
     """The field in the new variables (W.x, W.y), functions of the old (x, y, theta)
     whose inverse is (x, y) = (S.x, S.y): the time derivative of each new
     variable along the field, with S substituted in every component."""
-    freqs = fld.omega + fld.nu
-
-    def along(w: Jet) -> Jet:
-        acc = fld.x.jet_mul(w.derivative_x())
-        for i, yi in enumerate(fld.y):
-            acc = acc + yi.jet_mul(w.derivative_y(i))
-        acc = acc + w.directional_theta(freqs)
-        for r, dev in enumerate(fld.theta_dev):
-            acc = acc + w.derivative_theta(r).jet_mul(dev)
-        return acc
-
     sub = _Substitution(S.x, S.y, (), None, S.m, deg, S.x.dim, S.x.order_cap).apply
     return SkewField(
-        x=sub(along(W.x)), y=tuple(sub(along(w)) for w in W.y),
+        x=sub(fld.derivative_along(W.x)), y=tuple(sub(fld.derivative_along(w)) for w in W.y),
         theta_dev=tuple(sub(j) for j in fld.theta_dev), omega=fld.omega, nu=fld.nu,
     )
 

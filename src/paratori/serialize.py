@@ -123,9 +123,6 @@ def _freq_from_obj(obj: dict) -> FrequencyVector:
 
 
 def model_to_obj(model) -> dict:
-    f = model.f_N + model.f_tail
-    g = [model.g_N[i] + model.g_tail[i] for i in range(model.m)]
-    h = [model.h_P[r] + model.h_tail[r] for r in range(len(model.h_P))]
     return {
         "kind": model.kind,
         "N": model.N,
@@ -137,9 +134,9 @@ def model_to_obj(model) -> dict:
         "a": series_to_obj(model.a),
         "B": [[series_to_obj(model.B[i][j]) for j in range(model.m)]
               for i in range(model.m)],
-        "f": jet_to_obj(f),
-        "g": [jet_to_obj(j) for j in g],
-        "h": [jet_to_obj(j) for j in h],
+        "f": jet_to_obj(model.f),
+        "g": [jet_to_obj(j) for j in model.g],
+        "h": [jet_to_obj(j) for j in model.h],
         "params": list(model.params),
     }
 

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _CDT = np.clongdouble
+_WINDOW_SHIFT = 2.5  # fit_error_orders_auto's factor on both window edges
+_MAX_SHIFTS = 4
 
 
 @dataclass
@@ -240,23 +242,20 @@ def fit_error_orders(
     )
 
 
-def fit_error_orders_auto(model, sol, x_window=(1e-3, 1e-2), max_shrinks: int = 4,
-                          error=None, **kw):
-    """Retry :func:`fit_error_orders`, raising the lower edge on WindowTooWide;
+def fit_error_orders_auto(model, sol, x_window=(1e-3, 1e-2), error=None, **kw):
+    """Retry :func:`fit_error_orders`, shifting the window up by
+    ``_WINDOW_SHIFT`` on each WindowTooWide, at most ``_MAX_SHIFTS`` times;
     without ``error`` the windows share one error jet, built on first need."""
     if error is None:
         error = functools.cache(functools.partial(invariance_error, model, sol))
     lo, hi = x_window
-    last = None
-    for _ in range(max_shrinks + 1):
+    for shift in range(_MAX_SHIFTS + 1):
         try:
             return fit_error_orders(model, sol, (lo, hi), error=error, **kw)
-        except WindowTooWide as e:
-            last = e
-            lo = lo * 2.5
-            if lo >= hi / 2:
-                break
-    raise last
+        except WindowTooWide:
+            if shift == _MAX_SHIFTS:
+                raise
+            lo, hi = lo * _WINDOW_SHIFT, hi * _WINDOW_SHIFT
 
 
 # ------------------------------------------------------------ sector bound

@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 
-from paratori.cohomology import invariance_error
+from paratori.cohomology import ErrorJet, invariance_error
 from paratori.errors import ResonantMode
 from paratori.fourier import FourierSeries
+from paratori.jet import jet_compose
 from paratori.model import ReducedMap
 
 
@@ -166,6 +167,36 @@ def per_series_map_evaluate(F, x, y, theta, dtype=complex):
         for t, r, d in zip(th, F.rot, F.theta_dev)
     ]
     return xv, yv, thv
+
+
+def reference_flow_invariance_error(model, sol, deg=None):
+    """The flow error E = X o K - DK Y - dK/dt as it was written before
+    ``SkewField.derivative_along``: the transport of each component of K
+    along the reduced field Y spelled out, with D_x C in front of Y_x."""
+    N, P, j = sol.N, sol.P, sol.j
+    deg = deg if deg is not None else j + N + 1
+    declared = (j + N, j + N, min(j + P - 1, j + N - 1))
+    X = model.as_field(deg)
+    K = sol.param(deg)
+    full = tuple(model.freq.omega) + tuple(model.freq.nu)
+    Yx = sol.reduced.x_jet(deg, model.dim, model.order_cap)
+    Ydev = sol.reduced.theta_jets(deg, model.dim, model.order_cap, model.d)
+
+    def transport(C):
+        out = C.derivative_x().jet_mul(Yx)
+        out = out + C.directional_theta(full)
+        for r in range(model.d):
+            if not Ydev[r].is_zero():
+                out = out + C.derivative_theta(r).jet_mul(Ydev[r])
+        return out
+
+    def sub(target):
+        return jet_compose(target, K.x, K.y, K.theta_dev, None, deg)
+
+    ex = sub(X.x) - transport(K.x)
+    eys = tuple(sub(X.y[i]) - transport(K.y[i]) for i in range(model.m))
+    eths = tuple(sub(X.theta_dev[r]) - Ydev[r] - transport(K.theta_dev[r]) for r in range(model.d))
+    return ErrorJet(ex=ex, ey=eys, eth=eths, declared=declared)
 
 
 # ------------------------------------------------- the dict-of-tuples series

@@ -172,7 +172,7 @@ def test_restricted_leading_data_exact():
 
 def test_restricted_uv_decoupling_below_tail_order():
     model, _ = build_restricted_field(PrimarySystem.single(), degree=8, gtilde0=0.2)
-    for jet in (model.f_N, model.f_tail, model.g_N[0], model.g_tail[0]):
+    for jet in (model.f, model.g[0]):
         for (l, k), s in jet.terms.items():
             if l + sum(k) <= 5:
                 assert k[1] == 0 and k[2] == 0, (l, k)

@@ -103,6 +103,18 @@ def test_iterate_command(tmp_path):
     assert len(lines) == 22
 
 
+def test_order_9_passes_at_the_default_window(tmp_path):
+    # the default window sits at the rounding floor for most samples at order
+    # 9; the retries shift it upward until the fit has enough points
+    out = tmp_path / "deep"
+    code = main(["solve-map", "--model", "builtin:benchmark-map", "--order", "9",
+                 "--outdir", str(out)])
+    assert code == 0
+    report = _read(out / "summary.json")["order_report"]
+    assert report["all_pass"]
+    assert report["x_window"][0] > 1e-3
+
+
 def test_model_file_roundtrip_through_cli(tmp_path):
     model = benchmark_map_model()
     path = tmp_path / "model.json"

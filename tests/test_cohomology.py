@@ -7,6 +7,7 @@ import pytest
 
 from paratori.benchmark import (
     GOLDEN,
+    benchmark_flow_model,
     benchmark_map_model,
     conjugacy_fixture,
     toy_x2_flow_model,
@@ -19,9 +20,10 @@ from paratori.cohomology import (
     invariance_error,
     solve_manifold,
 )
-from paratori.fourier import FourierSeries, sd_solve_map
+from paratori.fourier import FourierSeries, diophantine_scan, sd_solve_map
 from paratori.jet import Jet
 from paratori.model import FlowModel, MapModel
+from oracles import reference_flow_invariance_error
 
 
 def _const_a_model(golden_freq, m=1, N=2, g_tail=None, cap=16, deg=8):
@@ -308,3 +310,51 @@ def test_error_jet_samples_decay(bench_map):
     vals = res.error.sample(xs, [(0.0,), (0.3,)])
     # dominated by the x-order j+N-1... remainder: strictly decreasing in x
     assert vals[0] < vals[1] < vals[2]
+
+
+# ------------------------------------------- flow error against its reference
+
+
+def _n3_p2_flow():
+    """N = 3, P = 2 flow whose reduced field picks up angle terms at several orders."""
+    cap, deg, m = 12, 10, 1
+    freq = diophantine_scan([GOLDEN], tau=1.0, k_max=40, sense="flow")
+
+    def s(mean, amp=0.0):
+        return FourierSeries.constant(mean, 1, cap) + FourierSeries.cosine((1,), 1, cap, amp)
+
+    def mono(l, k, c):
+        return Jet.monomial(l, k, c, m, deg, 1, cap)
+
+    return FlowModel.build(
+        N=3, P=2, freq=freq, a=s(1.0, 0.4), m=m, order_cap=cap, B=[[s(0.7, 0.2)]],
+        f=mono(2, (1,), 0.3) + mono(4, (0,), FourierSeries.sine((1,), 1, cap, 0.2)),
+        g=[mono(4, (0,), 0.25) + mono(1, (2,), 0.1)],
+        h=[mono(2, (0,), s(0.2, 0.3)) + mono(3, (0,), s(-0.15, 0.1))
+           + mono(4, (0,), 0.07) + mono(1, (1,), 0.05)],
+        deg=deg,
+    )
+
+
+def _bits(jet):
+    """A jet's terms in table order, each with its exact modes and trunc_loss."""
+    return [(key, dict(s.coeffs), s.trunc_loss) for key, s in jet.terms.items()]
+
+
+@pytest.mark.parametrize("make", [
+    benchmark_flow_model, lambda: toy_x2_flow_model(m=2), _n3_p2_flow,
+], ids=["benchmark-flow", "toy-x2-m2", "n3-p2-angle-terms"])
+def test_flow_invariance_error_matches_reference_bit_for_bit(make):
+    """Every step's error, term order and trunc_loss included, is the one the
+    spelled-out transport gives: this pins the operand order of
+    SkewField.derivative_along."""
+    model = make()
+    seen = []
+    res = solve_manifold(model, 6, callback=lambda sol, err: seen.append((sol, err)))
+    if model.P < model.N:
+        assert len(res.solution.reduced.theta_terms) >= 2
+    for sol, err in seen:
+        ref = reference_flow_invariance_error(model, sol)
+        assert err.declared == ref.declared
+        for got, want in zip((err.ex, *err.ey, *err.eth), (ref.ex, *ref.ey, *ref.eth), strict=True):
+            assert _bits(got) == _bits(want)

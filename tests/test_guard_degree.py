@@ -107,16 +107,17 @@ def _count_error_jets(monkeypatch):
 
 
 def test_fit_auto_builds_the_error_jet_at_most_once(monkeypatch, bench_map):
-    """At order 9 and the default window every window needs the error jet and
-    none passes; the retries share one build, and none with the solve's."""
+    """At order 9 and a window far below the rounding floor every shift of the
+    window needs the error jet and none passes; the retries share one build,
+    and none with the solve's."""
     res = solve_manifold(bench_map, 9)
     calls = _count_error_jets(monkeypatch)
     with pytest.raises(WindowTooWide):
-        verify.fit_error_orders_auto(bench_map, res.solution)
+        verify.fit_error_orders_auto(bench_map, res.solution, (1e-9, 1e-8))
     assert len(calls) == 1
     calls.clear()
     with pytest.raises(WindowTooWide):
-        verify.fit_error_orders_auto(bench_map, res.solution, error=res.error)
+        verify.fit_error_orders_auto(bench_map, res.solution, (1e-9, 1e-8), error=res.error)
     assert calls == []
 
 

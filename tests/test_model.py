@@ -67,9 +67,29 @@ def test_fold_P_greater_than_N(golden_freq):
                            a=FourierSeries.constant(1.0, dim, cap), m=m,
                            order_cap=cap, h=h, deg=8)
     assert model.P == 2 and model.declared_P == 3
-    assert all(j.is_zero() for j in model.h_P)
-    assert model.h_tail[0].min_order() == 3
+    assert all(j.part_of_degree(model.P).is_zero() for j in model.h)
+    assert model.h[0].min_order() == 3
     assert validate(model) == []
+
+
+def test_build_checks_h_against_the_declared_P(golden_freq):
+    # with P = 3 > N = 2 an x^2 angle term is below the declared P, although
+    # not below the folded P = N; it must raise, not vanish in the fold
+    dim, cap, m = 1, 16, 0
+    h = [Jet.monomial(2, (), 0.2, m, 8, dim, cap) + Jet.monomial(3, (), 0.1, m, 8, dim, cap)]
+    with pytest.raises(HypothesisViolation, match=re.escape("h[0] has terms below degree P")):
+        MapModel.build(N=2, P=3, freq=golden_freq, a=FourierSeries.constant(1.0, dim, cap),
+                       m=m, order_cap=cap, h=h, deg=8)
+
+
+def test_validate_flags_low_order_terms_of_a_constructed_model(golden_freq):
+    # the dataclass constructor skips build's order checks; validate repeats them
+    model = _simple_map_model(golden_freq)
+    low = Jet.monomial(1, (0,), 0.1, model.m, 6, model.dim, model.order_cap)
+    bad = replace(model, f=model.f + low, g=(model.g[0] + low,), h=(model.h[0] + low,))
+    assert validate(model) == []
+    assert {"f has terms below degree N", "g[0] has terms below degree N",
+            "h[0] has terms below degree P"} <= set(validate(bad))
 
 
 # ---------------------------------------------------------------- normalize
@@ -360,9 +380,7 @@ def _coeff_tables(model):
     return {
         "a": model.a.coeffs,
         "B": [[s.coeffs for s in row] for row in model.B],
-        "f_N": jet(model.f_N), "f_tail": jet(model.f_tail),
-        **{name: [jet(j) for j in getattr(model, name)]
-           for name in ("g_N", "h_P", "g_tail", "h_tail")},
+        "f": jet(model.f), "g": [jet(j) for j in model.g], "h": [jet(j) for j in model.h],
     }
 
 
