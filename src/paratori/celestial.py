@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 _CONTROL_KICK = -0.05  # y-offset of escape_demo's control orbit
+_TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------- primaries
@@ -135,15 +137,9 @@ class PrimarySystem:
         )
 
 
-def _lift_series(s: FourierSeries, dim_out: int, offset: int) -> FourierSeries:
-    """Embed a T^d series into T^dim_out with its axes shifted by offset."""
-    out = {}
-    for k, c in s.coeffs.items():
-        kk = [0] * dim_out
-        for i, v in enumerate(k):
-            kk[offset + i] = v
-        out[tuple(kk)] = c
-    return FourierSeries(dim_out, s.order_cap, out)
+def _lift_series(s: FourierSeries) -> FourierSeries:
+    """A T^d series on T^(1+d), constant in the prepended first angle."""
+    return FourierSeries(s.dim + 1, s.order_cap, {(0,) + k: c for k, c in s.coeffs.items()})
 
 
 def _halfint_binomials(n_terms: int) -> list[float]:
@@ -155,49 +151,39 @@ def _halfint_binomials(n_terms: int) -> list[float]:
 
 
 def expand_potential(sys: PrimarySystem, degree: int, order_cap: int | None = None) -> Jet:
-    """Expansion of the potential in powers of 1/r.
+    """Expansion of the potential in powers of xi = 1/r.
 
-    Returns a single-variable jet in xi = 1/r whose coefficient series live
-    on T^(1+d): axis 0 carries the polar angle of the test body (modes in
-    turns of theta), the remaining axes the primary phases.  The xi^1
-    coefficient is exactly the total mass and the xi^2 coefficient vanishes
-    by the center-of-mass identity (asserted, then dropped).
+    Returns a single-variable jet in xi whose coefficient series live on
+    T^(1+d): axis 0 carries the polar angle of the test body (modes in
+    turns of theta), the remaining axes the primary phases.  With
+    w = q_j e^(-i theta), 1/|z - q_j| = xi (1 - xi w)^(-1/2) (1 - xi conj(w))^(-1/2),
+    so primary j adds m_j xi A conj(A), A = sum_l c_l w^l xi^l being the
+    binomial jet of degree ``degree`` - 1.  The xi^1 coefficient is exactly
+    the total mass and the xi^2 coefficient vanishes by the center-of-mass
+    identity (asserted, then dropped).
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     sys.check()
     d = sys.d
     dim = 1 + d
-    cap = order_cap if order_cap is not None else max(
-        8, (degree - 1) * (1 + max((max((abs(x) for k in s.coeffs for x in k), default=0)
-                                    for s in (*sys.qx, *sys.qy)), default=0))
-    )
+    # |k|_1 of w^l conj(w)^k, l + k < degree, stays within (degree - 1)(1 + top)
+    top = max((sum(map(abs, k)) for s in (*sys.qx, *sys.qy) for k in s.coeffs), default=0)
+    cap = order_cap if order_cap is not None else max(8, (degree - 1) * (1 + top))
     cs = _halfint_binomials(degree)
-    terms: dict[tuple[int, tuple], FourierSeries] = {}
-
-    def add(power, series):
-        key = (power, ())
-        cur = terms.get(key)
-        terms[key] = series if cur is None else cur + series
-
+    turn = FourierSeries(dim, cap, {(-1,) + (0,) * d: 1.0})  # e^(-i theta)
+    jet = Jet.zero(0, degree, dim, cap)
     for mj, ax, ay in zip(sys.masses, sys.qx, sys.qy):
-        q = _lift_series(ax, dim, 1) + _lift_series(ay, dim, 1).scale(1j)
-        qbar = q.conjugate()
-        qpow = {0: FourierSeries.constant(1.0, dim, cap)}
-        qbpow = {0: FourierSeries.constant(1.0, dim, cap)}
-        for p in range(1, degree):
-            qpow[p] = qpow[p - 1].series_mul(q.pad_modes(cap))
-            qbpow[p] = qbpow[p - 1].series_mul(qbar.pad_modes(cap))
-        for l in range(degree):
-            for k in range(degree - l):
-                power = 1 + l + k
-                if power > degree:
-                    continue
-                phase = FourierSeries(dim, cap, {(-(l - k),) + (0,) * d: 1.0})
-                coeff = qpow[l].series_mul(qbpow[k]).series_mul(phase)
-                add(power, coeff.scale(mj * cs[l] * cs[k]))
+        w = (_lift_series(ax) + _lift_series(ay).scale(1j)).pad_modes(cap).series_mul(turn)
+        wl = [FourierSeries.constant(1.0, dim, cap)]
+        for _ in range(degree - 1):
+            wl.append(wl[-1].series_mul(w))
+        A = Jet(0, degree - 1, dim, cap,
+                {(l, ()): s.scale(c) for l, (s, c) in enumerate(zip(wl, cs))})
+        AB = A.jet_mul(A.map_coeffs(FourierSeries.conjugate))
+        jet = jet + Jet(0, degree, dim, cap,
+                        {(l + 1, ()): s.scale(mj) for (l, _), s in AB.terms.items()})
 
-    jet = Jet(0, degree, dim, cap, terms)
     lead = jet.x_coeff(1)
     if abs(lead.average() - sys.total_mass) > 1e-12 * max(sys.total_mass, 1.0):
         raise HypothesisViolation("leading potential coefficient is not the total mass")
@@ -275,38 +261,20 @@ class RestrictedChart:
         }
 
 
-def _theta_sub_jet(series: FourierSeries, alpha0: float, dev_rad: Jet,
-                   m: int, deg: int, d: int, cap: int) -> Jet:
-    """Substitute theta = alpha0 + dev (radians) into the theta axis.
-
-    The input lives on T^(1+d) (axis 0 = theta in turns); the output is a
-    jet in the state variables with coefficients on T^d.
+def _theta_sub_jet(series: FourierSeries, alpha0: float, dev_power) -> Jet:
+    """Substitute theta = alpha0 + dev (radians) into the theta axis of a
+    series on T^(1+d) (axis 0 = theta in turns): the Taylor sum over p of
+    dev^p / p! times the p-th radian derivative at alpha0, a jet in the
+    state variables with coefficients on T^d.  ``dev_power(p)`` returns
+    dev^p and is called only while the derivatives are nonzero.
     """
-    groups: dict[int, dict[tuple, complex]] = {}
-    for k, c in series.coeffs.items():
-        k0 = k[0]
-        rest = k[1:]
-        groups.setdefault(k0, {})[rest] = groups.setdefault(k0, {}).get(rest, 0.0) + c
-    out = Jet.zero(m, deg, d, cap)
-    one = Jet.monomial(0, (0,) * m, 1.0, m, deg, d, cap)
-    for k0, table in groups.items():
-        base = FourierSeries(d, cap, table)
-        if k0 == 0:
-            out = out + Jet.monomial(0, (0,) * m, base, m, deg, d, cap)
-            continue
-        # e^(i k0 theta) = e^(i k0 alpha0) * exp(i k0 dev)
-        const = complex(math.cos(k0 * alpha0), math.sin(k0 * alpha0))
-        expo = dev_rad.scale(1j * k0)
-        expj = one
-        term = one
-        fact = 1.0
-        for p in range(1, deg + 1):
-            term = term.jet_mul(expo)
-            fact *= p
-            expj = expj + term.scale(1.0 / fact)
-            if term.is_zero():
-                break
-        out = out + expj.scale(base.scale(const))
+    theta0 = alpha0 / _TWO_PI
+    out = dev_power(0).scale(series.at_first_angle(theta0))
+    for p in range(1, out.deg + 1):
+        der = series.at_first_angle(theta0, p)
+        if der.is_zero():
+            break
+        out = out + dev_power(p).scale(der.scale(1.0 / (_TWO_PI ** p * math.factorial(p))))
     return out
 
 
@@ -393,7 +361,6 @@ def build_restricted_field(
     sys.check()
     d = sys.d
     M = sys.total_mass
-    gamma = M ** (-1.0 / 6.0)
     deg = degree
     m = 3
     vpot = expand_potential(sys, degree=deg // 2 + 1, order_cap=order_cap)
@@ -411,15 +378,13 @@ def build_restricted_field(
     xt4 = xt3.jet_mul(xt)
     gt = Jet.monomial(0, zk, gtilde0, m, deg, d, cap) + xt.jet_mul(jz2)
 
-    # theta deviation in radians: theta = alpha0 + xt z1 - gt yt
+    # theta deviation in radians, theta = alpha0 + xt z1 - gt yt; its powers
+    # are shared by every substitution and built on first need
     dev = xt.jet_mul(jz1) - gt.jet_mul(yt)
 
-    def sub0(series: FourierSeries) -> Jet:
-        return _theta_sub_jet(series, alpha0, dev, m, deg, d, cap)
-
-    def d_theta_rad(series: FourierSeries) -> FourierSeries:
-        # modes on axis 0 are e^(i k theta_rad); radian derivative is *ik
-        return series.derivative(0).scale(1.0 / (2.0 * math.pi))
+    @lru_cache(maxsize=None)
+    def dev_power(p: int) -> Jet:
+        return Jet.monomial(0, zk, 1.0, m, deg, d, cap) if p == 0 else dev_power(p - 1).jet_mul(dev)
 
     # velocity of the scaled radial pair; the Kepler head is written with
     # exact constants so the leading data stays exact
@@ -433,11 +398,14 @@ def build_restricted_field(
         # potential tail: coefficient of (1/r)^(1+s)
         xi_pow = xt2.scale(0.5).power(s)
         scale_y = -(1 + s) * M ** (-(s + 3) / 3.0)
-        tail_y = tail_y + sub0(series).jet_mul(xi_pow).jet_mul(xt4).scale(0.25 * scale_y)
-        dth = d_theta_rad(series)
+        sub = _theta_sub_jet(series, alpha0, dev_power)
+        tail_y = tail_y + sub.jet_mul(xi_pow).jet_mul(xt4).scale(0.25 * scale_y)
+        # modes on axis 0 are e^(i k theta_rad); the radian derivative is *ik
+        dth = series.derivative(0).scale(1.0 / _TWO_PI)
         if not dth.is_zero():
+            sub = _theta_sub_jet(dth, alpha0, dev_power)
             scale_g = M ** (-(s + 3) / 3.0)
-            gt_dot = gt_dot + sub0(dth).jet_mul(xi_pow.jet_mul(xt2).scale(0.5)).scale(scale_g)
+            gt_dot = gt_dot + sub.jet_mul(xi_pow.jet_mul(xt2).scale(0.5)).scale(scale_g)
     yt_dot = xt4.scale(-0.25) + tail_y
 
     u_dot = (xt_dot - yt_dot).scale(0.5)
@@ -620,7 +588,6 @@ def escape_demo(
     sol,
     chart: RestrictedChart,
     x0: float = 0.05,
-    phase0=None,
     horizon: float = 3.0e9,
     law_window: tuple[float, float] = (1.0e3, 1.0e4),
     tol: float = 1e-10,
@@ -628,22 +595,20 @@ def escape_demo(
 ):
     """Integrate a manifold initial condition through the physical equations.
 
-    Maps K(x0, phase0) back through the chart, integrates the untransformed
-    restricted equations, and reports the parabolic-escape diagnostics: the
-    trajectory must track the closed-form parabolic radial law (with the
-    time offset t0 fixed by the initial radius), the radial velocity must
-    decay, the two-body energy must stay near zero, and a control orbit
-    kicked inward must fail the law.
+    Maps K(x0, 0) (phase zero) back through the chart, integrates the
+    untransformed restricted equations, and reports the parabolic-escape
+    diagnostics: the trajectory must track the closed-form parabolic radial
+    law (with the time offset t0 fixed by the initial radius), the radial
+    velocity must decay, the two-body energy must stay near zero, and a
+    control orbit kicked inward must fail the law.
     """
     from .dynamics import integrate_flow
 
     sys.check()
     M = sys.total_mass
-    d = sys.d
-    phase0 = tuple(phase0) if phase0 is not None else (0.0,) * d
     deg = sol.j + sol.N + 1
     K = sol.param(deg)
-    kx, ky, kth = K.evaluate(x0, phase0)
+    kx, ky, kth = K.evaluate(x0, (0.0,) * sys.d)
     v0, u0, z10, z20 = kx.real, ky[0].real, ky[1].real, ky[2].real
     r0, th0, y0, G0 = chart.to_physical(v0, u0, z10, z20)
 

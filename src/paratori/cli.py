@@ -192,7 +192,7 @@ def _solve_one(cfg) -> int:
     ser.dump_json(summary, os.path.join(out, "summary.json"))
     print(f"solved to order {order}: a_bar={res.solution.reduced.a_bar:.12g} "
           f"b={res.b} report_pass={report.all_pass}")
-    return 0
+    return 0 if report.all_pass else _EXIT_REGRESSION
 
 
 def cmd_verify(args) -> int:

@@ -44,14 +44,13 @@ def iterate_map(
     k: int,
     domain_radius: float = math.inf,
     require_positive_x: bool = False,
-    deg: int | None = None,
 ) -> Orbit:
     """k-step orbit of the full skew map; stops early (flagged) on exit.
 
     ``state0`` is (x, y_1..y_m, theta_1..theta_d); theta components are
-    stored unwrapped.
+    stored unwrapped; the map is applied at the model's native degree.
     """
-    skew = model.as_skew(deg if deg is not None else model.native_degree())
+    skew = model.as_skew(model.native_degree())
     m = model.m
     d = model.dim
     state = [float(v) for v in state0]
@@ -153,7 +152,7 @@ def _error_norm(y, y_new, ks, h, rtol, atol) -> float:
     ])
 
 
-def _initial_step(rhs, t0, y0, f0, t_end, max_step, rtol, atol) -> float:
+def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol) -> float:
     """RK45's starting step (Hairer, Nørsett, Wanner §II.4); one rhs call."""
     span = abs(t_end - t0)
     if span == 0.0:
@@ -169,7 +168,7 @@ def _initial_step(rhs, t0, y0, f0, t_end, max_step, rtol, atol) -> float:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
-    return min(100 * h0, h1, span, max_step)
+    return min(100 * h0, h1, span)
 
 
 def _interpolate(y_old, ks, h, x):
@@ -188,14 +187,14 @@ def integrate_flow(
     t_span,
     tol: float = 1e-10,
     t_eval=None,
-    max_step: float = math.inf,
 ) -> Orbit:
     """Adaptive Dormand–Prince 5(4) orbit of anything with .rhs(t, state).
 
-    The step control is RK45's, with rtol = tol and atol = tol/100.  Without
-    ``t_eval`` every accepted step is recorded; with it, each point is read
-    from the dense output of the step that contains it.  A step collapse
-    (typically a collision) raises StepUnderflow.
+    The step control is RK45's, with rtol = tol, atol = tol/100 and no
+    upper bound on the step.  Without ``t_eval`` every accepted step is
+    recorded; with it, each point is read from the dense output of the step
+    that contains it.  A step collapse (typically a collision) raises
+    StepUnderflow.
     """
     rhs = field.rhs
     t0, t_end = float(t_span[0]), float(t_span[1])
@@ -211,12 +210,12 @@ def integrate_flow(
 
     t, y = t0, [float(v) for v in state0]
     f = rhs(t, y)
-    h_abs = _initial_step(rhs, t, y, f, t_end, max_step, rtol, atol)
+    h_abs = _initial_step(rhs, t, y, f, t_end, rtol, atol)
     nfev = 2
     times, states = ([t], [y]) if samples is None else (samples, [])
     while direction * (t - t_end) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = min(max(h_abs, min_step), max_step)
+        h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:

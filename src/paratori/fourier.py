@@ -370,6 +370,19 @@ class FourierSeries:
         """Sum over axes of freqs[i] * d/d(theta_i) (the operator L_omega)."""
         return self._times("derivative", freqs)
 
+    def at_first_angle(self, theta0: float, p: int = 0) -> "FourierSeries":
+        """The p-th derivative in the first angle with that angle fixed at
+        theta0, both per turn, as a series on T^(dim-1): the sum over k0 of
+        (2*pi*i*k0)^p e^(2*pi*i*k0*theta0) times the slice of modes (k0, .),
+        added slice by slice in increasing k0."""
+        if self.dim < 1:
+            raise DimensionMismatch("a series on T^0 has no first angle")
+        k0 = np.arange(-self.order_cap, self.order_cap + 1)
+        factor = (1j * (_TWO_PI * k0)) ** p * np.exp(1j * (k0 * (_TWO_PI * theta0)))
+        rows = self._data.reshape(k0.size, -1)  # row k0 is the (k0, .) slice, lexicographic
+        return FourierSeries._of(self.dim - 1, self.order_cap,
+                                 (factor[:, None] * rows).sum(axis=0), self.trunc_loss)
+
     # ------------------------------------------------------------- norms
 
     def strip_norm(self, sigma: float = 0.0) -> float:

@@ -333,34 +333,20 @@ class _Substitution:
         return got
 
     def _dev_multis(self, budget: int):
-        """Multi-indices over the deviation components with 1 <= |m| <= budget."""
-        n = len(self.theta_dev)
-        active = [j for j in range(n) if not self.theta_dev[j].is_zero()]
-        out: list[tuple[int, ...]] = []
-
-        def rec(pos: int, left: int, acc: list[int]):
-            if pos == len(active):
-                if any(acc):
-                    mi = [0] * n
-                    for j, v in zip(active, acc):
-                        mi[j] = v
-                    out.append(tuple(mi))
-                return
-            for v in range(left + 1):
-                rec(pos + 1, left - v, acc + [v])
-
-        rec(0, budget, [])
-        out.sort(key=sum)
-        return out
+        """Multi-indices over the deviation components with 1 <= |m| <= budget
+        that vanish on the zero deviations, stable-sorted by |m|."""
+        zero = [d.is_zero() for d in self.theta_dev]
+        return sorted(
+            (mi for mi in _multis(len(zero), budget)
+             if any(mi) and not any(v for v, z in zip(mi, zero) if z)),
+            key=sum,
+        )
 
     def coeff_jet(self, series: FourierSeries, budget: int) -> Jet:
         """Expand series(theta + rot + dev) to the given x-order budget."""
         base = series if self.rot is None else series.rotate(self.rot)
-        out = Jet(self.m_out, self.deg, self.dim, self.order_cap,
-                  {(0, (0,) * self.m_out): base})
-        if not self.theta_dev or all(d.is_zero() for d in self.theta_dev):
-            return out
-        result = out
+        result = Jet(self.m_out, self.deg, self.dim, self.order_cap,
+                     {(0, (0,) * self.m_out): base})
         for mi in self._dev_multis(budget):
             der = base
             fact = 1.0

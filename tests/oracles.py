@@ -1,8 +1,8 @@
 """Shared independent oracles for engine tests, kept apart from the
 implementation: a dense generic linear solve of the full coefficient system
 assembled by probing the exact jet composition, the per-mode and per-series
-evaluation loops, and the dict-of-tuples Fourier arithmetic that the array
-store replaced."""
+evaluation loops, the dict-of-tuples Fourier arithmetic that the array
+store replaced, and the restricted-field constructors written term by term."""
 
 import cmath
 import math
@@ -10,9 +10,9 @@ import math
 import numpy as np
 
 from paratori.cohomology import ErrorJet, invariance_error
-from paratori.errors import ResonantMode
+from paratori.errors import HypothesisViolation, ResonantMode
 from paratori.fourier import FourierSeries
-from paratori.jet import jet_compose
+from paratori.jet import Jet, jet_compose
 from paratori.model import ReducedMap
 
 
@@ -291,3 +291,88 @@ def map_divisor(ph):
 
 def flow_divisor(dot):
     return 2j * math.pi * dot
+
+
+# ------------------------------------------ the restricted-field constructors
+#
+# ``celestial.expand_potential`` and ``celestial._theta_sub_jet`` as they
+# were before the generating-jet potential and the Taylor sum over shared
+# deviation powers: the potential summed over every (l, k) term with its own
+# phase series, and the angle substituted through exp(i k0 dev) rebuilt for
+# each angle mode k0.
+
+
+def _reference_lift(s, dim_out):
+    out = {}
+    for k, c in s.coeffs.items():
+        out[(0,) + tuple(k)] = c
+    return FourierSeries(dim_out, s.order_cap, out)
+
+
+def reference_expand_potential(sys, degree, order_cap=None):
+    """The xi = 1/r jet of the potential, one term per (primary, l, k)."""
+    sys.check()
+    d = sys.d
+    dim = 1 + d
+    cap = order_cap if order_cap is not None else max(
+        8, (degree - 1) * (1 + max((max((abs(x) for k in s.coeffs for x in k), default=0)
+                                    for s in (*sys.qx, *sys.qy)), default=0))
+    )
+    cs = [1.0]
+    for l in range(1, degree):
+        cs.append(cs[-1] * (2 * l - 1) / (2 * l))
+    terms = {}
+
+    def add(power, series):
+        key = (power, ())
+        cur = terms.get(key)
+        terms[key] = series if cur is None else cur + series
+
+    for mj, ax, ay in zip(sys.masses, sys.qx, sys.qy):
+        q = _reference_lift(ax, dim) + _reference_lift(ay, dim).scale(1j)
+        qbar = q.conjugate()
+        qpow = {0: FourierSeries.constant(1.0, dim, cap)}
+        qbpow = {0: FourierSeries.constant(1.0, dim, cap)}
+        for p in range(1, degree):
+            qpow[p] = qpow[p - 1].series_mul(q.pad_modes(cap))
+            qbpow[p] = qbpow[p - 1].series_mul(qbar.pad_modes(cap))
+        for l in range(degree):
+            for k in range(degree - l):
+                phase = FourierSeries(dim, cap, {(-(l - k),) + (0,) * d: 1.0})
+                coeff = qpow[l].series_mul(qbpow[k]).series_mul(phase)
+                add(1 + l + k, coeff.scale(mj * cs[l] * cs[k]))
+
+    jet = Jet(0, degree, dim, cap, terms)
+    if abs(jet.x_coeff(1).average() - sys.total_mass) > 1e-12 * max(sys.total_mass, 1.0):
+        raise HypothesisViolation("leading potential coefficient is not the total mass")
+    if jet.x_coeff(2).strip_norm() > 1e-10 * max(sys.total_mass, 1.0):
+        raise HypothesisViolation("1/r^2 coefficient survives")
+    return Jet(0, degree, dim, cap, {key: s for key, s in jet.terms.items() if key[0] != 2})
+
+
+def reference_theta_sub_jet(series, alpha0, dev_rad, m, deg, d, cap):
+    """series(alpha0 + dev) (radians on axis 0), grouped by the angle mode
+    k0: e^(i k0 alpha0) times the exponential series of i k0 dev."""
+    groups = {}
+    for k, c in series.coeffs.items():
+        groups.setdefault(k[0], {})[k[1:]] = groups.setdefault(k[0], {}).get(k[1:], 0.0) + c
+    out = Jet.zero(m, deg, d, cap)
+    one = Jet.monomial(0, (0,) * m, 1.0, m, deg, d, cap)
+    for k0, table in groups.items():
+        base = FourierSeries(d, cap, table)
+        if k0 == 0:
+            out = out + Jet.monomial(0, (0,) * m, base, m, deg, d, cap)
+            continue
+        const = complex(math.cos(k0 * alpha0), math.sin(k0 * alpha0))
+        expo = dev_rad.scale(1j * k0)
+        expj = one
+        term = one
+        fact = 1.0
+        for p in range(1, deg + 1):
+            term = term.jet_mul(expo)
+            fact *= p
+            expj = expj + term.scale(1.0 / fact)
+            if term.is_zero():
+                break
+        out = out + expj.scale(base.scale(const))
+    return out

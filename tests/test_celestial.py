@@ -1,14 +1,17 @@
 """Celestial builders: potential expansion, reduction charts, skeleton, demo."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from paratori import celestial
 from paratori.celestial import (
     PrimarySystem,
     RestrictedField,
     TorusData,
+    _theta_sub_jet,
     build_full_skeleton,
     build_restricted_field,
     escape_demo,
@@ -17,8 +20,11 @@ from paratori.celestial import (
 from paratori.cohomology import solve_manifold
 from paratori.errors import HypothesisViolation, InsufficientTorusData
 from paratori.fourier import FourierSeries
+from paratori.jet import Jet
 from paratori.model import validate
+from paratori.serialize import model_to_obj
 from conftest import random_real_series
+from oracles import reference_expand_potential, reference_theta_sub_jet
 
 
 # ---------------------------------------------------------------- primaries
@@ -156,6 +162,128 @@ def test_binary_r3_coefficient_vs_quadrature():
             pred = c3.evaluate((th, ph)).real / r ** 3
             # the next surviving order is 1/r^5 (odd powers vanish by parity)
             assert abs((direct - 1.0 / r) - pred) * r ** 3 < 5.0 / r ** 2
+
+
+def _same_bits(got, want):
+    """Equal jets down to the bits: the same terms, each series byte for byte."""
+    assert got.terms.keys() == want.terms.keys()
+    for key, s in want.terms.items():
+        assert got.terms[key].order_cap == s.order_cap
+        assert got.terms[key]._data.tobytes() == s._data.tobytes(), key
+
+
+def _within(got, want, rel):
+    """Every coefficient of the difference within rel times the largest of want's."""
+    scale = max((np.abs(s._data).max() for s in want.terms.values()), default=0.0)
+    for key in got.terms.keys() | want.terms.keys():
+        assert np.abs(got.coeff(*key)._data - want.coeff(*key)._data).max() <= rel * scale, key
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_generating_jet_potential_matches_term_by_term(name):
+    sys = _SYSTEMS[name]()
+    for degree in (3, 5):
+        got, want = expand_potential(sys, degree), reference_expand_potential(sys, degree)
+        if name == "three":  # masses that are not powers of 2 round differently
+            _within(got, want, 1e-13)
+        else:
+            _same_bits(got, want)
+
+
+def test_potential_cap_holds_every_mode():
+    """The default cap bounds |k|_1, not the largest entry of k: a primary on
+    the mode (2, 2) alone loses nothing to truncation."""
+    c = FourierSeries.cosine((2, 2), 2, 4, 0.1)
+    zero = FourierSeries.zeros(2, 4)
+    sys = PrimarySystem((0.5, 0.5), (c, -c), (zero, zero), (0.11, 0.11 * math.sqrt(2.0)))
+    V = expand_potential(sys, 3)
+    wide = expand_potential(sys, 3, order_cap=V.order_cap + 2)
+    for l in (1, 3):
+        assert V.x_coeff(l).trunc_loss == 0.0
+        assert V.x_coeff(l).pad_modes(wide.order_cap).coeffs == wide.x_coeff(l).coeffs
+
+
+def _build_deviation(d, cap, deg=8, gtilde0=0.15):
+    """theta - alpha0 in radians as build_restricted_field forms it, with its powers."""
+    m = 3
+    jv = Jet.var_x(m, deg, d, cap)
+    ju, jz1, jz2 = (Jet.var_y(i, m, deg, d, cap) for i in range(m))
+    xt, yt = ju + jv, jv - ju
+    gt = Jet.monomial(0, (0,) * m, gtilde0, m, deg, d, cap) + xt.jet_mul(jz2)
+    dev = xt.jet_mul(jz1) - gt.jet_mul(yt)
+    pows = [Jet.monomial(0, (0,) * m, 1.0, m, deg, d, cap)]
+
+    def dev_power(p):
+        while len(pows) <= p:
+            pows.append(pows[-1].jet_mul(dev))
+        return pows[p]
+
+    return dev, dev_power, pows
+
+
+@pytest.mark.parametrize("alpha0", [0.0, 0.7])
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_taylor_sum_substitution_matches_exponential_per_mode(name, alpha0):
+    """The angle substitution of every potential coefficient, and of its
+    theta-derivative, against the exp(i k0 dev) code at every degree (the
+    sums over p and k0 run in another order, so the terms beyond the degrees
+    a build keeps may differ in the last bits)."""
+    sys = _SYSTEMS[name]()
+    V = expand_potential(sys, degree=4)  # a smaller box than a build's degree 5, for time
+    dev, dev_power, pows = _build_deviation(sys.d, V.order_cap)
+    for series in V.terms.values():
+        for s in (series, series.derivative(0).scale(1.0 / (2.0 * math.pi))):
+            want = reference_theta_sub_jet(s, alpha0, dev, 3, 8, sys.d, V.order_cap)
+            _within(_theta_sub_jet(s, alpha0, dev_power), want, 1e-13)
+    # a potential constant in theta (one primary at the origin) needs no power of dev
+    assert len(pows) == (1 if name == "single" else 9)
+
+
+# the three-primary reference build takes seconds: it runs at alpha0 = 0.7
+# only, its substitution at alpha0 = 0 being checked above
+@pytest.mark.parametrize("name,alpha0", [("binary", 0.0), ("binary", 0.7), ("single", 0.0),
+                                         ("single", 0.7), ("three", 0.7)])
+def test_restricted_model_matches_reference_constructors(monkeypatch, name, alpha0):
+    """The restricted model built with the term-by-term potential and the
+    per-mode exponentials: the same bytes on one and two primaries, within
+    1e-13 of each jet's coefficient scale on the three-primary T^2 system."""
+    sys = _SYSTEMS[name]()
+    got, _ = build_restricted_field(sys, alpha0=alpha0, gtilde0=0.15)
+
+    def reference_sub(series, alpha0, dev_power):
+        one = dev_power(0)
+        return reference_theta_sub_jet(series, alpha0, dev_power(1), one.m, one.deg,
+                                       one.dim, one.order_cap)
+
+    monkeypatch.setattr(celestial, "expand_potential", reference_expand_potential)
+    monkeypatch.setattr(celestial, "_theta_sub_jet", reference_sub)
+    want, _ = build_restricted_field(sys, alpha0=alpha0, gtilde0=0.15)
+    if name != "three":
+        assert json.dumps(model_to_obj(got)) == json.dumps(model_to_obj(want))
+        return
+    for g, w in zip((got.f, *got.g, *got.h), (want.f, *want.g, *want.h)):
+        _within(g, w, 1e-13)
+    assert got.a.coeffs == want.a.coeffs
+    assert [[s.coeffs for s in row] for row in got.B] == [[s.coeffs for s in row] for row in want.B]
+
+
+def test_restricted_build_product_count(monkeypatch):
+    """A deterministic cost guard: series products in one restricted build at
+    the CLI's torus label (the term-by-term potential and the per-mode
+    exponentials took 9,777 on the binary and 198 on one primary)."""
+    calls = []
+    mul = FourierSeries.series_mul
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(FourierSeries, "series_mul", counting)
+    build_restricted_field(PrimarySystem.circular_binary(), gtilde0=0.15)
+    assert len(calls) <= 3000
+    calls.clear()
+    build_restricted_field(PrimarySystem.single(), gtilde0=0.15)
+    assert len(calls) <= 198
 
 
 # ---------------------------------------------------------- restricted model

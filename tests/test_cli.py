@@ -115,6 +115,21 @@ def test_order_9_passes_at_the_default_window(tmp_path):
     assert report["x_window"][0] > 1e-3
 
 
+def test_solve_with_a_failed_order_report_exits_4(tmp_path):
+    # time1-toy at order 9 fits an x slope of 10.85 against a target of 11:
+    # every artifact is written, the report fails, and the exit code says so
+    out = tmp_path / "toy"
+    code = main(["solve-map", "--model", "builtin:time1-toy", "--order", "9",
+                 "--outdir", str(out)])
+    assert code == 4
+    summary = _read(out / "summary.json")
+    assert summary["status"] == "ok"
+    assert summary["order_report"]["all_pass"] is False
+    assert (out / "solution.json").exists()
+    assert (out / "order_report.csv").read_text().startswith("component,")
+    assert (out / "residuals.csv").read_text().startswith("x,")
+
+
 def test_model_file_roundtrip_through_cli(tmp_path):
     model = benchmark_map_model()
     path = tmp_path / "model.json"
@@ -163,6 +178,24 @@ def test_sweep_merged_summary(tmp_path):
     assert set(merged["entries"]) == {"lam0", "lam1"}
     assert all(e["exit"] == 0 for e in merged["entries"].values())
     assert (tmp_path / "sweep" / "lam0" / "solution.json").exists()
+
+
+
+def test_sweep_records_a_failed_order_report(tmp_path):
+    cfg = {
+        "sweep": [
+            {"label": "ok", "model": "builtin:benchmark-map", "order": 2},
+            {"label": "toy", "model": "builtin:time1-toy", "order": 9},
+        ],
+        "outdir": str(tmp_path / "sweep"),
+    }
+    cpath = tmp_path / "cfg.json"
+    ser.dump_json(cfg, cpath)
+    assert main(["solve-map", "--config", str(cpath)]) == 4
+    merged = _read(tmp_path / "sweep" / "summary.json")
+    assert merged["status"] == "error"
+    assert {label: e["exit"] for label, e in merged["entries"].items()} == {"ok": 0, "toy": 4}
+    assert merged["entries"]["toy"]["summary"]["order_report"]["all_pass"] is False
 
 
 def test_restricted_demo_short(tmp_path):

@@ -1,6 +1,7 @@
 """The array kernels of FourierSeries against the dict-of-tuples code they
 replaced (tests/oracles.py): products, sums, rotations, derivatives and SD
-solves on T^0, T^1 and T^2, with equal and mixed caps."""
+solves on T^0, T^1 and T^2, with equal and mixed caps; and the slice at a
+fixed first angle against evaluation of the derivative."""
 
 import copy
 import pickle
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paratori.errors import ResonantMode
+from paratori.errors import DimensionMismatch, ResonantMode
 from paratori.fourier import FourierSeries, FrequencyVector, sd_solve_flow, sd_solve_map
 from conftest import random_real_series
 from oracles import (
@@ -224,6 +225,29 @@ def test_kernels_match_dict_code_property(seed, dim, c1, c2, real, max_mode):
         h = a.oscillatory()
         want = reference_sd_divide(h, freq.omega, map_divisor, 1e-12)
         _assert_table(sd_solve_map(h, freq), want, TOL * sum(abs(c) for c in want.values()))
+
+
+@_PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), cap=st.integers(0, 5),
+       p=st.integers(0, 3), theta0=st.floats(-2.0, 2.0), real=st.booleans())
+def test_at_first_angle_is_the_derivative_at_that_angle(seed, dim, cap, p, theta0, real):
+    """at_first_angle(theta0, p) at phi is the p-fold derivative(0) at (theta0, phi)."""
+    rng = np.random.default_rng(seed)
+    s = random_real_series(rng, dim=dim, cap=cap) if real else _random_sparse(rng, dim, cap)
+    der = s
+    for _ in range(p):
+        der = der.derivative(0)
+    got = s.at_first_angle(theta0, p)
+    assert (got.dim, got.order_cap, got.trunc_loss) == (dim - 1, cap, s.trunc_loss)
+    phis = rng.random((6, dim - 1))
+    want = der.evaluate(np.column_stack([np.full(6, theta0), phis]))
+    assert np.max(np.abs(got.evaluate(phis) - want)) <= 1e-12 * max(der.strip_norm(), 1.0)
+
+
+
+def test_at_first_angle_needs_a_first_angle():
+    with pytest.raises(DimensionMismatch):
+        FourierSeries.constant(1.0, 0, 3).at_first_angle(0.0)
 
 
 def test_series_pickle_and_copy_round_trip(rng):
