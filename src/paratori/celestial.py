@@ -606,8 +606,7 @@ def escape_demo(
 
     sys.check()
     M = sys.total_mass
-    deg = sol.j + sol.N + 1
-    K = sol.param(deg)
+    K = sol.param(sol.guard_degree)
     kx, ky, kth = K.evaluate(x0, (0.0,) * sys.d)
     v0, u0, z10, z20 = kx.real, ky[0].real, ky[1].real, ky[2].real
     r0, th0, y0, G0 = chart.to_physical(v0, u0, z10, z20)

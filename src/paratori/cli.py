@@ -85,6 +85,9 @@ def _load_config(args) -> dict:
             raise ParatoriError(f"config field {key} must be positive")
     if int(cfg.get("order", 1)) < 1:
         raise ParatoriError("order must be >= 1")
+    for key, least in (("theta_samples", 1), ("n_samples", 4)):
+        if int(cfg[key]) < least:
+            raise ParatoriError(f"config field {key} must be >= {least}")
     return cfg
 
 
@@ -94,10 +97,15 @@ def _outdir(cfg) -> str:
     return out
 
 
-def _load_model(spec: str):
+def _load_model(spec: str, kind: str | None = None, command: str = ""):
+    """The model at ``spec``; ``command`` runs only on a model of ``kind``."""
     if spec.startswith("builtin:"):
-        return benchmark.builtin_model(spec.split(":", 1)[1])
-    return ser.model_from_obj(ser.load_json(spec))
+        model = benchmark.builtin_model(spec.split(":", 1)[1])
+    else:
+        model = ser.model_from_obj(ser.load_json(spec))
+    if kind and model.kind != kind:
+        raise HypothesisViolation(f"{command} invoked on a {model.kind} model")
+    return model
 
 
 def _policy(cfg) -> FreeChoicePolicy:
@@ -153,16 +161,7 @@ def cmd_solve(args) -> int:
 
 def _solve_one(cfg) -> int:
     out = _outdir(cfg)
-    model = _load_model(cfg["model"])
-    expected = "flow" if cfg.get("kind") == "flow" else "map"
-    if cfg.get("kind") and model.kind != cfg["kind"]:
-        raise HypothesisViolation(
-            f"solve-{expected} invoked on a {model.kind} model"
-        )
-    bad = validate(model)
-    if bad:
-        raise HypothesisViolation("; ".join(bad))
-
+    model = _load_model(cfg["model"], cfg.get("kind"), f"solve-{cfg.get('kind')}")
     order = int(cfg["order"])
     checkpoints = []
 
@@ -200,6 +199,11 @@ def cmd_verify(args) -> int:
     out = _outdir(cfg)
     model = _load_model(cfg["model"])
     sol = ser.solution_from_obj(ser.load_json(cfg["solution"]))
+    differ = [f"{key} {getattr(sol, key)} (model {getattr(model, key)})"
+              for key in ("kind", "N", "P", "m", "d", "dim", "order_cap")
+              if getattr(sol, key) != getattr(model, key)]
+    if differ:
+        raise HypothesisViolation("solution was solved for another model: " + ", ".join(differ))
     report = fit_error_orders_auto(
         model, sol, tuple(cfg["x_window"]),
         n_samples=int(cfg["n_samples"]),
@@ -221,7 +225,7 @@ def cmd_verify(args) -> int:
 def cmd_iterate(args) -> int:
     cfg = _load_config(args)
     out = _outdir(cfg)
-    model = _load_model(cfg["model"])
+    model = _load_model(cfg["model"], "map", "iterate")
     state = cfg.get("state")
     if state is None:
         state = [0.05] + [0.0] * (model.m + model.dim)

@@ -30,7 +30,7 @@ from .errors import (
     OrderRegression,
     SingularBlock,
 )
-from .fourier import FourierSeries, sd_solve_flow, sd_solve_map
+from .fourier import FourierSeries
 from .jet import (
     Jet,
     ParamMap,
@@ -39,7 +39,7 @@ from .jet import (
     compose_skew_param,
     evaluate_jets,
 )
-from .model import MapModel, ReducedField, ReducedMap, SkewField
+from .model import MapModel, ReducedField, ReducedMap, SkewField, validate
 
 __all__ = [
     "FreeChoicePolicy",
@@ -81,15 +81,6 @@ class ErrorJet:
     ey: tuple[Jet, ...]
     eth: tuple[Jet, ...]
     declared: tuple[int, int, int]
-
-    def lead_x(self, order: int) -> FourierSeries:
-        return self.ex.x_coeff(order)
-
-    def lead_y(self, order: int) -> list[FourierSeries]:
-        return [j.x_coeff(order) for j in self.ey]
-
-    def lead_theta(self, order: int) -> list[FourierSeries]:
-        return [j.x_coeff(order) for j in self.eth]
 
     def _below_order(self):
         """(component, l, norm) for every x^l coefficient below the declared orders."""
@@ -148,6 +139,17 @@ class ManifoldSolution:
     reduced: ReducedMap | ReducedField | None = None
     free_choices: dict = field(default_factory=dict)
 
+    @property
+    def error_orders(self) -> tuple[int, int, int]:
+        """The orders (x, y, theta) below which the step-j invariance error vanishes."""
+        j, N, P = self.j, self.N, self.P
+        return (j + N, j + N, min(j + P - 1, j + N - 1))
+
+    @property
+    def guard_degree(self) -> int:
+        """The step-j error's degree j + N + 1: all the next step and the guard read."""
+        return self.j + self.N + 1
+
     def copy_shallow(self) -> "ManifoldSolution":
         red = self.reduced
         if red is not None:
@@ -161,7 +163,7 @@ class ManifoldSolution:
             reduced=red, free_choices=dict(self.free_choices),
         )
 
-    def param(self, deg: int, rot=None) -> ParamMap:
+    def param(self, deg: int) -> ParamMap:
         """Assemble the parameterization as a ParamMap at working degree."""
         dim, cap = self.dim, self.order_cap
 
@@ -181,9 +183,7 @@ class ManifoldSolution:
         kx = jet(Jet.var_x(0, deg, dim, cap).terms, self.kbar_x, self.ktil_x)
         ys = tuple(jet({}, column(self.kbar_y, i), column(self.ktil_y, i)) for i in range(self.m))
         devs = tuple(jet({}, column(self.kbar_th, r), column(self.ktil_th, r)) for r in range(self.d))
-        if rot is None:
-            rot = (0.0,) * dim
-        return ParamMap(x=kx, y=ys, theta_dev=devs, rot=tuple(rot))
+        return ParamMap(x=kx, y=ys, theta_dev=devs, rot=(0.0,) * dim)
 
     def coefficient_norm(self) -> float:
         s = sum(abs(c) for c in self.kbar_x.values())
@@ -198,29 +198,18 @@ class ManifoldSolution:
 # --------------------------------------------------------------- error jets
 
 
-def _sd(model, h, divisor_floor):
-    if model.kind == "flow":
-        return sd_solve_flow(h, model.freq, divisor_floor)
-    return sd_solve_map(h, model.freq, divisor_floor)
-
-
-def _state_rot(model) -> tuple[float, ...]:
-    return tuple(model.freq.omega) + (0.0,) * (model.dim - len(model.freq.omega))
-
-
 def invariance_error(model, sol: ManifoldSolution, deg: int | None = None) -> ErrorJet:
     """Exact jet-level invariance error of a solution.
 
     Maps: E = F o K - K o R.  Flows: E = X o K - DK Y - dK/dt, with the
     time derivative acting on the trailing d' torus angles with frequency nu.
     """
-    N, P, j = sol.N, sol.P, sol.j
-    deg = deg if deg is not None else j + N + 1
-    declared = (j + N, j + N, min(j + P - 1, j + N - 1))
+    deg = deg if deg is not None else sol.guard_degree
+    declared = sol.error_orders
+    K = sol.param(deg)
     if model.kind == "map":
         F = model.as_skew(deg)
-        K = sol.param(deg)
-        R = sol.reduced.as_param(deg, model.dim, model.order_cap, n_angles=model.dim)
+        R = sol.reduced.as_param(deg, model.dim, model.order_cap)
         FK = compose_skew_param(F, K, deg)
         KR = compose_param_param(K, R, deg)
         return ErrorJet(
@@ -231,13 +220,12 @@ def invariance_error(model, sol: ManifoldSolution, deg: int | None = None) -> Er
         )
 
     X = model.as_field(deg)
-    K = sol.param(deg)
     Y = SkewField(
         x=sol.reduced.x_jet(deg, model.dim, model.order_cap), y=(),
         theta_dev=sol.reduced.theta_jets(deg, model.dim, model.order_cap, model.d),
         omega=tuple(model.freq.omega), nu=tuple(model.freq.nu),
     )
-    sub = _Substitution(K.x, K.y, K.theta_dev, None, 0, deg, K.x.dim, K.x.order_cap).apply
+    sub = _Substitution(K.x, K.y, K.theta_dev, None, deg).apply
     ex = sub(X.x) - Y.derivative_along(K.x)
     eys = tuple(sub(X.y[i]) - Y.derivative_along(K.y[i]) for i in range(model.m))
     eths = tuple(
@@ -264,8 +252,6 @@ def base_step(model, divisor_floor: float = 1e-12) -> ManifoldSolution:
     The oscillatory coefficient solves the difference (or derivative)
     equation against the oscillatory part of a; with constant a it is zero.
     """
-    from .model import validate
-
     bad = validate(model)
     if bad:
         raise HypothesisViolation("; ".join(bad))
@@ -277,7 +263,7 @@ def base_step(model, divisor_floor: float = 1e-12) -> ManifoldSolution:
         order_cap=model.order_cap, kind=model.kind,
     )
     if not a_osc.is_zero():
-        sol.ktil_x[N] = -_sd(model, a_osc, divisor_floor)
+        sol.ktil_x[N] = -model.sd_solve(a_osc, divisor_floor)
     if model.kind == "map":
         sol.reduced = ReducedMap(N=N, a_bar=abar, omega=tuple(model.freq.omega))
     else:
@@ -318,13 +304,12 @@ def extend_order(
     a_osc = model.a_osc
     new = sol.copy_shallow()
     new.j = j
-    ox = j + N - 1
-    oth = j + P - 2
+    ox, _, oth = sol.error_orders  # the leading orders of E_prev
 
     # ---- y block
     kbar_y = np.zeros(m)
     if m:
-        Ey = E_prev.lead_y(ox)
+        Ey = [e.x_coeff(ox) for e in E_prev.ey]
         Ey_avg = np.array([_real_average(s, f"E_y[{i}]") for i, s in enumerate(Ey)])
         M = model.B_bar() + j * abar * np.eye(m)
         if np.linalg.cond(M) > _INVERSE_CAP:
@@ -340,7 +325,7 @@ def extend_order(
             for t in range(m):
                 if kbar_y[t] and not B_osc[i][t].is_zero():
                     rhs = rhs + B_osc[i][t].scale(kbar_y[t])
-            row.append(_sd(model, rhs, divisor_floor) if not rhs.is_zero()
+            row.append(model.sd_solve(rhs, divisor_floor) if not rhs.is_zero()
                        else FourierSeries.zeros(model.dim, model.order_cap))
         new.ktil_y[ox] = row
 
@@ -348,7 +333,7 @@ def extend_order(
     kbar_th = np.zeros(d)
     r_th_new = None
     if d:
-        Eth = E_prev.lead_theta(oth)
+        Eth = [e.x_coeff(oth) for e in E_prev.eth]
         Eth_avg = np.array([_real_average(s, f"E_theta[{r}]") for r, s in enumerate(Eth)])
         if P == N:
             kbar_th = -Eth_avg / ((j - 1) * abar)
@@ -364,12 +349,12 @@ def extend_order(
         row = []
         for r in range(d):
             rhs = Eth[r].oscillatory()
-            row.append(_sd(model, rhs, divisor_floor) if not rhs.is_zero()
+            row.append(model.sd_solve(rhs, divisor_floor) if not rhs.is_zero()
                        else FourierSeries.zeros(model.dim, model.order_cap))
         new.ktil_th[oth] = row
 
     # ---- x block
-    psi = E_prev.lead_x(ox)
+    psi = E_prev.ex.x_coeff(ox)
     if d and any(kbar_th):
         for r in range(d):
             da = model.a.derivative(r)
@@ -387,7 +372,7 @@ def extend_order(
             if r_th_new is not None and r_th_new[r] and ktn is not None:
                 dk = ktn.derivative(r)
                 if model.kind == "map":
-                    dk = dk.rotate(_state_rot(model))
+                    dk = dk.rotate(model.state_rot)
                 psi = psi - dk.scale(r_th_new[r])
             da = model.a.derivative(r)
             kth_t = new.ktil_th.get(oth)
@@ -410,7 +395,7 @@ def extend_order(
     if kx and not a_osc.is_zero():
         rhs = rhs - a_osc.scale(N * kx)
     if not rhs.is_zero():
-        new.ktil_x[ox] = _sd(model, rhs, divisor_floor)
+        new.ktil_x[ox] = model.sd_solve(rhs, divisor_floor)
 
     err = invariance_error(model, new)
     _order_guard(model, new, err, order_tolerance)
@@ -466,13 +451,11 @@ def solve_manifold(
 
 
 def _diag_entry(sol, err) -> dict:
+    ox, oy, oth = err.declared
     lead = {
-        "x": err.ex.x_coeff(sol.j + sol.N).strip_norm(),
-        "y": max((j.x_coeff(sol.j + sol.N).strip_norm() for j in err.ey), default=0.0),
-        "theta": max(
-            (j.x_coeff(min(sol.j + sol.P - 1, sol.j + sol.N - 1)).strip_norm() for j in err.eth),
-            default=0.0,
-        ),
+        "x": err.ex.x_coeff(ox).strip_norm(),
+        "y": max((j.x_coeff(oy).strip_norm() for j in err.ey), default=0.0),
+        "theta": max((j.x_coeff(oth).strip_norm() for j in err.eth), default=0.0),
     }
     return {
         "j": sol.j,

@@ -290,18 +290,17 @@ def _evaluate_map(F, x, y, theta, dtype):
 
 
 class _Substitution:
-    """Caches powers of the substituted jets and deviation products."""
+    """Caches powers of the substituted jets and deviation products; the
+    result lives in the variables, torus and cap of ``sub_x``."""
 
-    def __init__(self, sub_x, sub_y, theta_dev, rot, m_out, deg, dim, order_cap):
+    def __init__(self, sub_x, sub_y, theta_dev, rot, deg):
         self.sub_x = sub_x
         self.sub_y = tuple(sub_y)
         self.theta_dev = tuple(theta_dev)
         self.rot = None if rot is None else tuple(float(r) for r in rot)
-        self.m_out = m_out
+        self.m_out, self.dim, self.order_cap = sub_x.m, sub_x.dim, sub_x.order_cap
         self.deg = deg
-        self.dim = dim
-        self.order_cap = order_cap
-        one = Jet.monomial(0, (0,) * m_out, 1.0, m_out, deg, dim, order_cap)
+        one = Jet.monomial(0, (0,) * self.m_out, 1.0, self.m_out, deg, self.dim, self.order_cap)
         self._one = one
         self._xpow = {0: one}
         self._ypow = [{0: one} for _ in self.sub_y]
@@ -309,7 +308,7 @@ class _Substitution:
         for j, d in enumerate(self.theta_dev):
             if d.min_order() < 1 and not d.is_zero():
                 raise DegreeOverflow(f"theta deviation {j} has a constant term")
-        if sub_x is not None and sub_x.min_order() < 1 and not sub_x.is_zero():
+        if sub_x.min_order() < 1 and not sub_x.is_zero():
             raise DegreeOverflow("x-substitution has a constant term")
 
     def xp(self, l: int) -> Jet:
@@ -393,10 +392,7 @@ def jet_compose(
             f"target has m={target.m} but {len(sub_y)} y-substitutions given"
         )
     deg = sub_x.deg if deg is None else deg
-    sub = _Substitution(
-        sub_x, sub_y, theta_dev, rot, sub_x.m, deg, sub_x.dim, sub_x.order_cap
-    )
-    return sub.apply(target)
+    return _Substitution(sub_x, sub_y, theta_dev, rot, deg).apply(target)
 
 
 # ----------------------------------------------------- composite map shapes
@@ -480,8 +476,7 @@ def _compose(outer, inner, deg: int):
     """outer o inner, in inner's shape: the outer components with inner
     substituted, each angle deviation of inner plus the outer one over it,
     and the rotations added."""
-    x = inner.x
-    sub = _Substitution(x, inner.y, inner.theta_dev, inner.rot, x.m, deg, x.dim, x.order_cap)
+    sub = _Substitution(inner.x, inner.y, inner.theta_dev, inner.rot, deg)
     return type(inner)(
         x=sub.apply(outer.x),
         y=tuple(sub.apply(j) for j in outer.y),

@@ -96,13 +96,12 @@ class ReducedMap(_Reduced):
 
     _x_identity = {1: 1.0}
 
-    def as_param(self, deg: int, dim: int, order_cap: int, n_angles: int | None = None):
-        """The reduced dynamics as a ParamMap for jet composition."""
-        n_angles = len(self.omega) if n_angles is None else n_angles
+    def as_param(self, deg: int, dim: int, order_cap: int):
+        """The reduced dynamics as a ParamMap on T^dim for jet composition."""
         rot = tuple(self.omega) + (0.0,) * (dim - len(self.omega))
         return ParamMap(
             x=self.x_jet(deg, dim, order_cap), y=(),
-            theta_dev=self.theta_jets(deg, dim, order_cap, n_angles), rot=rot,
+            theta_dev=self.theta_jets(deg, dim, order_cap, dim), rot=rot,
         )
 
 
@@ -195,6 +194,17 @@ class _ModelBase:
         return self.a.dim
 
     @property
+    def state_rot(self) -> tuple[float, ...]:
+        """omega padded with zeros to the torus dimension: a map's rotation."""
+        return tuple(self.freq.omega) + (0.0,) * (self.dim - len(self.freq.omega))
+
+    def sd_solve(self, h: FourierSeries, divisor_floor: float = 1e-12) -> FourierSeries:
+        """The small-divisor solve of this kind: the difference equation for
+        a map, the derivative equation along (omega, nu) for a flow."""
+        solve = sd_solve_map if self.kind == "map" else sd_solve_flow
+        return solve(h, self.freq, divisor_floor)
+
+    @property
     def a_bar(self) -> float:
         return self.a.average().real
 
@@ -226,11 +236,17 @@ class _ModelBase:
             s += j.norm()
         return max(s, 1.0)
 
-    def _components(self, x: Jet, ys, n_angles: int, deg: int):
+    def _components(self, deg: int):
         """(x - a x^N + f, y_i + x^(N-1) (B y)_i + g_i, h_r) at working degree
-        ``deg``, from the given x and y jets (the identity for a map, zero
-        for a field)."""
+        ``deg``, where x and y_i are the identity for a map and zero for a
+        field, and r runs over the state angles."""
         m, dim, cap = self.m, self.dim, self.order_cap
+        if self.kind == "map":
+            x, n_angles = Jet.var_x(m, deg, dim, cap), dim
+            ys = [Jet.var_y(i, m, deg, dim, cap) for i in range(m)]
+        else:
+            x, n_angles = Jet.zero(m, deg, dim, cap), self.d
+            ys = [Jet.zero(m, deg, dim, cap)] * m
         x = x - Jet.monomial(self.N, (0,) * m, self.a, m, deg, dim, cap)
         x = x + self.f.truncated(deg)
         out_y = []
@@ -251,14 +267,8 @@ class MapModel(_ModelBase):
 
     def as_skew(self, deg: int) -> SkewMap:
         """The full map as a SkewMap at the requested working degree."""
-        m, dim, cap = self.m, self.dim, self.order_cap
-        x, ys, dev = self._components(
-            Jet.var_x(m, deg, dim, cap),
-            [Jet.var_y(i, m, deg, dim, cap) for i in range(m)],
-            self.dim, deg,
-        )
-        rot = tuple(self.freq.omega) + (0.0,) * (dim - len(self.freq.omega))
-        return SkewMap(x=x, y=ys, theta_dev=dev, rot=rot)
+        x, ys, dev = self._components(deg)
+        return SkewMap(x=x, y=ys, theta_dev=dev, rot=self.state_rot)
 
 
 @dataclass
@@ -315,11 +325,7 @@ class FlowModel(_ModelBase):
     kind: str = "flow"
 
     def as_field(self, deg: int) -> SkewField:
-        m, dim, cap = self.m, self.dim, self.order_cap
-        x, ys, dev = self._components(
-            Jet.zero(m, deg, dim, cap), [Jet.zero(m, deg, dim, cap) for _ in range(m)],
-            self.d, deg,
-        )
+        x, ys, dev = self._components(deg)
         return SkewField(
             x=x, y=ys, theta_dev=dev,
             omega=tuple(self.freq.omega), nu=tuple(self.freq.nu),
@@ -329,27 +335,46 @@ class FlowModel(_ModelBase):
 # ----------------------------------------------------------------- validate
 
 
+def _slot(comp: str, l: int, k: tuple[int, ...], N: int, P: int, is_map: bool = False) -> str:
+    """The normal-form slot of x^l y^k in component ``comp`` ("x", "y" or
+    "theta"): "identity" (a map's x at (1, 0), y_i at (0, e_j)), "a" (x at
+    (N, 0)), "B" (y_i at (N-1, e_j)), "zero" (y_i at (N, 0)), "below" (order
+    under N, for theta under P) or "tail" (a term of f, g or h)."""
+    order = l + sum(k)
+    if comp == "theta":
+        return "below" if order < P else "tail"
+    if is_map and (l, order) == ((1, 1) if comp == "x" else (0, 1)):
+        return "identity"
+    if comp == "y" and l == N - 1 and order == N:
+        return "B"
+    if order < N:
+        return "below"
+    if (l, order) == (N, N):
+        return "a" if comp == "x" else "zero"
+    return "tail"
+
+
 def _low_order_terms(f: Jet, g, h, N: int, P: int) -> list[str]:
     """The components of f and g with terms below degree N, of h below degree P."""
-    parts = [("f", f, "N", N)] + [(f"g[{i}]", j, "N", N) for i, j in enumerate(g)]
-    parts += [(f"h[{r}]", j, "P", P) for r, j in enumerate(h)]
-    return [f"{name} has terms below degree {what}" for name, j, what, order in parts
-            if j.min_order() < order]
+    parts = [("f", "x", f)] + [(f"g[{i}]", "y", j) for i, j in enumerate(g)]
+    parts += [(f"h[{r}]", "theta", j) for r, j in enumerate(h)]
+    return [f"{name} has terms below degree {'P' if comp == 'theta' else 'N'}"
+            for name, comp, j in parts if any(_slot(comp, l, k, N, P) == "below" for l, k in j.terms)]
 
 
 def _structural_violations(model: _ModelBase) -> list[str]:
     tol = _STRUCT_TOL * model.coefficient_scale()
-    N, zero_k = model.N, (0,) * model.m
-    out = _low_order_terms(model.f, model.g, model.h, N, model.P)
-    for (l, k), s in model.f.part_of_degree(N).terms.items():
-        if k == zero_k and s.strip_norm() > tol:
-            out.append(f"f_N(x,0,theta) != 0: monomial x^{l}")
-    for i, g in enumerate(model.g):
-        for (l, k), s in g.part_of_degree(N).terms.items():
-            if k == zero_k and s.strip_norm() > tol:
-                out.append(f"g_N[{i}](x,0,theta) != 0: monomial x^{l}")
-            if sum(k) == 1 and s.strip_norm() > tol:
-                out.append(f"D_y g_N(x,0,theta) != 0: monomial (l={l}, k={k}) in component {i}")
+    violated = {  # by a term of f or g in the slot of a, of the structural zero or of B
+        "a": "f_N(x,0,theta) != 0: monomial x^{l}",
+        "zero": "g_N[{i}](x,0,theta) != 0: monomial x^{l}",
+        "B": "D_y g_N(x,0,theta) != 0: monomial (l={l}, k={k}) in component {i}",
+    }
+    out = _low_order_terms(model.f, model.g, model.h, model.N, model.P)
+    for comp, i, j in [("x", None, model.f)] + [("y", i, g) for i, g in enumerate(model.g)]:
+        for (l, k), s in j.terms.items():
+            msg = violated.get(_slot(comp, l, k, model.N, model.P))
+            if msg and s.strip_norm() > tol:
+                out.append(msg.format(l=l, k=k, i=i))
     return out
 
 
@@ -416,7 +441,6 @@ def model_from(
     is_map = isinstance(obj, SkewMap)
     m, dim, deg = obj.m, obj.x.dim, obj.x.deg
     zk = (0,) * m
-    x_terms, y_terms = obj.x.terms, [j.terms for j in obj.y]
     if is_map:
         scale = max(obj.x.norm(), 1.0)
         tol = _CLAMP_TOL * scale
@@ -431,58 +455,35 @@ def model_from(
                     s = s - FourierSeries.constant(1.0, dim, order_cap)
                 if s.strip_norm() > tol:
                     raise HypothesisViolation("y-component linear part is not the identity")
-        x_terms = {key: s for key, s in x_terms.items() if key != (1, zk)}
-        y_terms = [
-            {(l, k): s for (l, k), s in terms.items() if (l, sum(k)) != (0, 1)}
-            for terms in y_terms
-        ]
     else:
         tol = _CLAMP_TOL * max(obj.x.norm() + sum(j.norm() for j in obj.y), 1.0)
 
     a = -obj.x.coeff(N, zk)
-    f_all = {}
-    for (l, k), s in x_terms.items():
-        order = l + sum(k)
-        if order < N:
-            if s.strip_norm() > tol:
-                raise HypothesisViolation(f"x-component has a low-order term at {(l, k)}")
-        elif not (k == zk and order == N):
-            f_all[(l, k)] = s
-    f = Jet(m, deg, dim, order_cap, f_all)
-
     B = [[FourierSeries.zeros(dim, order_cap) for _ in range(m)] for _ in range(m)]
-    gs = []
-    for i, terms in enumerate(y_terms):
-        g_all = {}
-        for (l, k), s in terms.items():
-            order = l + sum(k)
-            if l == N - 1 and sum(k) == 1:
-                B[i][k.index(1)] = s
-            elif order < N:
-                if s.strip_norm() > tol:
-                    raise HypothesisViolation(f"y[{i}] has a low-order term at {(l, k)}")
-            elif order == N and sum(k) <= 1:
-                if s.strip_norm() > tol:
-                    raise HypothesisViolation(
-                        f"y[{i}] violates the structural zeros of g_N at {(l, k)}"
-                    )
-            else:
-                g_all[(l, k)] = s
-        gs.append(Jet(m, deg, dim, order_cap, g_all))
-
-    hs = []
-    for r, j in enumerate(obj.theta_dev):
-        h_all = {}
-        for (l, k), s in j.terms.items():
-            if l + sum(k) >= P:
-                h_all[(l, k)] = s
-            elif s.strip_norm() > tol:
-                raise HypothesisViolation(f"theta[{r}] has a term below degree P")
-        hs.append(Jet(m, deg, dim, order_cap, h_all))
+    errors = {
+        ("x", "below"): "x-component has a low-order term at {key}",
+        ("y", "below"): "y[{i}] has a low-order term at {key}",
+        ("y", "zero"): "y[{i}] violates the structural zeros of g_N at {key}",
+        ("theta", "below"): "theta[{i}] has a term below degree P",
+    }
+    tails = {}  # component -> the tail jet of each of its entries
+    for comp, jets in (("x", (obj.x,)), ("y", obj.y), ("theta", obj.theta_dev)):
+        tails[comp] = []
+        for i, j in enumerate(jets):
+            kept = {}
+            for (l, k), s in j.terms.items():
+                slot = _slot(comp, l, k, N, P, is_map)
+                if slot == "tail":
+                    kept[(l, k)] = s
+                elif slot == "B":
+                    B[i][k.index(1)] = s
+                elif (comp, slot) in errors and s.strip_norm() > tol:
+                    raise HypothesisViolation(errors[comp, slot].format(i=i, key=(l, k)))
+            tails[comp].append(Jet(m, deg, dim, order_cap, kept))
 
     return (MapModel if is_map else FlowModel).build(
-        N=N, P=P, freq=freq, a=a, m=m, order_cap=order_cap,
-        B=B, f=f, g=gs, h=hs, deg=deg, params=params,
+        N=N, P=P, freq=freq, a=a, m=m, order_cap=order_cap, B=B,
+        f=tails["x"][0], g=tails["y"], h=tails["theta"], deg=deg, params=params,
     )
 
 
@@ -621,7 +622,7 @@ def _push(fld: SkewField, W: SkewMap, S: SkewMap, deg: int) -> SkewField:
     """The field in the new variables (W.x, W.y), functions of the old (x, y, theta)
     whose inverse is (x, y) = (S.x, S.y): the time derivative of each new
     variable along the field, with S substituted in every component."""
-    sub = _Substitution(S.x, S.y, (), None, S.m, deg, S.x.dim, S.x.order_cap).apply
+    sub = _Substitution(S.x, S.y, (), None, deg).apply
     return SkewField(
         x=sub(fld.derivative_along(W.x)), y=tuple(sub(fld.derivative_along(w)) for w in W.y),
         theta_dev=tuple(sub(j) for j in fld.theta_dev), omega=fld.omega, nu=fld.nu,
@@ -672,22 +673,17 @@ def normalize(
     deg = deg if deg is not None else model.native_degree()
     scale = model.coefficient_scale()
     is_map = model.kind == "map"
-    sd_solve = sd_solve_map if is_map else sd_solve_flow
-    sign = -1 if is_map else 1  # of a_osc in the x-shear equation; B_osc takes the other
-
-    def sd(h, s):
-        return sd_solve(-h if s < 0 else h, model.freq, divisor_floor)
-
     log = ChangeLog()
     steps = []
+    # a map's x-shear solves against -a_osc, a flow's against a_osc; B_osc takes the other sign
     a_osc = model.a_osc
     if a_osc.strip_norm() > 1e-14 * scale:
-        log.c1 = sd(a_osc, sign)
+        log.c1 = model.sd_solve(-a_osc if is_map else a_osc, divisor_floor)
         steps.append(("x_shear", log.c1))
 
     B_osc = model.B_osc()
     if any(s.strip_norm() > 1e-14 * scale for row in B_osc for s in row):
-        log.C2 = [[sd(s, -sign) for s in row] for row in B_osc]
+        log.C2 = [[model.sd_solve(s if is_map else -s, divisor_floor) for s in row] for row in B_osc]
         steps.append(("y_shear", log.C2))
 
     abar = model.a_bar

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BoundViolated, EscapedSector, WindowTooWide
 from .cohomology import ManifoldSolution, invariance_error
-from .dynamics import iterate_reduced
+from .dynamics import iterate_map, iterate_reduced
 from .jet import evaluate_jets
 
 __all__ = [
@@ -179,33 +179,29 @@ def fit_error_orders(
     a function returning it, read only for a component with no sample above
     the floor; it is built then when not given.
     """
-    j, N, P = sol.j, sol.N, sol.P
-    targets = {"x": j + N, "y": j + N, "theta": min(j + P - 1, j + N - 1)}
+    targets = dict(zip(("x", "y", "theta"), sol.error_orders))
     if sol.m == 0:
         targets.pop("y")
     lo, hi = x_window
     if not (0 < lo < hi):
         raise ValueError("x_window must satisfy 0 < lo < hi")
     xs = np.exp(np.linspace(math.log(lo), math.log(hi), n_samples))
-    deg = j + N + 1
+    deg = sol.guard_degree
     K = sol.param(deg)
     thetas = _theta_grid(sol.d, theta_samples)
     eps = float(np.finfo(np.longdouble).eps)
 
     if model.kind == "map":
-        skew = model.as_skew(deg)
-        R = sol.reduced.as_param(deg, sol.dim, sol.order_cap, n_angles=sol.dim)
+        residual = functools.partial(_map_residual_at, model.as_skew(deg), K,
+                                     sol.reduced.as_param(deg, sol.dim, sol.order_cap))
     else:
-        fld = model.as_field(deg)
-        tjets = _transport_jets(model, sol, K)
+        residual = functools.partial(_flow_residual_at, model, model.as_field(deg), sol, K,
+                                     _transport_jets(model, sol, K))
 
     rows = []
     for x in xs:
         # one theta-row per x-sample keeps the batch, and its memory, small
-        if model.kind == "map":
-            ex, ey, eth, mag = _map_residual_at(skew, K, R, x, thetas)
-        else:
-            ex, ey, eth, mag = _flow_residual_at(model, fld, sol, K, tjets, x, thetas)
+        ex, ey, eth, mag = residual(x, thetas)
         rows.append({"x": float(x), "floor": float(60.0 * eps * mag),
                      "e_x": ex, "e_y": ey, "e_theta": eth})
 
@@ -355,10 +351,7 @@ def stable_set_membership(model, point, sol: ManifoldSolution, horizon: int,
     a short fixed-point iteration, since the theta deviation is O(u)), then
     compare the y components against K_y(u, theta_base).
     """
-    from .dynamics import iterate_map
-
-    deg = sol.j + sol.N + 1
-    K = sol.param(deg)
+    K = sol.param(sol.guard_degree)
     dkx = K.x.derivative_x()
     orbit = iterate_map(model, point, horizon, domain_radius=rho, require_positive_x=True)
     dists = []

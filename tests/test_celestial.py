@@ -372,6 +372,30 @@ def test_skeleton_zero_tails_pure_model():
     assert sol.coefficient_norm() < 1e-13
 
 
+def test_skeleton_extra_tails_land_in_their_components():
+    zk, e1 = (0,) * 5, (0, 1, 0, 0, 0)
+    rows = [["x", 6, zk, [0, 0], 0.05, 0.0], ["y1", 5, e1, [1, 0], 0.02, 0.01],
+            ["theta1", 7, zk, [0, 1], 0.03, 0.0]]
+    td = TorusData(omega0=(math.sqrt(2), math.sqrt(3)), n=2, extra_tails=rows)
+    model, _ = build_full_skeleton(td, degree=8)
+    cap = model.order_cap
+    want = {
+        "x": (model.f, 6, zk, FourierSeries(2, cap, {(0, 0): 0.05})),
+        "y1": (model.g[1], 5, e1, FourierSeries(2, cap, {(1, 0): 0.02 + 0.01j})),
+        "theta1": (model.h[1], 7, zk, FourierSeries(2, cap, {(0, 1): 0.03})),
+    }
+    pure, _ = build_full_skeleton(TorusData(omega0=td.omega0, n=2), degree=8)
+    for comp, (jet, l, k, series) in want.items():
+        assert (jet.coeff(l, k) - series).strip_norm() < 1e-15, comp
+    # nothing else moved: every other component equals the tail-free model's
+    for j, j0 in zip((model.f, *model.g, *model.h), (pure.f, *pure.g, *pure.h)):
+        if not any(j is w[0] for w in want.values()):
+            assert j.terms.keys() == j0.terms.keys()
+    with pytest.raises(InsufficientTorusData, match="unknown tail component 'z'"):
+        build_full_skeleton(TorusData(omega0=td.omega0, n=2,
+                                      extra_tails=[["z", 6, zk, [0, 0], 0.1, 0.0]]))
+
+
 def test_skeleton_reduced_field_form():
     td = TorusData(omega0=(math.sqrt(2), math.sqrt(3)), n=2,
                    c2=np.array([[0.3, 0.1], [0.1, 0.2]]),

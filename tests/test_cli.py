@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import paratori
 from paratori.benchmark import benchmark_map_model
 from paratori.cli import main
@@ -265,3 +267,52 @@ def test_solve_j1_constant_model_has_no_b(tmp_path):
     assert code == 0
     rec = _read(tmp_path / "out" / "summary.json")
     assert rec["b"] is None  # j < N: R_x = x - a_bar x^N only
+
+
+@pytest.mark.parametrize("argv", [
+    ["iterate", "--steps", "5"],
+    ["solve-map", "--order", "2"],
+], ids=["iterate", "solve-map"])
+def test_map_commands_on_a_flow_model_exit_2(tmp_path, argv):
+    out = tmp_path / "bad"
+    code = main([*argv, "--model", "builtin:benchmark-flow", "--outdir", str(out)])
+    assert code == 2
+    rec = _read(out / "summary.json")
+    assert rec["error_kind"] == "HypothesisViolation"
+    assert rec["error"] == f"{argv[0]} invoked on a flow model"
+
+
+def _solve(tmp_path, command, model):
+    out = tmp_path / model.split(":")[1]
+    assert main([command, "--model", model, "--order", "2", "--outdir", str(out)]) == 0
+    return str(out / "solution.json")
+
+
+@pytest.mark.parametrize("command, solved, model, differ", [
+    ("solve-flow", "builtin:benchmark-flow", "builtin:benchmark-map", "kind flow (model map)"),
+    ("solve-map", "builtin:benchmark-map", "builtin:time1-toy", "order_cap 24 (model 8)"),
+], ids=["kind", "order_cap"])
+def test_verify_against_another_model_exits_2(tmp_path, command, solved, model, differ):
+    solution = _solve(tmp_path, command, solved)
+    out = tmp_path / "verify"
+    code = main(["verify", "--model", model, "--solution", solution, "--outdir", str(out)])
+    assert code == 2
+    rec = _read(out / "summary.json")
+    assert rec["error_kind"] == "HypothesisViolation"
+    assert rec["error"].startswith("solution was solved for another model: ")
+    assert differ in rec["error"]
+
+
+@pytest.mark.parametrize("field, value, least", [
+    ("theta_samples", 0, 1),
+    ("n_samples", 3, 4),
+])
+def test_config_rejects_too_few_samples(tmp_path, field, value, least):
+    cfg = tmp_path / "cfg.json"
+    ser.dump_json({field: value}, cfg)
+    out = tmp_path / "out"
+    code = main(["solve-map", "--model", "builtin:benchmark-map", "--order", "2",
+                 "--config", str(cfg), "--outdir", str(out)])
+    assert code == 5
+    assert _read(out / "summary.json")["error"] == f"config field {field} must be >= {least}"
+    assert not (out / "solution.json").exists()

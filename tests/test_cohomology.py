@@ -23,6 +23,7 @@ from paratori.cohomology import (
 from paratori.fourier import FourierSeries, diophantine_scan, sd_solve_map
 from paratori.jet import Jet
 from paratori.model import FlowModel, MapModel
+from paratori.verify import fit_error_orders_auto
 from oracles import reference_flow_invariance_error
 
 
@@ -358,3 +359,30 @@ def test_flow_invariance_error_matches_reference_bit_for_bit(make):
         assert err.declared == ref.declared
         for got, want in zip((err.ex, *err.ey, *err.eth), (ref.ex, *ref.ey, *ref.eth), strict=True):
             assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("kind", ["map", "flow"])
+@pytest.mark.parametrize("m", [0, 1])
+def test_p1_x_block_solves_to_order_6(kind, m):
+    # P = 1 < N = 2: the theta block absorbs the averaged angle error into R,
+    # and the x block takes the terms this feeds back (d/dtheta of Ktil_x^N
+    # along the new angle correction, and da/dtheta against Ktil_theta)
+    cap, deg, dim = 16, 10, 1
+    freq = diophantine_scan([GOLDEN], tau=1.0, k_max=80, sense=kind)
+    a = FourierSeries.constant(1.0, dim, cap) + FourierSeries.cosine((1,), dim, cap, 0.3)
+    zk = (0,) * m
+    h = [Jet.monomial(1, zk, FourierSeries.constant(0.2, dim, cap)
+                      + FourierSeries.cosine((1,), dim, cap, 0.1), m, deg, dim, cap)
+         + Jet.monomial(2, zk, 0.05, m, deg, dim, cap)]
+    f = Jet.monomial(3, zk, FourierSeries.constant(-0.2, dim, cap)
+                     + FourierSeries.sine((1,), dim, cap, 0.1), m, deg, dim, cap)
+    extra = {}
+    if m:
+        extra = {"B": [[FourierSeries.constant(1.0, dim, cap)]],
+                 "g": [Jet.monomial(3, zk, 0.3, m, deg, dim, cap)]}
+    cls = MapModel if kind == "map" else FlowModel
+    model = cls.build(N=2, P=1, freq=freq, a=a, m=m, order_cap=cap, f=f, h=h, deg=deg, **extra)
+    res = solve_manifold(model, 6)
+    assert res.solution.reduced.theta_terms  # the P < N branch ran
+    report = fit_error_orders_auto(model, res.solution, (0.01, 0.05), error=res.error)
+    assert report.all_pass, report.rows()
