@@ -100,21 +100,6 @@ class PrimarySystem:
                 f"center of mass not at the origin (defect {self.com_defect():.3e})"
             )
 
-    def positions(self, phase) -> list[complex]:
-        """Complex positions q_j at a torus phase (tuple of turns)."""
-        return [
-            complex(ax.evaluate(phase)) + 1j * complex(ay.evaluate(phase))
-            for ax, ay in zip(self.qx, self.qy)
-        ]
-
-    def potential_direct(self, r: float, theta_rad: float, phase) -> float:
-        """Directly summed potential sum m_j / |r e^(i theta) - q_j|."""
-        z = r * complex(math.cos(theta_rad), math.sin(theta_rad))
-        acc = 0.0
-        for mj, qj in zip(self.masses, self.positions(phase)):
-            acc += mj / abs(z - qj)
-        return acc
-
     @classmethod
     def single(cls, mass: float = 1.0, omega=(0.6180339887498949,), order_cap: int = 8):
         """One primary at the origin; the phase is a passive carrier angle."""
@@ -209,7 +194,6 @@ class RestrictedChart:
     total_mass: float
     alpha0: float
     gtilde0: float
-    omega: tuple[float, ...]
     computed_N: int = 4
     stated_N: int = 6
     a_value: float = 0.25
@@ -429,7 +413,7 @@ def build_restricted_field(
     model = model_from(fld, N=computed_N, P=computed_N, freq=freq, order_cap=cap)
     a_val = model.a.average().real
     chart = RestrictedChart(
-        total_mass=M, alpha0=alpha0, gtilde0=gtilde0, omega=tuple(sys.omega),
+        total_mass=M, alpha0=alpha0, gtilde0=gtilde0,
         computed_N=computed_N, stated_N=6, a_value=a_val,
     )
     return model, chart

@@ -39,7 +39,7 @@ from .jet import (
     compose_skew_param,
     evaluate_jets,
 )
-from .model import MapModel, ReducedField, ReducedMap, SkewField, validate
+from .model import FlowModel, MapModel, ReducedField, ReducedMap, SkewField, validate
 
 __all__ = [
     "FreeChoicePolicy",
@@ -111,7 +111,11 @@ class ErrorJet:
 
 @dataclass
 class ManifoldSolution:
-    """The split coefficients of K^(j) plus the reduced dynamics.
+    """The split coefficients of K^(j) plus the reduced dynamics R of ``model``.
+
+    K and R mean nothing apart from the model they solve F o K = K o R
+    (or its flow form) for, so the solution reads its shape, its rotation
+    and its kind from that model and keeps no copy of them.
 
     Averaged coefficients are stored as reals (vectors for y/theta), the
     oscillatory ones as FourierSeries keyed by their x-order, matching the
@@ -122,14 +126,8 @@ class ManifoldSolution:
         K_theta = th + sum Kbar_th^l x^l + sum Ktil_th^(l+P-1) x^(l+P-1)
     """
 
+    model: MapModel | FlowModel
     j: int
-    N: int
-    P: int
-    m: int
-    d: int
-    dim: int
-    order_cap: int
-    kind: str
     kbar_x: dict[int, float] = field(default_factory=dict)
     ktil_x: dict[int, FourierSeries] = field(default_factory=dict)
     kbar_y: dict[int, tuple[float, ...]] = field(default_factory=dict)
@@ -140,24 +138,28 @@ class ManifoldSolution:
     free_choices: dict = field(default_factory=dict)
 
     @property
+    def d(self) -> int:
+        """The model's number of state angles (the benchmark's traced replay
+        reads it to count verification points)."""
+        return self.model.d
+
+    @property
     def error_orders(self) -> tuple[int, int, int]:
         """The orders (x, y, theta) below which the step-j invariance error vanishes."""
-        j, N, P = self.j, self.N, self.P
+        j, N, P = self.j, self.model.N, self.model.P
         return (j + N, j + N, min(j + P - 1, j + N - 1))
 
     @property
     def guard_degree(self) -> int:
         """The step-j error's degree j + N + 1: all the next step and the guard read."""
-        return self.j + self.N + 1
+        return self.j + self.model.N + 1
 
     def copy_shallow(self) -> "ManifoldSolution":
         red = self.reduced
         if red is not None:
             red = replace(red, theta_terms=dict(red.theta_terms))
-        return ManifoldSolution(
-            j=self.j, N=self.N, P=self.P, m=self.m, d=self.d, dim=self.dim,
-            order_cap=self.order_cap, kind=self.kind,
-            kbar_x=dict(self.kbar_x), ktil_x=dict(self.ktil_x),
+        return replace(
+            self, kbar_x=dict(self.kbar_x), ktil_x=dict(self.ktil_x),
             kbar_y=dict(self.kbar_y), ktil_y=dict(self.ktil_y),
             kbar_th=dict(self.kbar_th), ktil_th=dict(self.ktil_th),
             reduced=red, free_choices=dict(self.free_choices),
@@ -165,7 +167,8 @@ class ManifoldSolution:
 
     def param(self, deg: int) -> ParamMap:
         """Assemble the parameterization as a ParamMap at working degree."""
-        dim, cap = self.dim, self.order_cap
+        model = self.model
+        dim, cap = model.dim, model.order_cap
 
         def jet(start, kbar, ktil):
             """One x-jet from its averaged and oscillatory tables; a slot in
@@ -181,8 +184,8 @@ class ManifoldSolution:
             return {key: row[i] for key, row in table.items()}
 
         kx = jet(Jet.var_x(0, deg, dim, cap).terms, self.kbar_x, self.ktil_x)
-        ys = tuple(jet({}, column(self.kbar_y, i), column(self.ktil_y, i)) for i in range(self.m))
-        devs = tuple(jet({}, column(self.kbar_th, r), column(self.ktil_th, r)) for r in range(self.d))
+        ys = tuple(jet({}, column(self.kbar_y, i), column(self.ktil_y, i)) for i in range(model.m))
+        devs = tuple(jet({}, column(self.kbar_th, r), column(self.ktil_th, r)) for r in range(model.d))
         return ParamMap(x=kx, y=ys, theta_dev=devs, rot=(0.0,) * dim)
 
     def coefficient_norm(self) -> float:
@@ -198,18 +201,19 @@ class ManifoldSolution:
 # --------------------------------------------------------------- error jets
 
 
-def invariance_error(model, sol: ManifoldSolution, deg: int | None = None) -> ErrorJet:
-    """Exact jet-level invariance error of a solution.
+def invariance_error(sol: ManifoldSolution, deg: int | None = None) -> ErrorJet:
+    """Exact jet-level invariance error of a solution of its model.
 
     Maps: E = F o K - K o R.  Flows: E = X o K - DK Y - dK/dt, with the
     time derivative acting on the trailing d' torus angles with frequency nu.
     """
+    model = sol.model
     deg = deg if deg is not None else sol.guard_degree
     declared = sol.error_orders
     K = sol.param(deg)
     if model.kind == "map":
         F = model.as_skew(deg)
-        R = sol.reduced.as_param(deg, model.dim, model.order_cap)
+        R = sol.reduced.as_param(deg, model)
         FK = compose_skew_param(F, K, deg)
         KR = compose_param_param(K, R, deg)
         return ErrorJet(
@@ -221,8 +225,8 @@ def invariance_error(model, sol: ManifoldSolution, deg: int | None = None) -> Er
 
     X = model.as_field(deg)
     Y = SkewField(
-        x=sol.reduced.x_jet(deg, model.dim, model.order_cap), y=(),
-        theta_dev=sol.reduced.theta_jets(deg, model.dim, model.order_cap, model.d),
+        x=sol.reduced.x_jet(deg, model), y=(),
+        theta_dev=sol.reduced.theta_jets(deg, model, model.d),
         omega=tuple(model.freq.omega), nu=tuple(model.freq.nu),
     )
     sub = _Substitution(K.x, K.y, K.theta_dev, None, deg).apply
@@ -235,8 +239,8 @@ def invariance_error(model, sol: ManifoldSolution, deg: int | None = None) -> Er
     return ErrorJet(ex=ex, ey=eys, eth=eths, declared=declared)
 
 
-def _order_guard(model, sol, err: ErrorJet, order_tolerance: float):
-    scale = model.coefficient_scale() * max(1.0, sol.coefficient_norm()) ** 2
+def _order_guard(sol, err: ErrorJet, order_tolerance: float):
+    scale = sol.model.coefficient_scale() * max(1.0, sol.coefficient_norm()) ** 2
     bad = err.order_violations(order_tolerance * scale)
     if bad:
         comp, order, norm = bad[0]
@@ -255,19 +259,11 @@ def base_step(model, divisor_floor: float = 1e-12) -> ManifoldSolution:
     bad = validate(model)
     if bad:
         raise HypothesisViolation("; ".join(bad))
-    N = model.N
-    abar = model.a_bar
-    a_osc = model.a_osc
-    sol = ManifoldSolution(
-        j=1, N=N, P=model.P, m=model.m, d=model.d, dim=model.dim,
-        order_cap=model.order_cap, kind=model.kind,
-    )
+    N, a_osc = model.N, model.a_osc
+    reduced = ReducedMap if model.kind == "map" else ReducedField
+    sol = ManifoldSolution(model=model, j=1, reduced=reduced(N=N, a_bar=model.a_bar))
     if not a_osc.is_zero():
         sol.ktil_x[N] = -model.sd_solve(a_osc, divisor_floor)
-    if model.kind == "map":
-        sol.reduced = ReducedMap(N=N, a_bar=abar, omega=tuple(model.freq.omega))
-    else:
-        sol.reduced = ReducedField(N=N, a_bar=abar, omega=tuple(model.freq.omega))
     return sol
 
 
@@ -283,7 +279,6 @@ def _real_average(series: FourierSeries, what: str) -> float:
 
 
 def extend_order(
-    model,
     sol: ManifoldSolution,
     E_prev: ErrorJet,
     choices: FreeChoicePolicy | None = None,
@@ -298,8 +293,9 @@ def extend_order(
     against the declared orders.
     """
     choices = choices or FreeChoicePolicy()
+    model = sol.model
     j = sol.j + 1
-    N, P, m, d = sol.N, sol.P, sol.m, sol.d
+    N, P, m, d = model.N, model.P, model.m, model.d
     abar = model.a_bar
     a_osc = model.a_osc
     new = sol.copy_shallow()
@@ -345,7 +341,9 @@ def extend_order(
             kbar_th = np.array(choices.theta_choice(j, d))
             if any(kbar_th):
                 new.kbar_th[j - 1] = tuple(kbar_th)
-                new.free_choices.setdefault("kbar_theta", {})[j - 1] = tuple(kbar_th)
+                # a new table, so that ``sol`` keeps its own choices
+                new.free_choices["kbar_theta"] = {
+                    **sol.free_choices.get("kbar_theta", {}), j - 1: tuple(kbar_th)}
         row = []
         for r in range(d):
             rhs = Eth[r].oscillatory()
@@ -397,8 +395,8 @@ def extend_order(
     if not rhs.is_zero():
         new.ktil_x[ox] = model.sd_solve(rhs, divisor_floor)
 
-    err = invariance_error(model, new)
-    _order_guard(model, new, err, order_tolerance)
+    err = invariance_error(new)
+    _order_guard(new, err, order_tolerance)
     return new, err
 
 
@@ -433,14 +431,14 @@ def solve_manifold(
     if order < 1:
         raise ValueError("order must be >= 1")
     sol = base_step(model, divisor_floor)
-    err = invariance_error(model, sol)
-    _order_guard(model, sol, err, order_tolerance)
+    err = invariance_error(sol)
+    _order_guard(sol, err, order_tolerance)
     diags = [_diag_entry(sol, err)]
     if callback:
         callback(sol, err)
     for _ in range(2, order + 1):
         sol, err = extend_order(
-            model, sol, err, choices,
+            sol, err, choices,
             divisor_floor=divisor_floor,
             order_tolerance=order_tolerance,
         )

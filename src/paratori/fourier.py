@@ -266,10 +266,8 @@ class FourierSeries:
         modes = _box(self.dim, self.order_cap).modes[idx].tolist()
         return MappingProxyType(dict(zip(map(tuple, modes), self._data[idx].tolist())))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol == 0.0:
-            return not np.count_nonzero(self._data)
-        return bool(np.abs(self._data).max() <= tol)
+    def is_zero(self) -> bool:
+        return not np.count_nonzero(self._data)
 
     def coeff(self, k: Iterable[int]) -> complex:
         k = tuple(int(x) for x in k)

@@ -123,10 +123,8 @@ class Jet:
             return self.deg + 1
         return min(l + sum(k) for (l, k) in self.terms)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol == 0.0:
-            return not self.terms  # the constructor keeps no zero series
-        return all(s.strip_norm(0.0) <= tol for s in self.terms.values())
+    def is_zero(self) -> bool:
+        return not self.terms  # the constructor keeps no zero series
 
     def norm(self) -> float:
         """Sum of strip norms of every coefficient (a crude jet scale)."""

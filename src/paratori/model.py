@@ -60,7 +60,6 @@ class _Reduced:
 
     N: int
     a_bar: float
-    omega: tuple[float, ...]
     b: float | None = None
     theta_terms: dict[int, tuple[float, ...]] = field(default_factory=dict)
 
@@ -78,13 +77,13 @@ class _Reduced:
             acc = acc + c * x ** l
         return acc
 
-    def x_jet(self, deg: int, dim: int, order_cap: int) -> Jet:
+    def x_jet(self, deg: int, model: _ModelBase) -> Jet:
         terms = {(l, ()): c for l, c in self.x_poly_coeffs().items()}
-        return Jet(0, deg, dim, order_cap, terms)
+        return Jet(0, deg, model.dim, model.order_cap, terms)
 
-    def theta_jets(self, deg: int, dim: int, order_cap: int, n_angles: int):
+    def theta_jets(self, deg: int, model: _ModelBase, n_angles: int):
         return tuple(
-            Jet(0, deg, dim, order_cap,
+            Jet(0, deg, model.dim, model.order_cap,
                 {(order, ()): vec[r] for order, vec in self.theta_terms.items() if vec[r]})
             for r in range(n_angles)
         )
@@ -96,12 +95,12 @@ class ReducedMap(_Reduced):
 
     _x_identity = {1: 1.0}
 
-    def as_param(self, deg: int, dim: int, order_cap: int):
-        """The reduced dynamics as a ParamMap on T^dim for jet composition."""
-        rot = tuple(self.omega) + (0.0,) * (dim - len(self.omega))
+    def as_param(self, deg: int, model: MapModel):
+        """The reduced dynamics of a solution of ``model`` as a ParamMap on
+        its torus, turning by the model's rotation, for jet composition."""
         return ParamMap(
-            x=self.x_jet(deg, dim, order_cap), y=(),
-            theta_dev=self.theta_jets(deg, dim, order_cap, dim), rot=rot,
+            x=self.x_jet(deg, model), y=(),
+            theta_dev=self.theta_jets(deg, model, model.dim), rot=model.state_rot,
         )
 
 

@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParatoriError
+from .errors import HypothesisViolation, ParatoriError
 from .fourier import FourierSeries, FrequencyVector, diophantine_scan
 from .jet import Jet
 from .model import FlowModel, MapModel, ReducedField, ReducedMap
@@ -170,11 +170,15 @@ def _series_row_from_obj(objs) -> list:
     return [series_from_obj(o) for o in objs]
 
 
+# the model fields a solution record repeats, so that it can be checked
+# against the model it is loaded with
+_SHAPE = ("kind", "N", "P", "m", "d", "dim", "order_cap")
+
+
 def solution_to_obj(sol: ManifoldSolution) -> dict:
-    red = sol.reduced
+    red, model = sol.reduced, sol.model
     return {
-        "j": sol.j, "N": sol.N, "P": sol.P, "m": sol.m, "d": sol.d,
-        "dim": sol.dim, "order_cap": sol.order_cap, "kind": sol.kind,
+        "j": sol.j, **{key: getattr(model, key) for key in _SHAPE},
         "kbar_x": {str(l): v for l, v in sorted(sol.kbar_x.items())},
         "ktil_x": {str(o): series_to_obj(s) for o, s in sorted(sol.ktil_x.items())},
         "kbar_y": {str(l): list(v) for l, v in sorted(sol.kbar_y.items())},
@@ -183,7 +187,7 @@ def solution_to_obj(sol: ManifoldSolution) -> dict:
         "ktil_th": {str(o): _series_row_to_obj(r) for o, r in sorted(sol.ktil_th.items())},
         "reduced": {
             "type": "map" if isinstance(red, ReducedMap) else "field",
-            "N": red.N, "a_bar": red.a_bar, "omega": list(red.omega),
+            "N": red.N, "a_bar": red.a_bar, "omega": list(model.freq.omega),
             "b": red.b,
             "theta_terms": {str(o): list(v) for o, v in sorted(red.theta_terms.items())},
         },
@@ -194,18 +198,23 @@ def solution_to_obj(sol: ManifoldSolution) -> dict:
     }
 
 
-def solution_from_obj(obj: dict) -> ManifoldSolution:
+def solution_from_obj(obj: dict, model: MapModel | FlowModel) -> ManifoldSolution:
+    """The solution a record holds, as a solution of ``model``; the record's
+    shape and rotation must be the model's, else HypothesisViolation names
+    each field that differs."""
     red_obj = obj["reduced"]
-    cls = ReducedMap if red_obj["type"] == "map" else ReducedField
+    stored = {**{key: obj[key] for key in _SHAPE}, "omega": red_obj["omega"]}
+    own = {**{key: getattr(model, key) for key in _SHAPE}, "omega": list(model.freq.omega)}
+    differ = [f"{key} {stored[key]} (model {own[key]})" for key in stored if stored[key] != own[key]]
+    if differ:
+        raise HypothesisViolation("solution was solved for another model: " + ", ".join(differ))
+    cls = ReducedMap if model.kind == "map" else ReducedField
     red = cls(
-        N=int(red_obj["N"]), a_bar=float(red_obj["a_bar"]),
-        omega=tuple(red_obj["omega"]), b=red_obj["b"],
+        N=int(red_obj["N"]), a_bar=float(red_obj["a_bar"]), b=red_obj["b"],
         theta_terms={int(o): tuple(v) for o, v in red_obj.get("theta_terms", {}).items()},
     )
     return ManifoldSolution(
-        j=int(obj["j"]), N=int(obj["N"]), P=int(obj["P"]), m=int(obj["m"]),
-        d=int(obj["d"]), dim=int(obj["dim"]), order_cap=int(obj["order_cap"]),
-        kind=obj["kind"],
+        model=model, j=int(obj["j"]),
         kbar_x={int(l): float(v) for l, v in obj["kbar_x"].items()},
         ktil_x={int(o): series_from_obj(s) for o, s in obj["ktil_x"].items()},
         kbar_y={int(l): tuple(v) for l, v in obj["kbar_y"].items()},

@@ -100,9 +100,10 @@ def _map_residual_at(skew, K, R, x, thetas):
     return _max_diff([(fx, gx)]), _max_diff(zip(fy, gy)), _max_diff(zip(fth, gth)), mag
 
 
-def _transport_jets(model, sol, K):
+def _transport_jets(sol, K):
     """Per component of K: d/dx, L_(omega,nu) and d/dtheta_r for each angle r
     the reduced flow moves, grouped as (x, y-list, theta-list)."""
+    model = sol.model
     full = tuple(model.freq.omega) + tuple(model.freq.nu)
     moving = [r for r in range(model.d) if any(v[r] for v in sol.reduced.theta_terms.values())]
 
@@ -112,9 +113,10 @@ def _transport_jets(model, sol, K):
     return jets(K.x), [jets(j) for j in K.y], [jets(j) for j in K.theta_dev]
 
 
-def _flow_residual_at(model, fld, sol, K, tjets, x, thetas):
+def _flow_residual_at(fld, sol, K, tjets, x, thetas):
     """As :func:`_map_residual_at` for X(K) - DK Y - dK/dt; ``tjets`` is
     :func:`_transport_jets`."""
+    model = sol.model
     th = thetas.T
     kx, ky, kth = K.evaluate(x, th, dtype=_CDT)
     Xx, *rest = evaluate_jets((fld.x, *fld.y, *fld.theta_dev[:model.d]), kx, ky, kth, _CDT)
@@ -146,11 +148,11 @@ def _flow_residual_at(model, fld, sol, K, tjets, x, thetas):
     return ex, ey, eth, mag
 
 
-def _error_jet_norms(error, model, sol) -> dict[str, float]:
+def _error_jet_norms(error, sol) -> dict[str, float]:
     """Norm of each component of the invariance error of ``sol``: ``error``,
     what it returns when it is a function, or built here when None."""
     if error is None:
-        error = invariance_error(model, sol)
+        error = invariance_error(sol)
     ejet = error() if callable(error) else error
     return {
         "x": ejet.ex.norm(),
@@ -160,7 +162,6 @@ def _error_jet_norms(error, model, sol) -> dict[str, float]:
 
 
 def fit_error_orders(
-    model,
     sol: ManifoldSolution,
     x_window: tuple[float, float] = (1e-3, 1e-2),
     n_samples: int = 24,
@@ -168,7 +169,7 @@ def fit_error_orders(
     slope_slack: float = 0.1,
     error=None,
 ) -> OrderReport:
-    """Fit the decay order of the full-model invariance residual.
+    """Fit the decay order of the invariance residual of ``sol`` in its model.
 
     The residual is evaluated from the model itself (not the error jet),
     which also catches truncation and assembly bugs, at ``n_samples``
@@ -179,8 +180,9 @@ def fit_error_orders(
     a function returning it, read only for a component with no sample above
     the floor; it is built then when not given.
     """
+    model = sol.model
     targets = dict(zip(("x", "y", "theta"), sol.error_orders))
-    if sol.m == 0:
+    if model.m == 0:
         targets.pop("y")
     lo, hi = x_window
     if not (0 < lo < hi):
@@ -188,15 +190,15 @@ def fit_error_orders(
     xs = np.exp(np.linspace(math.log(lo), math.log(hi), n_samples))
     deg = sol.guard_degree
     K = sol.param(deg)
-    thetas = _theta_grid(sol.d, theta_samples)
+    thetas = _theta_grid(model.d, theta_samples)
     eps = float(np.finfo(np.longdouble).eps)
 
     if model.kind == "map":
         residual = functools.partial(_map_residual_at, model.as_skew(deg), K,
-                                     sol.reduced.as_param(deg, sol.dim, sol.order_cap))
+                                     sol.reduced.as_param(deg, model))
     else:
-        residual = functools.partial(_flow_residual_at, model, model.as_field(deg), sol, K,
-                                     _transport_jets(model, sol, K))
+        residual = functools.partial(_flow_residual_at, model.as_field(deg), sol, K,
+                                     _transport_jets(sol, K))
 
     rows = []
     for x in xs:
@@ -214,7 +216,7 @@ def fit_error_orders(
         if not pts:
             # a component whose error jet vanishes identically and whose numeric
             # residual sits at the floor everywhere satisfies any decay order
-            jet_norm = jet_norm or _error_jet_norms(error, model, sol)
+            jet_norm = jet_norm or _error_jet_norms(error, sol)
             if jet_norm[comp] <= 1e-13 * jet_scale:
                 slopes[comp] = math.inf
                 continue
@@ -238,16 +240,16 @@ def fit_error_orders(
     )
 
 
-def fit_error_orders_auto(model, sol, x_window=(1e-3, 1e-2), error=None, **kw):
+def fit_error_orders_auto(sol, x_window=(1e-3, 1e-2), error=None, **kw):
     """Retry :func:`fit_error_orders`, shifting the window up by
     ``_WINDOW_SHIFT`` on each WindowTooWide, at most ``_MAX_SHIFTS`` times;
     without ``error`` the windows share one error jet, built on first need."""
     if error is None:
-        error = functools.cache(functools.partial(invariance_error, model, sol))
+        error = functools.cache(functools.partial(invariance_error, sol))
     lo, hi = x_window
     for shift in range(_MAX_SHIFTS + 1):
         try:
-            return fit_error_orders(model, sol, (lo, hi), error=error, **kw)
+            return fit_error_orders(sol, (lo, hi), error=error, **kw)
         except WindowTooWide:
             if shift == _MAX_SHIFTS:
                 raise
@@ -342,31 +344,33 @@ def _project_fiber(kx, dkx, x_target: float, th, u_hint: float) -> float:
     return u
 
 
-def stable_set_membership(model, point, sol: ManifoldSolution, horizon: int,
+def stable_set_membership(sol: ManifoldSolution, point, horizon: int,
                           rho: float = 0.1) -> MembershipReport:
-    """Iterate the full map and measure distance to the computed manifold.
+    """Iterate the full map of ``sol``'s model from ``point`` and measure the
+    distance to the computed manifold.
 
     The distance uses the x-fiber projection: find (u, theta_base) with
     K_x(u, theta_base) = x and K_theta(u, theta_base) = theta (the latter by
     a short fixed-point iteration, since the theta deviation is O(u)), then
     compare the y components against K_y(u, theta_base).
     """
+    m, d = sol.model.m, sol.model.d
     K = sol.param(sol.guard_degree)
     dkx = K.x.derivative_x()
-    orbit = iterate_map(model, point, horizon, domain_radius=rho, require_positive_x=True)
+    orbit = iterate_map(sol.model, point, horizon, domain_radius=rho, require_positive_x=True)
     dists = []
     fibs = []
     for row in orbit.states:
         x = row[0]
-        y = row[1 : 1 + sol.m]
-        th_pt = tuple(row[1 + sol.m : 1 + sol.m + sol.d])
+        y = row[1 : 1 + m]
+        th_pt = tuple(row[1 + m : 1 + m + d])
         base = list(th_pt)
         u = max(x, 1e-14)
         for _ in range(30):
             u = _project_fiber(K.x, dkx, x, tuple(base), u)
             new_base = []
             shift = 0.0
-            for r in range(sol.d):
+            for r in range(d):
                 devr = K.theta_dev[r].evaluate(u, (), tuple(base)).real
                 nb = th_pt[r] - devr
                 shift = max(shift, abs(nb - base[r]))
@@ -375,9 +379,9 @@ def stable_set_membership(model, point, sol: ManifoldSolution, horizon: int,
             if shift < 1e-14:
                 break
         kx, ky, kth = K.evaluate(u, tuple(base))
-        dy2 = sum((float(y[i]) - ky[i].real) ** 2 for i in range(sol.m))
+        dy2 = sum((float(y[i]) - ky[i].real) ** 2 for i in range(m))
         dth2 = 0.0
-        for r in range(sol.d):
+        for r in range(d):
             delta = (float(th_pt[r]) - kth[r].real + 0.5) % 1.0 - 0.5
             dth2 += delta ** 2
         dists.append(math.sqrt(dy2 + dth2))

@@ -2,7 +2,8 @@
 implementation: a dense generic linear solve of the full coefficient system
 assembled by probing the exact jet composition, the per-mode and per-series
 evaluation loops, the dict-of-tuples Fourier arithmetic that the array
-store replaced, and the restricted-field constructors written term by term."""
+store replaced, the restricted-field constructors written term by term, and
+the positions and potential of the primaries summed one primary at a time."""
 
 import cmath
 import math
@@ -33,15 +34,14 @@ def _series_to_vec(s, cap):
     return vec
 
 
-def _candidate(sol_prev, j, model, vals):
+def _candidate(sol_prev, j, vals):
     """Assemble the step-j solution with the unknowns set to ``vals``."""
-    N, P = sol_prev.N, sol_prev.P
+    N, P = sol_prev.model.N, sol_prev.model.P
     ox, oth = j + N - 1, j + P - 2
     new = sol_prev.copy_shallow()
     new.j = j
     if j == N:
-        new.reduced = ReducedMap(N=N, a_bar=new.reduced.a_bar,
-                                 omega=new.reduced.omega, b=vals["b"],
+        new.reduced = ReducedMap(N=N, a_bar=new.reduced.a_bar, b=vals["b"],
                                  theta_terms=dict(new.reduced.theta_terms))
     else:
         if vals["kx"]:
@@ -55,21 +55,21 @@ def _candidate(sol_prev, j, model, vals):
     return new
 
 
-def _dense_oracle_step(model, sol_prev, j, cap):
+def _dense_oracle_step(sol_prev, j, cap):
     """Solve the full order-(j+N-1) coefficient system with numpy.
 
     Unknowns are probed one at a time through the exact jet composition
     (the equations are affine in them at the target orders), assembled into
     a dense matrix and solved by least squares.
     """
-    N, P = sol_prev.N, sol_prev.P
+    N, P = sol_prev.model.N, sol_prev.model.P
     ox, oth = j + N - 1, j + P - 2
     zero = FourierSeries.zeros(1, cap)
     base_vals = {"b": 0.0, "kx": 0.0, "ky": 0.0, "kth": 0.0,
                  "ktx": zero, "kty": zero, "ktth": zero}
 
     def targets(vals):
-        err = invariance_error(model, _candidate(sol_prev, j, model, vals))
+        err = invariance_error(_candidate(sol_prev, j, vals))
         out = _series_to_vec(err.ex.x_coeff(ox), cap)
         out += _series_to_vec(err.ey[0].x_coeff(ox), cap)
         out += _series_to_vec(err.eth[0].x_coeff(oth), cap)
@@ -169,18 +169,19 @@ def per_series_map_evaluate(F, x, y, theta, dtype=complex):
     return xv, yv, thv
 
 
-def reference_flow_invariance_error(model, sol, deg=None):
+def reference_flow_invariance_error(sol, deg=None):
     """The flow error E = X o K - DK Y - dK/dt as it was written before
     ``SkewField.derivative_along``: the transport of each component of K
     along the reduced field Y spelled out, with D_x C in front of Y_x."""
-    N, P, j = sol.N, sol.P, sol.j
+    model = sol.model
+    N, P, j = model.N, model.P, sol.j
     deg = deg if deg is not None else j + N + 1
     declared = (j + N, j + N, min(j + P - 1, j + N - 1))
     X = model.as_field(deg)
     K = sol.param(deg)
     full = tuple(model.freq.omega) + tuple(model.freq.nu)
-    Yx = sol.reduced.x_jet(deg, model.dim, model.order_cap)
-    Ydev = sol.reduced.theta_jets(deg, model.dim, model.order_cap, model.d)
+    Yx = sol.reduced.x_jet(deg, model)
+    Ydev = sol.reduced.theta_jets(deg, model, model.d)
 
     def transport(C):
         out = C.derivative_x().jet_mul(Yx)
@@ -376,3 +377,25 @@ def reference_theta_sub_jet(series, alpha0, dev_rad, m, deg, d, cap):
                 break
         out = out + expj.scale(base.scale(const))
     return out
+
+
+# The direct sums over the primaries that the restricted field's stacked
+# evaluation and the potential expansion are checked against.
+
+
+def primary_positions(sys, phase):
+    """Complex positions q_j of the primaries at a torus phase (tuple of
+    turns), one series at a time."""
+    return [
+        complex(ax.evaluate(phase)) + 1j * complex(ay.evaluate(phase))
+        for ax, ay in zip(sys.qx, sys.qy)
+    ]
+
+
+def potential_direct(sys, r, theta_rad, phase):
+    """Directly summed potential sum m_j / |r e^(i theta) - q_j|."""
+    z = r * complex(math.cos(theta_rad), math.sin(theta_rad))
+    acc = 0.0
+    for mj, qj in zip(sys.masses, primary_positions(sys, phase)):
+        acc += mj / abs(z - qj)
+    return acc

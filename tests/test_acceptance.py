@@ -95,7 +95,7 @@ def test_acceptance_2_order_conditions():
     ok = True
     for j in range(1, 6):
         res = solve_manifold(model, j)
-        rep = fit_error_orders(model, res.solution, x_window=(1e-3, 1e-2))
+        rep = fit_error_orders(res.solution, x_window=(1e-3, 1e-2))
         want = {"x": j + 2, "y": j + 2, "theta": j + 1}
         for comp, target in want.items():
             got = rep.fitted_slope[comp]
@@ -115,8 +115,8 @@ def test_acceptance_3_oracle_equivalence():
     worst = 0.0
     for j in (2, 3, 4):
         res = solve_manifold(model, j - 1)
-        engine, _ = extend_order(model, res.solution, res.error)
-        oracle = _dense_oracle_step(model, res.solution, j, cap)
+        engine, _ = extend_order(res.solution, res.error)
+        oracle = _dense_oracle_step(res.solution, j, cap)
         ox, oth = j + model.N - 1, j + model.P - 2
         if j == model.N:
             worst = max(worst, abs(engine.reduced.b - oracle["scalars"]["b"]))
@@ -148,7 +148,7 @@ def test_acceptance_4_conjugation_invariant():
 
 
 def test_acceptance_5_parabolic_decay():
-    R = ReducedMap(N=2, a_bar=1.0, omega=(GOLDEN,))
+    R = ReducedMap(N=2, a_bar=1.0)
     rep = sector_decay_check(R, 0.1, 10_000, eta=0.1)
     xs = iterate_reduced(R, 0.1, 10_000)
     kx = 10_000 * abs(xs[-1])

@@ -10,6 +10,7 @@ import pytest
 import paratori
 from paratori.benchmark import benchmark_map_model
 from paratori.cli import main
+from paratori.model import validate
 from paratori import serialize as ser
 
 
@@ -211,6 +212,24 @@ def test_restricted_demo_short(tmp_path):
     assert summary["chart"]["a"] == 0.25
     header = (tmp_path / "demo" / "demo.csv").read_text().splitlines()[0]
     assert header == "t,r,y,energy,law_ratio"
+
+
+def test_restricted_demo_validates_its_model_once(tmp_path, monkeypatch):
+    # the solve's base step is the one place the hypotheses are checked
+    from paratori import cli, cohomology
+
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return validate(model)
+
+    monkeypatch.setattr(cli, "validate", counting)
+    monkeypatch.setattr(cohomology, "validate", counting)
+    code = main(["restricted-demo", "--system", "single", "--order", "3",
+                 "--outdir", str(tmp_path / "demo")])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_restricted_demo_leaves_scipy_unloaded(tmp_path):

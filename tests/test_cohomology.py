@@ -66,7 +66,7 @@ def test_base_step_single_mode(golden_freq):
 
 def test_base_step_error_order(bench_map):
     sol = base_step(bench_map)
-    err = invariance_error(bench_map, sol)
+    err = invariance_error(sol)
     assert err.ex.x_coeff(bench_map.N).strip_norm() <= 1e-12
     for l in range(bench_map.N + 1):
         assert err.ex.x_coeff(l).strip_norm() <= 1e-12
@@ -88,9 +88,9 @@ def test_extend_scalar_y_formula(golden_freq):
     # Kbar_y^2 = -0.3 / (Bbar + 2 abar) = -0.1
     model = _const_a_model(golden_freq, g_tail=(3, 0.3))
     sol = base_step(model)
-    err = invariance_error(model, sol)
+    err = invariance_error(sol)
     assert err.ey[0].x_coeff(3).average().real == pytest.approx(0.3)
-    sol2, _ = extend_order(model, sol, err)
+    sol2, _ = extend_order(sol, err)
     assert sol2.kbar_y[2][0] == pytest.approx(-0.1, abs=1e-14)
 
 
@@ -139,8 +139,8 @@ def test_dense_oracle_equivalence(j):
     model = benchmark_map_model(order_cap=cap, deg=10)
     res = solve_manifold(model, j - 1)
     sol_prev, err_prev = res.solution, res.error
-    engine, _ = extend_order(model, sol_prev, err_prev)
-    oracle = _dense_oracle_step(model, sol_prev, j, cap)
+    engine, _ = extend_order(sol_prev, err_prev)
+    oracle = _dense_oracle_step(sol_prev, j, cap)
     N = model.N
     ox, oth = j + N - 1, j + model.P - 2
     if j == N:
@@ -172,7 +172,7 @@ def test_invariance_error_exact_conjugacy_toy():
 
 def test_invariance_error_base_step_slot(bench_map):
     sol = base_step(bench_map)
-    err = invariance_error(bench_map, sol)
+    err = invariance_error(sol)
     assert err.ex.x_coeff(bench_map.N).strip_norm() <= 1e-12
 
 
@@ -181,7 +181,7 @@ def test_fault_injection_detected(bench_map):
     sol = res.solution.copy_shallow()
     sol.kbar_x = dict(sol.kbar_x)
     sol.kbar_x[2] = sol.kbar_x.get(2, 0.0) + 1e-3
-    err = invariance_error(bench_map, sol)
+    err = invariance_error(sol)
     bad = err.order_violations(1e-9 * bench_map.coefficient_scale())
     assert bad and bad[0][0] == "x"
 
@@ -299,7 +299,7 @@ def test_flow_path_full_benchmark(bench_flow):
 def test_extend_order_does_not_mutate_input(bench_map):
     res = solve_manifold(bench_map, 1)
     assert res.solution.reduced.b is None
-    sol2, _ = extend_order(bench_map, res.solution, res.error)
+    sol2, _ = extend_order(res.solution, res.error)
     # inputs stay immutable: the invariant b appears only on the new solution
     assert res.solution.reduced.b is None
     assert sol2.reduced.b is not None
@@ -355,7 +355,7 @@ def test_flow_invariance_error_matches_reference_bit_for_bit(make):
     if model.P < model.N:
         assert len(res.solution.reduced.theta_terms) >= 2
     for sol, err in seen:
-        ref = reference_flow_invariance_error(model, sol)
+        ref = reference_flow_invariance_error(sol)
         assert err.declared == ref.declared
         for got, want in zip((err.ex, *err.ey, *err.eth), (ref.ex, *ref.ey, *ref.eth), strict=True):
             assert _bits(got) == _bits(want)
@@ -384,5 +384,21 @@ def test_p1_x_block_solves_to_order_6(kind, m):
     model = cls.build(N=2, P=1, freq=freq, a=a, m=m, order_cap=cap, f=f, h=h, deg=deg, **extra)
     res = solve_manifold(model, 6)
     assert res.solution.reduced.theta_terms  # the P < N branch ran
-    report = fit_error_orders_auto(model, res.solution, (0.01, 0.05), error=res.error)
+    report = fit_error_orders_auto(res.solution, (0.01, 0.05), error=res.error)
     assert report.all_pass, report.rows()
+
+
+def test_each_step_keeps_its_own_free_choices():
+    # P = 1 < N = 2 with chosen Kbar_theta constants: a later step records
+    # its choice in its own table, not in the one of the solution it extends
+    cap, deg, dim = 16, 10, 1
+    freq = diophantine_scan([GOLDEN], tau=1.0, k_max=80)
+    a = FourierSeries.constant(1.0, dim, cap) + FourierSeries.cosine((1,), dim, cap, 0.3)
+    h = [Jet.monomial(1, (), FourierSeries.constant(0.2, dim, cap)
+                      + FourierSeries.cosine((1,), dim, cap, 0.1), 0, deg, dim, cap)]
+    model = MapModel.build(N=2, P=1, freq=freq, a=a, m=0, order_cap=cap, h=h, deg=deg)
+    steps = []
+    solve_manifold(model, 4, FreeChoicePolicy(kbar_theta={2: (0.1,), 3: (0.2,), 4: (0.3,)}),
+                   callback=lambda sol, err: steps.append(sol))
+    for sol in steps[1:]:
+        assert sol.free_choices["kbar_theta"] == {l: sol.kbar_th[l] for l in range(1, sol.j)}

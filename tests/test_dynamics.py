@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import paratori
-from paratori.benchmark import GOLDEN, toy_x2_flow_model
+from paratori.benchmark import toy_x2_flow_model
 from paratori.celestial import PrimarySystem, RestrictedField
 from paratori.cohomology import solve_manifold
 from paratori.dynamics import (
@@ -41,7 +41,7 @@ def test_iterate_early_stop(bench_map):
 
 
 def test_reduced_iterates_match_manual():
-    R = ReducedMap(N=2, a_bar=1.0, omega=(GOLDEN,), b=0.25)
+    R = ReducedMap(N=2, a_bar=1.0, b=0.25)
     xs = iterate_reduced(R, 0.07, 100)
     x = complex(0.07)
     for k in range(100):
@@ -56,8 +56,7 @@ def test_manifold_orbit_tracks_reduced_dynamics(bench_map):
     K = sol.param(8)
     x0 = 0.05
     kx, ky, kth = K.evaluate(x0, (0.3,))
-    memb = stable_set_membership(bench_map, [kx.real, ky[0].real, kth[0].real],
-                                 sol, 20, rho=0.5)
+    memb = stable_set_membership(sol, [kx.real, ky[0].real, kth[0].real], 20, rho=0.5)
     ref = iterate_reduced(sol.reduced, x0, 20)
     for k, u in enumerate(memb.fiber_x):
         assert abs(u - ref[k].real) < 1e-5

@@ -39,11 +39,11 @@ def _fixed_degree_solve(model, order):
     """The solve as it ran with one guard degree, order + N + 1, at every step."""
     deg = order + model.N + 1
     sol = base_step(model)
-    err = invariance_error(model, sol, deg=deg)
+    err = invariance_error(sol, deg=deg)
     diags = [_diag_entry(sol, err)]
     for _ in range(2, order + 1):
-        sol, _ = extend_order(model, sol, err)
-        err = invariance_error(model, sol, deg=deg)
+        sol, _ = extend_order(sol, err)
+        err = invariance_error(sol, deg=deg)
         diags.append(_diag_entry(sol, err))
     return sol, err, diags
 
@@ -113,19 +113,19 @@ def test_fit_auto_builds_the_error_jet_at_most_once(monkeypatch, bench_map):
     res = solve_manifold(bench_map, 9)
     calls = _count_error_jets(monkeypatch)
     with pytest.raises(WindowTooWide):
-        verify.fit_error_orders_auto(bench_map, res.solution, (1e-9, 1e-8))
+        verify.fit_error_orders_auto(res.solution, (1e-9, 1e-8))
     assert len(calls) == 1
     calls.clear()
     with pytest.raises(WindowTooWide):
-        verify.fit_error_orders_auto(bench_map, res.solution, (1e-9, 1e-8), error=res.error)
+        verify.fit_error_orders_auto(res.solution, (1e-9, 1e-8), error=res.error)
     assert calls == []
 
 
 def test_fit_with_the_solve_error_jet_matches_a_rebuilt_one():
     model = conjugacy_fixture()
     res = solve_manifold(model, 4)
-    own = verify.fit_error_orders(model, res.solution)
-    given = verify.fit_error_orders(model, res.solution, error=res.error)
+    own = verify.fit_error_orders(res.solution)
+    given = verify.fit_error_orders(res.solution, error=res.error)
     assert own.rows() == given.rows() and own.samples == given.samples
     assert any(math.isinf(slope) for slope in own.fitted_slope.values())
 

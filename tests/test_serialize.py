@@ -1,8 +1,16 @@
 """Round trips through the structured text records."""
 
+import math
+
+import pytest
+
+from paratori.benchmark import GOLDEN
 from paratori.celestial import PrimarySystem
 from paratori.cohomology import invariance_error, solve_manifold
+from paratori.errors import HypothesisViolation
+from paratori.fourier import FourierSeries, diophantine_scan
 from paratori.jet import Jet
+from paratori.model import MapModel
 from paratori import serialize as ser
 from conftest import random_real_series
 
@@ -45,15 +53,31 @@ def test_flow_model_roundtrip(bench_flow):
 def test_solution_roundtrip_preserves_error(bench_map):
     res = solve_manifold(bench_map, 4)
     obj = ser.solution_to_obj(res.solution)
-    back = ser.solution_from_obj(obj)
+    back = ser.solution_from_obj(obj, bench_map)
     # summation order differs after the sort in the record, so compare to
     # the rounding floor rather than bit-for-bit
-    e1 = invariance_error(bench_map, res.solution)
-    e2 = invariance_error(bench_map, back)
+    e1 = invariance_error(res.solution)
+    e2 = invariance_error(back)
     assert (e1.ex - e2.ex).norm() < 1e-14
     assert back.reduced.b == res.solution.reduced.b
     for l, v in res.solution.kbar_x.items():
         assert back.kbar_x[l] == v  # the stored tables themselves are exact
+
+
+def test_solution_record_for_another_model_names_each_field(bench_map):
+    # the record keeps the shape and rotation of the model it was solved
+    # for, and loading it with any other model is refused field by field
+    obj = ser.solution_to_obj(solve_manifold(bench_map, 2).solution)
+    omega = math.sqrt(2.0) - 1.0
+    other = MapModel.build(N=3, P=3, freq=diophantine_scan([omega], tau=1.0, k_max=40),
+                           a=FourierSeries.constant(1.0, 1, 6), m=0, order_cap=6)
+    with pytest.raises(HypothesisViolation) as info:
+        ser.solution_from_obj(obj, other)
+    prefix = "solution was solved for another model: "
+    assert str(info.value) == prefix + ", ".join([
+        "N 2 (model 3)", "P 2 (model 3)", "m 1 (model 0)", "order_cap 24 (model 6)",
+        f"omega [{GOLDEN!r}] (model [{omega!r}])",
+    ])
 
 
 def test_primary_system_roundtrip():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from paratori.benchmark import GOLDEN, conjugacy_fixture
+from paratori.benchmark import conjugacy_fixture
 from paratori.cohomology import solve_manifold
 from paratori.errors import BoundViolated, EscapedSector, WindowTooWide
 from paratori.dynamics import iterate_reduced
@@ -21,7 +21,7 @@ from paratori.verify import (
 
 def test_base_step_slopes(bench_map):
     res = solve_manifold(bench_map, 1)
-    rep = fit_error_orders(bench_map, res.solution)
+    rep = fit_error_orders(res.solution)
     assert rep.fitted_slope["x"] >= 2.9
     assert rep.target_order == {"x": 3, "y": 3, "theta": 2}
     assert rep.all_pass
@@ -29,7 +29,7 @@ def test_base_step_slopes(bench_map):
 
 def test_order5_slopes(bench_map):
     res = solve_manifold(bench_map, 5)
-    rep = fit_error_orders(bench_map, res.solution)
+    rep = fit_error_orders(res.solution)
     for comp, target in rep.target_order.items():
         assert rep.fitted_slope[comp] >= target - 0.1, (comp, rep.fitted_slope)
     assert rep.all_pass
@@ -41,7 +41,7 @@ def test_corrupted_solution_fails(bench_map):
     sol = res.solution.copy_shallow()
     sol.kbar_x = dict(sol.kbar_x)
     sol.kbar_x[2] = sol.kbar_x.get(2, 0.0) + 1e-3
-    rep = fit_error_orders(bench_map, sol)
+    rep = fit_error_orders(sol)
     assert not rep.passes["x"]
     assert rep.fitted_slope["x"] < rep.target_order["x"] - 0.5
 
@@ -51,7 +51,7 @@ def test_exact_toy_slopes_reach_working_degree():
     # so every fitted slope reaches the working degree
     model = conjugacy_fixture(b0=0.3, seed=11, deg=8)
     res = solve_manifold(model, 4)
-    rep = fit_error_orders(model, res.solution, x_window=(3e-2, 2e-1), theta_samples=8)
+    rep = fit_error_orders(res.solution, x_window=(3e-2, 2e-1), theta_samples=8)
     for comp, slope in rep.fitted_slope.items():
         assert slope >= rep.target_order[comp] - 0.1
 
@@ -59,8 +59,8 @@ def test_exact_toy_slopes_reach_working_degree():
 def test_window_too_wide_raises(bench_map):
     res = solve_manifold(bench_map, 5)
     with pytest.raises(WindowTooWide):
-        fit_error_orders(bench_map, res.solution, x_window=(1e-9, 1e-8))
-    rep = fit_error_orders_auto(bench_map, res.solution, x_window=(1e-5, 1e-2))
+        fit_error_orders(res.solution, x_window=(1e-9, 1e-8))
+    rep = fit_error_orders_auto(res.solution, x_window=(1e-5, 1e-2))
     assert rep.all_pass
 
 
@@ -68,7 +68,7 @@ def test_monotone_slopes_in_j(bench_map):
     slopes = []
     for j in (1, 2, 3):
         res = solve_manifold(bench_map, j)
-        rep = fit_error_orders(bench_map, res.solution)
+        rep = fit_error_orders(res.solution)
         slopes.append(rep.fitted_slope["x"])
     assert slopes[0] <= slopes[1] + 0.1 <= slopes[2] + 0.2
 
@@ -77,7 +77,7 @@ def test_monotone_slopes_in_j(bench_map):
 
 
 def test_sector_bound_holds_quadratic():
-    R = ReducedMap(N=2, a_bar=1.0, omega=(GOLDEN,))
+    R = ReducedMap(N=2, a_bar=1.0)
     rep = sector_decay_check(R, 0.1, 10_000, eta=0.1)
     assert rep.ok and rep.min_slack >= 0.0
     xs = iterate_reduced(R, 0.1, 10_000)
@@ -85,7 +85,7 @@ def test_sector_bound_holds_quadratic():
 
 
 def test_sector_bound_slack_grid():
-    R = ReducedMap(N=2, a_bar=1.0, omega=(GOLDEN,))
+    R = ReducedMap(N=2, a_bar=1.0)
     for x0 in (0.02, 0.05, 0.09):
         for eta in (0.05, 0.1, 0.3):
             rep = sector_decay_check(R, x0, 2000, eta=eta)
@@ -93,22 +93,22 @@ def test_sector_bound_slack_grid():
 
 
 def test_sector_complex_iterates_stay():
-    R = ReducedMap(N=2, a_bar=1.0, omega=(GOLDEN,))
+    R = ReducedMap(N=2, a_bar=1.0)
     rep = sector_decay_check(R, 0.05 * np.exp(1j * np.pi / 8), 5000, eta=0.1,
                              beta=np.pi / 3)
     assert rep.ok
 
 
 def test_sector_outside_raises():
-    R = ReducedMap(N=2, a_bar=1.0, omega=(GOLDEN,))
+    R = ReducedMap(N=2, a_bar=1.0)
     with pytest.raises(EscapedSector):
         sector_decay_check(R, 0.05 * np.exp(3j * np.pi / 4), 100, eta=0.1)
 
 
 def test_sector_bound_violation_detected():
     # a map strictly slower than its claimed bound trips the check
-    R = ReducedMap(N=2, a_bar=0.2, omega=(GOLDEN,))
-    R_fast = ReducedMap(N=2, a_bar=1.0, omega=(GOLDEN,))
+    R = ReducedMap(N=2, a_bar=0.2)
+    R_fast = ReducedMap(N=2, a_bar=1.0)
     xs_slow = iterate_reduced(R, 0.1, 10)
 
     class _Lying:
@@ -124,7 +124,7 @@ def test_sector_bound_violation_detected():
 
 
 def test_sector_same_code_path_as_iterate():
-    R = ReducedMap(N=2, a_bar=1.0, omega=(GOLDEN,), b=0.3)
+    R = ReducedMap(N=2, a_bar=1.0, b=0.3)
     rep = sector_decay_check(R, 0.08, 500, eta=0.2)
     assert rep.final_abs == abs(iterate_reduced(R, 0.08, 500)[-1])
 
@@ -138,7 +138,7 @@ def test_membership_on_manifold(bench_map):
     K = sol.param(8)
     kx, ky, kth = K.evaluate(0.05, (0.2,))
     pt = [kx.real, ky[0].real, kth[0].real]
-    memb = stable_set_membership(bench_map, pt, sol, 40, rho=0.4)
+    memb = stable_set_membership(sol, pt, 40, rho=0.4)
     assert memb.stays
     assert memb.initial_distance <= 5.0 * 0.05 ** (sol.j + 1)
     assert max(memb.distances) < 1e-6
@@ -150,12 +150,12 @@ def test_membership_off_manifold_grows(bench_map):
     K = sol.param(8)
     kx, ky, kth = K.evaluate(0.05, (0.2,))
     pt = [kx.real, ky[0].real + 0.1, kth[0].real]
-    memb = stable_set_membership(bench_map, pt, sol, 400, rho=0.4)
+    memb = stable_set_membership(sol, pt, 400, rho=0.4)
     assert (not memb.stays) or memb.distances[-1] > 10 * memb.distances[0]
 
 
 def test_membership_torus_point(bench_map):
     res = solve_manifold(bench_map, 3)
-    memb = stable_set_membership(bench_map, [0.0, 0.0, 0.3], res.solution, 50, rho=0.4)
+    memb = stable_set_membership(res.solution, [0.0, 0.0, 0.3], 50, rho=0.4)
     assert memb.stays
     assert max(memb.distances) < 1e-12
