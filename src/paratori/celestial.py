@@ -20,6 +20,7 @@ leading coefficient matrix (1/4) Id.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -45,6 +46,8 @@ __all__ = [
 
 _CONTROL_KICK = -0.05  # y-offset of escape_demo's control orbit
 _TWO_PI = 2.0 * math.pi
+_TWO_PI_I = 2j * math.pi
+_FLOAT_SUM_MAX_TERMS = 12  # RestrictedField sums positions in Python up to here
 
 
 # ---------------------------------------------------------------- primaries
@@ -269,6 +272,18 @@ class RestrictedField:
     theta is the physical polar angle in radians; the potential is the
     direct Newtonian sum over the primaries, so no expansion error enters
     the reference dynamics.
+
+    Each primary's position q_j = sum_k c_jk e^(2 pi i k.omega t) is summed
+    in one of two ways, chosen once from the number of nonzero c_jk.  Up to
+    ``_FLOAT_SUM_MAX_TERMS`` terms (the circular binary has 2, one primary
+    at the origin none) it is a Python sum over the nonzero terms, one
+    ``cmath.exp`` per mode that carries one: numpy's per-call overhead on
+    arrays of a few entries would be most of the field's cost.  Above the
+    threshold (the three-primary T^2 system of the tests has 87 terms on 29
+    modes) the stacked ``qmat @ exp(2 pi i modes @ (omega t))`` is faster.
+    The two agree bit for bit on the binary and on one primary, and to
+    rounding elsewhere: the float sum forms k.omega t axis by axis from
+    zero, as ``FourierSeries.evaluate`` does.
     """
 
     sys: PrimarySystem
@@ -284,29 +299,61 @@ class RestrictedField:
             [[ax.coeff(k) + 1j * ay.coeff(k) for k in modes] for ax, ay in zip(sys.qx, sys.qy)],
             dtype=complex,
         )
+        nonzero = [[(i, c) for i, c in enumerate(row) if c] for row in self._qmat.tolist()]
+        if sum(map(len, nonzero)) > _FLOAT_SUM_MAX_TERMS:
+            self._sum_positions = self._matvec_positions
+            return
+        # the float sum: the modes some primary carries, and per primary its
+        # (index into them, coefficient) pairs in increasing mode order
+        used = sorted({i for row in nonzero for i, _ in row})
+        self._omega_t = tuple(self._omega.tolist())
+        self._used_modes = tuple(tuple(self._modes[i].tolist()) for i in used)
+        self._terms = tuple(tuple((used.index(i), c) for i, c in row) for row in nonzero)
+        self._sum_positions = self._float_positions
 
     @property
     def dim(self) -> int:
         return 4
 
+    def _matvec_positions(self, t) -> list:
+        phase = self._modes @ (self._omega * t)
+        return (self._qmat @ np.exp(_TWO_PI_I * phase)).tolist()
+
+    def _float_positions(self, t) -> list:
+        wt = [w * t for w in self._omega_t]
+        phases = []
+        for k in self._used_modes:
+            kwt = 0.0
+            for kr, wtr in zip(k, wt):
+                kwt += kr * wtr
+            phases.append(cmath.exp(_TWO_PI_I * kwt))
+        qs = []
+        for terms in self._terms:
+            q = 0j
+            for i, c in terms:
+                q += c * phases[i]
+            qs.append(q)
+        return qs
+
     def positions(self, t: float) -> np.ndarray:
         """Complex positions q_j of the primaries at time t (phase omega t)."""
-        phase = self._modes @ (self._omega * t)
-        return self._qmat @ np.exp(2j * math.pi * phase)
+        return np.array(self._sum_positions(t), dtype=complex)
 
     def potential_and_gradient(self, r: float, theta_rad: float, t: float):
         """V = sum m_j / |z - q_j| at z = r e^(i theta), with dV/dr and dV/dtheta."""
-        r, theta_rad, t = float(r), float(theta_rad), float(t)
         e = complex(math.cos(theta_rad), math.sin(theta_rad))
         z = r * e
+        ire = 1j * r * e
         V = dVdr = dVdth = 0.0
-        for mj, qj in zip(self.sys.masses, self.positions(t).tolist()):
+        for mj, qj in zip(self.sys.masses, self._sum_positions(t)):
             D = z - qj
             nrm = abs(D)
+            Dc = D.conjugate()
+            nrm3 = nrm ** 3
             V += mj / nrm
             # d|D|/dr = Re(conj(D) e)/|D|; d|D|/dtheta = Re(conj(D) i r e)/|D|
-            dVdr -= mj * (D.conjugate() * e).real / nrm ** 3
-            dVdth -= mj * (D.conjugate() * (1j * r * e)).real / nrm ** 3
+            dVdr -= mj * (Dc * e).real / nrm3
+            dVdth -= mj * (Dc * ire).real / nrm3
         return V, dVdr, dVdth
 
     def rhs(self, t, state):
@@ -318,7 +365,7 @@ class RestrictedField:
 
     def energy(self, state, t: float) -> float:
         r, th, y, G = state
-        V, _, _ = self.potential_and_gradient(r, th, t)
+        V, _, _ = self.potential_and_gradient(float(r), float(th), float(t))
         return 0.5 * (y ** 2 + G ** 2 / r ** 2) - V
 
 

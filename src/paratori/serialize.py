@@ -200,14 +200,19 @@ def solution_to_obj(sol: ManifoldSolution) -> dict:
 
 def solution_from_obj(obj: dict, model: MapModel | FlowModel) -> ManifoldSolution:
     """The solution a record holds, as a solution of ``model``; the record's
-    shape and rotation must be the model's, else HypothesisViolation names
-    each field that differs."""
+    shape and rotation, and then its reduced dynamics' N and a_bar, must be
+    the model's, else HypothesisViolation names each field that differs."""
     red_obj = obj["reduced"]
-    stored = {**{key: obj[key] for key in _SHAPE}, "omega": red_obj["omega"]}
-    own = {**{key: getattr(model, key) for key in _SHAPE}, "omega": list(model.freq.omega)}
-    differ = [f"{key} {stored[key]} (model {own[key]})" for key in stored if stored[key] != own[key]]
-    if differ:
-        raise HypothesisViolation("solution was solved for another model: " + ", ".join(differ))
+    # a_bar is the model's own float, which JSON round-trips exactly
+    for stored, own in (
+        ({**{key: obj[key] for key in _SHAPE}, "omega": red_obj["omega"]},
+         {**{key: getattr(model, key) for key in _SHAPE}, "omega": list(model.freq.omega)}),
+        ({"reduced.N": red_obj["N"], "reduced.a_bar": red_obj["a_bar"]},
+         {"reduced.N": model.N, "reduced.a_bar": model.a_bar}),
+    ):
+        differ = [f"{key} {stored[key]} (model {own[key]})" for key in stored if stored[key] != own[key]]
+        if differ:
+            raise HypothesisViolation("solution was solved for another model: " + ", ".join(differ))
     cls = ReducedMap if model.kind == "map" else ReducedField
     red = cls(
         N=int(red_obj["N"]), a_bar=float(red_obj["a_bar"]), b=red_obj["b"],

@@ -2,8 +2,10 @@
 implementation: a dense generic linear solve of the full coefficient system
 assembled by probing the exact jet composition, the per-mode and per-series
 evaluation loops, the dict-of-tuples Fourier arithmetic that the array
-store replaced, the restricted-field constructors written term by term, and
-the positions and potential of the primaries summed one primary at a time."""
+store replaced, the restricted-field constructors written term by term, the
+positions and potential of the primaries summed one primary at a time, and
+the restricted field with every position from one numpy matrix-vector
+product."""
 
 import cmath
 import math
@@ -11,7 +13,7 @@ import math
 import numpy as np
 
 from paratori.cohomology import ErrorJet, invariance_error
-from paratori.errors import HypothesisViolation, ResonantMode
+from paratori.errors import HypothesisViolation, OrbitLeftDomain, ResonantMode
 from paratori.fourier import FourierSeries
 from paratori.jet import Jet, jet_compose
 from paratori.model import ReducedMap
@@ -399,3 +401,53 @@ def potential_direct(sys, r, theta_rad, phase):
     for mj, qj in zip(sys.masses, primary_positions(sys, phase)):
         acc += mj / abs(z - qj)
     return acc
+
+
+class ReferenceRestrictedField:
+    """The restricted field in (r, theta, y, G) with the positions of all
+    primaries from one stacked numpy product, ``qmat @ exp(2 pi i modes @
+    (omega t))``, and the potential summed on Python floats: the code that
+    ``RestrictedField``'s per-system choice of summation replaced."""
+
+    def __init__(self, sys):
+        self.sys = sys
+        modes = sorted({k for s in (*sys.qx, *sys.qy) for k in s.coeffs})
+        self._omega = np.array(sys.omega, dtype=float)
+        self._modes = np.array(modes, dtype=float).reshape(len(modes), sys.qx[0].dim)
+        self._qmat = np.array(
+            [[ax.coeff(k) + 1j * ay.coeff(k) for k in modes] for ax, ay in zip(sys.qx, sys.qy)],
+            dtype=complex,
+        )
+
+    @property
+    def dim(self):
+        return 4
+
+    def positions(self, t):
+        phase = self._modes @ (self._omega * t)
+        return self._qmat @ np.exp(2j * math.pi * phase)
+
+    def potential_and_gradient(self, r, theta_rad, t):
+        r, theta_rad, t = float(r), float(theta_rad), float(t)
+        e = complex(math.cos(theta_rad), math.sin(theta_rad))
+        z = r * e
+        V = dVdr = dVdth = 0.0
+        for mj, qj in zip(self.sys.masses, self.positions(t).tolist()):
+            D = z - qj
+            nrm = abs(D)
+            V += mj / nrm
+            dVdr -= mj * (D.conjugate() * e).real / nrm ** 3
+            dVdth -= mj * (D.conjugate() * (1j * r * e)).real / nrm ** 3
+        return V, dVdr, dVdth
+
+    def rhs(self, t, state):
+        r, th, y, G = state
+        if r <= 0:
+            raise OrbitLeftDomain(0, state)
+        _, dVdr, dVdth = self.potential_and_gradient(r, th, t)
+        return (y, G / r ** 2, G ** 2 / r ** 3 + dVdr, dVdth)
+
+    def energy(self, state, t):
+        r, th, y, G = state
+        V, _, _ = self.potential_and_gradient(r, th, t)
+        return 0.5 * (y ** 2 + G ** 2 / r ** 2) - V

@@ -1,10 +1,12 @@
 """Celestial builders: potential expansion, reduction charts, skeleton, demo."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paratori import celestial
 from paratori.celestial import (
@@ -18,6 +20,7 @@ from paratori.celestial import (
     expand_potential,
 )
 from paratori.cohomology import solve_manifold
+from paratori.cli import main
 from paratori.errors import HypothesisViolation, InsufficientTorusData
 from paratori.fourier import FourierSeries
 from paratori.jet import Jet
@@ -25,6 +28,7 @@ from paratori.model import validate
 from paratori.serialize import model_to_obj
 from conftest import random_real_series
 from oracles import (
+    ReferenceRestrictedField,
     potential_direct,
     primary_positions,
     reference_expand_potential,
@@ -132,6 +136,77 @@ def test_float_rhs_and_energy_match_reference(name):
         energy = 0.5 * (y ** 2 + G ** 2 / r ** 2) - potential_direct(
             sys, r, th, tuple(w * t for w in sys.omega))
         assert fld.energy(state, t) == pytest.approx(energy, rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_field_equals_matvec_reference_bit_for_bit(name):
+    # the binary and one primary take the float sum, the three-primary T^2
+    # system the matrix-vector product; all keep the reference's bits, near
+    # the primaries and out to the escape orbit's horizon
+    sys = _SYSTEMS[name]()
+    fld, ref = RestrictedField(sys), ReferenceRestrictedField(sys)
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        state = [float(10 ** rng.uniform(-1.0, 2.0)), rng.uniform(-math.pi, math.pi),
+                 float(rng.standard_normal()), float(rng.standard_normal())]
+        t = float(10 ** rng.uniform(-3.0, math.log10(3.0e9)))
+        assert fld.rhs(t, state) == ref.rhs(t, state)
+        assert fld.energy(state, t) == ref.energy(state, t)
+        got, want = fld.positions(t), ref.positions(t)
+        assert got.shape == want.shape == (sys.n,)
+        assert np.array_equal(got, want)
+
+
+def _mode_pairs_series(rng, dim, modes):
+    """A real series on the given modes and their mirrors, l1 norm 0.4."""
+    c = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
+    c *= 0.2 / np.sum(np.abs(c))
+    table = {}
+    for k, ck in zip(modes, c.tolist()):
+        table[k] = ck
+        table[tuple(-v for v in k)] = ck.conjugate()
+    return FourierSeries(dim, 6, table)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 2), many=st.booleans())
+def test_field_matches_references_on_both_sides_of_the_threshold(seed, dim, many):
+    # few terms (at most 3 primaries x 2 mode pairs) take the float sum,
+    # many (at least 2 x 4 pairs) the matrix-vector product.  On T^2
+    # numpy's matmul rounds k.omega t otherwise than a sum taken axis by
+    # axis from zero, and at t ~ 1e4 one ulp of the phase is 1e-11 of a
+    # position, so the float sum there is held to the per-series sum,
+    # which forms the phase as it does
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 4) if many else rng.integers(1, 4))
+    half = [k for k in itertools.product(range(-6, 7), repeat=dim)
+            if 0 < sum(map(abs, k)) <= 6 and k > tuple(-v for v in k)]
+    n_pairs = int(rng.integers(4, 7) if many else rng.integers(1, 3))
+    qx, qy = [], []
+    for _ in range(n):
+        modes = [half[i] for i in rng.choice(len(half), n_pairs, replace=False)]
+        qx.append(_mode_pairs_series(rng, dim, modes))
+        qy.append(_mode_pairs_series(rng, dim, modes))
+    sys = PrimarySystem(tuple(rng.uniform(0.1, 1.0, n).tolist()), tuple(qx), tuple(qy),
+                        tuple(rng.uniform(0.05, 1.0, dim).tolist()))
+    fld, ref = RestrictedField(sys), ReferenceRestrictedField(sys)
+    terms = int(np.count_nonzero(ref._qmat))
+    assert (terms > celestial._FLOAT_SUM_MAX_TERMS) == many
+    per_series = dim > 1 and not many
+    for _ in range(5):
+        state = [rng.uniform(2.0, 50.0), rng.uniform(-math.pi, math.pi),
+                 float(rng.standard_normal()), float(rng.standard_normal())]
+        t = float(10 ** rng.uniform(-2.0, math.log10(3.0e9)))
+        if per_series:
+            want_q = np.array(primary_positions(sys, tuple(w * t for w in sys.omega)))
+            want_f = _reference_rhs(sys, t, state)
+        else:
+            want_q, want_f = ref.positions(t), np.array(ref.rhs(t, state))
+        got_q = fld.positions(t)
+        assert got_q.shape == (n,)
+        assert np.max(np.abs(got_q - want_q)) <= 1e-15 * max(1.0, np.max(np.abs(want_q)))
+        got_f = np.array(fld.rhs(t, state))
+        assert np.max(np.abs(got_f - want_f)) <= 1e-14 * np.max(np.abs(want_f))
 
 
 # ------------------------------------------------------- potential expansion
@@ -468,3 +543,16 @@ def test_escape_demo_off_manifold_control_is_distinct():
     rep, _ = escape_demo(sys, res.solution, chart, x0=0.05, horizon=1.0e5,
                          n_samples=60)
     assert rep.control_law_fails
+
+
+def test_binary_escape_artifacts_equal_matvec_reference(tmp_path, monkeypatch):
+    # the whole circular-binary demo, once as is and once on the reference
+    # field: the same bytes, and the evaluation count of both orbits
+    argv = ["restricted-demo", "--system", "binary", "--order", "5", "--outdir"]
+    assert main([*argv, str(tmp_path / "field")]) == 0
+    monkeypatch.setattr(celestial, "RestrictedField", ReferenceRestrictedField)
+    assert main([*argv, str(tmp_path / "reference")]) == 0
+    for name in ("summary.json", "demo.csv"):
+        assert (tmp_path / "field" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
+    summary = json.loads((tmp_path / "field" / "summary.json").read_text())
+    assert summary["orbit_nfev"] == {"main": 105206, "control": 55976}

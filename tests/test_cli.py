@@ -322,6 +322,30 @@ def test_verify_against_another_model_exits_2(tmp_path, command, solved, model, 
     assert differ in rec["error"]
 
 
+def test_verify_against_a_model_with_another_a_bar_exits_2(tmp_path):
+    # same shape and rotation, so only the record's reduced a_bar tells the
+    # two models apart
+    from paratori.benchmark import GOLDEN
+    from paratori.fourier import FourierSeries, diophantine_scan
+    from paratori.model import MapModel
+
+    paths = {}
+    for a_bar in (1.0, 0.5):
+        model = MapModel.build(N=2, P=2, freq=diophantine_scan([GOLDEN], tau=1.0, k_max=40),
+                               a=FourierSeries.constant(a_bar, 1, 8), m=0, order_cap=8)
+        paths[a_bar] = str(tmp_path / f"model_{a_bar}.json")
+        ser.dump_json(ser.model_to_obj(model), paths[a_bar])
+    solved = tmp_path / "solved"
+    assert main(["solve-map", "--model", paths[1.0], "--order", "3", "--outdir", str(solved)]) == 0
+    out = tmp_path / "verify"
+    code = main(["verify", "--model", paths[0.5], "--solution", str(solved / "solution.json"),
+                 "--outdir", str(out)])
+    assert code == 2
+    rec = _read(out / "summary.json")
+    assert rec["error_kind"] == "HypothesisViolation"
+    assert rec["error"] == "solution was solved for another model: reduced.a_bar 1.0 (model 0.5)"
+
+
 @pytest.mark.parametrize("field, value, least", [
     ("theta_samples", 0, 1),
     ("n_samples", 3, 4),

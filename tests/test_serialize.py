@@ -80,6 +80,25 @@ def test_solution_record_for_another_model_names_each_field(bench_map):
     ])
 
 
+def _constant_a_map(a_bar):
+    return MapModel.build(N=2, P=2, freq=diophantine_scan([GOLDEN], tau=1.0, k_max=40),
+                          a=FourierSeries.constant(a_bar, 1, 8), m=0, order_cap=8)
+
+
+def test_solution_record_checks_reduced_copies_of_the_model():
+    # a model of the same shape and rotation but another a_bar is refused,
+    # and so is a record whose reduced dynamics disagree with its own shape
+    obj = ser.solution_to_obj(solve_manifold(_constant_a_map(1.0), 3).solution)
+    prefix = "solution was solved for another model: "
+    with pytest.raises(HypothesisViolation) as info:
+        ser.solution_from_obj(obj, _constant_a_map(0.5))
+    assert str(info.value) == prefix + "reduced.a_bar 1.0 (model 0.5)"
+    obj["reduced"]["N"] = 3
+    with pytest.raises(HypothesisViolation) as info:
+        ser.solution_from_obj(obj, _constant_a_map(1.0))
+    assert str(info.value) == prefix + "reduced.N 3 (model 2)"
+
+
 def test_primary_system_roundtrip():
     sys = PrimarySystem.circular_binary()
     back = ser.primary_system_from_obj(ser.primary_system_to_obj(sys))
