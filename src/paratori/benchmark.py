@@ -14,7 +14,7 @@ import numpy as np
 
 from .fourier import FourierSeries, FrequencyVector, diophantine_scan
 from .jet import Jet, SkewMap, compose_skew_skew, invert_x_jet
-from .model import MapModel, FlowModel, model_from
+from .model import MapModel, FlowModel, _x_change, model_from
 
 __all__ = [
     "GOLDEN",
@@ -117,20 +117,17 @@ def time1_map_of_toy(m: int = 1, B_const: float = 1.0, order_cap: int = 8,
                           B=B, f=f, g=g, deg=deg)
 
 
-def _random_tangent_change(rng, N: int, deg: int, dim: int, order_cap: int,
-                           amp: float = 0.1, max_mode: int = 2) -> SkewMap:
-    """A random tangent-to-identity x-change (x + sum t_l(theta) x^l, theta)."""
+def _random_tangent_change(rng, deg: int, dim: int, order_cap: int) -> Jet:
+    """A random tangent-to-identity x-jet x + sum t_l(theta) x^l."""
     x = Jet.var_x(0, deg, dim, order_cap)
     for l in range(2, deg // 2 + 2):
-        table = {(0,) * dim: amp * rng.standard_normal() / l}
-        for k in range(1, max_mode + 1):
-            c = amp * (rng.standard_normal() + 1j * rng.standard_normal()) / (2 * l * k)
+        table = {(0,) * dim: 0.1 * rng.standard_normal() / l}
+        for k in range(1, 3):
+            c = 0.1 * (rng.standard_normal() + 1j * rng.standard_normal()) / (2 * l * k)
             table[(k,) + (0,) * (dim - 1)] = c
             table[(-k,) + (0,) * (dim - 1)] = c.conjugate()
         x = x + Jet.monomial(l, (), FourierSeries(dim, order_cap, table), 0, deg, dim, order_cap)
-    T = SkewMap.identity(0, dim, deg, dim, order_cap)
-    T.x = x
-    return T
+    return x
 
 
 def conjugacy_fixture(
@@ -160,9 +157,8 @@ def conjugacy_fixture(
     F = R
     changes = 2 if extra_conjugation else 1
     for _ in range(changes):
-        T = _random_tangent_change(rng, N, deg, dim, order_cap)
-        Ti = SkewMap.identity(0, dim, deg, dim, order_cap)
-        Ti.x = invert_x_jet(T.x, deg)
+        A = _random_tangent_change(rng, deg, dim, order_cap)
+        T, Ti = _x_change(A, invert_x_jet(A, deg), 0)
         F = compose_skew_skew(T, compose_skew_skew(F, Ti, deg), deg)
     return model_from(F, N=N, P=N, freq=freq, order_cap=order_cap)
 

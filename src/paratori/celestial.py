@@ -377,9 +377,6 @@ def build_restricted_field(
     degree: int = 8,
     alpha0: float = 0.0,
     gtilde0: float = 0.0,
-    order_cap: int | None = None,
-    tau: float | None = None,
-    k_max: int = 40,
 ) -> tuple[FlowModel, RestrictedChart]:
     """Reduce the restricted problem near parabolic infinity to model form.
 
@@ -394,7 +391,7 @@ def build_restricted_field(
     M = sys.total_mass
     deg = degree
     m = 3
-    vpot = expand_potential(sys, degree=deg // 2 + 1, order_cap=order_cap)
+    vpot = expand_potential(sys, degree=deg // 2 + 1)
     cap = vpot.order_cap
 
     zk = (0,) * m
@@ -454,9 +451,7 @@ def build_restricted_field(
         nu=(),
     )
     computed_N = fld.x.min_order()
-    if tau is None:
-        tau = max(d - 1, 1)
-    freq = diophantine_scan(sys.omega, (), tau=tau, k_max=k_max, sense="flow")
+    freq = diophantine_scan(sys.omega, (), tau=max(d - 1, 1), k_max=40, sense="flow")
     model = model_from(fld, N=computed_N, P=computed_N, freq=freq, order_cap=cap)
     a_val = model.a.average().real
     chart = RestrictedChart(
@@ -502,9 +497,6 @@ def build_full_skeleton(
     theta_n0: float = 0.0,
     G_n0: float = 0.0,
     degree: int = 8,
-    order_cap: int = 8,
-    tau: float | None = None,
-    k_max: int = 30,
 ) -> tuple[FlowModel, dict]:
     """Parabolic-infinity skeleton of the full planar (n+1)-body problem.
 
@@ -521,7 +513,7 @@ def build_full_skeleton(
     d = len(torus.omega0)
     m = 3 + d
     deg = degree
-    cap = order_cap
+    cap = 8
     zk = (0,) * m
     jq = Jet.var_x(m, deg, d, cap)
     jp = Jet.var_y(0, m, deg, d, cap)
@@ -571,9 +563,7 @@ def build_full_skeleton(
         x=q_dot, y=tuple(ys), theta_dev=tuple(devs),
         omega=tuple(torus.omega0), nu=(),
     )
-    if tau is None:
-        tau = max(d - 1, 1)
-    freq = diophantine_scan(torus.omega0, (), tau=tau, k_max=k_max, sense="flow")
+    freq = diophantine_scan(torus.omega0, (), tau=max(d - 1, 1), k_max=30, sense="flow")
     model = model_from(fld, N=4, P=6, freq=freq, order_cap=cap,
                        params=(theta_n0, G_n0))
     declared = {

@@ -493,8 +493,9 @@ def model_from(
 class ChangeLog:
     """Record of the averaging changes, sufficient to map results back.
 
-    ``T`` and ``T_inv``, the composite change and its inverse, are kept for
-    maps only.
+    ``T``, the composite change giving the old variables from the new, and
+    its inverse ``T_inv`` are kept for maps and flows alike (None when no
+    change was made).
     """
 
     c1: FourierSeries | None = None
@@ -512,38 +513,27 @@ class ChangeLog:
         )
 
 
-def _lift_x_jet(j: Jet, m: int) -> Jet:
-    """View a single-variable jet as a jet in (x, y_1..y_m) constant in y."""
-    return Jet(
-        m, j.deg, j.dim, j.order_cap,
-        {(l, (0,) * m): s for (l, k), s in j.terms.items()},
-    )
+def _x_change(A: Jet, A_inv: Jet, m: int) -> tuple[SkewMap, SkewMap]:
+    """The pair x -> A(x, th) and x -> A_inv(x, th), y and th fixed, for a
+    jet A in x alone and its compositional inverse A_inv."""
+    zk = (0,) * m
+
+    def change(j: Jet) -> SkewMap:
+        T = SkewMap.identity(m, j.dim, j.deg, j.dim, j.order_cap)
+        T.x = Jet(m, j.deg, j.dim, j.order_cap, {(l, zk): s for (l, _), s in j.terms.items()})
+        return T
+    return change(A), change(A_inv)
 
 
-def _skew_x_change(series_coeff: FourierSeries, N: int, m: int, deg: int) -> tuple[SkewMap, SkewMap]:
-    """T(x,y,th) = (x + c(th) x^N, y, th) and its inverse."""
-    dim, cap = series_coeff.dim, series_coeff.order_cap
-    A = Jet.var_x(0, deg, dim, cap) + Jet.monomial(N, (), series_coeff, 0, deg, dim, cap)
-    Ainv = invert_x_jet(A, deg)
-    T = SkewMap.identity(m, dim, deg, dim, cap)
-    T.x = _lift_x_jet(A, m)
-    Ti = SkewMap.identity(m, dim, deg, dim, cap)
-    Ti.x = _lift_x_jet(Ainv, m)
-    return T, Ti
-
-
-def _skew_y_change(C: list[list[FourierSeries]], N: int, m: int, deg: int) -> tuple[SkewMap, SkewMap]:
-    """T(x,y,th) = (x, y + C(th) x^(N-1) y, th) and its Neumann-series inverse."""
-    dim, cap = C[0][0].dim, C[0][0].order_cap
-    T = SkewMap.identity(m, dim, deg, dim, cap)
-    Ti = SkewMap.identity(m, dim, deg, dim, cap)
+def _y_change(D: np.ndarray, C, N: int, deg: int, dim: int, cap: int) -> tuple[SkewMap, SkewMap]:
+    """The pair y -> (D + C(th) x^(N-1)) y and its Neumann-series inverse
+    sum_p (-D^-1 C x^(N-1))^p D^-1, truncated by the degree cap, x and th
+    fixed; C = None gives the linear change y -> D y."""
+    m = len(D)
     e = [tuple(1 if t == j else 0 for t in range(m)) for j in range(m)]
-    T.y = tuple(
-        Jet(m, deg, dim, cap, {(0, e[i]): 1.0, **{(N - 1, e[j]): C[i][j] for j in range(m)}})
-        for i in range(m)
-    )
-    # (I + C x^(N-1))^{-1} = sum_p (-C x^(N-1))^p, truncated by the degree cap
-    p_max = max(0, (deg - 1) // (N - 1)) if N > 1 else 0
+
+    def const(M):
+        return [[FourierSeries.constant(float(M[i, j]), dim, cap) for j in range(m)] for i in range(m)]
 
     def mat_mul(Am, Bm):
         out = [[None] * m for _ in range(m)]
@@ -555,93 +545,36 @@ def _skew_y_change(C: list[list[FourierSeries]], N: int, m: int, deg: int) -> tu
                 out[i][j] = acc
         return out
 
-    power = [
-        [FourierSeries.constant(1.0 if i == j else 0.0, dim, cap) for j in range(m)]
-        for i in range(m)
-    ]
-    inv_terms = [{(0, e[i]): 1.0} for i in range(m)]
-    for p in range(1, p_max + 1):
-        power = mat_mul(power, C)
-        for i in range(m):
-            for j in range(m):
-                inv_terms[i][(p * (N - 1), e[j])] = power[i][j].scale((-1.0) ** p)
-    Ti.y = tuple(Jet(m, deg, dim, cap, terms) for terms in inv_terms)
-    return T, Ti
-
-
-def _skew_linear_y(Dm: np.ndarray, m: int, deg: int, dim: int, cap: int) -> tuple[SkewMap, SkewMap]:
-    T = SkewMap.identity(m, dim, deg, dim, cap)
-    Ti = SkewMap.identity(m, dim, deg, dim, cap)
-    Dinv = np.linalg.inv(Dm)
-    e = [tuple(1 if t == j else 0 for t in range(m)) for j in range(m)]
-
-    def lin(mat):
-        return tuple(
-            Jet(m, deg, dim, cap, {(0, e[j]): float(mat[i, j]) for j in range(m) if mat[i, j]})
+    def change(blocks) -> SkewMap:
+        """y_i -> sum over l, j of M_ij x^l y_j for the blocks {l: M}."""
+        T = SkewMap.identity(m, dim, deg, dim, cap)
+        T.y = tuple(
+            Jet(m, deg, dim, cap, {(l, e[j]): M[i][j] for l, M in blocks.items() for j in range(m)})
             for i in range(m)
         )
-    T.y = lin(Dm)
-    Ti.y = lin(Dinv)
-    return T, Ti
+        return T
+
+    fwd, inv = {0: const(D)}, {0: const(np.linalg.inv(D))}
+    if C is not None:
+        fwd[N - 1] = C
+        step, power = mat_mul(inv[0], C), const(np.eye(m))
+        for p in range(1, (deg - 1) // (N - 1) + 1):
+            power = mat_mul(power, step)
+            inv[p * (N - 1)] = [[s.scale((-1.0) ** p) for s in row] for row in mat_mul(power, inv[0])]
+    return change(fwd), change(inv)
 
 
-def _skew_x_scale(mu: float, m: int, deg: int, dim: int, cap: int) -> tuple[SkewMap, SkewMap]:
-    T = SkewMap.identity(m, dim, deg, dim, cap)
-    Ti = SkewMap.identity(m, dim, deg, dim, cap)
-    T.x = Jet.monomial(1, (0,) * m, mu, m, deg, dim, cap)
-    Ti.x = Jet.monomial(1, (0,) * m, 1.0 / mu, m, deg, dim, cap)
-    return T, Ti
-
-
-def _changes(m: int, N: int, deg: int, dim: int, cap: int):
-    """The builder of each averaging change, as the pair (T, T^-1) of skew maps."""
-    return {
-        "x_shear": lambda c: _skew_x_change(c, N, m, deg),
-        "y_shear": lambda C: _skew_y_change(C, N, m, deg),
-        "x_scale": lambda mu: _skew_x_scale(mu, m, deg, dim, cap),
-        "y_linear": lambda D: _skew_linear_y(D, m, deg, dim, cap),
-    }
-
-
-def _conjugate(skew: SkewMap, steps, N: int, deg: int, log: ChangeLog) -> SkewMap:
-    """Apply each change T of ``steps`` as T^-1 o F o T; record the composite T in ``log``."""
-    changes = _changes(skew.m, N, deg, skew.x.dim, skew.x.order_cap)
-    for name, value in steps:
-        T, Ti = changes[name](value)
-        skew = compose_skew_skew(compose_skew_skew(Ti, skew, deg), T, deg)
-        if log.T is None:
-            log.T, log.T_inv = T, Ti
-        else:
-            log.T = compose_skew_skew(log.T, T, deg)
-            log.T_inv = compose_skew_skew(Ti, log.T_inv, deg)
-    return skew
-
-
-def _push(fld: SkewField, W: SkewMap, S: SkewMap, deg: int) -> SkewField:
-    """The field in the new variables (W.x, W.y), functions of the old (x, y, theta)
-    whose inverse is (x, y) = (S.x, S.y): the time derivative of each new
-    variable along the field, with S substituted in every component."""
-    sub = _Substitution(S.x, S.y, (), None, deg).apply
+def _change_variables(obj: SkewMap | SkewField, T: SkewMap, T_inv: SkewMap, deg: int):
+    """``obj`` in the new variables, where old = T(new) and new = T_inv(old):
+    a map is conjugated, T^-1 o F o T, and a field is pushed forward, the
+    time derivative of each component of T_inv along it with T substituted."""
+    if isinstance(obj, SkewMap):
+        return compose_skew_skew(compose_skew_skew(T_inv, obj, deg), T, deg)
+    sub = _Substitution(T.x, T.y, (), None, deg).apply
     return SkewField(
-        x=sub(fld.derivative_along(W.x)), y=tuple(sub(fld.derivative_along(w)) for w in W.y),
-        theta_dev=tuple(sub(j) for j in fld.theta_dev), omega=fld.omega, nu=fld.nu,
+        x=sub(obj.derivative_along(T_inv.x)), y=tuple(sub(obj.derivative_along(w)) for w in T_inv.y),
+        theta_dev=tuple(sub(j) for j in obj.theta_dev), omega=obj.omega, nu=obj.nu,
     )
-
-
-def _push_forward(fld: SkewField, steps, N: int, deg: int) -> SkewField:
-    """Push the field forward under each change (T, T^-1) of ``steps``.
-
-    A scaling or linear y-change acts as on a map, old = T(new), so the new
-    variables are W = T^-1.  A shear's new variables are W = T: with
-    w = x + c1 x^N the field gives dw/dt = (L c1 - a) x^N + ..., so the
-    flow's c1 solves L c1 = +a_osc (and C2 solves L C2 = -B_osc), the sign
-    its ``ChangeLog`` records; W = T^-1 would flip it.
-    """
-    changes = _changes(fld.m, N, deg, fld.x.dim, fld.x.order_cap)
-    for name, value in steps:
-        T, Ti = changes[name](value)
-        fld = _push(fld, T, Ti, deg) if name in ("x_shear", "y_shear") else _push(fld, Ti, T, deg)
-    return fld
 
 
 def normalize(
@@ -656,41 +589,47 @@ def normalize(
     The change is the composition of an x-shear killing the oscillatory
     part of a, a y-shear killing the oscillatory part of B, the scaling
     x -> mu x with mu = a_bar^(-1/(N-1)), and optionally a diagonalizing
-    linear change of y and the scaling y -> eps y.  The same changes serve
-    maps and flows: a map is conjugated, T^-1 o F o T, and a field is pushed
-    forward.  The shear coefficients solve c1(th) - c1(th + omega) = a_osc
-    and C2(th + omega) - C2(th) = B_osc for maps, L c1 = a_osc and
-    L C2 = -B_osc for flows, where L is the derivative along (omega, nu).
-    With these signs a map's shears give the old variables from the new,
-    old = T(new), and a flow's shears give the new from the old,
-    new = T(old); the scalings and the linear y-change give the old
-    variables from the new for both kinds.  Returns the transformed model
-    and a :class:`ChangeLog` with the individual ingredients (and, for a
-    map, the composite change T and its inverse).
+    linear change of y and the scaling y -> eps y.  Each is a pair (T, T^-1)
+    of skew maps with old = T(new); they are composed once into the change
+    T and its inverse, and then a map is conjugated, T^-1 o F o T, or a
+    field pushed forward.  The shear coefficients solve
+    c1(th) - c1(th + omega) = a_osc and C2(th + omega) - C2(th) = B_osc for
+    maps, L c1 = a_osc and L C2 = -B_osc for flows, where L is the
+    derivative along (omega, nu).  With these signs x + c1 x^N and
+    y + C2 x^(N-1) y are the old variables for a map but the new ones for
+    a flow, whose shear pairs therefore enter swapped.  Returns the
+    transformed model and a :class:`ChangeLog` with the individual
+    ingredients and the composite change.
     """
-    m, N = model.m, model.N
+    m, N, dim, cap = model.m, model.N, model.dim, model.order_cap
     deg = deg if deg is not None else model.native_degree()
     scale = model.coefficient_scale()
     is_map = model.kind == "map"
     log = ChangeLog()
-    steps = []
+    pairs = []  # (T, T^-1) of each change, old = T(new)
+
+    def shear(pair):
+        return pair if is_map else pair[::-1]  # a flow's shear gives new = T(old)
+
     # a map's x-shear solves against -a_osc, a flow's against a_osc; B_osc takes the other sign
     a_osc = model.a_osc
     if a_osc.strip_norm() > 1e-14 * scale:
         log.c1 = model.sd_solve(-a_osc if is_map else a_osc, divisor_floor)
-        steps.append(("x_shear", log.c1))
+        A = Jet.var_x(0, deg, dim, cap) + Jet.monomial(N, (), log.c1, 0, deg, dim, cap)
+        pairs.append(shear(_x_change(A, invert_x_jet(A, deg), m)))
 
     B_osc = model.B_osc()
     if any(s.strip_norm() > 1e-14 * scale for row in B_osc for s in row):
         log.C2 = [[model.sd_solve(s if is_map else -s, divisor_floor) for s in row] for row in B_osc]
-        steps.append(("y_shear", log.C2))
+        pairs.append(shear(_y_change(np.eye(m), log.C2, N, deg, dim, cap)))
 
     abar = model.a_bar
     if abar <= 0:
         raise HypothesisViolation("normalize requires a_bar > 0 for the x-scaling")
     if abs(abar - 1.0) > 1e-15:
         log.mu = abar ** (-1.0 / (N - 1))
-        steps.append(("x_scale", log.mu))
+        pairs.append(_x_change(Jet.monomial(1, (), log.mu, 0, deg, dim, cap),
+                               Jet.monomial(1, (), 1.0 / log.mu, 0, deg, dim, cap), m))
 
     if jordanize and m:
         Bbar = model.B_bar() * (log.mu ** (N - 1))
@@ -701,16 +640,19 @@ def normalize(
                 "Jordanization with complex or defective spectra is not supported"
             )
         log.D = V.real
-        steps.append(("y_linear", log.D))
+        pairs.append(_y_change(log.D, None, N, deg, dim, cap))
 
     if eps is not None and eps != 1.0:
         log.eps = float(eps)
-        steps.append(("y_linear", np.eye(m) * eps))
+        pairs.append(_y_change(np.eye(m) * eps, None, N, deg, dim, cap))
 
-    if is_map:
-        obj = _conjugate(model.as_skew(deg), steps, N, deg, log)
-    else:
-        obj = _push_forward(model.as_field(deg), steps, N, deg)
+    obj = model.as_skew(deg) if is_map else model.as_field(deg)
+    if pairs:
+        log.T, log.T_inv = pairs[0]
+        for T, T_inv in pairs[1:]:
+            log.T = compose_skew_skew(log.T, T, deg)
+            log.T_inv = compose_skew_skew(T_inv, log.T_inv, deg)
+        obj = _change_variables(obj, log.T, log.T_inv, deg)
     out = model_from(obj, N, model.P, model.freq, model.order_cap, params=model.params)
     out.declared_P = model.declared_P
     return out, log

@@ -14,6 +14,14 @@ from typing import Any
 
 import numpy as np
 
+try:  # CPython's builtin sha256: hashlib loads OpenSSL, about 3.5 MB more resident memory
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256  # before Python 3.12
+    except ImportError:
+        from hashlib import sha256
+
 from .errors import HypothesisViolation, ParatoriError
 from .fourier import FourierSeries, FrequencyVector, diophantine_scan
 from .jet import Jet
@@ -175,10 +183,16 @@ def _series_row_from_obj(objs) -> list:
 _SHAPE = ("kind", "N", "P", "m", "d", "dim", "order_cap")
 
 
+def _model_sha256(model) -> str:
+    """The sha256 of the model's canonical record: tells apart two models of one shape."""
+    return sha256(json.dumps(model_to_obj(model), sort_keys=True).encode()).hexdigest()
+
+
 def solution_to_obj(sol: ManifoldSolution) -> dict:
     red, model = sol.reduced, sol.model
     return {
         "j": sol.j, **{key: getattr(model, key) for key in _SHAPE},
+        "model_sha256": _model_sha256(model),
         "kbar_x": {str(l): v for l, v in sorted(sol.kbar_x.items())},
         "ktil_x": {str(o): series_to_obj(s) for o, s in sorted(sol.ktil_x.items())},
         "kbar_y": {str(l): list(v) for l, v in sorted(sol.kbar_y.items())},
@@ -200,8 +214,9 @@ def solution_to_obj(sol: ManifoldSolution) -> dict:
 
 def solution_from_obj(obj: dict, model: MapModel | FlowModel) -> ManifoldSolution:
     """The solution a record holds, as a solution of ``model``; the record's
-    shape and rotation, and then its reduced dynamics' N and a_bar, must be
-    the model's, else HypothesisViolation names each field that differs."""
+    shape and rotation, then its reduced dynamics' N and a_bar, and then its
+    ``model_sha256`` must be the model's, else HypothesisViolation names
+    each field that differs."""
     red_obj = obj["reduced"]
     # a_bar is the model's own float, which JSON round-trips exactly
     for stored, own in (
@@ -209,6 +224,7 @@ def solution_from_obj(obj: dict, model: MapModel | FlowModel) -> ManifoldSolutio
          {**{key: getattr(model, key) for key in _SHAPE}, "omega": list(model.freq.omega)}),
         ({"reduced.N": red_obj["N"], "reduced.a_bar": red_obj["a_bar"]},
          {"reduced.N": model.N, "reduced.a_bar": model.a_bar}),
+        ({"model_sha256": obj.get("model_sha256")}, {"model_sha256": _model_sha256(model)}),
     ):
         differ = [f"{key} {stored[key]} (model {own[key]})" for key in stored if stored[key] != own[key]]
         if differ:

@@ -1,5 +1,6 @@
 """CLI subcommands end to end: artifacts, exit codes, determinism."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -344,6 +345,45 @@ def test_verify_against_a_model_with_another_a_bar_exits_2(tmp_path):
     rec = _read(out / "summary.json")
     assert rec["error_kind"] == "HypothesisViolation"
     assert rec["error"] == "solution was solved for another model: reduced.a_bar 1.0 (model 0.5)"
+
+
+def _torus2_model(seed):
+    """The benchmark's seeded T^2 map, from its generator in perfbench/."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(paratori.__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "torus2", os.path.join(root, "perfbench", "torus2.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.torus2_model(seed)
+
+
+def test_verify_against_a_model_of_the_same_shape_exits_2(tmp_path):
+    # two seeds of torus2 share shape, rotation and a_bar; only the model
+    # fingerprint in the record tells them apart
+    paths = {}
+    for seed in (1, 2):
+        paths[seed] = str(tmp_path / f"torus2_{seed}.json")
+        ser.dump_json(ser.model_to_obj(_torus2_model(seed)), paths[seed])
+    solved = tmp_path / "solved"
+    assert main(["solve-map", "--model", paths[1], "--order", "2", "--outdir", str(solved)]) == 0
+    out = tmp_path / "verify"
+    code = main(["verify", "--model", paths[2], "--solution", str(solved / "solution.json"),
+                 "--outdir", str(out)])
+    assert code == 2
+    rec = _read(out / "summary.json")
+    assert rec["error_kind"] == "HypothesisViolation"
+    assert rec["error"].startswith("solution was solved for another model: model_sha256 ")
+
+
+def test_verify_against_the_written_model_file_passes(tmp_path):
+    # a builtin model and its model.json record have one fingerprint
+    solution = _solve(tmp_path, "solve-map", "builtin:benchmark-map")
+    path = tmp_path / "model.json"
+    ser.dump_json(ser.model_to_obj(benchmark_map_model()), path)
+    out = tmp_path / "verify"
+    assert main(["verify", "--model", str(path), "--solution", solution,
+                 "--outdir", str(out)]) == 0
+    assert _read(out / "summary.json")["all_pass"]
 
 
 @pytest.mark.parametrize("field, value, least", [

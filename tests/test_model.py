@@ -342,6 +342,101 @@ def test_normalize_defective_B_raises(golden_freq):
         normalize(model, jordanize=True)
 
 
+# ------------------------------------------------ normalize (composite change)
+
+
+def _fired(log):
+    """The number of averaging changes a ChangeLog records."""
+    return sum([log.c1 is not None, log.C2 is not None, log.mu != 1.0,
+                log.D is not None, log.eps != 1.0])
+
+
+def _lie_derivative(X, w):
+    """dw/dt along the field X, written out term by term."""
+    acc = X.x.jet_mul(w.derivative_x())
+    for i, yi in enumerate(X.y):
+        acc = acc + yi.jet_mul(w.derivative_y(i))
+    acc = acc + w.directional_theta(X.omega + X.nu)
+    for r, dev in enumerate(X.theta_dev):
+        acc = acc + w.derivative_theta(r).jet_mul(dev)
+    return acc
+
+
+# flows whose normalization takes three or more steps
+_MULTI_STEP_FLOWS = [
+    pytest.param(1, (1.3, ((1, 0), 0.4), ((1, -1), 0.2)),
+                 [[(1.5, ((0, 1), 0.4), ((1, 0), 0.1))]], {"eps": 0.1}, 4, id="shears-mu-eps"),
+    pytest.param(2, (1.3, ((1, 0), 0.4)), [[(3.0, ((0, 1), 0.2)), (1.0,)], [(0.5,), (2.0,)]],
+                 {"jordanize": True, "eps": 0.1}, 5, id="shears-mu-jordanize-eps"),
+    pytest.param(1, (1.0, ((1, 0), 0.4)), [[(1.5, ((0, 1), 0.4))]], {"eps": 0.5}, 3,
+                 id="shears-eps"),
+]
+
+
+@pytest.mark.parametrize("m, a, B, options, steps", _MULTI_STEP_FLOWS)
+def test_normalize_multi_step_flow_is_push_forward(m, a, B, options, steps):
+    # oracle: X' o W == DW . X coefficient-wise at working degree, with the
+    # new variables W = T^-1 the ChangeLog records
+    model = _quasiperiodic_flow(m, a, B)
+    deg = 6
+    out, log = normalize(model, deg=deg, **options)
+    assert _fired(log) == steps
+    W = log.T_inv
+    X, Xp = model.as_field(deg), out.as_field(deg)
+
+    def at_W(j):
+        return jet_compose(j, W.x, W.y, deg=deg)
+
+    err = (at_W(Xp.x) - _lie_derivative(X, W.x)).norm()
+    err += sum((at_W(u) - _lie_derivative(X, w)).norm() for u, w in zip(Xp.y, W.y))
+    err += sum((at_W(u) - v).norm() for u, v in zip(Xp.theta_dev, X.theta_dev))
+    assert err < 1e-10
+    # and the pushed field is the normal form: a and B constant, a_bar = 1
+    assert abs(out.a_bar - 1.0) < 1e-12
+    assert out.a_osc.strip_norm() < 1e-10
+    assert all(s.strip_norm() < 1e-10 for row in out.B_osc() for s in row)
+
+
+@pytest.mark.parametrize("kind", ["map", "flow"])
+def test_normalize_composite_change_inverts(kind):
+    # T o T^-1 and T^-1 o T are the identity at working degree
+    if kind == "map":
+        model, options = benchmark_map_model(), {"eps": 0.5}
+    else:
+        model, options = _quasiperiodic_flow(
+            2, (1.3, ((1, 0), 0.4)), [[(3.0, ((0, 1), 0.2)), (1.0,)], [(0.5,), (2.0,)]]
+        ), {"jordanize": True, "eps": 0.1}
+    deg = 6
+    out, log = normalize(model, deg=deg, **options)
+    assert _fired(log) >= 3
+    for G, H in ((log.T, log.T_inv), (log.T_inv, log.T)):
+        both = compose_skew_skew(G, H, deg)
+        m, dim, cap = model.m, model.dim, model.order_cap
+        err = (both.x - Jet.var_x(m, deg, dim, cap)).norm()
+        err += sum((u - Jet.var_y(i, m, deg, dim, cap)).norm() for i, u in enumerate(both.y))
+        err += sum(dev.norm() for dev in both.theta_dev)
+        assert err < 1e-10
+
+
+def test_normalize_composes_each_change_once(monkeypatch):
+    # n changes cost 2n compositions: n - 1 for T, n - 1 for T^-1 and two
+    # for the conjugation (conjugating change by change took 4n - 2)
+    import paratori.model as model_module
+
+    calls = []
+    real = model_module.compose_skew_skew
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "compose_skew_skew", counted)
+    _, log = normalize(benchmark_map_model(), eps=0.5)
+    n = _fired(log)
+    assert n == 3
+    assert len(calls) <= 2 * n
+
+
 
 # ----------------------------------------------------------------- model_from
 

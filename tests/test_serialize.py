@@ -99,6 +99,24 @@ def test_solution_record_checks_reduced_copies_of_the_model():
     assert str(info.value) == prefix + "reduced.N 3 (model 2)"
 
 
+def test_solution_record_tells_apart_models_of_one_shape():
+    # the same shape, rotation and a_bar, another x^3 term: only the model
+    # fingerprint differs, and a record without one is refused as well
+    model = _constant_a_map(1.0)
+    other = MapModel.build(N=2, P=2, freq=model.freq, a=model.a, m=0, order_cap=8,
+                           f=Jet.monomial(3, (), 0.1, 0, model.f.deg, 1, 8))
+    obj = ser.solution_to_obj(solve_manifold(model, 3).solution)
+    assert ser.solution_from_obj(obj, model).model is model
+    prefix = "solution was solved for another model: model_sha256 "
+    with pytest.raises(HypothesisViolation) as info:
+        ser.solution_from_obj(obj, other)
+    assert str(info.value).startswith(prefix + obj["model_sha256"])
+    del obj["model_sha256"]
+    with pytest.raises(HypothesisViolation) as info:
+        ser.solution_from_obj(obj, model)
+    assert str(info.value).startswith(prefix + "None (model ")
+
+
 def test_primary_system_roundtrip():
     sys = PrimarySystem.circular_binary()
     back = ser.primary_system_from_obj(ser.primary_system_to_obj(sys))
