@@ -8,7 +8,7 @@ restricted planar (n+1)-body problem near parabolic infinity to this form.
 """
 
 from .fourier import FourierSeries, FrequencyVector, diophantine_scan, sd_solve_map, sd_solve_flow
-from .jet import Jet, ParamMap, SkewMap
+from .jet import Jet, SkewMap
 
 __all__ = [
     "FourierSeries",
@@ -17,7 +17,6 @@ __all__ = [
     "sd_solve_map",
     "sd_solve_flow",
     "Jet",
-    "ParamMap",
     "SkewMap",
 ]
 

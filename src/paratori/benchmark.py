@@ -133,17 +133,17 @@ def _random_tangent_change(rng, deg: int, dim: int, order_cap: int) -> Jet:
 def conjugacy_fixture(
     b0: float = 0.7,
     seed: int = 7,
-    N: int = 2,
     order_cap: int = 16,
     deg: int = 10,
     extra_conjugation: bool = False,
 ) -> MapModel:
-    """F = T o R_nf o T^(-1) with the normal form x - x^N + b0 x^(2N-1).
+    """F = T o R_nf o T^(-1) with the normal form x - x^2 + b0 x^3.
 
     T is a random tangent-to-identity change with theta-dependent
     coefficients, so the engine has to undo genuine oscillatory content to
-    recover b0.  With ``extra_conjugation`` a second independent change is
-    applied on top (the invariant must not move).
+    recover b0; it starts at x^2, so N = 2 is the only order it admits.
+    With ``extra_conjugation`` a second independent change is applied on
+    top (the invariant must not move).
     """
     rng = np.random.default_rng(seed)
     dim = 1
@@ -151,8 +151,8 @@ def conjugacy_fixture(
     R = SkewMap.identity(0, dim, deg, dim, order_cap, rot=(GOLDEN,))
     R.x = (
         Jet.var_x(0, deg, dim, order_cap)
-        - Jet.monomial(N, (), 1.0, 0, deg, dim, order_cap)
-        + Jet.monomial(2 * N - 1, (), b0, 0, deg, dim, order_cap)
+        - Jet.monomial(2, (), 1.0, 0, deg, dim, order_cap)
+        + Jet.monomial(3, (), b0, 0, deg, dim, order_cap)
     )
     F = R
     changes = 2 if extra_conjugation else 1
@@ -160,7 +160,7 @@ def conjugacy_fixture(
         A = _random_tangent_change(rng, deg, dim, order_cap)
         T, Ti = _x_change(A, invert_x_jet(A, deg), 0)
         F = compose_skew_skew(T, compose_skew_skew(F, Ti, deg), deg)
-    return model_from(F, N=N, P=N, freq=freq, order_cap=order_cap)
+    return model_from(F, N=2, P=2, freq=freq, order_cap=order_cap)
 
 
 def builtin_model(name: str):

@@ -17,21 +17,7 @@ from . import benchmark
 from .celestial import PrimarySystem, build_restricted_field, escape_demo
 from .cohomology import FreeChoicePolicy, conjugate_normal_form, solve_manifold
 from .dynamics import iterate_map
-from .errors import (
-    BoundViolated,
-    EscapedSector,
-    HypothesisViolation,
-    NonzeroAverage,
-    OrbitLeftDomain,
-    OrderRegression,
-    ParatoriError,
-    ResonantMode,
-    SingularB,
-    SingularBlock,
-    StepUnderflow,
-    WindowTooWide,
-    ZeroDivisor,
-)
+from .errors import HypothesisViolation, ParatoriError
 from .fourier import diophantine_scan
 from .model import validate  # noqa: F401 - the benchmark's set-up probe calls cli.validate
 from .verify import fit_error_orders_auto
@@ -65,8 +51,6 @@ _DEFAULTS = {
     "domain_radius": math.inf,
 }
 
-_EXIT_HYPOTHESIS = 2
-_EXIT_RESONANCE = 3
 _EXIT_REGRESSION = 4
 _EXIT_IO = 5
 
@@ -97,8 +81,16 @@ def _outdir(cfg) -> str:
     return out
 
 
-def _load_model(spec: str, kind: str | None = None, command: str = ""):
-    """The model at ``spec``; ``command`` runs only on a model of ``kind``."""
+def _required(cfg, key: str):
+    """``cfg[key]``, which a flag or the config file must give."""
+    if cfg.get(key) is None:
+        raise ParatoriError(f"--{key} is required (or the config field {key!r})")
+    return cfg[key]
+
+
+def _load_model(cfg, kind: str | None = None, command: str = ""):
+    """The model that ``cfg`` names; ``command`` runs only on a model of ``kind``."""
+    spec = _required(cfg, "model")
     if spec.startswith("builtin:"):
         model = benchmark.builtin_model(spec.split(":", 1)[1])
     else:
@@ -161,7 +153,7 @@ def cmd_solve(args) -> int:
 
 def _solve_one(cfg) -> int:
     out = _outdir(cfg)
-    model = _load_model(cfg["model"], cfg.get("kind"), f"solve-{cfg.get('kind')}")
+    model = _load_model(cfg, cfg.get("kind"), f"solve-{cfg.get('kind')}")
     order = int(cfg["order"])
     checkpoints = []
 
@@ -197,8 +189,8 @@ def _solve_one(cfg) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     out = _outdir(cfg)
-    model = _load_model(cfg["model"])
-    sol = ser.solution_from_obj(ser.load_json(cfg["solution"]), model)
+    model = _load_model(cfg)
+    sol = ser.solution_from_obj(ser.load_json(_required(cfg, "solution")), model)
     report = fit_error_orders_auto(
         sol, tuple(cfg["x_window"]),
         n_samples=int(cfg["n_samples"]),
@@ -220,7 +212,7 @@ def cmd_verify(args) -> int:
 def cmd_iterate(args) -> int:
     cfg = _load_config(args)
     out = _outdir(cfg)
-    model = _load_model(cfg["model"], "map", "iterate")
+    model = _load_model(cfg, "map", "iterate")
     state = cfg.get("state")
     if state is None:
         state = [0.05] + [0.0] * (model.m + model.dim)
@@ -296,7 +288,7 @@ def cmd_restricted_demo(args) -> int:
 def cmd_conjugate(args) -> int:
     cfg = _load_config(args)
     out = _outdir(cfg)
-    model = _load_model(cfg["model"])
+    model = _load_model(cfg)
     b, K, res = conjugate_normal_form(
         model, int(cfg["order"]) if cfg.get("order") else None,
         _policy(cfg),
@@ -317,7 +309,7 @@ def cmd_scan(args) -> int:
     cfg = _load_config(args)
     out = _outdir(cfg)
     freq = diophantine_scan(
-        cfg["omega"], cfg.get("nu") or (), float(cfg["tau"]),
+        _required(cfg, "omega"), cfg.get("nu") or (), float(cfg["tau"]),
         int(cfg["k_max"]), sense=cfg.get("sense", "map"),
     )
     rec = {
@@ -343,7 +335,7 @@ def _sweep_entry(payload):
         summary = ser.load_json(os.path.join(cfg["outdir"], "summary.json"))
         return label, code, summary
     except Exception as e:  # merged table records per-entry failures
-        return label, _exit_code_for(e), {"status": "error", "error": str(e)}
+        return label, getattr(e, "exit_code", _EXIT_IO), {"status": "error", "error": str(e)}
 
 
 def _run_sweep(cfg, command: str) -> int:
@@ -376,20 +368,6 @@ def _run_sweep(cfg, command: str) -> int:
 
 
 # --------------------------------------------------------------- entrypoint
-
-
-def _exit_code_for(e: Exception) -> int:
-    if isinstance(e, (ResonantMode, ZeroDivisor)):
-        return _EXIT_RESONANCE
-    if isinstance(e, (HypothesisViolation, NonzeroAverage, SingularB)):
-        return _EXIT_HYPOTHESIS
-    if isinstance(
-        e,
-        (OrderRegression, SingularBlock, WindowTooWide, BoundViolated,
-         EscapedSector, StepUnderflow, OrbitLeftDomain),
-    ):
-        return _EXIT_REGRESSION
-    return _EXIT_IO
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,7 +431,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as e:  # noqa: BLE001 - the CLI boundary maps errors to codes
-        code = _exit_code_for(e)
+        code = getattr(e, "exit_code", _EXIT_IO)
         msg = {"status": "error", "error_code": code,
                "error_kind": type(e).__name__, "error": str(e)}
         outdir = getattr(args, "outdir", None)

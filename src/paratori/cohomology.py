@@ -33,7 +33,7 @@ from .errors import (
 from .fourier import FourierSeries
 from .jet import (
     Jet,
-    ParamMap,
+    SkewMap,
     _Substitution,
     compose_param_param,
     compose_skew_param,
@@ -165,8 +165,8 @@ class ManifoldSolution:
             reduced=red, free_choices=dict(self.free_choices),
         )
 
-    def param(self, deg: int) -> ParamMap:
-        """Assemble the parameterization as a ParamMap at working degree."""
+    def param(self, deg: int) -> SkewMap:
+        """Assemble the parameterization K as an m = 0 SkewMap at working degree."""
         model = self.model
         dim, cap = model.dim, model.order_cap
 
@@ -186,7 +186,7 @@ class ManifoldSolution:
         kx = jet(Jet.var_x(0, deg, dim, cap).terms, self.kbar_x, self.ktil_x)
         ys = tuple(jet({}, column(self.kbar_y, i), column(self.ktil_y, i)) for i in range(model.m))
         devs = tuple(jet({}, column(self.kbar_th, r), column(self.ktil_th, r)) for r in range(model.d))
-        return ParamMap(x=kx, y=ys, theta_dev=devs, rot=(0.0,) * dim)
+        return SkewMap(x=kx, y=ys, theta_dev=devs, rot=(0.0,) * dim)
 
     def coefficient_norm(self) -> float:
         s = sum(abs(c) for c in self.kbar_x.values())
@@ -468,7 +468,7 @@ def conjugate_normal_form(
     order: int | None = None,
     choices: FreeChoicePolicy | None = None,
     **kw,
-) -> tuple[float, ParamMap, SolveResult]:
+) -> tuple[float, SkewMap, SolveResult]:
     """Conjugation invariant b and conjugating jet for an m = 0 map model.
 
     Requires P >= N at build time (folded internally); running beyond order

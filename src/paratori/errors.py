@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Every failure mode that callers are expected to branch on gets its own
-class; the CLI maps them onto exit codes (see ``paratori.cli``).
+class, and each class carries the exit code the CLI returns for it
+(``exit_code``): 2 hypothesis violation, 3 resonance, 4 numerical
+regression or failed check, 5 anything else.
 """
 
 from __future__ import annotations
@@ -10,13 +12,19 @@ from __future__ import annotations
 class ParatoriError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 5
+
 
 class HypothesisViolation(ParatoriError):
     """A structural or spectral hypothesis on the model fails."""
 
+    exit_code = 2
+
 
 class NonzeroAverage(ParatoriError):
     """Input to a small-divisors solver has a nonzero torus average."""
+
+    exit_code = 2
 
 
 class ResonantMode(ParatoriError):
@@ -30,6 +38,8 @@ class ResonantMode(ParatoriError):
         The divisor value that fell below the floor.
     """
 
+    exit_code = 3
+
     def __init__(self, mode, divisor=0.0, message=""):
         self.mode = tuple(mode)
         self.divisor = divisor
@@ -39,6 +49,8 @@ class ResonantMode(ParatoriError):
 
 class ZeroDivisor(ParatoriError):
     """Exact rational resonance found during a Diophantine scan."""
+
+    exit_code = 3
 
     def __init__(self, mode, l=None):
         self.mode = tuple(mode)
@@ -58,13 +70,19 @@ class DegreeOverflow(ParatoriError):
 class SingularBlock(ParatoriError):
     """The linear block (B̄ + j·ā·Id) is singular or badly conditioned."""
 
+    exit_code = 4
+
 
 class SingularB(ParatoriError):
     """B̄ is not diagonalizable within tolerance (Jordanization request)."""
 
+    exit_code = 2
+
 
 class OrderRegression(ParatoriError):
     """A recomputed invariance error fails its declared vanishing order."""
+
+    exit_code = 4
 
     def __init__(self, component, order, norm, tol):
         self.component = component
@@ -80,9 +98,13 @@ class OrderRegression(ParatoriError):
 class WindowTooWide(ParatoriError):
     """Residual sits at the rounding floor across the sampling window."""
 
+    exit_code = 4
+
 
 class BoundViolated(ParatoriError):
     """The parabolic iteration bound failed at some step."""
+
+    exit_code = 4
 
     def __init__(self, step, value, bound):
         self.step = step
@@ -94,6 +116,8 @@ class BoundViolated(ParatoriError):
 class EscapedSector(ParatoriError):
     """An iterate left the complex sector S(beta, rho)."""
 
+    exit_code = 4
+
     def __init__(self, step, point):
         self.step = step
         self.point = point
@@ -103,6 +127,8 @@ class EscapedSector(ParatoriError):
 class OrbitLeftDomain(ParatoriError):
     """A trajectory left the configured domain."""
 
+    exit_code = 4
+
     def __init__(self, step, state=None):
         self.step = step
         self.state = state
@@ -111,6 +137,8 @@ class OrbitLeftDomain(ParatoriError):
 
 class StepUnderflow(ParatoriError):
     """The adaptive integrator could not continue (step size underflow)."""
+
+    exit_code = 4
 
 
 class InsufficientTorusData(ParatoriError):

@@ -5,12 +5,11 @@ A :class:`Jet` is a finite Taylor expansion in the normal variables
 on a common torus.  Monomials are keyed by (l, k): x-power l and y-multi-power
 k with l + |k| <= deg.
 
-Two composite shapes are built from jets:
-
-* :class:`ParamMap` -- a parameterization (x, theta) -> (x', y', theta + rot + dev),
-  the K and R objects of the semiconjugacy F o K = K o R;
-* :class:`SkewMap` -- a self-map of (x, y, theta)-space in skew-product form,
-  holding model maps and changes of variables.
+A :class:`SkewMap` is a tuple of jets for x', y' and the angle deviations,
+plus a rotation: (x, y, theta) -> (x', y', theta + rot + dev).  With m = 0
+it is a parameterization (x, theta) -> (x', y', theta'), the K and R of the
+semiconjugacy F o K = K o R; with m > 0 it is a model map or a change of
+variables.
 
 Composition substitutes jets into jets; the theta-argument of the outer
 object receives theta + rot + dev, realized by rotating its coefficient
@@ -32,7 +31,6 @@ from .fourier import FourierSeries, evaluate_series
 
 __all__ = [
     "Jet",
-    "ParamMap",
     "SkewMap",
     "evaluate_jets",
     "jet_compose",
@@ -208,12 +206,7 @@ class Jet:
         )
 
     def map_coeffs(self, fn) -> "Jet":
-        out = {}
-        for key, s in self.terms.items():
-            t = fn(s)
-            if not t.is_zero():
-                out[key] = t
-        return self._like(out)
+        return self._like({key: fn(s) for key, s in self.terms.items()})
 
     # -------------------------------------------------------- derivatives
 
@@ -273,15 +266,6 @@ def evaluate_jets(jets: Sequence[Jet], x, y=(), theta=(), dtype=complex) -> list
             acc = acc + next(values) * mono
         out.append(acc)
     return out
-
-
-def _evaluate_map(F, x, y, theta, dtype):
-    """(x', y'-list, theta'-list) of a ParamMap or SkewMap from one phase table."""
-    th = (theta,) if np.isscalar(theta) else tuple(theta)
-    values = evaluate_jets((F.x, *F.y, *F.theta_dev), x, y, th, dtype)
-    n = 1 + len(F.y)
-    thv = [np.asarray(t, dtype=dtype) + dtype(r) + v for t, r, v in zip(th, F.rot, values[n:])]
-    return values[0], values[1:n], thv
 
 
 # ----------------------------------------------------------- substitution
@@ -397,49 +381,14 @@ def jet_compose(
 
 
 @dataclass
-class ParamMap:
-    """(x, theta) -> (x', y', theta + rot + dev), all components jets in x.
+class SkewMap:
+    """A map (x, y, theta) -> (x', y', theta + rot + dev) whose components
+    are jets in (x, y_1..y_m): a model map or change of variables, or with
+    m = 0 a parameterization (x, theta) -> (x', y', theta').
 
     ``theta_dev`` has one jet per state angle; the coefficient torus may be
     larger (flow models carry time-angles that are never substituted).
     """
-
-    x: Jet
-    y: tuple[Jet, ...]
-    theta_dev: tuple[Jet, ...]
-    rot: tuple[float, ...]
-
-    @property
-    def deg(self) -> int:
-        return self.x.deg
-
-    @classmethod
-    def identity(cls, m: int, n_angles: int, deg: int, dim: int, order_cap: int,
-                 rot=None) -> "ParamMap":
-        zero = Jet.zero(0, deg, dim, order_cap)
-        return cls(
-            x=Jet.var_x(0, deg, dim, order_cap),
-            y=tuple(zero for _ in range(m)),
-            theta_dev=tuple(zero for _ in range(n_angles)),
-            rot=tuple(0.0 for _ in range(dim)) if rot is None else tuple(rot),
-        )
-
-    def components(self):
-        return (self.x,) + self.y + self.theta_dev
-
-    def evaluate(self, x, theta, dtype=complex):
-        """Numeric image (x', y'-vector, theta'-vector) at a point or arrays of points.
-
-        ``x`` and the theta components may be arrays of one shape; the
-        theta'-vector is then a list of component arrays, so that
-        ``skew.evaluate(*K.evaluate(x, theta))`` chains.
-        """
-        return _evaluate_map(self, x, (), theta, dtype)
-
-
-@dataclass
-class SkewMap:
-    """Skew-product self-map of (x, y, theta): components are jets in (x, y)."""
 
     x: Jet
     y: tuple[Jet, ...]
@@ -466,16 +415,26 @@ class SkewMap:
         )
 
     def evaluate(self, x, y, theta, dtype=complex):
-        """Numeric image of (x, y, theta); arrays of points as in :meth:`ParamMap.evaluate`."""
-        return _evaluate_map(self, x, y, theta, dtype)
+        """Numeric image (x', y'-list, theta'-list) of (x, y, theta), from one
+        phase table over all components.
+
+        ``x``, the entries of ``y`` and the theta components may be arrays of
+        one shape; so ``F.evaluate(*K.evaluate(x, (), theta))`` chains.
+        """
+        th = (theta,) if np.isscalar(theta) else tuple(theta)
+        values = evaluate_jets((self.x, *self.y, *self.theta_dev), x, y, th, dtype)
+        n = 1 + len(self.y)
+        thv = [np.asarray(t, dtype=dtype) + dtype(r) + v
+               for t, r, v in zip(th, self.rot, values[n:])]
+        return values[0], values[1:n], thv
 
 
 def _compose(outer, inner, deg: int):
-    """outer o inner, in inner's shape: the outer components with inner
+    """outer o inner, in inner's variables: the outer components with inner
     substituted, each angle deviation of inner plus the outer one over it,
     and the rotations added."""
     sub = _Substitution(inner.x, inner.y, inner.theta_dev, inner.rot, deg)
-    return type(inner)(
+    return SkewMap(
         x=sub.apply(outer.x),
         y=tuple(sub.apply(j) for j in outer.y),
         theta_dev=tuple(
@@ -486,12 +445,12 @@ def _compose(outer, inner, deg: int):
     )
 
 
-def compose_skew_param(F: SkewMap, K: ParamMap, deg: int | None = None) -> ParamMap:
+def compose_skew_param(F: SkewMap, K: SkewMap, deg: int | None = None) -> SkewMap:
     """F o K: plug a parameterization into a model map."""
     return _compose(F, K, K.deg if deg is None else deg)
 
 
-def compose_param_param(K: ParamMap, R: ParamMap, deg: int | None = None) -> ParamMap:
+def compose_param_param(K: SkewMap, R: SkewMap, deg: int | None = None) -> SkewMap:
     """K o R for an inner map with no y-components (a reduced map)."""
     return _compose(K, R, K.deg if deg is None else deg)
 

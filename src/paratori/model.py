@@ -31,7 +31,7 @@ from .errors import (
     SingularB,
 )
 from .fourier import FourierSeries, FrequencyVector, sd_solve_flow, sd_solve_map
-from .jet import Jet, ParamMap, SkewMap, _Substitution, compose_skew_skew, evaluate_jets, invert_x_jet
+from .jet import Jet, SkewMap, _Substitution, compose_skew_skew, evaluate_jets, invert_x_jet
 
 __all__ = [
     "MapModel",
@@ -96,9 +96,9 @@ class ReducedMap(_Reduced):
     _x_identity = {1: 1.0}
 
     def as_param(self, deg: int, model: MapModel):
-        """The reduced dynamics of a solution of ``model`` as a ParamMap on
-        its torus, turning by the model's rotation, for jet composition."""
-        return ParamMap(
+        """The reduced dynamics R of a solution of ``model``: an m = 0 SkewMap
+        on its torus, turning by the model's rotation, for jet composition."""
+        return SkewMap(
             x=self.x_jet(deg, model), y=(),
             theta_dev=self.theta_jets(deg, model, model.dim), rot=model.state_rot,
         )

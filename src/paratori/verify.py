@@ -92,10 +92,10 @@ def _map_residual_at(skew, K, R, x, thetas):
     """Largest |F(K(x, th)) - K(R(x, th))| per component over the rows of
     ``thetas``, in extended precision, and the largest magnitude."""
     th = thetas.T
-    kx, ky, kth = K.evaluate(x, th, dtype=_CDT)
+    kx, ky, kth = K.evaluate(x, (), th, dtype=_CDT)
     fx, fy, fth = skew.evaluate(kx, ky, kth, dtype=_CDT)
-    rx, _, rth = R.evaluate(x, th, dtype=_CDT)
-    gx, gy, gth = K.evaluate(rx, rth, dtype=_CDT)
+    rx, _, rth = R.evaluate(x, (), th, dtype=_CDT)
+    gx, gy, gth = K.evaluate(rx, (), rth, dtype=_CDT)
     mag = float(np.max(_cabs(fx) + _cabs(gx) + 1.0))
     return _max_diff([(fx, gx)]), _max_diff(zip(fy, gy)), _max_diff(zip(fth, gth)), mag
 
@@ -118,7 +118,7 @@ def _flow_residual_at(fld, sol, K, tjets, x, thetas):
     :func:`_transport_jets`."""
     model = sol.model
     th = thetas.T
-    kx, ky, kth = K.evaluate(x, th, dtype=_CDT)
+    kx, ky, kth = K.evaluate(x, (), th, dtype=_CDT)
     Xx, *rest = evaluate_jets((fld.x, *fld.y, *fld.theta_dev[:model.d]), kx, ky, kth, _CDT)
     Xy, Xdev = rest[:model.m], rest[model.m:]
     yx = sol.reduced.x_value(_CDT(x))
@@ -378,7 +378,7 @@ def stable_set_membership(sol: ManifoldSolution, point, horizon: int,
             base = new_base
             if shift < 1e-14:
                 break
-        kx, ky, kth = K.evaluate(u, tuple(base))
+        kx, ky, kth = K.evaluate(u, (), tuple(base))
         dy2 = sum((float(y[i]) - ky[i].real) ** 2 for i in range(m))
         dth2 = 0.0
         for r in range(d):

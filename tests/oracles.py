@@ -159,7 +159,7 @@ def per_series_jet_evaluate(jet, x, y=(), theta=(), dtype=complex):
 
 
 def per_series_map_evaluate(F, x, y, theta, dtype=complex):
-    """The ParamMap/SkewMap evaluator the shared phase table replaced: one
+    """The SkewMap evaluator the shared phase table replaced: one
     :func:`per_series_jet_evaluate` per component."""
     th = (theta,) if np.isscalar(theta) else tuple(theta)
     xv = per_series_jet_evaluate(F.x, x, y, th, dtype)

@@ -27,7 +27,7 @@ from paratori.celestial import (
 from paratori.cohomology import conjugate_normal_form, extend_order, solve_manifold
 from paratori.dynamics import integrate_flow, iterate_reduced
 from paratori.fourier import FourierSeries, diophantine_scan, sd_solve_flow, sd_solve_map
-from paratori.jet import Jet, ParamMap, compose_param_param, compose_skew_param
+from paratori.jet import Jet, SkewMap, compose_param_param, compose_skew_param
 from paratori.model import ReducedMap, validate
 from paratori.verify import fit_error_orders, sector_decay_check
 from oracles import _dense_oracle_step
@@ -178,7 +178,7 @@ def test_acceptance_6_flow_map_consistency():
     Rx = Jet.zero(0, deg, 1, cap)
     for l in range(1, deg + 1):
         Rx = Rx + Jet.monomial(l, (), (-1.0) ** (l + 1), 0, deg, 1, cap)
-    Rhat = ParamMap(x=Rx, y=(), theta_dev=(Jet.zero(0, deg, 1, cap),), rot=(GOLDEN,))
+    Rhat = SkewMap(x=Rx, y=(), theta_dev=(Jet.zero(0, deg, 1, cap),), rot=(GOLDEN,))
     FK = compose_skew_param(F, K, deg)
     KR = compose_param_param(K, Rhat, deg)
     coeff_err = max(
@@ -192,11 +192,11 @@ def test_acceptance_6_flow_map_consistency():
     num_err = 0.0
     for x0 in (0.02, 0.05):
         for th0 in (0.1, 0.6):
-            kx, ky, kth = K.evaluate(x0, (th0,))
+            kx, ky, kth = K.evaluate(x0, (), (th0,))
             start = [kx.real, ky[0].real, kth[0].real]
             orb = integrate_flow(field, start, (0.0, 1.0), tol=1e-12, t_eval=[1.0])
             rx = x0 / (1.0 + x0)
-            gx, gy, gth = K.evaluate(rx, (th0 + GOLDEN,))
+            gx, gy, gth = K.evaluate(rx, (), (th0 + GOLDEN,))
             num_err = max(num_err, abs(orb.states[-1][0] - gx.real),
                           abs(orb.states[-1][1] - gy[0].real),
                           abs(orb.states[-1][2] - gth[0].real))

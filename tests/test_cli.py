@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import paratori
+from paratori import cli, errors
 from paratori.benchmark import benchmark_map_model
 from paratori.cli import main
 from paratori.model import validate
@@ -399,3 +400,67 @@ def test_config_rejects_too_few_samples(tmp_path, field, value, least):
     assert code == 5
     assert _read(out / "summary.json")["error"] == f"config field {field} must be >= {least}"
     assert not (out / "solution.json").exists()
+
+
+# Every error class with arguments for its constructor and the exit code the
+# CLI returns for it; an exception that is not a ParatoriError exits 5.
+_ERROR_CODES = {
+    errors.ParatoriError: ((), 5),
+    errors.HypothesisViolation: ((), 2),
+    errors.NonzeroAverage: ((), 2),
+    errors.SingularB: ((), 2),
+    errors.ResonantMode: (((1,),), 3),
+    errors.ZeroDivisor: (((1,),), 3),
+    errors.OrderRegression: (("x", 3, 1.0, 1e-9), 4),
+    errors.SingularBlock: ((), 4),
+    errors.WindowTooWide: ((), 4),
+    errors.BoundViolated: ((2, 1.0, 0.5), 4),
+    errors.EscapedSector: ((2, 0.1j), 4),
+    errors.StepUnderflow: ((), 4),
+    errors.OrbitLeftDomain: ((2,), 4),
+    errors.DimensionMismatch: ((), 5),
+    errors.DegreeOverflow: ((), 5),
+    errors.InsufficientTorusData: ((), 5),
+    ValueError: ((), 5),
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_exit_code_table_names_every_error_class():
+    assert set(_subclasses(errors.ParatoriError)) <= set(_ERROR_CODES)
+
+
+@pytest.mark.parametrize("cls", list(_ERROR_CODES), ids=lambda c: c.__name__)
+def test_each_error_class_exits_with_its_code(tmp_path, monkeypatch, cls):
+    args, want = _ERROR_CODES[cls]
+
+    def failing(*a, **kw):
+        raise cls(*args)
+
+    monkeypatch.setattr(cli, "diophantine_scan", failing)
+    out = tmp_path / "scan"
+    assert main(["scan-diophantine", "--omega", "0.618", "--outdir", str(out)]) == want
+    rec = _read(out / "summary.json")
+    assert (rec["status"], rec["error_code"], rec["error_kind"]) == ("error", want, cls.__name__)
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["solve-map", "--order", "2"], "model"),
+    (["solve-flow", "--order", "2"], "model"),
+    (["iterate", "--steps", "5"], "model"),
+    (["conjugate", "--order", "4"], "model"),
+    (["verify", "--model", "builtin:benchmark-map"], "solution"),
+    (["scan-diophantine", "--tau", "1.0"], "omega"),
+], ids=["solve-map", "solve-flow", "iterate", "conjugate", "verify", "scan-diophantine"])
+def test_missing_required_field_names_flag_and_field(tmp_path, capsys, argv, key):
+    out = tmp_path / "out"
+    assert main([*argv, "--outdir", str(out)]) == 5
+    message = f"--{key} is required (or the config field '{key}')"
+    rec = _read(out / "summary.json")
+    assert (rec["error_code"], rec["error_kind"], rec["error"]) == (5, "ParatoriError", message)
+    assert capsys.readouterr().err == f"error[5] ParatoriError: {message}\n"

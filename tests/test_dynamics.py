@@ -55,7 +55,7 @@ def test_manifold_orbit_tracks_reduced_dynamics(bench_map):
     sol = res.solution
     K = sol.param(8)
     x0 = 0.05
-    kx, ky, kth = K.evaluate(x0, (0.3,))
+    kx, ky, kth = K.evaluate(x0, (), (0.3,))
     memb = stable_set_membership(sol, [kx.real, ky[0].real, kth[0].real], 20, rho=0.5)
     ref = iterate_reduced(sol.reduced, x0, 20)
     for k, u in enumerate(memb.fiber_x):

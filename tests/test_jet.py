@@ -10,7 +10,6 @@ from paratori.errors import DimensionMismatch
 from paratori.fourier import FourierSeries
 from paratori.jet import (
     Jet,
-    ParamMap,
     SkewMap,
     compose_param_param,
     compose_skew_param,
@@ -115,11 +114,11 @@ def test_compose_reduced_base_case_hand_expansion(golden_freq):
     om = golden_freq.omega[0]
     N, deg, cap = 2, 4, 8
     ktil = FourierSeries.sine((1,), 1, cap, 0.37)
-    K = ParamMap(
+    K = SkewMap(
         x=_x(deg=deg, cap=cap) + Jet.monomial(N, (), ktil, 0, deg, 1, cap),
         y=(), theta_dev=(Jet.zero(0, deg, 1, cap),), rot=(0.0,),
     )
-    R = ParamMap(
+    R = SkewMap(
         x=_x(deg=deg, cap=cap) - Jet.monomial(N, (), 1.3, 0, deg, 1, cap),
         y=(), theta_dev=(Jet.zero(0, deg, 1, cap),), rot=(om,),
     )
@@ -133,11 +132,11 @@ def test_compose_reduced_base_case_hand_expansion(golden_freq):
 def test_compose_reduced_identity_rotation():
     cap = 8
     series = FourierSeries.cosine((1,), 1, cap, 0.5)
-    K = ParamMap(
+    K = SkewMap(
         x=_x(deg=4, cap=cap) + Jet.monomial(2, (), series, 0, 4, 1, cap),
         y=(), theta_dev=(Jet.zero(0, 4, 1, cap),), rot=(0.0,),
     )
-    R = ParamMap.identity(0, 1, 4, 1, cap, rot=(0.25,))
+    R = SkewMap.identity(0, 1, 4, 1, cap, rot=(0.25,))
     out = compose_param_param(K, R)
     # pure rotation: coefficients rotate, no mixing of orders
     assert (out.x.x_coeff(2) - series.rotate(0.25)).strip_norm() < 1e-15
@@ -146,8 +145,8 @@ def test_compose_reduced_identity_rotation():
 def test_compose_rx_substitution():
     # K_x = x, R_x = x - abar x^N: plain substitution
     cap, deg, N = 8, 6, 3
-    K = ParamMap.identity(0, 1, deg, 1, cap)
-    R = ParamMap(
+    K = SkewMap.identity(0, 1, deg, 1, cap)
+    R = SkewMap(
         x=_x(deg=deg, cap=cap) - Jet.monomial(N, (), 0.8, 0, deg, 1, cap),
         y=(), theta_dev=(Jet.zero(0, deg, 1, cap),), rot=(0.1,),
     )
@@ -165,13 +164,13 @@ def test_compose_associativity(rng, golden_freq):
     F.y = (F.y[0] + Jet.monomial(1, (1,), random_real_series(rng, cap=cap, scale=0.4), m, deg, 1, cap),)
     F.theta_dev = (Jet.monomial(2, (0,), random_real_series(rng, cap=cap, scale=0.2), m, deg, 1, cap),)
 
-    K = ParamMap(
+    K = SkewMap(
         x=_x(deg=deg, cap=cap) + Jet.monomial(2, (), random_real_series(rng, cap=cap, scale=0.3), 0, deg, 1, cap),
         y=(Jet.monomial(2, (), random_real_series(rng, cap=cap, scale=0.2), 0, deg, 1, cap),),
         theta_dev=(Jet.monomial(1, (), random_real_series(rng, cap=cap, scale=0.1), 0, deg, 1, cap),),
         rot=(0.0,),
     )
-    R = ParamMap(
+    R = SkewMap(
         x=_x(deg=deg, cap=cap) - Jet.monomial(2, (), 0.9, 0, deg, 1, cap),
         y=(), theta_dev=(Jet.zero(0, deg, 1, cap),), rot=(om,),
     )
@@ -190,7 +189,7 @@ def test_evaluation_homomorphism_full_composition(rng, golden_freq):
     F.x = F.x - Jet.monomial(2, (0,), random_real_series(rng, cap=cap, max_mode=2), m, deg, 1, cap)
     F.y = (F.y[0] + Jet.monomial(1, (1,), random_real_series(rng, cap=cap, max_mode=2), m, deg, 1, cap),)
     F.theta_dev = (Jet.monomial(2, (0,), random_real_series(rng, cap=cap, scale=0.3, max_mode=2), m, deg, 1, cap),)
-    K = ParamMap(
+    K = SkewMap(
         x=_x(deg=deg, cap=cap) + Jet.monomial(2, (), random_real_series(rng, cap=cap, scale=0.4, max_mode=2), 0, deg, 1, cap),
         y=(Jet.monomial(2, (), random_real_series(rng, cap=cap, scale=0.5, max_mode=2), 0, deg, 1, cap),),
         theta_dev=(Jet.monomial(1, (), random_real_series(rng, cap=cap, scale=0.2, max_mode=2), 0, deg, 1, cap),),
@@ -199,9 +198,9 @@ def test_evaluation_homomorphism_full_composition(rng, golden_freq):
     FK = compose_skew_param(F, K)
     for x in np.linspace(0.002, 0.02, 8):
         for th in np.arange(8) / 8:
-            kx, ky, kth = K.evaluate(x, (th,))
+            kx, ky, kth = K.evaluate(x, (), (th,))
             fx, fy, fth = F.evaluate(kx, ky, kth)
-            gx, gy, gth = FK.evaluate(x, (th,))
+            gx, gy, gth = FK.evaluate(x, (), (th,))
             assert abs(fx - gx) < 1e-10
             assert abs(fy[0] - gy[0]) < 1e-10
             assert abs(fth[0] - gth[0]) < 1e-10
@@ -218,7 +217,7 @@ def test_array_evaluation_equals_loop_over_points(rng, dtype):
     F.x = F.x - Jet.monomial(2, (0,), series(), m, deg, dim, cap)
     F.y = (F.y[0] + Jet.monomial(1, (1,), series(), m, deg, dim, cap),)
     F.theta_dev = tuple(Jet.monomial(1, (1,), series(), m, deg, dim, cap) for _ in range(dim))
-    K = ParamMap(
+    K = SkewMap(
         x=Jet.var_x(0, deg, dim, cap) + Jet.monomial(2, (), series(), 0, deg, dim, cap),
         y=(Jet.monomial(2, (), series(), 0, deg, dim, cap),),
         theta_dev=tuple(Jet.monomial(1, (), series(), 0, deg, dim, cap) for _ in range(dim)),
@@ -226,13 +225,13 @@ def test_array_evaluation_equals_loop_over_points(rng, dtype):
     )
     xs = rng.uniform(0.01, 0.05, (3, 4))
     ths = [rng.random((3, 4)) for _ in range(dim)]
-    kx, ky, kth = K.evaluate(xs, ths, dtype=dtype)
-    fx, fy, fth = F.evaluate(*K.evaluate(xs, ths, dtype=dtype), dtype=dtype)
+    kx, ky, kth = K.evaluate(xs, (), ths, dtype=dtype)
+    fx, fy, fth = F.evaluate(*K.evaluate(xs, (), ths, dtype=dtype), dtype=dtype)
     jy = F.y[0].evaluate(xs, (xs,), ths, dtype=dtype)
     tol = 1e-14 if dtype is complex else 0.0
     for i in np.ndindex(xs.shape):
         th = tuple(t[i] for t in ths)
-        px, py, pth = K.evaluate(xs[i], th, dtype=dtype)
+        px, py, pth = K.evaluate(xs[i], (), th, dtype=dtype)
         qx, qy, qth = F.evaluate(px, py, pth, dtype=dtype)
         for arrays, points in ((kx, px), (fx, qx)):
             assert abs(complex(arrays[i] - points)) <= tol

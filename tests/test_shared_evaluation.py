@@ -9,7 +9,7 @@ from paratori.benchmark import benchmark_map_model
 from paratori.cohomology import solve_manifold
 from paratori.errors import DimensionMismatch
 from paratori.fourier import FourierSeries, _box, evaluate_series
-from paratori.jet import Jet, ParamMap, SkewMap
+from paratori.jet import Jet, SkewMap
 from oracles import per_series_jet_evaluate, per_series_map_evaluate, reference_evaluate
 
 _PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -73,11 +73,11 @@ def test_shared_table_equals_per_series(seed, dim, m, mixed, batch, scalar, dtyp
         return tuple(_random_jet(rng, mm, dim, caps) for _ in range(n))
 
     F = SkewMap(x=jets(m, 1)[0], y=jets(m, m), theta_dev=jets(m, dim), rot=rot)
-    K = ParamMap(x=jets(0, 1)[0], y=jets(0, m), theta_dev=jets(0, dim), rot=rot)
+    K = SkewMap(x=jets(0, 1)[0], y=jets(0, m), theta_dev=jets(0, dim), rot=rot)
 
     assert _same(F.x.evaluate(x, y, th, dtype=dtype), per_series_jet_evaluate(F.x, x, y, th, dtype))
     for got, want in ((F.evaluate(x, y, th, dtype=dtype), per_series_map_evaluate(F, x, y, th, dtype)),
-                      (K.evaluate(x, th, dtype=dtype), per_series_map_evaluate(K, x, (), th, dtype))):
+                      (K.evaluate(x, (), th, dtype=dtype), per_series_map_evaluate(K, x, (), th, dtype))):
         assert _same(got[0], want[0])
         for mine, theirs in zip(got[1:], want[1:]):
             assert len(mine) == len(theirs) and all(map(_same, mine, theirs))
@@ -126,14 +126,14 @@ def test_evaluate_series_groups_and_edge_cases(dtype):
 
 @pytest.mark.parametrize("dtype", _DTYPES)
 def test_shared_table_against_reference_loop(rng, dtype):
-    """One T^2 ParamMap component against the per-mode loop, at the
+    """One T^2 parameterization component against the per-mode loop, at the
     tolerance of the evaluator's own differential test."""
     dim, cap = 2, 5
     terms = {(l, ()): _sparse_series(rng, dim, cap, 8) for l in (0, 1, 3)}
-    K = ParamMap(x=Jet(0, 4, dim, cap, terms), y=(Jet(0, 4, dim, cap, {(2, ()): _sparse_series(rng, dim, cap, 4)}),),
-                 theta_dev=(), rot=(0.0, 0.0))
+    K = SkewMap(x=Jet(0, 4, dim, cap, terms), y=(Jet(0, 4, dim, cap, {(2, ()): _sparse_series(rng, dim, cap, 4)}),),
+                theta_dev=(), rot=(0.0, 0.0))
     x, th = 0.07, (0.31, 0.84)
-    got = K.evaluate(x, th, dtype=dtype)[0]
+    got = K.evaluate(x, (), th, dtype=dtype)[0]
     want = sum((reference_evaluate(s, th, dtype) * dtype(x) ** l for (l, _), s in terms.items()), dtype(0))
     scale = sum(s.strip_norm() for s in terms.values())
     tol = {complex: 1e-13, np.clongdouble: 1e-16}[dtype]
@@ -157,20 +157,20 @@ def test_param_map_builds_one_table_per_box(monkeypatch):
     coefficient series."""
     res = solve_manifold(benchmark_map_model(), 3)
     K = res.solution.param(6)
-    n_series = sum(len(j.terms) for j in K.components())
+    n_series = sum(len(j.terms) for j in (K.x, *K.y, *K.theta_dev))
     assert n_series > 3
     xs = np.linspace(0.01, 0.02, 4)
     ths = [np.linspace(0.0, 0.75, 4)]
     calls = _count_exp_tables(monkeypatch)
-    K.evaluate(xs, ths, dtype=np.clongdouble)
+    K.evaluate(xs, (), ths, dtype=np.clongdouble)
     assert len(calls) == 1
 
     calls.clear()
-    two_caps = ParamMap(
+    two_caps = SkewMap(
         x=Jet(0, 3, 1, 6, {(1, ()): FourierSeries.cosine((2,), 1, 6), (2, ()): FourierSeries.cosine((5,), 1, 6)}),
         y=(Jet(0, 3, 1, 6, {(2, ()): FourierSeries.sine((1,), 1, 4)}),),
         theta_dev=(Jet(0, 3, 1, 6, {(1, ()): FourierSeries.cosine((3,), 1, 4)}),),
         rot=(0.1,),
     )
-    two_caps.evaluate(xs, ths)
+    two_caps.evaluate(xs, (), ths)
     assert len(calls) == 2

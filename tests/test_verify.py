@@ -136,7 +136,7 @@ def test_membership_on_manifold(bench_map):
     res = solve_manifold(bench_map, 5)
     sol = res.solution
     K = sol.param(8)
-    kx, ky, kth = K.evaluate(0.05, (0.2,))
+    kx, ky, kth = K.evaluate(0.05, (), (0.2,))
     pt = [kx.real, ky[0].real, kth[0].real]
     memb = stable_set_membership(sol, pt, 40, rho=0.4)
     assert memb.stays
@@ -148,7 +148,7 @@ def test_membership_off_manifold_grows(bench_map):
     res = solve_manifold(bench_map, 5)
     sol = res.solution
     K = sol.param(8)
-    kx, ky, kth = K.evaluate(0.05, (0.2,))
+    kx, ky, kth = K.evaluate(0.05, (), (0.2,))
     pt = [kx.real, ky[0].real + 0.1, kth[0].real]
     memb = stable_set_membership(sol, pt, 400, rho=0.4)
     assert (not memb.stays) or memb.distances[-1] > 10 * memb.distances[0]
