@@ -98,37 +98,57 @@ def _recap(data: np.ndarray, dim: int, src: int, dst: int) -> tuple[np.ndarray, 
 
 
 @lru_cache(maxsize=None)
+def _centre_out(dim: int, cap: int) -> np.ndarray:
+    """The positions of the modes |k|_1 <= cap from the centre out, each k
+    next to -k."""
+    box = _box(dim, cap)
+    out = np.arange(box.zero + 1, box.size)
+    order = np.concatenate(([box.zero], np.column_stack((out, box.size - 1 - out)).ravel()))
+    return order[box.norm1[order] <= cap]
+
+
+@lru_cache(maxsize=None)
 def _product_plan(dim: int, ca: int, cb: int):
     """Index tables for the product of a cap-``ca`` and a cap-``cb`` series.
 
     The pairs land in the box of cap ca + cb (``wide``), where
     position(k1 + k2) = position(k1) + position(k2) - position(0), plus one
-    trailing bin that stays zero.  Returns a's positions from the centre
-    out (each k next to -k) with their shifts in the wide box, b's positions
-    in the wide box, the wide position of each mode of the product's box
-    (-1, the zero bin, off the mask), the wide positions beyond the
-    product's cap, and the number of bins.
+    trailing bin that stays zero.  Returns the shift in the wide box of each
+    position of a's box, the wide position of each position of b's box, the
+    wide position of each mode of the product's box (-1, the zero bin, off
+    the mask), the wide positions beyond the product's cap, and the number of
+    bins.
     """
     cap, wide = min(ca, cb), _box(dim, ca + cb)
-    box = _box(dim, ca)
-    out = np.arange(box.zero + 1, box.size)
-    order = np.concatenate(([box.zero], np.column_stack((out, box.size - 1 - out)).ravel()))
-    order = order[box.norm1[order] <= ca]
-    shift = _positions(dim, ca, ca + cb)[order] - wide.zero
     beyond = np.flatnonzero(wide.norm1 > cap)
-    return (order, shift, _positions(dim, cb, ca + cb), _positions(dim, cap, ca + cb),
-            beyond, wide.size + 1)
+    return (_positions(dim, ca, ca + cb) - wide.zero, _positions(dim, cb, ca + cb),
+            _positions(dim, cap, ca + cb), beyond, wide.size + 1)
 
 
-def _pair_product(a: "FourierSeries", b: "FourierSeries") -> tuple[np.ndarray, float]:
-    """The product's coefficients on the smaller cap's box and the l1 mass
-    beyond it, summed pair by pair over the nonzero modes in a's centre-out
-    order, so that a term and its mirror image cancel exactly."""
-    order, shift, pos_b, gather, beyond, bins = _product_plan(a.dim, a.order_cap, b.order_cap)
+def _pairs(a: "FourierSeries", b: "FourierSeries"):
+    """The nonzero modes of a, from the centre out (each k next to -k), and
+    of b, as positions in their boxes, and the products of every pair as one
+    (a, b) array from one call."""
+    order = _centre_out(a.dim, a.order_cap)
     va = a._data[order]
     ia, ib = va.nonzero()[0], b._support()
+    return order[ia], ib, va[ia][:, None] * b._data[ib]
+
+
+def _zero_mode_only(pos: np.ndarray, zero: int) -> bool:
+    """Whether the nonzero positions ``pos`` hold no mode but the zero mode."""
+    return pos.size < 2 and pos.tolist() in ([], [zero])
+
+
+def _pair_product(a: "FourierSeries", b: "FourierSeries", pairs=None) -> tuple[np.ndarray, float]:
+    """The product's coefficients on the smaller cap's box and the l1 mass
+    beyond it, summed pair by pair over the nonzero modes in a's centre-out
+    order, so that a term and its mirror image cancel exactly.  ``pairs`` is
+    :func:`_pairs` of (a, b), when it is at hand."""
+    pos_a, pos_b, prods = _pairs(a, b) if pairs is None else pairs
+    shift, wide_b, gather, beyond, bins = _product_plan(a.dim, a.order_cap, b.order_cap)
     full = np.zeros(bins, dtype=complex)
-    np.add.at(full, (shift[ia][:, None] + pos_b[ib]).ravel(), (va[ia][:, None] * b._data[ib]).ravel())
+    np.add.at(full, (shift[pos_a][:, None] + wide_b[pos_b]).ravel(), prods.ravel())
     lost = full[beyond]
     return full[gather], float(np.abs(lost).sum()) if np.count_nonzero(lost) else 0.0
 
@@ -313,9 +333,23 @@ class FourierSeries:
         Nothing reaches a mode but the products of nonzero pairs, so a mode
         no pair lands on stays an exact zero.  The coefficients beyond the
         smaller cap feed ``trunc_loss``.
+
+        With equal caps and a factor that has no mode but its zero mode, the
+        product scales the other factor: each of its modes is one pair's
+        product, which is put in place, plus +0 as the pair sum adds it, with
+        no sum over the wider box.  The pairs are the ones the sum would take,
+        from the same call, since numpy may round a complex product
+        differently (fused multiply-add or not) by the shape of the call.
         """
         self._check_compatible(other)
-        data, dropped = _pair_product(self, other)
+        pairs = pos_a, pos_b, prods = _pairs(self, other)
+        zero = self._data.size // 2
+        if self.order_cap == other.order_cap and (_zero_mode_only(pos_a, zero)
+                                                  or _zero_mode_only(pos_b, zero)):
+            data = np.zeros(self._data.size, dtype=complex)
+            data[(pos_a[:, None] + (pos_b - zero)).ravel()] = 0j + prods.ravel()
+            return self._like(data, self.trunc_loss + other.trunc_loss)
+        data, dropped = _pair_product(self, other, pairs)
         return FourierSeries._of(
             self.dim, min(self.order_cap, other.order_cap), data,
             self.trunc_loss + other.trunc_loss + dropped,

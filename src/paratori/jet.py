@@ -244,7 +244,11 @@ class Jet:
 def evaluate_jets(jets: Sequence[Jet], x, y=(), theta=(), dtype=complex) -> list:
     """The values of several jets at the same (x, y, theta), each as
     :meth:`Jet.evaluate` gives it, from one phase table over the
-    coefficients of all their terms (:func:`~paratori.fourier.evaluate_series`)."""
+    coefficients of all their terms (:func:`~paratori.fourier.evaluate_series`).
+
+    Every value has the broadcast shape of x, the y-values and the theta
+    points, whichever monomials its jet holds: a zero jet, or one with x^0
+    terms only, is broadcast to it."""
     y = tuple(y)
     for jet in jets:
         if len(y) != jet.m:
@@ -254,6 +258,7 @@ def evaluate_jets(jets: Sequence[Jet], x, y=(), theta=(), dtype=complex) -> list
     th = np.asarray(theta, dtype=dtype)
     if th.ndim > 1:  # components (d, ...) -> points (..., d)
         th = np.moveaxis(th, 0, -1)
+    shape = np.broadcast_shapes(xv.shape, *(v.shape for v in yv), th.shape[:-1])
     values = iter(evaluate_series([s for jet in jets for s in jet.terms.values()], th, dtype))
     out = []
     for jet in jets:
@@ -264,7 +269,7 @@ def evaluate_jets(jets: Sequence[Jet], x, y=(), theta=(), dtype=complex) -> list
                 if ki:
                     mono = mono * yi ** ki
             acc = acc + next(values) * mono
-        out.append(acc)
+        out.append(acc if np.shape(acc) == shape else np.broadcast_to(acc, shape))
     return out
 
 

@@ -88,21 +88,42 @@ def _max_diff(pairs) -> float:
     return max((float(np.max(_cabs(u - v))) for u, v in pairs), default=0.0)
 
 
-def _map_residual_at(skew, K, R, x, thetas):
-    """Largest |F(K(x, th)) - K(R(x, th))| per component over the rows of
-    ``thetas``, in extended precision, and the largest magnitude."""
+def _row(image, i):
+    """Row i of an image (x', y'-list, theta'-list) evaluated for all x-samples."""
+    vx, vy, vth = image
+    return vx[i], [v[i] for v in vy], [v[i] for v in vth]
+
+
+def _map_residuals(skew, K, R, xs, thetas):
+    """Per x in ``xs``: the largest |F(K(x, th)) - K(R(x, th))| per component
+    over the rows of ``thetas``, in extended precision, and the largest
+    magnitude.
+
+    K and R are evaluated on the fixed grid once for all x-samples, each from
+    one phase table over the grid alone; so is K at R when R only rotates,
+    because R's angles then do not move with x.
+    """
     th = thetas.T
-    kx, ky, kth = K.evaluate(x, (), th, dtype=_CDT)
-    fx, fy, fth = skew.evaluate(kx, ky, kth, dtype=_CDT)
-    rx, _, rth = R.evaluate(x, (), th, dtype=_CDT)
-    gx, gy, gth = K.evaluate(rx, (), rth, dtype=_CDT)
-    mag = float(np.max(_cabs(fx) + _cabs(gx) + 1.0))
-    return _max_diff([(fx, gx)]), _max_diff(zip(fy, gy)), _max_diff(zip(fth, gth)), mag
+    xc = np.asarray(xs)[:, None]
+    k = K.evaluate(xc, (), th, dtype=_CDT)
+    rx, _, rth = R.evaluate(xc, (), th, dtype=_CDT)
+    rotates = all(j.is_zero() for j in R.theta_dev)
+    if rotates:  # every row of rth is the same
+        kr = K.evaluate(rx, (), [t[0] for t in rth], dtype=_CDT)
+    out = []
+    for i in range(len(xs)):
+        # K's angles move with x, so F at K takes one table per x-sample: a
+        # table over every x-sample and grid point would be n_samples times as large
+        fx, fy, fth = skew.evaluate(*_row(k, i), dtype=_CDT)
+        gx, gy, gth = _row(kr, i) if rotates else K.evaluate(rx[i], (), [t[i] for t in rth], dtype=_CDT)
+        mag = float(np.max(_cabs(fx) + _cabs(gx) + 1.0))
+        out.append((_max_diff([(fx, gx)]), _max_diff(zip(fy, gy)), _max_diff(zip(fth, gth)), mag))
+    return out
 
 
 def _transport_jets(sol, K):
-    """Per component of K: d/dx, L_(omega,nu) and d/dtheta_r for each angle r
-    the reduced flow moves, grouped as (x, y-list, theta-list)."""
+    """Per component of K, x first, then the y's and the angles: d/dx,
+    L_(omega,nu) and d/dtheta_r for each angle r the reduced flow moves."""
     model = sol.model
     full = tuple(model.freq.omega) + tuple(model.freq.nu)
     moving = [r for r in range(model.d) if any(v[r] for v in sol.reduced.theta_terms.values())]
@@ -110,42 +131,44 @@ def _transport_jets(sol, K):
     def jets(j):
         return j.derivative_x(), j.directional_theta(full), {r: j.derivative_theta(r) for r in moving}
 
-    return jets(K.x), [jets(j) for j in K.y], [jets(j) for j in K.theta_dev]
+    return [jets(j) for j in (K.x, *K.y, *K.theta_dev)]
 
 
-def _flow_residual_at(fld, sol, K, tjets, x, thetas):
-    """As :func:`_map_residual_at` for X(K) - DK Y - dK/dt; ``tjets`` is
-    :func:`_transport_jets`."""
+def _flow_residuals(fld, sol, K, tjets, xs, thetas):
+    """As :func:`_map_residuals` for X(K) - DK Y - dK/dt; ``tjets`` is
+    :func:`_transport_jets`.  K and the transported jets are evaluated on the
+    grid once for all x-samples, X at K one x-sample at a time."""
     model = sol.model
     th = thetas.T
-    kx, ky, kth = K.evaluate(x, (), th, dtype=_CDT)
-    Xx, *rest = evaluate_jets((fld.x, *fld.y, *fld.theta_dev[:model.d]), kx, ky, kth, _CDT)
-    Xy, Xdev = rest[:model.m], rest[model.m:]
-    yx = sol.reduced.x_value(_CDT(x))
-    ydev = []
-    for r in range(model.d):
-        acc = _CDT(0)
-        for order, vec in sol.reduced.theta_terms.items():
-            if vec[r]:
-                acc = acc + _CDT(vec[r]) * _CDT(x) ** order
-        ydev.append(acc)
+    xc = np.asarray(xs)[:, None]
+    k = K.evaluate(xc, (), th, dtype=_CDT)
+    values = iter(evaluate_jets([j for dx, dt, dth in tjets for j in (dx, dt, *dth.values())],
+                                xc, (), th, _CDT))
+    on_grid = [(next(values), next(values), {r: next(values) for r in dth}) for _, _, dth in tjets]
+    out = []
+    for i, x in enumerate(xs):
+        X = evaluate_jets((fld.x, *fld.y, *fld.theta_dev[:model.d]), *_row(k, i), _CDT)
+        yx = sol.reduced.x_value(_CDT(x))
+        ydev = []
+        for r in range(model.d):
+            acc = _CDT(0)
+            for order, vec in sol.reduced.theta_terms.items():
+                if vec[r]:
+                    acc = acc + _CDT(vec[r]) * _CDT(x) ** order
+            ydev.append(acc)
+        X[1 + model.m:] = [v - dev for v, dev in zip(X[1 + model.m:], ydev)]
 
-    moving = [r for r in range(model.d) if ydev[r] != 0]
-
-    def transported(jets):
-        dx, dt, dth = jets
-        vx, vt, *vth = evaluate_jets((dx, dt, *(dth[r] for r in moving)), x, (), th, _CDT)
-        v = vx * yx + vt
-        for r, w in zip(moving, vth):
-            v = v + w * ydev[r]
-        return v
-
-    tx, ty, tth = tjets
-    ex = _max_diff([(Xx, transported(tx))])
-    ey = _max_diff((Xy[i], transported(ty[i])) for i in range(model.m))
-    eth = _max_diff((Xdev[r] - ydev[r], transported(tth[r])) for r in range(model.d))
-    mag = float(np.max(_cabs(Xx) + abs(complex(yx)) + 1.0))
-    return ex, ey, eth, mag
+        errs = []
+        for Xc, (vx, vt, vth) in zip(X, on_grid):
+            v = vx[i] * yx + vt[i]
+            for r, w in vth.items():
+                if ydev[r] != 0:
+                    v = v + w[i] * ydev[r]
+            errs.append(_max_diff([(Xc, v)]))
+        mag = float(np.max(_cabs(X[0]) + abs(complex(yx)) + 1.0))
+        out.append((errs[0], max(errs[1:1 + model.m], default=0.0),
+                    max(errs[1 + model.m:], default=0.0), mag))
+    return out
 
 
 def _error_jet_norms(error, sol) -> dict[str, float]:
@@ -194,18 +217,11 @@ def fit_error_orders(
     eps = float(np.finfo(np.longdouble).eps)
 
     if model.kind == "map":
-        residual = functools.partial(_map_residual_at, model.as_skew(deg), K,
-                                     sol.reduced.as_param(deg, model))
+        residuals = _map_residuals(model.as_skew(deg), K, sol.reduced.as_param(deg, model), xs, thetas)
     else:
-        residual = functools.partial(_flow_residual_at, model.as_field(deg), sol, K,
-                                     _transport_jets(sol, K))
-
-    rows = []
-    for x in xs:
-        # one theta-row per x-sample keeps the batch, and its memory, small
-        ex, ey, eth, mag = residual(x, thetas)
-        rows.append({"x": float(x), "floor": float(60.0 * eps * mag),
-                     "e_x": ex, "e_y": ey, "e_theta": eth})
+        residuals = _flow_residuals(model.as_field(deg), sol, K, _transport_jets(sol, K), xs, thetas)
+    rows = [{"x": float(x), "floor": float(60.0 * eps * mag), "e_x": ex, "e_y": ey, "e_theta": eth}
+            for x, (ex, ey, eth, mag) in zip(xs, residuals)]
 
     jet_norm = None  # built only for a component with no sample above the floor
     jet_scale = max(model.coefficient_scale(), 1.0)

@@ -1,6 +1,10 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
+import paratori
 from paratori.benchmark import GOLDEN, benchmark_map_model, benchmark_flow_model
 from paratori.fourier import FourierSeries, diophantine_scan
 
@@ -49,3 +53,13 @@ def random_real_series(rng, dim=1, cap=8, decay=0.5, scale=1.0, max_mode=None) -
         table[tuple(k)] = c
         table[tuple(-v for v in k)] = c.conjugate()
     return FourierSeries(dim, cap, table)
+
+
+def torus2_model(seed):
+    """The benchmark's seeded T^2 map, from its generator in perfbench/."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(paratori.__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "torus2", os.path.join(root, "perfbench", "torus2.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.torus2_model(seed)

@@ -3,9 +3,9 @@ implementation: a dense generic linear solve of the full coefficient system
 assembled by probing the exact jet composition, the per-mode and per-series
 evaluation loops, the dict-of-tuples Fourier arithmetic that the array
 store replaced, the restricted-field constructors written term by term, the
-positions and potential of the primaries summed one primary at a time, and
+positions and potential of the primaries summed one primary at a time,
 the restricted field with every position from one numpy matrix-vector
-product."""
+product, and the invariance residual sampled one x-sample at a time."""
 
 import cmath
 import math
@@ -15,8 +15,9 @@ import numpy as np
 from paratori.cohomology import ErrorJet, invariance_error
 from paratori.errors import HypothesisViolation, OrbitLeftDomain, ResonantMode
 from paratori.fourier import FourierSeries
-from paratori.jet import Jet, jet_compose
+from paratori.jet import Jet, evaluate_jets, jet_compose
 from paratori.model import ReducedMap
+from paratori.verify import _CDT, _cabs, _max_diff, _theta_grid, _transport_jets
 
 
 def _mode_basis(cap):
@@ -142,7 +143,8 @@ def reference_evaluate(s, theta, dtype=complex):
 
 def per_series_jet_evaluate(jet, x, y=(), theta=(), dtype=complex):
     """The jet evaluator the shared phase table replaced: every term's
-    series evaluated on its own, with a table of its own modes."""
+    series evaluated on its own, with a table of its own modes, and the sum
+    broadcast to the shape of the points."""
     xv = np.asarray(x, dtype=dtype)
     yv = [np.asarray(v, dtype=dtype) for v in y]
     th = np.asarray(theta, dtype=dtype)
@@ -155,7 +157,8 @@ def per_series_jet_evaluate(jet, x, y=(), theta=(), dtype=complex):
             if ki:
                 mono = mono * yi ** ki
         acc = acc + s.evaluate(th, dtype=dtype) * mono
-    return acc
+    shape = np.broadcast_shapes(xv.shape, *(v.shape for v in yv), th.shape[:-1])
+    return acc if np.shape(acc) == shape else np.broadcast_to(acc, shape)
 
 
 def per_series_map_evaluate(F, x, y, theta, dtype=complex):
@@ -200,6 +203,80 @@ def reference_flow_invariance_error(sol, deg=None):
     eys = tuple(sub(X.y[i]) - transport(K.y[i]) for i in range(model.m))
     eths = tuple(sub(X.theta_dev[r]) - Ydev[r] - transport(K.theta_dev[r]) for r in range(model.d))
     return ErrorJet(ex=ex, ey=eys, eth=eths, declared=declared)
+
+
+# ------------------------------------------------ the per-x-sample verifier
+#
+# The residual sampler of ``verify.fit_error_orders`` as it was before K, R
+# and K o R were evaluated once for all x-samples: every table rebuilt at
+# each x-sample.
+
+
+def map_residual_at(skew, K, R, x, thetas):
+    """Largest |F(K(x, th)) - K(R(x, th))| per component over the rows of
+    ``thetas``, in extended precision, and the largest magnitude."""
+    th = thetas.T
+    kx, ky, kth = K.evaluate(x, (), th, dtype=_CDT)
+    fx, fy, fth = skew.evaluate(kx, ky, kth, dtype=_CDT)
+    rx, _, rth = R.evaluate(x, (), th, dtype=_CDT)
+    gx, gy, gth = K.evaluate(rx, (), rth, dtype=_CDT)
+    mag = float(np.max(_cabs(fx) + _cabs(gx) + 1.0))
+    return _max_diff([(fx, gx)]), _max_diff(zip(fy, gy)), _max_diff(zip(fth, gth)), mag
+
+
+def flow_residual_at(fld, sol, K, tjets, x, thetas):
+    """As :func:`map_residual_at` for X(K) - DK Y - dK/dt; ``tjets`` is
+    ``verify._transport_jets``."""
+    model = sol.model
+    th = thetas.T
+    kx, ky, kth = K.evaluate(x, (), th, dtype=_CDT)
+    Xx, *rest = evaluate_jets((fld.x, *fld.y, *fld.theta_dev[:model.d]), kx, ky, kth, _CDT)
+    Xy, Xdev = rest[:model.m], rest[model.m:]
+    yx = sol.reduced.x_value(_CDT(x))
+    ydev = []
+    for r in range(model.d):
+        acc = _CDT(0)
+        for order, vec in sol.reduced.theta_terms.items():
+            if vec[r]:
+                acc = acc + _CDT(vec[r]) * _CDT(x) ** order
+        ydev.append(acc)
+
+    moving = [r for r in range(model.d) if ydev[r] != 0]
+
+    def transported(jets):
+        dx, dt, dth = jets
+        vx, vt, *vth = evaluate_jets((dx, dt, *(dth[r] for r in moving)), x, (), th, _CDT)
+        v = vx * yx + vt
+        for r, w in zip(moving, vth):
+            v = v + w * ydev[r]
+        return v
+
+    tx, ty, tth = tjets[0], tjets[1:1 + model.m], tjets[1 + model.m:]
+    ex = _max_diff([(Xx, transported(tx))])
+    ey = _max_diff((Xy[i], transported(ty[i])) for i in range(model.m))
+    eth = _max_diff((Xdev[r] - ydev[r], transported(tth[r])) for r in range(model.d))
+    mag = float(np.max(_cabs(Xx) + abs(complex(yx)) + 1.0))
+    return ex, ey, eth, mag
+
+
+def per_x_residual_rows(sol, x_window, n_samples, theta_samples):
+    """The rows (x, floor, e_x, e_y, e_theta) of ``fit_error_orders`` at these
+    arguments, one x-sample at a time."""
+    model = sol.model
+    lo, hi = x_window
+    xs = np.exp(np.linspace(math.log(lo), math.log(hi), n_samples))
+    deg = sol.guard_degree
+    K = sol.param(deg)
+    thetas = _theta_grid(model.d, theta_samples)
+    if model.kind == "map":
+        skew, R = model.as_skew(deg), sol.reduced.as_param(deg, model)
+        residuals = [map_residual_at(skew, K, R, x, thetas) for x in xs]
+    else:
+        fld, tjets = model.as_field(deg), _transport_jets(sol, K)
+        residuals = [flow_residual_at(fld, sol, K, tjets, x, thetas) for x in xs]
+    eps = float(np.finfo(np.longdouble).eps)
+    return [{"x": float(x), "floor": float(60.0 * eps * mag), "e_x": ex, "e_y": ey, "e_theta": eth}
+            for x, (ex, ey, eth, mag) in zip(xs, residuals)]
 
 
 # ------------------------------------------------- the dict-of-tuples series

@@ -1,6 +1,5 @@
 """CLI subcommands end to end: artifacts, exit codes, determinism."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -14,6 +13,7 @@ from paratori.benchmark import benchmark_map_model
 from paratori.cli import main
 from paratori.model import validate
 from paratori import serialize as ser
+from conftest import torus2_model
 
 
 def _read(path):
@@ -348,23 +348,13 @@ def test_verify_against_a_model_with_another_a_bar_exits_2(tmp_path):
     assert rec["error"] == "solution was solved for another model: reduced.a_bar 1.0 (model 0.5)"
 
 
-def _torus2_model(seed):
-    """The benchmark's seeded T^2 map, from its generator in perfbench/."""
-    root = os.path.dirname(os.path.dirname(os.path.dirname(paratori.__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "torus2", os.path.join(root, "perfbench", "torus2.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.torus2_model(seed)
-
-
 def test_verify_against_a_model_of_the_same_shape_exits_2(tmp_path):
     # two seeds of torus2 share shape, rotation and a_bar; only the model
     # fingerprint in the record tells them apart
     paths = {}
     for seed in (1, 2):
         paths[seed] = str(tmp_path / f"torus2_{seed}.json")
-        ser.dump_json(ser.model_to_obj(_torus2_model(seed)), paths[seed])
+        ser.dump_json(ser.model_to_obj(torus2_model(seed)), paths[seed])
     solved = tmp_path / "solved"
     assert main(["solve-map", "--model", paths[1], "--order", "2", "--outdir", str(solved)]) == 0
     out = tmp_path / "verify"

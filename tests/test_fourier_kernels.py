@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paratori.errors import DimensionMismatch, ResonantMode
-from paratori.fourier import FourierSeries, FrequencyVector, sd_solve_flow, sd_solve_map
+from paratori.fourier import (
+    FourierSeries, FrequencyVector, _box, _pair_product, sd_solve_flow, sd_solve_map,
+)
 from conftest import random_real_series
 from oracles import (
     flow_divisor,
@@ -225,6 +227,63 @@ def test_kernels_match_dict_code_property(seed, dim, c1, c2, real, max_mode):
         h = a.oscillatory()
         want = reference_sd_divide(h, freq.omega, map_divisor, 1e-12)
         _assert_table(sd_solve_map(h, freq), want, TOL * sum(abs(c) for c in want.values()))
+
+
+# constants with signed zeros and -1 beside random ones
+_CONSTANTS = (-1.0, 0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0),
+              complex(-0.0, 2.5), complex(-1.5, -0.0), 1j)
+
+
+def _signed_zero_parts(rng, values):
+    """The values with the real or the imaginary part of about a third of
+    them replaced by +0 or -0."""
+    out = values.copy()
+    for i in np.flatnonzero(rng.random(values.size) < 0.35):
+        zero = float(rng.choice([0.0, -0.0]))
+        out[i] = complex(zero, out[i].imag) if rng.random() < 0.5 else complex(out[i].real, zero)
+    return out
+
+
+def _series_on(rng, dim, cap, n_modes, special):
+    """A series built on its box array, so that signed zeros survive: the
+    constant ``special`` (an index into _CONSTANTS, or None for a random one)
+    when ``n_modes`` is None, else ``n_modes`` random modes."""
+    box = _box(dim, cap)
+    data = np.zeros(box.size, dtype=complex)
+    if n_modes is None:
+        data[box.zero] = (complex(rng.standard_normal(), rng.standard_normal())
+                          if special is None else _CONSTANTS[special])
+    else:
+        modes = np.flatnonzero(box.norm1 <= cap)
+        idx = rng.choice(modes, size=min(n_modes, modes.size), replace=False)
+        values = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+        data[idx] = _signed_zero_parts(rng, values)
+    return FourierSeries._of(dim, cap, data, float(rng.random()))
+
+
+def _same_bits(a, b) -> bool:
+    return (np.array_equal(a, b) and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(0, 2), cap=st.integers(0, 5),
+       side=st.sampled_from(["left", "right", "both"]),
+       special=st.sampled_from([None, *range(len(_CONSTANTS))]),
+       n_modes=st.sampled_from([0, 1, 2, 3, 8, 60]))
+def test_constant_factor_product_is_the_pair_sum(seed, dim, cap, side, special, n_modes):
+    """With equal caps and a constant factor, the product scales the other
+    factor to the bits and signed zeros of the pair sum it skips, and adds
+    the operands' losses."""
+    rng = np.random.default_rng(seed)
+    const = _series_on(rng, dim, cap, None, special)
+    other = _series_on(rng, dim, cap, None if side == "both" else n_modes, None)
+    a, b = (other, const) if side == "right" else (const, other)
+    got = a.series_mul(b)
+    want, dropped = _pair_product(a, b)
+    assert dropped == 0.0
+    assert got.order_cap == cap and _same_bits(got._data, want)
+    assert got.trunc_loss == a.trunc_loss + b.trunc_loss
 
 
 @_PROPERTY

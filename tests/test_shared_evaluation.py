@@ -9,7 +9,8 @@ from paratori.benchmark import benchmark_map_model
 from paratori.cohomology import solve_manifold
 from paratori.errors import DimensionMismatch
 from paratori.fourier import FourierSeries, _box, evaluate_series
-from paratori.jet import Jet, SkewMap
+from paratori.jet import Jet, SkewMap, evaluate_jets
+from paratori.verify import fit_error_orders
 from oracles import per_series_jet_evaluate, per_series_map_evaluate, reference_evaluate
 
 _PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -174,3 +175,36 @@ def test_param_map_builds_one_table_per_box(monkeypatch):
     )
     two_caps.evaluate(xs, (), ths)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("dtype", _DTYPES)
+def test_every_jet_value_has_the_points_shape(dtype):
+    """A zero jet, a jet of x^0 terms only and x itself, at x of shape (5, 1)
+    and theta of shape (7,): each value has the broadcast shape (5, 7), with
+    the bits of the value before broadcasting."""
+    dim, cap = 1, 4
+    x = np.linspace(0.01, 0.05, 5)[:, None]
+    th = (np.linspace(0.0, 0.9, 7),)
+    jets = (Jet.zero(0, 3, dim, cap),
+            Jet(0, 3, dim, cap, {(0, ()): FourierSeries.cosine((1,), dim, cap)}),
+            Jet.var_x(0, 3, dim, cap))
+    zero, flat, var_x = evaluate_jets(jets, x, (), th, dtype)
+    for v in (zero, flat, var_x):
+        assert np.shape(v) == (5, 7) and np.asarray(v).dtype == dtype
+    assert _same(zero, np.zeros((5, 7), dtype=dtype))
+    assert all(_same(row, jets[1].terms[(0, ())].evaluate(np.asarray(th).T, dtype=dtype)) for row in flat)
+    assert _same(var_x, np.broadcast_to(np.asarray(x, dtype=dtype), (5, 7)))
+    # one point keeps scalar values
+    assert all(np.shape(v) == () for v in evaluate_jets(jets, 0.02, (), 0.3, dtype))
+
+
+def test_fit_error_orders_tables_per_x_sample(monkeypatch):
+    """One fit on benchmark-map exponentiates n_samples + 3 phase tables: K,
+    R and K o R once, F at K once per x-sample.  The one further np.exp
+    spaces the x-samples."""
+    sol = solve_manifold(benchmark_map_model(), 5).solution
+    n_samples = 10
+    calls = _count_exp_tables(monkeypatch)
+    fit_error_orders(sol, n_samples=n_samples, theta_samples=6)
+    assert calls[0] == (n_samples,)  # the x-samples
+    assert len(calls) - 1 == n_samples + 3

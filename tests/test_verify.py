@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
-from paratori.benchmark import conjugacy_fixture
-from paratori.cohomology import solve_manifold
+from paratori.benchmark import GOLDEN, benchmark_flow_model, benchmark_map_model, conjugacy_fixture
+from paratori.cohomology import FreeChoicePolicy, solve_manifold
 from paratori.errors import BoundViolated, EscapedSector, WindowTooWide
 from paratori.dynamics import iterate_reduced
-from paratori.model import ReducedMap
+from paratori.fourier import FourierSeries, diophantine_scan
+from paratori.jet import Jet
+from paratori.model import FlowModel, MapModel, ReducedMap
 from paratori.verify import (
     fit_error_orders,
     fit_error_orders_auto,
     sector_decay_check,
     stable_set_membership,
 )
+from conftest import torus2_model
+from oracles import per_x_residual_rows
 
 
 # -------------------------------------------------------------- slope fits
@@ -71,6 +75,53 @@ def test_monotone_slopes_in_j(bench_map):
         rep = fit_error_orders(res.solution)
         slopes.append(rep.fitted_slope["x"])
     assert slopes[0] <= slopes[1] + 0.1 <= slopes[2] + 0.2
+
+
+def _moving_angle_model(kind):
+    """P = 1 < N = 2 on T^1: the reduced dynamics turns its angle by terms in
+    x, so R's angles move with x."""
+    cap, deg, dim = 16, 10, 1
+    freq = diophantine_scan([GOLDEN], tau=1.0, k_max=80, sense=kind)
+    a = FourierSeries.constant(1.0, dim, cap) + FourierSeries.cosine((1,), dim, cap, 0.3)
+    h = [Jet.monomial(1, (), FourierSeries.constant(0.2, dim, cap)
+                      + FourierSeries.cosine((1,), dim, cap, 0.1), 0, deg, dim, cap)
+         + Jet.monomial(2, (), 0.05, 0, deg, dim, cap)]
+    f = Jet.monomial(3, (), FourierSeries.constant(-0.2, dim, cap)
+                     + FourierSeries.sine((1,), dim, cap, 0.1), 0, deg, dim, cap)
+    cls = MapModel if kind == "map" else FlowModel
+    return cls.build(N=2, P=1, freq=freq, a=a, m=0, order_cap=cap, f=f, h=h, deg=deg)
+
+
+_BATCHED_CASES = {
+    "benchmark-map": (benchmark_map_model, 5, None, {}),
+    "benchmark-flow": (benchmark_flow_model, 5, None, {}),
+    "torus2": (lambda: torus2_model(1), 5, None,
+               {"x_window": (0.005, 0.02), "theta_samples": 8, "n_samples": 12}),
+    "moving-angle-map": (lambda: _moving_angle_model("map"), 5,
+                         FreeChoicePolicy(kbar_theta={2: (0.1,), 3: (0.2,)}),
+                         {"x_window": (0.01, 0.05), "theta_samples": 8}),
+    "moving-angle-flow": (lambda: _moving_angle_model("flow"), 5,
+                          FreeChoicePolicy(kbar_theta={2: (0.1,), 3: (0.2,)}),
+                          {"x_window": (0.01, 0.05), "theta_samples": 8}),
+}
+
+
+@pytest.mark.parametrize("case", list(_BATCHED_CASES))
+def test_batched_residuals_equal_per_x_samples(case):
+    """The residual rows with K, R (and K o R when R only rotates) evaluated
+    once for all x-samples are bit for bit the rows sampled one x at a time."""
+    build, order, choices, kw = _BATCHED_CASES[case]
+    kw = dict(kw)
+    res = solve_manifold(build(), order, choices)
+    sol = res.solution
+    if case.startswith("moving-angle"):
+        assert sol.reduced.theta_terms and sol.kbar_th  # R's angle moves with x
+    rep = fit_error_orders_auto(sol, kw.pop("x_window", (1e-3, 1e-2)), error=res.error, **kw)
+    want = per_x_residual_rows(sol, rep.x_window, len(rep.samples), rep.theta_samples)
+    assert len(rep.samples) == len(want)
+    for got, ref in zip(rep.samples, want):
+        for key in ("x", "floor", "e_x", "e_y", "e_theta"):
+            assert np.array_equal(got[key], ref[key]), (key, got[key], ref[key])
 
 
 # ------------------------------------------------------------ sector bound
