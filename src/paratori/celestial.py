@@ -280,10 +280,12 @@ class RestrictedField:
     ``cmath.exp`` per mode that carries one: numpy's per-call overhead on
     arrays of a few entries would be most of the field's cost.  Above the
     threshold (the three-primary T^2 system of the tests has 87 terms on 29
-    modes) the stacked ``qmat @ exp(2 pi i modes @ (omega t))`` is faster.
-    The two agree bit for bit on the binary and on one primary, and to
-    rounding elsewhere: the float sum forms k.omega t axis by axis from
-    zero, as ``FourierSeries.evaluate`` does.
+    modes) the stacked ``qmat @ exp(2 pi i k.omega t)`` is faster.  Both
+    form k.omega t axis by axis from zero, as ``FourierSeries.evaluate``
+    does; they agree bit for bit on the binary and on one primary, and to
+    the rounding of the exponential and of the sum elsewhere.  The positions
+    at the last time asked for are kept, so the two stages of a step at
+    t + h sum them once.
     """
 
     sys: PrimarySystem
@@ -293,34 +295,42 @@ class RestrictedField:
         # (n_primaries, n_modes) matrix of the coefficients of qx + i qy
         sys = self.sys
         modes = sorted({k for s in (*sys.qx, *sys.qy) for k in s.coeffs})
-        self._omega = np.array(sys.omega, dtype=float)
+        self._omega = tuple(float(w) for w in sys.omega)
         self._modes = np.array(modes, dtype=float).reshape(len(modes), sys.qx[0].dim)
         self._qmat = np.array(
             [[ax.coeff(k) + 1j * ay.coeff(k) for k in modes] for ax, ay in zip(sys.qx, sys.qy)],
             dtype=complex,
         )
+        self._last_t = self._last_q = None
         nonzero = [[(i, c) for i, c in enumerate(row) if c] for row in self._qmat.tolist()]
         if sum(map(len, nonzero)) > _FLOAT_SUM_MAX_TERMS:
-            self._sum_positions = self._matvec_positions
+            self._sum = self._matvec_positions
             return
         # the float sum: the modes some primary carries, and per primary its
         # (index into them, coefficient) pairs in increasing mode order
         used = sorted({i for row in nonzero for i, _ in row})
-        self._omega_t = tuple(self._omega.tolist())
         self._used_modes = tuple(tuple(self._modes[i].tolist()) for i in used)
         self._terms = tuple(tuple((used.index(i), c) for i, c in row) for row in nonzero)
-        self._sum_positions = self._float_positions
+        self._sum = self._float_positions
 
     @property
     def dim(self) -> int:
         return 4
 
+    def _sum_positions(self, t) -> list:
+        # stages k6 and k7 of a Dormand–Prince step share the time t + h
+        if t != self._last_t:
+            self._last_t, self._last_q = t, self._sum(t)
+        return self._last_q
+
     def _matvec_positions(self, t) -> list:
-        phase = self._modes @ (self._omega * t)
+        phase = np.zeros(len(self._modes))
+        for k, w in zip(self._modes.T, self._omega):
+            phase += k * (w * t)
         return (self._qmat @ np.exp(_TWO_PI_I * phase)).tolist()
 
     def _float_positions(self, t) -> list:
-        wt = [w * t for w in self._omega_t]
+        wt = [w * t for w in self._omega]
         phases = []
         for k in self._used_modes:
             kwt = 0.0
@@ -621,9 +631,13 @@ def escape_demo(
     diagnostics: the trajectory must track the closed-form parabolic radial
     law (with the time offset t0 fixed by the initial radius), the radial
     velocity must decay, the two-body energy must stay near zero, and a
-    control orbit kicked inward must fail the law.
+    control orbit kicked inward must fail the law.  The control orbit needs
+    nothing from the main one, so a forked child integrates it meanwhile,
+    with the same code on the same inputs and so to the same bits; only a
+    collapse or a collision of the control counts as failing the law, and
+    any other error in it propagates.
     """
-    from .dynamics import integrate_flow
+    from .dynamics import _ForkedCall, integrate_flow
 
     sys.check()
     M = sys.total_mass
@@ -638,7 +652,18 @@ def escape_demo(
         [0.0],
         np.minimum(np.logspace(0.0, math.log10(horizon), n_samples), horizon),
     ]))
-    orbit = integrate_flow(field, [r0, th0, y0, G0], (0.0, horizon), tol=tol, t_eval=ts)
+    # control orbit: same point kicked inward (y by _CONTROL_KICK); it must fall
+    # back or go hyperbolic, so the ratio leaves the band well before the horizon
+    control_T = min(3.0e4, horizon)
+    with _ForkedCall(
+        integrate_flow, field, [r0, th0, y0 + _CONTROL_KICK, G0], (0.0, control_T),
+        tol=tol, t_eval=np.linspace(0.0, control_T, 200),
+    ) as control:
+        orbit = integrate_flow(field, [r0, th0, y0, G0], (0.0, horizon), tol=tol, t_eval=ts)
+        try:
+            co = control.result()
+        except (StepUnderflow, OrbitLeftDomain):
+            co = None  # collapse/collision counts as failing the law
 
     samples = []
     lo, hi = law_window
@@ -657,21 +682,11 @@ def escape_demo(
     y_end = float(orbit.states[-1][2])
     E_end = float(field.energy(orbit.states[-1], float(orbit.times[-1])))
 
-    # control orbit: same point kicked inward (y by _CONTROL_KICK); it must fall
-    # back or go hyperbolic, so the ratio leaves the band well before the horizon
-    control_T = min(3.0e4, horizon)
-    control_fail = True
-    control_nfev = None
-    try:
-        co = integrate_flow(
-            field, [r0, th0, y0 + _CONTROL_KICK, G0], (0.0, control_T), tol=tol,
-            t_eval=np.linspace(0.0, control_T, 200),
-        )
+    control_fail, control_nfev = True, None
+    if co is not None:
         control_nfev = co.meta["nfev"]
         cr = [float(_law_ratio(row[0], t, t0, M)) for t, row in zip(co.times, co.states)]
         control_fail = not (0.98 <= min(cr[-20:]) and max(cr[-20:]) <= 1.02)
-    except (StepUnderflow, OrbitLeftDomain):
-        control_fail = True  # collapse/collision counts as failing the law
 
     report = EscapeReport(
         t0_offset=float(t0),

@@ -8,11 +8,18 @@ regression or failed check, 5 anything else.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class ParatoriError(Exception):
     """Base class for all package errors."""
 
     exit_code = 5
+
+    def __reduce__(self):
+        # unpickle from the message and the attributes, not through a
+        # subclass's __init__, whose arguments are not the message
+        return (copyreg.__newobj__, (type(self), *self.args), self.__dict__)
 
 
 class HypothesisViolation(ParatoriError):

@@ -482,9 +482,11 @@ def potential_direct(sys, r, theta_rad, phase):
 
 class ReferenceRestrictedField:
     """The restricted field in (r, theta, y, G) with the positions of all
-    primaries from one stacked numpy product, ``qmat @ exp(2 pi i modes @
-    (omega t))``, and the potential summed on Python floats: the code that
-    ``RestrictedField``'s per-system choice of summation replaced."""
+    primaries from one stacked numpy product, ``qmat @ exp(2 pi i k.omega
+    t)``, and the potential summed on Python floats: the code that
+    ``RestrictedField``'s per-system choice of summation replaced.  k.omega t
+    is summed from zero one axis at a time, as ``FourierSeries.evaluate``
+    does (a matmul ``modes @ (omega t)`` rounds it otherwise on T^2)."""
 
     def __init__(self, sys):
         self.sys = sys
@@ -501,7 +503,9 @@ class ReferenceRestrictedField:
         return 4
 
     def positions(self, t):
-        phase = self._modes @ (self._omega * t)
+        phase = np.zeros(len(self._modes))
+        for r in range(self._modes.shape[1]):
+            phase += self._modes[:, r] * (self._omega[r] * t)
         return self._qmat @ np.exp(2j * math.pi * phase)
 
     def potential_and_gradient(self, r, theta_rad, t):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from paratori.celestial import (
 )
 from paratori.cohomology import solve_manifold
 from paratori.cli import main
-from paratori.errors import HypothesisViolation, InsufficientTorusData
+from paratori.errors import HypothesisViolation, InsufficientTorusData, StepUnderflow
 from paratori.fourier import FourierSeries
 from paratori.jet import Jet
 from paratori.model import validate
@@ -93,7 +94,8 @@ def _reference_rhs(sys, t, state):
 def test_stacked_positions_equal_per_series(name):
     sys = _SYSTEMS[name]()
     fld = RestrictedField(sys)
-    for t in (0.0, 0.37, 12.5, 4.1e3):
+    # out to the escape orbit's horizon, where k.omega t is about 1e9 turns
+    for t in (0.0, 0.37, 12.5, 4.1e3, 2.7e6, 4.958e7, 1.3e9, 2.9e9, 3.0e9):
         got = fld.positions(t)
         want = primary_positions(sys, tuple(w * t for w in sys.omega))
         assert got.shape == (sys.n,)
@@ -172,11 +174,10 @@ def _mode_pairs_series(rng, dim, modes):
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 2), many=st.booleans())
 def test_field_matches_references_on_both_sides_of_the_threshold(seed, dim, many):
     # few terms (at most 3 primaries x 2 mode pairs) take the float sum,
-    # many (at least 2 x 4 pairs) the matrix-vector product.  On T^2
-    # numpy's matmul rounds k.omega t otherwise than a sum taken axis by
-    # axis from zero, and at t ~ 1e4 one ulp of the phase is 1e-11 of a
-    # position, so the float sum there is held to the per-series sum,
-    # which forms the phase as it does
+    # many (at least 2 x 4 pairs) the matrix-vector product.  On T^2 the
+    # float sum is held to the per-series sum: both form k.omega t axis by
+    # axis from zero (at t ~ 1e4 one ulp of the phase is 1e-11 of a
+    # position), and the matrix-vector product to the stacked reference
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 4) if many else rng.integers(1, 4))
     half = [k for k in itertools.product(range(-6, 7), repeat=dim)
@@ -514,26 +515,51 @@ def test_escape_demo_single_primary_fast():
     assert ys[-1] < ys[0]
 
 
-def test_escape_demo_control_error_is_not_a_failed_law(monkeypatch):
-    # only a collapse or a collision counts as the control failing the law;
-    # any other error in the control run propagates
+def _break_orbit(monkeypatch, span, error):
+    """Make integrate_flow raise ``error`` on the orbit over ``span`` only
+    (the control orbit runs over (0, 3e4), the main one to the horizon)."""
     import paratori.dynamics as dynamics
 
     real = dynamics.integrate_flow
-    calls = []
 
-    def broken_control(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
-            raise TypeError("not a collapse")
-        return real(*args, **kwargs)
+    def broken(field, state0, t_span, *args, **kwargs):
+        if tuple(t_span) == span:
+            raise error
+        return real(field, state0, t_span, *args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "integrate_flow", broken_control)
+    monkeypatch.setattr(dynamics, "integrate_flow", broken)
+
+
+def _short_single_demo():
     sys = PrimarySystem.single(mass=1.0)
     model, chart = build_restricted_field(sys, degree=8, gtilde0=0.15)
     res = solve_manifold(model, 3)
+    return escape_demo(sys, res.solution, chart, x0=0.05, horizon=1.0e5, n_samples=20)
+
+
+def test_escape_demo_control_error_is_not_a_failed_law(monkeypatch):
+    # only a collapse or a collision counts as the control failing the law;
+    # any other error in the control run propagates
+    _break_orbit(monkeypatch, (0.0, 3.0e4), TypeError("not a collapse"))
     with pytest.raises(TypeError, match="not a collapse"):
-        escape_demo(sys, res.solution, chart, x0=0.05, horizon=1.0e5, n_samples=20)
+        _short_single_demo()
+
+
+def test_escape_demo_control_collapse_fails_the_law(monkeypatch):
+    # the control runs in a child process; its collapse still reaches the report
+    _break_orbit(monkeypatch, (0.0, 3.0e4), StepUnderflow("collapsed"))
+    rep, _ = _short_single_demo()
+    assert rep.control_law_fails
+    assert rep.orbit_nfev["control"] is None
+    assert rep.orbit_nfev["main"] > 0
+
+
+def test_escape_demo_main_error_leaves_no_child(monkeypatch):
+    _break_orbit(monkeypatch, (0.0, 1.0e5), TypeError("main orbit broke"))
+    with pytest.raises(TypeError, match="main orbit broke"):
+        _short_single_demo()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_escape_demo_off_manifold_control_is_distinct():
@@ -556,3 +582,14 @@ def test_binary_escape_artifacts_equal_matvec_reference(tmp_path, monkeypatch):
         assert (tmp_path / "field" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
     summary = json.loads((tmp_path / "field" / "summary.json").read_text())
     assert summary["orbit_nfev"] == {"main": 105206, "control": 55976}
+
+
+def test_binary_escape_artifacts_equal_without_fork(tmp_path, monkeypatch):
+    # where os.fork is missing the control orbit runs in the caller, after
+    # the main one: the same bytes as from the forked child
+    argv = ["restricted-demo", "--system", "binary", "--order", "5", "--outdir"]
+    assert main([*argv, str(tmp_path / "forked")]) == 0
+    monkeypatch.delattr(os, "fork")
+    assert main([*argv, str(tmp_path / "inline")]) == 0
+    for name in ("summary.json", "demo.csv", "model.json"):
+        assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -423,6 +424,15 @@ def _subclasses(cls):
 
 def test_exit_code_table_names_every_error_class():
     assert set(_subclasses(errors.ParatoriError)) <= set(_ERROR_CODES)
+
+
+@pytest.mark.parametrize("cls", list(_ERROR_CODES), ids=lambda c: c.__name__)
+def test_each_error_class_survives_pickling(cls):
+    # a forked child hands its errors back pickled
+    err = cls(*_ERROR_CODES[cls][0])
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls
+    assert (str(back), back.args, vars(back)) == (str(err), err.args, vars(err))
 
 
 @pytest.mark.parametrize("cls", list(_ERROR_CODES), ids=lambda c: c.__name__)

@@ -2,8 +2,10 @@
 
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,14 +15,21 @@ from paratori.benchmark import toy_x2_flow_model
 from paratori.celestial import PrimarySystem, RestrictedField
 from paratori.cohomology import solve_manifold
 from paratori.dynamics import (
+    _ForkedCall,
     integrate_fixed_step,
     integrate_flow,
     iterate_map,
     iterate_reduced,
 )
-from paratori.errors import StepUnderflow
+from paratori.errors import ParatoriError, StepUnderflow
 from paratori.model import ReducedMap
 from paratori.verify import stable_set_membership
+
+
+def _src_env():
+    """The environment of a child interpreter that imports this paratori."""
+    src = os.path.dirname(os.path.dirname(paratori.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 # ------------------------------------------------------------------- maps
@@ -125,10 +134,8 @@ def test_step_underflow_near_collision():
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.integrate is imported by the integrators themselves, so the
     # map commands never pay for it
-    src = os.path.dirname(os.path.dirname(paratori.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import paratori.cli, sys; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True)
 
 
 def test_collapse_raises_step_underflow():
@@ -155,3 +162,65 @@ def test_t_eval_start_returns_initial_state_and_backward_span():
     assert back.times.tolist() == [0.5, 0.0]
     assert back.states[:, 0] == pytest.approx([1.0 / 1.5, 1.0], abs=1e-9)
 
+
+
+# ------------------------------------------------------------ forked calls
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+def test_forked_call_returns_value_and_raises_error(monkeypatch, fork):
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    with _ForkedCall(divmod, 17, 5) as call:
+        assert call.result() == (3, 2)
+    with _ForkedCall(integrate_flow, RestrictedField(PrimarySystem.single(mass=1.0)),
+                     [1.0, 0.0, -0.5, 0.0], (0.0, 50.0), tol=1e-10) as call:
+        with pytest.raises(StepUnderflow, match="10 ulp"):
+            call.result()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_call_killed_child_is_an_error():
+    with _ForkedCall(lambda: os.kill(os.getpid(), signal.SIGKILL)) as call:
+        with pytest.raises(ParatoriError, match=f"wait status {signal.SIGKILL}"):
+            call.result()
+
+
+class _Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("holds a lock")
+        self.lock = threading.Lock()
+
+
+def test_forked_call_unpicklable_error_arrives_as_its_repr():
+    def fail():
+        raise _Unpicklable()
+
+    with _ForkedCall(fail) as call:
+        with pytest.raises(ParatoriError, match=r"_Unpicklable\('holds a lock'\)"):
+            call.result()
+
+
+def test_forked_call_error_in_caller_kills_child():
+    with pytest.raises(KeyError):
+        with _ForkedCall(signal.pause):
+            raise KeyError("the caller's work")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_child_leaves_inherited_stdout_unflushed():
+    # text buffered in the parent's sys.stdout at the fork is written once,
+    # by the parent: the child leaves without flushing its copy
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)  # the text must sit in the buffer
+    code = (
+        "import sys; from paratori.dynamics import _ForkedCall\n"
+        "sys.stdout.write('buffered|')\n"
+        "with _ForkedCall(sum, (1, 2)) as call:\n"
+        "    print(call.result())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "buffered|3\n"
