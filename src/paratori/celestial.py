@@ -81,18 +81,19 @@ class PrimarySystem:
 
     def com_defect(self) -> float:
         """Strip norm of sum m_j q_j, which must vanish identically."""
-        dim = self.qx[0].dim
-        cap = self.qx[0].order_cap
-        sx = FourierSeries.zeros(dim, cap)
-        sy = FourierSeries.zeros(dim, cap)
-        for mj, ax, ay in zip(self.masses, self.qx, self.qy):
-            sx = sx + ax.scale(mj)
-            sy = sy + ay.scale(mj)
-        return max(sx.strip_norm(), sy.strip_norm())
+        zero = FourierSeries.zeros(self.qx[0].dim, self.qx[0].order_cap)
+        return max(sum((q.scale(mj) for mj, q in zip(self.masses, qs)), zero).strip_norm()
+                   for qs in (self.qx, self.qy))
 
     def check(self) -> None:
         if any(mj <= 0 for mj in self.masses):
             raise HypothesisViolation("all primary masses must be positive")
+        dim, cap = self.qx[0].dim, self.qx[0].order_cap
+        off = [f"{name}[{j}] (T^{s.dim}, cap {s.order_cap})" for name in ("qx", "qy")
+               for j, s in enumerate(getattr(self, name)) if (s.dim, s.order_cap) != (dim, cap)]
+        if off:
+            raise HypothesisViolation(f"primary positions off the torus and cap of qx[0] "
+                                      f"(T^{dim}, cap {cap}): " + ", ".join(off))
         scale = max(
             max((s.strip_norm() for s in self.qx), default=0.0),
             max((s.strip_norm() for s in self.qy), default=0.0),
@@ -125,9 +126,10 @@ class PrimarySystem:
         )
 
 
-def _lift_series(s: FourierSeries) -> FourierSeries:
-    """A T^d series on T^(1+d), constant in the prepended first angle."""
-    return FourierSeries(s.dim + 1, s.order_cap, {(0,) + k: c for k, c in s.coeffs.items()})
+def _lift_series(s: FourierSeries, cap: int) -> FourierSeries:
+    """A T^d series on T^(1+d) at ``cap``, constant in the prepended first
+    angle; modes beyond the cap go into its ``trunc_loss``."""
+    return FourierSeries(s.dim + 1, cap, {(0,) + k: c for k, c in s.coeffs.items()})
 
 
 def _halfint_binomials(n_terms: int) -> list[float]:
@@ -162,7 +164,7 @@ def expand_potential(sys: PrimarySystem, degree: int, order_cap: int | None = No
     turn = FourierSeries(dim, cap, {(-1,) + (0,) * d: 1.0})  # e^(-i theta)
     jet = Jet.zero(0, degree, dim, cap)
     for mj, ax, ay in zip(sys.masses, sys.qx, sys.qy):
-        w = (_lift_series(ax) + _lift_series(ay).scale(1j)).pad_modes(cap).series_mul(turn)
+        w = (_lift_series(ax, cap) + _lift_series(ay, cap).scale(1j)).series_mul(turn)
         wl = [FourierSeries.constant(1.0, dim, cap)]
         for _ in range(degree - 1):
             wl.append(wl[-1].series_mul(w))

@@ -6,7 +6,9 @@ multi-indices k.  A series keeps only modes with |k|_1 <= order_cap.  Its
 coefficients are one flat complex array over the box [-cap, cap]^d in
 lexicographic mode order (so k and -k sit at mirrored positions); entries
 with |k|_1 > cap are always zero, and a mode is present exactly when its
-entry is nonzero.
+entry is nonzero.  One computation works at one dim and cap: operands of a
+sum or a product, and series evaluated together, share them or raise
+:class:`DimensionMismatch`.
 
 All values are immutable after construction and every operation returns a
 fresh series, so instances can be shared freely across threads.
@@ -44,17 +46,23 @@ def _norm1(k: tuple[int, ...]) -> int:
 # ------------------------------------------------------------ mode tables
 
 
+def _norm1_table(dim: int, cap: int) -> np.ndarray:
+    """|k|_1 of every mode of the box [-cap, cap]^dim, flat in lexicographic
+    order, summed axis by axis."""
+    out = np.zeros((), dtype=np.int64)
+    for _ in range(dim):
+        out = np.add.outer(out, np.abs(np.arange(-cap, cap + 1)))
+    return out.ravel()
+
+
 class _Box:
     """Index tables of the box [-cap, cap]^dim, flat in lexicographic order."""
 
     def __init__(self, dim: int, cap: int):
         n = 2 * cap + 1
         self.size = n ** dim
-        self.modes = np.array(
-            list(_iproduct(range(-cap, cap + 1), repeat=dim)), dtype=np.int64
-        ).reshape(self.size, dim)
-        self.fmodes = self.modes.astype(float)
-        self.norm1 = np.abs(self.modes).sum(axis=1)
+        self.modes = np.indices((n,) * dim).reshape(dim, self.size).T - cap
+        self.norm1 = _norm1_table(dim, cap)
         self.zero = self.size // 2
         self._strides = [n ** (dim - 1 - i) for i in range(dim)]
         self._offset = cap * sum(self._strides)
@@ -66,35 +74,13 @@ class _Box:
         """k.vec for every mode, summed axis by axis."""
         out = np.zeros(self.size)
         for i, w in enumerate(vec):
-            out = out + self.fmodes[:, i] * w
+            out = out + self.modes[:, i] * w
         return out
 
 
 @lru_cache(maxsize=None)
 def _box(dim: int, cap: int) -> _Box:
     return _Box(dim, cap)
-
-
-@lru_cache(maxsize=None)
-def _positions(dim: int, src: int, dst: int) -> np.ndarray:
-    """For every mode of the box of cap ``src``: its position in the box of
-    cap ``dst``, or -1 when |k|_1 > min(src, dst)."""
-    a = _box(dim, src)
-    fits = a.norm1 <= min(src, dst)
-    pos = np.full(a.size, -1, dtype=np.int64)
-    pos[fits] = np.flatnonzero(_box(dim, dst).norm1 <= min(src, dst))
-    return pos
-
-
-def _recap(data: np.ndarray, dim: int, src: int, dst: int) -> tuple[np.ndarray, float]:
-    """A src-box coefficient array on the dst box, and the l1 mass that does not fit."""
-    if src == dst:
-        return data, 0.0
-    pos = _positions(dim, src, dst)
-    fits = pos >= 0
-    out = np.zeros(_box(dim, dst).size, dtype=complex)
-    out[pos[fits]] = data[fits]
-    return out, float(np.abs(data[~fits]).sum())
 
 
 @lru_cache(maxsize=None)
@@ -108,21 +94,19 @@ def _centre_out(dim: int, cap: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _product_plan(dim: int, ca: int, cb: int):
-    """Index tables for the product of a cap-``ca`` and a cap-``cb`` series.
-
-    The pairs land in the box of cap ca + cb (``wide``), where
+def _product_plan(dim: int, cap: int):
+    """Index tables for the product of two cap-``cap`` series, whose pairs
+    land in the wide box of cap 2 cap (only its |k|_1 table is built), where
     position(k1 + k2) = position(k1) + position(k2) - position(0), plus one
-    trailing bin that stays zero.  Returns the shift in the wide box of each
-    position of a's box, the wide position of each position of b's box, the
-    wide position of each mode of the product's box (-1, the zero bin, off
-    the mask), the wide positions beyond the product's cap, and the number of
-    bins.
-    """
-    cap, wide = min(ca, cb), _box(dim, ca + cb)
-    beyond = np.flatnonzero(wide.norm1 > cap)
-    return (_positions(dim, ca, ca + cb) - wide.zero, _positions(dim, cb, ca + cb),
-            _positions(dim, cap, ca + cb), beyond, wide.size + 1)
+    trailing bin that stays zero.  Returns the wide position of each mode
+    (-1, the zero bin, beyond the cap), which serves as a's shift less the
+    wide centre, as b's positions and as the gather; the wide centre; the
+    mask of the bins beyond the cap; and the number of bins."""
+    box, wide = _box(dim, cap), _norm1_table(dim, 2 * cap)
+    pos = np.full(box.size, -1, dtype=np.int64)
+    pos[box.norm1 <= cap] = np.flatnonzero(wide <= cap)
+    beyond = np.append(wide > cap, False)
+    return pos, wide.size // 2, beyond, wide.size + 1
 
 
 def _pairs(a: "FourierSeries", b: "FourierSeries"):
@@ -141,16 +125,16 @@ def _zero_mode_only(pos: np.ndarray, zero: int) -> bool:
 
 
 def _pair_product(a: "FourierSeries", b: "FourierSeries", pairs=None) -> tuple[np.ndarray, float]:
-    """The product's coefficients on the smaller cap's box and the l1 mass
-    beyond it, summed pair by pair over the nonzero modes in a's centre-out
-    order, so that a term and its mirror image cancel exactly.  ``pairs`` is
-    :func:`_pairs` of (a, b), when it is at hand."""
+    """The product's coefficients and the l1 mass beyond the cap, summed
+    pair by pair over the nonzero modes in a's centre-out order, so that a
+    term and its mirror image cancel exactly.  ``pairs`` is :func:`_pairs`
+    of (a, b), when it is at hand."""
     pos_a, pos_b, prods = _pairs(a, b) if pairs is None else pairs
-    shift, wide_b, gather, beyond, bins = _product_plan(a.dim, a.order_cap, b.order_cap)
+    pos, zero, beyond, bins = _product_plan(a.dim, a.order_cap)
     full = np.zeros(bins, dtype=complex)
-    np.add.at(full, (shift[pos_a][:, None] + wide_b[pos_b]).ravel(), prods.ravel())
+    np.add.at(full, ((pos[pos_a] - zero)[:, None] + pos[pos_b]).ravel(), prods.ravel())
     lost = full[beyond]
-    return full[gather], float(np.abs(lost).sum()) if np.count_nonzero(lost) else 0.0
+    return full[pos], float(np.abs(lost).sum()) if np.count_nonzero(lost) else 0.0
 
 
 @lru_cache(maxsize=256)
@@ -172,7 +156,8 @@ class FourierSeries:
     dim : int
         Number of angles d (>= 0; d = 0 means a plain constant).
     order_cap : int
-        Retain only modes with |k|_1 <= order_cap.
+        Retain only modes with |k|_1 <= order_cap.  A sum or a product takes
+        operands of one dim and cap, which the result keeps.
     coeffs : mapping from tuple of int to complex, optional
         Mode table.  Exact zeros are dropped; modes beyond the cap are
         dropped and their absolute values accumulated in ``trunc_loss``.
@@ -269,9 +254,10 @@ class FourierSeries:
         return FourierSeries._of(self.dim, self.order_cap, data, loss)
 
     def _check_compatible(self, other: "FourierSeries") -> None:
-        if self.dim != other.dim:
+        if (self.dim, self.order_cap) != (other.dim, other.order_cap):
             raise DimensionMismatch(
-                f"series on T^{self.dim} combined with series on T^{other.dim}"
+                f"series on T^{self.dim} at cap {self.order_cap} combined with "
+                f"series on T^{other.dim} at cap {other.order_cap}"
             )
 
     def _support(self) -> np.ndarray:
@@ -303,13 +289,7 @@ class FourierSeries:
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
         self._check_compatible(other)
-        loss = self.trunc_loss + other.trunc_loss
-        if self.order_cap == other.order_cap:
-            return self._like(self._data + other._data, loss)
-        cap = min(self.order_cap, other.order_cap)
-        a, lost_a = _recap(self._data, self.dim, self.order_cap, cap)
-        b, lost_b = _recap(other._data, self.dim, other.order_cap, cap)
-        return FourierSeries._of(self.dim, cap, a + b, loss + lost_a + lost_b)
+        return self._like(self._data + other._data, self.trunc_loss + other.trunc_loss)
 
     def __sub__(self, other: "FourierSeries") -> "FourierSeries":
         return self + (-other)
@@ -330,30 +310,28 @@ class FourierSeries:
     def series_mul(self, other: "FourierSeries") -> "FourierSeries":
         """Pointwise product: the direct convolution of the coefficients.
 
+        The operands share one dim and cap, which the product keeps.
         Nothing reaches a mode but the products of nonzero pairs, so a mode
         no pair lands on stays an exact zero.  The coefficients beyond the
-        smaller cap feed ``trunc_loss``.
+        cap feed ``trunc_loss``.
 
-        With equal caps and a factor that has no mode but its zero mode, the
-        product scales the other factor: each of its modes is one pair's
-        product, which is put in place, plus +0 as the pair sum adds it, with
-        no sum over the wider box.  The pairs are the ones the sum would take,
-        from the same call, since numpy may round a complex product
-        differently (fused multiply-add or not) by the shape of the call.
+        With a factor that has no mode but its zero mode, the product scales
+        the other factor: each of its modes is one pair's product, which is
+        put in place, plus +0 as the pair sum adds it, with no sum over the
+        wider box.  The pairs are the ones the sum would take, from the same
+        call, since numpy may round a complex product differently (fused
+        multiply-add or not) by the shape of the call.
         """
         self._check_compatible(other)
         pairs = pos_a, pos_b, prods = _pairs(self, other)
         zero = self._data.size // 2
-        if self.order_cap == other.order_cap and (_zero_mode_only(pos_a, zero)
-                                                  or _zero_mode_only(pos_b, zero)):
+        loss = self.trunc_loss + other.trunc_loss
+        if _zero_mode_only(pos_a, zero) or _zero_mode_only(pos_b, zero):
             data = np.zeros(self._data.size, dtype=complex)
             data[(pos_a[:, None] + (pos_b - zero)).ravel()] = 0j + prods.ravel()
-            return self._like(data, self.trunc_loss + other.trunc_loss)
+            return self._like(data, loss)
         data, dropped = _pair_product(self, other, pairs)
-        return FourierSeries._of(
-            self.dim, min(self.order_cap, other.order_cap), data,
-            self.trunc_loss + other.trunc_loss + dropped,
-        )
+        return self._like(data, loss + dropped)
 
     def conjugate(self) -> "FourierSeries":
         """Coefficientwise complex conjugate with mode reflection (conj of the function)."""
@@ -428,42 +406,38 @@ class FourierSeries:
         """max_k |coeff(-k) - conj(coeff(k))| over stored modes."""
         return float(np.abs(self._data[::-1] - self._data.conj()).max())
 
-    def pad_modes(self, order_cap: int) -> "FourierSeries":
-        """Same series viewed with a different order cap."""
-        data, lost = _recap(self._data, self.dim, self.order_cap, int(order_cap))
-        return FourierSeries._of(self.dim, int(order_cap), data, self.trunc_loss + lost)
-
 
 def evaluate_series(series: Sequence[FourierSeries], theta, dtype=complex) -> list:
     """The values of several series at the same ``theta``, each as
-    :meth:`FourierSeries.evaluate` gives it, from one phase table per
-    (dim, cap) over the union of their nonzero modes.
+    :meth:`FourierSeries.evaluate` gives it, from one phase table over the
+    union of their nonzero modes.  The series share one dim and cap.
 
     k.theta is summed from zero one axis at a time, one product per entry,
     so no entry depends on the width of the table (a BLAS product over all
     axes sums in an order that does), and each series sums its own columns
     in mode order: every value is bit for bit the one-series value.
     """
+    if not series:
+        return []
+    dim, cap = series[0].dim, series[0].order_cap
+    if any((s.dim, s.order_cap) != (dim, cap) for s in series):
+        raise DimensionMismatch("series evaluated together must share one dim and cap")
     th = np.asarray(theta, dtype=dtype)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, s in enumerate(series):
-        groups.setdefault((s.dim, s.order_cap), []).append(i)
-    out = [None] * len(series)
-    for (dim, cap), members in groups.items():
-        t = th.reshape(1)[:dim] if th.ndim == 0 and dim <= 1 else th  # a scalar on T^1; ignored on T^0
-        if t.shape[-1:] != (dim,):
-            raise DimensionMismatch(f"theta of shape {t.shape} on T^{dim}")
-        supports = [series[i]._support() for i in members]
-        modes = np.flatnonzero(np.bincount(np.concatenate(supports), minlength=1))  # sorted union
-        table = np.zeros(t.shape[:-1] + (modes.size,), dtype=dtype)
-        for r, k in enumerate(_box(dim, cap).fmodes[modes].T):  # (..., 1) @ (1, n): no ufunc buffers
-            table += t[..., r:r + 1] @ k[None]
-        np.exp(np.multiply(dtype(2j) * dtype(np.pi), table, out=table), out=table)
-        for i, idx in zip(members, supports):
-            # np.take keeps the columns C-ordered, as a table of their own would be
-            cols = table if idx.size == modes.size else np.take(table, np.searchsorted(modes, idx), axis=-1)
-            out[i] = cols @ series[i]._data[idx].astype(dtype)
-            del cols  # before the next series takes its own
+    t = th.reshape(1)[:dim] if th.ndim == 0 and dim <= 1 else th  # a scalar on T^1; ignored on T^0
+    if t.shape[-1:] != (dim,):
+        raise DimensionMismatch(f"theta of shape {t.shape} on T^{dim}")
+    supports = [s._support() for s in series]
+    modes = np.flatnonzero(np.bincount(np.concatenate(supports), minlength=1))  # sorted union
+    table = np.zeros(t.shape[:-1] + (modes.size,), dtype=dtype)
+    for r, k in enumerate(_box(dim, cap).modes[modes].T.astype(float)):  # (..., 1) @ (1, n): no ufunc buffers
+        table += t[..., r:r + 1] @ k[None]
+    np.exp(np.multiply(dtype(2j) * dtype(np.pi), table, out=table), out=table)
+    out = []
+    for s, idx in zip(series, supports):
+        # np.take keeps the columns C-ordered, as a table of their own would be
+        cols = table if idx.size == modes.size else np.take(table, np.searchsorted(modes, idx), axis=-1)
+        out.append(cols @ s._data[idx].astype(dtype))
+        del cols  # before the next series takes its own
     return out
 
 

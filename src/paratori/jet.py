@@ -74,8 +74,8 @@ class Jet:
                     continue
                 if not isinstance(s, FourierSeries):
                     s = FourierSeries.constant(s, self.dim, self.order_cap)
-                if s.dim != self.dim:
-                    raise DimensionMismatch("coefficient on the wrong torus")
+                if (s.dim, s.order_cap) != (self.dim, self.order_cap):
+                    raise DimensionMismatch("coefficient on the wrong torus or at the wrong cap")
                 if not s.is_zero():
                     table[(int(l), k)] = s
         self.terms = table
@@ -103,8 +103,8 @@ class Jet:
         return Jet(self.m, self.deg, self.dim, self.order_cap, terms)
 
     def _check(self, other: "Jet"):
-        if (self.m, self.dim) != (other.m, other.dim):
-            raise DimensionMismatch("jets with incompatible m or torus dim")
+        if (self.m, self.dim, self.order_cap) != (other.m, other.dim, other.order_cap):
+            raise DimensionMismatch("jets with incompatible m, torus dim or cap")
 
     # ------------------------------------------------------------ queries
 
@@ -278,7 +278,7 @@ def evaluate_jets(jets: Sequence[Jet], x, y=(), theta=(), dtype=complex) -> list
 
 class _Substitution:
     """Caches powers of the substituted jets and deviation products; the
-    result lives in the variables, torus and cap of ``sub_x``."""
+    result is in the variables of ``sub_x``, on the one torus and cap of all."""
 
     def __init__(self, sub_x, sub_y, theta_dev, rot, deg):
         self.sub_x = sub_x

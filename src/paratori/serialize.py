@@ -149,7 +149,32 @@ def model_to_obj(model) -> dict:
     }
 
 
+def _refuse_off_torus(what: str, obj: dict, dim: int, cap: int) -> None:
+    """HypothesisViolation naming the path of each series or jet record in
+    ``obj`` (each dict with a ``dim`` and an ``order_cap``) that is not on
+    T^dim at ``cap``."""
+    def walk(node, path):
+        if isinstance(node, dict):
+            if {"dim", "order_cap"} <= node.keys() and (node["dim"], node["order_cap"]) != (dim, cap):
+                yield f"{path} (T^{node['dim']}, cap {node['order_cap']})"
+            for key, v in node.items():
+                if key != "modes":  # coefficients, no series below
+                    yield from walk(v, f"{path}.{key}" if path else key)
+        elif isinstance(node, list):
+            for i, v in enumerate(node):
+                yield from walk(v, f"{path}[{i}]")
+
+    differ = list(walk(obj, ""))
+    if differ:
+        raise HypothesisViolation(f"{what} holds series off its torus T^{dim} at cap {cap}: "
+                                  + ", ".join(differ))
+
+
 def model_from_obj(obj: dict):
+    """The model a record holds.  Every series and jet in it must be on the
+    torus of ``a`` at the record's ``order_cap``, else HypothesisViolation
+    names each one that is not."""
+    _refuse_off_torus("model", obj, obj["a"]["dim"], obj["order_cap"])
     kind = obj.get("kind", "map")
     freq = _freq_from_obj(obj["freq"])
     a = series_from_obj(obj["a"])
@@ -170,14 +195,6 @@ def model_from_obj(obj: dict):
 # ---------------------------------------------------------------- solutions
 
 
-def _series_row_to_obj(row) -> list:
-    return [series_to_obj(s) for s in row]
-
-
-def _series_row_from_obj(objs) -> list:
-    return [series_from_obj(o) for o in objs]
-
-
 # the model fields a solution record repeats, so that it can be checked
 # against the model it is loaded with
 _SHAPE = ("kind", "N", "P", "m", "d", "dim", "order_cap")
@@ -196,9 +213,9 @@ def solution_to_obj(sol: ManifoldSolution) -> dict:
         "kbar_x": {str(l): v for l, v in sorted(sol.kbar_x.items())},
         "ktil_x": {str(o): series_to_obj(s) for o, s in sorted(sol.ktil_x.items())},
         "kbar_y": {str(l): list(v) for l, v in sorted(sol.kbar_y.items())},
-        "ktil_y": {str(o): _series_row_to_obj(r) for o, r in sorted(sol.ktil_y.items())},
+        "ktil_y": {str(o): [series_to_obj(s) for s in r] for o, r in sorted(sol.ktil_y.items())},
         "kbar_th": {str(l): list(v) for l, v in sorted(sol.kbar_th.items())},
-        "ktil_th": {str(o): _series_row_to_obj(r) for o, r in sorted(sol.ktil_th.items())},
+        "ktil_th": {str(o): [series_to_obj(s) for s in r] for o, r in sorted(sol.ktil_th.items())},
         "reduced": {
             "type": "map" if isinstance(red, ReducedMap) else "field",
             "N": red.N, "a_bar": red.a_bar, "omega": list(model.freq.omega),
@@ -215,8 +232,9 @@ def solution_to_obj(sol: ManifoldSolution) -> dict:
 def solution_from_obj(obj: dict, model: MapModel | FlowModel) -> ManifoldSolution:
     """The solution a record holds, as a solution of ``model``; the record's
     shape and rotation, then its reduced dynamics' N and a_bar, and then its
-    ``model_sha256`` must be the model's, else HypothesisViolation names
-    each field that differs."""
+    ``model_sha256`` must be the model's, and every series it holds must be
+    on the model's torus at its cap, else HypothesisViolation names each
+    field that differs."""
     red_obj = obj["reduced"]
     # a_bar is the model's own float, which JSON round-trips exactly
     for stored, own in (
@@ -229,6 +247,7 @@ def solution_from_obj(obj: dict, model: MapModel | FlowModel) -> ManifoldSolutio
         differ = [f"{key} {stored[key]} (model {own[key]})" for key in stored if stored[key] != own[key]]
         if differ:
             raise HypothesisViolation("solution was solved for another model: " + ", ".join(differ))
+    _refuse_off_torus("solution", obj, model.dim, model.order_cap)
     cls = ReducedMap if model.kind == "map" else ReducedField
     red = cls(
         N=int(red_obj["N"]), a_bar=float(red_obj["a_bar"]), b=red_obj["b"],
@@ -239,9 +258,9 @@ def solution_from_obj(obj: dict, model: MapModel | FlowModel) -> ManifoldSolutio
         kbar_x={int(l): float(v) for l, v in obj["kbar_x"].items()},
         ktil_x={int(o): series_from_obj(s) for o, s in obj["ktil_x"].items()},
         kbar_y={int(l): tuple(v) for l, v in obj["kbar_y"].items()},
-        ktil_y={int(o): _series_row_from_obj(r) for o, r in obj["ktil_y"].items()},
+        ktil_y={int(o): [series_from_obj(s) for s in r] for o, r in obj["ktil_y"].items()},
         kbar_th={int(l): tuple(v) for l, v in obj["kbar_th"].items()},
-        ktil_th={int(o): _series_row_from_obj(r) for o, r in obj["ktil_th"].items()},
+        ktil_th={int(o): [series_from_obj(s) for s in r] for o, r in obj["ktil_th"].items()},
         reduced=red,
         free_choices=obj.get("free_choices", {}),
     )

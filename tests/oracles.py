@@ -382,11 +382,11 @@ def flow_divisor(dot):
 # each angle mode k0.
 
 
-def _reference_lift(s, dim_out):
+def _reference_lift(s, dim_out, cap):
     out = {}
     for k, c in s.coeffs.items():
         out[(0,) + tuple(k)] = c
-    return FourierSeries(dim_out, s.order_cap, out)
+    return FourierSeries(dim_out, cap, out)
 
 
 def reference_expand_potential(sys, degree, order_cap=None):
@@ -409,13 +409,13 @@ def reference_expand_potential(sys, degree, order_cap=None):
         terms[key] = series if cur is None else cur + series
 
     for mj, ax, ay in zip(sys.masses, sys.qx, sys.qy):
-        q = _reference_lift(ax, dim) + _reference_lift(ay, dim).scale(1j)
+        q = _reference_lift(ax, dim, cap) + _reference_lift(ay, dim, cap).scale(1j)
         qbar = q.conjugate()
         qpow = {0: FourierSeries.constant(1.0, dim, cap)}
         qbpow = {0: FourierSeries.constant(1.0, dim, cap)}
         for p in range(1, degree):
-            qpow[p] = qpow[p - 1].series_mul(q.pad_modes(cap))
-            qbpow[p] = qbpow[p - 1].series_mul(qbar.pad_modes(cap))
+            qpow[p] = qpow[p - 1].series_mul(q)
+            qbpow[p] = qbpow[p - 1].series_mul(qbar)
         for l in range(degree):
             for k in range(degree - l):
                 phase = FourierSeries(dim, cap, {(-(l - k),) + (0,) * d: 1.0})

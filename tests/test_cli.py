@@ -145,6 +145,52 @@ def test_model_file_roundtrip_through_cli(tmp_path):
     assert code == 0
 
 
+def _recap_a(obj):
+    obj["a"]["order_cap"] = 30
+    return "a (T^1, cap 30)"
+
+
+def _recap_f_term(obj):
+    obj["f"]["terms"][0]["series"]["order_cap"] = 6
+    return "f.terms[0].series (T^1, cap 6)"
+
+
+def _recap_f(obj):
+    obj["f"]["order_cap"] = 10
+    return "f (T^1, cap 10)"
+
+
+@pytest.mark.parametrize("edit", [_recap_a, _recap_f_term, _recap_f], ids=["a", "f-term", "f"])
+def test_model_record_off_its_cap_exits_2(tmp_path, edit):
+    # every series and jet of a model lives on the torus of a at the model's cap
+    obj = ser.model_to_obj(benchmark_map_model())
+    field = edit(obj)
+    path = tmp_path / "model.json"
+    ser.dump_json(obj, path)
+    out = tmp_path / "out"
+    code = main(["solve-map", "--model", str(path), "--order", "2", "--outdir", str(out)])
+    assert code == 2
+    rec = _read(out / "summary.json")
+    assert rec["error_kind"] == "HypothesisViolation"
+    assert rec["error"] == f"model holds series off its torus T^1 at cap 24: {field}"
+    assert not (out / "solution.json").exists()
+
+
+def test_solution_record_off_its_cap_exits_2(tmp_path):
+    solution = _solve(tmp_path, "solve-map", "builtin:benchmark-map")
+    obj = _read(solution)
+    order = min(obj["ktil_y"], key=int)
+    obj["ktil_y"][order][0]["order_cap"] = 6
+    ser.dump_json(obj, solution)
+    out = tmp_path / "verify"
+    code = main(["verify", "--model", "builtin:benchmark-map", "--solution", solution,
+                 "--outdir", str(out)])
+    assert code == 2
+    rec = _read(out / "summary.json")
+    assert rec["error_kind"] == "HypothesisViolation"
+    assert rec["error"] == f"solution holds series off its torus T^1 at cap 24: ktil_y.{order}[0] (T^1, cap 6)"
+
+
 def test_missing_model_exits_5(tmp_path):
     code = main(["solve-map", "--model", str(tmp_path / "nope.json"),
                  "--outdir", str(tmp_path / "out")])
@@ -215,6 +261,24 @@ def test_restricted_demo_short(tmp_path):
     assert summary["chart"]["a"] == 0.25
     header = (tmp_path / "demo" / "demo.csv").read_text().splitlines()[0]
     assert header == "t,r,y,energy,law_ratio"
+
+
+def test_restricted_demo_refuses_primaries_at_two_caps(tmp_path):
+    # the second primary carries a mode beyond the first's cap that breaks
+    # the centre of mass; summed at the smaller cap it would go unseen
+    from paratori.celestial import PrimarySystem
+
+    obj = ser.primary_system_to_obj(PrimarySystem.circular_binary())
+    obj["qx"][1]["order_cap"] = 10
+    obj["qx"][1]["modes"] += [[[-9], 0.01, 0.0], [[9], 0.01, 0.0]]
+    path = tmp_path / "system.json"
+    ser.dump_json(obj, path)
+    out = tmp_path / "demo"
+    code = main(["restricted-demo", "--system", str(path), "--order", "3", "--outdir", str(out)])
+    assert code == 2
+    rec = _read(out / "summary.json")
+    assert rec["error_kind"] == "HypothesisViolation"
+    assert rec["error"] == "primary positions off the torus and cap of qx[0] (T^1, cap 8): qx[1] (T^1, cap 10)"
 
 
 def test_restricted_demo_validates_its_model_once(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 """The array kernels of FourierSeries against the dict-of-tuples code they
 replaced (tests/oracles.py): products, sums, rotations, derivatives and SD
-solves on T^0, T^1 and T^2, with equal and mixed caps; and the slice at a
-fixed first angle against evaluation of the derivative."""
+solves on T^0 to T^3 at one cap, and the refusal of two caps; and the
+slice at a fixed first angle against evaluation of the derivative."""
 
 import copy
 import pickle
@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paratori.errors import DimensionMismatch, ResonantMode
+from paratori.jet import Jet
+from paratori import fourier
 from paratori.fourier import (
     FourierSeries, FrequencyVector, _box, _pair_product, sd_solve_flow, sd_solve_map,
 )
@@ -64,6 +66,10 @@ _CASES = [(dim, caps, real)
 def test_product_matches_dict_code(rng, dim, caps, real):
     for max_mode in (None, 1, 2):
         a, b = _pair(rng, dim, caps, real, max_mode)
+        if caps[0] != caps[1]:
+            with pytest.raises(DimensionMismatch):
+                a.series_mul(b)
+            continue
         table, cap, loss = reference_mul(a, b)
         got = a.series_mul(b)
         scale = a.strip_norm() * b.strip_norm()
@@ -75,6 +81,11 @@ def test_product_matches_dict_code(rng, dim, caps, real):
 @pytest.mark.parametrize("dim,caps,real", _CASES)
 def test_sum_matches_dict_code_exactly(rng, dim, caps, real):
     a, b = _pair(rng, dim, caps, real)
+    if caps[0] != caps[1]:
+        for op in (a.__add__, a.__sub__):
+            with pytest.raises(DimensionMismatch):
+                op(b)
+        return
     table, cap, loss = reference_add(a, b)
     got = a + b
     assert got.order_cap == cap
@@ -192,27 +203,62 @@ def test_trunc_loss_is_l1_of_summed_coefficients(dim):
     p = a.series_mul(b)
     assert p.trunc_loss == want
     assert reference_mul(a, b)[2] == want
-    assert p.series_mul(FourierSeries.constant(2.0, dim, 3)).trunc_loss == want
+    assert p.series_mul(FourierSeries.constant(2.0, dim, p.order_cap)).trunc_loss == want
 
 
-def test_mixed_caps_sum_and_pad_drop_into_loss():
+def test_mixed_caps_raise():
+    """Series at two caps, or on two tori, meet in no sum, product or jet."""
     wide = FourierSeries(1, 5, {(0,): 1.0, (3,): 2.0, (-5,): 1j})
     narrow = FourierSeries(1, 2, {(1,): 1.0})
-    s = wide + narrow
-    assert s.order_cap == 2 and s.coeffs == {(0,): 1.0, (1,): 1.0}
-    assert s.trunc_loss == pytest.approx(3.0)
-    p = wide.pad_modes(8)
-    assert p.order_cap == 8 and p.coeffs == wide.coeffs and p.trunc_loss == 0.0
-    assert wide.pad_modes(3).trunc_loss == pytest.approx(1.0)
+    for a, b in ((wide, narrow), (narrow, wide), (wide, FourierSeries.zeros(2, 5))):
+        for op in (a.__add__, a.__sub__, a.series_mul):
+            with pytest.raises(DimensionMismatch):
+                op(b)
+    with pytest.raises(DimensionMismatch):
+        Jet(0, 2, 1, 5, {(0, ()): wide, (1, ()): narrow})
+
+
+def test_product_builds_no_wide_box(monkeypatch):
+    """A cap-c product on T^3 builds the box of cap c only: the wide scratch
+    box of cap 2c is a |k|_1 table, not a _Box with its mode tables."""
+    built = []
+    init = fourier._Box.__init__
+
+    def recording(self, dim, cap):
+        built.append((dim, cap))
+        init(self, dim, cap)
+
+    caches = (fourier._box, fourier._centre_out, fourier._product_plan)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(fourier._Box, "__init__", recording)
+    rng = np.random.default_rng(3)
+    a, b = (random_real_series(rng, dim=3, cap=4) for _ in range(2))
+    p = a.series_mul(b)
+    for cache in caches:
+        cache.cache_clear()
+    assert p.order_cap == 4 and p.trunc_loss > 0.0
+    assert built == [(3, 4)]
+
+
+@st.composite
+def _dim_and_cap(draw):
+    """d = 0..3, at caps up to 6 below T^3 and up to 3 on it (the dict
+    oracle sums every pair of modes in Python)."""
+    dim = draw(st.integers(0, 3))
+    return dim, draw(st.integers(0, 6 if dim < 3 else 3))
 
 
 @_PROPERTY
-@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(0, 2),
-       c1=st.integers(0, 6), c2=st.integers(0, 6), real=st.booleans(),
+@given(seed=st.integers(0, 2**32 - 1), dim_cap=_dim_and_cap(), real=st.booleans(),
        max_mode=st.sampled_from([None, 1, 3]))
-def test_kernels_match_dict_code_property(seed, dim, c1, c2, real, max_mode):
+def test_kernels_match_dict_code_property(seed, dim_cap, real, max_mode):
     rng = np.random.default_rng(seed)
-    a, b = _pair(rng, dim, (c1, c2), real, max_mode)
+    dim, cap = dim_cap
+    a, b = _pair(rng, dim, (cap, cap), real, max_mode)
+    for op in (a.__add__, a.series_mul):
+        with pytest.raises(DimensionMismatch):
+            op(FourierSeries.zeros(dim, cap + 1))
     scale = a.strip_norm() * b.strip_norm()
     table, cap, loss = reference_mul(a, b)
     prod = a.series_mul(b)

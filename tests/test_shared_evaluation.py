@@ -1,5 +1,5 @@
-"""Torus evaluation from one phase table per (dim, cap), against the
-per-series evaluation it replaced."""
+"""Torus evaluation from one phase table, against the per-series
+evaluation it replaced."""
 
 import numpy as np
 import pytest
@@ -34,17 +34,16 @@ def _sparse_series(rng, dim, cap, n_modes):
     return FourierSeries(dim, cap, table)
 
 
-def _random_jet(rng, m, dim, caps, deg=4):
-    """A jet in (x, y) whose terms have random sparse supports at the given
-    caps; about one in five is the zero jet."""
+def _random_jet(rng, m, dim, cap, deg=4):
+    """A jet in (x, y) whose terms have random sparse supports; about one in
+    five is the zero jet."""
     terms = {}
     if rng.random() > 0.2:
         for _ in range(int(rng.integers(1, 5))):
             l = int(rng.integers(0, deg + 1))
             k = tuple(int(v) for v in rng.integers(0, 2, m))
-            cap = int(rng.choice(caps))
             terms[(l, k)] = _sparse_series(rng, dim, cap, int(rng.integers(1, 6)))
-    return Jet(m, deg + m, dim, max(caps), terms)
+    return Jet(m, deg + m, dim, cap, terms)
 
 
 def _points(rng, dim, batch, scalar):
@@ -61,17 +60,16 @@ def _points(rng, dim, batch, scalar):
 
 @_PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(0, 2), m=st.integers(0, 2),
-       mixed=st.booleans(), batch=st.sampled_from([None, (3,), (2, 3)]),
+       cap=st.sampled_from([3, 4, 5]), batch=st.sampled_from([None, (3,), (2, 3)]),
        scalar=st.booleans(), dtype=st.sampled_from(_DTYPES))
-def test_shared_table_equals_per_series(seed, dim, m, mixed, batch, scalar, dtype):
+def test_shared_table_equals_per_series(seed, dim, m, cap, batch, scalar, dtype):
     rng = np.random.default_rng(seed)
-    caps = (3, 5) if mixed else (4,)
     x, th = _points(rng, dim, batch, scalar)
     y = tuple(0.5 * np.asarray(x) for _ in range(m))
     rot = tuple(float(v) for v in rng.random(dim))
 
     def jets(mm, n):
-        return tuple(_random_jet(rng, mm, dim, caps) for _ in range(n))
+        return tuple(_random_jet(rng, mm, dim, cap) for _ in range(n))
 
     F = SkewMap(x=jets(m, 1)[0], y=jets(m, m), theta_dev=jets(m, dim), rot=rot)
     K = SkewMap(x=jets(0, 1)[0], y=jets(0, m), theta_dev=jets(0, dim), rot=rot)
@@ -97,7 +95,7 @@ def test_extended_table_is_the_matmul_phase(seed, dim, cap, batch):
     th = rng.random(shape) + 0.01j * rng.standard_normal(shape)
     dt = np.clongdouble
     idx = s._data.nonzero()[0]
-    modes = _box(dim, cap).fmodes[idx]
+    modes = _box(dim, cap).modes[idx].astype(float)
     two_pi_i = dt(2j) * dt(np.pi)
     want = np.exp(two_pi_i * (np.asarray(th, dtype=dt) @ modes.T)) @ s._data[idx].astype(dt)
     assert _same(s.evaluate(th, dtype=dt), want)
@@ -105,24 +103,25 @@ def test_extended_table_is_the_matmul_phase(seed, dim, cap, batch):
 
 @pytest.mark.parametrize("dtype", _DTYPES)
 def test_evaluate_series_groups_and_edge_cases(dtype):
-    """Disjoint supports, zero series and mixed caps, at a scalar, a point
-    and a batch, and T^0 next to T^1 under one scalar theta: each value as
-    the series gives it alone."""
+    """Disjoint supports and zero series at a scalar, a point and a batch,
+    and T^0 under a scalar theta: each value as the series gives it alone.
+    Series on two tori or at two caps are refused."""
     series = [
         FourierSeries(1, 4, {(1,): 0.5, (-1,): 0.5}),
         FourierSeries(1, 4, {(3,): 0.2j, (-3,): -0.2j}),
         FourierSeries.zeros(1, 4),
-        FourierSeries(1, 6, {(5,): 1.0, (0,): 2.0}),
+        FourierSeries(1, 4, {(4,): 1.0, (0,): 2.0}),
     ]
-    torus0 = [FourierSeries(0, 0, {(): 1.5}), FourierSeries.zeros(0, 3)]
-    for th, group in ((0.37, series + torus0), (np.array([0.25]), series),
+    torus0 = [FourierSeries(0, 0, {(): 1.5}), FourierSeries.zeros(0, 0)]
+    for th, group in ((0.37, series), (0.37, torus0), (np.array([0.25]), series),
                       (np.array([[0.1], [0.6]]), series)):
         got = evaluate_series(group, th, dtype=dtype)
         assert len(got) == len(group)
         assert all(_same(v, s.evaluate(th, dtype=dtype)) for s, v in zip(group, got))
     assert evaluate_series([], 0.3, dtype=dtype) == []
-    with pytest.raises(DimensionMismatch):
-        evaluate_series([series[0], FourierSeries.zeros(2, 4)], (0.1, 0.2), dtype=dtype)
+    for other in (FourierSeries.zeros(2, 4), FourierSeries.zeros(1, 6), torus0[0]):
+        with pytest.raises(DimensionMismatch):
+            evaluate_series([series[0], other], 0.37, dtype=dtype)
 
 
 @pytest.mark.parametrize("dtype", _DTYPES)
@@ -154,8 +153,9 @@ def _count_exp_tables(monkeypatch):
 
 
 def test_param_map_builds_one_table_per_box(monkeypatch):
-    """A map evaluation exponentiates one table per (dim, cap), not one per
-    coefficient series."""
+    """A map evaluation exponentiates one table, not one per coefficient
+    series; a map whose components sit at two caps is refused before any
+    table is built."""
     res = solve_manifold(benchmark_map_model(), 3)
     K = res.solution.param(6)
     n_series = sum(len(j.terms) for j in (K.x, *K.y, *K.theta_dev))
@@ -169,12 +169,13 @@ def test_param_map_builds_one_table_per_box(monkeypatch):
     calls.clear()
     two_caps = SkewMap(
         x=Jet(0, 3, 1, 6, {(1, ()): FourierSeries.cosine((2,), 1, 6), (2, ()): FourierSeries.cosine((5,), 1, 6)}),
-        y=(Jet(0, 3, 1, 6, {(2, ()): FourierSeries.sine((1,), 1, 4)}),),
-        theta_dev=(Jet(0, 3, 1, 6, {(1, ()): FourierSeries.cosine((3,), 1, 4)}),),
+        y=(Jet(0, 3, 1, 4, {(2, ()): FourierSeries.sine((1,), 1, 4)}),),
+        theta_dev=(Jet(0, 3, 1, 4, {(1, ()): FourierSeries.cosine((3,), 1, 4)}),),
         rot=(0.1,),
     )
-    two_caps.evaluate(xs, (), ths)
-    assert len(calls) == 2
+    with pytest.raises(DimensionMismatch):
+        two_caps.evaluate(xs, (), ths)
+    assert not calls
 
 
 @pytest.mark.parametrize("dtype", _DTYPES)
