@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .fourier import FourierSeries, FrequencyVector, diophantine_scan
-from .jet import Jet, SkewMap, compose_skew_skew, invert_x_jet
+from .fourier import FourierSeries, diophantine_scan
+from .jet import Jet, SkewMap, compose, invert_x_jet
 from .model import MapModel, FlowModel, _x_change, model_from
 
 __all__ = [
@@ -62,11 +62,7 @@ def benchmark_map_model(order_cap: int = 24, deg: int = 12) -> MapModel:
 def benchmark_flow_model(order_cap: int = 24, deg: int = 12) -> FlowModel:
     """Flow twin of the map benchmark (same coefficient content)."""
     mm = benchmark_map_model(order_cap, deg)
-    freq = FrequencyVector(
-        omega=mm.freq.omega, nu=(), tau=1.0,
-        c_estimate=diophantine_scan(mm.freq.omega, tau=1.0, k_max=80, sense="flow").c_estimate,
-        k_max_checked=80, sense="flow",
-    )
+    freq = diophantine_scan(mm.freq.omega, tau=1.0, k_max=80, sense="flow")
     return FlowModel.build(
         N=2, P=2, freq=freq, a=mm.a, m=1, order_cap=order_cap,
         B=mm.B, f=mm.f, g=mm.g, h=mm.h, deg=deg,
@@ -95,7 +91,7 @@ def time1_map_of_toy(m: int = 1, B_const: float = 1.0, order_cap: int = 8,
     freq = diophantine_scan([GOLDEN], tau=1.0, k_max=40)
     dim = 1
     a = FourierSeries.constant(1.0, dim, order_cap)
-    f = Jet.zero(m, deg, dim, order_cap)
+    f = Jet(m, deg, dim, order_cap)
     zk = (0,) * m
     for l in range(3, deg + 1):
         f = f + Jet.monomial(l, zk, (-1.0) ** (l + 1), m, deg, dim, order_cap)
@@ -106,7 +102,7 @@ def time1_map_of_toy(m: int = 1, B_const: float = 1.0, order_cap: int = 8,
               for j in range(m)] for i in range(m)]
         g = []
         for i in range(m):
-            gi = Jet.zero(m, deg, dim, order_cap)
+            gi = Jet(m, deg, dim, order_cap)
             ki = tuple(1 if t == i else 0 for t in range(m))
             binom = B_const
             for p in range(2, deg):
@@ -159,7 +155,7 @@ def conjugacy_fixture(
     for _ in range(changes):
         A = _random_tangent_change(rng, deg, dim, order_cap)
         T, Ti = _x_change(A, invert_x_jet(A, deg), 0)
-        F = compose_skew_skew(T, compose_skew_skew(F, Ti, deg), deg)
+        F = compose(T, compose(F, Ti, deg), deg)
     return model_from(F, N=2, P=2, freq=freq, order_cap=order_cap)
 
 

@@ -81,7 +81,7 @@ class PrimarySystem:
 
     def com_defect(self) -> float:
         """Strip norm of sum m_j q_j, which must vanish identically."""
-        zero = FourierSeries.zeros(self.qx[0].dim, self.qx[0].order_cap)
+        zero = FourierSeries(self.qx[0].dim, self.qx[0].order_cap)
         return max(sum((q.scale(mj) for mj, q in zip(self.masses, qs)), zero).strip_norm()
                    for qs in (self.qx, self.qy))
 
@@ -108,7 +108,7 @@ class PrimarySystem:
     def single(cls, mass: float = 1.0, omega=(0.6180339887498949,), order_cap: int = 8):
         """One primary at the origin; the phase is a passive carrier angle."""
         d = len(omega)
-        z = FourierSeries.zeros(d, order_cap)
+        z = FourierSeries(d, order_cap)
         return cls(masses=(float(mass),), qx=(z,), qy=(z,), omega=tuple(omega))
 
     @classmethod
@@ -162,7 +162,7 @@ def expand_potential(sys: PrimarySystem, degree: int, order_cap: int | None = No
     cap = order_cap if order_cap is not None else max(8, (degree - 1) * (1 + top))
     cs = _halfint_binomials(degree)
     turn = FourierSeries(dim, cap, {(-1,) + (0,) * d: 1.0})  # e^(-i theta)
-    jet = Jet.zero(0, degree, dim, cap)
+    jet = Jet(0, degree, dim, cap)
     for mj, ax, ay in zip(sys.masses, sys.qx, sys.qy):
         w = (_lift_series(ax, cap) + _lift_series(ay, cap).scale(1j)).series_mul(turn)
         wl = [FourierSeries.constant(1.0, dim, cap)]
@@ -174,10 +174,10 @@ def expand_potential(sys: PrimarySystem, degree: int, order_cap: int | None = No
         jet = jet + Jet(0, degree, dim, cap,
                         {(l + 1, ()): s.scale(mj) for (l, _), s in AB.terms.items()})
 
-    lead = jet.x_coeff(1)
+    lead = jet.coeff(1)
     if abs(lead.average() - sys.total_mass) > 1e-12 * max(sys.total_mass, 1.0):
         raise HypothesisViolation("leading potential coefficient is not the total mass")
-    com_term = jet.x_coeff(2)
+    com_term = jet.coeff(2)
     if com_term.strip_norm() > 1e-10 * max(sys.total_mass, 1.0):
         raise HypothesisViolation(
             f"1/r^2 coefficient survives ({com_term.strip_norm():.3e}); "
@@ -315,10 +315,6 @@ class RestrictedField:
         self._terms = tuple(tuple((used.index(i), c) for i, c in row) for row in nonzero)
         self._sum = self._float_positions
 
-    @property
-    def dim(self) -> int:
-        return 4
-
     def _sum_positions(self, t) -> list:
         # stages k6 and k7 of a Dormand–Prince step share the time t + h
         if t != self._last_t:
@@ -430,7 +426,7 @@ def build_restricted_field(
     # exact constants so the leading data stays exact
     xt_dot = xt3.jet_mul(yt).scale(-0.25)
     tail_y = gt.jet_mul(gt).jet_mul(xt4.jet_mul(xt2)).scale(0.125)
-    gt_dot = Jet.zero(m, deg, d, cap)
+    gt_dot = Jet(m, deg, d, cap)
     for (power, _), series in vpot.terms.items():
         s = power - 1
         if s < 2:
@@ -458,7 +454,7 @@ def build_restricted_field(
     fld = SkewField(
         x=v_dot,
         y=(u_dot, z1_dot, z2_dot),
-        theta_dev=tuple(Jet.zero(m, deg, d, cap) for _ in range(d)),
+        theta_dev=tuple(Jet(m, deg, d, cap) for _ in range(d)),
         omega=tuple(sys.omega),
         nu=(),
     )
@@ -545,12 +541,12 @@ def build_full_skeleton(
         rho_i = Jet.var_y(3 + i, m, deg, d, cap)
         ys.append(shear.jet_mul(rho_i).scale(1.5))
 
-    devs = [Jet.zero(m, deg, d, cap) for _ in range(d)]
+    devs = [Jet(m, deg, d, cap) for _ in range(d)]
     if torus.c2 is not None:
         s6 = s3.jet_mul(s3)
         C = np.asarray(torus.c2, dtype=float)
         for r in range(d):
-            acc = Jet.zero(m, deg, d, cap)
+            acc = Jet(m, deg, d, cap)
             for i in range(d):
                 if C[r, i]:
                     rho_i = Jet.var_y(3 + i, m, deg, d, cap)

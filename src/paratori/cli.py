@@ -23,7 +23,13 @@ from .model import validate  # noqa: F401 - the benchmark's set-up probe calls c
 from .verify import fit_error_orders_auto
 from . import serialize as ser
 
+# every config field, declared once with its default (None where only a flag
+# or the config gives it); any other field is refused
 _DEFAULTS = {
+    "model": None,
+    "solution": None,
+    "outdir": None,
+    "kind": None,
     "order": 5,
     "k_max": 50,
     "tau": 1.0,
@@ -37,6 +43,10 @@ _DEFAULTS = {
     "free_choices": {},
     "workers": 1,
     "sweep": [],
+    # scan knobs
+    "omega": None,
+    "nu": None,
+    "sense": "map",
     # demo knobs
     "system": "single",
     "degree": 8,
@@ -55,10 +65,18 @@ _EXIT_REGRESSION = 4
 _EXIT_IO = 5
 
 
+def _declared(fields: dict, where: str, extra=()) -> dict:
+    """``fields``, refused when one is declared neither in ``_DEFAULTS`` nor in ``extra``."""
+    unknown = sorted(set(fields) - set(_DEFAULTS) - set(extra))
+    if unknown:
+        raise ParatoriError(f"unknown field(s) in {where}: {', '.join(map(repr, unknown))}")
+    return fields
+
+
 def _load_config(args) -> dict:
     cfg = dict(_DEFAULTS)
     if getattr(args, "config", None):
-        cfg.update(ser.load_json(args.config))
+        cfg.update(_declared(ser.load_json(args.config), "the config"))
     for key, val in vars(args).items():
         if key in ("func", "config"):
             continue
@@ -310,7 +328,7 @@ def cmd_scan(args) -> int:
     out = _outdir(cfg)
     freq = diophantine_scan(
         _required(cfg, "omega"), cfg.get("nu") or (), float(cfg["tau"]),
-        int(cfg["k_max"]), sense=cfg.get("sense", "map"),
+        int(cfg["k_max"]), sense=cfg["sense"],
     )
     rec = {
         "status": "ok", "command": "scan-diophantine",
@@ -328,6 +346,19 @@ def cmd_scan(args) -> int:
 # -------------------------------------------------------------------- sweep
 
 
+def _failure(e: Exception, outdir) -> dict:
+    """The error record of ``e``, also written as ``summary.json`` in ``outdir``."""
+    rec = {"status": "error", "error_code": getattr(e, "exit_code", _EXIT_IO),
+           "error_kind": type(e).__name__, "error": str(e)}
+    if outdir:
+        try:
+            os.makedirs(outdir, exist_ok=True)
+            ser.dump_json(rec, os.path.join(outdir, "summary.json"))
+        except OSError:
+            pass
+    return rec
+
+
 def _sweep_entry(payload):
     cfg, label = payload
     try:
@@ -335,7 +366,8 @@ def _sweep_entry(payload):
         summary = ser.load_json(os.path.join(cfg["outdir"], "summary.json"))
         return label, code, summary
     except Exception as e:  # merged table records per-entry failures
-        return label, getattr(e, "exit_code", _EXIT_IO), {"status": "error", "error": str(e)}
+        rec = _failure(e, cfg["outdir"])
+        return label, rec["error_code"], rec
 
 
 def _run_sweep(cfg, command: str) -> int:
@@ -344,8 +376,8 @@ def _run_sweep(cfg, command: str) -> int:
     for row in cfg["sweep"]:
         sub = dict(cfg)
         sub.pop("sweep")
-        sub.update(row)
         label = row.get("label") or os.path.basename(str(row.get("model", "entry")))
+        sub.update(_declared(row, f"sweep row {label!r}", extra=("label",)))
         sub["outdir"] = os.path.join(out, label)
         entries.append((sub, label))
     entries.sort(key=lambda e: e[1])
@@ -431,16 +463,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as e:  # noqa: BLE001 - the CLI boundary maps errors to codes
-        code = getattr(e, "exit_code", _EXIT_IO)
-        msg = {"status": "error", "error_code": code,
-               "error_kind": type(e).__name__, "error": str(e)}
-        outdir = getattr(args, "outdir", None)
-        if outdir:
-            try:
-                os.makedirs(outdir, exist_ok=True)
-                ser.dump_json(msg, os.path.join(outdir, "summary.json"))
-            except OSError:
-                pass
+        code = _failure(e, getattr(args, "outdir", None))["error_code"]
         print(f"error[{code}] {type(e).__name__}: {e}", file=sys.stderr)
         return code
 

@@ -35,8 +35,7 @@ from .jet import (
     Jet,
     SkewMap,
     _Substitution,
-    compose_param_param,
-    compose_skew_param,
+    compose,
     evaluate_jets,
 )
 from .model import FlowModel, MapModel, ReducedField, ReducedMap, SkewField, validate
@@ -90,7 +89,7 @@ class ErrorJet:
         ):
             for j in jets:
                 for l in range(order):
-                    yield comp, l, j.x_coeff(l).strip_norm()
+                    yield comp, l, j.coeff(l).strip_norm()
 
     def below_order_norms(self) -> dict[str, float]:
         """Largest coefficient norm sitting below each declared order."""
@@ -214,8 +213,8 @@ def invariance_error(sol: ManifoldSolution, deg: int | None = None) -> ErrorJet:
     if model.kind == "map":
         F = model.as_skew(deg)
         R = sol.reduced.as_param(deg, model)
-        FK = compose_skew_param(F, K, deg)
-        KR = compose_param_param(K, R, deg)
+        FK = compose(F, K, deg)
+        KR = compose(K, R, deg)
         return ErrorJet(
             ex=FK.x - KR.x,
             ey=tuple(a - b for a, b in zip(FK.y, KR.y)),
@@ -305,7 +304,7 @@ def extend_order(
     # ---- y block
     kbar_y = np.zeros(m)
     if m:
-        Ey = [e.x_coeff(ox) for e in E_prev.ey]
+        Ey = [e.coeff(ox) for e in E_prev.ey]
         Ey_avg = np.array([_real_average(s, f"E_y[{i}]") for i, s in enumerate(Ey)])
         M = model.B_bar() + j * abar * np.eye(m)
         if np.linalg.cond(M) > _INVERSE_CAP:
@@ -322,14 +321,14 @@ def extend_order(
                 if kbar_y[t] and not B_osc[i][t].is_zero():
                     rhs = rhs + B_osc[i][t].scale(kbar_y[t])
             row.append(model.sd_solve(rhs, divisor_floor) if not rhs.is_zero()
-                       else FourierSeries.zeros(model.dim, model.order_cap))
+                       else FourierSeries(model.dim, model.order_cap))
         new.ktil_y[ox] = row
 
     # ---- theta block
     kbar_th = np.zeros(d)
     r_th_new = None
     if d:
-        Eth = [e.x_coeff(oth) for e in E_prev.eth]
+        Eth = [e.coeff(oth) for e in E_prev.eth]
         Eth_avg = np.array([_real_average(s, f"E_theta[{r}]") for r, s in enumerate(Eth)])
         if P == N:
             kbar_th = -Eth_avg / ((j - 1) * abar)
@@ -348,11 +347,11 @@ def extend_order(
         for r in range(d):
             rhs = Eth[r].oscillatory()
             row.append(model.sd_solve(rhs, divisor_floor) if not rhs.is_zero()
-                       else FourierSeries.zeros(model.dim, model.order_cap))
+                       else FourierSeries(model.dim, model.order_cap))
         new.ktil_th[oth] = row
 
     # ---- x block
-    psi = E_prev.ex.x_coeff(ox)
+    psi = E_prev.ex.coeff(ox)
     if d and any(kbar_th):
         for r in range(d):
             da = model.a.derivative(r)
@@ -451,9 +450,9 @@ def solve_manifold(
 def _diag_entry(sol, err) -> dict:
     ox, oy, oth = err.declared
     lead = {
-        "x": err.ex.x_coeff(ox).strip_norm(),
-        "y": max((j.x_coeff(oy).strip_norm() for j in err.ey), default=0.0),
-        "theta": max((j.x_coeff(oth).strip_norm() for j in err.eth), default=0.0),
+        "x": err.ex.coeff(ox).strip_norm(),
+        "y": max((j.coeff(oy).strip_norm() for j in err.ey), default=0.0),
+        "theta": max((j.coeff(oth).strip_norm() for j in err.eth), default=0.0),
     }
     return {
         "j": sol.j,

@@ -229,10 +229,6 @@ class FourierSeries:
     # ---------------------------------------------------------------- util
 
     @classmethod
-    def zeros(cls, dim: int, order_cap: int) -> "FourierSeries":
-        return cls(dim, order_cap)
-
-    @classmethod
     def constant(cls, value: complex, dim: int, order_cap: int) -> "FourierSeries":
         return cls(dim, order_cap, {(0,) * dim: value})
 

@@ -31,7 +31,7 @@ from .errors import (
     SingularB,
 )
 from .fourier import FourierSeries, FrequencyVector, sd_solve_flow, sd_solve_map
-from .jet import Jet, SkewMap, _Substitution, compose_skew_skew, evaluate_jets, invert_x_jet
+from .jet import Jet, SkewMap, _Substitution, compose, evaluate_jets, invert_x_jet
 
 __all__ = [
     "MapModel",
@@ -151,7 +151,7 @@ class _ModelBase:
         """
         dim = a.dim
         deg = deg if deg is not None else max(N, P) + 4
-        zero = Jet.zero(m, deg, dim, order_cap)
+        zero = Jet(m, deg, dim, order_cap)
         f = f if f is not None else zero
         g = tuple(g) if g is not None else (zero,) * m
         h = tuple(h) if h is not None else (zero,) * dim
@@ -164,7 +164,7 @@ class _ModelBase:
         P = min(P, N)
         d = len(freq.omega)
         if B is None:
-            B = [[FourierSeries.zeros(dim, order_cap) for _ in range(m)] for _ in range(m)]
+            B = [[FourierSeries(dim, order_cap) for _ in range(m)] for _ in range(m)]
 
         def lead_first(j: Jet, order: int) -> Jet:
             """j with its degree-``order`` terms first: jet sums and products
@@ -244,8 +244,8 @@ class _ModelBase:
             x, n_angles = Jet.var_x(m, deg, dim, cap), dim
             ys = [Jet.var_y(i, m, deg, dim, cap) for i in range(m)]
         else:
-            x, n_angles = Jet.zero(m, deg, dim, cap), self.d
-            ys = [Jet.zero(m, deg, dim, cap)] * m
+            x, n_angles = Jet(m, deg, dim, cap), self.d
+            ys = [Jet(m, deg, dim, cap)] * m
         x = x - Jet.monomial(self.N, (0,) * m, self.a, m, deg, dim, cap)
         x = x + self.f.truncated(deg)
         out_y = []
@@ -284,17 +284,13 @@ class SkewField:
     def m(self) -> int:
         return self.x.m
 
-    def angle_point(self, theta, t: float):
-        th = (theta,) if np.isscalar(theta) else tuple(theta)
-        return tuple(th) + tuple(v * t for v in self.nu)
-
     def rhs(self, t, state, dtype=complex):
         """Right-hand side at state = (x, y_1..y_m, theta_1..theta_d)."""
         m, d = self.m, len(self.omega)
         x = state[0]
         y = tuple(state[1 : 1 + m])
         th = tuple(state[1 + m : 1 + m + d])
-        ang = self.angle_point(th, t)
+        ang = th + tuple(v * t for v in self.nu)
         v = evaluate_jets((self.x, *self.y, *self.theta_dev[:d]), x, y, ang, dtype)
         out = [u.real for u in v[:1 + m]] + [self.omega[r] + v[1 + m + r].real for r in range(d)]
         return np.array(out, dtype=float)
@@ -458,7 +454,7 @@ def model_from(
         tol = _CLAMP_TOL * max(obj.x.norm() + sum(j.norm() for j in obj.y), 1.0)
 
     a = -obj.x.coeff(N, zk)
-    B = [[FourierSeries.zeros(dim, order_cap) for _ in range(m)] for _ in range(m)]
+    B = [[FourierSeries(dim, order_cap) for _ in range(m)] for _ in range(m)]
     errors = {
         ("x", "below"): "x-component has a low-order term at {key}",
         ("y", "below"): "y[{i}] has a low-order term at {key}",
@@ -506,12 +502,6 @@ class ChangeLog:
     T: SkewMap | None = None
     T_inv: SkewMap | None = None
 
-    def is_identity(self) -> bool:
-        return (
-            self.c1 is None and self.C2 is None and self.mu == 1.0
-            and self.D is None and self.eps == 1.0
-        )
-
 
 def _x_change(A: Jet, A_inv: Jet, m: int) -> tuple[SkewMap, SkewMap]:
     """The pair x -> A(x, th) and x -> A_inv(x, th), y and th fixed, for a
@@ -539,7 +529,7 @@ def _y_change(D: np.ndarray, C, N: int, deg: int, dim: int, cap: int) -> tuple[S
         out = [[None] * m for _ in range(m)]
         for i in range(m):
             for j in range(m):
-                acc = FourierSeries.zeros(dim, cap)
+                acc = FourierSeries(dim, cap)
                 for t in range(m):
                     acc = acc + Am[i][t].series_mul(Bm[t][j])
                 out[i][j] = acc
@@ -569,7 +559,7 @@ def _change_variables(obj: SkewMap | SkewField, T: SkewMap, T_inv: SkewMap, deg:
     a map is conjugated, T^-1 o F o T, and a field is pushed forward, the
     time derivative of each component of T_inv along it with T substituted."""
     if isinstance(obj, SkewMap):
-        return compose_skew_skew(compose_skew_skew(T_inv, obj, deg), T, deg)
+        return compose(compose(T_inv, obj, deg), T, deg)
     sub = _Substitution(T.x, T.y, (), None, deg).apply
     return SkewField(
         x=sub(obj.derivative_along(T_inv.x)), y=tuple(sub(obj.derivative_along(w)) for w in T_inv.y),
@@ -650,8 +640,8 @@ def normalize(
     if pairs:
         log.T, log.T_inv = pairs[0]
         for T, T_inv in pairs[1:]:
-            log.T = compose_skew_skew(log.T, T, deg)
-            log.T_inv = compose_skew_skew(T_inv, log.T_inv, deg)
+            log.T = compose(log.T, T, deg)
+            log.T_inv = compose(T_inv, log.T_inv, deg)
         obj = _change_variables(obj, log.T, log.T_inv, deg)
     out = model_from(obj, N, model.P, model.freq, model.order_cap, params=model.params)
     out.declared_P = model.declared_P

@@ -301,11 +301,3 @@ def torus_data_from_obj(obj: dict):
         angular_momentum_internal=float(obj.get("angular_momentum_internal", 0.0)),
     )
 
-
-def orbit_to_obj(orbit) -> dict:
-    return {
-        "times": [float(t) for t in orbit.times],
-        "states": [[float(v) for v in row] for row in orbit.states],
-        "meta": dict(orbit.meta),
-        "early_stop": orbit.early_stop,
-    }

@@ -339,10 +339,6 @@ class MembershipReport:
     distances: list[float]
     fiber_x: list[float]
 
-    @property
-    def initial_distance(self) -> float:
-        return self.distances[0] if self.distances else math.nan
-
 
 def _project_fiber(kx, dkx, x_target: float, th, u_hint: float) -> float:
     """Solve kx(u, th) = x_target for u by a guarded Newton iteration (dkx = d kx/dx)."""

@@ -1,7 +1,13 @@
 import importlib.util
 import os
 
-import numpy as np
+# One BLAS thread, as perfbench/run.py gives every benchmark child: set before
+# numpy is imported, so that the test process holds one OS thread when
+# dynamics._ForkedCall forks it (forking a threaded process warns on 3.12+).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 import pytest
 
 import paratori

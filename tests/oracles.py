@@ -67,15 +67,15 @@ def _dense_oracle_step(sol_prev, j, cap):
     """
     N, P = sol_prev.model.N, sol_prev.model.P
     ox, oth = j + N - 1, j + P - 2
-    zero = FourierSeries.zeros(1, cap)
+    zero = FourierSeries(1, cap)
     base_vals = {"b": 0.0, "kx": 0.0, "ky": 0.0, "kth": 0.0,
                  "ktx": zero, "kty": zero, "ktth": zero}
 
     def targets(vals):
         err = invariance_error(_candidate(sol_prev, j, vals))
-        out = _series_to_vec(err.ex.x_coeff(ox), cap)
-        out += _series_to_vec(err.ey[0].x_coeff(ox), cap)
-        out += _series_to_vec(err.eth[0].x_coeff(oth), cap)
+        out = _series_to_vec(err.ex.coeff(ox), cap)
+        out += _series_to_vec(err.ey[0].coeff(ox), cap)
+        out += _series_to_vec(err.eth[0].coeff(oth), cap)
         return np.array(out)
 
     rhs0 = targets(base_vals)
@@ -423,9 +423,9 @@ def reference_expand_potential(sys, degree, order_cap=None):
                 add(1 + l + k, coeff.scale(mj * cs[l] * cs[k]))
 
     jet = Jet(0, degree, dim, cap, terms)
-    if abs(jet.x_coeff(1).average() - sys.total_mass) > 1e-12 * max(sys.total_mass, 1.0):
+    if abs(jet.coeff(1).average() - sys.total_mass) > 1e-12 * max(sys.total_mass, 1.0):
         raise HypothesisViolation("leading potential coefficient is not the total mass")
-    if jet.x_coeff(2).strip_norm() > 1e-10 * max(sys.total_mass, 1.0):
+    if jet.coeff(2).strip_norm() > 1e-10 * max(sys.total_mass, 1.0):
         raise HypothesisViolation("1/r^2 coefficient survives")
     return Jet(0, degree, dim, cap, {key: s for key, s in jet.terms.items() if key[0] != 2})
 
@@ -436,7 +436,7 @@ def reference_theta_sub_jet(series, alpha0, dev_rad, m, deg, d, cap):
     groups = {}
     for k, c in series.coeffs.items():
         groups.setdefault(k[0], {})[k[1:]] = groups.setdefault(k[0], {}).get(k[1:], 0.0) + c
-    out = Jet.zero(m, deg, d, cap)
+    out = Jet(m, deg, d, cap)
     one = Jet.monomial(0, (0,) * m, 1.0, m, deg, d, cap)
     for k0, table in groups.items():
         base = FourierSeries(d, cap, table)

@@ -27,7 +27,7 @@ from paratori.celestial import (
 from paratori.cohomology import conjugate_normal_form, extend_order, solve_manifold
 from paratori.dynamics import integrate_flow, iterate_reduced
 from paratori.fourier import FourierSeries, diophantine_scan, sd_solve_flow, sd_solve_map
-from paratori.jet import Jet, SkewMap, compose_param_param, compose_skew_param
+from paratori.jet import Jet, SkewMap, compose
 from paratori.model import ReducedMap, validate
 from paratori.verify import fit_error_orders, sector_decay_check
 from oracles import _dense_oracle_step
@@ -124,7 +124,7 @@ def test_acceptance_3_oracle_equivalence():
             worst = max(worst, abs(engine.kbar_x.get(j, 0.0) - oracle["scalars"]["kx"]))
         worst = max(worst, abs(engine.kbar_y[j][0] - oracle["scalars"]["ky"]))
         worst = max(worst, abs(engine.kbar_th[j - 1][0] - oracle["scalars"]["kth"]))
-        zero = FourierSeries.zeros(1, cap)
+        zero = FourierSeries(1, cap)
         worst = max(worst, (engine.ktil_x.get(ox, zero) - oracle["ktx"]).strip_norm())
         worst = max(worst, (engine.ktil_y[ox][0] - oracle["kty"]).strip_norm())
         worst = max(worst, (engine.ktil_th[oth][0] - oracle["ktth"]).strip_norm())
@@ -175,12 +175,12 @@ def test_acceptance_6_flow_map_consistency():
 
     F = time1_map_of_toy(m=1, B_const=1.0, deg=deg).as_skew(deg)
     cap = 8
-    Rx = Jet.zero(0, deg, 1, cap)
+    Rx = Jet(0, deg, 1, cap)
     for l in range(1, deg + 1):
         Rx = Rx + Jet.monomial(l, (), (-1.0) ** (l + 1), 0, deg, 1, cap)
-    Rhat = SkewMap(x=Rx, y=(), theta_dev=(Jet.zero(0, deg, 1, cap),), rot=(GOLDEN,))
-    FK = compose_skew_param(F, K, deg)
-    KR = compose_param_param(K, Rhat, deg)
+    Rhat = SkewMap(x=Rx, y=(), theta_dev=(Jet(0, deg, 1, cap),), rot=(GOLDEN,))
+    FK = compose(F, K, deg)
+    KR = compose(K, Rhat, deg)
     coeff_err = max(
         (FK.x - KR.x).norm(),
         (FK.y[0] - KR.y[0]).norm(),

@@ -43,7 +43,7 @@ from oracles import (
 def test_center_of_mass_enforced():
     cap = 8
     one = FourierSeries.constant(1.0, 1, cap)
-    zero = FourierSeries.zeros(1, cap)
+    zero = FourierSeries(1, cap)
     bad = PrimarySystem(masses=(1.0,), qx=(one,), qy=(zero,), omega=(0.3,))
     with pytest.raises(HypothesisViolation):
         bad.check()
@@ -216,26 +216,26 @@ def test_field_matches_references_on_both_sides_of_the_threshold(seed, dim, many
 def test_single_primary_potential_exact():
     sys = PrimarySystem.single(mass=2.0)
     V = expand_potential(sys, degree=6)
-    assert V.x_coeff(1).average().real == pytest.approx(2.0)
+    assert V.coeff(1).average().real == pytest.approx(2.0)
     for l in range(2, 7):
-        assert V.x_coeff(l).strip_norm() < 1e-14
+        assert V.coeff(l).strip_norm() < 1e-14
 
 
 def test_leading_coefficient_is_total_mass():
     sys = PrimarySystem.circular_binary(mass=0.5, radius=1.0)
     V = expand_potential(sys, degree=4)
-    lead = V.x_coeff(1)
+    lead = V.coeff(1)
     assert lead.average().real == pytest.approx(1.0)
     assert lead.oscillatory().strip_norm() < 1e-14
     # 1/r^2 order cancels by the center-of-mass identity
-    assert V.x_coeff(2).strip_norm() < 1e-14
+    assert V.coeff(2).strip_norm() < 1e-14
 
 
 def test_binary_r3_coefficient_vs_quadrature():
     # independent oracle: direct summed potential at large radius
     sys = PrimarySystem.circular_binary(mass=0.5, radius=1.0)
     V = expand_potential(sys, degree=5)
-    c3 = V.x_coeff(3)
+    c3 = V.coeff(3)
     r = 1.0e3
     for th in np.arange(6) / 6:
         for ph in np.arange(6) / 6:
@@ -275,13 +275,13 @@ def test_potential_cap_holds_every_mode():
     """The default cap bounds |k|_1, not the largest entry of k: a primary on
     the mode (2, 2) alone loses nothing to truncation."""
     c = FourierSeries.cosine((2, 2), 2, 4, 0.1)
-    zero = FourierSeries.zeros(2, 4)
+    zero = FourierSeries(2, 4)
     sys = PrimarySystem((0.5, 0.5), (c, -c), (zero, zero), (0.11, 0.11 * math.sqrt(2.0)))
     V = expand_potential(sys, 3)
     wide = expand_potential(sys, 3, order_cap=V.order_cap + 2)
     for l in (1, 3):
-        assert V.x_coeff(l).trunc_loss == 0.0
-        assert V.x_coeff(l).coeffs == wide.x_coeff(l).coeffs
+        assert V.coeff(l).trunc_loss == 0.0
+        assert V.coeff(l).coeffs == wide.coeff(l).coeffs
 
 
 def _build_deviation(d, cap, deg=8, gtilde0=0.15):

@@ -250,6 +250,27 @@ def test_sweep_records_a_failed_order_report(tmp_path):
     assert merged["entries"]["toy"]["summary"]["order_report"]["all_pass"] is False
 
 
+def test_sweep_failed_entry_writes_its_own_record(tmp_path):
+    cfg = {
+        "sweep": [
+            {"label": "good", "model": "builtin:benchmark-map"},
+            {"label": "bad", "model": str(tmp_path / "nonexistent.json")},
+        ],
+        "order": 2,
+        "outdir": str(tmp_path / "sweep"),
+    }
+    cpath = tmp_path / "cfg.json"
+    ser.dump_json(cfg, cpath)
+    assert main(["solve-map", "--config", str(cpath)]) == 4
+    own = _read(tmp_path / "sweep" / "bad" / "summary.json")
+    assert own["status"] == "error"
+    assert (own["error_code"], own["error_kind"]) == (5, "ParatoriError")
+    assert "nonexistent.json" in own["error"]
+    merged = _read(tmp_path / "sweep" / "summary.json")
+    assert merged["entries"]["bad"] == {"exit": 5, "summary": own}
+    assert merged["entries"]["good"]["exit"] == 0
+
+
 def test_restricted_demo_short(tmp_path):
     code = main([
         "restricted-demo", "--system", "single", "--order", "3",
@@ -455,6 +476,29 @@ def test_config_rejects_too_few_samples(tmp_path, field, value, least):
     assert code == 5
     assert _read(out / "summary.json")["error"] == f"config field {field} must be >= {least}"
     assert not (out / "solution.json").exists()
+
+
+def test_config_refuses_an_undeclared_field(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    ser.dump_json({"n_sample": 4, "orderr": 2}, cfg)
+    out = tmp_path / "out"
+    code = main(["solve-map", "--model", "builtin:benchmark-map", "--order", "2",
+                 "--config", str(cfg), "--outdir", str(out)])
+    assert code == 5
+    message = _read(out / "summary.json")["error"]
+    assert "'n_sample'" in message and "'orderr'" in message
+    assert not (out / "solution.json").exists()
+
+
+def test_sweep_row_refuses_an_undeclared_field(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    ser.dump_json({"sweep": [{"label": "a", "model": "builtin:benchmark-map", "orderr": 2}]}, cfg)
+    out = tmp_path / "out"
+    code = main(["solve-map", "--order", "2", "--config", str(cfg), "--outdir", str(out)])
+    assert code == 5
+    message = _read(out / "summary.json")["error"]
+    assert "'orderr'" in message and "sweep row 'a'" in message
+    assert not (out / "a").exists()
 
 
 # Every error class with arguments for its constructor and the exit code the

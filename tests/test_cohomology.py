@@ -67,9 +67,9 @@ def test_base_step_single_mode(golden_freq):
 def test_base_step_error_order(bench_map):
     sol = base_step(bench_map)
     err = invariance_error(sol)
-    assert err.ex.x_coeff(bench_map.N).strip_norm() <= 1e-12
+    assert err.ex.coeff(bench_map.N).strip_norm() <= 1e-12
     for l in range(bench_map.N + 1):
-        assert err.ex.x_coeff(l).strip_norm() <= 1e-12
+        assert err.ex.coeff(l).strip_norm() <= 1e-12
 
 
 # ------------------------------------------------------------- extend_order
@@ -89,7 +89,7 @@ def test_extend_scalar_y_formula(golden_freq):
     model = _const_a_model(golden_freq, g_tail=(3, 0.3))
     sol = base_step(model)
     err = invariance_error(sol)
-    assert err.ey[0].x_coeff(3).average().real == pytest.approx(0.3)
+    assert err.ey[0].coeff(3).average().real == pytest.approx(0.3)
     sol2, _ = extend_order(sol, err)
     assert sol2.kbar_y[2][0] == pytest.approx(-0.1, abs=1e-14)
 
@@ -149,7 +149,7 @@ def test_dense_oracle_equivalence(j):
         assert engine.kbar_x.get(j, 0.0) == pytest.approx(oracle["scalars"]["kx"], abs=1e-9)
     assert engine.kbar_y[j][0] == pytest.approx(oracle["scalars"]["ky"], abs=1e-9)
     assert engine.kbar_th[j - 1][0] == pytest.approx(oracle["scalars"]["kth"], abs=1e-9)
-    zero = FourierSeries.zeros(1, cap)
+    zero = FourierSeries(1, cap)
     assert (engine.ktil_x.get(ox, zero) - oracle["ktx"]).strip_norm() < 1e-9
     assert (engine.ktil_y[ox][0] - oracle["kty"]).strip_norm() < 1e-9
     assert (engine.ktil_th[oth][0] - oracle["ktth"]).strip_norm() < 1e-9
@@ -167,13 +167,13 @@ def test_invariance_error_exact_conjugacy_toy():
     res = solve_manifold(model, 6)
     err = res.error
     for l in range(res.solution.j + model.N):
-        assert err.ex.x_coeff(l).strip_norm() < 1e-11
+        assert err.ex.coeff(l).strip_norm() < 1e-11
 
 
 def test_invariance_error_base_step_slot(bench_map):
     sol = base_step(bench_map)
     err = invariance_error(sol)
-    assert err.ex.x_coeff(bench_map.N).strip_norm() <= 1e-12
+    assert err.ex.coeff(bench_map.N).strip_norm() <= 1e-12
 
 
 def test_fault_injection_detected(bench_map):

@@ -181,6 +181,22 @@ def test_forked_call_returns_value_and_raises_error(monkeypatch, fork):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_forked_call_forks_a_single_threaded_process(monkeypatch):
+    # conftest.py keeps numpy's BLAS to one thread; with more, os.fork warns on 3.12+
+    threads, real_fork = [], os.fork
+
+    def fork():
+        with open("/proc/self/status") as fh:
+            threads.extend(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    with _ForkedCall(divmod, 17, 5) as call:
+        assert call.result() == (3, 2)
+    assert threads == [1]
+
+
 def test_forked_call_killed_child_is_an_error():
     with _ForkedCall(lambda: os.kill(os.getpid(), signal.SIGKILL)) as call:
         with pytest.raises(ParatoriError, match=f"wait status {signal.SIGKILL}"):

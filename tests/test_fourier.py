@@ -62,7 +62,7 @@ def test_evaluate_matches_reference_loop(rng, dim, strip, dtype):
 
 
 def test_evaluate_empty_series_and_bad_shape():
-    z = FourierSeries.zeros(2, 4)
+    z = FourierSeries(2, 4)
     assert z.evaluate((0.3, 0.1)) == 0
     assert z.evaluate(np.zeros((3, 2))).shape == (3,)
     with pytest.raises(DimensionMismatch):
@@ -117,7 +117,7 @@ def test_average_oscillatory_split():
 
 
 def test_average_zero_series():
-    z = FourierSeries.zeros(2, 3)
+    z = FourierSeries(2, 3)
     assert z.average() == 0
     assert z.oscillatory().is_zero()
 
@@ -199,7 +199,7 @@ def test_dimension_mismatch_raises():
 
 
 def test_sd_map_zero_input(golden_freq):
-    z = FourierSeries.zeros(1, 8)
+    z = FourierSeries(1, 8)
     assert sd_solve_map(z, golden_freq).is_zero()
 
 
@@ -233,7 +233,7 @@ def test_sd_map_nonzero_average_rejected(golden_freq):
 
 def test_sd_flow_zero_input():
     freq = diophantine_scan([1.0], tau=0.0, k_max=3, sense="flow")
-    assert sd_solve_flow(FourierSeries.zeros(1, 4), freq).is_zero()
+    assert sd_solve_flow(FourierSeries(1, 4), freq).is_zero()
 
 
 def test_sd_flow_single_mode_closed_form():

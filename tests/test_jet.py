@@ -11,8 +11,7 @@ from paratori.fourier import FourierSeries
 from paratori.jet import (
     Jet,
     SkewMap,
-    compose_param_param,
-    compose_skew_param,
+    compose,
     divide_by_x_plus_y,
     invert_x_jet,
     jet_compose,
@@ -43,7 +42,7 @@ def _random_jet(rng, m=1, deg=4, dim=1, cap=12, jet_deg=None, max_mode=2):
 def test_mul_x_squared():
     x = _x()
     sq = x.jet_mul(x)
-    assert abs(sq.x_coeff(2).average() - 1.0) < 1e-15
+    assert abs(sq.coeff(2).average() - 1.0) < 1e-15
     assert len(sq.terms) == 1
 
 
@@ -53,7 +52,7 @@ def test_mul_single_series_product():
     ja = Jet.monomial(1, (), a, 0, 6, 1, 8)
     jb = Jet.monomial(1, (), b, 0, 6, 1, 8)
     prod = ja.jet_mul(jb)
-    assert (prod.x_coeff(2) - a.series_mul(b)).strip_norm() < 1e-15
+    assert (prod.coeff(2) - a.series_mul(b)).strip_norm() < 1e-15
 
 
 def test_mul_pointwise_evaluation_oracle(rng):
@@ -82,6 +81,14 @@ def test_add_scale_and_mismatch(rng):
 # ----------------------------------------------------------------- compose
 
 
+def test_one_compose_under_every_name():
+    import paratori.jet as jet
+
+    assert jet.compose_skew_param is jet.compose_param_param is jet.compose
+    assert not hasattr(jet, "compose_skew_skew")
+    assert {"compose_skew_param", "compose_param_param"}.isdisjoint(jet.__all__)
+
+
 def test_compose_identity_returns_k():
     K = _x(deg=6) + Jet.monomial(2, (), FourierSeries.cosine((1,), 1, 8, 0.4), 0, 6, 1, 8)
     out = jet_compose(_x(deg=6), K)
@@ -104,9 +111,9 @@ def test_compose_symbolic_hand_expansion():
     out = jet_compose(F, K)
     want2 = FourierSeries.constant(c, 1, 8) - a
     want3 = a.scale(-2 * c)
-    assert (out.x_coeff(1) - FourierSeries.constant(1.0, 1, 8)).strip_norm() < 1e-15
-    assert (out.x_coeff(2) - want2).strip_norm() < 1e-15
-    assert (out.x_coeff(3) - want3).strip_norm() < 1e-14
+    assert (out.coeff(1) - FourierSeries.constant(1.0, 1, 8)).strip_norm() < 1e-15
+    assert (out.coeff(2) - want2).strip_norm() < 1e-15
+    assert (out.coeff(3) - want3).strip_norm() < 1e-14
 
 
 def test_compose_reduced_base_case_hand_expansion(golden_freq):
@@ -116,16 +123,16 @@ def test_compose_reduced_base_case_hand_expansion(golden_freq):
     ktil = FourierSeries.sine((1,), 1, cap, 0.37)
     K = SkewMap(
         x=_x(deg=deg, cap=cap) + Jet.monomial(N, (), ktil, 0, deg, 1, cap),
-        y=(), theta_dev=(Jet.zero(0, deg, 1, cap),), rot=(0.0,),
+        y=(), theta_dev=(Jet(0, deg, 1, cap),), rot=(0.0,),
     )
     R = SkewMap(
         x=_x(deg=deg, cap=cap) - Jet.monomial(N, (), 1.3, 0, deg, 1, cap),
-        y=(), theta_dev=(Jet.zero(0, deg, 1, cap),), rot=(om,),
+        y=(), theta_dev=(Jet(0, deg, 1, cap),), rot=(om,),
     )
-    out = compose_param_param(K, R)
-    assert (out.x.x_coeff(1) - FourierSeries.constant(1.0, 1, cap)).strip_norm() < 1e-15
+    out = compose(K, R, deg)
+    assert (out.x.coeff(1) - FourierSeries.constant(1.0, 1, cap)).strip_norm() < 1e-15
     want_N = FourierSeries.constant(-1.3, 1, cap) + ktil.rotate(om)
-    assert (out.x.x_coeff(N) - want_N).strip_norm() < 1e-14
+    assert (out.x.coeff(N) - want_N).strip_norm() < 1e-14
     assert out.rot == (om,)
 
 
@@ -134,12 +141,12 @@ def test_compose_reduced_identity_rotation():
     series = FourierSeries.cosine((1,), 1, cap, 0.5)
     K = SkewMap(
         x=_x(deg=4, cap=cap) + Jet.monomial(2, (), series, 0, 4, 1, cap),
-        y=(), theta_dev=(Jet.zero(0, 4, 1, cap),), rot=(0.0,),
+        y=(), theta_dev=(Jet(0, 4, 1, cap),), rot=(0.0,),
     )
     R = SkewMap.identity(0, 1, 4, 1, cap, rot=(0.25,))
-    out = compose_param_param(K, R)
+    out = compose(K, R, 4)
     # pure rotation: coefficients rotate, no mixing of orders
-    assert (out.x.x_coeff(2) - series.rotate(0.25)).strip_norm() < 1e-15
+    assert (out.x.coeff(2) - series.rotate(0.25)).strip_norm() < 1e-15
 
 
 def test_compose_rx_substitution():
@@ -148,9 +155,9 @@ def test_compose_rx_substitution():
     K = SkewMap.identity(0, 1, deg, 1, cap)
     R = SkewMap(
         x=_x(deg=deg, cap=cap) - Jet.monomial(N, (), 0.8, 0, deg, 1, cap),
-        y=(), theta_dev=(Jet.zero(0, deg, 1, cap),), rot=(0.1,),
+        y=(), theta_dev=(Jet(0, deg, 1, cap),), rot=(0.1,),
     )
-    out = compose_param_param(K, R)
+    out = compose(K, R, deg)
     assert (out.x - R.x).norm() < 1e-15
 
 
@@ -172,10 +179,10 @@ def test_compose_associativity(rng, golden_freq):
     )
     R = SkewMap(
         x=_x(deg=deg, cap=cap) - Jet.monomial(2, (), 0.9, 0, deg, 1, cap),
-        y=(), theta_dev=(Jet.zero(0, deg, 1, cap),), rot=(om,),
+        y=(), theta_dev=(Jet(0, deg, 1, cap),), rot=(om,),
     )
-    lhs = compose_param_param(compose_skew_param(F, K), R)
-    rhs = compose_skew_param(F, compose_param_param(K, R))
+    lhs = compose(compose(F, K, deg), R, deg)
+    rhs = compose(F, compose(K, R, deg), deg)
     err = (lhs.x - rhs.x).norm() + (lhs.y[0] - rhs.y[0]).norm() + (
         lhs.theta_dev[0] - rhs.theta_dev[0]
     ).norm()
@@ -195,7 +202,7 @@ def test_evaluation_homomorphism_full_composition(rng, golden_freq):
         theta_dev=(Jet.monomial(1, (), random_real_series(rng, cap=cap, scale=0.2, max_mode=2), 0, deg, 1, cap),),
         rot=(0.0,),
     )
-    FK = compose_skew_param(F, K)
+    FK = compose(F, K, deg)
     for x in np.linspace(0.002, 0.02, 8):
         for th in np.arange(8) / 8:
             kx, ky, kth = K.evaluate(x, (), (th,))
@@ -246,7 +253,7 @@ def test_array_evaluation_equals_loop_over_points(rng, dtype):
 def test_derivative_x_cubed():
     c = _x(deg=5).power(3)
     d = c.derivative_x()
-    assert abs(d.x_coeff(2).average() - 3.0) < 1e-15
+    assert abs(d.coeff(2).average() - 3.0) < 1e-15
 
 
 def test_derivative_theta_of_cosine_monomial():
@@ -254,7 +261,7 @@ def test_derivative_theta_of_cosine_monomial():
     j = Jet.monomial(1, (), a, 0, 4, 1, 8)
     d = j.derivative_theta(0)
     want = FourierSeries.sine((1,), 1, 8, -2 * math.pi)
-    assert (d.x_coeff(1) - want).strip_norm() < 1e-14
+    assert (d.coeff(1) - want).strip_norm() < 1e-14
 
 
 def test_derivative_finite_difference_oracle(rng):

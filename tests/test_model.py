@@ -10,7 +10,7 @@ import pytest
 from paratori.benchmark import benchmark_flow_model, benchmark_map_model
 from paratori.errors import HypothesisViolation, ResonantMode
 from paratori.fourier import FourierSeries, FrequencyVector, diophantine_scan
-from paratori.jet import Jet, compose_skew_skew, jet_compose
+from paratori.jet import Jet, compose, jet_compose
 from paratori.model import FlowModel, MapModel, model_from, normalize, validate
 from conftest import random_real_series
 
@@ -98,7 +98,7 @@ def test_validate_flags_low_order_terms_of_a_constructed_model(golden_freq):
 def test_normalize_constant_model_is_identity(golden_freq):
     model = _simple_map_model(golden_freq)
     out, log = normalize(model)
-    assert log.is_identity()
+    assert log.T is None and log.T_inv is None
     assert (out.a - model.a).strip_norm() < 1e-14
 
 
@@ -138,8 +138,8 @@ def test_normalize_is_jet_conjugation(golden_freq, rng):
     assert validate(out) == []
     F = model.as_skew(deg)
     Fp = out.as_skew(deg)
-    lhs = compose_skew_skew(F, log.T, deg)
-    rhs = compose_skew_skew(log.T, Fp, deg)
+    lhs = compose(F, log.T, deg)
+    rhs = compose(log.T, Fp, deg)
     err = (lhs.x - rhs.x).norm()
     err += sum((u - v).norm() for u, v in zip(lhs.y, rhs.y))
     err += sum((u - v).norm() for u, v in zip(lhs.theta_dev, rhs.theta_dev))
@@ -175,7 +175,7 @@ def test_normalize_flow_constant_unchanged():
     model = FlowModel.build(N=2, P=2, freq=freq,
                             a=FourierSeries.constant(1.0, 1, 16), m=0, order_cap=16)
     out, log = normalize(model)
-    assert log.is_identity()
+    assert log.T is None and log.T_inv is None
     assert (out.a - model.a).strip_norm() < 1e-14
 
 
@@ -272,7 +272,7 @@ def test_normalize_flow_is_push_forward(m, a, B, options):
     lin = (np.linalg.inv(log.D) if log.D is not None else np.eye(m)) / log.eps
     Wy = []
     for i in range(m):
-        w = Jet.zero(m, deg, dim, cap)
+        w = Jet(m, deg, dim, cap)
         for j in range(m):
             w = w + mono(0, e[j], float(lin[i, j]))
             if log.C2 is not None:
@@ -336,7 +336,7 @@ def test_normalize_defective_B_raises(golden_freq):
     cap, m = 16, 2
     a = FourierSeries.constant(1.0, 1, cap)
     B = [[FourierSeries.constant(1.0, 1, cap), FourierSeries.constant(1.0, 1, cap)],
-         [FourierSeries.zeros(1, cap), FourierSeries.constant(1.0, 1, cap)]]
+         [FourierSeries(1, cap), FourierSeries.constant(1.0, 1, cap)]]
     model = MapModel.build(N=2, P=2, freq=golden_freq, a=a, m=m, order_cap=cap, B=B)
     with pytest.raises(SingularB):
         normalize(model, jordanize=True)
@@ -410,7 +410,7 @@ def test_normalize_composite_change_inverts(kind):
     out, log = normalize(model, deg=deg, **options)
     assert _fired(log) >= 3
     for G, H in ((log.T, log.T_inv), (log.T_inv, log.T)):
-        both = compose_skew_skew(G, H, deg)
+        both = compose(G, H, deg)
         m, dim, cap = model.m, model.dim, model.order_cap
         err = (both.x - Jet.var_x(m, deg, dim, cap)).norm()
         err += sum((u - Jet.var_y(i, m, deg, dim, cap)).norm() for i, u in enumerate(both.y))
@@ -424,13 +424,13 @@ def test_normalize_composes_each_change_once(monkeypatch):
     import paratori.model as model_module
 
     calls = []
-    real = model_module.compose_skew_skew
+    real = model_module.compose
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(model_module, "compose_skew_skew", counted)
+    monkeypatch.setattr(model_module, "compose", counted)
     _, log = normalize(benchmark_map_model(), eps=0.5)
     n = _fired(log)
     assert n == 3

@@ -142,6 +142,5 @@ def test_orbit_record(bench_map):
     from paratori.dynamics import iterate_map
 
     orbit = iterate_map(bench_map, [0.05, 0.0, 0.2], 5)
-    obj = ser.orbit_to_obj(orbit)
-    assert len(obj["times"]) == 6
-    assert obj["early_stop"] is None
+    assert len(orbit.times) == 6
+    assert orbit.early_stop is None

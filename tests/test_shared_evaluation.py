@@ -109,17 +109,17 @@ def test_evaluate_series_groups_and_edge_cases(dtype):
     series = [
         FourierSeries(1, 4, {(1,): 0.5, (-1,): 0.5}),
         FourierSeries(1, 4, {(3,): 0.2j, (-3,): -0.2j}),
-        FourierSeries.zeros(1, 4),
+        FourierSeries(1, 4),
         FourierSeries(1, 4, {(4,): 1.0, (0,): 2.0}),
     ]
-    torus0 = [FourierSeries(0, 0, {(): 1.5}), FourierSeries.zeros(0, 0)]
+    torus0 = [FourierSeries(0, 0, {(): 1.5}), FourierSeries(0, 0)]
     for th, group in ((0.37, series), (0.37, torus0), (np.array([0.25]), series),
                       (np.array([[0.1], [0.6]]), series)):
         got = evaluate_series(group, th, dtype=dtype)
         assert len(got) == len(group)
         assert all(_same(v, s.evaluate(th, dtype=dtype)) for s, v in zip(group, got))
     assert evaluate_series([], 0.3, dtype=dtype) == []
-    for other in (FourierSeries.zeros(2, 4), FourierSeries.zeros(1, 6), torus0[0]):
+    for other in (FourierSeries(2, 4), FourierSeries(1, 6), torus0[0]):
         with pytest.raises(DimensionMismatch):
             evaluate_series([series[0], other], 0.37, dtype=dtype)
 
@@ -186,7 +186,7 @@ def test_every_jet_value_has_the_points_shape(dtype):
     dim, cap = 1, 4
     x = np.linspace(0.01, 0.05, 5)[:, None]
     th = (np.linspace(0.0, 0.9, 7),)
-    jets = (Jet.zero(0, 3, dim, cap),
+    jets = (Jet(0, 3, dim, cap),
             Jet(0, 3, dim, cap, {(0, ()): FourierSeries.cosine((1,), dim, cap)}),
             Jet.var_x(0, 3, dim, cap))
     zero, flat, var_x = evaluate_jets(jets, x, (), th, dtype)

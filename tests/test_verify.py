@@ -191,7 +191,7 @@ def test_membership_on_manifold(bench_map):
     pt = [kx.real, ky[0].real, kth[0].real]
     memb = stable_set_membership(sol, pt, 40, rho=0.4)
     assert memb.stays
-    assert memb.initial_distance <= 5.0 * 0.05 ** (sol.j + 1)
+    assert memb.distances[0] <= 5.0 * 0.05 ** (sol.j + 1)
     assert max(memb.distances) < 1e-6
 
 
