@@ -65,38 +65,66 @@ _EXIT_REGRESSION = 4
 _EXIT_IO = 5
 
 
-def _declared(fields: dict, where: str, extra=()) -> dict:
-    """``fields``, refused when one is declared neither in ``_DEFAULTS`` nor in ``extra``."""
-    unknown = sorted(set(fields) - set(_DEFAULTS) - set(extra))
+def _declared(fields: dict, where: str) -> dict:
+    """``fields``, refused when one is not declared in ``_DEFAULTS``."""
+    unknown = sorted(set(fields) - set(_DEFAULTS))
     if unknown:
         raise ParatoriError(f"unknown field(s) in {where}: {', '.join(map(repr, unknown))}")
     return fields
 
 
 def _load_config(args) -> dict:
+    """The defaults, overridden by the config file's fields, then by every flag given."""
     cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         cfg.update(_declared(ser.load_json(args.config), "the config"))
-    for key, val in vars(args).items():
-        if key in ("func", "config"):
-            continue
-        if val is not None:
-            cfg[key] = val
-    for key in ("divisor_floor", "order_tolerance", "slope_slack"):
-        if cfg.get(key) is not None and float(cfg[key]) <= 0:
-            raise ParatoriError(f"config field {key} must be positive")
-    if int(cfg.get("order", 1)) < 1:
-        raise ParatoriError("order must be >= 1")
-    for key, least in (("theta_samples", 1), ("n_samples", 4)):
-        if int(cfg[key]) < least:
-            raise ParatoriError(f"config field {key} must be >= {least}")
+    cfg.update((key, val) for key, val in vars(args).items() if key != "config" and val is not None)
     return cfg
 
 
-def _outdir(cfg) -> str:
-    out = cfg.get("outdir") or "paratori-run"
+def _checked(cfg: dict) -> dict:
+    """``cfg`` with each numeric field converted to the type of its default, and range-checked."""
+    cfg = dict(cfg)
+    for key, default in _DEFAULTS.items():
+        if isinstance(default, (int, float)) and not isinstance(default, bool):
+            try:
+                cfg[key] = type(default)(cfg[key])
+            except (TypeError, ValueError) as e:
+                raise ParatoriError(f"config field {key} must be a number: {e}") from e
+    for key in ("divisor_floor", "order_tolerance", "slope_slack"):
+        if cfg[key] <= 0:
+            raise ParatoriError(f"config field {key} must be positive")
+    if cfg["order"] < 1:
+        raise ParatoriError("order must be >= 1")
+    for key, least in (("theta_samples", 1), ("n_samples", 4)):
+        if cfg[key] < least:
+            raise ParatoriError(f"config field {key} must be >= {least}")
+    if cfg["sweep"] and cfg["func"] is not cmd_solve:
+        raise ParatoriError(f"{cfg['command']} takes no sweep; only solve-map and solve-flow do")
+    return cfg
+
+
+def _run(cfg) -> int:
+    """Run ``cfg``'s command in its output directory; write its ``summary.json``."""
+    out = cfg["outdir"] or "paratori-run"
     os.makedirs(out, exist_ok=True)
-    return out
+    code, fields = cfg["func"](cfg, out)
+    ser.dump_json({"status": "ok", "command": cfg["command"], **fields},
+                  os.path.join(out, "summary.json"))
+    return code
+
+
+def _failure(e: Exception, outdir) -> dict:
+    """The error record of ``e``, also written as ``summary.json`` in ``outdir``."""
+    rec = {"status": "error", "error_code": getattr(e, "exit_code", _EXIT_IO),
+           "error_kind": type(e).__name__, "error": str(e)}
+    if outdir:
+        try:
+            os.makedirs(outdir, exist_ok=True)
+            ser.dump_json(rec, os.path.join(outdir, "summary.json"))
+        except (OSError, TypeError, ValueError):
+            pass
+    return rec
 
 
 def _required(cfg, key: str):
@@ -106,136 +134,90 @@ def _required(cfg, key: str):
     return cfg[key]
 
 
-def _load_model(cfg, kind: str | None = None, command: str = ""):
-    """The model that ``cfg`` names; ``command`` runs only on a model of ``kind``."""
+def _load_model(cfg, kind: str | None = None):
+    """The model that ``cfg`` names; the command runs only on a model of ``kind``."""
     spec = _required(cfg, "model")
     if spec.startswith("builtin:"):
         model = benchmark.builtin_model(spec.split(":", 1)[1])
     else:
         model = ser.model_from_obj(ser.load_json(spec))
     if kind and model.kind != kind:
-        raise HypothesisViolation(f"{command} invoked on a {model.kind} model")
+        raise HypothesisViolation(f"{cfg['command']} invoked on a {model.kind} model")
     return model
 
 
-def _policy(cfg) -> FreeChoicePolicy:
-    fc = cfg.get("free_choices") or {}
-    return FreeChoicePolicy(
+def _solver_kw(cfg) -> dict:
+    """The free choices and tolerances of the engine's solve."""
+    fc = cfg["free_choices"] or {}
+    choices = FreeChoicePolicy(
         kbar_x_at_N=float(fc.get("kbar_x_at_N", 0.0)),
         kbar_theta={int(k): tuple(v) for k, v in fc.get("kbar_theta", {}).items()},
     )
+    return {"choices": choices, "divisor_floor": cfg["divisor_floor"],
+            "order_tolerance": cfg["order_tolerance"]}
 
 
-def _write_order_report(out, report):
-    ser.write_csv(
-        os.path.join(out, "order_report.csv"),
-        ["component", "slope", "target", "pass"],
-        report.rows(),
+def _order_report(cfg, out, sol, error=None):
+    """Fit the decay orders of ``sol``'s residual and write both CSVs; the report and its fields."""
+    report = fit_error_orders_auto(
+        sol, tuple(cfg["x_window"]), n_samples=cfg["n_samples"],
+        theta_samples=cfg["theta_samples"], slope_slack=cfg["slope_slack"], error=error,
     )
-    ser.write_csv(
-        os.path.join(out, "residuals.csv"),
-        ["x", "e_x", "e_y", "e_theta"],
-        [(r["x"], r["e_x"], r["e_y"], r["e_theta"]) for r in report.samples],
-    )
+    ser.write_csv(os.path.join(out, "order_report.csv"),
+                  ["component", "slope", "target", "pass"], report.rows())
+    ser.write_csv(os.path.join(out, "residuals.csv"), ["x", "e_x", "e_y", "e_theta"],
+                  [(r["x"], r["e_x"], r["e_y"], r["e_theta"]) for r in report.samples])
+    return report, {"slopes": report.fitted_slope, "targets": report.target_order,
+                    "passes": report.passes, "all_pass": report.all_pass}
 
 
-def _summarize_solution(res, report=None) -> dict:
-    sol = res.solution
-    out = {
-        "j": sol.j,
-        "a_bar": sol.reduced.a_bar,
-        "b": sol.reduced.b,
-        "per_order": res.per_order,
-        "free_choices": sol.free_choices,
-    }
-    if report is not None:
-        out["order_report"] = {
-            "slopes": report.fitted_slope,
-            "targets": report.target_order,
-            "passes": report.passes,
-            "x_window": list(report.x_window),
-            "all_pass": report.all_pass,
-        }
-    return out
+def _exit(all_pass: bool) -> int:
+    return 0 if all_pass else _EXIT_REGRESSION
 
 
 # ----------------------------------------------------------------- commands
+#
+# Each command takes the checked config and its output directory, writes its
+# own artifacts, and returns its exit code and the fields of its summary.
 
 
-def cmd_solve(args) -> int:
-    cfg = _load_config(args)
-    if cfg.get("sweep"):
-        return _run_sweep(cfg, "solve")
-    return _solve_one(cfg)
-
-
-def _solve_one(cfg) -> int:
-    out = _outdir(cfg)
-    model = _load_model(cfg, cfg.get("kind"), f"solve-{cfg.get('kind')}")
-    order = int(cfg["order"])
-    checkpoints = []
+def cmd_solve(cfg, out):
+    if cfg["sweep"]:
+        return _sweep(cfg, out)
+    model = _load_model(cfg, cfg["kind"])
 
     def on_order(sol, err):
-        if cfg.get("checkpoint"):
-            path = os.path.join(out, f"solution_j{sol.j:02d}.json")
-            ser.dump_json(ser.solution_to_obj(sol), path)
-            checkpoints.append(path)
+        if cfg["checkpoint"]:
+            ser.dump_json(ser.solution_to_obj(sol), os.path.join(out, f"solution_j{sol.j:02d}.json"))
 
-    res = solve_manifold(
-        model, order, _policy(cfg),
-        divisor_floor=float(cfg["divisor_floor"]),
-        order_tolerance=float(cfg["order_tolerance"]),
-        callback=on_order,
-    )
-    ser.dump_json(ser.solution_to_obj(res.solution), os.path.join(out, "solution.json"))
-    report = fit_error_orders_auto(
-        res.solution, tuple(cfg["x_window"]),
-        n_samples=int(cfg["n_samples"]),
-        theta_samples=int(cfg["theta_samples"]),
-        slope_slack=float(cfg["slope_slack"]),
-        error=res.error,
-    )
-    _write_order_report(out, report)
-    summary = {"status": "ok", "command": f"solve-{model.kind}",
-               **_summarize_solution(res, report)}
-    ser.dump_json(summary, os.path.join(out, "summary.json"))
-    print(f"solved to order {order}: a_bar={res.solution.reduced.a_bar:.12g} "
+    res = solve_manifold(model, cfg["order"], **_solver_kw(cfg), callback=on_order)
+    sol = res.solution
+    ser.dump_json(ser.solution_to_obj(sol), os.path.join(out, "solution.json"))
+    report, fields = _order_report(cfg, out, sol, res.error)
+    print(f"solved to order {cfg['order']}: a_bar={sol.reduced.a_bar:.12g} "
           f"b={res.b} report_pass={report.all_pass}")
-    return 0 if report.all_pass else _EXIT_REGRESSION
+    return _exit(report.all_pass), {
+        "j": sol.j, "a_bar": sol.reduced.a_bar, "b": sol.reduced.b,
+        "per_order": res.per_order, "free_choices": sol.free_choices,
+        "order_report": {**fields, "x_window": list(report.x_window)},
+    }
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(cfg)
+def cmd_verify(cfg, out):
     model = _load_model(cfg)
     sol = ser.solution_from_obj(ser.load_json(_required(cfg, "solution")), model)
-    report = fit_error_orders_auto(
-        sol, tuple(cfg["x_window"]),
-        n_samples=int(cfg["n_samples"]),
-        theta_samples=int(cfg["theta_samples"]),
-        slope_slack=float(cfg["slope_slack"]),
-    )
-    _write_order_report(out, report)
-    ser.dump_json(
-        {"status": "ok", "command": "verify",
-         "slopes": report.fitted_slope, "targets": report.target_order,
-         "passes": report.passes, "all_pass": report.all_pass},
-        os.path.join(out, "summary.json"),
-    )
+    report, fields = _order_report(cfg, out, sol)
     for comp, slope, target, ok in report.rows():
         print(f"{comp}: slope {slope:.3f} target {target} {'PASS' if ok else 'FAIL'}")
-    return 0 if report.all_pass else _EXIT_REGRESSION
+    return _exit(report.all_pass), fields
 
 
-def cmd_iterate(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(cfg)
-    model = _load_model(cfg, "map", "iterate")
-    state = cfg.get("state")
+def cmd_iterate(cfg, out):
+    model = _load_model(cfg, "map")
+    state = cfg["state"]
     if state is None:
         state = [0.05] + [0.0] * (model.m + model.dim)
-    orbit = iterate_map(model, state, int(cfg["steps"]),
-                        domain_radius=float(cfg["domain_radius"]))
+    orbit = iterate_map(model, state, cfg["steps"], domain_radius=cfg["domain_radius"])
     ncols = orbit.states.shape[1]
     header = ["k", "x"] + [f"y{i+1}" for i in range(model.m)] + [
         f"theta{r+1}" for r in range(ncols - 1 - model.m)
@@ -244,46 +226,34 @@ def cmd_iterate(args) -> int:
         os.path.join(out, "orbit.csv"), header,
         [(int(t), *row) for t, row in zip(orbit.times, orbit.states)],
     )
-    ser.dump_json(
-        {"status": "ok", "command": "iterate", "steps": len(orbit) - 1,
-         "early_stop": orbit.early_stop},
-        os.path.join(out, "summary.json"),
-    )
     print(f"iterated {len(orbit)-1} steps"
           + (f" (left domain at {orbit.early_stop})" if orbit.early_stop else ""))
-    return 0
+    return 0, {"steps": len(orbit) - 1, "early_stop": orbit.early_stop}
 
 
-def cmd_restricted_demo(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(cfg)
+def cmd_restricted_demo(cfg, out):
     name = cfg["system"]
-    if name == "single":
-        system = PrimarySystem.single()
-    elif name == "binary":
-        system = PrimarySystem.circular_binary()
-    else:
-        system = ser.primary_system_from_obj(ser.load_json(name))
+    builtin = {"single": PrimarySystem.single, "binary": PrimarySystem.circular_binary}
+    system = builtin[name]() if name in builtin else ser.primary_system_from_obj(ser.load_json(name))
     model, chart = build_restricted_field(
-        system, degree=int(cfg["degree"]),
-        alpha0=float(cfg["alpha0"]), gtilde0=float(cfg["gtilde0"]),
+        system, degree=cfg["degree"], alpha0=cfg["alpha0"], gtilde0=cfg["gtilde0"],
     )
     # the builders emit the same model format the solver commands ingest
     ser.dump_json(ser.model_to_obj(model), os.path.join(out, "model.json"))
-    res = solve_manifold(model, int(cfg["order"]), _policy(cfg),
-                         divisor_floor=float(cfg["divisor_floor"]),
-                         order_tolerance=float(cfg["order_tolerance"]))
+    res = solve_manifold(model, cfg["order"], **_solver_kw(cfg))
     rep, orbit = escape_demo(
-        system, res.solution, chart, x0=float(cfg["x0"]),
-        horizon=float(cfg["horizon"]), tol=float(cfg["demo_tol"]),
+        system, res.solution, chart, x0=cfg["x0"], horizon=cfg["horizon"], tol=cfg["demo_tol"],
     )
     ser.write_csv(
         os.path.join(out, "demo.csv"),
         ["t", "r", "y", "energy", "law_ratio"],
         [(s["t"], s["r"], s["y"], s["energy"], s["law_ratio"]) for s in rep.samples],
     )
-    summary = {
-        "status": "ok", "command": "restricted-demo",
+    lo, hi = rep.law_ratio_range
+    print(f"law ratio within [{lo:.4f}, {hi:.4f}] on window; "
+          f"|y_end|={abs(rep.y_end):.2e}; |E_end|={abs(rep.energy_end):.2e}; "
+          f"{'PASS' if rep.all_pass else 'FAIL'}")
+    return _exit(rep.all_pass), {
         "chart": chart.report(),
         "a_bar": model.a_bar, "b": res.b,
         "law_ratio_range": list(rep.law_ratio_range),
@@ -295,108 +265,68 @@ def cmd_restricted_demo(args) -> int:
         "orbit_nfev": rep.orbit_nfev,
         "all_pass": rep.all_pass,
     }
-    ser.dump_json(summary, os.path.join(out, "summary.json"))
-    lo, hi = rep.law_ratio_range
-    print(f"law ratio within [{lo:.4f}, {hi:.4f}] on window; "
-          f"|y_end|={abs(rep.y_end):.2e}; |E_end|={abs(rep.energy_end):.2e}; "
-          f"{'PASS' if rep.all_pass else 'FAIL'}")
-    return 0 if rep.all_pass else _EXIT_REGRESSION
 
 
-def cmd_conjugate(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(cfg)
+def cmd_conjugate(cfg, out):
     model = _load_model(cfg)
-    b, K, res = conjugate_normal_form(
-        model, int(cfg["order"]) if cfg.get("order") else None,
-        _policy(cfg),
-        divisor_floor=float(cfg["divisor_floor"]),
-        order_tolerance=float(cfg["order_tolerance"]),
-    )
+    b, K, res = conjugate_normal_form(model, cfg["order"], **_solver_kw(cfg))
     ser.dump_json(ser.solution_to_obj(res.solution), os.path.join(out, "solution.json"))
-    ser.dump_json(
-        {"status": "ok", "command": "conjugate", "b": b,
-         "a_bar": res.solution.reduced.a_bar, "order": res.solution.j},
-        os.path.join(out, "summary.json"),
-    )
     print(f"normal-form invariant b = {b:.12g}")
-    return 0
+    return 0, {"b": b, "a_bar": res.solution.reduced.a_bar, "order": res.solution.j}
 
 
-def cmd_scan(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(cfg)
+def cmd_scan(cfg, out):
     freq = diophantine_scan(
-        _required(cfg, "omega"), cfg.get("nu") or (), float(cfg["tau"]),
-        int(cfg["k_max"]), sense=cfg["sense"],
+        _required(cfg, "omega"), cfg["nu"] or (), cfg["tau"], cfg["k_max"], sense=cfg["sense"],
     )
     rec = {
-        "status": "ok", "command": "scan-diophantine",
         "omega": list(freq.omega), "nu": list(freq.nu), "tau": freq.tau,
         "k_max": freq.k_max_checked, "sense": freq.sense,
         "c_estimate": freq.c_estimate,
         "worst_k": list(freq.worst_k) if freq.worst_k else None,
     }
-    ser.dump_json(rec, os.path.join(out, "scan.json"))
-    ser.dump_json(rec, os.path.join(out, "summary.json"))
+    ser.dump_json({"status": "ok", "command": cfg["command"], **rec}, os.path.join(out, "scan.json"))
     print(f"c_estimate = {freq.c_estimate:.6g} (worst k = {freq.worst_k})")
-    return 0
+    return 0, rec
 
 
 # -------------------------------------------------------------------- sweep
 
 
-def _failure(e: Exception, outdir) -> dict:
-    """The error record of ``e``, also written as ``summary.json`` in ``outdir``."""
-    rec = {"status": "error", "error_code": getattr(e, "exit_code", _EXIT_IO),
-           "error_kind": type(e).__name__, "error": str(e)}
-    if outdir:
-        try:
-            os.makedirs(outdir, exist_ok=True)
-            ser.dump_json(rec, os.path.join(outdir, "summary.json"))
-        except OSError:
-            pass
-    return rec
-
-
 def _sweep_entry(payload):
-    cfg, label = payload
+    label, cfg = payload
     try:
-        code = _solve_one(cfg)
-        summary = ser.load_json(os.path.join(cfg["outdir"], "summary.json"))
-        return label, code, summary
+        code = _run(_checked(cfg))
+        # read back, not kept in memory: the JSON round trip turns the int keys
+        # of free_choices.kbar_theta into strings, which the merged record sorts
+        return label, code, ser.load_json(os.path.join(cfg["outdir"], "summary.json"))
     except Exception as e:  # merged table records per-entry failures
         rec = _failure(e, cfg["outdir"])
         return label, rec["error_code"], rec
 
 
-def _run_sweep(cfg, command: str) -> int:
-    out = _outdir(cfg)
+def _sweep(cfg, out):
+    """Run each sweep row, the config with the row's fields, in its own directory."""
     entries = []
     for row in cfg["sweep"]:
-        sub = dict(cfg)
-        sub.pop("sweep")
-        label = row.get("label") or os.path.basename(str(row.get("model", "entry")))
-        sub.update(_declared(row, f"sweep row {label!r}", extra=("label",)))
-        sub["outdir"] = os.path.join(out, label)
-        entries.append((sub, label))
-    entries.sort(key=lambda e: e[1])
-    workers = int(cfg.get("workers", 1))
-    if workers > 1:
+        row = dict(row)
+        label = row.pop("label", None) or os.path.basename(str(row.get("model", "entry")))
+        _declared(row, f"sweep row {label!r}")
+        entries.append((label, {**cfg, "sweep": [], **row, "outdir": os.path.join(out, label)}))
+    entries.sort(key=lambda e: e[0])
+    if cfg["workers"] > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
             results = list(pool.map(_sweep_entry, entries))
     else:
         results = [_sweep_entry(e) for e in entries]
-    merged = {
-        "status": "ok" if all(code == 0 for _, code, _ in results) else "error",
-        "command": command,
-        "entries": {label: {"exit": code, "summary": summary}
-                    for label, code, summary in results},
+    ok = all(code == 0 for _, code, _ in results)
+    # the merged record names its command "solve" for both kinds
+    return _exit(ok), {
+        "status": "ok" if ok else "error", "command": "solve",
+        "entries": {label: {"exit": code, "summary": summary} for label, code, summary in results},
     }
-    ser.dump_json(merged, os.path.join(out, "summary.json"))
-    return 0 if merged["status"] == "ok" else _EXIT_REGRESSION
 
 
 # --------------------------------------------------------------- entrypoint
@@ -409,61 +339,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(required=True)
 
-    def common(sp, model=True):
+    def command(name, func, help, model=True, **defaults):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--config", help="JSON config file; flags override fields")
         sp.add_argument("--outdir", help="artifact directory")
         if model:
             sp.add_argument("--model", help="model file or builtin:<name>")
         sp.add_argument("--order", type=int, help="target expansion order j")
+        sp.set_defaults(func=func, command=name, **defaults)
         return sp
 
-    sp = common(sub.add_parser("solve-map", help="run the map engine"))
-    sp.add_argument("--checkpoint", action="store_true", default=None)
-    sp.set_defaults(func=cmd_solve, kind="map")
+    for kind in ("map", "flow"):
+        sp = command(f"solve-{kind}", cmd_solve, f"run the {kind} engine", kind=kind)
+        sp.add_argument("--checkpoint", action="store_true", default=None)
 
-    sp = common(sub.add_parser("solve-flow", help="run the flow engine"))
-    sp.add_argument("--checkpoint", action="store_true", default=None)
-    sp.set_defaults(func=cmd_solve, kind="flow")
-
-    sp = common(sub.add_parser("verify", help="fit error decay orders"))
+    sp = command("verify", cmd_verify, "fit error decay orders")
     sp.add_argument("--solution", help="solution record from a solve run")
-    sp.set_defaults(func=cmd_verify)
 
-    sp = common(sub.add_parser("iterate", help="iterate the full map"))
+    sp = command("iterate", cmd_iterate, "iterate the full map")
     sp.add_argument("--steps", type=int)
     sp.add_argument("--state", type=float, nargs="+")
-    sp.set_defaults(func=cmd_iterate)
 
-    sp = common(sub.add_parser("restricted-demo",
-                               help="parabolic-infinity escape demonstration"),
-                model=False)
+    sp = command("restricted-demo", cmd_restricted_demo,
+                 "parabolic-infinity escape demonstration", model=False)
     sp.add_argument("--system", help="single | binary | system file")
     sp.add_argument("--x0", type=float)
     sp.add_argument("--horizon", type=float)
     sp.add_argument("--gtilde0", type=float)
-    sp.set_defaults(func=cmd_restricted_demo)
 
-    sp = common(sub.add_parser("conjugate", help="normal-form invariant b (m = 0)"))
-    sp.set_defaults(func=cmd_conjugate)
+    command("conjugate", cmd_conjugate, "normal-form invariant b (m = 0)")
 
-    sp = common(sub.add_parser("scan-diophantine", help="certify a frequency vector"),
-                model=False)
+    sp = command("scan-diophantine", cmd_scan, "certify a frequency vector", model=False)
     sp.add_argument("--omega", type=float, nargs="+")
     sp.add_argument("--nu", type=float, nargs="+")
     sp.add_argument("--tau", type=float)
     sp.add_argument("--k-max", dest="k_max", type=int)
     sp.add_argument("--sense", choices=("map", "flow"))
-    sp.set_defaults(func=cmd_scan)
 
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cfg = {"outdir": args.outdir}
     try:
-        return args.func(args)
+        cfg = _load_config(args)
+        return _run(_checked(cfg))
     except Exception as e:  # noqa: BLE001 - the CLI boundary maps errors to codes
-        code = _failure(e, getattr(args, "outdir", None))["error_code"]
+        code = _failure(e, cfg["outdir"])["error_code"]
         print(f"error[{code}] {type(e).__name__}: {e}", file=sys.stderr)
         return code
 

@@ -36,7 +36,6 @@ from .jet import (
     SkewMap,
     _Substitution,
     compose,
-    evaluate_jets,
 )
 from .model import FlowModel, MapModel, ReducedField, ReducedMap, SkewField, validate
 
@@ -100,12 +99,6 @@ class ErrorJet:
 
     def order_violations(self, tol: float) -> list[tuple[str, int, float]]:
         return [(comp, l, n) for comp, l, n in self._below_order() if n > tol]
-
-    def sample(self, xs, thetas, dtype=complex):
-        """Numeric values of the error jet on a grid, max over components."""
-        jets = (self.ex, *self.ey, *self.eth)
-        return [max([0.0] + [abs(v) for th in thetas for v in evaluate_jets(jets, x, (), th, dtype)])
-                for x in xs]
 
 
 @dataclass

@@ -197,15 +197,29 @@ def test_missing_model_exits_5(tmp_path):
     assert code == 5
 
 
-def test_determinism_byte_identical(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["solve-map", "--model", "builtin:benchmark-map", "--order", "3"],
+    ["solve-flow", "--model", "builtin:benchmark-flow", "--order", "2"],
+    ["verify", "--model", "builtin:benchmark-map"],
+    ["iterate", "--model", "builtin:benchmark-map", "--steps", "20"],
+    ["conjugate", "--model", "builtin:conjugacy", "--order", "4"],
+    ["scan-diophantine", "--omega", "0.6180339887498949", "--tau", "1", "--k-max", "100"],
+    ["restricted-demo", "--system", "single", "--order", "3"],
+], ids=lambda argv: argv[0])
+def test_determinism_byte_identical(tmp_path, argv):
+    # every subcommand writes the same bytes twice, and its summary.json says
+    # that it ran and which command it was
+    if argv[0] == "verify":
+        argv = [*argv, "--solution", _solve(tmp_path, "solve-map", "builtin:benchmark-map")]
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        main(["solve-map", "--model", "builtin:benchmark-map", "--order", "3",
-              "--outdir", str(out)])
+        assert main([*argv, "--outdir", str(out)]) == 0
         outs.append({
             p.name: p.read_bytes() for p in sorted(out.iterdir())
         })
+        summary = _read(out / "summary.json")
+        assert (summary["status"], summary["command"]) == ("ok", argv[0])
     assert outs[0] == outs[1]
 
 
@@ -269,6 +283,47 @@ def test_sweep_failed_entry_writes_its_own_record(tmp_path):
     merged = _read(tmp_path / "sweep" / "summary.json")
     assert merged["entries"]["bad"] == {"exit": 5, "summary": own}
     assert merged["entries"]["good"]["exit"] == 0
+
+
+def test_sweep_rows_are_checked_like_the_config(tmp_path):
+    # each row is merged into the config and refused by the same checks,
+    # with its own exit-5 record
+    cfg = {
+        "sweep": [
+            {"label": "few_x", "model": "builtin:benchmark-map", "n_samples": 2},
+            {"label": "no_theta", "model": "builtin:benchmark-map", "theta_samples": 0},
+        ],
+        "order": 2,
+        "outdir": str(tmp_path / "sweep"),
+    }
+    cpath = tmp_path / "cfg.json"
+    ser.dump_json(cfg, cpath)
+    assert main(["solve-map", "--config", str(cpath)]) == 4
+    merged = _read(tmp_path / "sweep" / "summary.json")
+    for label, field, least in (("few_x", "n_samples", 4), ("no_theta", "theta_samples", 1)):
+        own = _read(tmp_path / "sweep" / label / "summary.json")
+        assert (own["error_code"], own["error"]) == (5, f"config field {field} must be >= {least}")
+        assert merged["entries"][label] == {"exit": 5, "summary": own}
+        assert not (tmp_path / "sweep" / label / "solution.json").exists()
+
+
+def test_sweep_is_refused_outside_solve(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    ser.dump_json({"sweep": [{"label": "a", "model": "builtin:benchmark-map"}]}, cfg)
+    out = tmp_path / "out"
+    code = main(["verify", "--config", str(cfg), "--outdir", str(out)])
+    assert code == 5
+    assert _read(out / "summary.json")["error"] == "verify takes no sweep; only solve-map and solve-flow do"
+    assert not (out / "a").exists()
+
+
+def test_failure_record_goes_to_the_config_outdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ser.dump_json({"outdir": "cfgout", "model": "nonexistent.json"}, tmp_path / "c.json")
+    assert main(["solve-map", "--config", "c.json"]) == 5
+    rec = _read(tmp_path / "cfgout" / "summary.json")
+    assert (rec["status"], rec["error_code"]) == ("error", 5)
+    assert "nonexistent.json" in rec["error"]
 
 
 def test_restricted_demo_short(tmp_path):
@@ -476,6 +531,18 @@ def test_config_rejects_too_few_samples(tmp_path, field, value, least):
     assert code == 5
     assert _read(out / "summary.json")["error"] == f"config field {field} must be >= {least}"
     assert not (out / "solution.json").exists()
+
+
+def test_config_refuses_a_numeric_field_that_does_not_convert(tmp_path):
+    # every numeric field is converted before the command runs, even one
+    # that the command does not read
+    cfg = tmp_path / "cfg.json"
+    ser.dump_json({"gtilde0": "high"}, cfg)
+    out = tmp_path / "out"
+    code = main(["scan-diophantine", "--omega", "0.618", "--config", str(cfg), "--outdir", str(out)])
+    assert code == 5
+    assert _read(out / "summary.json")["error"].startswith("config field gtilde0 must be a number: ")
+    assert not (out / "scan.json").exists()
 
 
 def test_config_refuses_an_undeclared_field(tmp_path):

@@ -21,7 +21,7 @@ from paratori.cohomology import (
     solve_manifold,
 )
 from paratori.fourier import FourierSeries, diophantine_scan, sd_solve_map
-from paratori.jet import Jet
+from paratori.jet import Jet, evaluate_jets
 from paratori.model import FlowModel, MapModel
 from paratori.verify import fit_error_orders_auto
 from oracles import reference_flow_invariance_error
@@ -308,8 +308,12 @@ def test_extend_order_does_not_mutate_input(bench_map):
 def test_error_jet_samples_decay(bench_map):
     res = solve_manifold(bench_map, 3)
     xs = [1e-3, 3e-3, 1e-2]
-    vals = res.error.sample(xs, [(0.0,), (0.3,)])
-    # dominated by the x-order j+N-1... remainder: strictly decreasing in x
+    err = res.error
+    jets = (err.ex, *err.ey, *err.eth)
+    # max of |E| over the components and the angles, at each x
+    vals = [max(abs(v) for th in [(0.0,), (0.3,)] for v in evaluate_jets(jets, x, (), th))
+            for x in xs]
+    # dominated by the x-order j+N-1... remainder: it decays strictly as x falls
     assert vals[0] < vals[1] < vals[2]
 
 
