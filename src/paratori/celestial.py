@@ -23,13 +23,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import HypothesisViolation, InsufficientTorusData, OrbitLeftDomain, StepUnderflow
 from .fourier import FourierSeries, diophantine_scan
-from .jet import Jet, divide_by_x_plus_y
+from .jet import Jet, _Products, divide_by_x_plus_y
 from .model import FlowModel, SkewField, model_from
 
 __all__ = [
@@ -250,20 +249,20 @@ class RestrictedChart:
         }
 
 
-def _theta_sub_jet(series: FourierSeries, alpha0: float, dev_power) -> Jet:
+def _theta_sub_jet(series: FourierSeries, alpha0: float, dev_powers: _Products) -> Jet:
     """Substitute theta = alpha0 + dev (radians) into the theta axis of a
     series on T^(1+d) (axis 0 = theta in turns): the Taylor sum over p of
     dev^p / p! times the p-th radian derivative at alpha0, a jet in the
-    state variables with coefficients on T^d.  ``dev_power(p)`` returns
-    dev^p and is called only while the derivatives are nonzero.
+    state variables with coefficients on T^d.  ``dev_powers((p,))`` is dev^p,
+    from the memo of its powers, asked for only while the derivatives are nonzero.
     """
     theta0 = alpha0 / _TWO_PI
-    out = dev_power(0).scale(series.at_first_angle(theta0))
+    out = dev_powers((0,)).scale(series.at_first_angle(theta0))
     for p in range(1, out.deg + 1):
         der = series.at_first_angle(theta0, p)
         if der.is_zero():
             break
-        out = out + dev_power(p).scale(der.scale(1.0 / (_TWO_PI ** p * math.factorial(p))))
+        out = out + dev_powers((p,)).scale(der.scale(1.0 / (_TWO_PI ** p * math.factorial(p))))
     return out
 
 
@@ -417,10 +416,7 @@ def build_restricted_field(
     # theta deviation in radians, theta = alpha0 + xt z1 - gt yt; its powers
     # are shared by every substitution and built on first need
     dev = xt.jet_mul(jz1) - gt.jet_mul(yt)
-
-    @lru_cache(maxsize=None)
-    def dev_power(p: int) -> Jet:
-        return Jet.monomial(0, zk, 1.0, m, deg, d, cap) if p == 0 else dev_power(p - 1).jet_mul(dev)
+    dev_powers = _Products((dev,), Jet.monomial(0, zk, 1.0, m, deg, d, cap))
 
     # velocity of the scaled radial pair; the Kepler head is written with
     # exact constants so the leading data stays exact
@@ -434,12 +430,12 @@ def build_restricted_field(
         # potential tail: coefficient of (1/r)^(1+s)
         xi_pow = xt2.scale(0.5).power(s)
         scale_y = -(1 + s) * M ** (-(s + 3) / 3.0)
-        sub = _theta_sub_jet(series, alpha0, dev_power)
+        sub = _theta_sub_jet(series, alpha0, dev_powers)
         tail_y = tail_y + sub.jet_mul(xi_pow).jet_mul(xt4).scale(0.25 * scale_y)
         # modes on axis 0 are e^(i k theta_rad); the radian derivative is *ik
         dth = series.derivative(0).scale(1.0 / _TWO_PI)
         if not dth.is_zero():
-            sub = _theta_sub_jet(dth, alpha0, dev_power)
+            sub = _theta_sub_jet(dth, alpha0, dev_powers)
             scale_g = M ** (-(s + 3) / 3.0)
             gt_dot = gt_dot + sub.jet_mul(xi_pow.jet_mul(xt2).scale(0.5)).scale(scale_g)
     yt_dot = xt4.scale(-0.25) + tail_y

@@ -28,7 +28,7 @@ from . import serialize as ser
 _DEFAULTS = {
     "model": None,
     "solution": None,
-    "outdir": None,
+    "outdir": "paratori-run",
     "kind": None,
     "order": 5,
     "k_max": 50,
@@ -74,23 +74,27 @@ def _declared(fields: dict, where: str) -> dict:
 
 
 def _load_config(args) -> dict:
-    """The defaults, overridden by the config file's fields, then by every flag given."""
+    """The defaults, overridden by the config file's fields, then by every flag given;
+    a null ``outdir`` is the default one."""
     cfg = dict(_DEFAULTS)
     if args.config:
         cfg.update(_declared(ser.load_json(args.config), "the config"))
     cfg.update((key, val) for key, val in vars(args).items() if key != "config" and val is not None)
+    cfg["outdir"] = cfg["outdir"] or _DEFAULTS["outdir"]
     return cfg
 
 
 def _checked(cfg: dict) -> dict:
     """``cfg`` with each numeric field converted to the type of its default, and range-checked."""
-    cfg = dict(cfg)
+    given, cfg = cfg, dict(cfg)
     for key, default in _DEFAULTS.items():
         if isinstance(default, (int, float)) and not isinstance(default, bool):
             try:
                 cfg[key] = type(default)(cfg[key])
-            except (TypeError, ValueError) as e:
+            except (TypeError, ValueError, OverflowError) as e:
                 raise ParatoriError(f"config field {key} must be a number: {e}") from e
+            if isinstance(given[key], float) and cfg[key] != given[key]:
+                raise ParatoriError(f"config field {key} must be a whole number, not {given[key]!r}")
     for key in ("divisor_floor", "order_tolerance", "slope_slack"):
         if cfg[key] <= 0:
             raise ParatoriError(f"config field {key} must be positive")
@@ -106,7 +110,7 @@ def _checked(cfg: dict) -> dict:
 
 def _run(cfg) -> int:
     """Run ``cfg``'s command in its output directory; write its ``summary.json``."""
-    out = cfg["outdir"] or "paratori-run"
+    out = cfg["outdir"]
     os.makedirs(out, exist_ok=True)
     code, fields = cfg["func"](cfg, out)
     ser.dump_json({"status": "ok", "command": cfg["command"], **fields},
@@ -381,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = {"outdir": args.outdir}
+    cfg = {"outdir": args.outdir or _DEFAULTS["outdir"]}
     try:
         cfg = _load_config(args)
         return _run(_checked(cfg))

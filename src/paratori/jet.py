@@ -20,7 +20,6 @@ the working degree).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -266,82 +265,81 @@ def evaluate_jets(jets: Sequence[Jet], x, y=(), theta=(), dtype=complex) -> list
 # ----------------------------------------------------------- substitution
 
 
+class _Products:
+    """Memo of products of jet factors, ``one`` for mu = 0.  The product for a multi-index
+    mu (a power of each factor) is the product for its parent, mu with one less
+    power of its first nonzero factor, times that factor."""
+
+    def __init__(self, factors: Sequence[Jet], one: Jet):
+        self._factors = tuple(factors)
+        self._memo = {(0,) * len(self._factors): one}
+
+    def __call__(self, mu: tuple[int, ...]) -> Jet:
+        got = self._memo.get(mu)
+        if got is None:
+            r = next(j for j, v in enumerate(mu) if v)
+            got = self(mu[:r] + (mu[r] - 1,) + mu[r + 1:]).jet_mul(self._factors[r])
+            self._memo[mu] = got
+        return got
+
+
 class _Substitution:
-    """Caches powers of the substituted jets and deviation products; the
-    result is in the variables of ``sub_x``, on the one torus and cap of all."""
+    """``sub_x``, ``sub_y`` for (x, y) and theta + rot + ``theta_dev`` for theta, to degree
+    ``deg``, with the powers of x, of each y and the deviation products from a :class:`_Products`
+    memo each; the result is in the variables of ``sub_x``, on the one torus and cap of all."""
 
     def __init__(self, sub_x, sub_y, theta_dev, rot, deg):
-        self.sub_x = sub_x
-        self.sub_y = tuple(sub_y)
-        self.theta_dev = tuple(theta_dev)
-        self.rot = None if rot is None else tuple(float(r) for r in rot)
-        self.m_out, self.dim, self.order_cap = sub_x.m, sub_x.dim, sub_x.order_cap
-        self.deg = deg
-        one = Jet.monomial(0, (0,) * self.m_out, 1.0, self.m_out, deg, self.dim, self.order_cap)
-        self._one = one
-        self._xpow = {0: one}
-        self._ypow = [{0: one} for _ in self.sub_y]
-        self._devprod: dict[tuple[int, ...], Jet] = {(0,) * len(self.theta_dev): one}
-        for j, d in enumerate(self.theta_dev):
+        for j, d in enumerate(theta_dev):
             if d.min_order() < 1 and not d.is_zero():
                 raise DegreeOverflow(f"theta deviation {j} has a constant term")
         if sub_x.min_order() < 1 and not sub_x.is_zero():
             raise DegreeOverflow("x-substitution has a constant term")
-
-    def xp(self, l: int) -> Jet:
-        if l not in self._xpow:
-            self._xpow[l] = self.xp(l - 1).jet_mul(self.sub_x)
-        return self._xpow[l]
-
-    def yp(self, i: int, p: int) -> Jet:
-        cache = self._ypow[i]
-        if p not in cache:
-            cache[p] = self.yp(i, p - 1).jet_mul(self.sub_y[i])
-        return cache[p]
-
-    def devprod(self, mi: tuple[int, ...]) -> Jet:
-        got = self._devprod.get(mi)
-        if got is None:
-            r = next(j for j, v in enumerate(mi) if v)
-            prev = tuple(v - 1 if j == r else v for j, v in enumerate(mi))
-            got = self.devprod(prev).jet_mul(self.theta_dev[r])
-            self._devprod[mi] = got
-        return got
-
-    def _dev_multis(self, budget: int):
-        """Multi-indices over the deviation components with 1 <= |m| <= budget
-        that vanish on the zero deviations, stable-sorted by |m|."""
-        zero = [d.is_zero() for d in self.theta_dev]
-        return sorted(
-            (mi for mi in _multis(len(zero), budget)
-             if any(mi) and not any(v for v, z in zip(mi, zero) if z)),
-            key=sum,
-        )
+        self.rot = None if rot is None else tuple(float(r) for r in rot)
+        self.m_out, self.dim, self.order_cap, self.deg = sub_x.m, sub_x.dim, sub_x.order_cap, deg
+        one = Jet.monomial(0, (0,) * self.m_out, 1.0, self.m_out, deg, self.dim, self.order_cap)
+        self._x = _Products((sub_x,), one)
+        self._y = [_Products((s,), one) for s in sub_y]
+        self._dev = _Products(theta_dev, one)
+        # each mu with 1 <= |mu| <= deg that vanishes on the zero deviations, by level
+        # |mu| and in _multis order within one, with its last nonzero axis r and parent mu - e_r
+        zero = [d.is_zero() for d in theta_dev]
+        self._origin = (0,) * len(zero)
+        self._levels = [[] for _ in range(deg + 1)]
+        for mu in _multis(len(zero), deg):
+            if any(mu) and not any(v for v, z in zip(mu, zero) if z):
+                r = max(j for j, v in enumerate(mu) if v)
+                self._levels[sum(mu)].append((mu, r, mu[:r] + (mu[r] - 1,) + mu[r + 1:]))
 
     def coeff_jet(self, series: FourierSeries, budget: int) -> Jet:
-        """Expand series(theta + rot + dev) to the given x-order budget."""
+        """Expand series(theta + rot + dev) to the given x-order budget: the sum
+        over mu of dev^mu / mu! times the derivative d^mu of the rotated series.
+        Level by level in |mu|, each d^mu is one derivative of its parent's and
+        mu! its parent's times mu_r; only the previous level is kept."""
         base = series if self.rot is None else series.rotate(self.rot)
         result = Jet(self.m_out, self.deg, self.dim, self.order_cap,
                      {(0, (0,) * self.m_out): base})
-        for mi in self._dev_multis(budget):
-            der = base
-            fact = 1.0
-            for r, p in enumerate(mi):
-                for _ in range(p):
-                    der = der.derivative(r)
-                fact *= math.factorial(p)
-            if der.is_zero():
-                continue
-            result = result + self.devprod(mi).scale(der.scale(1.0 / fact))
+        level = {self._origin: (base, 1.0)}
+        for entries in self._levels[1:budget + 1]:
+            prev, level = level, {}
+            for mu, r, parent in entries:
+                got = prev.get(parent)
+                if got is None:  # a zero derivative has zero derivatives
+                    continue
+                der = got[0].derivative(r)
+                if der.is_zero():
+                    continue
+                fact = got[1] * mu[r]
+                level[mu] = der, fact
+                result = result + self._dev(mu).scale(der.scale(1.0 / fact))
         return result
 
     def apply(self, target: Jet) -> Jet:
         acc = Jet(self.m_out, self.deg, self.dim, self.order_cap)
         for (l, k), series in target.terms.items():
-            base = self.xp(l) if l else self._one
+            base = self._x((l,))
             for i, p in enumerate(k):
                 if p:
-                    base = base.jet_mul(self.yp(i, p))
+                    base = base.jet_mul(self._y[i]((p,)))
             ord_base = base.min_order()
             if ord_base > self.deg:
                 continue

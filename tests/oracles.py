@@ -5,7 +5,8 @@ evaluation loops, the dict-of-tuples Fourier arithmetic that the array
 store replaced, the restricted-field constructors written term by term, the
 positions and potential of the primaries summed one primary at a time,
 the restricted field with every position from one numpy matrix-vector
-product, and the invariance residual sampled one x-sample at a time."""
+product, the invariance residual sampled one x-sample at a time, and the jet
+substitution with one memo per job and every Taylor derivative taken afresh."""
 
 import cmath
 import math
@@ -13,9 +14,9 @@ import math
 import numpy as np
 
 from paratori.cohomology import ErrorJet, invariance_error
-from paratori.errors import HypothesisViolation, OrbitLeftDomain, ResonantMode
+from paratori.errors import DegreeOverflow, HypothesisViolation, OrbitLeftDomain, ResonantMode
 from paratori.fourier import FourierSeries
-from paratori.jet import Jet, evaluate_jets, jet_compose
+from paratori.jet import Jet, SkewMap, _multis, evaluate_jets, jet_compose
 from paratori.model import ReducedMap
 from paratori.verify import _CDT, _cabs, _max_diff, _theta_grid, _transport_jets
 
@@ -532,3 +533,112 @@ class ReferenceRestrictedField:
         r, th, y, G = state
         V, _, _ = self.potential_and_gradient(r, th, t)
         return 0.5 * (y ** 2 + G ** 2 / r ** 2) - V
+
+
+# The jet substitution as it was written with a memo per job (powers of x, of
+# each y and products of the deviations) and every derivative of the rotated
+# series taken afresh; ``jet.compose`` and ``jet.jet_compose`` must match it
+# bit for bit.
+
+
+class ReferenceSubstitution:
+    """The jet substitution with one memo per job: x powers, y powers and
+    deviation products, and each derivative of the Taylor expansion in the
+    deviations taken from the rotated series, |mu| derivatives per term."""
+
+    def __init__(self, sub_x, sub_y, theta_dev, rot, deg):
+        self.sub_x = sub_x
+        self.sub_y = tuple(sub_y)
+        self.theta_dev = tuple(theta_dev)
+        self.rot = None if rot is None else tuple(float(r) for r in rot)
+        self.m_out, self.dim, self.order_cap = sub_x.m, sub_x.dim, sub_x.order_cap
+        self.deg = deg
+        one = Jet.monomial(0, (0,) * self.m_out, 1.0, self.m_out, deg, self.dim, self.order_cap)
+        self._one = one
+        self._xpow = {0: one}
+        self._ypow = [{0: one} for _ in self.sub_y]
+        self._devprod: dict[tuple[int, ...], Jet] = {(0,) * len(self.theta_dev): one}
+        for j, d in enumerate(self.theta_dev):
+            if d.min_order() < 1 and not d.is_zero():
+                raise DegreeOverflow(f"theta deviation {j} has a constant term")
+        if sub_x.min_order() < 1 and not sub_x.is_zero():
+            raise DegreeOverflow("x-substitution has a constant term")
+
+    def xp(self, l: int) -> Jet:
+        if l not in self._xpow:
+            self._xpow[l] = self.xp(l - 1).jet_mul(self.sub_x)
+        return self._xpow[l]
+
+    def yp(self, i: int, p: int) -> Jet:
+        cache = self._ypow[i]
+        if p not in cache:
+            cache[p] = self.yp(i, p - 1).jet_mul(self.sub_y[i])
+        return cache[p]
+
+    def devprod(self, mi: tuple[int, ...]) -> Jet:
+        got = self._devprod.get(mi)
+        if got is None:
+            r = next(j for j, v in enumerate(mi) if v)
+            prev = tuple(v - 1 if j == r else v for j, v in enumerate(mi))
+            got = self.devprod(prev).jet_mul(self.theta_dev[r])
+            self._devprod[mi] = got
+        return got
+
+    def _dev_multis(self, budget: int):
+        """Multi-indices over the deviation components with 1 <= |m| <= budget
+        that vanish on the zero deviations, stable-sorted by |m|."""
+        zero = [d.is_zero() for d in self.theta_dev]
+        return sorted(
+            (mi for mi in _multis(len(zero), budget)
+             if any(mi) and not any(v for v, z in zip(mi, zero) if z)),
+            key=sum,
+        )
+
+    def coeff_jet(self, series: FourierSeries, budget: int) -> Jet:
+        """Expand series(theta + rot + dev) to the given x-order budget."""
+        base = series if self.rot is None else series.rotate(self.rot)
+        result = Jet(self.m_out, self.deg, self.dim, self.order_cap,
+                     {(0, (0,) * self.m_out): base})
+        for mi in self._dev_multis(budget):
+            der = base
+            fact = 1.0
+            for r, p in enumerate(mi):
+                for _ in range(p):
+                    der = der.derivative(r)
+                fact *= math.factorial(p)
+            if der.is_zero():
+                continue
+            result = result + self.devprod(mi).scale(der.scale(1.0 / fact))
+        return result
+
+    def apply(self, target: Jet) -> Jet:
+        acc = Jet(self.m_out, self.deg, self.dim, self.order_cap)
+        for (l, k), series in target.terms.items():
+            base = self.xp(l) if l else self._one
+            for i, p in enumerate(k):
+                if p:
+                    base = base.jet_mul(self.yp(i, p))
+            ord_base = base.min_order()
+            if ord_base > self.deg:
+                continue
+            cj = self.coeff_jet(series, self.deg - ord_base)
+            acc = acc + cj.jet_mul(base)
+        return acc
+
+
+def reference_jet_compose(target, sub_x, sub_y=(), theta_dev=(), rot=None, deg=None):
+    deg = sub_x.deg if deg is None else deg
+    return ReferenceSubstitution(sub_x, sub_y, theta_dev, rot, deg).apply(target)
+
+
+def reference_compose(outer, inner, deg):
+    sub = ReferenceSubstitution(inner.x, inner.y, inner.theta_dev, inner.rot, deg)
+    return SkewMap(
+        x=sub.apply(outer.x),
+        y=tuple(sub.apply(j) for j in outer.y),
+        theta_dev=tuple(
+            dv + sub.apply(outer.theta_dev[r]) if r < len(outer.theta_dev) else dv
+            for r, dv in enumerate(inner.theta_dev)
+        ),
+        rot=tuple(a + b for a, b in zip(outer.rot, inner.rot)),
+    )

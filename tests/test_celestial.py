@@ -24,7 +24,7 @@ from paratori.cohomology import solve_manifold
 from paratori.cli import main
 from paratori.errors import HypothesisViolation, InsufficientTorusData, StepUnderflow
 from paratori.fourier import FourierSeries
-from paratori.jet import Jet
+from paratori.jet import Jet, _Products
 from paratori.model import validate
 from paratori.serialize import model_to_obj
 from conftest import random_real_series
@@ -285,21 +285,14 @@ def test_potential_cap_holds_every_mode():
 
 
 def _build_deviation(d, cap, deg=8, gtilde0=0.15):
-    """theta - alpha0 in radians as build_restricted_field forms it, with its powers."""
+    """theta - alpha0 in radians as build_restricted_field forms it, and the memo of its powers."""
     m = 3
     jv = Jet.var_x(m, deg, d, cap)
     ju, jz1, jz2 = (Jet.var_y(i, m, deg, d, cap) for i in range(m))
     xt, yt = ju + jv, jv - ju
     gt = Jet.monomial(0, (0,) * m, gtilde0, m, deg, d, cap) + xt.jet_mul(jz2)
     dev = xt.jet_mul(jz1) - gt.jet_mul(yt)
-    pows = [Jet.monomial(0, (0,) * m, 1.0, m, deg, d, cap)]
-
-    def dev_power(p):
-        while len(pows) <= p:
-            pows.append(pows[-1].jet_mul(dev))
-        return pows[p]
-
-    return dev, dev_power, pows
+    return dev, _Products((dev,), Jet.monomial(0, (0,) * m, 1.0, m, deg, d, cap))
 
 
 @pytest.mark.parametrize("alpha0", [0.0, 0.7])
@@ -311,13 +304,13 @@ def test_taylor_sum_substitution_matches_exponential_per_mode(name, alpha0):
     a build keeps may differ in the last bits)."""
     sys = _SYSTEMS[name]()
     V = expand_potential(sys, degree=4)  # a smaller box than a build's degree 5, for time
-    dev, dev_power, pows = _build_deviation(sys.d, V.order_cap)
+    dev, dev_powers = _build_deviation(sys.d, V.order_cap)
     for series in V.terms.values():
         for s in (series, series.derivative(0).scale(1.0 / (2.0 * math.pi))):
             want = reference_theta_sub_jet(s, alpha0, dev, 3, 8, sys.d, V.order_cap)
-            _within(_theta_sub_jet(s, alpha0, dev_power), want, 1e-13)
+            _within(_theta_sub_jet(s, alpha0, dev_powers), want, 1e-13)
     # a potential constant in theta (one primary at the origin) needs no power of dev
-    assert len(pows) == (1 if name == "single" else 9)
+    assert len(dev_powers._memo) == (1 if name == "single" else 9)
 
 
 # the three-primary reference build takes seconds: it runs at alpha0 = 0.7
@@ -331,9 +324,9 @@ def test_restricted_model_matches_reference_constructors(monkeypatch, name, alph
     sys = _SYSTEMS[name]()
     got, _ = build_restricted_field(sys, alpha0=alpha0, gtilde0=0.15)
 
-    def reference_sub(series, alpha0, dev_power):
-        one = dev_power(0)
-        return reference_theta_sub_jet(series, alpha0, dev_power(1), one.m, one.deg,
+    def reference_sub(series, alpha0, dev_powers):
+        one = dev_powers((0,))
+        return reference_theta_sub_jet(series, alpha0, dev_powers((1,)), one.m, one.deg,
                                        one.dim, one.order_cap)
 
     monkeypatch.setattr(celestial, "expand_potential", reference_expand_potential)

@@ -326,6 +326,56 @@ def test_failure_record_goes_to_the_config_outdir(tmp_path, monkeypatch):
     assert "nonexistent.json" in rec["error"]
 
 
+@pytest.mark.parametrize("config", [None, {"outdir": None}], ids=["no-config", "null-outdir"])
+def test_failure_record_goes_to_the_default_outdir(tmp_path, monkeypatch, config):
+    # with no --outdir and no config outdir, a failure leaves its record where
+    # a success would leave its artifacts
+    monkeypatch.chdir(tmp_path)
+    argv = ["solve-map", "--model", "nonexistent.json"]
+    if config is not None:
+        ser.dump_json(config, tmp_path / "c.json")
+        argv += ["--config", "c.json"]
+    assert main(argv) == 5
+    rec = _read(tmp_path / "paratori-run" / "summary.json")
+    assert (rec["status"], rec["error_code"]) == ("error", 5)
+    assert "nonexistent.json" in rec["error"]
+
+
+@pytest.mark.parametrize("order,code", [(2.7, 5), (2.0, 0), (2, 0)])
+def test_config_int_field_takes_whole_numbers_only(tmp_path, order, code):
+    cfg = tmp_path / "cfg.json"
+    ser.dump_json({"order": order}, cfg)
+    out = tmp_path / "out"
+    assert main(["solve-map", "--model", "builtin:benchmark-map", "--config", str(cfg),
+                 "--outdir", str(out)]) == code
+    rec = _read(out / "summary.json")
+    if code:
+        assert rec["error"] == "config field order must be a whole number, not 2.7"
+        assert not (out / "solution.json").exists()
+    else:
+        assert _read(out / "solution.json")["j"] == 2
+
+
+def test_sweep_row_int_field_takes_whole_numbers_only(tmp_path):
+    cfg = {
+        "sweep": [
+            {"label": "frac", "model": "builtin:benchmark-map", "order": 2.7},
+            {"label": "whole", "model": "builtin:benchmark-map", "order": 2.0},
+        ],
+        "outdir": str(tmp_path / "sweep"),
+    }
+    cpath = tmp_path / "cfg.json"
+    ser.dump_json(cfg, cpath)
+    assert main(["solve-map", "--config", str(cpath)]) == 4
+    merged = _read(tmp_path / "sweep" / "summary.json")
+    own = _read(tmp_path / "sweep" / "frac" / "summary.json")
+    assert (own["error_code"], own["error"]) == (5, "config field order must be a whole number, not 2.7")
+    assert merged["entries"]["frac"] == {"exit": 5, "summary": own}
+    assert not (tmp_path / "sweep" / "frac" / "solution.json").exists()
+    assert merged["entries"]["whole"]["exit"] == 0
+    assert merged["entries"]["whole"]["summary"]["j"] == 2
+
+
 def test_restricted_demo_short(tmp_path):
     code = main([
         "restricted-demo", "--system", "single", "--order", "3",

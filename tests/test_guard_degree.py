@@ -136,3 +136,21 @@ def test_solve_cli_builds_one_error_jet_per_order(monkeypatch, tmp_path):
                  "--outdir", str(tmp_path / "run")])
     assert code == 0
     assert len(calls) == 4
+
+
+def test_solve_counts_derivatives_and_products(monkeypatch):
+    """The series derivatives and products of one T^2 solve to order 5: each
+    derivative of a substitution's Taylor expansion is one derivative of its
+    parent's, none is taken below a zero one, and the products come from the
+    product memos."""
+    counts = {"derivative": 0, "series_mul": 0}
+    for name in counts:
+        method = getattr(FourierSeries, name)
+
+        def counted(*args, _method=method, _name=name, **kwargs):
+            counts[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(FourierSeries, name, counted)
+    solve_manifold(_small_torus2_map(), 5)
+    assert counts == {"derivative": 158, "series_mul": 1887}

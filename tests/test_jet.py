@@ -5,6 +5,7 @@ from operator import methodcaller
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paratori.errors import DimensionMismatch
 from paratori.fourier import FourierSeries
@@ -17,6 +18,7 @@ from paratori.jet import (
     jet_compose,
 )
 from conftest import random_real_series
+from oracles import reference_compose, reference_jet_compose
 
 
 def _x(m=0, deg=6, dim=1, cap=8):
@@ -87,6 +89,54 @@ def test_one_compose_under_every_name():
     assert jet.compose_skew_param is jet.compose_param_param is jet.compose
     assert not hasattr(jet, "compose_skew_skew")
     assert {"compose_skew_param", "compose_param_param"}.isdisjoint(jet.__all__)
+
+
+def _sparse_jet(rng, m, deg, dim, cap, low, top=3, n_terms=3):
+    """Up to ``n_terms`` random monomials of total degree ``low``..``top`` in a jet of degree ``deg``."""
+    keys = [(l, k) for l in range(top + 1) for k in np.ndindex(*(top + 1,) * m)
+            if low <= l + sum(k) <= top]
+    picks = rng.choice(len(keys), size=min(n_terms, len(keys)), replace=False)
+    return Jet(m, deg, dim, cap, {keys[i]: random_real_series(rng, dim=dim, cap=cap, scale=0.5)
+                                  for i in picks})
+
+
+def _same_bits(got: Jet, want: Jet) -> bool:
+    """The same monomials in the same order, each with the same coefficient
+    bits (signs of zero included) and the same truncation loss."""
+    return (got.deg == want.deg and list(got.terms) == list(want.terms)
+            and all(a._data.tobytes() == b._data.tobytes() and a.trunc_loss == b.trunc_loss
+                    for a, b in zip(got.terms.values(), want.terms.values())))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m_out=st.integers(0, 2), m_in=st.integers(0, 2),
+       dim=st.integers(0, 2), deg=st.integers(1, 8), rot=st.sampled_from(["none", "zero", "random"]))
+def test_substitution_matches_the_memo_per_job_code(seed, m_out, m_in, dim, deg, rot):
+    """``compose`` and ``jet_compose`` against the substitution with one memo
+    per job and every derivative taken from the rotated series: the same bits,
+    with no rotation, a zero one or a random one, and some zero deviations.  At
+    cap 4 on T^2 a mixed derivative meets modes such as (1, 3), whose factors
+    2 pi i k_r do not differ by a power of two, so the order of the axes shows."""
+    rng = np.random.default_rng(seed)
+    cap = 4
+
+    def jets(m, n, low):
+        return tuple(_sparse_jet(rng, m, deg, dim, cap, low) for _ in range(n))
+
+    outer = SkewMap(x=jets(m_out, 1, 0)[0], y=jets(m_out, m_out, 0), theta_dev=jets(m_out, dim, 1),
+                    rot=tuple(rng.random(dim)))
+    devs = tuple(Jet(m_in, deg, dim, cap) if rng.random() < 0.3 else d for d in jets(m_in, dim, 1))
+    angles = None if rot == "none" else tuple(0.0 if rot == "zero" else rng.random() for _ in range(dim))
+    inner = SkewMap(x=jets(m_in, 1, 1)[0], y=jets(m_in, m_out, 1), theta_dev=devs,
+                    rot=angles or (0.0,) * dim)
+
+    got, want = compose(outer, inner, deg), reference_compose(outer, inner, deg)
+    assert got.rot == want.rot
+    for a, b in zip((got.x, *got.y, *got.theta_dev), (want.x, *want.y, *want.theta_dev), strict=True):
+        assert _same_bits(a, b)
+    sub_deg = None if deg % 2 else deg
+    assert _same_bits(jet_compose(outer.x, inner.x, inner.y, devs, angles, sub_deg),
+                      reference_jet_compose(outer.x, inner.x, inner.y, devs, angles, sub_deg))
 
 
 def test_compose_identity_returns_k():
