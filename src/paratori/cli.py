@@ -9,6 +9,7 @@ produce byte-identical records.  Exit codes: 0 ok, 2 hypothesis violation,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -89,6 +90,8 @@ def _checked(cfg: dict) -> dict:
     given, cfg = cfg, dict(cfg)
     for key, default in _DEFAULTS.items():
         if isinstance(default, (int, float)) and not isinstance(default, bool):
+            if isinstance(cfg[key], bool):
+                raise ParatoriError(f"config field {key} must be a number, not {cfg[key]!r}")
             try:
                 cfg[key] = type(default)(cfg[key])
             except (TypeError, ValueError, OverflowError) as e:
@@ -395,5 +398,16 @@ def main(argv=None) -> int:
         return code
 
 
+def script() -> int:
+    """The process entry, of the ``paratori`` script and of ``python -m
+    paratori.cli``: :func:`main`, after ``gc.freeze`` has moved every object
+    the imports made to the collector's permanent generation, so that the
+    collections of the run and the one at interpreter exit no longer walk
+    numpy's and paratori's module objects.  :func:`main`, which tests call
+    in their own process, leaves the collector as it is."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script())

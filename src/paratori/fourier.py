@@ -11,7 +11,12 @@ sum or a product, and series evaluated together, share them or raise
 :class:`DimensionMismatch`.
 
 All values are immutable after construction and every operation returns a
-fresh series, so instances can be shared freely across threads.
+fresh series, so instances can be shared freely across threads.  The
+products lean on that: a series reads its support (the positions of its
+nonzero modes) once, on first use, and keeps it, with its centre-out order
+and its reach, the largest |k|_1 on it, in one read-only record that every
+series of that support shares.  A box array handed to a series is never
+written to again.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,6 +98,33 @@ def _centre_out(dim: int, cap: int) -> np.ndarray:
     return order[box.norm1[order] <= cap]
 
 
+class _Modes(NamedTuple):
+    """One support: its positions in lexicographic order and from the centre
+    out (each k next to -k), as read-only arrays, and its reach, the largest
+    |k|_1 on it (0 without modes)."""
+
+    lex: np.ndarray
+    centre: np.ndarray
+    reach: int
+
+
+@lru_cache(maxsize=1024)
+def _modes_of(dim: int, cap: int, key: bytes) -> _Modes:
+    """The record of the support whose positions are the bytes ``key``,
+    shared by every series with that support.  A computation meets few
+    supports (the ``torus2`` solve to order 5 has 73 among 4,699 series),
+    so the records cost next to no memory and each is ordered and measured
+    once."""
+    box, order, lex = _box(dim, cap), _centre_out(dim, cap), np.frombuffer(key, dtype=np.intp)
+    # a mask, not np.argsort, whose sort kernels would add 0.3 MB of numpy's
+    # code to the resident set of a run
+    present = np.zeros(box.size, dtype=bool)
+    present[lex] = True
+    centre = order[present[order]]
+    centre.flags.writeable = False
+    return _Modes(lex, centre, int(box.norm1[lex].max()) if lex.size else 0)
+
+
 @lru_cache(maxsize=None)
 def _product_plan(dim: int, cap: int):
     """Index tables for the product of two cap-``cap`` series, whose pairs
@@ -113,22 +145,15 @@ def _pairs(a: "FourierSeries", b: "FourierSeries"):
     """The nonzero modes of a, from the centre out (each k next to -k), and
     of b, as positions in their boxes, and the products of every pair as one
     (a, b) array from one call."""
-    order = _centre_out(a.dim, a.order_cap)
-    va = a._data[order]
-    ia, ib = va.nonzero()[0], b._support()
-    return order[ia], ib, va[ia][:, None] * b._data[ib]
-
-
-def _zero_mode_only(pos: np.ndarray, zero: int) -> bool:
-    """Whether the nonzero positions ``pos`` hold no mode but the zero mode."""
-    return pos.size < 2 and pos.tolist() in ([], [zero])
+    pos_a, pos_b = a._modes().centre, b._modes().lex
+    return pos_a, pos_b, a._data[pos_a][:, None] * b._data[pos_b]
 
 
 def _pair_product(a: "FourierSeries", b: "FourierSeries", pairs=None) -> tuple[np.ndarray, float]:
     """The product's coefficients and the l1 mass beyond the cap, summed
     pair by pair over the nonzero modes in a's centre-out order, so that a
-    term and its mirror image cancel exactly.  ``pairs`` is :func:`_pairs`
-    of (a, b), when it is at hand."""
+    term and its mirror image cancel exactly, in the wide box.  ``pairs``
+    is :func:`_pairs` of (a, b), when it is at hand."""
     pos_a, pos_b, prods = _pairs(a, b) if pairs is None else pairs
     pos, zero, beyond, bins = _product_plan(a.dim, a.order_cap)
     full = np.zeros(bins, dtype=complex)
@@ -177,13 +202,18 @@ class FourierSeries:
     ``coeffs`` is a read-only mapping of the nonzero modes in lexicographic
     order, built from the array on each access.
 
+    A series is never written after construction, and that is load-bearing:
+    its support, centre-out support and reach are read from its array once,
+    when first needed, and kept (:meth:`_modes`), so a change to the array
+    in place would leave them stale.
+
     Real-valued functions satisfy coeff(-k) == conj(coeff(k)); the class
     does not enforce this on construction (intermediate complex objects
     are legitimate) but every public operation preserves it, and
     :meth:`real_symmetry_defect` measures it.
     """
 
-    __slots__ = ("dim", "order_cap", "trunc_loss", "_data")
+    __slots__ = ("dim", "order_cap", "trunc_loss", "_data", "_kept")
 
     def __init__(
         self,
@@ -215,6 +245,7 @@ class FourierSeries:
                 data[box.index(k)] += c
         self._data = data
         self.trunc_loss = loss
+        self._kept = None
 
     @classmethod
     def _of(cls, dim: int, order_cap: int, data: np.ndarray, trunc_loss: float) -> "FourierSeries":
@@ -224,6 +255,7 @@ class FourierSeries:
         s.order_cap = order_cap
         s.trunc_loss = trunc_loss
         s._data = data
+        s._kept = None
         return s
 
     # ---------------------------------------------------------------- util
@@ -256,20 +288,23 @@ class FourierSeries:
                 f"series on T^{other.dim} at cap {other.order_cap}"
             )
 
-    def _support(self) -> np.ndarray:
-        """Positions of the nonzero modes, in lexicographic order."""
-        return self._data.nonzero()[0]
+    def _modes(self) -> _Modes:
+        """The support, read from the array on first use (the one scan of
+        the box) and kept."""
+        if self._kept is None:
+            self._kept = _modes_of(self.dim, self.order_cap, self._data.nonzero()[0].tobytes())
+        return self._kept
 
     @property
     def coeffs(self) -> Mapping[tuple[int, ...], complex]:
         """The nonzero modes as a read-only mapping k -> coefficient, built
         on each access."""
-        idx = self._support()
+        idx = self._modes().lex
         modes = _box(self.dim, self.order_cap).modes[idx].tolist()
         return MappingProxyType(dict(zip(map(tuple, modes), self._data[idx].tolist())))
 
     def is_zero(self) -> bool:
-        return not np.count_nonzero(self._data)
+        return not self._modes().lex.size
 
     def coeff(self, k: Iterable[int]) -> complex:
         k = tuple(int(x) for x in k)
@@ -278,7 +313,7 @@ class FourierSeries:
         return complex(self._data[_box(self.dim, self.order_cap).index(k)])
 
     def __repr__(self) -> str:
-        n = self._support().size
+        n = self._modes().lex.size
         return f"FourierSeries(dim={self.dim}, cap={self.order_cap}, modes={n})"
 
     # ------------------------------------------------------------- algebra
@@ -311,22 +346,39 @@ class FourierSeries:
         no pair lands on stays an exact zero.  The coefficients beyond the
         cap feed ``trunc_loss``.
 
-        With a factor that has no mode but its zero mode, the product scales
-        the other factor: each of its modes is one pair's product, which is
-        put in place, plus +0 as the pair sum adds it, with no sum over the
-        wider box.  The pairs are the ones the sum would take, from the same
-        call, since numpy may round a complex product differently (fused
-        multiply-add or not) by the shape of the call.
+        The pair products come from one call of one shape, since numpy may
+        round a complex product differently (fused multiply-add or not) by
+        the shape of the call, and each mode sums its pairs from +0 in a's
+        centre-out order.  Three paths put them in place, each to the bits
+        of that sum:
+
+        - a factor without modes gives zero, and one whose only mode is the
+          zero mode (reach 0) scales the other: each mode is one pair's
+          product, put in place plus +0, with no sum;
+        - when the reaches add up to at most the cap, no pair lands beyond
+          it, so the pairs are summed in the cap's own box and nothing is
+          lost;
+        - otherwise they are summed in the wide box of cap 2 cap, whose
+          bins beyond the cap feed ``trunc_loss``.
         """
         self._check_compatible(other)
         pairs = pos_a, pos_b, prods = _pairs(self, other)
-        zero = self._data.size // 2
         loss = self.trunc_loss + other.trunc_loss
-        if _zero_mode_only(pos_a, zero) or _zero_mode_only(pos_b, zero):
+        reach_a, reach_b = self._modes().reach, other._modes().reach
+        if not prods.size:
+            return self._like(np.zeros(self._data.size, dtype=complex), loss)
+        if reach_a == 0 or reach_b == 0:
             data = np.zeros(self._data.size, dtype=complex)
-            data[(pos_a[:, None] + (pos_b - zero)).ravel()] = 0j + prods.ravel()
+            if reach_a == 0:
+                data[pos_b] = 0j + prods[0]
+            else:
+                data[pos_a] = 0j + prods[:, 0]
             return self._like(data, loss)
-        data, dropped = _pair_product(self, other, pairs)
+        if reach_a + reach_b > self.order_cap:
+            data, dropped = _pair_product(self, other, pairs)
+        else:
+            data, dropped = np.zeros(self._data.size, dtype=complex), 0.0
+            np.add.at(data, (pos_a[:, None] + (pos_b - data.size // 2)).ravel(), prods.ravel())
         return self._like(data, loss + dropped)
 
     def conjugate(self) -> "FourierSeries":
@@ -422,7 +474,7 @@ def evaluate_series(series: Sequence[FourierSeries], theta, dtype=complex) -> li
     t = th.reshape(1)[:dim] if th.ndim == 0 and dim <= 1 else th  # a scalar on T^1; ignored on T^0
     if t.shape[-1:] != (dim,):
         raise DimensionMismatch(f"theta of shape {t.shape} on T^{dim}")
-    supports = [s._support() for s in series]
+    supports = [s._modes().lex for s in series]
     modes = np.flatnonzero(np.bincount(np.concatenate(supports), minlength=1))  # sorted union
     table = np.zeros(t.shape[:-1] + (modes.size,), dtype=dtype)
     for r, k in enumerate(_box(dim, cap).modes[modes].T.astype(float)):  # (..., 1) @ (1, n): no ufunc buffers
@@ -572,7 +624,7 @@ def _sd_divide(h: FourierSeries, vec, kind: str, divisor_floor: float) -> Fourie
             f"series on T^{h.dim} with frequency vector of length {len(vec)}"
         )
     box = _box(h.dim, h.order_cap)
-    idx = h._support()
+    idx = h._modes().lex
     idx = idx[idx != box.zero]
     div = _factors(h.dim, h.order_cap, kind, tuple(vec))[idx]
     small = np.abs(div) < divisor_floor

@@ -92,8 +92,21 @@ class Jet:
         k = tuple(1 if j == i else 0 for j in range(m))
         return cls.monomial(0, k, 1.0, m, deg, dim, order_cap)
 
+    @classmethod
+    def _of(cls, m, deg, dim, order_cap, terms) -> "Jet":
+        """A jet of terms that come from other jets or from series operations
+        on their coefficients: keys of the right shape and series on the
+        right torus and cap, which are not checked again.  As the
+        constructor does, it drops the terms above ``deg`` and the zero
+        series, whose test reads the support each series keeps."""
+        jet = object.__new__(cls)
+        jet.m, jet.deg, jet.dim, jet.order_cap = m, deg, dim, order_cap
+        jet.terms = {key: s for key, s in terms.items()
+                     if key[0] + sum(key[1]) <= deg and not s.is_zero()}
+        return jet
+
     def _like(self, terms) -> "Jet":
-        return Jet(self.m, self.deg, self.dim, self.order_cap, terms)
+        return Jet._of(self.m, self.deg, self.dim, self.order_cap, terms)
 
     def _check(self, other: "Jet"):
         if (self.m, self.dim, self.order_cap) != (other.m, other.dim, other.order_cap):
@@ -131,7 +144,7 @@ class Jet:
         for key, s in other.terms.items():
             cur = out.get(key)
             out[key] = s if cur is None else cur + s
-        return Jet(self.m, min(self.deg, other.deg), self.dim, self.order_cap, out)
+        return Jet._of(self.m, min(self.deg, other.deg), self.dim, self.order_cap, out)
 
     def __sub__(self, other: "Jet") -> "Jet":
         return self + (-other)
@@ -166,7 +179,7 @@ class Jet:
                 prod = s1.series_mul(s2)
                 cur = out.get(key)
                 out[key] = prod if cur is None else cur + prod
-        return Jet(self.m, deg, self.dim, self.order_cap, out)
+        return Jet._of(self.m, deg, self.dim, self.order_cap, out)
 
     def power(self, n: int) -> "Jet":
         if n < 0:
@@ -181,7 +194,7 @@ class Jet:
         return result
 
     def truncated(self, deg: int) -> "Jet":
-        return Jet(self.m, deg, self.dim, self.order_cap, self.terms)
+        return Jet._of(self.m, deg, self.dim, self.order_cap, self.terms)
 
     def drop_below(self, order: int) -> "Jet":
         """Remove monomials of total degree < order."""
@@ -195,7 +208,9 @@ class Jet:
         )
 
     def map_coeffs(self, fn) -> "Jet":
-        return self._like({key: fn(s) for key, s in self.terms.items()})
+        """``fn`` applied to every coefficient, its results checked as the
+        constructor checks them."""
+        return Jet(self.m, self.deg, self.dim, self.order_cap, {key: fn(s) for key, s in self.terms.items()})
 
     # -------------------------------------------------------- derivatives
 

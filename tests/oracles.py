@@ -2,7 +2,8 @@
 implementation: a dense generic linear solve of the full coefficient system
 assembled by probing the exact jet composition, the per-mode and per-series
 evaluation loops, the dict-of-tuples Fourier arithmetic that the array
-store replaced, the restricted-field constructors written term by term, the
+store replaced, the box product that scanned both supports for every pair
+product, the restricted-field constructors written term by term, the
 positions and potential of the primaries summed one primary at a time,
 the restricted field with every position from one numpy matrix-vector
 product, the invariance residual sampled one x-sample at a time, and the jet
@@ -15,7 +16,7 @@ import numpy as np
 
 from paratori.cohomology import ErrorJet, invariance_error
 from paratori.errors import DegreeOverflow, HypothesisViolation, OrbitLeftDomain, ResonantMode
-from paratori.fourier import FourierSeries
+from paratori.fourier import FourierSeries, _centre_out, _product_plan
 from paratori.jet import Jet, SkewMap, _multis, evaluate_jets, jet_compose
 from paratori.model import ReducedMap
 from paratori.verify import _CDT, _cabs, _max_diff, _theta_grid, _transport_jets
@@ -332,6 +333,58 @@ def reference_mul(a, b):
     dropped = sum(abs(c) for k, c in out.items() if _norm1(k) > cap)
     table = {k: c for k, c in out.items() if _norm1(k) <= cap and c != 0.0}
     return table, cap, a.trunc_loss + b.trunc_loss + dropped
+
+
+# the box product as it was before each series kept its support:
+# ``fourier._pairs``, ``fourier._pair_product`` and
+# ``FourierSeries.series_mul``, which scan both boxes for every product and
+# sum every pair in the wide box of cap 2 cap, unless a factor has no mode
+# but its zero mode.  Here they take the series as arguments, and b's
+# support is scanned from its array, not read from what the series keeps.
+
+
+def _zero_mode_only(pos, zero):
+    """Whether the nonzero positions ``pos`` hold no mode but the zero mode."""
+    return pos.size < 2 and pos.tolist() in ([], [zero])
+
+
+def box_pairs(a, b):
+    """The nonzero modes of a, from the centre out (each k next to -k), and
+    of b, as positions in their boxes, and the products of every pair as one
+    (a, b) array from one call."""
+    order = _centre_out(a.dim, a.order_cap)
+    va = a._data[order]
+    ia, ib = va.nonzero()[0], b._data.nonzero()[0]
+    return order[ia], ib, va[ia][:, None] * b._data[ib]
+
+
+def box_pair_product(a, b, pairs=None):
+    """The product's coefficients and the l1 mass beyond the cap, summed
+    pair by pair over the nonzero modes in a's centre-out order, so that a
+    term and its mirror image cancel exactly.  ``pairs`` is :func:`box_pairs`
+    of (a, b), when it is at hand."""
+    pos_a, pos_b, prods = box_pairs(a, b) if pairs is None else pairs
+    pos, zero, beyond, bins = _product_plan(a.dim, a.order_cap)
+    full = np.zeros(bins, dtype=complex)
+    np.add.at(full, ((pos[pos_a] - zero)[:, None] + pos[pos_b]).ravel(), prods.ravel())
+    lost = full[beyond]
+    return full[pos], float(np.abs(lost).sum()) if np.count_nonzero(lost) else 0.0
+
+
+def box_series_mul(a, b):
+    """``a.series_mul(b)`` as it was: with a factor that has no mode but its
+    zero mode, each mode of the product is one pair's product put in place
+    plus +0; otherwise :func:`box_pair_product`."""
+    a._check_compatible(b)
+    pairs = pos_a, pos_b, prods = box_pairs(a, b)
+    zero = a._data.size // 2
+    loss = a.trunc_loss + b.trunc_loss
+    if _zero_mode_only(pos_a, zero) or _zero_mode_only(pos_b, zero):
+        data = np.zeros(a._data.size, dtype=complex)
+        data[(pos_a[:, None] + (pos_b - zero)).ravel()] = 0j + prods.ravel()
+        return FourierSeries._of(a.dim, a.order_cap, data, loss)
+    data, dropped = box_pair_product(a, b, pairs)
+    return FourierSeries._of(a.dim, a.order_cap, data, loss + dropped)
 
 
 def reference_rotate(s, step):

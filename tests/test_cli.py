@@ -1,5 +1,6 @@
 """CLI subcommands end to end: artifacts, exit codes, determinism."""
 
+import gc
 import json
 import os
 import pickle
@@ -425,6 +426,23 @@ def test_restricted_demo_validates_its_model_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_only_the_process_entry_freezes_the_collector(monkeypatch, tmp_path):
+    # the console script and ``python -m paratori.cli`` run ``script``, which
+    # freezes the collector once before ``main``; tests call ``main`` in
+    # their own process, which must leave the collector alone
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    args = ["scan-diophantine", "--omega", "0.618", "--k-max", "5"]
+    assert main([*args, "--outdir", str(tmp_path / "main")]) == 0
+    assert frozen == []
+    monkeypatch.setattr(sys, "argv", ["paratori", *args, "--outdir", str(tmp_path / "script")])
+    assert cli.script() == 0
+    assert frozen == [True]
+    pyproject = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml")
+    with open(pyproject) as fh:
+        assert 'paratori = "paratori.cli:script"' in fh.read().splitlines()
+
+
 def test_restricted_demo_leaves_scipy_unloaded(tmp_path):
     # the escape orbit runs on the in-house stepper, so the demo never
     # imports scipy; its summary counts the evaluations of both orbits
@@ -593,6 +611,31 @@ def test_config_refuses_a_numeric_field_that_does_not_convert(tmp_path):
     assert code == 5
     assert _read(out / "summary.json")["error"].startswith("config field gtilde0 must be a number: ")
     assert not (out / "scan.json").exists()
+
+
+@pytest.mark.parametrize("field,value", [("order", True), ("tau", False), ("domain_radius", True)])
+def test_config_refuses_a_boolean_in_a_numeric_field(tmp_path, field, value):
+    # JSON true/false would pass int() and float() as 1 and 0
+    cfg = tmp_path / "cfg.json"
+    ser.dump_json({field: value}, cfg)
+    out = tmp_path / "out"
+    code = main(["solve-map", "--model", "builtin:benchmark-map", "--config", str(cfg),
+                 "--outdir", str(out)])
+    assert code == 5
+    assert _read(out / "summary.json")["error"] == f"config field {field} must be a number, not {value!r}"
+    assert not (out / "solution.json").exists()
+
+
+def test_sweep_row_refuses_a_boolean_in_a_numeric_field(tmp_path):
+    cfg = {"sweep": [{"label": "flag", "model": "builtin:benchmark-map", "order": True}],
+           "outdir": str(tmp_path / "sweep")}
+    cpath = tmp_path / "cfg.json"
+    ser.dump_json(cfg, cpath)
+    assert main(["solve-map", "--config", str(cpath)]) == 4
+    own = _read(tmp_path / "sweep" / "flag" / "summary.json")
+    assert (own["error_code"], own["error"]) == (5, "config field order must be a number, not True")
+    assert _read(tmp_path / "sweep" / "summary.json")["entries"]["flag"] == {"exit": 5, "summary": own}
+    assert not (tmp_path / "sweep" / "flag" / "solution.json").exists()
 
 
 def test_config_refuses_an_undeclared_field(tmp_path):

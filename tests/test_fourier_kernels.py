@@ -18,6 +18,7 @@ from paratori.fourier import (
 )
 from conftest import random_real_series
 from oracles import (
+    box_series_mul,
     flow_divisor,
     map_divisor,
     reference_add,
@@ -290,17 +291,18 @@ def _signed_zero_parts(rng, values):
     return out
 
 
-def _series_on(rng, dim, cap, n_modes, special):
+def _series_on(rng, dim, cap, n_modes, special, reach=None):
     """A series built on its box array, so that signed zeros survive: the
     constant ``special`` (an index into _CONSTANTS, or None for a random one)
-    when ``n_modes`` is None, else ``n_modes`` random modes."""
+    when ``n_modes`` is None, else ``n_modes`` random modes with |k|_1 at
+    most ``reach`` (the cap when None)."""
     box = _box(dim, cap)
     data = np.zeros(box.size, dtype=complex)
     if n_modes is None:
         data[box.zero] = (complex(rng.standard_normal(), rng.standard_normal())
                           if special is None else _CONSTANTS[special])
     else:
-        modes = np.flatnonzero(box.norm1 <= cap)
+        modes = np.flatnonzero(box.norm1 <= (cap if reach is None else reach))
         idx = rng.choice(modes, size=min(n_modes, modes.size), replace=False)
         values = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
         data[idx] = _signed_zero_parts(rng, values)
@@ -330,6 +332,62 @@ def test_constant_factor_product_is_the_pair_sum(seed, dim, cap, side, special, 
     assert dropped == 0.0
     assert got.order_cap == cap and _same_bits(got._data, want)
     assert got.trunc_loss == a.trunc_loss + b.trunc_loss
+
+
+_SUPPORT_SIZES = st.sampled_from([None, 0, 1, 2, 3, 8, 60])  # None: the zero mode alone
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(0, 3), cap=st.integers(0, 6),
+       reaches=st.tuples(st.integers(0, 6), st.integers(0, 6)), within=st.booleans(),
+       sizes=st.tuples(_SUPPORT_SIZES, _SUPPORT_SIZES))
+def test_product_paths_match_the_box_product(seed, dim, cap, reaches, within, sizes):
+    """Each product path (an empty or constant factor, reaches within the cap,
+    reaches beyond it) gives the bits, signed zeros and loss of the product
+    that scanned both boxes and summed every pair in the wide box."""
+    rng = np.random.default_rng(seed)
+    reach_a = 1 + reaches[0] % cap if cap else 0
+    reach_b = min(1 + reaches[1] % cap if cap else 0, cap - reach_a if within else cap)
+    a, b = (_series_on(rng, dim, cap, n, None, reach=r) for n, r in zip(sizes, (reach_a, reach_b)))
+    got, want = a.series_mul(b), box_series_mul(a, b)
+    assert (got.dim, got.order_cap) == (dim, cap)
+    assert _same_bits(got._data, want._data)
+    assert got.trunc_loss.hex() == want.trunc_loss.hex()
+
+
+def _assert_kept_supports_hold(s):
+    """The support, centre-out support and reach a series keeps are the ones
+    its array gives now, in arrays that no one can write to."""
+    lex = s._data.nonzero()[0]
+    order = fourier._centre_out(s.dim, s.order_cap)
+    kept = s._modes()
+    assert np.array_equal(kept.lex, lex)
+    assert np.array_equal(kept.centre, order[s._data[order].nonzero()[0]])
+    assert kept.reach == (int(_box(s.dim, s.order_cap).norm1[lex].max()) if lex.size else 0)
+    assert not (kept.lex.flags.writeable or kept.centre.flags.writeable)
+
+
+@_PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(0, 3), cap=st.integers(0, 5))
+def test_kept_supports_match_the_array(seed, dim, cap):
+    """No public operation writes to a series' array once it is built: the
+    supports and reaches kept by the operands before each operation, and by
+    every result, are those of the arrays afterwards."""
+    rng = np.random.default_rng(seed)
+    a, b = _random_sparse(rng, dim, cap), _random_sparse(rng, dim, cap, fill=0.1)
+    for s in (a, b):
+        _assert_kept_supports_hold(s)
+    made = [FourierSeries.constant(0.5, dim, cap), a + b, a - b, -a, a.scale(0.5 - 2j),
+            a.series_mul(b), b.series_mul(a), a.oscillatory(), a.conjugate()]
+    if dim:
+        k = tuple(int(v) for v in rng.integers(-1, 2, dim))
+        freq = FrequencyVector(omega=tuple(0.1 + rng.random(dim)))
+        made += [FourierSeries.cosine(k, dim, cap), FourierSeries.sine(k, dim, cap, 0.3),
+                 a.rotate(tuple(rng.random(dim))), a.derivative(dim - 1),
+                 a.directional_derivative(freq.omega), a.at_first_angle(0.3, 1),
+                 sd_solve_map(a.oscillatory(), freq), sd_solve_flow(a.oscillatory(), freq)]
+    for s in (a, b, *made):
+        _assert_kept_supports_hold(s)
 
 
 @_PROPERTY

@@ -363,3 +363,13 @@ def test_divide_by_x_plus_y_exact(rng):
     N = (x + y0) * q
     got = divide_by_x_plus_y(N, 0)
     assert (got - q).norm() < 1e-12
+
+
+def test_map_coeffs_checks_what_fn_returns():
+    # map_coeffs is public and fn is the caller's, so its results get the
+    # constructor's checks, which the jets derived inside the algebra skip
+    j = Jet.monomial(1, (), FourierSeries.cosine((1,), 1, 4), 0, 3, 1, 4)
+    with pytest.raises(DimensionMismatch):
+        j.map_coeffs(lambda s: FourierSeries(1, 5, {(0,): 1.0}))
+    assert j.map_coeffs(lambda s: 2.0).coeff(1).coeffs == {(0,): 2.0}
+    assert j.map_coeffs(lambda s: s.scale(0.0)).is_zero()
