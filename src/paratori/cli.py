@@ -9,7 +9,6 @@ produce byte-identical records.  Exit codes: 0 ok, 2 hypothesis violation,
 from __future__ import annotations
 
 import argparse
-import gc
 import math
 import os
 import sys
@@ -398,16 +397,5 @@ def main(argv=None) -> int:
         return code
 
 
-def script() -> int:
-    """The process entry, of the ``paratori`` script and of ``python -m
-    paratori.cli``: :func:`main`, after ``gc.freeze`` has moved every object
-    the imports made to the collector's permanent generation, so that the
-    collections of the run and the one at interpreter exit no longer walk
-    numpy's and paratori's module objects.  :func:`main`, which tests call
-    in their own process, leaves the collector as it is."""
-    gc.freeze()
-    return main()
-
-
 if __name__ == "__main__":
-    sys.exit(script())
+    sys.exit(main())

@@ -100,11 +100,14 @@ def _centre_out(dim: int, cap: int) -> np.ndarray:
 
 class _Modes(NamedTuple):
     """One support: its positions in lexicographic order and from the centre
-    out (each k next to -k), as read-only arrays, and its reach, the largest
-    |k|_1 on it (0 without modes)."""
+    out (each k next to -k), and the lexicographic ones less the centre's
+    position (where a right factor's pairs land, from a left factor's
+    position, in the cap's own box), as read-only arrays; and its reach,
+    the largest |k|_1 on it (0 without modes)."""
 
     lex: np.ndarray
     centre: np.ndarray
+    offset: np.ndarray
     reach: int
 
 
@@ -120,9 +123,9 @@ def _modes_of(dim: int, cap: int, key: bytes) -> _Modes:
     # code to the resident set of a run
     present = np.zeros(box.size, dtype=bool)
     present[lex] = True
-    centre = order[present[order]]
-    centre.flags.writeable = False
-    return _Modes(lex, centre, int(box.norm1[lex].max()) if lex.size else 0)
+    centre, offset = order[present[order]], lex - box.zero
+    centre.flags.writeable = offset.flags.writeable = False
+    return _Modes(lex, centre, offset, int(box.norm1[lex].max()) if lex.size else 0)
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +149,12 @@ def _pairs(a: "FourierSeries", b: "FourierSeries"):
     of b, as positions in their boxes, and the products of every pair as one
     (a, b) array from one call."""
     pos_a, pos_b = a._modes().centre, b._modes().lex
-    return pos_a, pos_b, a._data[pos_a][:, None] * b._data[pos_b]
+    return pos_a, pos_b, _pair_products(a, pos_a, b, pos_b)
+
+
+def _pair_products(a: "FourierSeries", pos_a, b: "FourierSeries", pos_b) -> np.ndarray:
+    """The (a, b) array of pair products, from one call of one shape."""
+    return a._data[pos_a][:, None] * b._data[pos_b]
 
 
 def _pair_product(a: "FourierSeries", b: "FourierSeries", pairs=None) -> tuple[np.ndarray, float]:
@@ -290,9 +298,10 @@ class FourierSeries:
 
     def _modes(self) -> _Modes:
         """The support, read from the array on first use (the one scan of
-        the box) and kept."""
+        the box) and kept.  ``!= 0`` and a boolean scan take half the time
+        of a complex array's own ``nonzero``, and find the same entries."""
         if self._kept is None:
-            self._kept = _modes_of(self.dim, self.order_cap, self._data.nonzero()[0].tobytes())
+            self._kept = _modes_of(self.dim, self.order_cap, (self._data != 0).nonzero()[0].tobytes())
         return self._kept
 
     @property
@@ -362,24 +371,22 @@ class FourierSeries:
           bins beyond the cap feed ``trunc_loss``.
         """
         self._check_compatible(other)
-        pairs = pos_a, pos_b, prods = _pairs(self, other)
+        ma, mb = self._modes(), other._modes()
+        prods = _pair_products(self, ma.centre, other, mb.lex)
         loss = self.trunc_loss + other.trunc_loss
-        reach_a, reach_b = self._modes().reach, other._modes().reach
+        data = np.zeros(self._data.size, dtype=complex)
         if not prods.size:
-            return self._like(np.zeros(self._data.size, dtype=complex), loss)
-        if reach_a == 0 or reach_b == 0:
-            data = np.zeros(self._data.size, dtype=complex)
-            if reach_a == 0:
-                data[pos_b] = 0j + prods[0]
-            else:
-                data[pos_a] = 0j + prods[:, 0]
             return self._like(data, loss)
-        if reach_a + reach_b > self.order_cap:
-            data, dropped = _pair_product(self, other, pairs)
+        if ma.reach == 0:
+            data[mb.lex] = 0j + prods[0]
+        elif mb.reach == 0:
+            data[ma.centre] = 0j + prods[:, 0]
+        elif ma.reach + mb.reach <= self.order_cap:
+            np.add.at(data, (ma.centre[:, None] + mb.offset).ravel(), prods.ravel())
         else:
-            data, dropped = np.zeros(self._data.size, dtype=complex), 0.0
-            np.add.at(data, (pos_a[:, None] + (pos_b - data.size // 2)).ravel(), prods.ravel())
-        return self._like(data, loss + dropped)
+            data, dropped = _pair_product(self, other, (ma.centre, mb.lex, prods))
+            loss += dropped
+        return self._like(data, loss)
 
     def conjugate(self) -> "FourierSeries":
         """Coefficientwise complex conjugate with mode reflection (conj of the function)."""

@@ -67,15 +67,12 @@ class Jet:
                 k = tuple(int(v) for v in k)
                 if len(k) != self.m:
                     raise DimensionMismatch(f"monomial {k} does not match m={self.m}")
-                if l + sum(k) > self.deg:
-                    continue
                 if not isinstance(s, FourierSeries):
                     s = FourierSeries.constant(s, self.dim, self.order_cap)
                 if (s.dim, s.order_cap) != (self.dim, self.order_cap):
                     raise DimensionMismatch("coefficient on the wrong torus or at the wrong cap")
-                if not s.is_zero():
-                    table[(int(l), k)] = s
-        self.terms = table
+                table[(int(l), k)] = s
+        self.terms = Jet._kept(table, self.deg)
 
     # ----------------------------------------------------------- builders
 
@@ -96,14 +93,20 @@ class Jet:
     def _of(cls, m, deg, dim, order_cap, terms) -> "Jet":
         """A jet of terms that come from other jets or from series operations
         on their coefficients: keys of the right shape and series on the
-        right torus and cap, which are not checked again.  As the
-        constructor does, it drops the terms above ``deg`` and the zero
-        series, whose test reads the support each series keeps."""
+        right torus and cap, which are not checked again.  Both
+        constructors keep the terms through :meth:`_kept`."""
         jet = object.__new__(cls)
         jet.m, jet.deg, jet.dim, jet.order_cap = m, deg, dim, order_cap
-        jet.terms = {key: s for key, s in terms.items()
-                     if key[0] + sum(key[1]) <= deg and not s.is_zero()}
+        jet.terms = Jet._kept(terms, deg)
         return jet
+
+    @staticmethod
+    def _kept(terms, deg) -> dict:
+        """The terms of total degree at most ``deg`` whose series is not
+        zero, in their order; the zero test reads the support each series
+        keeps."""
+        return {key: s for key, s in terms.items()
+                if key[0] + sum(key[1]) <= deg and not s.is_zero()}
 
     def _like(self, terms) -> "Jet":
         return Jet._of(self.m, self.deg, self.dim, self.order_cap, terms)
@@ -194,7 +197,7 @@ class Jet:
         return result
 
     def truncated(self, deg: int) -> "Jet":
-        return Jet._of(self.m, deg, self.dim, self.order_cap, self.terms)
+        return Jet._of(self.m, int(deg), self.dim, self.order_cap, self.terms)
 
     def drop_below(self, order: int) -> "Jet":
         """Remove monomials of total degree < order."""

@@ -1,6 +1,5 @@
 """CLI subcommands end to end: artifacts, exit codes, determinism."""
 
-import gc
 import json
 import os
 import pickle
@@ -424,23 +423,6 @@ def test_restricted_demo_validates_its_model_once(tmp_path, monkeypatch):
                  "--outdir", str(tmp_path / "demo")])
     assert code == 0
     assert len(calls) == 1
-
-
-def test_only_the_process_entry_freezes_the_collector(monkeypatch, tmp_path):
-    # the console script and ``python -m paratori.cli`` run ``script``, which
-    # freezes the collector once before ``main``; tests call ``main`` in
-    # their own process, which must leave the collector alone
-    frozen = []
-    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
-    args = ["scan-diophantine", "--omega", "0.618", "--k-max", "5"]
-    assert main([*args, "--outdir", str(tmp_path / "main")]) == 0
-    assert frozen == []
-    monkeypatch.setattr(sys, "argv", ["paratori", *args, "--outdir", str(tmp_path / "script")])
-    assert cli.script() == 0
-    assert frozen == [True]
-    pyproject = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml")
-    with open(pyproject) as fh:
-        assert 'paratori = "paratori.cli:script"' in fh.read().splitlines()
 
 
 def test_restricted_demo_leaves_scipy_unloaded(tmp_path):
