@@ -356,15 +356,16 @@ def test_product_paths_match_the_box_product(seed, dim, cap, reaches, within, si
 
 
 def _assert_kept_supports_hold(s):
-    """The support, centre-out support and reach a series keeps are the ones
-    its array gives now, in arrays that no one can write to."""
+    """The support, centre-out support, offsets and reach a series keeps are
+    the ones its array gives now, in arrays that no one can write to."""
     lex = s._data.nonzero()[0]
     order = fourier._centre_out(s.dim, s.order_cap)
     kept = s._modes()
     assert np.array_equal(kept.lex, lex)
     assert np.array_equal(kept.centre, order[s._data[order].nonzero()[0]])
+    assert np.array_equal(kept.offset, lex - s._data.size // 2)
     assert kept.reach == (int(_box(s.dim, s.order_cap).norm1[lex].max()) if lex.size else 0)
-    assert not (kept.lex.flags.writeable or kept.centre.flags.writeable)
+    assert not (kept.lex.flags.writeable or kept.centre.flags.writeable or kept.offset.flags.writeable)
 
 
 @_PROPERTY
