@@ -266,6 +266,71 @@ def _theta_sub_jet(series: FourierSeries, alpha0: float, dev_powers: _Products) 
     return out
 
 
+def _field_functions(masses, omega, modes, nonzero, matvec):
+    """``positions(t)`` and ``rhs(t, state)`` of one restricted field as
+    straight-line code, sharing the positions at the last time asked for.
+
+    ``nonzero`` lists per primary its (mode index, coefficient) pairs in
+    increasing mode order, or is None to take the positions from
+    ``matvec(t)``.  The source is built from names, integer indices and
+    the formulas' own constants; every value of the system (omega, the
+    modes, the coefficients, the masses) enters as an argument of the
+    factory it defines.
+    """
+    n = len(masses)
+    values = {"cos": math.cos, "sin": math.sin, "exp": cmath.exp,
+              "TWO_PI_I": _TWO_PI_I, "OrbitLeftDomain": OrbitLeftDomain}
+    values.update((f"m{j}", mj) for j, mj in enumerate(masses))
+    qs = ", ".join(f"q{j}" for j in range(n))
+    if nonzero is None:
+        values["matvec"] = matvec
+        sums = [f"{qs}, = matvec(t)"]
+    else:
+        # k.omega t axis by axis from 0.0 and one exponential per mode that
+        # carries a coefficient, then each primary's terms from 0j
+        used = sorted({i for row in nonzero for i, _ in row})
+        sums = [f"wt{r} = w{r} * t" for r in range(len(omega))] if used else []
+        values.update((f"w{r}", w) for r, w in enumerate(omega))
+        for i in used:
+            values.update((f"k{i}_{r}", kr) for r, kr in enumerate(modes[i]))
+            kwt = "".join(f" + k{i}_{r} * wt{r}" for r in range(len(omega)))
+            sums.append(f"p{i} = exp(TWO_PI_I * (0.0{kwt}))")
+        for j, row in enumerate(nonzero):
+            values.update((f"c{j}_{i}", c) for i, c in row)
+            sums.append(f"q{j} = 0j" + "".join(f" + c{j}_{i} * p{i}" for i, _ in row))
+    # stages k6 and k7 of a Dormand–Prince step share the time t + h
+    memo = ["if t != last_t:", *("    " + line for line in sums), "    last_t = t"]
+    grad = [line for j in range(n) for line in
+            (f"D{j} = z - q{j}", f"n{j} = abs(D{j}) ** 3", f"Dc{j} = D{j}.conjugate()")]
+    # d|D|/dr = Re(conj(D) e)/|D|; d|D|/dtheta = Re(conj(D) i r e)/|D|
+    grad.append("dVdr = 0.0" + "".join(f" - m{j} * (Dc{j} * e).real / n{j}" for j in range(n)))
+    grad.append("dVdth = 0.0" + "".join(f" - m{j} * (Dc{j} * ire).real / n{j}" for j in range(n)))
+    cells = f"nonlocal last_t, {qs}"
+    body = [
+        f"def make({', '.join(values)}):",
+        f"    last_t = {qs.replace(', ', ' = ')} = None",
+        "    def positions(t):",
+        f"        {cells}",
+        *("        " + line for line in memo),
+        f"        return [{qs}]",
+        "    def rhs(t, state):",
+        f"        {cells}",
+        "        r, th, y, G = state",
+        "        if r <= 0:",
+        "            raise OrbitLeftDomain(0, state)",
+        *("        " + line for line in memo),
+        "        e = complex(cos(th), sin(th))",
+        "        z = r * e",
+        "        ire = 1j * r * e",
+        *("        " + line for line in grad),
+        "        return (y, G / r ** 2, G ** 2 / r ** 3 + dVdr, dVdth)",
+        "    return positions, rhs",
+    ]
+    namespace = {}
+    exec("\n".join(body), namespace)
+    return namespace["make"](**values)
+
+
 @dataclass
 class RestrictedField:
     """The untransformed restricted equations in (r, theta, y, G).
@@ -287,6 +352,16 @@ class RestrictedField:
     the rounding of the exponential and of the sum elsewhere.  The positions
     at the last time asked for are kept, so the two stages of a step at
     t + h sum them once.
+
+    The escape orbit calls ``rhs`` about 10^5 times, and loops over the
+    modes and the primaries would cost more than their arithmetic.  So each
+    field generates its gradient once, as one straight-line function of
+    ``(t, state)`` with the float sum and the primaries unrolled; every
+    float operation is the one such loops perform, on the same values in
+    the same order.  The generated source holds names, integer indices and
+    the formulas' own constants only: the system's values enter through its
+    namespace, so they keep every bit and no text of a system file reaches
+    ``exec``.  ``rhs`` stays a method of the class that forwards to it.
     """
 
     sys: PrimarySystem
@@ -302,23 +377,11 @@ class RestrictedField:
             [[ax.coeff(k) + 1j * ay.coeff(k) for k in modes] for ax, ay in zip(sys.qx, sys.qy)],
             dtype=complex,
         )
-        self._last_t = self._last_q = None
         nonzero = [[(i, c) for i, c in enumerate(row) if c] for row in self._qmat.tolist()]
         if sum(map(len, nonzero)) > _FLOAT_SUM_MAX_TERMS:
-            self._sum = self._matvec_positions
-            return
-        # the float sum: the modes some primary carries, and per primary its
-        # (index into them, coefficient) pairs in increasing mode order
-        used = sorted({i for row in nonzero for i, _ in row})
-        self._used_modes = tuple(tuple(self._modes[i].tolist()) for i in used)
-        self._terms = tuple(tuple((used.index(i), c) for i, c in row) for row in nonzero)
-        self._sum = self._float_positions
-
-    def _sum_positions(self, t) -> list:
-        # stages k6 and k7 of a Dormand–Prince step share the time t + h
-        if t != self._last_t:
-            self._last_t, self._last_q = t, self._sum(t)
-        return self._last_q
+            nonzero = None
+        self._positions, self._rhs = _field_functions(
+            sys.masses, self._omega, self._modes.tolist(), nonzero, self._matvec_positions)
 
     def _matvec_positions(self, t) -> list:
         phase = np.zeros(len(self._modes))
@@ -326,53 +389,22 @@ class RestrictedField:
             phase += k * (w * t)
         return (self._qmat @ np.exp(_TWO_PI_I * phase)).tolist()
 
-    def _float_positions(self, t) -> list:
-        wt = [w * t for w in self._omega]
-        phases = []
-        for k in self._used_modes:
-            kwt = 0.0
-            for kr, wtr in zip(k, wt):
-                kwt += kr * wtr
-            phases.append(cmath.exp(_TWO_PI_I * kwt))
-        qs = []
-        for terms in self._terms:
-            q = 0j
-            for i, c in terms:
-                q += c * phases[i]
-            qs.append(q)
-        return qs
-
     def positions(self, t: float) -> np.ndarray:
         """Complex positions q_j of the primaries at time t (phase omega t)."""
-        return np.array(self._sum_positions(t), dtype=complex)
-
-    def potential_and_gradient(self, r: float, theta_rad: float, t: float):
-        """V = sum m_j / |z - q_j| at z = r e^(i theta), with dV/dr and dV/dtheta."""
-        e = complex(math.cos(theta_rad), math.sin(theta_rad))
-        z = r * e
-        ire = 1j * r * e
-        V = dVdr = dVdth = 0.0
-        for mj, qj in zip(self.sys.masses, self._sum_positions(t)):
-            D = z - qj
-            nrm = abs(D)
-            Dc = D.conjugate()
-            nrm3 = nrm ** 3
-            V += mj / nrm
-            # d|D|/dr = Re(conj(D) e)/|D|; d|D|/dtheta = Re(conj(D) i r e)/|D|
-            dVdr -= mj * (Dc * e).real / nrm3
-            dVdth -= mj * (Dc * ire).real / nrm3
-        return V, dVdr, dVdth
+        return np.array(self._positions(t), dtype=complex)
 
     def rhs(self, t, state):
-        r, th, y, G = state
-        if r <= 0:
-            raise OrbitLeftDomain(0, state)
-        _, dVdr, dVdth = self.potential_and_gradient(r, th, t)
-        return (y, G / r ** 2, G ** 2 / r ** 3 + dVdr, dVdth)
+        """d/dt of (r, theta, y, G) at time t."""
+        return self._rhs(t, state)
 
     def energy(self, state, t: float) -> float:
+        """Two-body energy less V = sum m_j / |z - q_j| at z = r e^(i theta)."""
         r, th, y, G = state
-        V, _, _ = self.potential_and_gradient(float(r), float(th), float(t))
+        thf = float(th)
+        z = float(r) * complex(math.cos(thf), math.sin(thf))
+        V = 0.0
+        for mj, qj in zip(self.sys.masses, self._positions(float(t))):
+            V += mj / abs(z - qj)
         return 0.5 * (y ** 2 + G ** 2 / r ** 2) - V
 
 
@@ -642,10 +674,11 @@ def escape_demo(
 
     field = RestrictedField(sys)
     t0 = math.sqrt(2.0 * r0 ** 3 / (9.0 * M))
-    ts = np.unique(np.concatenate([
-        [0.0],
-        np.minimum(np.logspace(0.0, math.log10(horizon), n_samples), horizon),
-    ]))
+    # sorted and deduplicated in Python: np.unique imports numpy.ma, 1.3 MB
+    # of resident memory for a grid of 201 times
+    ts = np.array(sorted({
+        0.0, *np.minimum(np.logspace(0.0, math.log10(horizon), n_samples), horizon).tolist(),
+    }))
     # control orbit: same point kicked inward (y by _CONTROL_KICK); it must fall
     # back or go hyperbolic, so the ratio leaves the band well before the horizon
     control_T = min(3.0e4, horizon)

@@ -6,7 +6,8 @@ store replaced, the box product that scanned both supports for every pair
 product, the restricted-field constructors written term by term, the
 positions and potential of the primaries summed one primary at a time,
 the restricted field with every position from one numpy matrix-vector
-product, the invariance residual sampled one x-sample at a time, and the jet
+product, the restricted field summed in float loops over modes and
+primaries, the invariance residual sampled one x-sample at a time, and the jet
 substitution with one memo per job and every Taylor derivative taken afresh."""
 
 import cmath
@@ -20,6 +21,8 @@ from paratori.fourier import FourierSeries, _centre_out, _product_plan
 from paratori.jet import Jet, SkewMap, _multis, evaluate_jets, jet_compose
 from paratori.model import ReducedMap
 from paratori.verify import _CDT, _cabs, _max_diff, _theta_grid, _transport_jets
+
+_TWO_PI_I = 2j * math.pi
 
 
 def _mode_basis(cap):
@@ -585,6 +588,85 @@ class ReferenceRestrictedField:
     def energy(self, state, t):
         r, th, y, G = state
         V, _, _ = self.potential_and_gradient(r, th, t)
+        return 0.5 * (y ** 2 + G ** 2 / r ** 2) - V
+
+
+
+class FloatSumRestrictedField:
+    """The restricted field with the positions summed on Python complex
+    numbers in loops over the used modes and the primaries, and one
+    potential kernel shared by ``rhs`` and ``energy``: the code whose loops
+    ``RestrictedField``'s generated function unrolled, for systems of any
+    number of terms."""
+
+    def __init__(self, sys):
+        self.sys = sys
+        modes = sorted({k for s in (*sys.qx, *sys.qy) for k in s.coeffs})
+        self._omega = tuple(float(w) for w in sys.omega)
+        self._modes = np.array(modes, dtype=float).reshape(len(modes), sys.qx[0].dim)
+        qmat = np.array(
+            [[ax.coeff(k) + 1j * ay.coeff(k) for k in modes] for ax, ay in zip(sys.qx, sys.qy)],
+            dtype=complex,
+        )
+        self._last_t = self._last_q = None
+        nonzero = [[(i, c) for i, c in enumerate(row) if c] for row in qmat.tolist()]
+        used = sorted({i for row in nonzero for i, _ in row})
+        self._used_modes = tuple(tuple(self._modes[i].tolist()) for i in used)
+        self._terms = tuple(tuple((used.index(i), c) for i, c in row) for row in nonzero)
+        self._sum = self._float_positions
+
+    def _sum_positions(self, t) -> list:
+        # stages k6 and k7 of a Dormand–Prince step share the time t + h
+        if t != self._last_t:
+            self._last_t, self._last_q = t, self._sum(t)
+        return self._last_q
+
+    def _float_positions(self, t) -> list:
+        wt = [w * t for w in self._omega]
+        phases = []
+        for k in self._used_modes:
+            kwt = 0.0
+            for kr, wtr in zip(k, wt):
+                kwt += kr * wtr
+            phases.append(cmath.exp(_TWO_PI_I * kwt))
+        qs = []
+        for terms in self._terms:
+            q = 0j
+            for i, c in terms:
+                q += c * phases[i]
+            qs.append(q)
+        return qs
+
+    def positions(self, t: float) -> np.ndarray:
+        return np.array(self._sum_positions(t), dtype=complex)
+
+    def potential_and_gradient(self, r: float, theta_rad: float, t: float):
+        """V = sum m_j / |z - q_j| at z = r e^(i theta), with dV/dr and dV/dtheta."""
+        e = complex(math.cos(theta_rad), math.sin(theta_rad))
+        z = r * e
+        ire = 1j * r * e
+        V = dVdr = dVdth = 0.0
+        for mj, qj in zip(self.sys.masses, self._sum_positions(t)):
+            D = z - qj
+            nrm = abs(D)
+            Dc = D.conjugate()
+            nrm3 = nrm ** 3
+            V += mj / nrm
+            # d|D|/dr = Re(conj(D) e)/|D|; d|D|/dtheta = Re(conj(D) i r e)/|D|
+            dVdr -= mj * (Dc * e).real / nrm3
+            dVdth -= mj * (Dc * ire).real / nrm3
+        return V, dVdr, dVdth
+
+    def rhs(self, t, state):
+        r, th, y, G = state
+        if r <= 0:
+            raise OrbitLeftDomain(0, state)
+        _, dVdr, dVdth = self.potential_and_gradient(r, th, t)
+        return (y, G / r ** 2, G ** 2 / r ** 3 + dVdr, dVdth)
+
+    def energy(self, state, t: float) -> float:
+        r, th, y, G = state
+        V, _, _ = self.potential_and_gradient(float(r), float(th), float(t))
         return 0.5 * (y ** 2 + G ** 2 / r ** 2) - V
 
 

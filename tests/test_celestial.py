@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import types
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from paratori.model import validate
 from paratori.serialize import model_to_obj
 from conftest import random_real_series
 from oracles import (
+    FloatSumRestrictedField,
     ReferenceRestrictedField,
     potential_direct,
     primary_positions,
@@ -121,8 +123,8 @@ def test_restricted_rhs_unchanged_by_stacking(name):
 
 @pytest.mark.parametrize("name", sorted(_SYSTEMS))
 def test_float_rhs_and_energy_match_reference(name):
-    # rhs works on Python floats end to end and returns them; energy shares
-    # its potential, checked against the direct sum over the primaries
+    # rhs works on Python floats end to end and returns them; energy sums
+    # its potential on its own, checked against the direct sum over the primaries
     sys = _SYSTEMS[name]()
     fld = RestrictedField(sys)
     rng = np.random.default_rng(7)
@@ -208,6 +210,73 @@ def test_field_matches_references_on_both_sides_of_the_threshold(seed, dim, many
         assert np.max(np.abs(got_q - want_q)) <= 1e-15 * max(1.0, np.max(np.abs(want_q)))
         got_f = np.array(fld.rhs(t, state))
         assert np.max(np.abs(got_f - want_f)) <= 1e-14 * np.max(np.abs(want_f))
+
+
+
+_FLOAT_MODES = {1: [(k,) for k in range(-4, 5)],
+                2: [(a, b) for a in range(-3, 4) for b in range(-3, 4)]}
+_coefficient = st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+
+
+@st.composite
+def _float_sum_systems(draw):
+    """1-3 primaries on T^1 or T^2 with 0-12 nonzero terms in all, at most
+    the float sum's; with ``at_origin`` the first primary has none."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 3))
+    at_origin = draw(st.booleans())
+    budget = celestial._FLOAT_SUM_MAX_TERMS
+    qx, qy = [], []
+    for j in range(n):
+        ks = [] if at_origin and j == 0 else draw(
+            st.lists(st.sampled_from(_FLOAT_MODES[dim]), unique=True, max_size=budget))
+        budget -= len(ks)
+        qx.append(FourierSeries(dim, 6, {k: draw(_coefficient) for k in ks}))
+        qy.append(FourierSeries(dim, 6, {k: draw(_coefficient) for k in ks}))
+    masses = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+    omega = draw(st.lists(st.floats(0.05, 1.0), min_size=dim, max_size=dim))
+    return PrimarySystem(tuple(masses), tuple(qx), tuple(qy), tuple(omega))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sys=_float_sum_systems(), r=st.floats(0.1, 100.0), th=st.floats(-math.pi, math.pi),
+       y=st.floats(-2.0, 2.0), G=st.floats(-2.0, 2.0), t=st.floats(0.0, 3.0e9),
+       as_numpy=st.booleans())
+def test_generated_field_equals_float_sum_reference(sys, r, th, y, G, t, as_numpy):
+    # the generated rhs, energy's own potential sum and the positions keep
+    # every bit of the float loops they replaced, on Python floats and on
+    # numpy scalars alike
+    if as_numpy:
+        r, th, y, G, t = map(np.float64, (r, th, y, G, t))
+    state = [r, th, y, G]
+    fld, ref = RestrictedField(sys), FloatSumRestrictedField(sys)
+    for call in (lambda f: f.rhs(t, state), lambda f: f.energy(state, t),
+                 lambda f: f.positions(t)):
+        try:
+            want = call(ref)
+        except (ZeroDivisionError, RuntimeWarning) as exc:  # the test body on a primary
+            with pytest.raises(type(exc)):
+                call(fld)
+            continue
+        got = call(fld)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()  # signed zeros too
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_generated_code_holds_no_values(name):
+    # every value of the system enters the generated functions through
+    # their namespace: their constants are those of the formulas alone
+    fld = RestrictedField(_SYSTEMS[name]())
+    codes, consts = [fld._rhs.__code__, fld._positions.__code__], set()
+    while codes:
+        for c in codes.pop().co_consts:
+            if isinstance(c, types.CodeType):
+                codes.append(c)
+            else:
+                consts.add(repr(c))
+    assert consts <= {"None", "0", "2", "3", "0.0", "0j", "1j"}
 
 
 # ------------------------------------------------------- potential expansion
@@ -564,17 +633,23 @@ def test_escape_demo_off_manifold_control_is_distinct():
     assert rep.control_law_fails
 
 
-def test_binary_escape_artifacts_equal_matvec_reference(tmp_path, monkeypatch):
-    # the whole circular-binary demo, once as is and once on the reference
-    # field: the same bytes, and the evaluation count of both orbits
-    argv = ["restricted-demo", "--system", "binary", "--order", "5", "--outdir"]
+_DEMO_NFEV = {"binary": {"main": 105206, "control": 55976},
+              "single": {"main": 1598, "control": 4706}}
+
+
+@pytest.mark.parametrize("system", sorted(_DEMO_NFEV))
+def test_escape_artifacts_equal_matvec_reference(tmp_path, monkeypatch, system):
+    # the whole demo, once as is and once on the reference field: the same
+    # bytes, and the evaluation count of both orbits.  One primary at the
+    # origin runs the generated function of a system without modes
+    argv = ["restricted-demo", "--system", system, "--order", "5", "--outdir"]
     assert main([*argv, str(tmp_path / "field")]) == 0
     monkeypatch.setattr(celestial, "RestrictedField", ReferenceRestrictedField)
     assert main([*argv, str(tmp_path / "reference")]) == 0
     for name in ("summary.json", "demo.csv"):
         assert (tmp_path / "field" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
     summary = json.loads((tmp_path / "field" / "summary.json").read_text())
-    assert summary["orbit_nfev"] == {"main": 105206, "control": 55976}
+    assert summary["orbit_nfev"] == _DEMO_NFEV[system]
 
 
 def test_binary_escape_artifacts_equal_without_fork(tmp_path, monkeypatch):

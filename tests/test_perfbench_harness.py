@@ -44,3 +44,16 @@ def test_traced_replay_runs_and_counts_points(tmp_path):
     assert rec["exit_code"] == 0
     # one window of the default 24 x-samples on a 16-point theta grid (d = 1)
     assert rec["metrics"]["verify.points"] == 24 * 16 ** 1
+
+
+def test_traced_replay_counts_every_rhs_call(tmp_path):
+    # the replay wraps RestrictedField.rhs on its class: every evaluation of
+    # the main orbit (the control runs in a forked child) passes through it
+    out = tmp_path / "replay.json"
+    _run("replay_traced.py", out, "restricted-demo", "--system", "single", "--order", 3,
+         "--outdir", tmp_path / "run")
+    rec = json.loads(out.read_text())
+    assert rec["exit_code"] == 0
+    main_nfev = json.loads((tmp_path / "run" / "summary.json").read_text())["orbit_nfev"]["main"]
+    assert sum(s["calls"] for s in rec["spans"] if s["name"] == "celestial.rhs") == main_nfev
+    assert rec["metrics"]["dynamics.rhs_calls"] == main_nfev
