@@ -85,6 +85,12 @@ class PrimarySystem:
                    for qs in (self.qx, self.qy))
 
     def check(self) -> None:
+        counts = {name: len(getattr(self, name)) for name in ("masses", "qx", "qy")}
+        if len(set(counts.values())) > 1:
+            raise HypothesisViolation("masses, qx and qy count different primaries: "
+                                      + ", ".join(f"{name} {c}" for name, c in counts.items()))
+        if not self.masses:
+            raise HypothesisViolation("the system has no primaries")
         if any(mj <= 0 for mj in self.masses):
             raise HypothesisViolation("all primary masses must be positive")
         dim, cap = self.qx[0].dim, self.qx[0].order_cap
@@ -93,6 +99,9 @@ class PrimarySystem:
         if off:
             raise HypothesisViolation(f"primary positions off the torus and cap of qx[0] "
                                       f"(T^{dim}, cap {cap}): " + ", ".join(off))
+        if len(self.omega) != dim:
+            raise HypothesisViolation(f"omega has {len(self.omega)} frequencies for primary "
+                                      f"positions on T^{dim}")
         scale = max(
             max((s.strip_norm() for s in self.qx), default=0.0),
             max((s.strip_norm() for s in self.qy), default=0.0),
@@ -266,33 +275,31 @@ def _theta_sub_jet(series: FourierSeries, alpha0: float, dev_powers: _Products) 
     return out
 
 
-def _field_functions(masses, omega, modes, nonzero, matvec):
+def _field_functions(masses, omega, modes, qmat):
     """``positions(t)`` and ``rhs(t, state)`` of one restricted field as
-    straight-line code, sharing the positions at the last time asked for.
-
-    ``nonzero`` lists per primary its (mode index, coefficient) pairs in
-    increasing mode order, or is None to take the positions from
-    ``matvec(t)``.  The source is built from names, integer indices and
-    the formulas' own constants; every value of the system (omega, the
-    modes, the coefficients, the masses) enters as an argument of the
-    factory it defines.
-    """
+    straight-line code (see :class:`RestrictedField`), from the (n_modes, d)
+    float array of the modes and the (n_primaries, n_modes) matrix ``qmat``
+    of the coefficients.  Every value of the system enters as an argument of
+    the factory the source defines."""
     n = len(masses)
     values = {"cos": math.cos, "sin": math.sin, "exp": cmath.exp,
               "TWO_PI_I": _TWO_PI_I, "OrbitLeftDomain": OrbitLeftDomain}
     values.update((f"m{j}", mj) for j, mj in enumerate(masses))
+    values.update((f"w{r}", w) for r, w in enumerate(omega))
     qs = ", ".join(f"q{j}" for j in range(n))
-    if nonzero is None:
-        values["matvec"] = matvec
-        sums = [f"{qs}, = matvec(t)"]
+    nonzero = [[(i, c) for i, c in enumerate(row) if c] for row in qmat.tolist()]
+    if sum(map(len, nonzero)) > _FLOAT_SUM_MAX_TERMS:
+        values.update(zeros=np.zeros, nexp=np.exp, n_modes=len(modes), qmat=qmat)
+        values.update((f"K{r}", modes[:, r]) for r in range(len(omega)))
+        sums = ["phase = zeros(n_modes)", *(f"phase += K{r} * (w{r} * t)" for r in range(len(omega))),
+                f"{qs}, = (qmat @ nexp(TWO_PI_I * phase)).tolist()"]
     else:
         # k.omega t axis by axis from 0.0 and one exponential per mode that
         # carries a coefficient, then each primary's terms from 0j
         used = sorted({i for row in nonzero for i, _ in row})
         sums = [f"wt{r} = w{r} * t" for r in range(len(omega))] if used else []
-        values.update((f"w{r}", w) for r, w in enumerate(omega))
         for i in used:
-            values.update((f"k{i}_{r}", kr) for r, kr in enumerate(modes[i]))
+            values.update((f"k{i}_{r}", kr) for r, kr in enumerate(modes[i].tolist()))
             kwt = "".join(f" + k{i}_{r} * wt{r}" for r in range(len(omega)))
             sums.append(f"p{i} = exp(TWO_PI_I * (0.0{kwt}))")
         for j, row in enumerate(nonzero):
@@ -356,12 +363,13 @@ class RestrictedField:
     The escape orbit calls ``rhs`` about 10^5 times, and loops over the
     modes and the primaries would cost more than their arithmetic.  So each
     field generates its gradient once, as one straight-line function of
-    ``(t, state)`` with the float sum and the primaries unrolled; every
-    float operation is the one such loops perform, on the same values in
-    the same order.  The generated source holds names, integer indices and
-    the formulas' own constants only: the system's values enter through its
-    namespace, so they keep every bit and no text of a system file reaches
-    ``exec``.  ``rhs`` stays a method of the class that forwards to it.
+    ``(t, state)`` with the float sum (or the numpy lines of the stacked
+    product) and the primaries unrolled; every float operation is the one
+    such loops perform, on the same values in the same order.  The generated
+    source holds names, integer indices and the formulas' own constants
+    only: the system's values enter through its namespace, so they keep
+    every bit and no text of a system file reaches ``exec``.  ``rhs`` stays
+    a method of the class that forwards to it.
     """
 
     sys: PrimarySystem
@@ -371,23 +379,13 @@ class RestrictedField:
         # (n_primaries, n_modes) matrix of the coefficients of qx + i qy
         sys = self.sys
         modes = sorted({k for s in (*sys.qx, *sys.qy) for k in s.coeffs})
-        self._omega = tuple(float(w) for w in sys.omega)
-        self._modes = np.array(modes, dtype=float).reshape(len(modes), sys.qx[0].dim)
-        self._qmat = np.array(
+        qmat = np.array(
             [[ax.coeff(k) + 1j * ay.coeff(k) for k in modes] for ax, ay in zip(sys.qx, sys.qy)],
             dtype=complex,
         )
-        nonzero = [[(i, c) for i, c in enumerate(row) if c] for row in self._qmat.tolist()]
-        if sum(map(len, nonzero)) > _FLOAT_SUM_MAX_TERMS:
-            nonzero = None
         self._positions, self._rhs = _field_functions(
-            sys.masses, self._omega, self._modes.tolist(), nonzero, self._matvec_positions)
-
-    def _matvec_positions(self, t) -> list:
-        phase = np.zeros(len(self._modes))
-        for k, w in zip(self._modes.T, self._omega):
-            phase += k * (w * t)
-        return (self._qmat @ np.exp(_TWO_PI_I * phase)).tolist()
+            sys.masses, tuple(float(w) for w in sys.omega),
+            np.array(modes, dtype=float).reshape(len(modes), sys.qx[0].dim), qmat)
 
     def positions(self, t: float) -> np.ndarray:
         """Complex positions q_j of the primaries at time t (phase omega t)."""

@@ -320,6 +320,11 @@ def _sweep(cfg, out):
         _declared(row, f"sweep row {label!r}")
         entries.append((label, {**cfg, "sweep": [], **row, "outdir": os.path.join(out, label)}))
     entries.sort(key=lambda e: e[0])
+    # rows of one label would write one directory and one entry of the merged record
+    repeated = sorted({a for (a, _), (b, _) in zip(entries, entries[1:]) if a == b})
+    if repeated:
+        raise ParatoriError(f"sweep rows share the label(s) {', '.join(map(repr, repeated))}; "
+                            "give each row its own label")
     if cfg["workers"] > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -313,8 +313,7 @@ def extend_order(
             for t in range(m):
                 if kbar_y[t] and not B_osc[i][t].is_zero():
                     rhs = rhs + B_osc[i][t].scale(kbar_y[t])
-            row.append(model.sd_solve(rhs, divisor_floor) if not rhs.is_zero()
-                       else FourierSeries(model.dim, model.order_cap))
+            row.append(model.sd_solve(rhs, divisor_floor))
         new.ktil_y[ox] = row
 
     # ---- theta block
@@ -336,12 +335,7 @@ def extend_order(
                 # a new table, so that ``sol`` keeps its own choices
                 new.free_choices["kbar_theta"] = {
                     **sol.free_choices.get("kbar_theta", {}), j - 1: tuple(kbar_th)}
-        row = []
-        for r in range(d):
-            rhs = Eth[r].oscillatory()
-            row.append(model.sd_solve(rhs, divisor_floor) if not rhs.is_zero()
-                       else FourierSeries(model.dim, model.order_cap))
-        new.ktil_th[oth] = row
+        new.ktil_th[oth] = [model.sd_solve(Eth[r].oscillatory(), divisor_floor) for r in range(d)]
 
     # ---- x block
     psi = E_prev.ex.coeff(ox)

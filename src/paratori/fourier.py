@@ -144,25 +144,12 @@ def _product_plan(dim: int, cap: int):
     return pos, wide.size // 2, beyond, wide.size + 1
 
 
-def _pairs(a: "FourierSeries", b: "FourierSeries"):
-    """The nonzero modes of a, from the centre out (each k next to -k), and
-    of b, as positions in their boxes, and the products of every pair as one
-    (a, b) array from one call."""
-    pos_a, pos_b = a._modes().centre, b._modes().lex
-    return pos_a, pos_b, _pair_products(a, pos_a, b, pos_b)
-
-
-def _pair_products(a: "FourierSeries", pos_a, b: "FourierSeries", pos_b) -> np.ndarray:
-    """The (a, b) array of pair products, from one call of one shape."""
-    return a._data[pos_a][:, None] * b._data[pos_b]
-
-
-def _pair_product(a: "FourierSeries", b: "FourierSeries", pairs=None) -> tuple[np.ndarray, float]:
+def _pair_product(a: "FourierSeries", pos_a, pos_b, prods) -> tuple[np.ndarray, float]:
     """The product's coefficients and the l1 mass beyond the cap, summed
     pair by pair over the nonzero modes in a's centre-out order, so that a
-    term and its mirror image cancel exactly, in the wide box.  ``pairs``
-    is :func:`_pairs` of (a, b), when it is at hand."""
-    pos_a, pos_b, prods = _pairs(a, b) if pairs is None else pairs
+    term and its mirror image cancel exactly, in the wide box.  ``pos_a``
+    and ``pos_b`` are the factors' nonzero positions, a's from the centre
+    out, and ``prods`` the (a, b) array of their products."""
     pos, zero, beyond, bins = _product_plan(a.dim, a.order_cap)
     full = np.zeros(bins, dtype=complex)
     np.add.at(full, ((pos[pos_a] - zero)[:, None] + pos[pos_b]).ravel(), prods.ravel())
@@ -372,7 +359,7 @@ class FourierSeries:
         """
         self._check_compatible(other)
         ma, mb = self._modes(), other._modes()
-        prods = _pair_products(self, ma.centre, other, mb.lex)
+        prods = self._data[ma.centre][:, None] * other._data[mb.lex]
         loss = self.trunc_loss + other.trunc_loss
         data = np.zeros(self._data.size, dtype=complex)
         if not prods.size:
@@ -384,7 +371,7 @@ class FourierSeries:
         elif ma.reach + mb.reach <= self.order_cap:
             np.add.at(data, (ma.centre[:, None] + mb.offset).ravel(), prods.ravel())
         else:
-            data, dropped = _pair_product(self, other, (ma.centre, mb.lex, prods))
+            data, dropped = _pair_product(self, ma.centre, mb.lex, prods)
             loss += dropped
         return self._like(data, loss)
 

@@ -199,17 +199,6 @@ class Jet:
     def truncated(self, deg: int) -> "Jet":
         return Jet._of(self.m, int(deg), self.dim, self.order_cap, self.terms)
 
-    def drop_below(self, order: int) -> "Jet":
-        """Remove monomials of total degree < order."""
-        return self._like(
-            {key: s for key, s in self.terms.items() if key[0] + sum(key[1]) >= order}
-        )
-
-    def part_of_degree(self, order: int) -> "Jet":
-        return self._like(
-            {key: s for key, s in self.terms.items() if key[0] + sum(key[1]) == order}
-        )
-
     def map_coeffs(self, fn) -> "Jet":
         """``fn`` applied to every coefficient, its results checked as the
         constructor checks them."""

@@ -167,9 +167,11 @@ class _ModelBase:
             B = [[FourierSeries(dim, order_cap) for _ in range(m)] for _ in range(m)]
 
         def lead_first(j: Jet, order: int) -> Jet:
-            """j with its degree-``order`` terms first: jet sums and products
-            iterate in term order, which fixes how they round."""
-            return j.part_of_degree(order) + j.drop_below(order + 1)
+            """j with its degree-``order`` terms first, the others after them
+            in their order: jet sums and products iterate in term order,
+            which fixes how they round."""
+            terms = sorted(j.terms.items(), key=lambda t: t[0][0] + sum(t[0][1]) != order)
+            return j._like(dict(terms))
 
         return cls(
             N=N,

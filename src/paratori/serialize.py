@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-import numpy as np
-
 try:  # CPython's builtin sha256: hashlib loads OpenSSL, about 3.5 MB more resident memory
     from _sha2 import sha256
 except ImportError:
@@ -34,7 +32,6 @@ __all__ = [
     "model_to_obj", "model_from_obj",
     "solution_to_obj", "solution_from_obj",
     "primary_system_to_obj", "primary_system_from_obj",
-    "torus_data_from_obj",
     "dump_json", "load_json", "write_csv",
 ]
 
@@ -171,11 +168,13 @@ def _refuse_off_torus(what: str, obj: dict, dim: int, cap: int) -> None:
 
 
 def model_from_obj(obj: dict):
-    """The model a record holds.  Every series and jet in it must be on the
-    torus of ``a`` at the record's ``order_cap``, else HypothesisViolation
-    names each one that is not."""
-    _refuse_off_torus("model", obj, obj["a"]["dim"], obj["order_cap"])
+    """The model a record holds.  Its ``kind`` must be "map" (the default) or
+    "flow", and every series and jet in it must be on the torus of ``a`` at
+    the record's ``order_cap``, else HypothesisViolation names what is not."""
     kind = obj.get("kind", "map")
+    if kind not in ("map", "flow"):
+        raise HypothesisViolation(f"model kind {kind!r} is neither 'map' nor 'flow'")
+    _refuse_off_torus("model", obj, obj["a"]["dim"], obj["order_cap"])
     freq = _freq_from_obj(obj["freq"])
     a = series_from_obj(obj["a"])
     m = int(obj["m"])
@@ -287,17 +286,3 @@ def primary_system_from_obj(obj: dict):
         qy=tuple(series_from_obj(o) for o in obj["qy"]),
         omega=tuple(float(v) for v in obj["omega"]),
     )
-
-
-def torus_data_from_obj(obj: dict):
-    from .celestial import TorusData
-
-    c2 = obj.get("c2")
-    return TorusData(
-        omega0=tuple(float(v) for v in obj["omega0"]),
-        n=int(obj["n"]),
-        c2=None if c2 is None else np.asarray(c2, dtype=float),
-        extra_tails=obj.get("extra_tails", []),
-        angular_momentum_internal=float(obj.get("angular_momentum_internal", 0.0)),
-    )
-

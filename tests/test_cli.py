@@ -191,6 +191,23 @@ def test_solution_record_off_its_cap_exits_2(tmp_path):
     assert rec["error"] == f"solution holds series off its torus T^1 at cap 24: ktil_y.{order}[0] (T^1, cap 6)"
 
 
+@pytest.mark.parametrize("command", ["solve-map", "solve-flow"])
+def test_model_record_of_an_unknown_kind_exits_2(tmp_path, command):
+    # "flow " is no kind; it was read as a map, and solve-map ran a flow model
+    from paratori.benchmark import toy_x2_flow_model
+
+    obj = {**ser.model_to_obj(toy_x2_flow_model()), "kind": "flow "}
+    path = tmp_path / "model.json"
+    ser.dump_json(obj, path)
+    out = tmp_path / "out"
+    code = main([command, "--model", str(path), "--order", "2", "--outdir", str(out)])
+    assert code == 2
+    rec = _read(out / "summary.json")
+    assert (rec["error_kind"], rec["error"]) == (
+        "HypothesisViolation", "model kind 'flow ' is neither 'map' nor 'flow'")
+    assert not (out / "solution.json").exists()
+
+
 def test_missing_model_exits_5(tmp_path):
     code = main(["solve-map", "--model", str(tmp_path / "nope.json"),
                  "--outdir", str(tmp_path / "out")])
@@ -245,6 +262,21 @@ def test_sweep_merged_summary(tmp_path):
     assert all(e["exit"] == 0 for e in merged["entries"].values())
     assert (tmp_path / "sweep" / "lam0" / "solution.json").exists()
 
+
+
+def test_sweep_refuses_rows_of_one_label(tmp_path):
+    # unlabelled rows take their model's file name, so two rows on one model
+    # would write one directory and one entry of the merged record
+    cfg = tmp_path / "cfg.json"
+    ser.dump_json({"sweep": [{"model": "builtin:benchmark-map", "order": order} for order in (2, 3)]},
+                  cfg)
+    out = tmp_path / "sweep"
+    code = main(["solve-map", "--config", str(cfg), "--outdir", str(out)])
+    assert code == 5
+    rec = _read(out / "summary.json")
+    assert rec["error"] == ("sweep rows share the label(s) 'builtin:benchmark-map'; "
+                            "give each row its own label")
+    assert [p.name for p in out.iterdir()] == ["summary.json"]
 
 
 def test_sweep_records_a_failed_order_report(tmp_path):
@@ -405,6 +437,37 @@ def test_restricted_demo_refuses_primaries_at_two_caps(tmp_path):
     rec = _read(out / "summary.json")
     assert rec["error_kind"] == "HypothesisViolation"
     assert rec["error"] == "primary positions off the torus and cap of qx[0] (T^1, cap 8): qx[1] (T^1, cap 10)"
+
+
+def _drop_qy(obj):
+    del obj["qy"][1]
+    return "masses, qx and qy count different primaries: masses 2, qx 2, qy 1"
+
+
+def _two_frequencies(obj):
+    obj["omega"].append(0.1)
+    return "omega has 2 frequencies for primary positions on T^1"
+
+
+def _no_primaries(obj):
+    obj.update(masses=[], qx=[], qy=[])
+    return "the system has no primaries"
+
+
+@pytest.mark.parametrize("edit", [_drop_qy, _two_frequencies, _no_primaries],
+                         ids=["lengths", "omega", "empty"])
+def test_restricted_demo_names_a_malformed_system(tmp_path, edit):
+    from paratori.celestial import PrimarySystem
+
+    obj = ser.primary_system_to_obj(PrimarySystem.circular_binary())
+    message = edit(obj)
+    path = tmp_path / "system.json"
+    ser.dump_json(obj, path)
+    out = tmp_path / "demo"
+    code = main(["restricted-demo", "--system", str(path), "--order", "3", "--outdir", str(out)])
+    assert code == 2
+    rec = _read(out / "summary.json")
+    assert (rec["error_kind"], rec["error"]) == ("HypothesisViolation", message)
 
 
 def test_restricted_demo_validates_its_model_once(tmp_path, monkeypatch):

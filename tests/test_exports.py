@@ -1,6 +1,10 @@
-"""Every name a paratori module exports in ``__all__`` exists in that module."""
+"""Every name a paratori module exports in ``__all__`` exists in that module,
+and every private module-level helper is named in the package outside its
+own definition."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -15,3 +19,32 @@ def test_all_entries_resolve(name):
     module = importlib.import_module(name)
     missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
     assert missing == []
+
+
+def _private_definitions_and_uses():
+    """Each private module-level function and class of ``src/paratori`` as
+    (file, name, first line, last line), and every name the sources use (a
+    name, an attribute or an import) as (file, name, line)."""
+    defs, uses = [], []
+    for path in sorted(pathlib.Path(paratori.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs += [(path.name, node.name, node.lineno, node.end_lineno) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+                 and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((path.name, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.append((path.name, node.attr, node.lineno))
+            elif isinstance(node, ast.alias):
+                uses.append((path.name, node.name, node.lineno))
+    return defs, uses
+
+
+def test_every_private_helper_has_a_caller():
+    # a private function or class that nothing in src/ names outside its
+    # own definition is a dead helper, or one kept only for tests
+    defs, uses = _private_definitions_and_uses()
+    unused = [f"{file}:{first} {name}" for file, name, first, last in defs
+              if not any(n == name and not (f == file and first <= line <= last) for f, n, line in uses)]
+    assert unused == []

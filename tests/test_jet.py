@@ -116,18 +116,22 @@ def test_substitution_matches_the_memo_per_job_code(seed, m_out, m_in, dim, deg,
     per job and every derivative taken from the rotated series: the same bits,
     with no rotation, a zero one or a random one, and some zero deviations.  At
     cap 4 on T^2 a mixed derivative meets modes such as (1, 3), whose factors
-    2 pi i k_r do not differ by a power of two, so the order of the axes shows."""
+    2 pi i k_r do not differ by a power of two, so the order of the axes shows.
+    Each inner jet has a degree of its own from 1 to ``deg``: a jet sum takes
+    the smaller degree, so nothing above an inner jet's degree comes out."""
     rng = np.random.default_rng(seed)
     cap = 4
 
-    def jets(m, n, low):
-        return tuple(_sparse_jet(rng, m, deg, dim, cap, low) for _ in range(n))
+    def jets(m, n, low, inner=False):
+        return tuple(_sparse_jet(rng, m, int(rng.integers(1, deg + 1)) if inner else deg, dim, cap, low)
+                     for _ in range(n))
 
     outer = SkewMap(x=jets(m_out, 1, 0)[0], y=jets(m_out, m_out, 0), theta_dev=jets(m_out, dim, 1),
                     rot=tuple(rng.random(dim)))
-    devs = tuple(Jet(m_in, deg, dim, cap) if rng.random() < 0.3 else d for d in jets(m_in, dim, 1))
+    devs = tuple(Jet(m_in, d.deg, dim, cap) if rng.random() < 0.3 else d
+                 for d in jets(m_in, dim, 1, inner=True))
     angles = None if rot == "none" else tuple(0.0 if rot == "zero" else rng.random() for _ in range(dim))
-    inner = SkewMap(x=jets(m_in, 1, 1)[0], y=jets(m_in, m_out, 1), theta_dev=devs,
+    inner = SkewMap(x=jets(m_in, 1, 1, inner=True)[0], y=jets(m_in, m_out, 1, inner=True), theta_dev=devs,
                     rot=angles or (0.0,) * dim)
 
     got, want = compose(outer, inner, deg), reference_compose(outer, inner, deg)

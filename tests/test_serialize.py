@@ -125,19 +125,6 @@ def test_primary_system_roundtrip():
     back.check()
 
 
-def test_torus_data_record():
-    obj = {
-        "omega0": [2 ** 0.5, 3 ** 0.5],
-        "n": 2,
-        "c2": [[0.3, 0.1], [0.1, 0.2]],
-        "angular_momentum_internal": 1.25,
-    }
-    td = ser.torus_data_from_obj(obj)
-    td.check()
-    assert td.c2.shape == (2, 2)
-    assert td.angular_momentum_internal == 1.25
-
-
 def test_orbit_record(bench_map):
     from paratori.dynamics import iterate_map
 
