@@ -144,7 +144,7 @@ def conjugacy_fixture(
     rng = np.random.default_rng(seed)
     dim = 1
     freq = diophantine_scan([GOLDEN], tau=1.0, k_max=60)
-    R = SkewMap.identity(0, dim, deg, dim, order_cap, rot=(GOLDEN,))
+    R = SkewMap.identity(0, deg, dim, order_cap, rot=(GOLDEN,))
     R.x = (
         Jet.var_x(0, deg, dim, order_cap)
         - Jet.monomial(2, (), 1.0, 0, deg, dim, order_cap)

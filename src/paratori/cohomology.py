@@ -218,7 +218,7 @@ def invariance_error(sol: ManifoldSolution, deg: int | None = None) -> ErrorJet:
     X = model.as_field(deg)
     Y = SkewField(
         x=sol.reduced.x_jet(deg, model), y=(),
-        theta_dev=sol.reduced.theta_jets(deg, model, model.d),
+        theta_dev=sol.reduced.theta_jets(deg, model),
         omega=tuple(model.freq.omega), nu=tuple(model.freq.nu),
     )
     sub = _Substitution(K.x, K.y, K.theta_dev, None, deg).apply
@@ -356,7 +356,7 @@ def extend_order(
             if r_th_new is not None and r_th_new[r] and ktn is not None:
                 dk = ktn.derivative(r)
                 if model.kind == "map":
-                    dk = dk.rotate(model.state_rot)
+                    dk = dk.rotate(model.freq.omega)
                 psi = psi - dk.scale(r_th_new[r])
             da = model.a.derivative(r)
             kth_t = new.ktil_th.get(oth)

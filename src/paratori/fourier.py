@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as _iproduct
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -33,6 +32,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonzeroAverage, ResonantMode, ZeroDivisor
 
 _TWO_PI = 2.0 * math.pi
+_SCAN_ROWS = 1 << 13  # modes per slab of a Diophantine scan: arrays of 64 kB at any d
 
 __all__ = [
     "FourierSeries",
@@ -524,22 +524,6 @@ class FrequencyVector:
             )
 
 
-def _half_lattice(dim: int, k_max: int):
-    """All k in Z^dim with 1 <= |k|_1 <= k_max and first nonzero entry > 0."""
-    if dim == 0:
-        return
-    for k in _iproduct(*[range(-k_max, k_max + 1)] * dim):
-        n = _norm1(k)
-        if n == 0 or n > k_max:
-            continue
-        for x in k:
-            if x > 0:
-                yield k
-                break
-            if x < 0:
-                break
-
-
 def diophantine_scan(
     omega,
     nu=(),
@@ -551,40 +535,48 @@ def diophantine_scan(
 
     Map sense: c = min over 0 < |k| <= k_max of |k.omega - l| |k|^tau with l
     the nearest integer.  Flow sense: c = min |k.(omega, nu)| |k|^tau.
-    Raises :class:`ZeroDivisor` on an exact rational resonance.
+    Raises :class:`ZeroDivisor` on an exact rational resonance, and
+    ValueError on a non-finite entry of omega or nu.
+
+    The modes after k = 0 in the box [-k_max, k_max]^d, in lexicographic
+    order, are those whose first nonzero entry is positive; they are scanned
+    in that order in slabs of ``_SCAN_ROWS``, each quotient bit for bit the
+    per-mode loop's (k.vec summed from zero axis by axis, ``np.rint`` for
+    ``round``, |k|^tau by Python's power), and the first smallest quotient
+    and the first resonance are the ones reported.
     """
     omega = tuple(float(w) for w in omega)
     nu = tuple(float(v) for v in nu)
+    for name, vec in (("omega", omega), ("nu", nu)):
+        if not all(map(math.isfinite, vec)):
+            raise ValueError(f"{name} has a non-finite entry: {list(vec)}")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if sense not in ("map", "flow"):
         raise ValueError("sense must be 'map' or 'flow'")
     vec = omega if sense == "map" else omega + nu
-    best = math.inf
-    worst: tuple[int, ...] | None = None
-    for k in _half_lattice(len(vec), k_max):
+    dim, n = len(vec), 2 * k_max + 1
+    power = np.array([float(s) ** tau for s in range(1, k_max + 1)])
+    best, worst = math.inf, None
+    for start in range(n ** dim // 2 + 1, n ** dim, _SCAN_ROWS):
+        flat = np.arange(start, min(start + _SCAN_ROWS, n ** dim))
+        k = [ki - k_max for ki in np.unravel_index(flat, (n,) * dim)]
+        norm = sum(np.abs(ki) for ki in k)
+        keep = norm <= k_max
+        k, norm = [ki[keep] for ki in k], norm[keep]
         v = sum(ki * wi for ki, wi in zip(k, vec))
-        if sense == "map":
-            dist = abs(v - round(v))
-            if dist == 0.0:
-                raise ZeroDivisor(k, int(round(v)))
-        else:
-            dist = abs(v)
-            if dist == 0.0:
-                raise ZeroDivisor(k)
-        q = dist * float(_norm1(k)) ** tau
-        if q < best:
-            best = q
-            worst = k
-    return FrequencyVector(
-        omega=omega,
-        nu=nu,
-        tau=float(tau),
-        c_estimate=best,
-        k_max_checked=int(k_max),
-        sense=sense,
-        worst_k=worst,
-    )
+        near = np.rint(v) if sense == "map" else 0.0
+        dist = np.abs(v - near)
+        if not dist.all():
+            at = int(np.flatnonzero(dist == 0)[0])
+            raise ZeroDivisor(tuple(int(ki[at]) for ki in k), int(near[at]) if sense == "map" else None)
+        q = dist * power[norm - 1]
+        low = np.fmin.reduce(q, initial=math.inf)  # passes over a NaN, as ``<`` does
+        if low < best:
+            at = int(np.flatnonzero(q == low)[0])
+            best, worst = float(low), tuple(int(ki[at]) for ki in k)
+    return FrequencyVector(omega=omega, nu=nu, tau=float(tau), c_estimate=best,
+                           k_max_checked=int(k_max), sense=sense, worst_k=worst)
 
 
 # ------------------------------------------------------ small divisors (SD)

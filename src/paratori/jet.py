@@ -404,13 +404,12 @@ class SkewMap:
         return self.x.deg
 
     @classmethod
-    def identity(cls, m: int, n_angles: int, deg: int, dim: int, order_cap: int,
-                 rot=None) -> "SkewMap":
+    def identity(cls, m: int, deg: int, dim: int, order_cap: int, rot=None) -> "SkewMap":
         zero = Jet(m, deg, dim, order_cap)
         return cls(
             x=Jet.var_x(m, deg, dim, order_cap),
             y=tuple(Jet.var_y(i, m, deg, dim, order_cap) for i in range(m)),
-            theta_dev=tuple(zero for _ in range(n_angles)),
+            theta_dev=(zero,) * dim,
             rot=tuple(0.0 for _ in range(dim)) if rot is None else tuple(rot),
         )
 

@@ -48,6 +48,8 @@ __all__ = [
 _B_EIG_FLOOR = 1e-9
 _STRUCT_TOL = 1e-12
 _CLAMP_TOL = 1e-11  # relative size of forbidden-slot roundoff model_from drops
+_TORUS_RULE = {"map": "a map lives on T^len(omega) and takes no nu",
+               "flow": "a flow lives on T^(len(omega) + len(nu))"}
 
 
 @dataclass
@@ -81,11 +83,11 @@ class _Reduced:
         terms = {(l, ()): c for l, c in self.x_poly_coeffs().items()}
         return Jet(0, deg, model.dim, model.order_cap, terms)
 
-    def theta_jets(self, deg: int, model: _ModelBase, n_angles: int):
+    def theta_jets(self, deg: int, model: _ModelBase):
         return tuple(
             Jet(0, deg, model.dim, model.order_cap,
                 {(order, ()): vec[r] for order, vec in self.theta_terms.items() if vec[r]})
-            for r in range(n_angles)
+            for r in range(model.d)
         )
 
 
@@ -100,7 +102,7 @@ class ReducedMap(_Reduced):
         on its torus, turning by the model's rotation, for jet composition."""
         return SkewMap(
             x=self.x_jet(deg, model), y=(),
-            theta_dev=self.theta_jets(deg, model, model.dim), rot=model.state_rot,
+            theta_dev=self.theta_jets(deg, model), rot=model.freq.omega,
         )
 
 
@@ -114,7 +116,6 @@ class _ModelBase:
     N: int
     P: int
     m: int
-    d: int
     freq: FrequencyVector
     order_cap: int
     a: FourierSeries
@@ -146,23 +147,28 @@ class _ModelBase:
         ``f``/``g``/``h`` hold everything except the structural monomials
         (-a x^N, x^(N-1) B y).  Each is stored with its degree-N (for h,
         degree-P) terms first, and P > N is folded to P = N after h is
-        checked against the declared P.  A flow keeps the theta-components
-        of its d state angles.
+        checked against the declared P.  The torus of ``a`` must be omega's
+        for a map and (omega, nu)'s for a flow, and ``h`` must hold one jet
+        per entry of omega, else HypothesisViolation names the sizes.
         """
-        dim = a.dim
+        dim, d, d_time = a.dim, len(freq.omega), len(freq.nu)
+        if d + d_time != dim or (cls.kind == "map" and d_time):
+            raise HypothesisViolation(f"a {cls.kind} model on T^{dim} with len(omega) = {d} and "
+                                      f"len(nu) = {d_time}: " + _TORUS_RULE[cls.kind])
         deg = deg if deg is not None else max(N, P) + 4
         zero = Jet(m, deg, dim, order_cap)
         f = f if f is not None else zero
         g = tuple(g) if g is not None else (zero,) * m
-        h = tuple(h) if h is not None else (zero,) * dim
+        h = tuple(h) if h is not None else (zero,) * d
         if len(g) != m:
             raise DimensionMismatch(f"expected {m} component jets, got {len(g)}")
+        if len(h) != d:
+            raise HypothesisViolation(f"h holds {len(h)} jets, not one per entry of omega ({d})")
         bad = _low_order_terms(f, g, h, N, P)
         if bad:
             raise HypothesisViolation("; ".join(bad))
         declared_P = P if P > N else None
         P = min(P, N)
-        d = len(freq.omega)
         if B is None:
             B = [[FourierSeries(dim, order_cap) for _ in range(m)] for _ in range(m)]
 
@@ -177,14 +183,13 @@ class _ModelBase:
             N=N,
             P=P,
             m=m,
-            d=d,
             freq=freq,
             order_cap=order_cap,
             a=a,
             B=tuple(tuple(row) for row in B),
             f=lead_first(f, N),
             g=tuple(lead_first(j, N) for j in g),
-            h=tuple(lead_first(j, P) for j in (h if cls.kind == "map" else h[:d])),
+            h=tuple(lead_first(j, P) for j in h),
             declared_P=declared_P,
             params=tuple(params),
         )
@@ -195,9 +200,9 @@ class _ModelBase:
         return self.a.dim
 
     @property
-    def state_rot(self) -> tuple[float, ...]:
-        """omega padded with zeros to the torus dimension: a map's rotation."""
-        return tuple(self.freq.omega) + (0.0,) * (self.dim - len(self.freq.omega))
+    def d(self) -> int:
+        """Number of state angles, the entries of omega."""
+        return len(self.freq.omega)
 
     def sd_solve(self, h: FourierSeries, divisor_floor: float = 1e-12) -> FourierSeries:
         """The small-divisor solve of this kind: the difference equation for
@@ -243,11 +248,9 @@ class _ModelBase:
         field, and r runs over the state angles."""
         m, dim, cap = self.m, self.dim, self.order_cap
         if self.kind == "map":
-            x, n_angles = Jet.var_x(m, deg, dim, cap), dim
-            ys = [Jet.var_y(i, m, deg, dim, cap) for i in range(m)]
+            x, ys = Jet.var_x(m, deg, dim, cap), [Jet.var_y(i, m, deg, dim, cap) for i in range(m)]
         else:
-            x, n_angles = Jet(m, deg, dim, cap), self.d
-            ys = [Jet(m, deg, dim, cap)] * m
+            x, ys = Jet(m, deg, dim, cap), [Jet(m, deg, dim, cap)] * m
         x = x - Jet.monomial(self.N, (0,) * m, self.a, m, deg, dim, cap)
         x = x + self.f.truncated(deg)
         out_y = []
@@ -256,8 +259,7 @@ class _ModelBase:
                 kj = tuple(1 if t == j else 0 for t in range(m))
                 yi = yi + Jet.monomial(self.N - 1, kj, self.B[i][j], m, deg, dim, cap)
             out_y.append(yi + self.g[i].truncated(deg))
-        dev = tuple(self.h[r].truncated(deg) for r in range(n_angles))
-        return x, tuple(out_y), dev
+        return x, tuple(out_y), tuple(j.truncated(deg) for j in self.h)
 
 
 @dataclass
@@ -269,7 +271,7 @@ class MapModel(_ModelBase):
     def as_skew(self, deg: int) -> SkewMap:
         """The full map as a SkewMap at the requested working degree."""
         x, ys, dev = self._components(deg)
-        return SkewMap(x=x, y=ys, theta_dev=dev, rot=self.state_rot)
+        return SkewMap(x=x, y=ys, theta_dev=dev, rot=self.freq.omega)
 
 
 @dataclass
@@ -511,7 +513,7 @@ def _x_change(A: Jet, A_inv: Jet, m: int) -> tuple[SkewMap, SkewMap]:
     zk = (0,) * m
 
     def change(j: Jet) -> SkewMap:
-        T = SkewMap.identity(m, j.dim, j.deg, j.dim, j.order_cap)
+        T = SkewMap.identity(m, j.deg, j.dim, j.order_cap)
         T.x = Jet(m, j.deg, j.dim, j.order_cap, {(l, zk): s for (l, _), s in j.terms.items()})
         return T
     return change(A), change(A_inv)
@@ -539,7 +541,7 @@ def _y_change(D: np.ndarray, C, N: int, deg: int, dim: int, cap: int) -> tuple[S
 
     def change(blocks) -> SkewMap:
         """y_i -> sum over l, j of M_ij x^l y_j for the blocks {l: M}."""
-        T = SkewMap.identity(m, dim, deg, dim, cap)
+        T = SkewMap.identity(m, deg, dim, cap)
         T.y = tuple(
             Jet(m, deg, dim, cap, {(l, e[j]): M[i][j] for l, M in blocks.items() for j in range(m)})
             for i in range(m)

@@ -169,11 +169,15 @@ def _refuse_off_torus(what: str, obj: dict, dim: int, cap: int) -> None:
 
 def model_from_obj(obj: dict):
     """The model a record holds.  Its ``kind`` must be "map" (the default) or
-    "flow", and every series and jet in it must be on the torus of ``a`` at
-    the record's ``order_cap``, else HypothesisViolation names what is not."""
+    "flow", its ``d``, when given, the number of entries of omega, and every
+    series and jet in it must be on the torus of ``a`` at the record's
+    ``order_cap``, else HypothesisViolation names what is not."""
     kind = obj.get("kind", "map")
     if kind not in ("map", "flow"):
         raise HypothesisViolation(f"model kind {kind!r} is neither 'map' nor 'flow'")
+    d = len(obj["freq"]["omega"])
+    if obj.get("d", d) != d:
+        raise HypothesisViolation(f"model record has d = {obj['d']} but len(omega) = {d}")
     _refuse_off_torus("model", obj, obj["a"]["dim"], obj["order_cap"])
     freq = _freq_from_obj(obj["freq"])
     a = series_from_obj(obj["a"])

@@ -147,7 +147,7 @@ def _flow_residuals(fld, sol, K, tjets, xs, thetas):
     on_grid = [(next(values), next(values), {r: next(values) for r in dth}) for _, _, dth in tjets]
     out = []
     for i, x in enumerate(xs):
-        X = evaluate_jets((fld.x, *fld.y, *fld.theta_dev[:model.d]), *_row(k, i), _CDT)
+        X = evaluate_jets((fld.x, *fld.y, *fld.theta_dev), *_row(k, i), _CDT)
         yx = sol.reduced.x_value(_CDT(x))
         ydev = []
         for r in range(model.d):

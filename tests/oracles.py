@@ -7,16 +7,18 @@ product, the restricted-field constructors written term by term, the
 positions and potential of the primaries summed one primary at a time,
 the restricted field with every position from one numpy matrix-vector
 product, the restricted field summed in float loops over modes and
-primaries, the invariance residual sampled one x-sample at a time, and the jet
-substitution with one memo per job and every Taylor derivative taken afresh."""
+primaries, the invariance residual sampled one x-sample at a time, the jet
+substitution with one memo per job and every Taylor derivative taken afresh,
+and the Diophantine scan as one loop over the half lattice."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 
 from paratori.cohomology import ErrorJet, invariance_error
-from paratori.errors import DegreeOverflow, HypothesisViolation, OrbitLeftDomain, ResonantMode
+from paratori.errors import DegreeOverflow, HypothesisViolation, OrbitLeftDomain, ResonantMode, ZeroDivisor
 from paratori.fourier import FourierSeries, _centre_out, _product_plan
 from paratori.jet import Jet, SkewMap, _multis, evaluate_jets, jet_compose
 from paratori.model import ReducedMap
@@ -191,7 +193,7 @@ def reference_flow_invariance_error(sol, deg=None):
     K = sol.param(deg)
     full = tuple(model.freq.omega) + tuple(model.freq.nu)
     Yx = sol.reduced.x_jet(deg, model)
-    Ydev = sol.reduced.theta_jets(deg, model, model.d)
+    Ydev = sol.reduced.theta_jets(deg, model)
 
     def transport(C):
         out = C.derivative_x().jet_mul(Yx)
@@ -294,6 +296,36 @@ def per_x_residual_rows(sol, x_window, n_samples, theta_samples):
 
 def _norm1(k):
     return sum(abs(x) for x in k)
+
+
+def reference_diophantine_scan(omega, nu=(), tau=1.0, k_max=50, sense="map"):
+    """(c_estimate, worst_k) of ``diophantine_scan`` as the per-mode loop
+    computed it: every k of the box in ``itertools.product`` order with
+    1 <= |k|_1 <= k_max and first nonzero entry positive, k.vec by Python's
+    ``sum``, the nearest integer by ``round``, |k|^tau by Python's power,
+    and the first strict minimum.  Raises ZeroDivisor at the first exact
+    resonance."""
+    vec = tuple(float(w) for w in omega)
+    if sense == "flow":
+        vec += tuple(float(v) for v in nu)
+    best, worst = math.inf, None
+    for k in itertools.product(range(-k_max, k_max + 1), repeat=len(vec)):
+        n = _norm1(k)
+        if n == 0 or n > k_max or next(x for x in k if x) < 0:
+            continue
+        v = sum(ki * wi for ki, wi in zip(k, vec))
+        if sense == "map":
+            dist = abs(v - round(v))
+            if dist == 0.0:
+                raise ZeroDivisor(k, int(round(v)))
+        else:
+            dist = abs(v)
+            if dist == 0.0:
+                raise ZeroDivisor(k)
+        q = dist * float(n) ** tau
+        if q < best:
+            best, worst = q, k
+    return best, worst
 
 
 def reference_table(dim, cap, coeffs, loss=0.0):

@@ -504,6 +504,19 @@ def test_skeleton_declarations():
     assert validate(model) == []
 
 
+def test_skeleton_on_t4_has_criterion_7s_reduced_field():
+    # n = 3, the paper's case: the base torus is T^4, and the build scans
+    # its frequencies to k_max 30
+    c2 = np.array([[0.3, 0.1, 0.0, 0.05], [0.1, 0.2, 0.0, 0.0],
+                   [0.0, 0.0, 0.25, 0.1], [0.05, 0.0, 0.1, 0.15]])
+    td = TorusData(omega0=tuple(math.sqrt(p) for p in (2, 3, 5, 7)), n=3, c2=c2)
+    model, declared = build_full_skeleton(td)
+    assert (declared["N"], declared["P"], declared["a"]) == (4, 6, 0.25)
+    assert validate(model) == []
+    coeffs = solve_manifold(model, 4).solution.reduced.x_poly_coeffs()
+    assert set(coeffs) <= {4, 7} and coeffs[4] == -0.25
+
+
 def test_skeleton_zero_tails_pure_model():
     td = TorusData(omega0=(math.sqrt(2), math.sqrt(3)), n=2)
     model, _ = build_full_skeleton(td)

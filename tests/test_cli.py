@@ -89,6 +89,20 @@ def test_scan_golden(tmp_path):
     assert rec["c_estimate"] > 0.38
 
 
+@pytest.mark.parametrize("sense,args,bad", [
+    ("map", ["--omega", "nan"], "omega has a non-finite entry: [nan]"),
+    ("flow", ["--omega", "0.618", "--nu", "inf"], "nu has a non-finite entry: [inf]"),
+], ids=["map", "flow"])
+def test_scan_refuses_a_non_finite_frequency(tmp_path, sense, args, bad):
+    # a NaN or an infinity gives no certificate: the flow scan took it for
+    # c_estimate = inf, and the map scan died in round()
+    out = tmp_path / "scan"
+    code = main(["scan-diophantine", *args, "--sense", sense, "--outdir", str(out)])
+    assert code == 5
+    assert _read(out / "summary.json")["error"] == bad
+    assert not (out / "scan.json").exists()
+
+
 def test_conjugate_command(tmp_path):
     code = main([
         "conjugate", "--model", "builtin:conjugacy", "--order", "4",
@@ -205,6 +219,20 @@ def test_model_record_of_an_unknown_kind_exits_2(tmp_path, command):
     rec = _read(out / "summary.json")
     assert (rec["error_kind"], rec["error"]) == (
         "HypothesisViolation", "model kind 'flow ' is neither 'map' nor 'flow'")
+    assert not (out / "solution.json").exists()
+
+
+def test_model_record_whose_d_is_not_omega_s_exits_2(tmp_path):
+    # the record's "d" was written but never read
+    obj = {**ser.model_to_obj(benchmark_map_model()), "d": 2}
+    path = tmp_path / "model.json"
+    ser.dump_json(obj, path)
+    out = tmp_path / "out"
+    code = main(["solve-map", "--model", str(path), "--order", "2", "--outdir", str(out)])
+    assert code == 2
+    rec = _read(out / "summary.json")
+    assert (rec["error_kind"], rec["error"]) == (
+        "HypothesisViolation", "model record has d = 2 but len(omega) = 1")
     assert not (out / "solution.json").exists()
 
 

@@ -1,6 +1,6 @@
 """Every name a paratori module exports in ``__all__`` exists in that module,
-and every private module-level helper is named in the package outside its
-own definition."""
+every private module-level helper is named in the package outside its own
+definition, and every module-level import is used by its module."""
 
 import ast
 import importlib
@@ -47,4 +47,25 @@ def test_every_private_helper_has_a_caller():
     defs, uses = _private_definitions_and_uses()
     unused = [f"{file}:{first} {name}" for file, name, first, last in defs
               if not any(n == name and not (f == file and first <= line <= last) for f, n, line in uses)]
+    assert unused == []
+
+
+def test_every_module_level_import_is_used():
+    # an import that its module neither names nor exports in __all__ is
+    # dead, unless its line says why it stays with "# noqa: F401"
+    unused = []
+    for path in sorted(pathlib.Path(paratori.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = importlib.import_module("paratori" if path.stem == "__init__" else f"paratori.{path.stem}")
+        used |= set(getattr(module, "__all__", ()))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            unused += [f"{path.name}:{node.lineno} {alias.asname or alias.name}" for alias in node.names
+                       if (alias.asname or alias.name.split(".")[0]) not in used]
     assert unused == []

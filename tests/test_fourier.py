@@ -1,11 +1,14 @@
 """Fourier layer: evaluation, averaging, rotation, SD solvers, scans."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paratori import fourier
 from paratori.errors import DimensionMismatch, NonzeroAverage, ResonantMode, ZeroDivisor
 from paratori.fourier import (
     FourierSeries,
@@ -14,7 +17,7 @@ from paratori.fourier import (
     sd_solve_map,
 )
 from conftest import random_real_series
-from oracles import reference_evaluate
+from oracles import reference_diophantine_scan, reference_evaluate
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -322,3 +325,91 @@ def test_scan_flow_sense():
     freq = diophantine_scan([1.0], [math.sqrt(2)], tau=1.0, k_max=40, sense="flow")
     assert freq.c_estimate > 0
     freq.verify()
+
+
+# ------------------------------------------- the scan against the mode loop
+
+
+def _scan_outcome(scan, *args, **kw):
+    """A scan's (c_estimate as hex, worst_k), or the mode and l of the
+    ZeroDivisor it raises."""
+    try:
+        out = scan(*args, **kw)
+    except ZeroDivisor as e:
+        return "resonance", e.mode, e.l
+    c, worst = out if isinstance(out, tuple) else (out.c_estimate, out.worst_k)
+    return c.hex(), worst
+
+
+def _assert_scan_is_the_loop(omega, nu, tau, k_max, sense):
+    args = (omega, nu, tau, k_max)
+    assert (_scan_outcome(diophantine_scan, *args, sense=sense)
+            == _scan_outcome(reference_diophantine_scan, *args, sense=sense))
+
+
+@pytest.mark.parametrize("rows", [1, 5, fourier._SCAN_ROWS], ids=["rows1", "rows5", "default"])
+@pytest.mark.parametrize("omega,nu,tau,k_max,sense", [
+    ([GOLDEN], (), 1.0, 100, "map"),
+    ([math.sqrt(2), math.sqrt(3), math.sqrt(5)], (), 2.0, 20, "map"),
+    ([0.5, 0.25], (), 1.0, 50, "flow"),             # resonance at (1, -2)
+    ([0.5], (), 1.0, 10, "map"),                    # resonance at (2,), l = 1
+    ([1.0], [math.sqrt(2)], 1.0, 40, "flow"),
+    ([0.1, 0.2], (), 0.0, 1, "map"),                # (1, -1) and (1, 0) tie
+    ([math.sqrt(2), math.sqrt(3), math.sqrt(5), math.sqrt(7)], (), 3.0, 6, "flow"),
+    ([], (), 1.0, 5, "map"),                       # c = inf, worst_k None
+], ids=["golden", "T3-cli", "flow-resonance", "map-resonance", "flow-nu", "tie", "T4", "T0"])
+def test_scan_equals_the_mode_loop(omega, nu, tau, k_max, sense, rows):
+    with mock.patch.object(fourier, "_SCAN_ROWS", rows):
+        _assert_scan_is_the_loop(omega, nu, tau, k_max, sense)
+
+
+_RATIONAL = st.builds(lambda p, q: p / q, st.integers(-6, 6), st.integers(1, 6))
+_REAL = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def _scan_case(draw):
+    sense = draw(st.sampled_from(["map", "flow"]))
+    width = draw(st.integers(0, 4))
+    n_nu = draw(st.integers(0, min(width, 2))) if sense == "flow" else 0
+    entries = draw(st.lists(st.one_of(_RATIONAL, _REAL), min_size=width, max_size=width))
+    k_max = draw(st.integers(1, (6, 24, 8, 5, 3)[width]))
+    tau = draw(st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(0.0, 3.0)))
+    return entries[:width - n_nu], entries[width - n_nu:], tau, k_max, sense
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_scan_case(), rows=st.sampled_from([1, 3, 64, fourier._SCAN_ROWS]))
+def test_scan_equals_the_mode_loop_property(case, rows):
+    # rational entries give resonances and ties; small slabs put slab
+    # boundaries between a minimum and its ties
+    with mock.patch.object(fourier, "_SCAN_ROWS", rows):
+        _assert_scan_is_the_loop(*case)
+
+
+@pytest.mark.parametrize("dim,k_max", [(5, 8), (6, 5)])
+def test_scan_working_set_stays_within_a_few_slabs(dim, k_max):
+    # half the box is 709,928 modes at (5, 8) and 885,780 at (6, 5); the
+    # scan holds a few slab-sized arrays at a time, not an index per axis
+    # and mode of the box
+    bound = 16 * 8 * fourier._SCAN_ROWS
+    assert dim * (2 * k_max + 1) ** dim // 2 * 8 > 20 * bound
+    omega = [math.sqrt(p) for p in (2, 3, 5, 7, 11, 13)[:dim]]
+    tracemalloc.start()
+    try:
+        diophantine_scan(omega, tau=2.0, k_max=k_max, sense="flow")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+@pytest.mark.parametrize("sense", ["map", "flow"])
+@pytest.mark.parametrize("omega,nu,name", [
+    ([GOLDEN, math.nan], (), "omega"),
+    ([math.inf], (), "omega"),
+    ([GOLDEN], (-math.inf,), "nu"),
+], ids=["omega-nan", "omega-inf", "nu-inf"])
+def test_scan_refuses_a_non_finite_frequency(omega, nu, name, sense):
+    with pytest.raises(ValueError, match=f"^{name} has a non-finite entry"):
+        diophantine_scan(omega, nu, tau=1.0, k_max=10, sense=sense)

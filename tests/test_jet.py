@@ -197,7 +197,7 @@ def test_compose_reduced_identity_rotation():
         x=_x(deg=4, cap=cap) + Jet.monomial(2, (), series, 0, 4, 1, cap),
         y=(), theta_dev=(Jet(0, 4, 1, cap),), rot=(0.0,),
     )
-    R = SkewMap.identity(0, 1, 4, 1, cap, rot=(0.25,))
+    R = SkewMap.identity(0, 4, 1, cap, rot=(0.25,))
     out = compose(K, R, 4)
     # pure rotation: coefficients rotate, no mixing of orders
     assert (out.x.coeff(2) - series.rotate(0.25)).strip_norm() < 1e-15
@@ -206,7 +206,7 @@ def test_compose_reduced_identity_rotation():
 def test_compose_rx_substitution():
     # K_x = x, R_x = x - abar x^N: plain substitution
     cap, deg, N = 8, 6, 3
-    K = SkewMap.identity(0, 1, deg, 1, cap)
+    K = SkewMap.identity(0, deg, 1, cap)
     R = SkewMap(
         x=_x(deg=deg, cap=cap) - Jet.monomial(N, (), 0.8, 0, deg, 1, cap),
         y=(), theta_dev=(Jet(0, deg, 1, cap),), rot=(0.1,),
@@ -219,7 +219,7 @@ def test_compose_associativity(rng, golden_freq):
     om = golden_freq.omega[0]
     cap, deg = 6, 6
     m = 1
-    F = SkewMap.identity(m, 1, deg, 1, cap, rot=(om,))
+    F = SkewMap.identity(m, deg, 1, cap, rot=(om,))
     F.x = F.x - Jet.monomial(2, (0,), random_real_series(rng, cap=cap, scale=0.5), m, deg, 1, cap) \
         + Jet.monomial(1, (1,), random_real_series(rng, cap=cap, scale=0.3), m, deg, 1, cap)
     F.y = (F.y[0] + Jet.monomial(1, (1,), random_real_series(rng, cap=cap, scale=0.4), m, deg, 1, cap),)
@@ -246,7 +246,7 @@ def test_compose_associativity(rng, golden_freq):
 def test_evaluation_homomorphism_full_composition(rng, golden_freq):
     om = golden_freq.omega[0]
     cap, deg, m = 16, 6, 1
-    F = SkewMap.identity(m, 1, deg, 1, cap, rot=(om,))
+    F = SkewMap.identity(m, deg, 1, cap, rot=(om,))
     F.x = F.x - Jet.monomial(2, (0,), random_real_series(rng, cap=cap, max_mode=2), m, deg, 1, cap)
     F.y = (F.y[0] + Jet.monomial(1, (1,), random_real_series(rng, cap=cap, max_mode=2), m, deg, 1, cap),)
     F.theta_dev = (Jet.monomial(2, (0,), random_real_series(rng, cap=cap, scale=0.3, max_mode=2), m, deg, 1, cap),)
@@ -274,7 +274,7 @@ def test_array_evaluation_equals_loop_over_points(rng, dtype):
     def series(scale=0.3):
         return random_real_series(rng, dim=dim, cap=cap, scale=scale, max_mode=2)
 
-    F = SkewMap.identity(m, dim, deg, dim, cap, rot=(0.3, 0.7))
+    F = SkewMap.identity(m, deg, dim, cap, rot=(0.3, 0.7))
     F.x = F.x - Jet.monomial(2, (0,), series(), m, deg, dim, cap)
     F.y = (F.y[0] + Jet.monomial(1, (1,), series(), m, deg, dim, cap),)
     F.theta_dev = tuple(Jet.monomial(1, (1,), series(), m, deg, dim, cap) for _ in range(dim))

@@ -82,6 +82,31 @@ def test_build_checks_h_against_the_declared_P(golden_freq):
                        m=m, order_cap=cap, h=h, deg=8)
 
 
+@pytest.mark.parametrize("cls,nu,dim,why", [
+    (MapModel, (), 2, "a map lives on T^len(omega) and takes no nu"),
+    (MapModel, (math.sqrt(2),), 2, "a map lives on T^len(omega) and takes no nu"),
+    (FlowModel, (), 2, "a flow lives on T^(len(omega) + len(nu))"),
+], ids=["map-wider-than-omega", "map-with-nu", "flow-wider-than-omega-and-nu"])
+def test_build_refuses_a_torus_that_is_not_the_frequency_vector_s(cls, nu, dim, why):
+    # such a model was accepted, and its solve died with DimensionMismatch
+    # at the first SD solve
+    freq = FrequencyVector(omega=(GOLDEN,), nu=nu, sense=cls.kind)
+    want = f"a {cls.kind} model on T^{dim} with len(omega) = 1 and len(nu) = {len(nu)}: {why}"
+    with pytest.raises(HypothesisViolation, match=re.escape(want)):
+        cls.build(N=2, P=2, freq=freq, a=FourierSeries.constant(1.0, dim, 8), m=0, order_cap=8)
+
+
+@pytest.mark.parametrize("cls,nu", [(MapModel, ()), (FlowModel, (math.sqrt(2),))],
+                         ids=["map", "flow"])
+def test_build_refuses_h_without_one_jet_per_angle(cls, nu):
+    # a map ignored the extra jet, and a flow dropped its time angles' jets
+    freq = FrequencyVector(omega=(GOLDEN,), nu=nu, sense=cls.kind)
+    dim = len(freq.full)
+    h = [Jet(0, 6, dim, 8)] * 2
+    with pytest.raises(HypothesisViolation, match=re.escape("h holds 2 jets, not one per entry of omega (1)")):
+        cls.build(N=2, P=2, freq=freq, a=FourierSeries.constant(1.0, dim, 8), m=0, order_cap=8, h=h)
+
+
 def test_validate_flags_low_order_terms_of_a_constructed_model(golden_freq):
     # the dataclass constructor skips build's order checks; validate repeats them
     model = _simple_map_model(golden_freq)
