@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import HypothesisViolation, InsufficientTorusData, OrbitLeftDomain, StepUnderflow
 from .fourier import FourierSeries, diophantine_scan
-from .jet import Jet, _Products, divide_by_x_plus_y
+from .jet import Jet, _Products, _scaled, divide_by_x_plus_y
 from .model import FlowModel, SkewField, model_from
 
 __all__ = [
@@ -258,20 +258,21 @@ class RestrictedChart:
         }
 
 
-def _theta_sub_jet(series: FourierSeries, alpha0: float, dev_powers: _Products) -> Jet:
+def _theta_sub_jet(series: FourierSeries, alpha0: float, dev_powers: _Products, budget: int) -> Jet:
     """Substitute theta = alpha0 + dev (radians) into the theta axis of a
     series on T^(1+d) (axis 0 = theta in turns): the Taylor sum over p of
     dev^p / p! times the p-th radian derivative at alpha0, a jet in the
-    state variables with coefficients on T^d.  ``dev_powers((p,))`` is dev^p,
+    state variables with coefficients on T^d, formed to total degree
+    ``budget`` (:func:`~paratori.jet._scaled`).  ``dev_powers((p,))`` is dev^p,
     from the memo of its powers, asked for only while the derivatives are nonzero.
     """
     theta0 = alpha0 / _TWO_PI
-    out = dev_powers((0,)).scale(series.at_first_angle(theta0))
-    for p in range(1, out.deg + 1):
+    out = _scaled(dev_powers((0,)), series.at_first_angle(theta0), budget)
+    for p in range(1, budget + 1):
         der = series.at_first_angle(theta0, p)
         if der.is_zero():
             break
-        out = out + dev_powers((p,)).scale(der.scale(1.0 / (_TWO_PI ** p * math.factorial(p))))
+        out = out + _scaled(dev_powers((p,)), der.scale(1.0 / (_TWO_PI ** p * math.factorial(p))), budget)
     return out
 
 
@@ -460,14 +461,16 @@ def build_restricted_field(
         # potential tail: coefficient of (1/r)^(1+s)
         xi_pow = xt2.scale(0.5).power(s)
         scale_y = -(1 + s) * M ** (-(s + 3) / 3.0)
-        sub = _theta_sub_jet(series, alpha0, dev_powers)
+        # each substitution is formed to the degree its products keep
+        sub = _theta_sub_jet(series, alpha0, dev_powers, deg - xi_pow.min_order() - xt4.min_order())
         tail_y = tail_y + sub.jet_mul(xi_pow).jet_mul(xt4).scale(0.25 * scale_y)
         # modes on axis 0 are e^(i k theta_rad); the radian derivative is *ik
         dth = series.derivative(0).scale(1.0 / _TWO_PI)
         if not dth.is_zero():
-            sub = _theta_sub_jet(dth, alpha0, dev_powers)
+            tail = xi_pow.jet_mul(xt2).scale(0.5)
+            sub = _theta_sub_jet(dth, alpha0, dev_powers, deg - tail.min_order())
             scale_g = M ** (-(s + 3) / 3.0)
-            gt_dot = gt_dot + sub.jet_mul(xi_pow.jet_mul(xt2).scale(0.5)).scale(scale_g)
+            gt_dot = gt_dot + sub.jet_mul(tail).scale(scale_g)
     yt_dot = xt4.scale(-0.25) + tail_y
 
     u_dot = (xt_dot - yt_dot).scale(0.5)

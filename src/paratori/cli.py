@@ -95,6 +95,8 @@ def _checked(cfg: dict) -> dict:
                 cfg[key] = type(default)(cfg[key])
             except (TypeError, ValueError, OverflowError) as e:
                 raise ParatoriError(f"config field {key} must be a number: {e}") from e
+            if isinstance(default, float) and math.isnan(cfg[key]):
+                raise ParatoriError(f"config field {key} is NaN")
             if isinstance(given[key], float) and cfg[key] != given[key]:
                 raise ParatoriError(f"config field {key} must be a whole number, not {given[key]!r}")
     for key in ("divisor_floor", "order_tolerance", "slope_slack"):
@@ -102,7 +104,7 @@ def _checked(cfg: dict) -> dict:
             raise ParatoriError(f"config field {key} must be positive")
     if cfg["order"] < 1:
         raise ParatoriError("order must be >= 1")
-    for key, least in (("theta_samples", 1), ("n_samples", 4)):
+    for key, least in (("theta_samples", 1), ("n_samples", 4), ("steps", 0)):
         if cfg[key] < least:
             raise ParatoriError(f"config field {key} must be >= {least}")
     if cfg["sweep"] and cfg["func"] is not cmd_solve:

@@ -536,7 +536,7 @@ def diophantine_scan(
     Map sense: c = min over 0 < |k| <= k_max of |k.omega - l| |k|^tau with l
     the nearest integer.  Flow sense: c = min |k.(omega, nu)| |k|^tau.
     Raises :class:`ZeroDivisor` on an exact rational resonance, and
-    ValueError on a non-finite entry of omega or nu.
+    ValueError on a non-finite tau or entry of omega or nu.
 
     The modes after k = 0 in the box [-k_max, k_max]^d, in lexicographic
     order, are those whose first nonzero entry is positive; they are scanned
@@ -550,6 +550,8 @@ def diophantine_scan(
     for name, vec in (("omega", omega), ("nu", nu)):
         if not all(map(math.isfinite, vec)):
             raise ValueError(f"{name} has a non-finite entry: {list(vec)}")
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, not {tau}")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if sense not in ("map", "flow"):

@@ -272,6 +272,14 @@ def evaluate_jets(jets: Sequence[Jet], x, y=(), theta=(), dtype=complex) -> list
 # ----------------------------------------------------------- substitution
 
 
+def _scaled(dev: Jet, c: FourierSeries, budget: int) -> Jet:
+    """``dev.scale(c)`` on the monomials of total degree at most ``budget``, at
+    ``dev``'s degree: a Taylor term of a substitution, formed only where the one
+    product that reads it, with a factor of lowest order deg - budget, keeps it."""
+    return dev._like({key: s.series_mul(c) for key, s in dev.terms.items()
+                      if key[0] + sum(key[1]) <= budget})
+
+
 class _Products:
     """Memo of products of jet factors, ``one`` for mu = 0.  The product for a multi-index
     mu (a power of each factor) is the product for its parent, mu with one less
@@ -337,7 +345,7 @@ class _Substitution:
                     continue
                 fact = got[1] * mu[r]
                 level[mu] = der, fact
-                result = result + self._dev(mu).scale(der.scale(1.0 / fact))
+                result = result + _scaled(self._dev(mu), der.scale(1.0 / fact), budget)
         return result
 
     def apply(self, target: Jet) -> Jet:
@@ -386,8 +394,7 @@ class SkewMap:
     are jets in (x, y_1..y_m): a model map or change of variables, or with
     m = 0 a parameterization (x, theta) -> (x', y', theta').
 
-    ``theta_dev`` has one jet per state angle; the coefficient torus may be
-    larger (flow models carry time-angles that are never substituted).
+    ``theta_dev`` has one jet per state angle.
     """
 
     x: Jet
@@ -438,11 +445,8 @@ def compose(outer: SkewMap, inner: SkewMap, deg: int) -> SkewMap:
     return SkewMap(
         x=sub.apply(outer.x),
         y=tuple(sub.apply(j) for j in outer.y),
-        theta_dev=tuple(
-            dv + sub.apply(outer.theta_dev[r]) if r < len(outer.theta_dev) else dv
-            for r, dv in enumerate(inner.theta_dev)
-        ),
-        rot=tuple(a + b for a, b in zip(outer.rot, inner.rot)),
+        theta_dev=tuple(dv + sub.apply(o) for dv, o in zip(inner.theta_dev, outer.theta_dev, strict=True)),
+        rot=tuple(a + b for a, b in zip(outer.rot, inner.rot, strict=True)),
     )
 
 

@@ -295,7 +295,7 @@ class SkewField:
         y = tuple(state[1 : 1 + m])
         th = tuple(state[1 + m : 1 + m + d])
         ang = th + tuple(v * t for v in self.nu)
-        v = evaluate_jets((self.x, *self.y, *self.theta_dev[:d]), x, y, ang, dtype)
+        v = evaluate_jets((self.x, *self.y, *self.theta_dev), x, y, ang, dtype)
         out = [u.real for u in v[:1 + m]] + [self.omega[r] + v[1 + m + r].real for r in range(d)]
         return np.array(out, dtype=float)
 

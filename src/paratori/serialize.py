@@ -60,8 +60,8 @@ def write_csv(path, header: list[str], rows) -> None:
 def _csv_cell(v) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, float):  # numpy's float64 too, whose repr is not a number
+        return repr(float(v))
     return str(v)
 
 

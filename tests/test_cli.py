@@ -92,10 +92,12 @@ def test_scan_golden(tmp_path):
 @pytest.mark.parametrize("sense,args,bad", [
     ("map", ["--omega", "nan"], "omega has a non-finite entry: [nan]"),
     ("flow", ["--omega", "0.618", "--nu", "inf"], "nu has a non-finite entry: [inf]"),
-], ids=["map", "flow"])
+    ("map", ["--omega", "0.618", "--tau", "inf"], "tau must be finite, not inf"),
+], ids=["map", "flow", "tau"])
 def test_scan_refuses_a_non_finite_frequency(tmp_path, sense, args, bad):
     # a NaN or an infinity gives no certificate: the flow scan took it for
-    # c_estimate = inf, and the map scan died in round()
+    # c_estimate = inf, the map scan died in round(), and an infinite tau
+    # certified c = 1 - omega
     out = tmp_path / "scan"
     code = main(["scan-diophantine", *args, "--sense", sense, "--outdir", str(out)])
     assert code == 5
@@ -674,6 +676,28 @@ def test_config_rejects_too_few_samples(tmp_path, field, value, least):
     assert not (out / "solution.json").exists()
 
 
+@pytest.mark.parametrize("field,flag", [("tau", True), ("tau", False), ("slope_slack", False),
+                                        ("domain_radius", False)])
+def test_config_refuses_nan_in_a_float_field(tmp_path, field, flag):
+    # NaN differs from itself, so it was refused as "not a whole number"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}" if flag else f'{{"{field}": NaN}}')
+    out = tmp_path / "out"
+    code = main(["scan-diophantine", "--omega", "0.618", *(["--tau", "nan"] if flag else []),
+                 "--config", str(cfg), "--outdir", str(out)])
+    assert code == 5
+    assert _read(out / "summary.json")["error"] == f"config field {field} is NaN"
+    assert not (out / "scan.json").exists()
+
+
+def test_iterate_refuses_a_negative_step_count(tmp_path):
+    out = tmp_path / "it"
+    code = main(["iterate", "--model", "builtin:benchmark-map", "--steps", "-2", "--outdir", str(out)])
+    assert code == 5
+    assert _read(out / "summary.json")["error"] == "config field steps must be >= 0"
+    assert not (out / "orbit.csv").exists()
+
+
 def test_config_refuses_a_numeric_field_that_does_not_convert(tmp_path):
     # every numeric field is converted before the command runs, even one
     # that the command does not read
@@ -805,3 +829,36 @@ def test_missing_required_field_names_flag_and_field(tmp_path, capsys, argv, key
     rec = _read(out / "summary.json")
     assert (rec["error_code"], rec["error_kind"], rec["error"]) == (5, "ParatoriError", message)
     assert capsys.readouterr().err == f"error[5] ParatoriError: {message}\n"
+
+
+_CSV_RUNS = {
+    "solve-map": ["solve-map", "--model", "builtin:benchmark-map", "--order", "3"],
+    "solve-flow": ["solve-flow", "--model", "builtin:benchmark-flow", "--order", "3"],
+    "verify": ["verify", "--model", "builtin:benchmark-map"],
+    "iterate": ["iterate", "--model", "builtin:benchmark-map", "--steps", "3"],
+    "conjugate": ["conjugate", "--model", "builtin:conjugacy", "--order", "4"],
+    "scan-diophantine": ["scan-diophantine", "--omega", "0.618", "--k-max", "10"],
+    "restricted-demo": ["restricted-demo", "--system", "single", "--order", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CSV_RUNS))
+def test_every_csv_cell_is_a_number(tmp_path, command):
+    """Each command's CSV files hold one header line and then numbers only,
+    but for the component names of the order report (``iterate`` wrote
+    numpy's ``np.float64(0.05)`` for the states of its orbit)."""
+    argv = _CSV_RUNS[command]
+    if command == "verify":
+        assert main(["solve-map", "--model", "builtin:benchmark-map", "--order", "3",
+                     "--outdir", str(tmp_path / "solved")]) == 0
+        argv = [*argv, "--solution", str(tmp_path / "solved" / "solution.json")]
+    out = tmp_path / "out"
+    assert main([*argv, "--outdir", str(out)]) == 0
+    for path in out.glob("*.csv"):
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert rows, path.name
+        for row in rows:
+            assert len(row) == len(header)
+            for name, cell in zip(header, row):
+                if name != "component":
+                    float(cell)

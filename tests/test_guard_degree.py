@@ -142,8 +142,9 @@ def test_solve_cli_builds_one_error_jet_per_order(monkeypatch, tmp_path):
 def test_solve_counts_derivatives_and_products(monkeypatch):
     """The series derivatives and products of one T^2 solve to order 5: each
     derivative of a substitution's Taylor expansion is one derivative of its
-    parent's, none is taken below a zero one, and the products come from the
-    product memos."""
+    parent's, none is taken below a zero one, the products come from the
+    product memos, and each Taylor term is formed only to the degree its
+    product keeps (1,887 products when every term ran to the working degree)."""
     counts = {"derivative": 0, "series_mul": 0}
     for name in counts:
         method = getattr(FourierSeries, name)
@@ -154,14 +155,15 @@ def test_solve_counts_derivatives_and_products(monkeypatch):
 
         monkeypatch.setattr(FourierSeries, name, counted)
     solve_manifold(_small_torus2_map(), 5)
-    assert counts == {"derivative": 158, "series_mul": 1887}
+    assert counts == {"derivative": 158, "series_mul": 1662}
 
 
 def test_solve_scans_each_support_once_and_sums_in_the_cap_box(monkeypatch):
     """One T^2 solve to order 5 scans the box of each series at most once,
-    and sums the pairs of only 21 of its 1,887 products in the wide box (877
-    before the cap-box path): those whose factors' reaches, the largest
-    |k|_1 of their modes, add up to more than the cap of 6."""
+    and sums the pairs of only 4 of its 1,662 products in the wide box (877
+    before the cap-box path, 21 of 1,887 before each Taylor term was formed
+    only to the degree its product keeps): those whose factors' reaches, the
+    largest |k|_1 of their modes, add up to more than the cap of 6."""
     built, scanned, wide = [], [], []
     of, modes, pair_product = FourierSeries._of.__func__, FourierSeries._modes, fourier._pair_product
 
@@ -184,7 +186,7 @@ def test_solve_scans_each_support_once_and_sums_in_the_cap_box(monkeypatch):
     monkeypatch.setattr(fourier, "_pair_product", summing_wide)
     solve_manifold(_small_torus2_map(), 5)
     assert len({id(s) for s in scanned}) == len(scanned) <= len(built)
-    assert len(wide) == 21
+    assert len(wide) == 4
 
 
 def test_solve_memory_peak():

@@ -12,6 +12,7 @@ from paratori.fourier import FourierSeries
 from paratori.jet import (
     Jet,
     SkewMap,
+    _scaled,
     compose,
     divide_by_x_plus_y,
     invert_x_jet,
@@ -141,6 +142,21 @@ def test_substitution_matches_the_memo_per_job_code(seed, m_out, m_in, dim, deg,
     sub_deg = None if deg % 2 else deg
     assert _same_bits(jet_compose(outer.x, inner.x, inner.y, devs, angles, sub_deg),
                       reference_jet_compose(outer.x, inner.x, inner.y, devs, angles, sub_deg))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 2), dim=st.integers(0, 2),
+       deg=st.integers(0, 6), data=st.data())
+def test_scaled_is_the_scale_to_the_budget(seed, m, dim, deg, data):
+    """A Taylor term formed to a budget is ``scale``'s jet cut at that total
+    degree: the same bits, the same monomial order and the jet's own degree."""
+    rng = np.random.default_rng(seed)
+    budget = data.draw(st.integers(-1, deg))
+    dev = _sparse_jet(rng, m, deg, dim, 4, 0, top=deg, n_terms=6)
+    c = random_real_series(rng, dim=dim, cap=4, scale=0.5)
+    full = dev.scale(c)
+    want = Jet(m, deg, dim, 4, {key: s for key, s in full.terms.items() if key[0] + sum(key[1]) <= budget})
+    assert _same_bits(_scaled(dev, c, budget), want)
 
 
 def test_compose_identity_returns_k():
