@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HypothesisViolation, InsufficientTorusData, OrbitLeftDomain, StepUnderflow
+from .errors import HypothesisViolation, InsufficientTorusData, OrbitLeftDomain, ParatoriError, StepUnderflow
 from .fourier import FourierSeries, diophantine_scan
 from .jet import Jet, _Products, _scaled, divide_by_x_plus_y
 from .model import FlowModel, SkewField, model_from
@@ -667,6 +667,10 @@ def escape_demo(
     from .dynamics import _ForkedCall, integrate_flow
 
     sys.check()
+    lo, hi = law_window
+    if not (math.isfinite(horizon) and horizon >= hi):
+        raise ParatoriError(
+            f"horizon {horizon!r} must be finite and reach the end of the law window [{lo!r}, {hi!r}]")
     M = sys.total_mass
     K = sol.param(sol.guard_degree)
     kx, ky, kth = K.evaluate(x0, (), (0.0,) * sys.d)
@@ -680,6 +684,9 @@ def escape_demo(
     ts = np.array(sorted({
         0.0, *np.minimum(np.logspace(0.0, math.log10(horizon), n_samples), horizon).tolist(),
     }))
+    if not any(lo <= t <= hi for t in ts.tolist()):
+        raise ParatoriError(
+            f"no sample time up to the horizon {horizon!r} falls in the law window [{lo!r}, {hi!r}]")
     # control orbit: same point kicked inward (y by _CONTROL_KICK); it must fall
     # back or go hyperbolic, so the ratio leaves the band well before the horizon
     control_T = min(3.0e4, horizon)
@@ -694,7 +701,6 @@ def escape_demo(
             co = None  # collapse/collision counts as failing the law
 
     samples = []
-    lo, hi = law_window
     ratios = []
     for t, row in zip(orbit.times, orbit.states):
         ratio = _law_ratio(row[0], t, t0, M)
@@ -705,8 +711,8 @@ def escape_demo(
         })
         if lo <= t <= hi:
             ratios.append(ratio)
-    rmin, rmax = (min(ratios), max(ratios)) if ratios else (math.nan, math.nan)
-    law_ok = bool(ratios) and 0.98 <= rmin and rmax <= 1.02
+    rmin, rmax = min(ratios), max(ratios)
+    law_ok = 0.98 <= rmin and rmax <= 1.02
     y_end = float(orbit.states[-1][2])
     E_end = float(field.energy(orbit.states[-1], float(orbit.times[-1])))
 

@@ -4,7 +4,10 @@ Map orbits store theta unwrapped (lifted to the reals) so continuity
 diagnostics stay meaningful; Fourier evaluation is periodic, so no wrapping
 is needed numerically.  Flows go through a Dormand–Prince 5(4) stepper on
 Python floats with RK45's step control and dense output at requested times;
-the same step at a fixed size backs the convergence-order test.
+the same step at a fixed size backs the convergence-order test.  The step
+and its error norm are generated once per state length as straight-line
+code, with the same float operations in the same order as the loops over
+the components that they replace, so they keep those loops' bits.
 ``_ForkedCall`` runs an independent call, such as a second orbit, in a
 forked child beside the caller's own work.
 """
@@ -15,6 +18,7 @@ import math
 import os
 import pickle
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,19 +98,20 @@ def iterate_reduced(reduced, x0: complex, k: int) -> np.ndarray:
 
 
 # Dormand–Prince 5(4) (Hairer, Nørsett, Wanner, *Solving Ordinary Differential
-# Equations I*, §II.4–5), as in scipy's RK45: the tableau, the error weights
-# E = b - b_hat over the seven stages (the last is the FSAL stage) and the
-# 4th-order dense output P.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40,
+# Equations I*, §II.4–5), as in scipy's RK45: the nodes of stages 2–5 (stages 6
+# and 7 sit at t + h), the rows of the tableau, the weights B of the 5th-order
+# state, the error weights E = b - b_hat over the seven stages (the last is the
+# FSAL stage) and the 4th-order dense output P.
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9)
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
 _P = (
     (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
     (0.0, 0.0, 0.0, 0.0),
@@ -120,41 +125,56 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5  # the 4th-order estimate's error scales as h^5
 
 
-def _dp_step(rhs, t, y, f, h):
-    """One Dormand–Prince step of size h from (t, y), where f = rhs(t, y).
+@lru_cache(maxsize=None)
+def _stepper(n: int):
+    """``step(rhs, t, y, f, h, rtol, atol)`` for states of length n: one
+    Dormand–Prince step of size h from (t, y), where f = rhs(t, y).
 
-    Returns the 5th-order state at t + h and the seven stages; the last is
-    rhs(t + h, y_new), the first stage of the next step (FSAL).
+    It returns the 5th-order state at t + h, the seven stages (the last,
+    rhs(t + h, y_new), is the next step's first: FSAL) and the RMS of the
+    embedded error estimate over atol + max(|y|, |y_new|) rtol.  The code is
+    straight-line, the components unrolled, because over an orbit's 10^4
+    steps loops over them cost more than their arithmetic.  It performs the
+    float operations of ``reference_dp_step`` and ``reference_error_norm``
+    (``tests/oracles.py``) in the same order, so it keeps their bits.  The
+    tableau enters through the factory's arguments, not as text.
     """
-    k1 = f
-    k2 = rhs(t + _C2 * h, [yi + _A21 * a * h for yi, a in zip(y, k1)])
-    k3 = rhs(t + _C3 * h, [yi + (_A31 * a + _A32 * b) * h
-                           for yi, a, b in zip(y, k1, k2)])
-    k4 = rhs(t + _C4 * h, [yi + (_A41 * a + _A42 * b + _A43 * c) * h
-                           for yi, a, b, c in zip(y, k1, k2, k3)])
-    k5 = rhs(t + _C5 * h, [yi + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
-                           for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
-    k6 = rhs(t + h, [yi + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
-                     for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-    y_new = [yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-             for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-    k7 = rhs(t + h, y_new)
-    return y_new, (k1, k2, k3, k4, k5, k6, k7)
+    values = {"sqrt": math.sqrt, "root_n": n ** 0.5}
+    values.update((f"C{s}", c) for s, c in enumerate(_C, 2))
+    values.update((f"A{s}{j}", a) for s, row in enumerate(_A, 2) for j, a in enumerate(row, 1))
+    values.update((f"B{j}", b) for j, b in enumerate(_B, 1) if b)
+    values.update((f"E{j}", e) for j, e in enumerate(_E, 1) if e)
+
+    def names(prefix):
+        return ", ".join(f"{prefix}_{i}" for i in range(n))
+
+    def weighted(prefix, weights, i):
+        return " + ".join(f"{prefix}{j} * k{j}_{i}" for j, w in enumerate(weights, 1) if w)
+
+    lines = [f"[{names('y')}] = y", f"[{names('k1')}] = f"]
+    for s, row in enumerate(_A, 2):
+        at = f"t + C{s} * h" if s <= len(_C) + 1 else "t + h"
+        args = ", ".join(f"y_{i} + ({weighted(f'A{s}', row, i)}) * h" for i in range(n))
+        lines += [f"k{s} = rhs({at}, [{args}])", f"[{names(f'k{s}')}] = k{s}"]
+    lines += [f"z_{i} = y_{i} + h * ({weighted('B', _B, i)})" for i in range(n)]
+    lines += [f"y_new = [{names('z')}]", "k7 = rhs(t + h, y_new)", f"[{names('k7')}] = k7", "total = 0.0"]
+    for i in range(n):
+        # max(|y_i|, |z_i|) as max() picks it: the second only if it is larger
+        lines += [f"a = abs(y_{i})", f"b = abs(z_{i})",
+                  f"v = ({weighted('E', _E, i)}) * h / (atol + (b if b > a else a) * rtol)",
+                  "total += v * v"]
+    lines.append("return y_new, (f, k2, k3, k4, k5, k6, k7), sqrt(total) / root_n")
+    source = "\n".join([f"def make({', '.join(values)}):",
+                         "    def step(rhs, t, y, f, h, rtol, atol):",
+                         *("        " + line for line in lines),
+                         "    return step"])
+    namespace = {}
+    exec(source, namespace)
+    return namespace["make"](**values)
 
 
 def _rms(values: list) -> float:
     return math.sqrt(sum(v * v for v in values)) / len(values) ** 0.5
-
-
-def _error_norm(y, y_new, ks, h, rtol, atol) -> float:
-    """RMS of the embedded error estimate over atol + max(|y|, |y_new|) rtol."""
-    k1, _, k3, k4, k5, k6, k7 = ks
-    total = 0.0
-    for yi, zi, a, c, d, e, g, q in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-        v = ((_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * q) * h
-             / (atol + max(abs(yi), abs(zi)) * rtol))
-        total += v * v
-    return math.sqrt(total) / len(y) ** 0.5
 
 
 def _initial_step(rhs, t0, y0, f0, t_end, rtol, atol) -> float:
@@ -198,11 +218,15 @@ def integrate_flow(
     The step control is RK45's, with rtol = tol, atol = tol/100 and no
     upper bound on the step.  Without ``t_eval`` every accepted step is
     recorded; with it, each point is read from the dense output of the step
-    that contains it.  A step collapse (typically a collision) raises
+    that contains it.  A start or span that is not finite raises ValueError,
+    and a step collapse (typically a collision) or a NaN step raises
     StepUnderflow.
     """
     rhs = field.rhs
     t0, t_end = float(t_span[0]), float(t_span[1])
+    y = [float(v) for v in state0]
+    if not all(map(math.isfinite, [t0, t_end, *y])):
+        raise ValueError(f"integrate_flow needs a finite state0 and t_span, not {y} over {(t0, t_end)}")
     direction = 1.0 if t_end >= t0 else -1.0
     rtol, atol = tol, tol * 1e-2
     samples = None if t_eval is None else [float(v) for v in t_eval]
@@ -213,7 +237,8 @@ def integrate_flow(
     ):
         raise ValueError("t_eval must lie in t_span, strictly ordered along it")
 
-    t, y = t0, [float(v) for v in state0]
+    t = t0
+    step = _stepper(len(y))
     f = rhs(t, y)
     h_abs = _initial_step(rhs, t, y, f, t_end, rtol, atol)
     nfev = 2
@@ -223,7 +248,7 @@ def integrate_flow(
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step too
                 raise StepUnderflow(
                     f"integrator stopped at t = {t!r}: the step fell below "
                     f"10 ulp ({min_step:.3e})"
@@ -233,9 +258,8 @@ def integrate_flow(
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            y_new, ks = _dp_step(rhs, t, y, f, h)
+            y_new, ks, err = step(rhs, t, y, f, h, rtol, atol)
             nfev += 6
-            err = _error_norm(y, y_new, ks, h, rtol, atol)
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(
                     _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
@@ -267,11 +291,12 @@ def integrate_fixed_step(field, state0, t_end: float, h: float) -> Orbit:
     """
     rhs = field.rhs
     t, t_end, y = 0.0, float(t_end), [float(v) for v in state0]
+    step = _stepper(len(y))
     f = rhs(t, y)
     times, states = [t], [y]
     while t < t_end:
         t_new = min(t + h, t_end)
-        y, ks = _dp_step(rhs, t, y, f, t_new - t)
+        y, ks, _ = step(rhs, t, y, f, t_new - t, 1.0, 1.0)  # no error control
         t, f = t_new, ks[-1]
         times.append(t)
         states.append(y)

@@ -9,7 +9,8 @@ the restricted field with every position from one numpy matrix-vector
 product, the restricted field summed in float loops over modes and
 primaries, the invariance residual sampled one x-sample at a time, the jet
 substitution with one memo per job and every Taylor derivative taken afresh,
-and the Diophantine scan as one loop over the half lattice."""
+the Diophantine scan as one loop over the half lattice, and the
+Dormand–Prince step and its error norm as loops over the components."""
 
 import cmath
 import itertools
@@ -809,3 +810,50 @@ def reference_compose(outer, inner, deg):
         ),
         rot=tuple(a + b for a, b in zip(outer.rot, inner.rot)),
     )
+
+
+# --------------------------------------------- the Dormand–Prince step as loops
+
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40,
+)
+
+
+def reference_dp_step(rhs, t, y, f, h):
+    """One Dormand–Prince step of size h from (t, y), where f = rhs(t, y).
+
+    Returns the 5th-order state at t + h and the seven stages; the last is
+    rhs(t + h, y_new), the first stage of the next step (FSAL).
+    """
+    k1 = f
+    k2 = rhs(t + _C2 * h, [yi + _A21 * a * h for yi, a in zip(y, k1)])
+    k3 = rhs(t + _C3 * h, [yi + (_A31 * a + _A32 * b) * h
+                           for yi, a, b in zip(y, k1, k2)])
+    k4 = rhs(t + _C4 * h, [yi + (_A41 * a + _A42 * b + _A43 * c) * h
+                           for yi, a, b, c in zip(y, k1, k2, k3)])
+    k5 = rhs(t + _C5 * h, [yi + (_A51 * a + _A52 * b + _A53 * c + _A54 * d) * h
+                           for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = rhs(t + h, [yi + (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e) * h
+                     for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+             for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(t + h, y_new)
+    return y_new, (k1, k2, k3, k4, k5, k6, k7)
+
+
+def reference_error_norm(y, y_new, ks, h, rtol, atol) -> float:
+    """RMS of the embedded error estimate over atol + max(|y|, |y_new|) rtol."""
+    k1, _, k3, k4, k5, k6, k7 = ks
+    total = 0.0
+    for yi, zi, a, c, d, e, g, q in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+        v = ((_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * q) * h
+             / (atol + max(abs(yi), abs(zi)) * rtol))
+        total += v * v
+    return math.sqrt(total) / len(y) ** 0.5

@@ -23,7 +23,7 @@ from paratori.celestial import (
 )
 from paratori.cohomology import solve_manifold
 from paratori.cli import main
-from paratori.errors import HypothesisViolation, InsufficientTorusData, StepUnderflow
+from paratori.errors import HypothesisViolation, InsufficientTorusData, ParatoriError, StepUnderflow
 from paratori.fourier import FourierSeries
 from paratori.jet import Jet, _Products
 from paratori.model import validate
@@ -647,6 +647,17 @@ def test_escape_demo_off_manifold_control_is_distinct():
     rep, _ = escape_demo(sys, res.solution, chart, x0=0.05, horizon=1.0e5,
                          n_samples=60)
     assert rep.control_law_fails
+
+
+def test_escape_demo_refuses_a_grid_that_misses_the_law_window():
+    # two samples up to 1e5 sit at 1 and 1e5, outside [1e3, 1e4], so the law
+    # ratio would have no range (it was [NaN, NaN], which JSON cannot hold)
+    sys = PrimarySystem.single(mass=1.0)
+    model, chart = build_restricted_field(sys, degree=8, gtilde0=0.15)
+    res = solve_manifold(model, 3)
+    with pytest.raises(ParatoriError, match=r"no sample time up to the horizon 100000.0 falls in "
+                                            r"the law window \[1000.0, 10000.0\]"):
+        escape_demo(sys, res.solution, chart, x0=0.05, horizon=1.0e5, n_samples=2)
 
 
 _DEMO_NFEV = {"binary": {"main": 105206, "control": 55976},

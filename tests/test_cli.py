@@ -1,6 +1,7 @@
 """CLI subcommands end to end: artifacts, exit codes, determinism."""
 
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -449,6 +450,54 @@ def test_restricted_demo_short(tmp_path):
     assert summary["chart"]["a"] == 0.25
     header = (tmp_path / "demo" / "demo.csv").read_text().splitlines()[0]
     assert header == "t,r,y,energy,law_ratio"
+
+
+def _strict_json(path):
+    """The JSON record at ``path``; NaN and the infinities are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{path} holds {name}")
+
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("horizon", ["100", "0", "-1", "inf"])
+def test_restricted_demo_refuses_a_horizon_short_of_the_law_window(tmp_path, horizon):
+    # below the window no sample fell in it and the range was [NaN, NaN];
+    # at zero or below the time grid's logarithm failed; at inf t_eval did
+    out = tmp_path / "demo"
+    code = main(["restricted-demo", "--system", "single", "--order", "3",
+                 f"--horizon={horizon}", "--outdir", str(out)])
+    assert code == 5
+    rec = _strict_json(out / "summary.json")
+    assert rec["error"] == (f"horizon {float(horizon)!r} must be finite and reach the end "
+                            "of the law window [1000.0, 10000.0]")
+
+
+def test_restricted_demo_horizon_at_the_window_end_writes_json(tmp_path):
+    out = tmp_path / "demo"
+    code = main(["restricted-demo", "--system", "single", "--order", "3",
+                 "--horizon", "1e4", "--outdir", str(out)])
+    rec = _strict_json(out / "summary.json")
+    assert code == (0 if rec["all_pass"] else 4)
+    assert rec["law_ok"] and all(map(math.isfinite, rec["law_ratio_range"]))
+
+
+def test_restricted_demo_at_x0_zero_exits_within_seconds(tmp_path):
+    # x0 = 0 puts the body at r0 = 2/x0^2 = inf: both orbits stepped
+    # forever on a NaN step; now the integrator refuses the start
+    out = tmp_path / "demo"
+    src = os.path.dirname(os.path.dirname(paratori.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "paratori.cli", "restricted-demo", "--system", "single",
+         "--order", "3", "--x0", "0", "--outdir", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 5, proc.stderr
+    rec = _strict_json(out / "summary.json")
+    assert rec["error_kind"] == "ValueError"
+    assert "finite state0" in rec["error"]
 
 
 def test_restricted_demo_refuses_primaries_at_two_caps(tmp_path):

@@ -9,12 +9,14 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import paratori
 from paratori.benchmark import toy_x2_flow_model
 from paratori.celestial import PrimarySystem, RestrictedField
 from paratori.cohomology import solve_manifold
 from paratori.dynamics import (
+    _stepper,
     _ForkedCall,
     integrate_fixed_step,
     integrate_flow,
@@ -24,6 +26,7 @@ from paratori.dynamics import (
 from paratori.errors import ParatoriError, StepUnderflow
 from paratori.model import ReducedMap
 from paratori.verify import stable_set_membership
+from oracles import reference_dp_step, reference_error_norm
 
 
 def _src_env():
@@ -162,6 +165,96 @@ def test_t_eval_start_returns_initial_state_and_backward_span():
     assert back.times.tolist() == [0.5, 0.0]
     assert back.states[:, 0] == pytest.approx([1.0 / 1.5, 1.0], abs=1e-9)
 
+
+
+def test_non_finite_start_or_span_is_refused():
+    # r = inf gave a NaN first step, which no step-size test caught: the
+    # orbit stepped forever
+    field = RestrictedField(PrimarySystem.single())
+    with pytest.raises(ValueError, match="finite state0 and t_span"):
+        integrate_flow(field, [math.inf, 0.0, 0.0, 0.1], (0.0, 10.0))
+    with pytest.raises(ValueError, match="finite state0 and t_span"):
+        integrate_flow(field, [5.0, 0.0, 0.0, 0.1], (0.0, math.inf))
+
+
+class _NanField:
+    """A field whose every value is NaN; it stops a runaway orbit itself."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def rhs(self, t, state):
+        self.calls += 1
+        if self.calls > 10_000:
+            raise RuntimeError("the integrator kept stepping on NaN")
+        return [math.nan] * len(state)
+
+
+def test_nan_step_raises_step_underflow():
+    # the starting step of a NaN field is NaN, and NaN < min_step is false
+    with pytest.raises(StepUnderflow, match="10 ulp"):
+        integrate_flow(_NanField(), [1.0, 2.0], (0.0, 1.0))
+
+
+# ------------------------------------------------------- the generated step
+
+
+def _coupled_rhs(t, y):
+    # nonlinear, coupled across the components and in t; any finite input
+    # gives a value (overflow runs into inf and NaN, never into an error)
+    n = len(y)
+    return [math.tanh(y[(i + 1) % n]) * yi - yi * yi / 7.0 + math.sin(t) * (i + 1)
+            for i, yi in enumerate(y)]
+
+
+def _hex(values):
+    return [float.hex(float(v)) for v in values]
+
+
+_any_float = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(y=st.lists(st.one_of(st.floats(-10.0, 10.0), _any_float), min_size=1, max_size=6),
+       t=st.floats(-1e3, 1e3), h=st.one_of(st.floats(-1.0, 1.0), st.floats(-1e6, 1e6)),
+       tol=st.floats(1e-14, 1e-2))
+def test_generated_step_equals_loop_reference_bit_for_bit(y, t, h, tol):
+    f = _coupled_rhs(t, y)
+    y_new, ks, err = _stepper(len(y))(_coupled_rhs, t, y, f, h, tol, tol * 1e-2)
+    want_y, want_ks = reference_dp_step(_coupled_rhs, t, y, f, h)
+    assert _hex(y_new) == _hex(want_y)
+    assert [_hex(k) for k in ks] == [_hex(k) for k in want_ks]
+    assert float.hex(err) == float.hex(reference_error_norm(y, want_y, want_ks, h, tol, tol * 1e-2))
+
+
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_generated_step_holds_no_values(n):
+    # the tableau enters the generated step through its namespace: its
+    # constants are those of the formulas alone
+    assert {repr(c) for c in _stepper(n).__code__.co_consts} <= {"None", "0.0"}
+
+
+class _Counting:
+    """Forwards ``rhs`` to a field and counts the calls."""
+
+    def __init__(self, field):
+        self.field, self.calls = field, 0
+
+    def rhs(self, t, state):
+        self.calls += 1
+        return self.field.rhs(t, state)
+
+
+@pytest.mark.parametrize("t_eval", [None, [0.5, 2.0, 7.5]], ids=["steps", "t_eval"])
+def test_nfev_counts_every_rhs_call(t_eval):
+    # two calls to start, then six per attempted step: the seventh stage is
+    # the next step's first (FSAL), so the count the traced replay reads is exact
+    field = _Counting(RestrictedField(PrimarySystem.circular_binary()))
+    orbit = integrate_flow(field, [1.5, 0.2, -0.3, 1.1], (0.0, 8.0), tol=1e-10, t_eval=t_eval)
+    assert field.calls == orbit.meta["nfev"]
+    assert (field.calls - 2) % 6 == 0
+    if t_eval is None:  # some step was rejected and tried again
+        assert (field.calls - 2) // 6 > len(orbit) - 1
 
 
 # ------------------------------------------------------------ forked calls
