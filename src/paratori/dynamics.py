@@ -14,6 +14,7 @@ forked child beside the caller's own work.
 
 from __future__ import annotations
 
+import _thread
 import math
 import os
 import pickle
@@ -328,23 +329,30 @@ class _ForkedCall:
     (the caller's work raised) kills and reaps the child.  The child leaves
     only through ``os._exit``, so it never returns into the caller's
     frames, flushes no inherited stdio buffer and runs no atexit handler.
-    Without ``os.fork`` the call runs in the caller, inside ``result()``.
+    The child dies with the caller: only the caller holds the write end of a
+    second pipe, and a thread in the child, blocked reading it (so holding no
+    GIL), ends the child at EOF.  Without ``os.fork`` the call runs in the
+    caller, inside ``result()``.
     """
 
     def __init__(self, fn, *args, **kw):
         self._call, self._pid = (fn, args, kw), None
         if hasattr(os, "fork"):
             read, write = os.pipe()
+            alive, self._alive = os.pipe()
             self._pid = os.fork()
             if self._pid == 0:
                 code = 1
                 try:
+                    os.close(self._alive)
+                    _thread.start_new_thread(lambda: (os.read(alive, 1), os._exit(1)), ())
                     with open(write, "wb") as pipe:
                         pipe.write(_pickled_call(fn, args, kw))
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write)
+            os.close(alive)
             self._pipe = open(read, "rb")
 
     def __enter__(self):
@@ -360,7 +368,9 @@ class _ForkedCall:
     def _reap(self) -> int:
         self._pipe.close()
         pid, self._pid = self._pid, 0
-        return os.waitpid(pid, 0)[1]
+        status = os.waitpid(pid, 0)[1]
+        os.close(self._alive)
+        return status
 
     def result(self):
         fn, args, kw = self._call

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import BoundViolated, EscapedSector, WindowTooWide
 from .cohomology import ManifoldSolution, invariance_error
-from .dynamics import iterate_map, iterate_reduced
 from .jet import evaluate_jets
 
 __all__ = [
@@ -301,6 +300,8 @@ def sector_decay_check(
     every step and that iterates stay in the sector S(beta, rho); raises
     :class:`BoundViolated` / :class:`EscapedSector` with the failing step.
     """
+    from .dynamics import iterate_reduced
+
     a = reduced.a_bar
     N = reduced.N
     if not (0.0 < eta < a):
@@ -366,6 +367,8 @@ def stable_set_membership(sol: ManifoldSolution, point, horizon: int,
     a short fixed-point iteration, since the theta deviation is O(u)), then
     compare the y components against K_y(u, theta_base).
     """
+    from .dynamics import iterate_map
+
     m, d = sol.model.m, sol.model.d
     K = sol.param(sol.guard_degree)
     dkx = K.x.derivative_x()

@@ -69,3 +69,9 @@ def torus2_model(seed):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.torus2_model(seed)
+
+
+def src_env():
+    """The environment of a child interpreter that imports this paratori."""
+    src = os.path.dirname(os.path.dirname(paratori.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -9,13 +9,12 @@ import sys
 
 import pytest
 
-import paratori
 from paratori import cli, errors
 from paratori.benchmark import benchmark_map_model
 from paratori.cli import main
 from paratori.model import validate
 from paratori import serialize as ser
-from conftest import torus2_model
+from conftest import src_env, torus2_model
 
 
 def _read(path):
@@ -487,8 +486,7 @@ def test_restricted_demo_at_x0_zero_exits_within_seconds(tmp_path):
     # x0 = 0 puts the body at r0 = 2/x0^2 = inf: both orbits stepped
     # forever on a NaN step; now the integrator refuses the start
     out = tmp_path / "demo"
-    src = os.path.dirname(os.path.dirname(paratori.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = src_env()
     proc = subprocess.run(
         [sys.executable, "-m", "paratori.cli", "restricted-demo", "--system", "single",
          "--order", "3", "--x0", "0", "--outdir", str(out)],
@@ -571,8 +569,7 @@ def test_restricted_demo_leaves_scipy_unloaded(tmp_path):
     # the escape orbit runs on the in-house stepper, so the demo never
     # imports scipy; its summary counts the evaluations of both orbits
     out = tmp_path / "demo"
-    src = os.path.dirname(os.path.dirname(paratori.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = src_env()
     code = (
         "import sys; from paratori.cli import main; "
         f"assert main(['restricted-demo', '--system', 'single', '--order', '3', '--outdir', {str(out)!r}]) == 0; "
@@ -582,6 +579,76 @@ def test_restricted_demo_leaves_scipy_unloaded(tmp_path):
     nfev = _read(out / "summary.json")["orbit_nfev"]
     assert set(nfev) == {"main", "control"}
     assert all(isinstance(v, int) and v > 0 for v in nfev.values())
+
+
+# the modules that some command does not run; a bare import loads none of them
+_PER_COMMAND = {"paratori.benchmark", "paratori.celestial", "paratori.dynamics", "paratori.verify"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, set()),
+    (["solve-map", "--model", "MODEL", "--order", "2"], {"paratori.verify"}),
+    (["restricted-demo", "--system", "single", "--order", "3"],
+     {"paratori.celestial", "paratori.dynamics"}),
+], ids=["import", "solve-map", "restricted-demo"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+    # every module is compiled afresh on each run without a bytecode cache,
+    # so one that a command does not run costs it start-up time
+    code = "import sys, paratori.cli\n"
+    if argv is not None:
+        model = tmp_path / "model.json"
+        ser.dump_json(ser.model_to_obj(benchmark_map_model()), model)
+        argv = [str(model) if a == "MODEL" else a for a in argv] + ["--outdir", str(tmp_path / "out")]
+        code += f"assert paratori.cli.main({argv!r}) == 0\n"
+    code += "print(*sorted(m for m in sys.modules if m.startswith('paratori.')))\n"
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert set(out.splitlines()[-1].split()) & _PER_COMMAND == loaded
+
+
+def _python_m_cli(*args):
+    """``python -m paratori.cli`` on ``args`` with block-buffered stdio; the run
+    ends only once every process holding its stdout or stderr is gone."""
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "paratori.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_exit_path_delivers_output_and_exit_code(tmp_path, capsys):
+    # the __main__ entry leaves through os._exit, so it flushes stdio itself
+    scan = ["scan-diophantine", "--omega", "0.618", "--k-max", "10"]
+    assert main([*scan, "--outdir", str(tmp_path / "in-process")]) == 0
+    proc = _python_m_cli(*scan, "--outdir", tmp_path / "scan")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+    model = tmp_path / "model.json"
+    ser.dump_json({**ser.model_to_obj(benchmark_map_model()), "kind": "flow "}, model)
+    proc = _python_m_cli("solve-map", "--model", model, "--order", "2", "--outdir", tmp_path / "kind")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error[2] HypothesisViolation: model kind 'flow ' is neither 'map' nor 'flow'\n")
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tau": NaN}')
+    proc = _python_m_cli(*scan, "--config", cfg, "--outdir", tmp_path / "nan")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        5, "", "error[5] ParatoriError: config field tau is NaN\n")
+
+    proc = _python_m_cli("solve-map", "--no-such-flag")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: paratori ")
+    assert proc.stderr.endswith("paratori: error: unrecognized arguments: --no-such-flag\n")
+
+
+def test_exit_path_after_a_pooled_sweep(tmp_path):
+    # the pool's workers inherit stdout: the run returns once they are gone
+    cfg = tmp_path / "cfg.json"
+    ser.dump_json({"sweep": [{"label": "a", "model": "builtin:benchmark-map"},
+                             {"label": "b", "model": "builtin:benchmark-map"}],
+                   "order": 2, "workers": 2, "outdir": str(tmp_path / "sweep")}, cfg)
+    proc = _python_m_cli("solve-map", "--config", cfg)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert _read(tmp_path / "sweep" / "summary.json")["status"] == "ok"
 
 
 def test_solve_resonant_omega_names_resonant_mode(tmp_path):

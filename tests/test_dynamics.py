@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import paratori
 from paratori.benchmark import toy_x2_flow_model
 from paratori.celestial import PrimarySystem, RestrictedField
 from paratori.cohomology import solve_manifold
@@ -26,13 +25,8 @@ from paratori.dynamics import (
 from paratori.errors import ParatoriError, StepUnderflow
 from paratori.model import ReducedMap
 from paratori.verify import stable_set_membership
+from conftest import src_env
 from oracles import reference_dp_step, reference_error_norm
-
-
-def _src_env():
-    """The environment of a child interpreter that imports this paratori."""
-    src = os.path.dirname(os.path.dirname(paratori.__file__))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 # ------------------------------------------------------------------- maps
@@ -138,7 +132,7 @@ def test_cli_import_leaves_scipy_unloaded():
     # scipy.integrate is imported by the integrators themselves, so the
     # map commands never pay for it
     code = "import paratori.cli, sys; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True)
+    subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
 
 
 def test_collapse_raises_step_underflow():
@@ -319,10 +313,32 @@ def test_forked_call_error_in_caller_kills_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_forked_child_dies_with_its_killed_parent(sig):
+    # a parent killed inside the block never reaches __exit__; the child holds
+    # the parent's stdout, so the pipe's EOF says that the child is gone too
+    code = (
+        "import os, time; from paratori.dynamics import _ForkedCall\n"
+        "with _ForkedCall(time.sleep, 30) as call:\n"
+        "    print(call._pid, flush=True)\n"
+        f"    os.kill(os.getpid(), {int(sig)})\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", code], env=src_env(),
+                            stdout=subprocess.PIPE, text=True)
+    child = int(proc.stdout.readline())
+    try:
+        proc.communicate(timeout=2)
+    except subprocess.TimeoutExpired:
+        os.kill(child, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"the child {child} outlived its killed parent by 2 s")
+    assert proc.returncode == -sig
+
+
 def test_forked_child_leaves_inherited_stdout_unflushed():
     # text buffered in the parent's sys.stdout at the fork is written once,
     # by the parent: the child leaves without flushing its copy
-    env = _src_env()
+    env = src_env()
     env.pop("PYTHONUNBUFFERED", None)  # the text must sit in the buffer
     code = (
         "import sys; from paratori.dynamics import _ForkedCall\n"

@@ -25,9 +25,13 @@ def _run(script, *args):
     return proc.stdout
 
 
-def test_setup_probe_runs():
-    rec = json.loads(_run("setup_probe.py", "escape-binary"))
-    assert os.path.dirname(rec["paratori_file"]) == os.path.dirname(paratori.__file__)
+def test_setup_probe_runs(tmp_path):
+    # the three workloads read every name that the probe takes from paratori.cli
+    model = tmp_path / "torus2.json"
+    _run("torus2.py", "--seed", 1, "--out", model)
+    for args in (["escape-binary"], ["torus2", model], ["map-deep"]):
+        rec = json.loads(_run("setup_probe.py", *args))
+        assert os.path.dirname(rec["paratori_file"]) == os.path.dirname(paratori.__file__)
 
 
 def test_torus2_generator_runs(tmp_path):
