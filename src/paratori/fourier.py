@@ -3,11 +3,19 @@
 Angles live in "turns": a point on T^d is a vector theta with period 1 in
 each component and the basis functions are exp(2*pi*i*k.theta) for integer
 multi-indices k.  A series keeps only modes with |k|_1 <= order_cap.  Its
-coefficients are one flat complex array over the box [-cap, cap]^d in
-lexicographic mode order (so k and -k sit at mirrored positions); entries
-with |k|_1 > cap are always zero, and a mode is present exactly when its
-entry is nonzero.  One computation works at one dim and cap: operands of a
-sum or a product, and series evaluated together, share them or raise
+coefficients are one flat complex array over those modes, the
+cross-polytope |k|_1 <= cap, in the lexicographic order of the box
+[-cap, cap]^d (so k and -k sit at mirrored positions, and the zero mode in
+the middle); a mode is present exactly when its entry is nonzero.  On T^4
+at cap 8 that is 3,649 entries where the box has 83,521.  Two kinds of
+operation still pass through the box, as transient arrays: a product adds
+mode positions in a box, the cap's own or the wide box of cap 2 cap, since
+position(k1 + k2) is additive there; and ``strip_norm`` and
+``at_first_angle`` sum over the box, because numpy groups a sum by the
+positions of its terms and may round a complex product by the shape of its
+call, so that the stored modes alone would round differently.  One
+computation works at one dim and cap: operands of a sum
+or a product, and series evaluated together, share them or raise
 :class:`DimensionMismatch`.
 
 All values are immutable after construction and every operation returns a
@@ -15,7 +23,7 @@ fresh series, so instances can be shared freely across threads.  The
 products lean on that: a series reads its support (the positions of its
 nonzero modes) once, on first use, and keeps it, with its centre-out order
 and its reach, the largest |k|_1 on it, in one read-only record that every
-series of that support shares.  A box array handed to a series is never
+series of that support shares.  An array handed to a series is never
 written to again.
 """
 
@@ -60,20 +68,31 @@ def _norm1_table(dim: int, cap: int) -> np.ndarray:
     return out.ravel()
 
 
-class _Box:
-    """Index tables of the box [-cap, cap]^dim, flat in lexicographic order."""
+class _Table:
+    """Index tables of the stored modes of T^dim at ``cap``: those of the
+    cross-polytope |k|_1 <= cap, in the lexicographic order of the box
+    [-cap, cap]^dim (so k and -k sit at mirrored positions, and the zero mode
+    in the middle).  ``box`` is each stored mode's box position, and
+    ``stored`` each box position's stored position (-1 beyond the cap)."""
 
     def __init__(self, dim: int, cap: int):
         n = 2 * cap + 1
-        self.size = n ** dim
-        self.modes = np.indices((n,) * dim).reshape(dim, self.size).T - cap
-        self.norm1 = _norm1_table(dim, cap)
+        norm1 = _norm1_table(dim, cap)
+        self.box = np.flatnonzero(norm1 <= cap)
+        self.box_size, self.size = norm1.size, self.box.size
+        # one contiguous column per axis, as ``dots`` reads them: a strided
+        # column would cast through numpy code that no other step runs
+        self.modes = (np.indices((n,) * dim).reshape(dim, norm1.size).take(self.box, axis=1) - cap).T
+        self.norm1 = norm1[self.box]
         self.zero = self.size // 2
+        self.stored = np.full(norm1.size, -1)
+        self.stored[self.box] = np.arange(self.size)
         self._strides = [n ** (dim - 1 - i) for i in range(dim)]
         self._offset = cap * sum(self._strides)
 
     def index(self, k: tuple[int, ...]) -> int:
-        return self._offset + sum(ki * s for ki, s in zip(k, self._strides))
+        """The stored position of a mode k with |k|_1 <= cap."""
+        return int(self.stored[self._offset + sum(ki * s for ki, s in zip(k, self._strides))])
 
     def dots(self, vec) -> np.ndarray:
         """k.vec for every mode, summed axis by axis."""
@@ -82,76 +101,86 @@ class _Box:
             out = out + self.modes[:, i] * w
         return out
 
+    def boxed(self, values: np.ndarray) -> np.ndarray:
+        """``values`` over the stored modes, as an array over the box, zero
+        beyond the cap (the values themselves when no box mode is beyond
+        it, as on T^0 and T^1)."""
+        if self.size == self.box_size:
+            return values
+        out = np.zeros(self.box_size, dtype=values.dtype)
+        out[self.box] = values
+        return out
+
 
 @lru_cache(maxsize=None)
-def _box(dim: int, cap: int) -> _Box:
-    return _Box(dim, cap)
+def _table(dim: int, cap: int) -> _Table:
+    return _Table(dim, cap)
 
 
 @lru_cache(maxsize=None)
 def _centre_out(dim: int, cap: int) -> np.ndarray:
-    """The positions of the modes |k|_1 <= cap from the centre out, each k
-    next to -k."""
-    box = _box(dim, cap)
-    out = np.arange(box.zero + 1, box.size)
-    order = np.concatenate(([box.zero], np.column_stack((out, box.size - 1 - out)).ravel()))
-    return order[box.norm1[order] <= cap]
+    """The stored positions from the centre out, each k next to -k: the walk
+    of the box from its centre, restricted to the stored modes."""
+    size = _table(dim, cap).size
+    out = np.arange(size // 2 + 1, size)
+    return np.concatenate(([size // 2], np.column_stack((out, size - 1 - out)).ravel()))
 
 
 class _Modes(NamedTuple):
-    """One support: its positions in lexicographic order and from the centre
-    out (each k next to -k), and the lexicographic ones less the centre's
-    position (where a right factor's pairs land, from a left factor's
-    position, in the cap's own box), as read-only arrays; and its reach,
-    the largest |k|_1 on it (0 without modes)."""
+    """One support: its stored positions in lexicographic order and from the
+    centre out (each k next to -k), where the products gather the factors'
+    coefficients; the box positions of the centre-out ones, and the box
+    positions of the lexicographic ones less the box's centre, which add up
+    to the box position where a pair of a left and a right factor lands in
+    the cap's own box, as read-only arrays; and its reach, the largest
+    |k|_1 on it (0 without modes)."""
 
     lex: np.ndarray
     centre: np.ndarray
+    shift: np.ndarray
     offset: np.ndarray
     reach: int
 
 
 @lru_cache(maxsize=1024)
 def _modes_of(dim: int, cap: int, key: bytes) -> _Modes:
-    """The record of the support whose positions are the bytes ``key``,
-    shared by every series with that support.  A computation meets few
-    supports (the ``torus2`` solve to order 5 has 73 among 4,699 series),
-    so the records cost next to no memory and each is ordered and measured
-    once."""
-    box, order, lex = _box(dim, cap), _centre_out(dim, cap), np.frombuffer(key, dtype=np.intp)
+    """The record of the support whose stored positions are the bytes
+    ``key``, shared by every series with that support.  A computation meets
+    few supports (the ``torus2`` solve to order 5 has 73 among 4,699
+    series), so the records cost next to no memory and each is ordered and
+    measured once."""
+    table, order, lex = _table(dim, cap), _centre_out(dim, cap), np.frombuffer(key, dtype=np.intp)
     # a mask, not np.argsort, whose sort kernels would add 0.3 MB of numpy's
     # code to the resident set of a run
-    present = np.zeros(box.size, dtype=bool)
+    present = np.zeros(table.size, dtype=bool)
     present[lex] = True
-    centre, offset = order[present[order]], lex - box.zero
-    centre.flags.writeable = offset.flags.writeable = False
-    return _Modes(lex, centre, offset, int(box.norm1[lex].max()) if lex.size else 0)
+    centre = order[present[order]]
+    shift, offset = table.box[centre], table.box[lex] - table.box_size // 2
+    for a in (centre, shift, offset):
+        a.flags.writeable = False
+    return _Modes(lex, centre, shift, offset, int(table.norm1[lex].max()) if lex.size else 0)
 
 
 @lru_cache(maxsize=None)
 def _product_plan(dim: int, cap: int):
     """Index tables for the product of two cap-``cap`` series, whose pairs
     land in the wide box of cap 2 cap (only its |k|_1 table is built), where
-    position(k1 + k2) = position(k1) + position(k2) - position(0), plus one
-    trailing bin that stays zero.  Returns the wide position of each mode
-    (-1, the zero bin, beyond the cap), which serves as a's shift less the
-    wide centre, as b's positions and as the gather; the wide centre; the
-    mask of the bins beyond the cap; and the number of bins."""
-    box, wide = _box(dim, cap), _norm1_table(dim, 2 * cap)
-    pos = np.full(box.size, -1, dtype=np.int64)
-    pos[box.norm1 <= cap] = np.flatnonzero(wide <= cap)
-    beyond = np.append(wide > cap, False)
-    return pos, wide.size // 2, beyond, wide.size + 1
+    position(k1 + k2) = position(k1) + position(k2) - position(0).  Returns
+    the wide position of each stored mode, which serves as a's shift less
+    the wide centre, as b's positions and as the gather; the wide centre;
+    and the mask of the bins beyond the cap."""
+    beyond = _norm1_table(dim, 2 * cap) > cap
+    return np.flatnonzero(~beyond), beyond.size // 2, beyond
 
 
 def _pair_product(a: "FourierSeries", pos_a, pos_b, prods) -> tuple[np.ndarray, float]:
     """The product's coefficients and the l1 mass beyond the cap, summed
     pair by pair over the nonzero modes in a's centre-out order, so that a
     term and its mirror image cancel exactly, in the wide box.  ``pos_a``
-    and ``pos_b`` are the factors' nonzero positions, a's from the centre
-    out, and ``prods`` the (a, b) array of their products."""
-    pos, zero, beyond, bins = _product_plan(a.dim, a.order_cap)
-    full = np.zeros(bins, dtype=complex)
+    and ``pos_b`` are the factors' nonzero stored positions, a's from the
+    centre out, and ``prods`` the (a, b) array of their products."""
+    pos, zero, beyond = _product_plan(a.dim, a.order_cap)
+    full = np.zeros(beyond.size, dtype=complex)
     np.add.at(full, ((pos[pos_a] - zero)[:, None] + pos[pos_b]).ravel(), prods.ravel())
     lost = full[beyond]
     return full[pos], float(np.abs(lost).sum()) if np.count_nonzero(lost) else 0.0
@@ -161,7 +190,7 @@ def _pair_product(a: "FourierSeries", pos_a, pos_b, prods) -> tuple[np.ndarray, 
 def _factors(dim: int, cap: int, kind: str, vec) -> np.ndarray:
     """Per-mode multipliers: the rotation e^(2*pi*i*k.vec), the derivative
     2*pi*i*k.vec, or the map divisor e^(2*pi*i*k.vec) - 1."""
-    arg = 1j * (_TWO_PI * _box(dim, cap).dots(vec))
+    arg = 1j * (_TWO_PI * _table(dim, cap).dots(vec))
     if kind == "derivative":
         return arg
     rot = np.exp(arg)
@@ -194,8 +223,10 @@ class FourierSeries:
     that lands on k before its modulus is taken, so terms that cancel there
     lose nothing.
 
-    ``coeffs`` is a read-only mapping of the nonzero modes in lexicographic
-    order, built from the array on each access.
+    The coefficients are one complex array over the modes |k|_1 <= cap in
+    lexicographic order (see the module docstring); ``coeffs`` is a
+    read-only mapping of the nonzero ones in that order, built from the
+    array on each access.
 
     A series is never written after construction, and that is load-bearing:
     its support, centre-out support and reach are read from its array once,
@@ -221,8 +252,8 @@ class FourierSeries:
             raise ValueError("dim and order_cap must be nonnegative")
         self.dim = int(dim)
         self.order_cap = int(order_cap)
-        box = _box(self.dim, self.order_cap)
-        data = np.zeros(box.size, dtype=complex)
+        table = _table(self.dim, self.order_cap)
+        data = np.zeros(table.size, dtype=complex)
         loss = float(trunc_loss)
         if coeffs:
             for k, c in coeffs.items():
@@ -237,14 +268,15 @@ class FourierSeries:
                 if _norm1(k) > self.order_cap:
                     loss += abs(c)
                     continue
-                data[box.index(k)] += c
+                data[table.index(k)] += c
         self._data = data
         self.trunc_loss = loss
         self._kept = None
 
     @classmethod
     def _of(cls, dim: int, order_cap: int, data: np.ndarray, trunc_loss: float) -> "FourierSeries":
-        """A series around a box array of its own (never written to again)."""
+        """A series around an array of its own over the stored modes (never
+        written to again)."""
         s = object.__new__(cls)
         s.dim = dim
         s.order_cap = order_cap
@@ -284,8 +316,8 @@ class FourierSeries:
             )
 
     def _modes(self) -> _Modes:
-        """The support, read from the array on first use (the one scan of
-        the box) and kept.  ``!= 0`` and a boolean scan take half the time
+        """The support, read from the array on first use (its one scan)
+        and kept.  ``!= 0`` and a boolean scan take half the time
         of a complex array's own ``nonzero``, and find the same entries."""
         if self._kept is None:
             self._kept = _modes_of(self.dim, self.order_cap, (self._data != 0).nonzero()[0].tobytes())
@@ -296,7 +328,7 @@ class FourierSeries:
         """The nonzero modes as a read-only mapping k -> coefficient, built
         on each access."""
         idx = self._modes().lex
-        modes = _box(self.dim, self.order_cap).modes[idx].tolist()
+        modes = _table(self.dim, self.order_cap).modes[idx].tolist()
         return MappingProxyType(dict(zip(map(tuple, modes), self._data[idx].tolist())))
 
     def is_zero(self) -> bool:
@@ -306,7 +338,7 @@ class FourierSeries:
         k = tuple(int(x) for x in k)
         if len(k) != self.dim or _norm1(k) > self.order_cap:
             return 0.0 + 0.0j
-        return complex(self._data[_box(self.dim, self.order_cap).index(k)])
+        return complex(self._data[_table(self.dim, self.order_cap).index(k)])
 
     def __repr__(self) -> str:
         n = self._modes().lex.size
@@ -352,8 +384,9 @@ class FourierSeries:
           zero mode (reach 0) scales the other: each mode is one pair's
           product, put in place plus +0, with no sum;
         - when the reaches add up to at most the cap, no pair lands beyond
-          it, so the pairs are summed in the cap's own box and nothing is
-          lost;
+          it, so the pairs are placed by their positions in the cap's own
+          box and summed at the stored positions those map to, and nothing
+          is lost;
         - otherwise they are summed in the wide box of cap 2 cap, whose
           bins beyond the cap feed ``trunc_loss``.
         """
@@ -369,7 +402,8 @@ class FourierSeries:
         elif mb.reach == 0:
             data[ma.centre] = 0j + prods[:, 0]
         elif ma.reach + mb.reach <= self.order_cap:
-            np.add.at(data, (ma.centre[:, None] + mb.offset).ravel(), prods.ravel())
+            stored = _table(self.dim, self.order_cap).stored
+            np.add.at(data, stored[ma.shift[:, None] + mb.offset].ravel(), prods.ravel())
         else:
             data, dropped = _pair_product(self, ma.centre, mb.lex, prods)
             loss += dropped
@@ -431,18 +465,26 @@ class FourierSeries:
             raise DimensionMismatch("a series on T^0 has no first angle")
         k0 = np.arange(-self.order_cap, self.order_cap + 1)
         factor = (1j * (_TWO_PI * k0)) ** p * np.exp(1j * (k0 * (_TWO_PI * theta0)))
-        rows = self._data.reshape(k0.size, -1)  # row k0 is the (k0, .) slice, lexicographic
+        # over the box, whose row k0 is the (k0, .) slice in lexicographic
+        # order: numpy may round a complex product by the shape of its call,
+        # so the products keep the box's shape, and each column sums the
+        # same terms, its zeros and their signs included, in the same order
+        rows = _table(self.dim, self.order_cap).boxed(self._data).reshape(k0.size, -1)
+        slice_box = (factor[:, None] * rows).sum(axis=0)
         return FourierSeries._of(self.dim - 1, self.order_cap,
-                                 (factor[:, None] * rows).sum(axis=0), self.trunc_loss)
+                                 slice_box[_table(self.dim - 1, self.order_cap).box], self.trunc_loss)
 
     # ------------------------------------------------------------- norms
 
     def strip_norm(self, sigma: float = 0.0) -> float:
         """Weighted l1 coefficient norm sum |c_k| e^(2*pi*|k|*sigma)."""
+        table = _table(self.dim, self.order_cap)
         mags = np.abs(self._data)
         if sigma != 0.0:
-            mags = mags * np.exp(_TWO_PI * _box(self.dim, self.order_cap).norm1 * sigma)
-        return float(mags.sum())
+            mags = mags * np.exp(_TWO_PI * table.norm1 * sigma)
+        # summed over the box: numpy's pairwise sum groups the terms by their
+        # positions, so the stored modes alone would round differently
+        return float(table.boxed(mags).sum())
 
     def real_symmetry_defect(self) -> float:
         """max_k |coeff(-k) - conj(coeff(k))| over stored modes."""
@@ -471,7 +513,7 @@ def evaluate_series(series: Sequence[FourierSeries], theta, dtype=complex) -> li
     supports = [s._modes().lex for s in series]
     modes = np.flatnonzero(np.bincount(np.concatenate(supports), minlength=1))  # sorted union
     table = np.zeros(t.shape[:-1] + (modes.size,), dtype=dtype)
-    for r, k in enumerate(_box(dim, cap).modes[modes].T.astype(float)):  # (..., 1) @ (1, n): no ufunc buffers
+    for r, k in enumerate(_table(dim, cap).modes[modes].T.astype(float)):  # (..., 1) @ (1, n): no ufunc buffers
         table += t[..., r:r + 1] @ k[None]
     np.exp(np.multiply(dtype(2j) * dtype(np.pi), table, out=table), out=table)
     out = []
@@ -611,14 +653,14 @@ def _sd_divide(h: FourierSeries, vec, kind: str, divisor_floor: float) -> Fourie
         raise DimensionMismatch(
             f"series on T^{h.dim} with frequency vector of length {len(vec)}"
         )
-    box = _box(h.dim, h.order_cap)
+    table = _table(h.dim, h.order_cap)
     idx = h._modes().lex
-    idx = idx[idx != box.zero]
+    idx = idx[idx != table.zero]
     div = _factors(h.dim, h.order_cap, kind, tuple(vec))[idx]
     small = np.abs(div) < divisor_floor
     if small.any():
         at = int(np.argmax(small))
-        raise ResonantMode(tuple(box.modes[idx[at]].tolist()), complex(div[at]))
+        raise ResonantMode(tuple(table.modes[idx[at]].tolist()), complex(div[at]))
     data = np.zeros_like(h._data)
     data[idx] = _quotient(h._data[idx], div)
     return h._like(data, h.trunc_loss)

@@ -10,6 +10,7 @@ the split averaged/oscillatory coefficient tables of the expansion.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 try:  # CPython's builtin sha256: hashlib loads OpenSSL, about 3.5 MB more resident memory
@@ -76,8 +77,31 @@ def series_to_obj(s: FourierSeries) -> dict:
     return {"dim": s.dim, "order_cap": s.order_cap, "modes": modes}
 
 
-def series_from_obj(obj: dict) -> FourierSeries:
-    coeffs = {tuple(k): complex(re, im) for k, re, im in obj.get("modes", [])}
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _index(values, path: str) -> tuple[int, ...]:
+    """``values``, a list of integers, as a tuple; else HypothesisViolation
+    naming ``path``."""
+    if not isinstance(values, (list, tuple)) or not all(map(_is_int, values)):
+        raise HypothesisViolation(f"{path}: index {values!r} is not a list of integers")
+    return tuple(values)
+
+
+def series_from_obj(obj: dict, path: str = "series") -> FourierSeries:
+    """The series a record holds.  Every mode must be a list of integers,
+    listed once, with finite parts, else HypothesisViolation names the
+    record's path (``path``, then the mode's)."""
+    coeffs = {}
+    for i, (k, re, im) in enumerate(obj.get("modes", [])):
+        where = f"{path}.modes[{i}]"
+        k = _index(k, where)
+        if not all((_is_int(v) or isinstance(v, float)) and math.isfinite(v) for v in (re, im)):
+            raise HypothesisViolation(f"{where}: coefficient ({re!r}, {im!r}) is not a finite number")
+        if k in coeffs:
+            raise HypothesisViolation(f"{where}: mode {list(k)} is listed twice")
+        coeffs[k] = complex(re, im)
     return FourierSeries(int(obj["dim"]), int(obj["order_cap"]), coeffs)
 
 
@@ -92,11 +116,20 @@ def jet_to_obj(j: Jet) -> dict:
     }
 
 
-def jet_from_obj(obj: dict) -> Jet:
-    terms = {
-        (int(t["l"]), tuple(t["k"])): series_from_obj(t["series"])
-        for t in obj.get("terms", [])
-    }
+def jet_from_obj(obj: dict, path: str = "jet") -> Jet:
+    """The jet a record holds.  Every monomial (l, k) must be integers,
+    listed once, and every series as :func:`series_from_obj` takes it, else
+    HypothesisViolation names the record's path (``path``, then the
+    term's)."""
+    terms = {}
+    for i, t in enumerate(obj.get("terms", [])):
+        where = f"{path}.terms[{i}]"
+        if not _is_int(t["l"]):
+            raise HypothesisViolation(f"{where}: power l = {t['l']!r} is not an integer")
+        key = t["l"], _index(t["k"], where)
+        if key in terms:
+            raise HypothesisViolation(f"{where}: monomial l = {key[0]}, k = {list(key[1])} is listed twice")
+        terms[key] = series_from_obj(t["series"], f"{where}.series")
     return Jet(int(obj["m"]), int(obj["deg"]), int(obj["dim"]),
                int(obj["order_cap"]), terms)
 
@@ -180,12 +213,12 @@ def model_from_obj(obj: dict):
         raise HypothesisViolation(f"model record has d = {obj['d']} but len(omega) = {d}")
     _refuse_off_torus("model", obj, obj["a"]["dim"], obj["order_cap"])
     freq = _freq_from_obj(obj["freq"])
-    a = series_from_obj(obj["a"])
+    a = series_from_obj(obj["a"], "a")
     m = int(obj["m"])
-    B = [[series_from_obj(obj["B"][i][j]) for j in range(m)] for i in range(m)] if m else None
-    f = jet_from_obj(obj["f"]) if "f" in obj else None
-    g = [jet_from_obj(o) for o in obj.get("g", [])] or None
-    h = [jet_from_obj(o) for o in obj.get("h", [])] or None
+    B = [[series_from_obj(obj["B"][i][j], f"B[{i}][{j}]") for j in range(m)] for i in range(m)] if m else None
+    f = jet_from_obj(obj["f"], "f") if "f" in obj else None
+    g = [jet_from_obj(o, f"g[{i}]") for i, o in enumerate(obj.get("g", []))] or None
+    h = [jet_from_obj(o, f"h[{i}]") for i, o in enumerate(obj.get("h", []))] or None
     cls = FlowModel if kind == "flow" else MapModel
     deg = f.deg if f is not None else None
     return cls.build(
@@ -259,11 +292,13 @@ def solution_from_obj(obj: dict, model: MapModel | FlowModel) -> ManifoldSolutio
     return ManifoldSolution(
         model=model, j=int(obj["j"]),
         kbar_x={int(l): float(v) for l, v in obj["kbar_x"].items()},
-        ktil_x={int(o): series_from_obj(s) for o, s in obj["ktil_x"].items()},
+        ktil_x={int(o): series_from_obj(s, f"ktil_x.{o}") for o, s in obj["ktil_x"].items()},
         kbar_y={int(l): tuple(v) for l, v in obj["kbar_y"].items()},
-        ktil_y={int(o): [series_from_obj(s) for s in r] for o, r in obj["ktil_y"].items()},
+        ktil_y={int(o): [series_from_obj(s, f"ktil_y.{o}[{i}]") for i, s in enumerate(r)]
+                for o, r in obj["ktil_y"].items()},
         kbar_th={int(l): tuple(v) for l, v in obj["kbar_th"].items()},
-        ktil_th={int(o): [series_from_obj(s) for s in r] for o, r in obj["ktil_th"].items()},
+        ktil_th={int(o): [series_from_obj(s, f"ktil_th.{o}[{i}]") for i, s in enumerate(r)]
+                 for o, r in obj["ktil_th"].items()},
         reduced=red,
         free_choices=obj.get("free_choices", {}),
     )
@@ -286,7 +321,7 @@ def primary_system_from_obj(obj: dict):
 
     return PrimarySystem(
         masses=tuple(float(v) for v in obj["masses"]),
-        qx=tuple(series_from_obj(o) for o in obj["qx"]),
-        qy=tuple(series_from_obj(o) for o in obj["qy"]),
+        qx=tuple(series_from_obj(o, f"qx[{i}]") for i, o in enumerate(obj["qx"])),
+        qy=tuple(series_from_obj(o, f"qy[{i}]") for i, o in enumerate(obj["qy"])),
         omega=tuple(float(v) for v in obj["omega"]),
     )

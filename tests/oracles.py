@@ -2,8 +2,8 @@
 implementation: a dense generic linear solve of the full coefficient system
 assembled by probing the exact jet composition, the per-mode and per-series
 evaluation loops, the dict-of-tuples Fourier arithmetic that the array
-store replaced, the box product that scanned both supports for every pair
-product, the restricted-field constructors written term by term, the
+store replaced, the algebra of series stored over the whole box [-cap, cap]^d
+with the box product that scanned both supports for every pair product, the restricted-field constructors written term by term, the
 positions and potential of the primaries summed one primary at a time,
 the restricted field with every position from one numpy matrix-vector
 product, the restricted field summed in float loops over modes and
@@ -13,6 +13,7 @@ the Diophantine scan as one loop over the half lattice, and the
 Dormand–Prince step and its error norm as loops over the components."""
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from paratori.cohomology import ErrorJet, invariance_error
 from paratori.errors import DegreeOverflow, HypothesisViolation, OrbitLeftDomain, ResonantMode, ZeroDivisor
-from paratori.fourier import FourierSeries, _centre_out, _product_plan
+from paratori.fourier import FourierSeries, _quotient
 from paratori.jet import Jet, SkewMap, _multis, evaluate_jets, jet_compose
 from paratori.model import ReducedMap
 from paratori.verify import _CDT, _cabs, _max_diff, _theta_grid, _transport_jets
@@ -371,12 +372,158 @@ def reference_mul(a, b):
     return table, cap, a.trunc_loss + b.trunc_loss + dropped
 
 
-# the box product as it was before each series kept its support:
-# ``fourier._pairs``, ``fourier._pair_product`` and
-# ``FourierSeries.series_mul``, which scan both boxes for every product and
-# sum every pair in the wide box of cap 2 cap, unless a factor has no mode
-# but its zero mode.  Here they take the series as arguments, and b's
-# support is scanned from its array, not read from what the series keeps.
+# ------------------------------------------------------------ the box algebra
+#
+# ``FourierSeries`` as it was while its coefficients were one flat array over
+# the box [-cap, cap]^d in lexicographic order, zero beyond the cap: every
+# operation on box arrays, with the box's own mode tables, so that each can
+# be held against the store over the modes |k|_1 <= cap bit for bit.  The
+# product is the one that scanned both boxes for every product and summed
+# every pair in the wide box of cap 2 cap, unless a factor had no mode but
+# its zero mode.
+
+
+@functools.lru_cache(maxsize=None)
+def box_tables(dim, cap):
+    """(modes, norm1) of the box [-cap, cap]^dim: each mode as a row, flat in
+    lexicographic order, and its |k|_1."""
+    n = 2 * cap + 1
+    modes = np.indices((n,) * dim).reshape(dim, n ** dim).T - cap
+    return modes, np.abs(modes).sum(axis=1)
+
+
+def stored_positions(dim, cap):
+    """The box positions of the modes |k|_1 <= cap, in lexicographic order."""
+    return np.flatnonzero(box_tables(dim, cap)[1] <= cap)
+
+
+def box_of(s):
+    """The box array of s: its coefficients in place, +0 beyond the cap."""
+    out = np.zeros(box_tables(s.dim, s.order_cap)[1].size, dtype=s._data.dtype)
+    out[stored_positions(s.dim, s.order_cap)] = s._data
+    return out
+
+
+def box_series(dim, cap, data, trunc_loss=0.0):
+    """The series whose box array is ``data`` (zero beyond the cap)."""
+    assert not data[box_tables(dim, cap)[1] > cap].any()
+    return FourierSeries._of(dim, cap, data[stored_positions(dim, cap)], trunc_loss)
+
+
+def box_coeffs(dim, cap, data):
+    """The nonzero entries of a box array as a table k -> coefficient."""
+    modes = box_tables(dim, cap)[0]
+    return {tuple(modes[i].tolist()): complex(data[i]) for i in np.flatnonzero(data)}
+
+
+def _box_index(dim, cap, k):
+    n = 2 * cap + 1
+    return sum((ki + cap) * n ** (dim - 1 - i) for i, ki in enumerate(k))
+
+
+def box_coeff(s, k):
+    """``s.coeff(k)`` read from the box array."""
+    k = tuple(int(x) for x in k)
+    if len(k) != s.dim or _norm1(k) > s.order_cap:
+        return 0.0 + 0.0j
+    return complex(box_of(s)[_box_index(s.dim, s.order_cap, k)])
+
+
+def box_factors(dim, cap, kind, vec):
+    """Per-mode multipliers over the box, k.vec summed axis by axis: the
+    rotation, the derivative or the map divisor."""
+    modes = box_tables(dim, cap)[0]
+    dots = np.zeros(modes.shape[0])
+    for i, w in enumerate(vec):
+        dots = dots + modes[:, i] * w
+    arg = 1j * (2.0 * math.pi * dots)
+    if kind == "derivative":
+        return arg
+    rot = np.exp(arg)
+    return rot if kind == "rotation" else rot - 1.0
+
+
+def box_times(s, kind, vec):
+    """The box array of s times its per-mode multipliers.  Both operands are
+    named: numpy may write a product over a temporary operand of 256 kB or
+    more into that operand, and that loop can round a complex product
+    differently."""
+    data, factors = box_of(s), box_factors(s.dim, s.order_cap, kind, tuple(vec))
+    return data * factors
+
+
+def box_at_first_angle(s, theta0, p):
+    """The box array on T^(dim-1) of ``s.at_first_angle(theta0, p)``."""
+    k0 = np.arange(-s.order_cap, s.order_cap + 1)
+    factor = (1j * (2.0 * math.pi * k0)) ** p * np.exp(1j * (k0 * (2.0 * math.pi * theta0)))
+    rows = box_of(s).reshape(k0.size, -1)
+    return (factor[:, None] * rows).sum(axis=0)
+
+
+def box_strip_norm(s, sigma=0.0):
+    mags = np.abs(box_of(s))
+    if sigma != 0.0:
+        mags = mags * np.exp(2.0 * math.pi * box_tables(s.dim, s.order_cap)[1] * sigma)
+    return float(mags.sum())
+
+
+def box_sd_divide(h, vec, kind, divisor_floor=1e-12):
+    """The box array of phi_k = h_k / divisor(k.vec), each quotient rounded
+    as Python's complex division; raises ResonantMode at the first small
+    divisor in lexicographic order."""
+    data = box_of(h)
+    idx = data.nonzero()[0]
+    idx = idx[idx != data.size // 2]
+    div = box_factors(h.dim, h.order_cap, kind, tuple(vec))[idx]
+    small = np.abs(div) < divisor_floor
+    if small.any():
+        at = int(np.argmax(small))
+        raise ResonantMode(tuple(box_tables(h.dim, h.order_cap)[0][idx[at]].tolist()), complex(div[at]))
+    out = np.zeros_like(data)
+    out[idx] = _quotient(data[idx], div)
+    return out
+
+
+def box_evaluate_series(series, theta, dtype=complex):
+    """``evaluate_series`` over the box: one phase table over the union of
+    the series' nonzero box positions, k.theta summed axis by axis."""
+    dim, cap = series[0].dim, series[0].order_cap
+    th = np.asarray(theta, dtype=dtype)
+    t = th.reshape(1)[:dim] if th.ndim == 0 and dim <= 1 else th
+    data = [box_of(s) for s in series]
+    supports = [d.nonzero()[0] for d in data]
+    modes = np.flatnonzero(np.bincount(np.concatenate(supports), minlength=1))
+    table = np.zeros(t.shape[:-1] + (modes.size,), dtype=dtype)
+    for r, k in enumerate(box_tables(dim, cap)[0][modes].T.astype(float)):
+        table += t[..., r:r + 1] @ k[None]
+    np.exp(np.multiply(dtype(2j) * dtype(np.pi), table, out=table), out=table)
+    out = []
+    for d, idx in zip(data, supports):
+        cols = table if idx.size == modes.size else np.take(table, np.searchsorted(modes, idx), axis=-1)
+        out.append(cols @ d[idx].astype(dtype))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def box_centre_out(dim, cap):
+    """The box positions of the modes |k|_1 <= cap from the centre out, each
+    k next to -k."""
+    norm1 = box_tables(dim, cap)[1]
+    zero = norm1.size // 2
+    out = np.arange(zero + 1, norm1.size)
+    order = np.concatenate(([zero], np.column_stack((out, norm1.size - 1 - out)).ravel()))
+    return order[norm1[order] <= cap]
+
+
+@functools.lru_cache(maxsize=None)
+def _box_product_plan(dim, cap):
+    """The wide position (in the box of cap 2 cap) of each box position, the
+    trailing zero bin beyond the cap; the wide centre; the mask of the bins
+    beyond the cap; and the number of bins."""
+    norm1, wide = box_tables(dim, cap)[1], box_tables(dim, 2 * cap)[1]
+    pos = np.full(norm1.size, -1, dtype=np.int64)
+    pos[norm1 <= cap] = np.flatnonzero(wide <= cap)
+    return pos, wide.size // 2, np.append(wide > cap, False), wide.size + 1
 
 
 def _zero_mode_only(pos, zero):
@@ -388,19 +535,20 @@ def box_pairs(a, b):
     """The nonzero modes of a, from the centre out (each k next to -k), and
     of b, as positions in their boxes, and the products of every pair as one
     (a, b) array from one call."""
-    order = _centre_out(a.dim, a.order_cap)
-    va = a._data[order]
-    ia, ib = va.nonzero()[0], b._data.nonzero()[0]
-    return order[ia], ib, va[ia][:, None] * b._data[ib]
+    order = box_centre_out(a.dim, a.order_cap)
+    da, db = box_of(a), box_of(b)
+    va = da[order]
+    ia, ib = va.nonzero()[0], db.nonzero()[0]
+    return order[ia], ib, va[ia][:, None] * db[ib]
 
 
 def box_pair_product(a, b, pairs=None):
-    """The product's coefficients and the l1 mass beyond the cap, summed
+    """The box array of the product and the l1 mass beyond the cap, summed
     pair by pair over the nonzero modes in a's centre-out order, so that a
     term and its mirror image cancel exactly.  ``pairs`` is :func:`box_pairs`
     of (a, b), when it is at hand."""
     pos_a, pos_b, prods = box_pairs(a, b) if pairs is None else pairs
-    pos, zero, beyond, bins = _product_plan(a.dim, a.order_cap)
+    pos, zero, beyond, bins = _box_product_plan(a.dim, a.order_cap)
     full = np.zeros(bins, dtype=complex)
     np.add.at(full, ((pos[pos_a] - zero)[:, None] + pos[pos_b]).ravel(), prods.ravel())
     lost = full[beyond]
@@ -408,19 +556,20 @@ def box_pair_product(a, b, pairs=None):
 
 
 def box_series_mul(a, b):
-    """``a.series_mul(b)`` as it was: with a factor that has no mode but its
-    zero mode, each mode of the product is one pair's product put in place
-    plus +0; otherwise :func:`box_pair_product`."""
+    """(box array, trunc_loss) of ``a.series_mul(b)`` as it was: with a
+    factor that has no mode but its zero mode, each mode of the product is
+    one pair's product put in place plus +0; otherwise
+    :func:`box_pair_product`."""
     a._check_compatible(b)
     pairs = pos_a, pos_b, prods = box_pairs(a, b)
-    zero = a._data.size // 2
+    zero = box_tables(a.dim, a.order_cap)[1].size // 2
     loss = a.trunc_loss + b.trunc_loss
     if _zero_mode_only(pos_a, zero) or _zero_mode_only(pos_b, zero):
-        data = np.zeros(a._data.size, dtype=complex)
+        data = np.zeros(2 * zero + 1, dtype=complex)
         data[(pos_a[:, None] + (pos_b - zero)).ravel()] = 0j + prods.ravel()
-        return FourierSeries._of(a.dim, a.order_cap, data, loss)
+        return data, loss
     data, dropped = box_pair_product(a, b, pairs)
-    return FourierSeries._of(a.dim, a.order_cap, data, loss + dropped)
+    return data, loss + dropped
 
 
 def reference_rotate(s, step):

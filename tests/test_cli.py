@@ -192,6 +192,58 @@ def test_model_record_off_its_cap_exits_2(tmp_path, edit):
     assert not (out / "solution.json").exists()
 
 
+def _fractional_power(obj):
+    obj["f"]["terms"][0]["l"] = 0.5  # was read as l = 0, and the model solved
+    return "f.terms[0]: power l = 0.5 is not an integer"
+
+
+def _fractional_mode(obj):
+    obj["B"][0][0]["modes"][1][0] = [1.5, 0]  # was read as (1, 0): "not real-symmetric"
+    return "B[0][0].modes[1]: index [1.5, 0] is not a list of integers"
+
+
+def _infinite_coefficient(obj):
+    row = obj["a"]["modes"][0]
+    row[1] = math.inf  # ran into RuntimeWarnings and exit 4
+    return f"a.modes[0]: coefficient (inf, {row[2]!r}) is not a finite number"
+
+
+def _nan_coefficient(obj):
+    row = obj["B"][0][0]["modes"][2]
+    row[2] = math.nan  # exited 4 with WindowTooWide
+    return f"B[0][0].modes[2]: coefficient ({row[1]!r}, nan) is not a finite number"
+
+
+def _repeated_mode(obj):
+    modes = obj["B"][0][0]["modes"]
+    modes.append([modes[0][0], 0.5, 0.0])  # the last value listed won
+    return f"B[0][0].modes[{len(modes) - 1}]: mode {modes[0][0]} is listed twice"
+
+
+def _repeated_monomial(obj):
+    terms = obj["f"]["terms"]
+    terms.append({**terms[0], "series": {**terms[0]["series"], "modes": []}})
+    return f"f.terms[{len(terms) - 1}]: monomial l = {terms[0]['l']}, k = {terms[0]['k']} is listed twice"
+
+
+@pytest.mark.parametrize("edit", [_fractional_power, _fractional_mode, _infinite_coefficient,
+                                  _nan_coefficient, _repeated_mode, _repeated_monomial],
+                         ids=["fractional-l", "fractional-mode", "inf", "nan", "mode-twice", "monomial-twice"])
+def test_malformed_model_record_exits_2(tmp_path, edit):
+    # every mode and monomial index is a list of integers listed once, and
+    # every coefficient is finite; the error names the record path
+    obj = ser.model_to_obj(torus2_model(1))
+    message = edit(obj)
+    path = tmp_path / "model.json"
+    ser.dump_json(obj, path)
+    out = tmp_path / "out"
+    code = main(["solve-map", "--model", str(path), "--order", "2", "--outdir", str(out)])
+    assert code == 2
+    rec = _read(out / "summary.json")
+    assert (rec["error_kind"], rec["error"]) == ("HypothesisViolation", message)
+    assert not (out / "solution.json").exists()
+
+
 def test_solution_record_off_its_cap_exits_2(tmp_path):
     solution = _solve(tmp_path, "solve-map", "builtin:benchmark-map")
     obj = _read(solution)

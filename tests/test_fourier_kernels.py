@@ -1,9 +1,13 @@
 """The array kernels of FourierSeries against the dict-of-tuples code they
 replaced (tests/oracles.py): products, sums, rotations, derivatives and SD
 solves on T^0 to T^3 at one cap, and the refusal of two caps; and the
-slice at a fixed first angle against evaluation of the derivative."""
+slice at a fixed first angle against evaluation of the derivative; and
+the store over the modes under the cap against the algebra of the whole box
+[-cap, cap]^d that it replaced, bit for bit."""
 
 import copy
+import itertools
+import math
 import pickle
 
 import numpy as np
@@ -14,12 +18,23 @@ from paratori.errors import DimensionMismatch, ResonantMode
 from paratori.jet import Jet
 from paratori import fourier
 from paratori.fourier import (
-    FourierSeries, FrequencyVector, _box, sd_solve_flow, sd_solve_map,
+    FourierSeries, FrequencyVector, evaluate_series, sd_solve_flow, sd_solve_map,
 )
 from conftest import random_real_series
 from oracles import (
+    box_at_first_angle,
+    box_centre_out,
+    box_coeff,
+    box_coeffs,
+    box_evaluate_series,
+    box_of,
     box_pair_product,
+    box_sd_divide,
+    box_series,
     box_series_mul,
+    box_strip_norm,
+    box_tables,
+    box_times,
     flow_divisor,
     map_divisor,
     reference_add,
@@ -28,6 +43,7 @@ from oracles import (
     reference_rotate,
     reference_sd_divide,
     reference_table,
+    stored_positions,
 )
 
 TOL = 1e-13
@@ -221,19 +237,20 @@ def test_mixed_caps_raise():
 
 
 def test_product_builds_no_wide_box(monkeypatch):
-    """A cap-c product on T^3 builds the box of cap c only: the wide scratch
-    box of cap 2c is a |k|_1 table, not a _Box with its mode tables."""
+    """A cap-c product on T^3 builds the mode table of cap c only: the wide
+    scratch box of cap 2c is a |k|_1 table, not a _Table with its mode
+    tables."""
     built = []
-    init = fourier._Box.__init__
+    init = fourier._Table.__init__
 
     def recording(self, dim, cap):
         built.append((dim, cap))
         init(self, dim, cap)
 
-    caches = (fourier._box, fourier._centre_out, fourier._product_plan)
+    caches = (fourier._table, fourier._centre_out, fourier._product_plan)
     for cache in caches:
         cache.cache_clear()
-    monkeypatch.setattr(fourier._Box, "__init__", recording)
+    monkeypatch.setattr(fourier._Table, "__init__", recording)
     rng = np.random.default_rng(3)
     a, b = (random_real_series(rng, dim=3, cap=4) for _ in range(2))
     p = a.series_mul(b)
@@ -293,21 +310,21 @@ def _signed_zero_parts(rng, values):
 
 
 def _series_on(rng, dim, cap, n_modes, special, reach=None):
-    """A series built on its box array, so that signed zeros survive: the
+    """A series built from its box array, so that signed zeros survive: the
     constant ``special`` (an index into _CONSTANTS, or None for a random one)
     when ``n_modes`` is None, else ``n_modes`` random modes with |k|_1 at
     most ``reach`` (the cap when None)."""
-    box = _box(dim, cap)
-    data = np.zeros(box.size, dtype=complex)
+    norm1 = box_tables(dim, cap)[1]
+    data = np.zeros(norm1.size, dtype=complex)
     if n_modes is None:
-        data[box.zero] = (complex(rng.standard_normal(), rng.standard_normal())
-                          if special is None else _CONSTANTS[special])
+        data[norm1.size // 2] = (complex(rng.standard_normal(), rng.standard_normal())
+                                 if special is None else _CONSTANTS[special])
     else:
-        modes = np.flatnonzero(box.norm1 <= (cap if reach is None else reach))
+        modes = np.flatnonzero(norm1 <= (cap if reach is None else reach))
         idx = rng.choice(modes, size=min(n_modes, modes.size), replace=False)
         values = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
         data[idx] = _signed_zero_parts(rng, values)
-    return FourierSeries._of(dim, cap, data, float(rng.random()))
+    return box_series(dim, cap, data, float(rng.random()))
 
 
 def _same_bits(a, b) -> bool:
@@ -331,7 +348,7 @@ def test_constant_factor_product_is_the_pair_sum(seed, dim, cap, side, special, 
     got = a.series_mul(b)
     want, dropped = box_pair_product(a, b)
     assert dropped == 0.0
-    assert got.order_cap == cap and _same_bits(got._data, want)
+    assert got.order_cap == cap and _same_bits(box_of(got), want)
     assert got.trunc_loss == a.trunc_loss + b.trunc_loss
 
 
@@ -350,23 +367,26 @@ def test_product_paths_match_the_box_product(seed, dim, cap, reaches, within, si
     reach_a = 1 + reaches[0] % cap if cap else 0
     reach_b = min(1 + reaches[1] % cap if cap else 0, cap - reach_a if within else cap)
     a, b = (_series_on(rng, dim, cap, n, None, reach=r) for n, r in zip(sizes, (reach_a, reach_b)))
-    got, want = a.series_mul(b), box_series_mul(a, b)
+    got, (want, loss) = a.series_mul(b), box_series_mul(a, b)
     assert (got.dim, got.order_cap) == (dim, cap)
-    assert _same_bits(got._data, want._data)
-    assert got.trunc_loss.hex() == want.trunc_loss.hex()
+    assert _same_bits(box_of(got), want)
+    assert got.trunc_loss.hex() == loss.hex()
 
 
 def _assert_kept_supports_hold(s):
-    """The support, centre-out support, offsets and reach a series keeps are
-    the ones its array gives now, in arrays that no one can write to."""
-    lex = s._data.nonzero()[0]
-    order = fourier._centre_out(s.dim, s.order_cap)
+    """The support, centre-out support, box positions and reach a series
+    keeps are the ones its box array gives now, in arrays that no one can
+    write to."""
+    box, stored = box_of(s), stored_positions(s.dim, s.order_cap)
+    lex = box.nonzero()[0]
+    order = box_centre_out(s.dim, s.order_cap)
+    centre = order[box[order].nonzero()[0]]
     kept = s._modes()
-    assert np.array_equal(kept.lex, lex)
-    assert np.array_equal(kept.centre, order[s._data[order].nonzero()[0]])
-    assert np.array_equal(kept.offset, lex - s._data.size // 2)
-    assert kept.reach == (int(_box(s.dim, s.order_cap).norm1[lex].max()) if lex.size else 0)
-    assert not (kept.lex.flags.writeable or kept.centre.flags.writeable or kept.offset.flags.writeable)
+    assert np.array_equal(stored[kept.lex], lex) and np.array_equal(kept.lex, s._data.nonzero()[0])
+    assert np.array_equal(stored[kept.centre], centre) and np.array_equal(kept.shift, centre)
+    assert np.array_equal(kept.offset, lex - box.size // 2)
+    assert kept.reach == (int(box_tables(s.dim, s.order_cap)[1][lex].max()) if lex.size else 0)
+    assert not any(a.flags.writeable for a in (kept.lex, kept.centre, kept.shift, kept.offset))
 
 
 @_PROPERTY
@@ -421,3 +441,106 @@ def test_series_pickle_and_copy_round_trip(rng):
     for t in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
         assert t.coeffs == table and t.order_cap == 4 and t.trunc_loss == s.trunc_loss
         assert t.series_mul(s).coeffs == s.series_mul(s).coeffs
+
+
+# ------------------------------------------- the store against the box algebra
+
+
+def _cross_polytope_size(dim, cap):
+    """The number of modes |k|_1 <= cap on T^dim: sum_i 2^i C(dim, i) C(cap, i)."""
+    return sum(2 ** i * math.comb(dim, i) * math.comb(cap, i) for i in range(dim + 1))
+
+
+def test_series_stores_the_modes_under_its_cap():
+    """A series on T^d at cap c holds one entry per mode |k|_1 <= c, not one
+    per mode of the box [-c, c]^d: 313 of 625 on the torus2 model's T^2 at
+    cap 12, and 3,649 of 83,521 on the n = 3 skeleton's T^4 at cap 8."""
+    assert (_cross_polytope_size(2, 12), _cross_polytope_size(4, 8)) == (313, 3649)
+    for dim in range(5):
+        for cap in range(9):
+            s = FourierSeries(dim, cap)
+            assert s._data.size == _cross_polytope_size(dim, cap), (dim, cap)
+    for dim, cap in ((2, 12), (4, 8)):
+        p = FourierSeries.cosine((1,) + (0,) * (dim - 1), dim, cap).series_mul(
+            FourierSeries.sine((0,) * (dim - 1) + (1,), dim, cap))
+        assert p._data.size == _cross_polytope_size(dim, cap)
+
+
+def _same_table(got, want) -> bool:
+    """Equal tables, key for key in the same order, each value to the bits."""
+    return list(got) == list(want) and _same_bits(np.array(list(got.values()), dtype=complex),
+                                                  np.array(list(want.values()), dtype=complex))
+
+
+def _stores(got, want) -> bool:
+    """Whether the series ``got`` holds the box array ``want``: the bits and
+    signed zeros of every mode under the cap, and zeros beyond it (whose
+    signs the box kept, and no value ever read)."""
+    stored = stored_positions(got.dim, got.order_cap)
+    beyond = np.ones(want.size, dtype=bool)
+    beyond[stored] = False
+    return _same_bits(got._data, want[stored]) and not want[beyond].any()
+
+
+_KINDS = st.sampled_from(["empty", "constant", 1, 2, 3, 8, 60])
+
+
+def _series_of_kind(rng, dim, cap, kind):
+    """An empty series, a constant (random or one of _CONSTANTS), or ``kind``
+    random modes within a random reach, from a box array with signed zeros."""
+    if kind == "empty":
+        return _series_on(rng, dim, cap, 0, None)
+    if kind == "constant":
+        special = int(rng.integers(len(_CONSTANTS) + 1))
+        return _series_on(rng, dim, cap, None, special if special < len(_CONSTANTS) else None)
+    return _series_on(rng, dim, cap, kind, None, reach=int(rng.integers(0, cap + 1)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(0, 4), cap=st.integers(0, 6),
+       kinds=st.tuples(_KINDS, _KINDS))
+def test_store_matches_the_box_algebra(seed, dim, cap, kinds):
+    """Every operation on the store over the modes |k|_1 <= cap gives the
+    bits, signed zeros and losses that the same operation gave on the box
+    [-cap, cap]^d: sums, scalings, conjugation, rotation, derivatives,
+    average and oscillatory part, coefficient reads, the slice at a first
+    angle, the strip norm, both SD divisions, the product and evaluation."""
+    rng = np.random.default_rng(seed)
+    a, b = (_series_of_kind(rng, dim, cap, kind) for kind in kinds)
+    A, B = box_of(a), box_of(b)
+    s = complex(rng.standard_normal(), rng.standard_normal())
+    for got, want in ((a + b, A + B), (a - b, A + (-B)), (-a, -A), (a.scale(s), A * s),
+                      (a.conjugate(), A[::-1].conj()), (a.oscillatory(), np.where(
+                          np.arange(A.size) == A.size // 2, 0j, A))):
+        assert _stores(got, want)
+    assert _same_bits(np.array([a.average()]), A[A.size // 2:A.size // 2 + 1])
+    assert _same_table(a.coeffs, box_coeffs(dim, cap, A))
+    for k in itertools.islice(itertools.product(range(-cap - 1, cap + 2), repeat=dim), 40):
+        assert _same_bits(np.array([a.coeff(k)]), np.array([box_coeff(a, k)]))
+    assert a.coeff((0,) * (dim + 1)) == 0
+    sigma = float(rng.uniform(0.01, 0.2))
+    for sg in (0.0, sigma):
+        assert a.strip_norm(sg).hex() == box_strip_norm(a, sg).hex()
+    got, (want, loss) = a.series_mul(b), box_series_mul(a, b)
+    assert _stores(got, want) and got.trunc_loss.hex() == loss.hex()
+    if dim:
+        step = tuple(rng.random(dim))
+        freqs = tuple(rng.standard_normal(dim))
+        assert _stores(a.rotate(step), box_times(a, "rotation", step))
+        assert _stores(a.directional_derivative(freqs), box_times(a, "derivative", freqs))
+        for axis in range(dim):
+            unit = tuple(float(i == axis) for i in range(dim))
+            assert _stores(a.derivative(axis), box_times(a, "derivative", unit))
+        theta0 = float(rng.uniform(-2.0, 2.0))
+        for p in range(4):
+            got = a.at_first_angle(theta0, p)
+            assert _stores(got, box_at_first_angle(a, theta0, p))
+        h, vec = a.oscillatory(), tuple(0.1 + rng.random(dim))
+        for kind, solve, freq in (("divisor", sd_solve_map, FrequencyVector(omega=vec)),
+                                  ("derivative", sd_solve_flow, FrequencyVector(omega=vec[:1], nu=vec[1:]))):
+            assert _stores(solve(h, freq), box_sd_divide(h, vec, kind))
+    th = rng.random((3, dim)) + 0.01j * rng.standard_normal((3, dim))
+    for dtype in (complex, np.clongdouble):
+        for got, want in zip(evaluate_series((a, b, a + b), th, dtype),
+                             box_evaluate_series((a, b, a + b), th, dtype)):
+            assert got.dtype == want.dtype and _same_bits(got, want)

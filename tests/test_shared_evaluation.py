@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from paratori.benchmark import benchmark_map_model
 from paratori.cohomology import solve_manifold
 from paratori.errors import DimensionMismatch
-from paratori.fourier import FourierSeries, _box, evaluate_series
+from paratori.fourier import FourierSeries, evaluate_series
 from paratori.jet import Jet, SkewMap, evaluate_jets
 from paratori.verify import fit_error_orders
-from oracles import per_series_jet_evaluate, per_series_map_evaluate, reference_evaluate
+from oracles import box_of, box_tables, per_series_jet_evaluate, per_series_map_evaluate, reference_evaluate
 
 _PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 _DTYPES = [complex, np.clongdouble]
@@ -94,10 +94,11 @@ def test_extended_table_is_the_matmul_phase(seed, dim, cap, batch):
     shape = (dim,) if batch is None else (*batch, dim)
     th = rng.random(shape) + 0.01j * rng.standard_normal(shape)
     dt = np.clongdouble
-    idx = s._data.nonzero()[0]
-    modes = _box(dim, cap).modes[idx].astype(float)
+    data = box_of(s)
+    idx = data.nonzero()[0]
+    modes = box_tables(dim, cap)[0][idx].astype(float)
     two_pi_i = dt(2j) * dt(np.pi)
-    want = np.exp(two_pi_i * (np.asarray(th, dtype=dt) @ modes.T)) @ s._data[idx].astype(dt)
+    want = np.exp(two_pi_i * (np.asarray(th, dtype=dt) @ modes.T)) @ data[idx].astype(dt)
     assert _same(s.evaluate(th, dtype=dt), want)
 
 
