@@ -2,8 +2,9 @@
 implementation: a dense generic linear solve of the full coefficient system
 assembled by probing the exact jet composition, the per-mode and per-series
 evaluation loops, the dict-of-tuples Fourier arithmetic that the array
-store replaced, the algebra of series stored over the whole box [-cap, cap]^d
-with the box product that scanned both supports for every pair product, the restricted-field constructors written term by term, the
+store replaced, the algebra of series stored over the whole box
+[-cap, cap]^d with the box product that scanned both supports for every
+pair product, the restricted-field constructors written term by term, the
 positions and potential of the primaries summed one primary at a time,
 the restricted field with every position from one numpy matrix-vector
 product, the restricted field summed in float loops over modes and
