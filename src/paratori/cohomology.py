@@ -51,7 +51,8 @@ __all__ = [
     "conjugate_normal_form",
 ]
 
-# condition number above which (B_bar + j a_bar Id) counts as singular
+# 1-norm condition number above which (B_bar + j a_bar Id) counts as singular;
+# it is taken from the LU inverse and is within a factor m of the 2-norm one
 _INVERSE_CAP = 1e12
 
 
@@ -300,7 +301,7 @@ def extend_order(
         Ey = [e.coeff(ox) for e in E_prev.ey]
         Ey_avg = np.array([_real_average(s, f"E_y[{i}]") for i, s in enumerate(Ey)])
         M = model.B_bar() + j * abar * np.eye(m)
-        if np.linalg.cond(M) > _INVERSE_CAP:
+        if np.linalg.cond(M, 1) > _INVERSE_CAP:
             raise SingularBlock(
                 f"(B_bar + {j} a_bar Id) is singular within cap at step {j}"
             )

@@ -37,10 +37,11 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonzeroAverage, ResonantMode, ZeroDivisor
+from .errors import DimensionMismatch, HypothesisViolation, NonzeroAverage, ResonantMode, ZeroDivisor
 
 _TWO_PI = 2.0 * math.pi
 _SCAN_ROWS = 1 << 13  # modes per slab of a Diophantine scan: arrays of 64 kB at any d
+_TABLE_BYTES = 2 << 30  # the most a mode table's box index arrays may take: 2 GiB
 
 __all__ = [
     "FourierSeries",
@@ -73,10 +74,17 @@ class _Table:
     cross-polytope |k|_1 <= cap, in the lexicographic order of the box
     [-cap, cap]^dim (so k and -k sit at mirrored positions, and the zero mode
     in the middle).  ``box`` is each stored mode's box position, and
-    ``stored`` each box position's stored position (-1 beyond the cap)."""
+    ``stored`` each box position's stored position (-1 beyond the cap).  A
+    table whose box index arrays (|k|_1, the modes' entries and ``stored``,
+    dim + 2 int64 arrays over the box) would take more than 2 GiB is refused
+    with HypothesisViolation before any of them is allocated."""
 
     def __init__(self, dim: int, cap: int):
         n = 2 * cap + 1
+        nbytes = 8 * (dim + 2) * n ** dim
+        if nbytes > _TABLE_BYTES:
+            raise HypothesisViolation(f"T^{dim} at cap {cap}: its mode table's box index arrays "
+                                      f"would take {nbytes / 2**30:.1f} GiB, above 2 GiB")
         norm1 = _norm1_table(dim, cap)
         self.box = np.flatnonzero(norm1 <= cap)
         self.box_size, self.size = norm1.size, self.box.size

@@ -89,20 +89,32 @@ def _index(values, path: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _integer(obj: dict, key: str, path: str) -> int:
+    """``obj[key]``, an integer; else HypothesisViolation naming ``path`` and
+    ``key``."""
+    if not _is_int(obj[key]):
+        raise HypothesisViolation(f"{path}: {key} = {obj[key]!r} is not an integer")
+    return obj[key]
+
+
 def series_from_obj(obj: dict, path: str = "series") -> FourierSeries:
-    """The series a record holds.  Every mode must be a list of integers,
-    listed once, with finite parts, else HypothesisViolation names the
-    record's path (``path``, then the mode's)."""
+    """The series a record holds.  Its ``dim`` and ``order_cap`` must be
+    integers, and every mode a [mode, re, im] row whose mode is a list of
+    integers, listed once, with finite parts, else HypothesisViolation names
+    the record's path (``path``, then the mode's)."""
     coeffs = {}
-    for i, (k, re, im) in enumerate(obj.get("modes", [])):
+    for i, row in enumerate(obj.get("modes", [])):
         where = f"{path}.modes[{i}]"
+        if not isinstance(row, (list, tuple)) or len(row) != 3:
+            raise HypothesisViolation(f"{where}: row {row!r} is not a [mode, re, im] triple")
+        k, re, im = row
         k = _index(k, where)
         if not all((_is_int(v) or isinstance(v, float)) and math.isfinite(v) for v in (re, im)):
             raise HypothesisViolation(f"{where}: coefficient ({re!r}, {im!r}) is not a finite number")
         if k in coeffs:
             raise HypothesisViolation(f"{where}: mode {list(k)} is listed twice")
         coeffs[k] = complex(re, im)
-    return FourierSeries(int(obj["dim"]), int(obj["order_cap"]), coeffs)
+    return FourierSeries(_integer(obj, "dim", path), _integer(obj, "order_cap", path), coeffs)
 
 
 def jet_to_obj(j: Jet) -> dict:
@@ -117,10 +129,10 @@ def jet_to_obj(j: Jet) -> dict:
 
 
 def jet_from_obj(obj: dict, path: str = "jet") -> Jet:
-    """The jet a record holds.  Every monomial (l, k) must be integers,
-    listed once, and every series as :func:`series_from_obj` takes it, else
-    HypothesisViolation names the record's path (``path``, then the
-    term's)."""
+    """The jet a record holds.  Its ``m``, ``deg``, ``dim`` and ``order_cap``
+    must be integers, every monomial (l, k) integers, listed once, and every
+    series as :func:`series_from_obj` takes it, else HypothesisViolation
+    names the record's path (``path``, then the term's)."""
     terms = {}
     for i, t in enumerate(obj.get("terms", [])):
         where = f"{path}.terms[{i}]"
@@ -130,8 +142,7 @@ def jet_from_obj(obj: dict, path: str = "jet") -> Jet:
         if key in terms:
             raise HypothesisViolation(f"{where}: monomial l = {key[0]}, k = {list(key[1])} is listed twice")
         terms[key] = series_from_obj(t["series"], f"{where}.series")
-    return Jet(int(obj["m"]), int(obj["deg"]), int(obj["dim"]),
-               int(obj["order_cap"]), terms)
+    return Jet(*(_integer(obj, key, path) for key in ("m", "deg", "dim", "order_cap")), terms)
 
 
 # ------------------------------------------------------------------- models
@@ -202,19 +213,20 @@ def _refuse_off_torus(what: str, obj: dict, dim: int, cap: int) -> None:
 
 def model_from_obj(obj: dict):
     """The model a record holds.  Its ``kind`` must be "map" (the default) or
-    "flow", its ``d``, when given, the number of entries of omega, and every
-    series and jet in it must be on the torus of ``a`` at the record's
-    ``order_cap``, else HypothesisViolation names what is not."""
+    "flow", its ``N``, ``P``, ``m`` and ``order_cap`` integers, its ``d``,
+    when given, the number of entries of omega, and every series and jet in
+    it must be on the torus of ``a`` at the record's ``order_cap``, else
+    HypothesisViolation names what is not."""
     kind = obj.get("kind", "map")
     if kind not in ("map", "flow"):
         raise HypothesisViolation(f"model kind {kind!r} is neither 'map' nor 'flow'")
     d = len(obj["freq"]["omega"])
     if obj.get("d", d) != d:
         raise HypothesisViolation(f"model record has d = {obj['d']} but len(omega) = {d}")
-    _refuse_off_torus("model", obj, obj["a"]["dim"], obj["order_cap"])
+    N, P, m, cap = (_integer(obj, key, "model") for key in ("N", "P", "m", "order_cap"))
+    _refuse_off_torus("model", obj, _integer(obj["a"], "dim", "a"), cap)
     freq = _freq_from_obj(obj["freq"])
     a = series_from_obj(obj["a"], "a")
-    m = int(obj["m"])
     B = [[series_from_obj(obj["B"][i][j], f"B[{i}][{j}]") for j in range(m)] for i in range(m)] if m else None
     f = jet_from_obj(obj["f"], "f") if "f" in obj else None
     g = [jet_from_obj(o, f"g[{i}]") for i, o in enumerate(obj.get("g", []))] or None
@@ -222,8 +234,7 @@ def model_from_obj(obj: dict):
     cls = FlowModel if kind == "flow" else MapModel
     deg = f.deg if f is not None else None
     return cls.build(
-        N=int(obj["N"]), P=int(obj["P"]), freq=freq, a=a, m=m,
-        order_cap=int(obj["order_cap"]), B=B, f=f, g=g, h=h, deg=deg,
+        N=N, P=P, freq=freq, a=a, m=m, order_cap=cap, B=B, f=f, g=g, h=h, deg=deg,
         params=obj.get("params", ()),
     )
 

@@ -240,10 +240,8 @@ def fit_error_orders(
                 f"component {comp}: residual at rounding floor across most of "
                 f"[{lo:g}, {hi:g}]; shrink or shift the window upward"
             )
-        lx = np.log([p[0] for p in pts])
-        ly = np.log([p[1] for p in pts])
-        slope = float(np.polyfit(lx, ly, 1)[0])
-        slopes[comp] = slope
+        lx, ly = (np.log([p[i] for p in pts]).tolist() for i in (0, 1))
+        slopes[comp] = _slope(lx, ly)
 
     return OrderReport(
         fitted_slope=slopes,
@@ -253,6 +251,15 @@ def fit_error_orders(
         slope_slack=slope_slack,
         samples=rows,
     )
+
+
+def _slope(xs: list[float], ys: list[float]) -> float:
+    """The least-squares slope of ys against xs, sum dx dy / sum dx^2 about
+    the means, each sum correctly rounded (``math.fsum``): its bits depend
+    on neither the order of the points nor the host's BLAS."""
+    mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx = [x - mx for x in xs]
+    return math.fsum(a * (y - my) for a, y in zip(dx, ys)) / math.fsum(a * a for a in dx)
 
 
 def fit_error_orders_auto(sol, x_window=(1e-3, 1e-2), error=None, **kw):

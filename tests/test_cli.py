@@ -7,11 +7,13 @@ import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from paratori import cli, errors
-from paratori.benchmark import benchmark_map_model
+from paratori.benchmark import benchmark_map_model, toy_x2_flow_model
 from paratori.cli import main
+from paratori.fourier import FourierSeries
 from paratori.model import validate
 from paratori import serialize as ser
 from conftest import src_env, torus2_model
@@ -226,12 +228,45 @@ def _repeated_monomial(obj):
     return f"f.terms[{len(terms) - 1}]: monomial l = {terms[0]['l']}, k = {terms[0]['k']} is listed twice"
 
 
+def _malformed_row(obj):
+    obj["B"][0][0]["modes"][0] = [[-2, 0], -0.018]  # exited 5 with a bare ValueError
+    return "B[0][0].modes[0]: row [[-2, 0], -0.018] is not a [mode, re, im] triple"
+
+
 @pytest.mark.parametrize("edit", [_fractional_power, _fractional_mode, _infinite_coefficient,
-                                  _nan_coefficient, _repeated_mode, _repeated_monomial],
-                         ids=["fractional-l", "fractional-mode", "inf", "nan", "mode-twice", "monomial-twice"])
+                                  _nan_coefficient, _repeated_mode, _repeated_monomial, _malformed_row],
+                         ids=["fractional-l", "fractional-mode", "inf", "nan", "mode-twice", "monomial-twice",
+                              "short-row"])
 def test_malformed_model_record_exits_2(tmp_path, edit):
-    # every mode and monomial index is a list of integers listed once, and
-    # every coefficient is finite; the error names the record path
+    # every mode row is a triple, every mode and monomial index a list of
+    # integers listed once, and every coefficient finite; the error names
+    # the record path
+    _assert_refused(tmp_path, edit)
+
+
+@pytest.mark.parametrize("node, key, value, message", [
+    ((), "N", 2.5, "model: N = 2.5 is not an integer"),
+    ((), "P", 2.9, "model: P = 2.9 is not an integer"),
+    ((), "m", 1.5, "model: m = 1.5 is not an integer"),
+    (("B", 0, 0), "dim", 2.0, "B[0][0]: dim = 2.0 is not an integer"),
+    ((), "order_cap", 12.0, "model: order_cap = 12.0 is not an integer"),
+    (("f",), "deg", 12.5, "f: deg = 12.5 is not an integer"),
+], ids=["N", "P", "m", "dim", "order_cap", "deg"])
+def test_model_record_with_a_non_integer_field_exits_2(tmp_path, node, key, value, message):
+    # int() truncated each of these, and the model solved as if the record
+    # held the integer below (2.0 and 12.0 compared equal to the torus' own)
+    def edit(obj):
+        for step in node:
+            obj = obj[step]
+        obj[key] = value
+        return message
+
+    _assert_refused(tmp_path, edit)
+
+
+def _assert_refused(tmp_path, edit):
+    """solve-map on the torus2 model record as ``edit`` leaves it exits 2
+    with the message ``edit`` returns, and writes no solution."""
     obj = ser.model_to_obj(torus2_model(1))
     message = edit(obj)
     path = tmp_path / "model.json"
@@ -262,8 +297,6 @@ def test_solution_record_off_its_cap_exits_2(tmp_path):
 @pytest.mark.parametrize("command", ["solve-map", "solve-flow"])
 def test_model_record_of_an_unknown_kind_exits_2(tmp_path, command):
     # "flow " is no kind; it was read as a map, and solve-map ran a flow model
-    from paratori.benchmark import toy_x2_flow_model
-
     obj = {**ser.model_to_obj(toy_x2_flow_model()), "kind": "flow "}
     path = tmp_path / "model.json"
     ser.dump_json(obj, path)
@@ -288,6 +321,54 @@ def test_model_record_whose_d_is_not_omega_s_exits_2(tmp_path):
     assert (rec["error_kind"], rec["error"]) == (
         "HypothesisViolation", "model record has d = 2 but len(omega) = 1")
     assert not (out / "solution.json").exists()
+
+
+@pytest.mark.parametrize("B_bar, code, kind, message", [
+    # positive diagonal, eigenvalues 3 and -1
+    ([[1, 4], [1, 1]], 2, "HypothesisViolation", "hypothesis Re Spec(B_bar) > 0 fails: min Re eig = -1.000e+00"),
+    # both eigenvalues 1, but the block's condition number is about 1e26
+    ([[1, 1e13], [0, 1]], 4, "SingularBlock", "(B_bar + 2 a_bar Id) is singular within cap at step 2"),
+], ids=["spectrum-left-of-the-floor", "ill-conditioned-block"])
+def test_normal_block_failures_exit_with_their_codes(tmp_path, B_bar, code, kind, message):
+    # a B_bar whose diagonal does not dominate: the hypothesis is decided by
+    # its eigenvalues, and each step's block is guarded by its condition number
+    obj = ser.model_to_obj(toy_x2_flow_model(m=2))
+    obj["B"] = [[ser.series_to_obj(FourierSeries.constant(float(v), 1, obj["order_cap"])) for v in row]
+                for row in B_bar]
+    path = tmp_path / "model.json"
+    ser.dump_json(obj, path)
+    out = tmp_path / "out"
+    assert main(["solve-flow", "--model", str(path), "--order", "3", "--outdir", str(out)]) == code
+    rec = _read(out / "summary.json")
+    assert (rec["error_kind"], rec["error"]) == (kind, message)
+
+
+# the LAPACK routines a command may call: the LU solve of the y block and the
+# LU inverse behind its condition number
+_LU = {"solve", "solve1", "inv"}
+
+
+def test_commands_call_no_lapack_routine_but_lu(tmp_path, monkeypatch):
+    # each other driver maps code into the process on its first call, which
+    # the run never uses again (on torus2, 988 kB more of OpenBLAS resident)
+    from numpy.linalg import _umath_linalg
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise RuntimeError(f"LAPACK {name} called")
+        return call
+
+    for name in dir(_umath_linalg):
+        if isinstance(getattr(_umath_linalg, name), np.ufunc) and name not in _LU:
+            monkeypatch.setattr(_umath_linalg, name, refuse(name))
+    model = tmp_path / "model.json"
+    ser.dump_json(ser.model_to_obj(torus2_model(1)), model)
+    for argv in (["solve-map", "--model", str(model), "--order", "3"],
+                 ["solve-flow", "--model", "builtin:benchmark-flow", "--order", "3"],
+                 ["verify", "--model", str(model), "--solution", str(tmp_path / "solve-map" / "solution.json")],
+                 ["restricted-demo", "--system", "binary"]):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--outdir", str(out)]) == 0, _read(out / "summary.json")["error"]
 
 
 def test_missing_model_exits_5(tmp_path):
@@ -597,6 +678,32 @@ def test_restricted_demo_names_a_malformed_system(tmp_path, edit):
     assert code == 2
     rec = _read(out / "summary.json")
     assert (rec["error_kind"], rec["error"]) == ("HypothesisViolation", message)
+
+
+def test_restricted_demo_refuses_primaries_on_t6(tmp_path, monkeypatch):
+    # their field lives on T^7 at cap 8, whose mode table's box would take
+    # 27.5 GiB: the run reached 3.5 GB of resident memory, then exited 5
+    from paratori import fourier
+    from paratori.celestial import PrimarySystem
+
+    norm1_table = fourier._norm1_table
+
+    def small(dim, cap):  # so that a missing refusal builds no large box
+        assert (2 * cap + 1) ** dim <= 1 << 20, f"the box of T^{dim} at cap {cap} was built"
+        return norm1_table(dim, cap)
+
+    monkeypatch.setattr(fourier, "_norm1_table", small)
+    k = (0,) * 5 + (1,)
+    cosr, sinr = FourierSeries.cosine(k, 6, 4, 0.1), FourierSeries.sine(k, 6, 4, 0.1)
+    system = PrimarySystem((0.5, 0.5), (cosr, -cosr), (sinr, -sinr),
+                           tuple(0.11 * math.sqrt(p) for p in (1, 2, 3, 5, 7, 11)))
+    path = tmp_path / "t6.json"
+    ser.dump_json(ser.primary_system_to_obj(system), path)
+    out = tmp_path / "demo"
+    assert main(["restricted-demo", "--system", str(path), "--outdir", str(out)]) == 2
+    rec = _read(out / "summary.json")
+    assert (rec["error_kind"], rec["error"]) == (
+        "HypothesisViolation", "T^7 at cap 8: its mode table's box index arrays would take 27.5 GiB, above 2 GiB")
 
 
 def test_restricted_demo_validates_its_model_once(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paratori import fourier
-from paratori.errors import DimensionMismatch, NonzeroAverage, ResonantMode, ZeroDivisor
+from paratori.errors import DimensionMismatch, HypothesisViolation, NonzeroAverage, ResonantMode, ZeroDivisor
 from paratori.fourier import (
     FourierSeries,
     diophantine_scan,
@@ -402,6 +402,25 @@ def test_scan_working_set_stays_within_a_few_slabs(dim, k_max):
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+def test_table_beyond_2_gib_is_refused_before_its_box_is_built(monkeypatch):
+    # the (7, 8) table of primaries on T^6 asked numpy for 21.4 GiB
+    def unbuilt(dim, cap):
+        raise AssertionError(f"the box of T^{dim} at cap {cap} was built")
+
+    monkeypatch.setattr(fourier, "_norm1_table", unbuilt)
+    with pytest.raises(HypothesisViolation,
+                       match=r"^T\^7 at cap 8: its mode table's box index arrays would take 27\.5 GiB, above 2 GiB$"):
+        fourier._Table(7, 8)
+
+
+def test_table_at_its_limit_is_built(monkeypatch):
+    # dim + 2 int64 arrays over the box [-cap, cap]^dim: 4 * 7^2 * 8 bytes at (2, 3)
+    monkeypatch.setattr(fourier, "_TABLE_BYTES", 4 * 7 ** 2 * 8)
+    assert fourier._Table(2, 3).size == 25
+    with pytest.raises(HypothesisViolation, match=r"^T\^2 at cap 4: "):
+        fourier._Table(2, 4)
 
 
 @pytest.mark.parametrize("sense", ["map", "flow"])

@@ -41,6 +41,12 @@ def test_validate_negative_abar(golden_freq):
     assert any("a_bar > 0" in v for v in out)
 
 
+def test_validate_decides_a_b_bar_without_dominance_by_its_spectrum(golden_freq):
+    # Gershgorin's bound 1 - 4 does not clear the floor; the eigenvalues 1 +- 2i do
+    B = [[FourierSeries.constant(v, 1, 16) for v in row] for row in ([1.0, 4.0], [-1.0, 1.0])]
+    assert validate(_simple_map_model(golden_freq, B=B, m=2)) == []
+
+
 def test_validate_gN_linear_y_slot(golden_freq):
     # an x^(N-1) y monomial in g_N breaks D_y g_N(x,0) = 0
     dim, cap, m, deg = 1, 16, 1, 6

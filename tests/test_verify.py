@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paratori.benchmark import GOLDEN, benchmark_flow_model, benchmark_map_model, conjugacy_fixture
 from paratori.cohomology import FreeChoicePolicy, solve_manifold
@@ -11,6 +12,7 @@ from paratori.fourier import FourierSeries, diophantine_scan
 from paratori.jet import Jet
 from paratori.model import FlowModel, MapModel, ReducedMap
 from paratori.verify import (
+    _slope,
     fit_error_orders,
     fit_error_orders_auto,
     sector_decay_check,
@@ -21,6 +23,21 @@ from oracles import per_x_residual_rows
 
 
 # -------------------------------------------------------------- slope fits
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(4, 24), slope=st.floats(-5.0, 20.0), lo=st.floats(-12.0, -1.0),
+       width=st.floats(0.2, 5.0), noise=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_slope_is_the_least_squares_fit_in_any_order(n, slope, lo, width, noise, seed):
+    # log |e| against log x on a log-spaced window, as fit_error_orders fits it;
+    # the bound is relative, and absolute near a zero slope
+    rng = np.random.default_rng(seed)
+    lx = np.linspace(lo, lo + width, n)
+    ly = slope * lx - 3.0 + noise * rng.standard_normal(n)
+    got = _slope(lx.tolist(), ly.tolist())
+    assert got == pytest.approx(float(np.polyfit(lx, ly, 1)[0]), rel=1e-12, abs=1e-12)
+    order = rng.permutation(n)
+    assert _slope(lx[order].tolist(), ly[order].tolist()) == got
 
 
 def test_base_step_slopes(bench_map):
