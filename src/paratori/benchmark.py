@@ -14,7 +14,7 @@ import numpy as np
 
 from .fourier import FourierSeries, diophantine_scan
 from .jet import Jet, SkewMap, compose, invert_x_jet
-from .model import MapModel, FlowModel, _x_change, model_from
+from .model import MapModel, FlowModel, model_from
 
 __all__ = [
     "GOLDEN",
@@ -154,7 +154,8 @@ def conjugacy_fixture(
     changes = 2 if extra_conjugation else 1
     for _ in range(changes):
         A = _random_tangent_change(rng, deg, dim, order_cap)
-        T, Ti = _x_change(A, invert_x_jet(A, deg), 0)
+        T, Ti = SkewMap.identity(0, deg, dim, order_cap), SkewMap.identity(0, deg, dim, order_cap)
+        T.x, Ti.x = A, invert_x_jet(A, deg)
         F = compose(T, compose(F, Ti, deg), deg)
     return model_from(F, N=2, P=2, freq=freq, order_cap=order_cap)
 

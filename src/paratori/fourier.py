@@ -176,7 +176,15 @@ def _product_plan(dim: int, cap: int):
     position(k1 + k2) = position(k1) + position(k2) - position(0).  Returns
     the wide position of each stored mode, which serves as a's shift less
     the wide centre, as b's positions and as the gather; the wide centre;
-    and the mask of the bins beyond the cap."""
+    and the mask of the bins beyond the cap.
+
+    A product holds that mask and a complex bin per wide mode, 17 bytes a
+    bin (building the plan takes 9); past ``_TABLE_BYTES`` the plan is
+    refused before any of it is built."""
+    nbytes = 17 * (4 * cap + 1) ** dim
+    if nbytes > _TABLE_BYTES:
+        raise HypothesisViolation(f"T^{dim} at cap {cap}: a product's wide box of cap {2 * cap} "
+                                  f"would take {nbytes / 2**30:.1f} GiB, above 2 GiB")
     beyond = _norm1_table(dim, 2 * cap) > cap
     return np.flatnonzero(~beyond), beyond.size // 2, beyond
 

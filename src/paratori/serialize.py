@@ -159,7 +159,7 @@ def _freq_to_obj(freq: FrequencyVector) -> dict:
 
 
 def _freq_from_obj(obj: dict) -> FrequencyVector:
-    k_max = int(obj.get("k_max", 0))
+    k_max = _integer(obj, "k_max", "freq") if "k_max" in obj else 0
     if k_max >= 1:
         return diophantine_scan(
             obj["omega"], obj.get("nu", ()), float(obj.get("tau", 1.0)),
@@ -213,10 +213,10 @@ def _refuse_off_torus(what: str, obj: dict, dim: int, cap: int) -> None:
 
 def model_from_obj(obj: dict):
     """The model a record holds.  Its ``kind`` must be "map" (the default) or
-    "flow", its ``N``, ``P``, ``m`` and ``order_cap`` integers, its ``d``,
-    when given, the number of entries of omega, and every series and jet in
-    it must be on the torus of ``a`` at the record's ``order_cap``, else
-    HypothesisViolation names what is not."""
+    "flow", its ``N``, ``P``, ``m``, ``order_cap`` and ``freq.k_max``
+    integers, its ``d``, when given, the number of entries of omega, and
+    every series and jet in it must be on the torus of ``a`` at the record's
+    ``order_cap``, else HypothesisViolation names what is not."""
     kind = obj.get("kind", "map")
     if kind not in ("map", "flow"):
         raise HypothesisViolation(f"model kind {kind!r} is neither 'map' nor 'flow'")
@@ -281,7 +281,8 @@ def solution_from_obj(obj: dict, model: MapModel | FlowModel) -> ManifoldSolutio
     shape and rotation, then its reduced dynamics' N and a_bar, and then its
     ``model_sha256`` must be the model's, and every series it holds must be
     on the model's torus at its cap, else HypothesisViolation names each
-    field that differs."""
+    field that differs; its ``j`` and ``reduced.N`` must be integers, else
+    HypothesisViolation names the field."""
     red_obj = obj["reduced"]
     # a_bar is the model's own float, which JSON round-trips exactly
     for stored, own in (
@@ -297,11 +298,11 @@ def solution_from_obj(obj: dict, model: MapModel | FlowModel) -> ManifoldSolutio
     _refuse_off_torus("solution", obj, model.dim, model.order_cap)
     cls = ReducedMap if model.kind == "map" else ReducedField
     red = cls(
-        N=int(red_obj["N"]), a_bar=float(red_obj["a_bar"]), b=red_obj["b"],
+        N=_integer(red_obj, "N", "reduced"), a_bar=float(red_obj["a_bar"]), b=red_obj["b"],
         theta_terms={int(o): tuple(v) for o, v in red_obj.get("theta_terms", {}).items()},
     )
     return ManifoldSolution(
-        model=model, j=int(obj["j"]),
+        model=model, j=_integer(obj, "j", "solution"),
         kbar_x={int(l): float(v) for l, v in obj["kbar_x"].items()},
         ktil_x={int(o): series_from_obj(s, f"ktil_x.{o}") for o, s in obj["ktil_x"].items()},
         kbar_y={int(l): tuple(v) for l, v in obj["kbar_y"].items()},

@@ -10,21 +10,26 @@ the restricted field with every position from one numpy matrix-vector
 product, the restricted field summed in float loops over modes and
 primaries, the invariance residual sampled one x-sample at a time, the jet
 substitution with one memo per job and every Taylor derivative taken afresh,
-the Diophantine scan as one loop over the half lattice, and the
-Dormand–Prince step and its error norm as loops over the components."""
+the Diophantine scan as one loop over the half lattice, the
+Dormand–Prince step and its error norm as loops over the components, and
+the averaging conjugation of a model to constant a and B (``normalize``),
+which no command needs."""
 
 import cmath
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from paratori.cohomology import ErrorJet, invariance_error
-from paratori.errors import DegreeOverflow, HypothesisViolation, OrbitLeftDomain, ResonantMode, ZeroDivisor
+from paratori.errors import (DegreeOverflow, HypothesisViolation, OrbitLeftDomain, ResonantMode, SingularB,
+                             ZeroDivisor)
 from paratori.fourier import FourierSeries, _quotient
-from paratori.jet import Jet, SkewMap, _multis, evaluate_jets, jet_compose
-from paratori.model import ReducedMap
+from paratori.jet import (Jet, SkewMap, _multis, _Substitution, compose, evaluate_jets, invert_x_jet,
+                          jet_compose)
+from paratori.model import ReducedMap, SkewField, model_from
 from paratori.verify import _CDT, _cabs, _max_diff, _theta_grid, _transport_jets
 
 _TWO_PI_I = 2j * math.pi
@@ -1007,3 +1012,165 @@ def reference_error_norm(y, y_new, ks, h, rtol, atol) -> float:
              / (atol + max(abs(yi), abs(zi)) * rtol))
         total += v * v
     return math.sqrt(total) / len(y) ** 0.5
+
+
+# ------------------------------------ the averaging conjugation to constant a, B
+
+
+@dataclass
+class ChangeLog:
+    """Record of the averaging changes, sufficient to map results back.
+
+    ``T``, the composite change giving the old variables from the new, and
+    its inverse ``T_inv`` are kept for maps and flows alike (None when no
+    change was made).
+    """
+
+    c1: FourierSeries | None = None
+    C2: list[list[FourierSeries]] | None = None
+    mu: float = 1.0
+    D: np.ndarray | None = None
+    eps: float = 1.0
+    T: SkewMap | None = None
+    T_inv: SkewMap | None = None
+
+
+def _x_change(A, A_inv, m):
+    """The pair x -> A(x, th) and x -> A_inv(x, th), y and th fixed, for a
+    jet A in x alone and its compositional inverse A_inv."""
+    zk = (0,) * m
+
+    def change(j):
+        T = SkewMap.identity(m, j.deg, j.dim, j.order_cap)
+        T.x = Jet(m, j.deg, j.dim, j.order_cap, {(l, zk): s for (l, _), s in j.terms.items()})
+        return T
+    return change(A), change(A_inv)
+
+
+def _y_change(D, C, N, deg, dim, cap):
+    """The pair y -> (D + C(th) x^(N-1)) y and its Neumann-series inverse
+    sum_p (-D^-1 C x^(N-1))^p D^-1, truncated by the degree cap, x and th
+    fixed; C = None gives the linear change y -> D y."""
+    m = len(D)
+    e = [tuple(1 if t == j else 0 for t in range(m)) for j in range(m)]
+
+    def const(M):
+        return [[FourierSeries.constant(float(M[i, j]), dim, cap) for j in range(m)] for i in range(m)]
+
+    def mat_mul(Am, Bm):
+        out = [[None] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(m):
+                acc = FourierSeries(dim, cap)
+                for t in range(m):
+                    acc = acc + Am[i][t].series_mul(Bm[t][j])
+                out[i][j] = acc
+        return out
+
+    def change(blocks):
+        """y_i -> sum over l, j of M_ij x^l y_j for the blocks {l: M}."""
+        T = SkewMap.identity(m, deg, dim, cap)
+        T.y = tuple(
+            Jet(m, deg, dim, cap, {(l, e[j]): M[i][j] for l, M in blocks.items() for j in range(m)})
+            for i in range(m)
+        )
+        return T
+
+    fwd, inv = {0: const(D)}, {0: const(np.linalg.inv(D))}
+    if C is not None:
+        fwd[N - 1] = C
+        step, power = mat_mul(inv[0], C), const(np.eye(m))
+        for p in range(1, (deg - 1) // (N - 1) + 1):
+            power = mat_mul(power, step)
+            inv[p * (N - 1)] = [[s.scale((-1.0) ** p) for s in row] for row in mat_mul(power, inv[0])]
+    return change(fwd), change(inv)
+
+
+def _change_variables(obj, T, T_inv, deg):
+    """``obj`` in the new variables, where old = T(new) and new = T_inv(old):
+    a map is conjugated, T^-1 o F o T, and a field is pushed forward, the
+    time derivative of each component of T_inv along it with T substituted."""
+    if isinstance(obj, SkewMap):
+        return compose(compose(T_inv, obj, deg), T, deg)
+    sub = _Substitution(T.x, T.y, (), None, deg).apply
+    return SkewField(
+        x=sub(obj.derivative_along(T_inv.x)), y=tuple(sub(obj.derivative_along(w)) for w in T_inv.y),
+        theta_dev=tuple(sub(j) for j in obj.theta_dev), omega=obj.omega, nu=obj.nu,
+    )
+
+
+def normalize(model, jordanize=False, eps=None, deg=None, divisor_floor=1e-12):
+    """Average away the theta-dependence of a and B and rescale a_bar to 1:
+    the reference conjugation of a model to constant a and B, which the
+    solve does not need (it handles theta-dependent a and B itself).
+
+    The change is the composition of an x-shear killing the oscillatory
+    part of a, a y-shear killing the oscillatory part of B, the scaling
+    x -> mu x with mu = a_bar^(-1/(N-1)), and optionally a diagonalizing
+    linear change of y and the scaling y -> eps y.  Each is a pair (T, T^-1)
+    of skew maps with old = T(new); they are composed once into the change
+    T and its inverse, and then a map is conjugated, T^-1 o F o T, or a
+    field pushed forward.  The shear coefficients solve
+    c1(th) - c1(th + omega) = a_osc and C2(th + omega) - C2(th) = B_osc for
+    maps, L c1 = a_osc and L C2 = -B_osc for flows, where L is the
+    derivative along (omega, nu).  With these signs x + c1 x^N and
+    y + C2 x^(N-1) y are the old variables for a map but the new ones for
+    a flow, whose shear pairs therefore enter swapped.  Returns the
+    transformed model and a :class:`ChangeLog` with the individual
+    ingredients and the composite change.
+    """
+    m, N, dim, cap = model.m, model.N, model.dim, model.order_cap
+    deg = deg if deg is not None else model.native_degree()
+    scale = model.coefficient_scale()
+    is_map = model.kind == "map"
+    log = ChangeLog()
+    pairs = []  # (T, T^-1) of each change, old = T(new)
+
+    def shear(pair):
+        return pair if is_map else pair[::-1]  # a flow's shear gives new = T(old)
+
+    # a map's x-shear solves against -a_osc, a flow's against a_osc; B_osc takes the other sign
+    a_osc = model.a_osc
+    if a_osc.strip_norm() > 1e-14 * scale:
+        log.c1 = model.sd_solve(-a_osc if is_map else a_osc, divisor_floor)
+        A = Jet.var_x(0, deg, dim, cap) + Jet.monomial(N, (), log.c1, 0, deg, dim, cap)
+        pairs.append(shear(_x_change(A, invert_x_jet(A, deg), m)))
+
+    B_osc = model.B_osc()
+    if any(s.strip_norm() > 1e-14 * scale for row in B_osc for s in row):
+        log.C2 = [[model.sd_solve(s if is_map else -s, divisor_floor) for s in row] for row in B_osc]
+        pairs.append(shear(_y_change(np.eye(m), log.C2, N, deg, dim, cap)))
+
+    abar = model.a_bar
+    if abar <= 0:
+        raise HypothesisViolation("normalize requires a_bar > 0 for the x-scaling")
+    if abs(abar - 1.0) > 1e-15:
+        log.mu = abar ** (-1.0 / (N - 1))
+        pairs.append(_x_change(Jet.monomial(1, (), log.mu, 0, deg, dim, cap),
+                               Jet.monomial(1, (), 1.0 / log.mu, 0, deg, dim, cap), m))
+
+    if jordanize and m:
+        Bbar = model.B_bar() * (log.mu ** (N - 1))
+        w, V = np.linalg.eig(Bbar)
+        if np.max(np.abs(w.imag)) > 1e-12 or np.linalg.cond(V) > 1e8:
+            raise SingularB(
+                "B_bar is not real-diagonalizable within tolerance; "
+                "Jordanization with complex or defective spectra is not supported"
+            )
+        log.D = V.real
+        pairs.append(_y_change(log.D, None, N, deg, dim, cap))
+
+    if eps is not None and eps != 1.0:
+        log.eps = float(eps)
+        pairs.append(_y_change(np.eye(m) * eps, None, N, deg, dim, cap))
+
+    obj = model.as_skew(deg) if is_map else model.as_field(deg)
+    if pairs:
+        log.T, log.T_inv = pairs[0]
+        for T, T_inv in pairs[1:]:
+            log.T = compose(log.T, T, deg)
+            log.T_inv = compose(T_inv, log.T_inv, deg)
+        obj = _change_variables(obj, log.T, log.T_inv, deg)
+    out = model_from(obj, N, model.P, model.freq, model.order_cap, params=model.params)
+    out.declared_P = model.declared_P
+    return out, log

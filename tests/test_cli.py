@@ -251,7 +251,8 @@ def test_malformed_model_record_exits_2(tmp_path, edit):
     (("B", 0, 0), "dim", 2.0, "B[0][0]: dim = 2.0 is not an integer"),
     ((), "order_cap", 12.0, "model: order_cap = 12.0 is not an integer"),
     (("f",), "deg", 12.5, "f: deg = 12.5 is not an integer"),
-], ids=["N", "P", "m", "dim", "order_cap", "deg"])
+    (("freq",), "k_max", 24.5, "freq: k_max = 24.5 is not an integer"),
+], ids=["N", "P", "m", "dim", "order_cap", "deg", "k_max"])
 def test_model_record_with_a_non_integer_field_exits_2(tmp_path, node, key, value, message):
     # int() truncated each of these, and the model solved as if the record
     # held the integer below (2.0 and 12.0 compared equal to the torus' own)
@@ -292,6 +293,26 @@ def test_solution_record_off_its_cap_exits_2(tmp_path):
     rec = _read(out / "summary.json")
     assert rec["error_kind"] == "HypothesisViolation"
     assert rec["error"] == f"solution holds series off its torus T^1 at cap 24: ktil_y.{order}[0] (T^1, cap 6)"
+
+
+@pytest.mark.parametrize("node, key, value, message", [
+    ((), "j", 2.5, "solution: j = 2.5 is not an integer"),
+    (("reduced",), "N", 2.0, "reduced: N = 2.0 is not an integer"),
+], ids=["j", "reduced.N"])
+def test_solution_record_with_a_non_integer_field_exits_2(tmp_path, node, key, value, message):
+    # int() truncated each of these, and verify read the solution as if it held 2
+    solution = _solve(tmp_path, "solve-map", "builtin:benchmark-map")
+    obj = _read(solution)
+    field = obj
+    for step in node:
+        field = field[step]
+    field[key] = value
+    ser.dump_json(obj, solution)
+    out = tmp_path / "verify"
+    code = main(["verify", "--model", "builtin:benchmark-map", "--solution", solution, "--outdir", str(out)])
+    assert code == 2
+    rec = _read(out / "summary.json")
+    assert (rec["error_kind"], rec["error"]) == ("HypothesisViolation", message)
 
 
 @pytest.mark.parametrize("command", ["solve-map", "solve-flow"])

@@ -423,6 +423,29 @@ def test_table_at_its_limit_is_built(monkeypatch):
         fourier._Table(2, 4)
 
 
+def test_product_wide_box_beyond_the_limit_is_refused_before_it_is_built(monkeypatch):
+    # squaring a T^5 cap-12 series that reaches 7 asked numpy for the 2.10 GiB
+    # |k|_1 table of the wide box of cap 24; here T^3 at cap 12, whose wide
+    # box of 49^3 bins takes 17 bytes a bin, under a limit lowered to match
+    wide = 17 * 49 ** 3
+    monkeypatch.setattr(fourier, "_TABLE_BYTES", wide - 1)
+    fourier._product_plan.cache_clear()
+    s = FourierSeries(3, 12, {(7, 0, 0): 0.5, (-7, 0, 0): 0.5})
+    built = fourier._norm1_table
+
+    def unbuilt(dim, cap):
+        assert cap <= 12, f"the wide box of T^{dim} at cap {cap} was built"
+        return built(dim, cap)
+
+    monkeypatch.setattr(fourier, "_norm1_table", unbuilt)
+    with pytest.raises(HypothesisViolation,
+                       match=r"^T\^3 at cap 12: a product's wide box of cap 24 would take 0\.0 GiB, above 2 GiB$"):
+        s.series_mul(s)
+    monkeypatch.setattr(fourier, "_norm1_table", built)
+    monkeypatch.setattr(fourier, "_TABLE_BYTES", wide)
+    assert s.series_mul(s).coeff((0, 0, 0)) == 0.5
+
+
 @pytest.mark.parametrize("sense", ["map", "flow"])
 @pytest.mark.parametrize("omega,nu,name", [
     ([GOLDEN, math.nan], (), "omega"),

@@ -1,4 +1,5 @@
-"""Model validation, the averaging normalization and model extraction (map and flow)."""
+"""Model validation, the reference averaging normalization of tests/oracles.py
+and model extraction (map and flow)."""
 
 import math
 import re
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 
 from paratori.benchmark import benchmark_flow_model, benchmark_map_model
-from paratori.errors import HypothesisViolation, ResonantMode
+from paratori.cohomology import solve_manifold
+from paratori.errors import HypothesisViolation, ResonantMode, SingularB
 from paratori.fourier import FourierSeries, FrequencyVector, diophantine_scan
 from paratori.jet import Jet, compose, jet_compose
-from paratori.model import FlowModel, MapModel, model_from, normalize, validate
-from conftest import random_real_series
+from paratori.model import FlowModel, MapModel, model_from, validate
+from conftest import random_real_series, torus2_model
+from oracles import normalize
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -362,8 +365,6 @@ def test_normalize_flow_jordanize_and_eps():
 
 
 def test_normalize_defective_B_raises(golden_freq):
-    from paratori.errors import SingularB
-
     cap, m = 16, 2
     a = FourierSeries.constant(1.0, 1, cap)
     B = [[FourierSeries.constant(1.0, 1, cap), FourierSeries.constant(1.0, 1, cap)],
@@ -452,21 +453,31 @@ def test_normalize_composite_change_inverts(kind):
 def test_normalize_composes_each_change_once(monkeypatch):
     # n changes cost 2n compositions: n - 1 for T, n - 1 for T^-1 and two
     # for the conjugation (conjugating change by change took 4n - 2)
-    import paratori.model as model_module
+    import oracles
 
     calls = []
-    real = model_module.compose
+    real = oracles.compose
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(model_module, "compose", counted)
+    monkeypatch.setattr(oracles, "compose", counted)
     _, log = normalize(benchmark_map_model(), eps=0.5)
     n = _fired(log)
     assert n == 3
     assert len(calls) <= 2 * n
 
+
+@pytest.mark.parametrize("build", [lambda: torus2_model(1), benchmark_map_model, benchmark_flow_model],
+                         ids=["torus2", "benchmark-map", "benchmark-flow"])
+def test_solve_does_not_need_normalize(build):
+    # the solve handles theta-dependent a and B itself: the averaged model
+    # has the same b at order 5 (every shipped a_bar is 1, so no rescaling)
+    model = build()
+    assert model.a_bar == 1.0
+    b = solve_manifold(model, 5).b
+    assert solve_manifold(normalize(model)[0], 5).b == pytest.approx(b, rel=1e-15, abs=0)
 
 
 # ----------------------------------------------------------------- model_from
