@@ -3,11 +3,11 @@
 Map orbits store theta unwrapped (lifted to the reals) so continuity
 diagnostics stay meaningful; Fourier evaluation is periodic, so no wrapping
 is needed numerically.  Flows go through a Dormand–Prince 5(4) stepper on
-Python floats with RK45's step control and dense output at requested times;
-the same step at a fixed size backs the convergence-order test.  The step
-and its error norm are generated once per state length as straight-line
-code, with the same float operations in the same order as the loops over
-the components that they replace, so they keep those loops' bits.
+Python floats with RK45's step control and dense output at requested times.
+The step and its error norm are generated once per state length as
+straight-line code, with the same float operations in the same order as
+the loops over the components that they replace, so they keep those loops'
+bits.
 ``_ForkedCall`` runs an independent call, such as a second orbit, in a
 forked child beside the caller's own work.
 """
@@ -30,7 +30,6 @@ __all__ = [
     "iterate_map",
     "iterate_reduced",
     "integrate_flow",
-    "integrate_fixed_step",
 ]
 
 
@@ -52,7 +51,6 @@ def iterate_map(
     state0,
     k: int,
     domain_radius: float = math.inf,
-    require_positive_x: bool = False,
 ) -> Orbit:
     """k-step orbit of the full skew map; stops early (flagged) on exit.
 
@@ -74,11 +72,7 @@ def iterate_map(
         rows.append(list(state))
         xnew = state[0]
         ynorm = math.sqrt(sum(v * v for v in state[1 : 1 + m]))
-        if (
-            abs(xnew) > domain_radius
-            or ynorm > domain_radius
-            or (require_positive_x and xnew < 0.0)
-        ):
+        if abs(xnew) > domain_radius or ynorm > domain_radius:
             early = step
             break
     return Orbit(
@@ -281,30 +275,6 @@ def integrate_flow(
         times=np.array(times, dtype=float),
         states=np.array(states, dtype=float).reshape(len(times), len(y)),
         meta={"kind": "flow", "integrator": "RK45", "tol": tol, "nfev": nfev},
-    )
-
-
-def integrate_fixed_step(field, state0, t_end: float, h: float) -> Orbit:
-    """Fixed-step run of the same pair, with no error control.
-
-    Used by the convergence-order test: halving h must shrink the error by
-    the pair's order.  The last step is cut short to end at t_end.
-    """
-    rhs = field.rhs
-    t, t_end, y = 0.0, float(t_end), [float(v) for v in state0]
-    step = _stepper(len(y))
-    f = rhs(t, y)
-    times, states = [t], [y]
-    while t < t_end:
-        t_new = min(t + h, t_end)
-        y, ks, _ = step(rhs, t, y, f, t_new - t, 1.0, 1.0)  # no error control
-        t, f = t_new, ks[-1]
-        times.append(t)
-        states.append(y)
-    return Orbit(
-        times=np.array(times, dtype=float),
-        states=np.array(states, dtype=float),
-        meta={"kind": "flow-fixed", "h": h, "integrator": "RK45"},
     )
 
 

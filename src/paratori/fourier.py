@@ -568,19 +568,6 @@ class FrequencyVector:
     def full(self) -> tuple[float, ...]:
         return self.omega + self.nu
 
-    def verify(self) -> None:
-        """Re-run the scan and assert that c_estimate is a valid lower bound."""
-        if self.k_max_checked < 1:
-            return
-        fresh = diophantine_scan(
-            self.omega, self.nu, self.tau, self.k_max_checked, sense=self.sense
-        )
-        if self.c_estimate > fresh.c_estimate * (1.0 + 1e-12):
-            raise AssertionError(
-                f"stored c_estimate {self.c_estimate} exceeds rescan value "
-                f"{fresh.c_estimate}"
-            )
-
 
 def diophantine_scan(
     omega,

@@ -97,6 +97,30 @@ def _integer(obj: dict, key: str, path: str) -> int:
     return obj[key]
 
 
+def _number(v, path: str) -> float:
+    """``v``, a finite number, as a float; else HypothesisViolation naming ``path``."""
+    if not ((_is_int(v) or isinstance(v, float)) and math.isfinite(v)):
+        raise HypothesisViolation(f"{path}: {v!r} is not a finite number")
+    return float(v)
+
+
+def _entries(v, n: int, path: str, read=_number) -> list:
+    """``v``, a list of ``n`` entries, each as ``read`` takes it; else
+    HypothesisViolation naming ``path``."""
+    if not isinstance(v, list) or len(v) != n:
+        raise HypothesisViolation(f"{path}: {v!r} is not a list of length {n}")
+    return [read(e, f"{path}[{i}]") for i, e in enumerate(v)]
+
+
+def _by_order(table: dict, path: str, read) -> dict:
+    """``table``, keyed by orders written as integers, as {order:
+    read(value, path of the value)}; else HypothesisViolation naming the key."""
+    for o in table:
+        if not (isinstance(o, str) and o.isdecimal()):
+            raise HypothesisViolation(f"{path}.{o}: order {o!r} is not an integer")
+    return {int(o): read(v, f"{path}.{o}") for o, v in table.items()}
+
+
 def series_from_obj(obj: dict, path: str = "series") -> FourierSeries:
     """The series a record holds.  Its ``dim`` and ``order_cap`` must be
     integers, and every mode a [mode, re, im] row whose mode is a list of
@@ -281,8 +305,10 @@ def solution_from_obj(obj: dict, model: MapModel | FlowModel) -> ManifoldSolutio
     shape and rotation, then its reduced dynamics' N and a_bar, and then its
     ``model_sha256`` must be the model's, and every series it holds must be
     on the model's torus at its cap, else HypothesisViolation names each
-    field that differs; its ``j`` and ``reduced.N`` must be integers, else
-    HypothesisViolation names the field."""
+    field that differs.  Its ``j``, ``reduced.N`` and orders must be
+    integers, ``reduced.b`` null below order N and, from N on, a finite
+    number as every averaged coefficient is, and each vector of length m
+    (y) or d (theta), else HypothesisViolation names the field."""
     red_obj = obj["reduced"]
     # a_bar is the model's own float, which JSON round-trips exactly
     for stored, own in (
@@ -296,21 +322,24 @@ def solution_from_obj(obj: dict, model: MapModel | FlowModel) -> ManifoldSolutio
         if differ:
             raise HypothesisViolation("solution was solved for another model: " + ", ".join(differ))
     _refuse_off_torus("solution", obj, model.dim, model.order_cap)
+    j, m, d = _integer(obj, "j", "solution"), model.m, model.d
+    if j < model.N and red_obj["b"] is not None:
+        raise HypothesisViolation(f"reduced.b = {red_obj['b']!r} is set below order N = {model.N}")
     cls = ReducedMap if model.kind == "map" else ReducedField
     red = cls(
-        N=_integer(red_obj, "N", "reduced"), a_bar=float(red_obj["a_bar"]), b=red_obj["b"],
-        theta_terms={int(o): tuple(v) for o, v in red_obj.get("theta_terms", {}).items()},
+        N=_integer(red_obj, "N", "reduced"), a_bar=float(red_obj["a_bar"]),
+        b=None if j < model.N else _number(red_obj["b"], "reduced.b"),
+        theta_terms=_by_order(red_obj.get("theta_terms", {}), "reduced.theta_terms",
+                              lambda v, path: tuple(_entries(v, d, path))),
     )
     return ManifoldSolution(
-        model=model, j=_integer(obj, "j", "solution"),
-        kbar_x={int(l): float(v) for l, v in obj["kbar_x"].items()},
-        ktil_x={int(o): series_from_obj(s, f"ktil_x.{o}") for o, s in obj["ktil_x"].items()},
-        kbar_y={int(l): tuple(v) for l, v in obj["kbar_y"].items()},
-        ktil_y={int(o): [series_from_obj(s, f"ktil_y.{o}[{i}]") for i, s in enumerate(r)]
-                for o, r in obj["ktil_y"].items()},
-        kbar_th={int(l): tuple(v) for l, v in obj["kbar_th"].items()},
-        ktil_th={int(o): [series_from_obj(s, f"ktil_th.{o}[{i}]") for i, s in enumerate(r)]
-                 for o, r in obj["ktil_th"].items()},
+        model=model, j=j,
+        kbar_x=_by_order(obj["kbar_x"], "kbar_x", _number),
+        ktil_x=_by_order(obj["ktil_x"], "ktil_x", series_from_obj),
+        kbar_y=_by_order(obj["kbar_y"], "kbar_y", lambda v, path: tuple(_entries(v, m, path))),
+        ktil_y=_by_order(obj["ktil_y"], "ktil_y", lambda r, path: _entries(r, m, path, series_from_obj)),
+        kbar_th=_by_order(obj["kbar_th"], "kbar_th", lambda v, path: tuple(_entries(v, d, path))),
+        ktil_th=_by_order(obj["ktil_th"], "ktil_th", lambda r, path: _entries(r, d, path, series_from_obj)),
         reduced=red,
         free_choices=obj.get("free_choices", {}),
     )

@@ -3,8 +3,7 @@
 The invariance error of a solution is re-evaluated from the full model
 (pointwise, in extended precision), its decay order in x is fitted on a
 log-log grid and compared against the declared targets; the reduced
-dynamics is checked against the parabolic iteration bound on a sector; and
-candidate points are classified against the computed stable set.
+dynamics is checked against the parabolic iteration bound on a sector.
 """
 
 from __future__ import annotations
@@ -23,11 +22,9 @@ from .jet import evaluate_jets
 __all__ = [
     "OrderReport",
     "SectorReport",
-    "MembershipReport",
     "fit_error_orders",
     "fit_error_orders_auto",
     "sector_decay_check",
-    "stable_set_membership",
 ]
 
 _CDT = np.clongdouble
@@ -334,83 +331,4 @@ def sector_decay_check(
         steps=k_steps, eta=eta, beta=beta, rho=rho,
         min_slack=float(min_slack), max_slack=float(max_slack),
         final_abs=float(abs(iterates[-1])), ok=True,
-    )
-
-
-# ------------------------------------------------------- stable set checks
-
-
-@dataclass
-class MembershipReport:
-    stays: bool
-    left_at: int | None
-    distances: list[float]
-    fiber_x: list[float]
-
-
-def _project_fiber(kx, dkx, x_target: float, th, u_hint: float) -> float:
-    """Solve kx(u, th) = x_target for u by a guarded Newton iteration (dkx = d kx/dx)."""
-    u = max(u_hint, 1e-14)
-    for _ in range(60):
-        f = kx.evaluate(u, (), th).real - x_target
-        df = dkx.evaluate(u, (), th).real
-        step = f / df
-        u_new = u - step
-        if u_new <= 0:
-            u_new = u / 2.0
-        if abs(u_new - u) <= 1e-15 * max(1.0, abs(u)):
-            return u_new
-        u = u_new
-    return u
-
-
-def stable_set_membership(sol: ManifoldSolution, point, horizon: int,
-                          rho: float = 0.1) -> MembershipReport:
-    """Iterate the full map of ``sol``'s model from ``point`` and measure the
-    distance to the computed manifold.
-
-    The distance uses the x-fiber projection: find (u, theta_base) with
-    K_x(u, theta_base) = x and K_theta(u, theta_base) = theta (the latter by
-    a short fixed-point iteration, since the theta deviation is O(u)), then
-    compare the y components against K_y(u, theta_base).
-    """
-    from .dynamics import iterate_map
-
-    m, d = sol.model.m, sol.model.d
-    K = sol.param(sol.guard_degree)
-    dkx = K.x.derivative_x()
-    orbit = iterate_map(sol.model, point, horizon, domain_radius=rho, require_positive_x=True)
-    dists = []
-    fibs = []
-    for row in orbit.states:
-        x = row[0]
-        y = row[1 : 1 + m]
-        th_pt = tuple(row[1 + m : 1 + m + d])
-        base = list(th_pt)
-        u = max(x, 1e-14)
-        for _ in range(30):
-            u = _project_fiber(K.x, dkx, x, tuple(base), u)
-            new_base = []
-            shift = 0.0
-            for r in range(d):
-                devr = K.theta_dev[r].evaluate(u, (), tuple(base)).real
-                nb = th_pt[r] - devr
-                shift = max(shift, abs(nb - base[r]))
-                new_base.append(nb)
-            base = new_base
-            if shift < 1e-14:
-                break
-        kx, ky, kth = K.evaluate(u, (), tuple(base))
-        dy2 = sum((float(y[i]) - ky[i].real) ** 2 for i in range(m))
-        dth2 = 0.0
-        for r in range(d):
-            delta = (float(th_pt[r]) - kth[r].real + 0.5) % 1.0 - 0.5
-            dth2 += delta ** 2
-        dists.append(math.sqrt(dy2 + dth2))
-        fibs.append(u)
-    return MembershipReport(
-        stays=orbit.early_stop is None,
-        left_at=orbit.early_stop,
-        distances=dists,
-        fiber_x=fibs,
     )

@@ -11,9 +11,9 @@ product, the restricted field summed in float loops over modes and
 primaries, the invariance residual sampled one x-sample at a time, the jet
 substitution with one memo per job and every Taylor derivative taken afresh,
 the Diophantine scan as one loop over the half lattice, the
-Dormand–Prince step and its error norm as loops over the components, and
-the averaging conjugation of a model to constant a and B (``normalize``),
-which no command needs."""
+Dormand–Prince step and its error norm as loops over the components, a
+fixed-step run of the generated step, and the averaging conjugation of a
+model to constant a and B (``normalize``), which no command needs."""
 
 import cmath
 import functools
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from paratori.cohomology import ErrorJet, invariance_error
+from paratori.dynamics import Orbit, _stepper
 from paratori.errors import (DegreeOverflow, HypothesisViolation, OrbitLeftDomain, ResonantMode, SingularB,
                              ZeroDivisor)
 from paratori.fourier import FourierSeries, _quotient
@@ -1012,6 +1013,24 @@ def reference_error_norm(y, y_new, ks, h, rtol, atol) -> float:
              / (atol + max(abs(yi), abs(zi)) * rtol))
         total += v * v
     return math.sqrt(total) / len(y) ** 0.5
+
+
+def fixed_step_orbit(field, state0, t_end, h):
+    """``dynamics._stepper`` run at the fixed step h with no error control,
+    the last step cut short to end at t_end: halving h must shrink the
+    error by the pair's order."""
+    rhs = field.rhs
+    t, t_end, y = 0.0, float(t_end), [float(v) for v in state0]
+    step = _stepper(len(y))
+    f = rhs(t, y)
+    times, states = [t], [y]
+    while t < t_end:
+        t_new = min(t + h, t_end)
+        y, ks, _ = step(rhs, t, y, f, t_new - t, 1.0, 1.0)
+        t, f = t_new, ks[-1]
+        times.append(t)
+        states.append(y)
+    return Orbit(times=np.array(times, dtype=float), states=np.array(states, dtype=float))
 
 
 # ------------------------------------ the averaging conjugation to constant a, B

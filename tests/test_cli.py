@@ -315,6 +315,56 @@ def test_solution_record_with_a_non_integer_field_exits_2(tmp_path, node, key, v
     assert (rec["error_kind"], rec["error"]) == ("HypothesisViolation", message)
 
 
+def _b_of(value):
+    def edit(obj):
+        obj["reduced"]["b"] = value
+        return f"reduced.b: {value!r} is not a finite number"
+    return edit
+
+
+def _fractional_order(obj):
+    obj["ktil_x"]["2.0"] = obj["ktil_x"].pop("2")  # exited 5 with a bare ValueError
+    return "ktil_x.2.0: order '2.0' is not an integer"
+
+
+def _text_kbar_x(obj):
+    obj["kbar_x"]["2"] = "x"  # exited 5
+    return "kbar_x.2: 'x' is not a finite number"
+
+
+def _long_kbar_y(obj):
+    obj["kbar_y"]["2"] = [0.1, 0.0]  # read silently, with m = 1
+    return "kbar_y.2: [0.1, 0.0] is not a list of length 1"
+
+
+def _long_theta_terms(obj):
+    obj["reduced"]["theta_terms"]["2"] = [0.1, 0.0]  # read silently, with d = 1
+    return "reduced.theta_terms.2: [0.1, 0.0] is not a list of length 1"
+
+
+def _b_below_order_N(obj):
+    obj["j"] = 1  # b is solved at order N = 2
+    return f"reduced.b = {obj['reduced']['b']!r} is set below order N = 2"
+
+
+@pytest.mark.parametrize("edit", [_b_of("x"), _b_of(None), _b_of(math.nan), _fractional_order, _text_kbar_x,
+                                  _long_kbar_y, _long_theta_terms, _b_below_order_N],
+                         ids=["b-text", "b-null", "b-nan", "fractional-order", "kbar_x-text", "long-kbar_y",
+                              "long-theta_terms", "b-below-N"])
+def test_malformed_solution_record_exits_2(tmp_path, edit):
+    # b = "x" exited 5 with a TypeError, and a null or NaN b exited 4 on the
+    # fitted slopes
+    solution = _solve(tmp_path, "solve-map", "builtin:benchmark-map")
+    obj = _read(solution)
+    message = edit(obj)
+    ser.dump_json(obj, solution)
+    out = tmp_path / "verify"
+    code = main(["verify", "--model", "builtin:benchmark-map", "--solution", solution, "--outdir", str(out)])
+    assert code == 2
+    rec = _read(out / "summary.json")
+    assert (rec["error_kind"], rec["error"]) == ("HypothesisViolation", message)
+
+
 @pytest.mark.parametrize("command", ["solve-map", "solve-flow"])
 def test_model_record_of_an_unknown_kind_exits_2(tmp_path, command):
     # "flow " is no kind; it was read as a map, and solve-map ran a flow model

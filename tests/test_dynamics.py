@@ -17,16 +17,14 @@ from paratori.cohomology import solve_manifold
 from paratori.dynamics import (
     _stepper,
     _ForkedCall,
-    integrate_fixed_step,
     integrate_flow,
     iterate_map,
     iterate_reduced,
 )
 from paratori.errors import ParatoriError, StepUnderflow
 from paratori.model import ReducedMap
-from paratori.verify import stable_set_membership
 from conftest import src_env
-from oracles import reference_dp_step, reference_error_norm
+from oracles import fixed_step_orbit, reference_dp_step, reference_error_norm
 
 
 # ------------------------------------------------------------------- maps
@@ -55,17 +53,38 @@ def test_reduced_iterates_match_manual():
         assert xs[k + 1] == x  # bit-for-bit, same arithmetic
 
 
-def test_manifold_orbit_tracks_reduced_dynamics(bench_map):
-    # semiconjugacy: the fiber coordinate of the orbit tracks R^k(x0)
-    res = solve_manifold(bench_map, 5)
-    sol = res.solution
-    K = sol.param(8)
-    x0 = 0.05
-    kx, ky, kth = K.evaluate(x0, (), (0.3,))
-    memb = stable_set_membership(sol, [kx.real, ky[0].real, kth[0].real], 20, rho=0.5)
-    ref = iterate_reduced(sol.reduced, x0, 20)
-    for k, u in enumerate(memb.fiber_x):
-        assert abs(u - ref[k].real) < 1e-5
+def _semiconjugacy_defect(sol, x0, theta0, steps):
+    """The largest |F^k(K(x0, θ0)) - K(R^k(x0, θ0))| over the components and
+    k <= steps: on the stable manifold the map acts as the reduced dynamics,
+    F∘K = K∘R, so an orbit that starts on K stays on it."""
+    K, R = sol.param(8), sol.reduced.as_param(8, sol.model)
+    kx, ky, kth = K.evaluate(x0, (), (theta0,))
+    orbit = iterate_map(sol.model, [kx.real, ky[0].real, kth[0].real], steps)
+    x, th = x0, (theta0,)
+    worst = 0.0
+    for row in orbit.states:
+        kx, ky, kth = K.evaluate(x, (), th)
+        worst = max(worst, np.max(np.abs(row - np.real([kx, *ky, *kth]))))
+        x, _, th = R.evaluate(x, (), th)
+    return worst
+
+
+def test_map_orbit_on_the_manifold_follows_the_reduced_dynamics(bench_map):
+    sol3, sol5 = (solve_manifold(bench_map, order).solution for order in (3, 5))
+    defect = _semiconjugacy_defect(sol5, 0.05, 0.2, 40)
+    assert defect < 1e-6
+    assert defect < _semiconjugacy_defect(sol3, 0.05, 0.2, 40) / 10  # falls with the order
+    assert _semiconjugacy_defect(sol5, 0.0, 0.2, 40) < 1e-12  # a torus point stays on the torus
+
+
+def test_map_orbit_off_the_manifold_leaves_the_domain(bench_map):
+    # y pushed 0.1 off K(0.05, 0.2): the normal direction expands, and the
+    # orbit leaves the domain that the orbit on the manifold stays in
+    kx, ky, kth = solve_manifold(bench_map, 5).solution.param(8).evaluate(0.05, (), (0.2,))
+    on = [kx.real, ky[0].real, kth[0].real]
+    off = [kx.real, ky[0].real + 0.1, kth[0].real]
+    assert iterate_map(bench_map, on, 400, domain_radius=0.4).early_stop is None
+    assert iterate_map(bench_map, off, 400, domain_radius=0.4).early_stop is not None
 
 
 # ------------------------------------------------------------------- flows
@@ -111,7 +130,7 @@ def test_integrator_convergence_order():
     hs = [0.025, 0.0125, 0.00625]
     errs = []
     for h in hs:
-        orbit = integrate_fixed_step(field, [1.0, 0.0], 1.0, h)
+        orbit = fixed_step_orbit(field, [1.0, 0.0], 1.0, h)
         errs.append(abs(orbit.states[-1][0] - 0.5))
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert abs(slope - 5.0) <= 0.3, (slope, errs)

