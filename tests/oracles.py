@@ -12,7 +12,8 @@ primaries, the invariance residual sampled one x-sample at a time, the jet
 substitution with one memo per job and every Taylor derivative taken afresh,
 the Diophantine scan as one loop over the half lattice, the
 Dormand–Prince step and its error norm as loops over the components, a
-fixed-step run of the generated step, and the averaging conjugation of a
+fixed-step run of the generated step, the semiconjugacy defect of a map
+orbit started on the parametrization, and the averaging conjugation of a
 model to constant a and B (``normalize``), which no command needs."""
 
 import cmath
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from paratori.cohomology import ErrorJet, invariance_error
-from paratori.dynamics import Orbit, _stepper
+from paratori.dynamics import Orbit, _stepper, iterate_map
 from paratori.errors import (DegreeOverflow, HypothesisViolation, OrbitLeftDomain, ResonantMode, SingularB,
                              ZeroDivisor)
 from paratori.fourier import FourierSeries, _quotient
@@ -1031,6 +1032,23 @@ def fixed_step_orbit(field, state0, t_end, h):
         times.append(t)
         states.append(y)
     return Orbit(times=np.array(times, dtype=float), states=np.array(states, dtype=float))
+
+
+def semiconjugacy_defect(sol, x0, theta0, steps, domain_radius=math.inf):
+    """The largest |F^k(K(x0, θ0)) - K(R^k(x0, θ0))| over the components and
+    the iterates k of the map orbit from K(x0, θ0), with that orbit: on the
+    stable manifold the map acts as the reduced dynamics, F∘K = K∘R, so an
+    orbit that starts on K stays on it."""
+    K, R = sol.param(8), sol.reduced.as_param(8, sol.model)
+    kx, ky, kth = K.evaluate(x0, (), (theta0,))
+    orbit = iterate_map(sol.model, [kx.real, ky[0].real, kth[0].real], steps, domain_radius=domain_radius)
+    x, th = x0, (theta0,)
+    worst = 0.0
+    for row in orbit.states:
+        kx, ky, kth = K.evaluate(x, (), th)
+        worst = max(worst, np.max(np.abs(row - np.real([kx, *ky, *kth]))))
+        x, _, th = R.evaluate(x, (), th)
+    return worst, orbit
 
 
 # ------------------------------------ the averaging conjugation to constant a, B

@@ -24,7 +24,7 @@ from paratori.dynamics import (
 from paratori.errors import ParatoriError, StepUnderflow
 from paratori.model import ReducedMap
 from conftest import src_env
-from oracles import fixed_step_orbit, reference_dp_step, reference_error_norm
+from oracles import fixed_step_orbit, reference_dp_step, reference_error_norm, semiconjugacy_defect
 
 
 # ------------------------------------------------------------------- maps
@@ -53,28 +53,13 @@ def test_reduced_iterates_match_manual():
         assert xs[k + 1] == x  # bit-for-bit, same arithmetic
 
 
-def _semiconjugacy_defect(sol, x0, theta0, steps):
-    """The largest |F^k(K(x0, θ0)) - K(R^k(x0, θ0))| over the components and
-    k <= steps: on the stable manifold the map acts as the reduced dynamics,
-    F∘K = K∘R, so an orbit that starts on K stays on it."""
-    K, R = sol.param(8), sol.reduced.as_param(8, sol.model)
-    kx, ky, kth = K.evaluate(x0, (), (theta0,))
-    orbit = iterate_map(sol.model, [kx.real, ky[0].real, kth[0].real], steps)
-    x, th = x0, (theta0,)
-    worst = 0.0
-    for row in orbit.states:
-        kx, ky, kth = K.evaluate(x, (), th)
-        worst = max(worst, np.max(np.abs(row - np.real([kx, *ky, *kth]))))
-        x, _, th = R.evaluate(x, (), th)
-    return worst
-
-
-def test_map_orbit_on_the_manifold_follows_the_reduced_dynamics(bench_map):
+def test_manifold_orbit_tracks_reduced_dynamics(bench_map):
+    # semiconjugacy: the map orbit from K(x0, θ0) follows K(R^k(x0, θ0)),
+    # and the defect falls with the order of K
     sol3, sol5 = (solve_manifold(bench_map, order).solution for order in (3, 5))
-    defect = _semiconjugacy_defect(sol5, 0.05, 0.2, 40)
+    defect, _ = semiconjugacy_defect(sol5, 0.05, 0.3, 40)
     assert defect < 1e-6
-    assert defect < _semiconjugacy_defect(sol3, 0.05, 0.2, 40) / 10  # falls with the order
-    assert _semiconjugacy_defect(sol5, 0.0, 0.2, 40) < 1e-12  # a torus point stays on the torus
+    assert defect < semiconjugacy_defect(sol3, 0.05, 0.3, 40)[0] / 10
 
 
 def test_map_orbit_off_the_manifold_leaves_the_domain(bench_map):

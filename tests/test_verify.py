@@ -1,4 +1,4 @@
-"""Numerical a posteriori checks: slope fits and the sector bound."""
+"""Numerical a posteriori checks: slope fits, sector bound, membership."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from paratori.verify import (
     sector_decay_check,
 )
 from conftest import torus2_model
-from oracles import per_x_residual_rows
+from oracles import per_x_residual_rows, semiconjugacy_defect
 
 
 # -------------------------------------------------------------- slope fits
@@ -194,3 +194,22 @@ def test_sector_same_code_path_as_iterate():
     R = ReducedMap(N=2, a_bar=1.0, b=0.3)
     rep = sector_decay_check(R, 0.08, 500, eta=0.2)
     assert rep.final_abs == abs(iterate_reduced(R, 0.08, 500)[-1])
+
+
+# ------------------------------------------------------------- membership
+
+
+def test_membership_on_manifold(bench_map):
+    # an orbit started on K stays in the domain and within 1e-6 of K(R^k)
+    defect, orbit = semiconjugacy_defect(solve_manifold(bench_map, 5).solution, 0.05, 0.2, 40, domain_radius=0.4)
+    assert orbit.early_stop is None
+    assert len(orbit.states) == 41
+    assert defect < 1e-6
+
+
+def test_membership_torus_point(bench_map):
+    # x0 = 0 is a point of the invariant torus: its orbit stays on the torus
+    defect, orbit = semiconjugacy_defect(solve_manifold(bench_map, 3).solution, 0.0, 0.3, 50, domain_radius=0.4)
+    assert orbit.early_stop is None
+    assert len(orbit.states) == 51
+    assert defect < 1e-12
