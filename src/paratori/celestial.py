@@ -91,8 +91,8 @@ class PrimarySystem:
                                       + ", ".join(f"{name} {c}" for name, c in counts.items()))
         if not self.masses:
             raise HypothesisViolation("the system has no primaries")
-        if any(mj <= 0 for mj in self.masses):
-            raise HypothesisViolation("all primary masses must be positive")
+        if not all(mj > 0 and math.isfinite(mj) for mj in self.masses):
+            raise HypothesisViolation(f"all primary masses must be finite and positive: {list(self.masses)}")
         dim, cap = self.qx[0].dim, self.qx[0].order_cap
         off = [f"{name}[{j}] (T^{s.dim}, cap {s.order_cap})" for name in ("qx", "qy")
                for j, s in enumerate(getattr(self, name)) if (s.dim, s.order_cap) != (dim, cap)]
@@ -423,9 +423,11 @@ def build_restricted_field(
     The leading coefficient is a = 1/4 exactly and the normal block is
     (1/4) Id; N is read off the constructed jet (the displayed system has
     leading degree 4) and the chart records both it and the stated value.
+    The Diophantine scan of omega, which reads nothing else, runs first.
     """
     sys.check()
     d = sys.d
+    freq = diophantine_scan(sys.omega, (), tau=max(d - 1, 1), k_max=40, sense="flow")
     M = sys.total_mass
     deg = degree
     m = 3
@@ -488,7 +490,6 @@ def build_restricted_field(
         nu=(),
     )
     computed_N = fld.x.min_order()
-    freq = diophantine_scan(sys.omega, (), tau=max(d - 1, 1), k_max=40, sense="flow")
     model = model_from(fld, N=computed_N, P=computed_N, freq=freq, order_cap=cap)
     a_val = model.a.average().real
     chart = RestrictedChart(

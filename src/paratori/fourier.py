@@ -2,29 +2,29 @@
 
 Angles live in "turns": a point on T^d is a vector theta with period 1 in
 each component and the basis functions are exp(2*pi*i*k.theta) for integer
-multi-indices k.  A series keeps only modes with |k|_1 <= order_cap.  Its
-coefficients are one flat complex array over those modes, the
-cross-polytope |k|_1 <= cap, in the lexicographic order of the box
-[-cap, cap]^d (so k and -k sit at mirrored positions, and the zero mode in
-the middle); a mode is present exactly when its entry is nonzero.  On T^4
-at cap 8 that is 3,649 entries where the box has 83,521.  Two kinds of
-operation still pass through the box, as transient arrays: a product adds
-mode positions in a box, the cap's own or the wide box of cap 2 cap, since
-position(k1 + k2) is additive there; and ``strip_norm`` and
-``at_first_angle`` sum over the box, because numpy groups a sum by the
-positions of its terms and may round a complex product by the shape of its
-call, so that the stored modes alone would round differently.  One
-computation works at one dim and cap: operands of a sum
-or a product, and series evaluated together, share them or raise
-:class:`DimensionMismatch`.
+multi-indices k.  A series keeps only modes with |k|_1 <= order_cap, the
+cross-polytope.  Its coefficients are one flat complex array over those
+modes in lexicographic order, so k and -k sit at mirrored positions and the
+zero mode in the middle; a mode is present exactly when its entry is
+nonzero.  On T^4 at cap 8 that is 3,649 entries; the box [-cap, cap]^d
+around them has 83,521, and no array is sized by it.
+
+Each stored mode also has one integer coordinate, in which the sum of two
+modes is the sum of their coordinates less the zero mode's.  A product
+finds where each pair of modes lands by searching the pair's coordinate
+among those of the stored modes.  The norms are sums by ``math.fsum``,
+correctly rounded, so their bits do not depend on the layout.  One
+computation works at one dim and cap: operands of a sum or a product, and
+series evaluated together, share them or raise :class:`DimensionMismatch`.
 
 All values are immutable after construction and every operation returns a
 fresh series, so instances can be shared freely across threads.  The
 products lean on that: a series reads its support (the positions of its
 nonzero modes) once, on first use, and keeps it, with its centre-out order
 and its reach, the largest |k|_1 on it, in one read-only record that every
-series of that support shares.  An array handed to a series is never
-written to again.
+series of that support shares; and where the pairs of two supports land is
+worked out once and kept.  An array handed to a series is never written to
+again.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .errors import DimensionMismatch, HypothesisViolation, NonzeroAverage, Reso
 
 _TWO_PI = 2.0 * math.pi
 _SCAN_ROWS = 1 << 13  # modes per slab of a Diophantine scan: arrays of 64 kB at any d
-_TABLE_BYTES = 2 << 30  # the most a mode table's box index arrays may take: 2 GiB
+_SCAN_BOX = 1 << 32  # the largest box [-k_max, k_max]^d a scan walks: T^5 at k_max 40 has 3.5e9 modes
 
 __all__ = [
     "FourierSeries",
@@ -60,63 +60,49 @@ def _norm1(k: tuple[int, ...]) -> int:
 # ------------------------------------------------------------ mode tables
 
 
-def _norm1_table(dim: int, cap: int) -> np.ndarray:
-    """|k|_1 of every mode of the box [-cap, cap]^dim, flat in lexicographic
-    order, summed axis by axis."""
-    out = np.zeros((), dtype=np.int64)
-    for _ in range(dim):
-        out = np.add.outer(out, np.abs(np.arange(-cap, cap + 1)))
-    return out.ravel()
-
-
 class _Table:
     """Index tables of the stored modes of T^dim at ``cap``: those of the
-    cross-polytope |k|_1 <= cap, in the lexicographic order of the box
-    [-cap, cap]^dim (so k and -k sit at mirrored positions, and the zero mode
-    in the middle).  ``box`` is each stored mode's box position, and
-    ``stored`` each box position's stored position (-1 beyond the cap).  A
-    table whose box index arrays (|k|_1, the modes' entries and ``stored``,
-    dim + 2 int64 arrays over the box) would take more than 2 GiB is refused
-    with HypothesisViolation before any of them is allocated."""
+    cross-polytope |k|_1 <= cap, in lexicographic order (so k and -k sit at
+    mirrored positions, and the zero mode in the middle).  ``coord`` is each
+    mode's coordinate, the integer whose digits in radix 4 cap + 1 are its
+    entries plus 2 cap: the coordinates rise with the modes, and two stored
+    modes add up to the mode of coordinate coord(k1) + coord(k2) - coord(0),
+    within the cap or beyond it.  A (dim, cap) whose coordinates would
+    overflow int64 is refused with HypothesisViolation."""
 
     def __init__(self, dim: int, cap: int):
-        n = 2 * cap + 1
-        nbytes = 8 * (dim + 2) * n ** dim
-        if nbytes > _TABLE_BYTES:
-            raise HypothesisViolation(f"T^{dim} at cap {cap}: its mode table's box index arrays "
-                                      f"would take {nbytes / 2**30:.1f} GiB, above 2 GiB")
-        norm1 = _norm1_table(dim, cap)
-        self.box = np.flatnonzero(norm1 <= cap)
-        self.box_size, self.size = norm1.size, self.box.size
+        self.cap, self.radix = cap, 4 * cap + 1
+        if self.radix ** dim > np.iinfo(np.int64).max:
+            raise HypothesisViolation(f"T^{dim} at cap {cap}: the mode coordinates, "
+                                      f"{self.radix}^{dim}, would overflow int64")
+        # the modes |k|_1 <= c of T^i for each c <= cap, one row per axis: on
+        # T^(i+1), each k0 from -c to c heads those |k|_1 <= c - |k0| of T^i
+        walk = [np.zeros((0, 1), dtype=np.int64)] * (cap + 1)
+        for _ in range(dim):
+            walk = [np.hstack([np.vstack((np.full(walk[c - abs(k0)].shape[1], k0), walk[c - abs(k0)]))
+                               for k0 in range(-c, c + 1)]) for c in range(cap + 1)]
         # one contiguous column per axis, as ``dots`` reads them: a strided
         # column would cast through numpy code that no other step runs
-        self.modes = (np.indices((n,) * dim).reshape(dim, norm1.size).take(self.box, axis=1) - cap).T
-        self.norm1 = norm1[self.box]
+        self.modes = walk[cap].T
+        self.size = self.modes.shape[0]
         self.zero = self.size // 2
-        self.stored = np.full(norm1.size, -1)
-        self.stored[self.box] = np.arange(self.size)
-        self._strides = [n ** (dim - 1 - i) for i in range(dim)]
-        self._offset = cap * sum(self._strides)
+        self.norm1 = np.abs(walk[cap]).sum(axis=0)
+        self.coord = np.zeros(self.size, dtype=np.int64)
+        for column in walk[cap]:
+            self.coord = self.coord * self.radix + (column + 2 * cap)
 
     def index(self, k: tuple[int, ...]) -> int:
         """The stored position of a mode k with |k|_1 <= cap."""
-        return int(self.stored[self._offset + sum(ki * s for ki, s in zip(k, self._strides))])
+        c = 0
+        for ki in k:
+            c = c * self.radix + ki + 2 * self.cap
+        return int(np.searchsorted(self.coord, c))
 
     def dots(self, vec) -> np.ndarray:
         """k.vec for every mode, summed axis by axis."""
         out = np.zeros(self.size)
         for i, w in enumerate(vec):
             out = out + self.modes[:, i] * w
-        return out
-
-    def boxed(self, values: np.ndarray) -> np.ndarray:
-        """``values`` over the stored modes, as an array over the box, zero
-        beyond the cap (the values themselves when no box mode is beyond
-        it, as on T^0 and T^1)."""
-        if self.size == self.box_size:
-            return values
-        out = np.zeros(self.box_size, dtype=values.dtype)
-        out[self.box] = values
         return out
 
 
@@ -127,8 +113,8 @@ def _table(dim: int, cap: int) -> _Table:
 
 @lru_cache(maxsize=None)
 def _centre_out(dim: int, cap: int) -> np.ndarray:
-    """The stored positions from the centre out, each k next to -k: the walk
-    of the box from its centre, restricted to the stored modes."""
+    """The stored positions from the centre out, each k next to -k (its
+    mirror position)."""
     size = _table(dim, cap).size
     out = np.arange(size // 2 + 1, size)
     return np.concatenate(([size // 2], np.column_stack((out, size - 1 - out)).ravel()))
@@ -137,16 +123,13 @@ def _centre_out(dim: int, cap: int) -> np.ndarray:
 class _Modes(NamedTuple):
     """One support: its stored positions in lexicographic order and from the
     centre out (each k next to -k), where the products gather the factors'
-    coefficients; the box positions of the centre-out ones, and the box
-    positions of the lexicographic ones less the box's centre, which add up
-    to the box position where a pair of a left and a right factor lands in
-    the cap's own box, as read-only arrays; and its reach, the largest
-    |k|_1 on it (0 without modes)."""
+    coefficients, as read-only arrays; the bytes of the lexicographic ones,
+    which name the support; and its reach, the largest |k|_1 on it (0
+    without modes)."""
 
     lex: np.ndarray
     centre: np.ndarray
-    shift: np.ndarray
-    offset: np.ndarray
+    key: bytes
     reach: int
 
 
@@ -163,43 +146,32 @@ def _modes_of(dim: int, cap: int, key: bytes) -> _Modes:
     present = np.zeros(table.size, dtype=bool)
     present[lex] = True
     centre = order[present[order]]
-    shift, offset = table.box[centre], table.box[lex] - table.box_size // 2
-    for a in (centre, shift, offset):
-        a.flags.writeable = False
-    return _Modes(lex, centre, shift, offset, int(table.norm1[lex].max()) if lex.size else 0)
+    centre.flags.writeable = False
+    return _Modes(lex, centre, key, int(table.norm1[lex].max()) if lex.size else 0)
 
 
-@lru_cache(maxsize=None)
-def _product_plan(dim: int, cap: int):
-    """Index tables for the product of two cap-``cap`` series, whose pairs
-    land in the wide box of cap 2 cap (only its |k|_1 table is built), where
-    position(k1 + k2) = position(k1) + position(k2) - position(0).  Returns
-    the wide position of each stored mode, which serves as a's shift less
-    the wide centre, as b's positions and as the gather; the wide centre;
-    and the mask of the bins beyond the cap.
-
-    A product holds that mask and a complex bin per wide mode, 17 bytes a
-    bin (building the plan takes 9); past ``_TABLE_BYTES`` the plan is
-    refused before any of it is built."""
-    nbytes = 17 * (4 * cap + 1) ** dim
-    if nbytes > _TABLE_BYTES:
-        raise HypothesisViolation(f"T^{dim} at cap {cap}: a product's wide box of cap {2 * cap} "
-                                  f"would take {nbytes / 2**30:.1f} GiB, above 2 GiB")
-    beyond = _norm1_table(dim, 2 * cap) > cap
-    return np.flatnonzero(~beyond), beyond.size // 2, beyond
-
-
-def _pair_product(a: "FourierSeries", pos_a, pos_b, prods) -> tuple[np.ndarray, float]:
-    """The product's coefficients and the l1 mass beyond the cap, summed
-    pair by pair over the nonzero modes in a's centre-out order, so that a
-    term and its mirror image cancel exactly, in the wide box.  ``pos_a``
-    and ``pos_b`` are the factors' nonzero stored positions, a's from the
-    centre out, and ``prods`` the (a, b) array of their products."""
-    pos, zero, beyond = _product_plan(a.dim, a.order_cap)
-    full = np.zeros(beyond.size, dtype=complex)
-    np.add.at(full, ((pos[pos_a] - zero)[:, None] + pos[pos_b]).ravel(), prods.ravel())
-    lost = full[beyond]
-    return full[pos], float(np.abs(lost).sum()) if np.count_nonzero(lost) else 0.0
+@lru_cache(maxsize=1024)
+def _pair_index(dim: int, cap: int, key_a: bytes, key_b: bytes) -> tuple[np.ndarray, int]:
+    """Where the product of two series with the supports ``key_a`` and
+    ``key_b`` puts each pair of a's modes from the centre out and b's modes,
+    flat in that order, and the number of bins: the stored position of the
+    pair's mode under the cap, and past the stored modes one bin per
+    distinct mode beyond it.  Two supports meet in many products (1,075 of
+    the ``torus2`` solve's to order 5 over 103 pairs of supports), so this
+    is kept, in the smallest integer type that holds it."""
+    table = _table(dim, cap)
+    a, b = _modes_of(dim, cap, key_a), _modes_of(dim, cap, key_b)
+    coord = ((table.coord[a.centre] - table.coord[table.zero])[:, None] + table.coord[b.lex]).ravel()
+    at = np.searchsorted(table.coord, coord)
+    beyond = table.coord.take(at, mode="clip") != coord
+    bins = table.size
+    if beyond.any():
+        wide, at[beyond] = np.unique(coord[beyond], return_inverse=True)
+        at[beyond] += bins
+        bins += wide.size
+    at = at.astype(np.min_scalar_type(bins))
+    at.flags.writeable = False
+    return at, bins
 
 
 @lru_cache(maxsize=256)
@@ -393,36 +365,36 @@ class FourierSeries:
         The pair products come from one call of one shape, since numpy may
         round a complex product differently (fused multiply-add or not) by
         the shape of the call, and each mode sums its pairs from +0 in a's
-        centre-out order.  Three paths put them in place, each to the bits
-        of that sum:
+        centre-out order, so that a term and its mirror image cancel
+        exactly.  Two paths put them in place, each to the bits of that sum:
 
         - a factor without modes gives zero, and one whose only mode is the
           zero mode (reach 0) scales the other: each mode is one pair's
           product, put in place plus +0, with no sum;
-        - when the reaches add up to at most the cap, no pair lands beyond
-          it, so the pairs are placed by their positions in the cap's own
-          box and summed at the stored positions those map to, and nothing
-          is lost;
-        - otherwise they are summed in the wide box of cap 2 cap, whose
-          bins beyond the cap feed ``trunc_loss``.
+        - otherwise the pairs are summed at the bins :func:`_pair_index`
+          gives, the stored modes and then the modes beyond the cap, whose
+          sums' moduli add up (correctly rounded) to the loss.
         """
         self._check_compatible(other)
         ma, mb = self._modes(), other._modes()
         prods = self._data[ma.centre][:, None] * other._data[mb.lex]
         loss = self.trunc_loss + other.trunc_loss
-        data = np.zeros(self._data.size, dtype=complex)
+        size = self._data.size
         if not prods.size:
+            return self._like(np.zeros(size, dtype=complex), loss)
+        if ma.reach == 0 or mb.reach == 0:
+            data = np.zeros(size, dtype=complex)
+            if ma.reach == 0:
+                data[mb.lex] = 0j + prods[0]
+            else:
+                data[ma.centre] = 0j + prods[:, 0]
             return self._like(data, loss)
-        if ma.reach == 0:
-            data[mb.lex] = 0j + prods[0]
-        elif mb.reach == 0:
-            data[ma.centre] = 0j + prods[:, 0]
-        elif ma.reach + mb.reach <= self.order_cap:
-            stored = _table(self.dim, self.order_cap).stored
-            np.add.at(data, stored[ma.shift[:, None] + mb.offset].ravel(), prods.ravel())
-        else:
-            data, dropped = _pair_product(self, ma.centre, mb.lex, prods)
-            loss += dropped
+        at, bins = _pair_index(self.dim, self.order_cap, ma.key, mb.key)
+        data = np.zeros(bins, dtype=complex)
+        np.add.at(data, at, prods.ravel())
+        if bins > size:
+            loss += math.fsum(np.abs(data[size:]).tolist())
+            data = data[:size].copy()
         return self._like(data, loss)
 
     def conjugate(self) -> "FourierSeries":
@@ -476,31 +448,36 @@ class FourierSeries:
         """The p-th derivative in the first angle with that angle fixed at
         theta0, both per turn, as a series on T^(dim-1): the sum over k0 of
         (2*pi*i*k0)^p e^(2*pi*i*k0*theta0) times the slice of modes (k0, .),
-        added slice by slice in increasing k0."""
+        added in increasing k0, each mode of the slice from +0."""
         if self.dim < 1:
             raise DimensionMismatch("a series on T^0 has no first angle")
-        k0 = np.arange(-self.order_cap, self.order_cap + 1)
+        cap = self.order_cap
+        k0 = np.arange(-cap, cap + 1)
         factor = (1j * (_TWO_PI * k0)) ** p * np.exp(1j * (k0 * (_TWO_PI * theta0)))
-        # over the box, whose row k0 is the (k0, .) slice in lexicographic
-        # order: numpy may round a complex product by the shape of its call,
-        # so the products keep the box's shape, and each column sums the
-        # same terms, its zeros and their signs included, in the same order
-        rows = _table(self.dim, self.order_cap).boxed(self._data).reshape(k0.size, -1)
-        slice_box = (factor[:, None] * rows).sum(axis=0)
-        return FourierSeries._of(self.dim - 1, self.order_cap,
-                                 slice_box[_table(self.dim - 1, self.order_cap).box], self.trunc_loss)
+        if self.dim == 1 or cap == 0:
+            # the stored modes are all of [-cap, cap]^dim here, and the one
+            # column is summed by numpy, pairwise: a sum in order from +0
+            # would round some slices otherwise
+            out = (factor[:, None] * self._data.reshape(k0.size, -1)).sum(axis=0)
+        else:
+            # every stored mode's term from one flat call, each added at the
+            # slice's stored position of its last dim - 1 entries, whose
+            # coordinate is the mode's less its leading digit
+            table, lower = _table(self.dim, cap), _table(self.dim - 1, cap)
+            out = np.zeros(lower.size, dtype=complex)
+            np.add.at(out, np.searchsorted(lower.coord, table.coord % table.radix ** (self.dim - 1)),
+                      factor[table.modes[:, 0] + cap] * self._data)
+        return FourierSeries._of(self.dim - 1, cap, out, self.trunc_loss)
 
     # ------------------------------------------------------------- norms
 
     def strip_norm(self, sigma: float = 0.0) -> float:
-        """Weighted l1 coefficient norm sum |c_k| e^(2*pi*|k|*sigma)."""
-        table = _table(self.dim, self.order_cap)
+        """Weighted l1 coefficient norm sum |c_k| e^(2*pi*|k|*sigma) over the
+        nonzero modes, correctly rounded (``math.fsum``)."""
         mags = np.abs(self._data)
         if sigma != 0.0:
-            mags = mags * np.exp(_TWO_PI * table.norm1 * sigma)
-        # summed over the box: numpy's pairwise sum groups the terms by their
-        # positions, so the stored modes alone would round differently
-        return float(table.boxed(mags).sum())
+            mags = mags * np.exp(_TWO_PI * _table(self.dim, self.order_cap).norm1 * sigma)
+        return math.fsum(mags[self._modes().lex].tolist())
 
     def real_symmetry_defect(self) -> float:
         """max_k |coeff(-k) - conj(coeff(k))| over stored modes."""
@@ -580,8 +557,10 @@ def diophantine_scan(
 
     Map sense: c = min over 0 < |k| <= k_max of |k.omega - l| |k|^tau with l
     the nearest integer.  Flow sense: c = min |k.(omega, nu)| |k|^tau.
-    Raises :class:`ZeroDivisor` on an exact rational resonance, and
-    ValueError on a non-finite tau or entry of omega or nu.
+    Raises :class:`ZeroDivisor` on an exact rational resonance, ValueError
+    on a non-finite tau or entry of omega or nu, and HypothesisViolation,
+    before any of it is walked, when the box holds more than ``_SCAN_BOX``
+    modes.
 
     The modes after k = 0 in the box [-k_max, k_max]^d, in lexicographic
     order, are those whose first nonzero entry is positive; they are scanned
@@ -603,6 +582,9 @@ def diophantine_scan(
         raise ValueError("sense must be 'map' or 'flow'")
     vec = omega if sense == "map" else omega + nu
     dim, n = len(vec), 2 * k_max + 1
+    if n ** dim > _SCAN_BOX:
+        raise HypothesisViolation(f"no Diophantine scan of T^{dim} to k_max {k_max}: its box "
+                                  f"[-{k_max}, {k_max}]^{dim} holds {n ** dim:,} modes, more than {_SCAN_BOX:,}")
     power = np.array([float(s) ** tau for s in range(1, k_max + 1)])
     best, worst = math.inf, None
     for start in range(n ** dim // 2 + 1, n ** dim, _SCAN_ROWS):

@@ -104,11 +104,11 @@ def _number(v, path: str) -> float:
     return float(v)
 
 
-def _entries(v, n: int, path: str, read=_number) -> list:
-    """``v``, a list of ``n`` entries, each as ``read`` takes it; else
-    HypothesisViolation naming ``path``."""
-    if not isinstance(v, list) or len(v) != n:
-        raise HypothesisViolation(f"{path}: {v!r} is not a list of length {n}")
+def _entries(v, n: int | None, path: str, read=_number) -> list:
+    """``v``, a list of ``n`` entries (of any number when ``n`` is None),
+    each as ``read`` takes it; else HypothesisViolation naming ``path``."""
+    if not isinstance(v, list) or n is not None and len(v) != n:
+        raise HypothesisViolation(f"{path}: {v!r} is not a list" + (f" of length {n}" if n is not None else ""))
     return [read(e, f"{path}[{i}]") for i, e in enumerate(v)]
 
 
@@ -182,17 +182,22 @@ def _freq_to_obj(freq: FrequencyVector) -> dict:
     }
 
 
-def _freq_from_obj(obj: dict) -> FrequencyVector:
+def _freq_from_obj(obj: dict, kind: str) -> FrequencyVector:
+    """The frequency vector of a ``kind`` model's record, scanned when its
+    ``k_max`` is positive.  Its ``omega`` and ``nu`` must be lists of finite
+    numbers, ``tau`` a finite number, ``k_max`` an integer and ``sense``, by
+    default the model's kind, that kind, else HypothesisViolation names the
+    field."""
+    omega = tuple(_entries(obj["omega"], None, "freq.omega"))
+    nu = tuple(_entries(obj.get("nu", []), None, "freq.nu"))
+    tau = _number(obj.get("tau", 1.0), "freq.tau")
+    sense = obj.get("sense", kind)
+    if sense != kind:
+        raise HypothesisViolation(f"freq.sense: {sense!r} is not the {kind} model's {kind!r}")
     k_max = _integer(obj, "k_max", "freq") if "k_max" in obj else 0
     if k_max >= 1:
-        return diophantine_scan(
-            obj["omega"], obj.get("nu", ()), float(obj.get("tau", 1.0)),
-            k_max, sense=obj.get("sense", "map"),
-        )
-    return FrequencyVector(
-        omega=tuple(obj["omega"]), nu=tuple(obj.get("nu", ())),
-        tau=float(obj.get("tau", 1.0)), sense=obj.get("sense", "map"),
-    )
+        return diophantine_scan(omega, nu, tau, k_max, sense=sense)
+    return FrequencyVector(omega=omega, nu=nu, tau=tau, sense=sense)
 
 
 def model_to_obj(model) -> dict:
@@ -249,7 +254,7 @@ def model_from_obj(obj: dict):
         raise HypothesisViolation(f"model record has d = {obj['d']} but len(omega) = {d}")
     N, P, m, cap = (_integer(obj, key, "model") for key in ("N", "P", "m", "order_cap"))
     _refuse_off_torus("model", obj, _integer(obj["a"], "dim", "a"), cap)
-    freq = _freq_from_obj(obj["freq"])
+    freq = _freq_from_obj(obj["freq"], kind)
     a = series_from_obj(obj["a"], "a")
     B = [[series_from_obj(obj["B"][i][j], f"B[{i}][{j}]") for j in range(m)] for i in range(m)] if m else None
     f = jet_from_obj(obj["f"], "f") if "f" in obj else None
@@ -259,7 +264,7 @@ def model_from_obj(obj: dict):
     deg = f.deg if f is not None else None
     return cls.build(
         N=N, P=P, freq=freq, a=a, m=m, order_cap=cap, B=B, f=f, g=g, h=h, deg=deg,
-        params=obj.get("params", ()),
+        params=_entries(obj.get("params", []), None, "params"),
     )
 
 
@@ -358,11 +363,15 @@ def primary_system_to_obj(sys) -> dict:
 
 
 def primary_system_from_obj(obj: dict):
+    """The primaries a record holds.  Its ``masses`` and ``omega`` must be
+    lists of finite numbers and its ``qx`` and ``qy`` lists of series
+    records, else HypothesisViolation names the field."""
     from .celestial import PrimarySystem
 
-    return PrimarySystem(
-        masses=tuple(float(v) for v in obj["masses"]),
-        qx=tuple(series_from_obj(o, f"qx[{i}]") for i, o in enumerate(obj["qx"])),
-        qy=tuple(series_from_obj(o, f"qy[{i}]") for i, o in enumerate(obj["qy"])),
-        omega=tuple(float(v) for v in obj["omega"]),
-    )
+    def field(key, read):
+        if key not in obj:
+            raise HypothesisViolation(f"{key}: missing from the system record")
+        return tuple(_entries(obj[key], None, key, read))
+
+    return PrimarySystem(masses=field("masses", _number), qx=field("qx", series_from_obj),
+                         qy=field("qy", series_from_obj), omega=field("omega", _number))

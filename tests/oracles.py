@@ -388,7 +388,8 @@ def reference_mul(a, b):
 # be held against the store over the modes |k|_1 <= cap bit for bit.  The
 # product is the one that scanned both boxes for every product and summed
 # every pair in the wide box of cap 2 cap, unless a factor had no mode but
-# its zero mode.
+# its zero mode.  The strip norm and a product's loss sum the box's terms
+# with ``math.fsum``, correctly rounded, as the store sums its own.
 
 
 @functools.lru_cache(maxsize=None)
@@ -472,7 +473,7 @@ def box_strip_norm(s, sigma=0.0):
     mags = np.abs(box_of(s))
     if sigma != 0.0:
         mags = mags * np.exp(2.0 * math.pi * box_tables(s.dim, s.order_cap)[1] * sigma)
-    return float(mags.sum())
+    return math.fsum(mags.tolist())
 
 
 def box_sd_divide(h, vec, kind, divisor_floor=1e-12):
@@ -559,8 +560,7 @@ def box_pair_product(a, b, pairs=None):
     pos, zero, beyond, bins = _box_product_plan(a.dim, a.order_cap)
     full = np.zeros(bins, dtype=complex)
     np.add.at(full, ((pos[pos_a] - zero)[:, None] + pos[pos_b]).ravel(), prods.ravel())
-    lost = full[beyond]
-    return full[pos], float(np.abs(lost).sum()) if np.count_nonzero(lost) else 0.0
+    return full[pos], math.fsum(np.abs(full[beyond]).tolist())
 
 
 def box_series_mul(a, b):

@@ -52,6 +52,15 @@ def test_center_of_mass_enforced():
         bad.check()
 
 
+@pytest.mark.parametrize("mass", [math.nan, math.inf, 0.0, -0.5])
+def test_non_finite_or_non_positive_mass_is_refused(mass):
+    # a NaN mass passed ``mj <= 0`` and the centre-of-mass test (its defect
+    # is NaN), so the binary built and solved before the orbit refused it
+    binary = PrimarySystem.circular_binary()
+    with pytest.raises(HypothesisViolation, match=r"^all primary masses must be finite and positive: \["):
+        PrimarySystem((mass, 0.5), binary.qx, binary.qy, binary.omega).check()
+
+
 def test_binary_is_exact_two_body_solution():
     sys = PrimarySystem.circular_binary(mass=0.5, radius=1.0)
     sys.check()

@@ -752,18 +752,20 @@ def test_restricted_demo_names_a_malformed_system(tmp_path, edit):
 
 
 def test_restricted_demo_refuses_primaries_on_t6(tmp_path, monkeypatch):
-    # their field lives on T^7 at cap 8, whose mode table's box would take
-    # 27.5 GiB: the run reached 3.5 GB of resident memory, then exited 5
+    # the Diophantine scan of their six frequencies to k_max 40 would walk
+    # 2.8e11 modes, for hours; it runs before the field, whose tables on T^7
+    # at cap 8 are never built (their box once took the run to 3.5 GB)
     from paratori import fourier
     from paratori.celestial import PrimarySystem
 
-    norm1_table = fourier._norm1_table
+    init = fourier._Table.__init__
 
-    def small(dim, cap):  # so that a missing refusal builds no large box
-        assert (2 * cap + 1) ** dim <= 1 << 20, f"the box of T^{dim} at cap {cap} was built"
-        return norm1_table(dim, cap)
+    def small(self, dim, cap):
+        assert cap <= 4, f"the table of T^{dim} at cap {cap} was built"
+        init(self, dim, cap)
 
-    monkeypatch.setattr(fourier, "_norm1_table", small)
+    monkeypatch.setattr(fourier._Table, "__init__", small)
+    fourier._table.cache_clear()
     k = (0,) * 5 + (1,)
     cosr, sinr = FourierSeries.cosine(k, 6, 4, 0.1), FourierSeries.sine(k, 6, 4, 0.1)
     system = PrimarySystem((0.5, 0.5), (cosr, -cosr), (sinr, -sinr),
@@ -774,7 +776,58 @@ def test_restricted_demo_refuses_primaries_on_t6(tmp_path, monkeypatch):
     assert main(["restricted-demo", "--system", str(path), "--outdir", str(out)]) == 2
     rec = _read(out / "summary.json")
     assert (rec["error_kind"], rec["error"]) == (
-        "HypothesisViolation", "T^7 at cap 8: its mode table's box index arrays would take 27.5 GiB, above 2 GiB")
+        "HypothesisViolation", "no Diophantine scan of T^6 to k_max 40: its box [-40, 40]^6 holds "
+        "282,429,536,481 modes, more than 4,294,967,296")
+
+
+def _set(*path_and_value):
+    """An edit of a record that sets the entry at ``path`` to ``value``
+    (the key is deleted when ``value`` is ``_set``)."""
+    *path, key, value = path_and_value
+
+    def edit(obj):
+        for step in path:
+            obj = obj[step]
+        if value is _set:
+            del obj[key]
+        else:
+            obj[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("solve-map", _set("freq", "tau", "1.5"), "freq.tau: '1.5' is not a finite number"),
+    ("solve-map", _set("freq", "tau", "x"), "freq.tau: 'x' is not a finite number"),
+    ("solve-map", _set("freq", "omega", 0, "x"), "freq.omega[0]: 'x' is not a finite number"),
+    ("solve-map", _set("freq", "omega", 0, math.nan), "freq.omega[0]: nan is not a finite number"),
+    ("solve-map", _set("freq", "nu", ["x"]), "freq.nu[0]: 'x' is not a finite number"),
+    ("solve-map", _set("freq", "sense", "flow"), "freq.sense: 'flow' is not the map model's 'map'"),
+    ("solve-map", _set("params", ["x"]), "params[0]: 'x' is not a finite number"),
+    ("restricted-demo", _set("masses", 0, math.nan), "masses[0]: nan is not a finite number"),
+    ("restricted-demo", _set("masses", 0, "0.5"), "masses[0]: '0.5' is not a finite number"),
+    ("restricted-demo", _set("masses", 0, "x"), "masses[0]: 'x' is not a finite number"),
+    ("restricted-demo", _set("omega", 0, "x"), "omega[0]: 'x' is not a finite number"),
+    ("restricted-demo", _set("qx", {}), "qx: {} is not a list"),
+    ("restricted-demo", _set("qy", _set), "qy: missing from the system record"),
+], ids=["tau-string", "tau-x", "omega-x", "omega-nan", "nu-x", "sense", "params", "mass-nan", "mass-string",
+        "mass-x", "system-omega-x", "qx-dict", "no-qy"])
+def test_record_with_a_malformed_number_field_exits_2(tmp_path, command, edit, message):
+    # each ran before: exit 0 (a string tau or mass, a string param, the
+    # flow quotient certifying a map), exit 5 with a bare ValueError or
+    # KeyError, or a NaN mass that built and solved the demo
+    from paratori.celestial import PrimarySystem
+
+    if command == "solve-map":
+        obj, flag = ser.model_to_obj(torus2_model(1)), "--model"
+    else:
+        obj, flag = ser.primary_system_to_obj(PrimarySystem.circular_binary()), "--system"
+    edit(obj)
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(obj))  # NaN as JSON's NaN, which the reader takes
+    out = tmp_path / "out"
+    assert main([command, flag, str(path), "--order", "2", "--outdir", str(out)]) == 2
+    rec = _read(out / "summary.json")
+    assert (rec["error_kind"], rec["error"]) == ("HypothesisViolation", message)
 
 
 def test_restricted_demo_validates_its_model_once(tmp_path, monkeypatch):

@@ -402,46 +402,42 @@ def test_scan_working_set_stays_within_a_few_slabs(dim, k_max):
     assert peak < bound
 
 
-def test_table_beyond_2_gib_is_refused_before_its_box_is_built(monkeypatch):
-    # the (7, 8) table of primaries on T^6 asked numpy for 21.4 GiB
-    def unbuilt(dim, cap):
-        raise AssertionError(f"the box of T^{dim} at cap {cap} was built")
+def test_table_and_product_memory_follow_the_stored_modes():
+    """The (7, 8) table of primaries on T^6 holds 108,545 modes, where its
+    box [-8, 8]^7 has 4.1e8 (it asked numpy for 21.4 GiB once): building it
+    takes a few arrays over its modes, and a product on T^7 at cap 8 whose
+    pairs land beyond the cap a few more, never one over a box."""
+    fourier._table.cache_clear()
+    fourier._centre_out.cache_clear()
+    tracemalloc.start()
+    try:
+        table = fourier._table(7, 8)
+        table_peak = tracemalloc.get_traced_memory()[1]
+        rng = np.random.default_rng(7)
+        a, b = (FourierSeries.cosine(k, 7, 8) + FourierSeries(7, 8, {
+            tuple(int(x) for x in rng.integers(-1, 2, 7)): 1.0 for _ in range(60)})
+            for k in ((8,) + (0,) * 6, (0,) * 6 + (8,)))
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        p = a.series_mul(b)
+        product_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+        fourier._table.cache_clear()
+        fourier._centre_out.cache_clear()
+    assert table.size == 108_545 and p.trunc_loss > 0.0
+    assert table_peak < 4 * (7 + 2) * 8 * table.size  # the modes, |k|_1 and coordinates, four times over
+    assert product_peak < 64 * table.size
 
-    monkeypatch.setattr(fourier, "_norm1_table", unbuilt)
-    with pytest.raises(HypothesisViolation,
-                       match=r"^T\^7 at cap 8: its mode table's box index arrays would take 27\.5 GiB, above 2 GiB$"):
-        fourier._Table(7, 8)
 
-
-def test_table_at_its_limit_is_built(monkeypatch):
-    # dim + 2 int64 arrays over the box [-cap, cap]^dim: 4 * 7^2 * 8 bytes at (2, 3)
-    monkeypatch.setattr(fourier, "_TABLE_BYTES", 4 * 7 ** 2 * 8)
-    assert fourier._Table(2, 3).size == 25
-    with pytest.raises(HypothesisViolation, match=r"^T\^2 at cap 4: "):
-        fourier._Table(2, 4)
-
-
-def test_product_wide_box_beyond_the_limit_is_refused_before_it_is_built(monkeypatch):
-    # squaring a T^5 cap-12 series that reaches 7 asked numpy for the 2.10 GiB
-    # |k|_1 table of the wide box of cap 24; here T^3 at cap 12, whose wide
-    # box of 49^3 bins takes 17 bytes a bin, under a limit lowered to match
-    wide = 17 * 49 ** 3
-    monkeypatch.setattr(fourier, "_TABLE_BYTES", wide - 1)
-    fourier._product_plan.cache_clear()
-    s = FourierSeries(3, 12, {(7, 0, 0): 0.5, (-7, 0, 0): 0.5})
-    built = fourier._norm1_table
-
-    def unbuilt(dim, cap):
-        assert cap <= 12, f"the wide box of T^{dim} at cap {cap} was built"
-        return built(dim, cap)
-
-    monkeypatch.setattr(fourier, "_norm1_table", unbuilt)
-    with pytest.raises(HypothesisViolation,
-                       match=r"^T\^3 at cap 12: a product's wide box of cap 24 would take 0\.0 GiB, above 2 GiB$"):
-        s.series_mul(s)
-    monkeypatch.setattr(fourier, "_norm1_table", built)
-    monkeypatch.setattr(fourier, "_TABLE_BYTES", wide)
-    assert s.series_mul(s).coeff((0, 0, 0)) == 0.5
+def test_scan_beyond_its_box_limit_is_refused_before_it_walks():
+    # primaries on T^6 scan to k_max 40: 2.8e11 modes, hours of walking;
+    # T^5 at k_max 40, 3.5e9 modes, stays under the limit
+    assert 81 ** 5 <= fourier._SCAN_BOX < 81 ** 6
+    with pytest.raises(HypothesisViolation, match=r"^no Diophantine scan of T\^6 to k_max 40: its box "
+                                                  r"\[-40, 40\]\^6 holds 282,429,536,481 modes, "
+                                                  r"more than 4,294,967,296$"):
+        diophantine_scan([0.11 * math.sqrt(p) for p in (1, 2, 3, 5, 7, 11)], tau=5.0, k_max=40, sense="flow")
 
 
 @pytest.mark.parametrize("sense", ["map", "flow"])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paratori.errors import DimensionMismatch, ResonantMode
+from paratori.errors import DimensionMismatch, HypothesisViolation, ResonantMode
 from paratori.jet import Jet
 from paratori import fourier
 from paratori.fourier import (
@@ -237,9 +237,9 @@ def test_mixed_caps_raise():
 
 
 def test_product_builds_no_wide_box(monkeypatch):
-    """A cap-c product on T^3 builds the mode table of cap c only: the wide
-    scratch box of cap 2c is a |k|_1 table, not a _Table with its mode
-    tables."""
+    """A cap-c product on T^3 whose pairs land beyond the cap builds the
+    mode table of cap c only: the modes beyond it are found among its pairs,
+    not in a table of cap 2c."""
     built = []
     init = fourier._Table.__init__
 
@@ -247,7 +247,7 @@ def test_product_builds_no_wide_box(monkeypatch):
         built.append((dim, cap))
         init(self, dim, cap)
 
-    caches = (fourier._table, fourier._centre_out, fourier._product_plan)
+    caches = (fourier._table, fourier._centre_out, fourier._modes_of, fourier._pair_index)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(fourier._Table, "__init__", recording)
@@ -374,19 +374,28 @@ def test_product_paths_match_the_box_product(seed, dim, cap, reaches, within, si
 
 
 def _assert_kept_supports_hold(s):
-    """The support, centre-out support, box positions and reach a series
-    keeps are the ones its box array gives now, in arrays that no one can
-    write to."""
+    """The support, centre-out support and reach a series keeps are the ones
+    its box array gives now, and the bins its products with itself use are
+    those of the pairs' modes in the box: a mode's stored position under the
+    cap, and past the stored modes one bin per mode beyond it, in
+    lexicographic order; all in arrays that no one can write to."""
     box, stored = box_of(s), stored_positions(s.dim, s.order_cap)
     lex = box.nonzero()[0]
     order = box_centre_out(s.dim, s.order_cap)
     centre = order[box[order].nonzero()[0]]
     kept = s._modes()
     assert np.array_equal(stored[kept.lex], lex) and np.array_equal(kept.lex, s._data.nonzero()[0])
-    assert np.array_equal(stored[kept.centre], centre) and np.array_equal(kept.shift, centre)
-    assert np.array_equal(kept.offset, lex - box.size // 2)
-    assert kept.reach == (int(box_tables(s.dim, s.order_cap)[1][lex].max()) if lex.size else 0)
-    assert not any(a.flags.writeable for a in (kept.lex, kept.centre, kept.shift, kept.offset))
+    assert np.array_equal(stored[kept.centre], centre) and kept.key == kept.lex.tobytes()
+    modes, norm1 = box_tables(s.dim, s.order_cap)
+    assert kept.reach == (int(norm1[lex].max()) if lex.size else 0)
+    at, bins = fourier._pair_index(s.dim, s.order_cap, kept.key, kept.key)
+    pairs = (modes[centre][:, None] + modes[lex]).reshape(centre.size * lex.size, s.dim)
+    under = np.abs(pairs).sum(axis=1) <= s.order_cap
+    box_at = (pairs[under] + s.order_cap) @ (2 * s.order_cap + 1) ** np.arange(s.dim - 1, -1, -1)
+    assert np.array_equal(at[under], np.searchsorted(stored, box_at))
+    wide, rank = np.unique(pairs[~under], axis=0, return_inverse=True)
+    assert np.array_equal(at[~under], stored.size + rank.ravel()) and bins == stored.size + len(wide)
+    assert not any(a.flags.writeable for a in (kept.lex, kept.centre, at))
 
 
 @_PROPERTY
@@ -464,6 +473,36 @@ def test_series_stores_the_modes_under_its_cap():
         p = FourierSeries.cosine((1,) + (0,) * (dim - 1), dim, cap).series_mul(
             FourierSeries.sine((0,) * (dim - 1) + (1,), dim, cap))
         assert p._data.size == _cross_polytope_size(dim, cap)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(0, 4), cap=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_tables_are_the_box_modes_under_the_cap(dim, cap, seed):
+    """The mode table of T^dim at a cap, walked over the cross-polytope,
+    holds the modes of the box under the cap in the box's lexicographic
+    order, with their |k|_1 and the positions ``index`` reads; coordinates
+    rise with the modes, and the pair of two stored modes has the coordinate
+    of their sum, within the cap or beyond it."""
+    table, (modes, norm1) = fourier._Table(dim, cap), box_tables(dim, cap)
+    stored = stored_positions(dim, cap)
+    assert table.modes.flags.f_contiguous and table.modes.dtype == np.int64
+    assert np.array_equal(table.modes, modes[stored]) and np.array_equal(table.norm1, norm1[stored])
+    assert table.size == stored.size and table.zero == stored.size // 2
+    assert (np.diff(table.coord) > 0).all()
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, table.size, (2, 50))
+    assert [table.index(tuple(table.modes[i].tolist())) for i in picks[0]] == picks[0].tolist()
+    digits = table.modes[picks[0]] + table.modes[picks[1]] + 2 * cap
+    assert np.array_equal(table.coord[picks[0]] + table.coord[picks[1]] - table.coord[table.zero],
+                          digits @ table.radix ** np.arange(dim - 1, -1, -1))
+
+
+def test_tables_whose_coordinates_overflow_are_refused():
+    """(4 cap + 1)^dim coordinates fit int64 on T^15 at cap 4, not on T^16."""
+    assert fourier._Table(15, 4).size == _cross_polytope_size(15, 4)
+    with pytest.raises(HypothesisViolation, match=r"^T\^16 at cap 4: the mode coordinates, 17\^16, "
+                                                  r"would overflow int64$"):
+        fourier._Table(16, 4)
 
 
 def _same_table(got, want) -> bool:

@@ -159,13 +159,14 @@ def test_solve_counts_derivatives_and_products(monkeypatch):
 
 
 def test_solve_scans_each_support_once_and_sums_in_the_cap_box(monkeypatch):
-    """One T^2 solve to order 5 scans the box of each series at most once,
-    and sums the pairs of only 4 of its 1,662 products in the wide box (877
-    before the cap-box path, 21 of 1,887 before each Taylor term was formed
-    only to the degree its product keeps): those whose factors' reaches, the
-    largest |k|_1 of their modes, add up to more than the cap of 6."""
-    built, scanned, wide = [], [], []
-    of, modes, pair_product = FourierSeries._of.__func__, FourierSeries._modes, fourier._pair_product
+    """One T^2 solve to order 5 scans the array of each series at most once,
+    and only 4 of its 1,662 products have pairs that land beyond the cap (877
+    before products summed within the cap's own modes, 21 of 1,887 before
+    each Taylor term was formed only to the degree its product keeps): those
+    whose factors' reaches, the largest |k|_1 of their modes, add up to more
+    than the cap of 6."""
+    built, scanned, beyond = [], [], []
+    of, modes, pair_index = FourierSeries._of.__func__, FourierSeries._modes, fourier._pair_index
 
     def building(cls, *args):
         s = of(cls, *args)
@@ -177,16 +178,18 @@ def test_solve_scans_each_support_once_and_sums_in_the_cap_box(monkeypatch):
             scanned.append(self)  # kept alive, so that no two hold one id
         return modes(self)
 
-    def summing_wide(*args):
-        wide.append(args)
-        return pair_product(*args)
+    def indexing(dim, cap, *keys):
+        at, bins = pair_index(dim, cap, *keys)
+        if bins > fourier._table(dim, cap).size:
+            beyond.append(keys)
+        return at, bins
 
     monkeypatch.setattr(FourierSeries, "_of", classmethod(building))
     monkeypatch.setattr(FourierSeries, "_modes", scanning)
-    monkeypatch.setattr(fourier, "_pair_product", summing_wide)
+    monkeypatch.setattr(fourier, "_pair_index", indexing)
     solve_manifold(_small_torus2_map(), 5)
     assert len({id(s) for s in scanned}) == len(scanned) <= len(built)
-    assert len(wide) == 4
+    assert len(beyond) == 4
 
 
 def test_solve_memory_peak():
