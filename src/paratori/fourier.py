@@ -3,28 +3,27 @@
 Angles live in "turns": a point on T^d is a vector theta with period 1 in
 each component and the basis functions are exp(2*pi*i*k.theta) for integer
 multi-indices k.  A series keeps only modes with |k|_1 <= order_cap, the
-cross-polytope.  Its coefficients are one flat complex array over those
-modes in lexicographic order, so k and -k sit at mirrored positions and the
-zero mode in the middle; a mode is present exactly when its entry is
-nonzero.  On T^4 at cap 8 that is 3,649 entries; the box [-cap, cap]^d
-around them has 83,521, and no array is sized by it.
+cross-polytope, numbered in lexicographic order (k and -k at mirrored
+positions, the zero mode in the middle), and stores only its support: the
+sorted positions of its nonzero modes and one complex value at each.  On
+T^4 at cap 12 the cross-polytope has 16,641 modes; the three-primary
+model's series use 1.0% of them.  Each operation rounds every value as it
+would on an array over all the modes, +0 off the support, and a value that
+comes out an exact zero leaves the support.
 
-Each stored mode also has one integer coordinate, in which the sum of two
-modes is the sum of their coordinates less the zero mode's.  A product
-finds where each pair of modes lands by searching the pair's coordinate
-among those of the stored modes.  The norms are sums by ``math.fsum``,
-correctly rounded, so their bits do not depend on the layout.  One
-computation works at one dim and cap: operands of a sum or a product, and
-series evaluated together, share them or raise :class:`DimensionMismatch`.
+Each mode also has one integer coordinate, in which the sum of two modes is
+the sum of their coordinates less the zero mode's: a product finds where a
+pair of modes lands by searching its coordinate among the modes'.  The
+norms are sums by ``math.fsum``, correctly rounded, so their bits do not
+depend on the layout.  Operands of a sum or a product, and series evaluated
+together, share one dim and cap or raise :class:`DimensionMismatch`.
 
 All values are immutable after construction and every operation returns a
 fresh series, so instances can be shared freely across threads.  The
-products lean on that: a series reads its support (the positions of its
-nonzero modes) once, on first use, and keeps it, with its centre-out order
-and its reach, the largest |k|_1 on it, in one read-only record that every
-series of that support shares; and where the pairs of two supports land is
-worked out once and kept.  An array handed to a series is never written to
-again.
+algebra leans on that: the series of one support share one read-only record
+of it, and where two supports go in a sum, and their pairs in a product,
+is worked out once and kept.  An array handed to a series is never written
+to again.
 """
 
 from __future__ import annotations
@@ -111,67 +110,89 @@ def _table(dim: int, cap: int) -> _Table:
     return _Table(dim, cap)
 
 
-@lru_cache(maxsize=None)
-def _centre_out(dim: int, cap: int) -> np.ndarray:
-    """The stored positions from the centre out, each k next to -k (its
-    mirror position)."""
-    size = _table(dim, cap).size
-    out = np.arange(size // 2 + 1, size)
-    return np.concatenate(([size // 2], np.column_stack((out, size - 1 - out)).ravel()))
-
-
 class _Modes(NamedTuple):
-    """One support: its stored positions in lexicographic order and from the
-    centre out (each k next to -k), where the products gather the factors'
-    coefficients, as read-only arrays; the bytes of the lexicographic ones,
-    which name the support; and its reach, the largest |k|_1 on it (0
+    """One support: its stored positions in lexicographic order, as a
+    read-only array; their bytes, which name the support; the order in
+    which the products take its entries, from the centre out (each k next
+    to -k), as indices into it; and its reach, the largest |k|_1 on it (0
     without modes)."""
 
     lex: np.ndarray
-    centre: np.ndarray
     key: bytes
+    centre: np.ndarray
     reach: int
 
 
 @lru_cache(maxsize=1024)
 def _modes_of(dim: int, cap: int, key: bytes) -> _Modes:
     """The record of the support whose stored positions are the bytes
-    ``key``, shared by every series with that support.  A computation meets
-    few supports (the ``torus2`` solve to order 5 has 73 among 4,699
-    series), so the records cost next to no memory and each is ordered and
-    measured once."""
-    table, order, lex = _table(dim, cap), _centre_out(dim, cap), np.frombuffer(key, dtype=np.intp)
-    # a mask, not np.argsort, whose sort kernels would add 0.3 MB of numpy's
-    # code to the resident set of a run
-    present = np.zeros(table.size, dtype=bool)
-    present[lex] = True
-    centre = order[present[order]]
+    ``key``.  A computation meets few supports (the ``torus2`` solve to
+    order 5 has 73 among 4,699 series), so each is ordered once, without a
+    sort: the positions above the zero mode, and those below it read
+    backwards, are two runs that move out from the centre, and k goes
+    before -k, so each entry's place is its rank in its run plus the number
+    of the other run's entries that come first."""
+    lex, zero = np.frombuffer(key, dtype=np.intp), _table(dim, cap).zero
+    lo, hi = lex.searchsorted(zero), lex.searchsorted(zero, "right")
+    up, down = lex[hi:] - zero, zero - lex[:lo][::-1]
+    centre = np.full(lex.size, lo)
+    centre[hi - lo + np.arange(up.size) + down.searchsorted(up)] = np.arange(hi, lex.size)
+    centre[hi - lo + np.arange(down.size) + up.searchsorted(down, "right")] = np.arange(lo - 1, -1, -1)
     centre.flags.writeable = False
-    return _Modes(lex, centre, key, int(table.norm1[lex].max()) if lex.size else 0)
+    return _Modes(lex, key, centre, int(_table(dim, cap).norm1[lex].max()) if lex.size else 0)
+
+
+def _support(dim: int, cap: int, lex: np.ndarray) -> _Modes:
+    return _modes_of(dim, cap, lex.astype(np.intp, copy=False).tobytes())
 
 
 @lru_cache(maxsize=1024)
-def _pair_index(dim: int, cap: int, key_a: bytes, key_b: bytes) -> tuple[np.ndarray, int]:
+def _sum_index(dim: int, cap: int, key_a: bytes, key_b: bytes) -> tuple:
+    """The support of a sum of series with the supports ``key_a`` and
+    ``key_b``, and where each operand's entries go in it (None where it is
+    the operand's), from a mask: a sort's kernels would add 0.3 MB of
+    numpy's code to the resident set of a run."""
+    a, b = np.frombuffer(key_a, dtype=np.intp), np.frombuffer(key_b, dtype=np.intp)
+    present = np.zeros(_table(dim, cap).size, dtype=bool)
+    present[a] = present[b] = True
+    union = present.nonzero()[0]
+    return (_support(dim, cap, union), *(None if lex.size == union.size else union.searchsorted(lex)
+                                          for lex in (a, b)))
+
+
+def _scattered(size: int, at: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values`` at the indices ``at`` of an array of ``size`` zeros."""
+    out = np.zeros(size, dtype=complex)
+    out[at] = values
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _pair_index(dim: int, cap: int, key_a: bytes, key_b: bytes) -> tuple[np.ndarray, _Modes, int]:
     """Where the product of two series with the supports ``key_a`` and
-    ``key_b`` puts each pair of a's modes from the centre out and b's modes,
-    flat in that order, and the number of bins: the stored position of the
-    pair's mode under the cap, and past the stored modes one bin per
-    distinct mode beyond it.  Two supports meet in many products (1,075 of
-    the ``torus2`` solve's to order 5 over 103 pairs of supports), so this
-    is kept, in the smallest integer type that holds it."""
+    ``key_b`` sums each pair of a's modes from the centre out and b's modes,
+    flat in that order: one bin per mode under the cap that pairs land on,
+    in order (their support is returned), and then one per distinct mode
+    beyond the cap; and the number of bins.  Two supports meet in many
+    products (1,075 of the ``torus2`` solve's to order 5 over 103 pairs),
+    so this is kept, in the smallest integer type that holds it."""
     table = _table(dim, cap)
     a, b = _modes_of(dim, cap, key_a), _modes_of(dim, cap, key_b)
-    coord = ((table.coord[a.centre] - table.coord[table.zero])[:, None] + table.coord[b.lex]).ravel()
+    coord = ((table.coord[a.lex[a.centre]] - table.coord[table.zero])[:, None] + table.coord[b.lex]).ravel()
     at = np.searchsorted(table.coord, coord)
     beyond = table.coord.take(at, mode="clip") != coord
-    bins = table.size
+    lands = np.zeros(table.size, dtype=bool)
+    lands[at[~beyond]] = True
+    under = lands.nonzero()[0]
+    at[~beyond] = under.searchsorted(at[~beyond])
+    bins = under.size
     if beyond.any():
         wide, at[beyond] = np.unique(coord[beyond], return_inverse=True)
         at[beyond] += bins
         bins += wide.size
     at = at.astype(np.min_scalar_type(bins))
     at.flags.writeable = False
-    return at, bins
+    return at, _support(dim, cap, under), bins
 
 
 @lru_cache(maxsize=256)
@@ -211,15 +232,11 @@ class FourierSeries:
     that lands on k before its modulus is taken, so terms that cancel there
     lose nothing.
 
-    The coefficients are one complex array over the modes |k|_1 <= cap in
-    lexicographic order (see the module docstring); ``coeffs`` is a
-    read-only mapping of the nonzero ones in that order, built from the
-    array on each access.
-
-    A series is never written after construction, and that is load-bearing:
-    its support, centre-out support and reach are read from its array once,
-    when first needed, and kept (:meth:`_modes`), so a change to the array
-    in place would leave them stale.
+    A series stores the record of its support, the sorted positions of its
+    nonzero modes (shared by every series with that support), and one
+    nonzero value at each (``_values``); ``coeffs`` maps them k -> value in
+    that order, built on each access.  A series is never written after
+    construction.
 
     Real-valued functions satisfy coeff(-k) == conj(coeff(k)); the class
     does not enforce this on construction (intermediate complex objects
@@ -227,50 +244,40 @@ class FourierSeries:
     :meth:`real_symmetry_defect` measures it.
     """
 
-    __slots__ = ("dim", "order_cap", "trunc_loss", "_data", "_kept")
+    __slots__ = ("dim", "order_cap", "trunc_loss", "_support", "_values")
 
-    def __init__(
-        self,
-        dim: int,
-        order_cap: int,
-        coeffs: Mapping[tuple[int, ...], complex] | None = None,
-        trunc_loss: float = 0.0,
-    ):
+    def __init__(self, dim: int, order_cap: int, coeffs: Mapping[tuple[int, ...], complex] | None = None,
+                 trunc_loss: float = 0.0):
         if dim < 0 or order_cap < 0:
             raise ValueError("dim and order_cap must be nonnegative")
         self.dim = int(dim)
         self.order_cap = int(order_cap)
         table = _table(self.dim, self.order_cap)
-        data = np.zeros(table.size, dtype=complex)
+        entries: dict[int, complex] = {}
         loss = float(trunc_loss)
-        if coeffs:
-            for k, c in coeffs.items():
-                k = tuple(int(x) for x in k)
-                if len(k) != self.dim:
-                    raise DimensionMismatch(
-                        f"multi-index {k} does not match dim={self.dim}"
-                    )
-                c = complex(c)
-                if c == 0.0:
-                    continue
-                if _norm1(k) > self.order_cap:
-                    loss += abs(c)
-                    continue
-                data[table.index(k)] += c
-        self._data = data
+        for k, c in (coeffs or {}).items():
+            k = tuple(int(x) for x in k)
+            if len(k) != self.dim:
+                raise DimensionMismatch(f"multi-index {k} does not match dim={self.dim}")
+            c = complex(c)
+            if c == 0.0:
+                continue
+            if _norm1(k) > self.order_cap:
+                loss += abs(c)
+                continue
+            p = table.index(k)
+            entries[p] = entries.get(p, 0j) + c  # from +0, as a sum is
+        lex = sorted(p for p, c in entries.items() if c != 0.0)
+        self._support = _support(self.dim, self.order_cap, np.array(lex, dtype=np.intp))
+        self._values = np.array([entries[p] for p in lex], dtype=complex)
         self.trunc_loss = loss
-        self._kept = None
 
     @classmethod
-    def _of(cls, dim: int, order_cap: int, data: np.ndarray, trunc_loss: float) -> "FourierSeries":
-        """A series around an array of its own over the stored modes (never
-        written to again)."""
+    def _of(cls, dim: int, order_cap: int, support: _Modes, values: np.ndarray, trunc_loss: float):
+        """A series around the record of its support and an array of its own
+        of nonzero values there (never written to again)."""
         s = object.__new__(cls)
-        s.dim = dim
-        s.order_cap = order_cap
-        s.trunc_loss = trunc_loss
-        s._data = data
-        s._kept = None
+        s.dim, s.order_cap, s.trunc_loss, s._support, s._values = dim, order_cap, trunc_loss, support, values
         return s
 
     # ---------------------------------------------------------------- util
@@ -283,69 +290,76 @@ class FourierSeries:
     def cosine(cls, mode: Iterable[int], dim: int, order_cap: int, amp: float = 1.0) -> "FourierSeries":
         """amp * cos(2*pi*k.theta) as the pair of modes +-k."""
         k = tuple(int(x) for x in mode)
-        mk = tuple(-x for x in k)
-        return cls(dim, order_cap, {k: amp / 2.0, mk: amp / 2.0})
+        return cls(dim, order_cap, {k: amp / 2.0, tuple(-x for x in k): amp / 2.0})
 
     @classmethod
     def sine(cls, mode: Iterable[int], dim: int, order_cap: int, amp: float = 1.0) -> "FourierSeries":
         """amp * sin(2*pi*k.theta) as the pair of modes +-k."""
         k = tuple(int(x) for x in mode)
-        mk = tuple(-x for x in k)
-        return cls(dim, order_cap, {k: -0.5j * amp, mk: 0.5j * amp})
+        return cls(dim, order_cap, {k: -0.5j * amp, tuple(-x for x in k): 0.5j * amp})
 
-    def _like(self, data: np.ndarray, loss: float) -> "FourierSeries":
-        return FourierSeries._of(self.dim, self.order_cap, data, loss)
+    def _kept(self, support: _Modes, values: np.ndarray, loss: float) -> "FourierSeries":
+        """A series on this one's torus of ``values`` at ``support``, less
+        the entries that are exact zeros."""
+        if np.count_nonzero(values) < values.size:
+            keep = values != 0
+            support, values = _support(self.dim, self.order_cap, support.lex[keep]), values[keep]
+        return FourierSeries._of(self.dim, self.order_cap, support, values, loss)
 
     def _check_compatible(self, other: "FourierSeries") -> None:
         if (self.dim, self.order_cap) != (other.dim, other.order_cap):
-            raise DimensionMismatch(
-                f"series on T^{self.dim} at cap {self.order_cap} combined with "
-                f"series on T^{other.dim} at cap {other.order_cap}"
-            )
+            raise DimensionMismatch(f"series on T^{self.dim} at cap {self.order_cap} combined with "
+                                    f"series on T^{other.dim} at cap {other.order_cap}")
 
-    def _modes(self) -> _Modes:
-        """The support, read from the array on first use (its one scan)
-        and kept.  ``!= 0`` and a boolean scan take half the time
-        of a complex array's own ``nonzero``, and find the same entries."""
-        if self._kept is None:
-            self._kept = _modes_of(self.dim, self.order_cap, (self._data != 0).nonzero()[0].tobytes())
-        return self._kept
+    def _at(self, p: int) -> complex:
+        """The value at stored position p: 0 off the support."""
+        lex = self._support.lex
+        i = int(lex.searchsorted(p))
+        return complex(self._values[i]) if i < lex.size and lex[i] == p else 0j
 
     @property
     def coeffs(self) -> Mapping[tuple[int, ...], complex]:
         """The nonzero modes as a read-only mapping k -> coefficient, built
         on each access."""
-        idx = self._modes().lex
-        modes = _table(self.dim, self.order_cap).modes[idx].tolist()
-        return MappingProxyType(dict(zip(map(tuple, modes), self._data[idx].tolist())))
+        modes = _table(self.dim, self.order_cap).modes[self._support.lex].tolist()
+        return MappingProxyType(dict(zip(map(tuple, modes), self._values.tolist())))
 
     def is_zero(self) -> bool:
-        return not self._modes().lex.size
+        return not self._values.size
 
     def coeff(self, k: Iterable[int]) -> complex:
         k = tuple(int(x) for x in k)
         if len(k) != self.dim or _norm1(k) > self.order_cap:
             return 0.0 + 0.0j
-        return complex(self._data[_table(self.dim, self.order_cap).index(k)])
+        return self._at(_table(self.dim, self.order_cap).index(k))
 
     def __repr__(self) -> str:
-        n = self._modes().lex.size
-        return f"FourierSeries(dim={self.dim}, cap={self.order_cap}, modes={n})"
+        return f"FourierSeries(dim={self.dim}, cap={self.order_cap}, modes={self._values.size})"
 
     # ------------------------------------------------------------- algebra
 
-    def __add__(self, other: "FourierSeries") -> "FourierSeries":
+    def __add__(self, other: "FourierSeries", minus: bool = False) -> "FourierSeries":
+        """self + other, or self + (-other) when ``minus``: entry by entry
+        over the union of the supports, with +0 where an operand has no
+        mode, negated with it."""
         self._check_compatible(other)
-        return self._like(self._data + other._data, self.trunc_loss + other.trunc_loss)
+        support, a, b = self._support, self._values, other._values
+        if support.key != other._support.key:
+            support, ia, ib = _sum_index(self.dim, self.order_cap, support.key, other._support.key)
+            if ia is not None:
+                a = _scattered(support.lex.size, ia, a)
+            if ib is not None:
+                b = _scattered(support.lex.size, ib, b)
+        return self._kept(support, a + (-b if minus else b), self.trunc_loss + other.trunc_loss)
 
     def __sub__(self, other: "FourierSeries") -> "FourierSeries":
-        return self + (-other)
+        return self.__add__(other, True)
 
     def __neg__(self) -> "FourierSeries":
-        return self._like(-self._data, self.trunc_loss)
+        return FourierSeries._of(self.dim, self.order_cap, self._support, -self._values, self.trunc_loss)
 
     def scale(self, s: complex) -> "FourierSeries":
-        return self._like(self._data * s, abs(s) * self.trunc_loss)
+        return self._kept(self._support, self._values * s, abs(s) * self.trunc_loss)
 
     def __mul__(self, other):
         if isinstance(other, FourierSeries):
@@ -357,49 +371,47 @@ class FourierSeries:
     def series_mul(self, other: "FourierSeries") -> "FourierSeries":
         """Pointwise product: the direct convolution of the coefficients.
 
-        The operands share one dim and cap, which the product keeps.
-        Nothing reaches a mode but the products of nonzero pairs, so a mode
-        no pair lands on stays an exact zero.  The coefficients beyond the
-        cap feed ``trunc_loss``.
-
-        The pair products come from one call of one shape, since numpy may
-        round a complex product differently (fused multiply-add or not) by
-        the shape of the call, and each mode sums its pairs from +0 in a's
-        centre-out order, so that a term and its mirror image cancel
-        exactly.  Two paths put them in place, each to the bits of that sum:
+        The operands share one dim and cap, which the product keeps; the
+        coefficients beyond the cap feed ``trunc_loss``.  The pair products
+        come from one call of one shape, since numpy may round a complex
+        product differently (fused multiply-add or not) by the shape of the
+        call, and each mode sums its pairs from +0 in a's centre-out order,
+        so that a term and its mirror image cancel exactly.  Two paths put
+        them in place, each to the bits of that sum:
 
         - a factor without modes gives zero, and one whose only mode is the
           zero mode (reach 0) scales the other: each mode is one pair's
-          product, put in place plus +0, with no sum;
-        - otherwise the pairs are summed at the bins :func:`_pair_index`
-          gives, the stored modes and then the modes beyond the cap, whose
-          sums' moduli add up (correctly rounded) to the loss.
+          product plus +0, with no sum;
+        - otherwise the pairs are summed at the bins of :func:`_pair_index`,
+          whose sums beyond the cap add their moduli (correctly rounded) to
+          the loss.
         """
         self._check_compatible(other)
-        ma, mb = self._modes(), other._modes()
-        prods = self._data[ma.centre][:, None] * other._data[mb.lex]
+        ma, mb = self._support, other._support
+        prods = self._values[ma.centre][:, None] * other._values
         loss = self.trunc_loss + other.trunc_loss
-        size = self._data.size
         if not prods.size:
-            return self._like(np.zeros(size, dtype=complex), loss)
-        if ma.reach == 0 or mb.reach == 0:
-            data = np.zeros(size, dtype=complex)
-            if ma.reach == 0:
-                data[mb.lex] = 0j + prods[0]
-            else:
-                data[ma.centre] = 0j + prods[:, 0]
-            return self._like(data, loss)
-        at, bins = _pair_index(self.dim, self.order_cap, ma.key, mb.key)
+            return self._kept(mb if ma.lex.size else ma, prods.ravel(), loss)
+        if ma.reach == 0:
+            return self._kept(mb, 0j + prods[0], loss)
+        if mb.reach == 0:
+            values = np.empty(ma.lex.size, dtype=complex)
+            values[ma.centre] = 0j + prods[:, 0]
+            return self._kept(ma, values, loss)
+        at, lands, bins = _pair_index(self.dim, self.order_cap, ma.key, mb.key)
         data = np.zeros(bins, dtype=complex)
         np.add.at(data, at, prods.ravel())
-        if bins > size:
-            loss += math.fsum(np.abs(data[size:]).tolist())
-            data = data[:size].copy()
-        return self._like(data, loss)
+        under = lands.lex.size
+        if bins > under:
+            loss += math.fsum(np.abs(data[under:]).tolist())
+            data = data[:under].copy()
+        return self._kept(lands, data, loss)
 
     def conjugate(self) -> "FourierSeries":
         """Coefficientwise complex conjugate with mode reflection (conj of the function)."""
-        return self._like(self._data[::-1].conj(), self.trunc_loss)
+        lex = _table(self.dim, self.order_cap).size - 1 - self._support.lex[::-1]
+        return FourierSeries._of(self.dim, self.order_cap, _support(self.dim, self.order_cap, lex),
+                                 self._values[::-1].conj(), self.trunc_loss)
 
     # -------------------------------------------------------- torus values
 
@@ -416,19 +428,19 @@ class FourierSeries:
 
     def average(self) -> complex:
         """Zero mode (torus average)."""
-        return complex(self._data[self._data.size // 2])
+        return self._at(_table(self.dim, self.order_cap).zero)
 
     def oscillatory(self) -> "FourierSeries":
         """The series minus its average."""
-        data = self._data.copy()
-        data[data.size // 2] = 0.0
-        return self._like(data, self.trunc_loss)
+        rest = self._support.lex != _table(self.dim, self.order_cap).zero
+        return self._kept(self._support, np.where(rest, self._values, 0j), self.trunc_loss)
 
     def _times(self, kind: str, vec) -> "FourierSeries":
         vec = tuple(float(v) for v in vec)
         if len(vec) != self.dim:
             raise DimensionMismatch(f"vector of length {len(vec)} on T^{self.dim}")
-        return self._like(self._data * _factors(self.dim, self.order_cap, kind, vec), self.trunc_loss)
+        factors = _factors(self.dim, self.order_cap, kind, vec)[self._support.lex]
+        return self._kept(self._support, self._values * factors, self.trunc_loss)
 
     def rotate(self, step) -> "FourierSeries":
         """Composition with theta -> theta + step: coeff(k) *= e^(2*pi*i*k.step)."""
@@ -451,37 +463,40 @@ class FourierSeries:
         added in increasing k0, each mode of the slice from +0."""
         if self.dim < 1:
             raise DimensionMismatch("a series on T^0 has no first angle")
-        cap = self.order_cap
+        cap, lex = self.order_cap, self._support.lex
+        table, lower = _table(self.dim, cap), _table(self.dim - 1, cap)
         k0 = np.arange(-cap, cap + 1)
         factor = (1j * (_TWO_PI * k0)) ** p * np.exp(1j * (k0 * (_TWO_PI * theta0)))
         if self.dim == 1 or cap == 0:
-            # the stored modes are all of [-cap, cap]^dim here, and the one
-            # column is summed by numpy, pairwise: a sum in order from +0
+            # the modes are the box [-cap, cap]^dim here, and numpy sums the
+            # one column pairwise over all of them: a sum in order from +0
             # would round some slices otherwise
-            out = (factor[:, None] * self._data.reshape(k0.size, -1)).sum(axis=0)
+            column = _scattered(table.size, lex, self._values)
+            out = (factor[:, None] * column.reshape(k0.size, -1)).sum(axis=0)
         else:
-            # every stored mode's term from one flat call, each added at the
-            # slice's stored position of its last dim - 1 entries, whose
-            # coordinate is the mode's less its leading digit
-            table, lower = _table(self.dim, cap), _table(self.dim - 1, cap)
+            # each stored mode's term from one flat call, added at the slice's
+            # position of its last dim - 1 entries, whose coordinate is the
+            # mode's less its leading digit (the zero terms of the other
+            # modes leave a sum from +0 as it is)
             out = np.zeros(lower.size, dtype=complex)
-            np.add.at(out, np.searchsorted(lower.coord, table.coord % table.radix ** (self.dim - 1)),
-                      factor[table.modes[:, 0] + cap] * self._data)
-        return FourierSeries._of(self.dim - 1, cap, out, self.trunc_loss)
+            np.add.at(out, np.searchsorted(lower.coord, table.coord[lex] % table.radix ** (self.dim - 1)),
+                      factor[table.modes[lex, 0] + cap] * self._values)
+        lex = (out != 0).nonzero()[0]
+        return FourierSeries._of(self.dim - 1, cap, _support(self.dim - 1, cap, lex), out[lex], self.trunc_loss)
 
     # ------------------------------------------------------------- norms
 
     def strip_norm(self, sigma: float = 0.0) -> float:
         """Weighted l1 coefficient norm sum |c_k| e^(2*pi*|k|*sigma) over the
         nonzero modes, correctly rounded (``math.fsum``)."""
-        mags = np.abs(self._data)
+        mags = np.abs(self._values)
         if sigma != 0.0:
-            mags = mags * np.exp(_TWO_PI * _table(self.dim, self.order_cap).norm1 * sigma)
-        return math.fsum(mags[self._modes().lex].tolist())
+            mags = mags * np.exp(_TWO_PI * _table(self.dim, self.order_cap).norm1[self._support.lex] * sigma)
+        return math.fsum(mags.tolist())
 
     def real_symmetry_defect(self) -> float:
         """max_k |coeff(-k) - conj(coeff(k))| over stored modes."""
-        return float(np.abs(self._data[::-1] - self._data.conj()).max())
+        return float(np.abs((self.conjugate() - self)._values).max(initial=0.0))
 
 
 def evaluate_series(series: Sequence[FourierSeries], theta, dtype=complex) -> list:
@@ -503,7 +518,7 @@ def evaluate_series(series: Sequence[FourierSeries], theta, dtype=complex) -> li
     t = th.reshape(1)[:dim] if th.ndim == 0 and dim <= 1 else th  # a scalar on T^1; ignored on T^0
     if t.shape[-1:] != (dim,):
         raise DimensionMismatch(f"theta of shape {t.shape} on T^{dim}")
-    supports = [s._modes().lex for s in series]
+    supports = [s._support.lex for s in series]
     modes = np.flatnonzero(np.bincount(np.concatenate(supports), minlength=1))  # sorted union
     table = np.zeros(t.shape[:-1] + (modes.size,), dtype=dtype)
     for r, k in enumerate(_table(dim, cap).modes[modes].T.astype(float)):  # (..., 1) @ (1, n): no ufunc buffers
@@ -513,7 +528,7 @@ def evaluate_series(series: Sequence[FourierSeries], theta, dtype=complex) -> li
     for s, idx in zip(series, supports):
         # np.take keeps the columns C-ordered, as a table of their own would be
         cols = table if idx.size == modes.size else np.take(table, np.searchsorted(modes, idx), axis=-1)
-        out.append(cols @ s._data[idx].astype(dtype))
+        out.append(cols @ s._values.astype(dtype))
         del cols  # before the next series takes its own
     return out
 
@@ -546,13 +561,7 @@ class FrequencyVector:
         return self.omega + self.nu
 
 
-def diophantine_scan(
-    omega,
-    nu=(),
-    tau: float = 1.0,
-    k_max: int = 50,
-    sense: str = "map",
-) -> FrequencyVector:
+def diophantine_scan(omega, nu=(), tau: float = 1.0, k_max: int = 50, sense: str = "map") -> FrequencyVector:
     """Brute-force lower bound for the Diophantine constant up to |k| <= k_max.
 
     Map sense: c = min over 0 < |k| <= k_max of |k.omega - l| |k|^tau with l
@@ -630,30 +639,23 @@ def _sd_divide(h: FourierSeries, vec, kind: str, divisor_floor: float) -> Fourie
     """phi_k = h_k / divisor(k.vec) for every nonzero mode k of a zero-average h."""
     scale = h.strip_norm(0.0)
     if abs(h.average()) > 1e-13 * max(scale, 1e-300):
-        raise NonzeroAverage(
-            f"average {h.average():.3e} vs strip norm {scale:.3e}; split "
-            "off the averaged part before calling the SD solver"
-        )
+        raise NonzeroAverage(f"average {h.average():.3e} vs strip norm {scale:.3e}; split "
+                             "off the averaged part before calling the SD solver")
     if len(vec) != h.dim:
-        raise DimensionMismatch(
-            f"series on T^{h.dim} with frequency vector of length {len(vec)}"
-        )
+        raise DimensionMismatch(f"series on T^{h.dim} with frequency vector of length {len(vec)}")
     table = _table(h.dim, h.order_cap)
-    idx = h._modes().lex
-    idx = idx[idx != table.zero]
+    rest = h._support.lex != table.zero
+    idx = h._support.lex[rest]
     div = _factors(h.dim, h.order_cap, kind, tuple(vec))[idx]
     small = np.abs(div) < divisor_floor
     if small.any():
         at = int(np.argmax(small))
         raise ResonantMode(tuple(table.modes[idx[at]].tolist()), complex(div[at]))
-    data = np.zeros_like(h._data)
-    data[idx] = _quotient(h._data[idx], div)
-    return h._like(data, h.trunc_loss)
+    support = h._support if rest.all() else _support(h.dim, h.order_cap, idx)
+    return h._kept(support, _quotient(h._values[rest], div), h.trunc_loss)
 
 
-def sd_solve_map(
-    h: FourierSeries, freq: FrequencyVector, divisor_floor: float = 1e-12
-) -> FourierSeries:
+def sd_solve_map(h: FourierSeries, freq: FrequencyVector, divisor_floor: float = 1e-12) -> FourierSeries:
     """Solve phi(theta + omega) - phi(theta) = h(theta) with zero average.
 
     Modewise phi_k = h_k / (e^(2*pi*i*k.omega) - 1), fixed by the residual
@@ -665,9 +667,7 @@ def sd_solve_map(
     return _sd_divide(h, freq.omega, "divisor", divisor_floor)
 
 
-def sd_solve_flow(
-    h: FourierSeries, freq: FrequencyVector, divisor_floor: float = 1e-12
-) -> FourierSeries:
+def sd_solve_flow(h: FourierSeries, freq: FrequencyVector, divisor_floor: float = 1e-12) -> FourierSeries:
     """Solve the directional-derivative equation L_(omega,nu) phi = h.
 
     The series lives on T^(d+d'); modewise phi_k = h_k / (2*pi*i*k.(omega, nu)).

@@ -112,6 +112,18 @@ def _entries(v, n: int | None, path: str, read=_number) -> list:
     return [read(e, f"{path}[{i}]") for i, e in enumerate(v)]
 
 
+def _record(obj, path: str, kind: str, keys=()) -> dict:
+    """``obj``, a JSON object holding each of ``keys``; else
+    HypothesisViolation naming ``path`` (the ``kind`` record's), or the
+    missing key under it."""
+    if not isinstance(obj, dict):
+        raise HypothesisViolation(f"{path or kind}: {obj!r} is not a {kind} record")
+    for key in keys:
+        if key not in obj:
+            raise HypothesisViolation(f"{path + '.' if path else ''}{key}: missing from the {kind} record")
+    return obj
+
+
 def _by_order(table: dict, path: str, read) -> dict:
     """``table``, keyed by orders written as integers, as {order:
     read(value, path of the value)}; else HypothesisViolation naming the key."""
@@ -122,23 +134,30 @@ def _by_order(table: dict, path: str, read) -> dict:
 
 
 def series_from_obj(obj: dict, path: str = "series") -> FourierSeries:
-    """The series a record holds.  Its ``dim`` and ``order_cap`` must be
-    integers, and every mode a [mode, re, im] row whose mode is a list of
-    integers, listed once, with finite parts, else HypothesisViolation names
-    the record's path (``path``, then the mode's)."""
+    """The series a record holds.  It must be a record with integer ``dim``
+    and ``order_cap``, and its ``modes`` a list of [mode, re, im] rows whose
+    mode is a list of ``dim`` integers, listed once, with finite parts, else
+    HypothesisViolation names the record's path (``path``, then the
+    mode's)."""
+    dim, cap = (_integer(_record(obj, path, "series", ("dim", "order_cap")), key, path)
+                for key in ("dim", "order_cap"))
     coeffs = {}
-    for i, row in enumerate(obj.get("modes", [])):
-        where = f"{path}.modes[{i}]"
+
+    def mode(row, where):
         if not isinstance(row, (list, tuple)) or len(row) != 3:
             raise HypothesisViolation(f"{where}: row {row!r} is not a [mode, re, im] triple")
         k, re, im = row
         k = _index(k, where)
+        if len(k) != dim:
+            raise HypothesisViolation(f"{where}: mode {list(k)} is not a mode of T^{dim}")
         if not all((_is_int(v) or isinstance(v, float)) and math.isfinite(v) for v in (re, im)):
             raise HypothesisViolation(f"{where}: coefficient ({re!r}, {im!r}) is not a finite number")
         if k in coeffs:
             raise HypothesisViolation(f"{where}: mode {list(k)} is listed twice")
         coeffs[k] = complex(re, im)
-    return FourierSeries(_integer(obj, "dim", path), _integer(obj, "order_cap", path), coeffs)
+
+    _entries(obj.get("modes", []), None, f"{path}.modes", mode)
+    return FourierSeries(dim, cap, coeffs)
 
 
 def jet_to_obj(j: Jet) -> dict:
@@ -157,16 +176,21 @@ def jet_from_obj(obj: dict, path: str = "jet") -> Jet:
     must be integers, every monomial (l, k) integers, listed once, and every
     series as :func:`series_from_obj` takes it, else HypothesisViolation
     names the record's path (``path``, then the term's)."""
+    shape = ("m", "deg", "dim", "order_cap")
+    _record(obj, path, "jet", shape)
     terms = {}
-    for i, t in enumerate(obj.get("terms", [])):
-        where = f"{path}.terms[{i}]"
+
+    def term(t, where):
+        _record(t, where, "term", ("l", "k", "series"))
         if not _is_int(t["l"]):
             raise HypothesisViolation(f"{where}: power l = {t['l']!r} is not an integer")
         key = t["l"], _index(t["k"], where)
         if key in terms:
             raise HypothesisViolation(f"{where}: monomial l = {key[0]}, k = {list(key[1])} is listed twice")
         terms[key] = series_from_obj(t["series"], f"{where}.series")
-    return Jet(*(_integer(obj, key, path) for key in ("m", "deg", "dim", "order_cap")), terms)
+
+    _entries(obj.get("terms", []), None, f"{path}.terms", term)
+    return Jet(*(_integer(obj, key, path) for key in shape), terms)
 
 
 # ------------------------------------------------------------------- models
@@ -188,7 +212,7 @@ def _freq_from_obj(obj: dict, kind: str) -> FrequencyVector:
     numbers, ``tau`` a finite number, ``k_max`` an integer and ``sense``, by
     default the model's kind, that kind, else HypothesisViolation names the
     field."""
-    omega = tuple(_entries(obj["omega"], None, "freq.omega"))
+    omega = tuple(_entries(_record(obj, "freq", "frequency", ("omega",))["omega"], None, "freq.omega"))
     nu = tuple(_entries(obj.get("nu", []), None, "freq.nu"))
     tau = _number(obj.get("tau", 1.0), "freq.tau")
     sense = obj.get("sense", kind)
@@ -245,21 +269,25 @@ def model_from_obj(obj: dict):
     "flow", its ``N``, ``P``, ``m``, ``order_cap`` and ``freq.k_max``
     integers, its ``d``, when given, the number of entries of omega, and
     every series and jet in it must be on the torus of ``a`` at the record's
-    ``order_cap``, else HypothesisViolation names what is not."""
+    ``order_cap``, else HypothesisViolation names what is not.  Each field
+    must be a record or a list where the record holds one, else
+    HypothesisViolation names its path."""
+    _record(obj, "", "model", ("N", "P", "m", "order_cap", "freq", "a"))
     kind = obj.get("kind", "map")
     if kind not in ("map", "flow"):
         raise HypothesisViolation(f"model kind {kind!r} is neither 'map' nor 'flow'")
-    d = len(obj["freq"]["omega"])
+    d = len(_entries(_record(obj["freq"], "freq", "frequency", ("omega",))["omega"], None, "freq.omega"))
     if obj.get("d", d) != d:
         raise HypothesisViolation(f"model record has d = {obj['d']} but len(omega) = {d}")
     N, P, m, cap = (_integer(obj, key, "model") for key in ("N", "P", "m", "order_cap"))
-    _refuse_off_torus("model", obj, _integer(obj["a"], "dim", "a"), cap)
+    _refuse_off_torus("model", obj, _integer(_record(obj["a"], "a", "series", ("dim",)), "dim", "a"), cap)
     freq = _freq_from_obj(obj["freq"], kind)
     a = series_from_obj(obj["a"], "a")
-    B = [[series_from_obj(obj["B"][i][j], f"B[{i}][{j}]") for j in range(m)] for i in range(m)] if m else None
+    B = _entries(_record(obj, "", "model", ("B",))["B"], m, "B",
+                 lambda row, path: _entries(row, m, path, series_from_obj)) if m else None
     f = jet_from_obj(obj["f"], "f") if "f" in obj else None
-    g = [jet_from_obj(o, f"g[{i}]") for i, o in enumerate(obj.get("g", []))] or None
-    h = [jet_from_obj(o, f"h[{i}]") for i, o in enumerate(obj.get("h", []))] or None
+    g = _entries(obj.get("g", []), None, "g", jet_from_obj) or None
+    h = _entries(obj.get("h", []), None, "h", jet_from_obj) or None
     cls = FlowModel if kind == "flow" else MapModel
     deg = f.deg if f is not None else None
     return cls.build(
@@ -368,9 +396,9 @@ def primary_system_from_obj(obj: dict):
     records, else HypothesisViolation names the field."""
     from .celestial import PrimarySystem
 
+    _record(obj, "", "system", ("masses", "qx", "qy", "omega"))
+
     def field(key, read):
-        if key not in obj:
-            raise HypothesisViolation(f"{key}: missing from the system record")
         return tuple(_entries(obj[key], None, key, read))
 
     return PrimarySystem(masses=field("masses", _number), qx=field("qx", series_from_obj),

@@ -28,7 +28,7 @@ from paratori.cohomology import ErrorJet, invariance_error
 from paratori.dynamics import Orbit, _stepper, iterate_map
 from paratori.errors import (DegreeOverflow, HypothesisViolation, OrbitLeftDomain, ResonantMode, SingularB,
                              ZeroDivisor)
-from paratori.fourier import FourierSeries, _quotient
+from paratori.fourier import FourierSeries, _quotient, _support
 from paratori.jet import (Jet, SkewMap, _multis, _Substitution, compose, evaluate_jets, invert_x_jet,
                           jet_compose)
 from paratori.model import ReducedMap, SkewField, model_from
@@ -385,7 +385,8 @@ def reference_mul(a, b):
 # ``FourierSeries`` as it was while its coefficients were one flat array over
 # the box [-cap, cap]^d in lexicographic order, zero beyond the cap: every
 # operation on box arrays, with the box's own mode tables, so that each can
-# be held against the store over the modes |k|_1 <= cap bit for bit.  The
+# be held bit for bit against the store of the nonzero modes under the cap,
+# read as a box array with +0 off its support.  The
 # product is the one that scanned both boxes for every product and summed
 # every pair in the wide box of cap 2 cap, unless a factor had no mode but
 # its zero mode.  The strip norm and a product's loss sum the box's terms
@@ -407,16 +408,24 @@ def stored_positions(dim, cap):
 
 
 def box_of(s):
-    """The box array of s: its coefficients in place, +0 beyond the cap."""
-    out = np.zeros(box_tables(s.dim, s.order_cap)[1].size, dtype=s._data.dtype)
-    out[stored_positions(s.dim, s.order_cap)] = s._data
+    """The box array of s: its stored values in place, +0 off its support."""
+    out = np.zeros(box_tables(s.dim, s.order_cap)[1].size, dtype=complex)
+    out[stored_positions(s.dim, s.order_cap)[s._support.lex]] = s._values
     return out
 
 
 def box_series(dim, cap, data, trunc_loss=0.0):
-    """The series whose box array is ``data`` (zero beyond the cap)."""
+    """The series whose box array is ``data`` (zero beyond the cap): its
+    nonzero entries, each to the bits."""
     assert not data[box_tables(dim, cap)[1] > cap].any()
-    return FourierSeries._of(dim, cap, data[stored_positions(dim, cap)], trunc_loss)
+    under = data[stored_positions(dim, cap)]
+    lex = (under != 0).nonzero()[0]
+    return FourierSeries._of(dim, cap, _support(dim, cap, lex), under[lex], trunc_loss)
+
+
+def store_bytes(s):
+    """What a series stores, as bytes: its support's positions and its values."""
+    return s._support.lex.tobytes(), s._values.tobytes()
 
 
 def box_coeffs(dim, cap, data):

@@ -830,6 +830,40 @@ def test_record_with_a_malformed_number_field_exits_2(tmp_path, command, edit, m
     assert (rec["error_kind"], rec["error"]) == ("HypothesisViolation", message)
 
 
+@pytest.mark.parametrize("command, edit, message", [
+    ("solve-map", _set("freq", {"omega": 0.5}), "freq.omega: 0.5 is not a list"),
+    ("solve-map", _set("freq", [1]), "freq: [1] is not a frequency record"),
+    ("solve-map", _set("a", 1), "a: 1 is not a series record"),
+    ("solve-map", _set("a", "modes", 5), "a.modes: 5 is not a list"),
+    ("solve-map", _set("B", 3), "B: 3 is not a list of length 1"),
+    ("solve-map", _set("g", {"x": 1}), "g: {'x': 1} is not a list"),
+    ("solve-map", _set("f", "terms", 0, 7), "f.terms[0]: 7 is not a term record"),
+    ("solve-map", _set("f", "terms", 0, "series", None), "f.terms[0].series: None is not a series record"),
+    ("solve-map", _set("m", _set), "m: missing from the model record"),
+    ("solve-map", _set("a", "modes", 0, 0, [1]), "a.modes[0]: mode [1] is not a mode of T^2"),
+    ("restricted-demo", _set("qx", 0, 1), "qx[0]: 1 is not a series record"),
+    ("restricted-demo", _set("qx", 0, "modes", 0, 0, [1, 0]), "qx[0].modes[0]: mode [1, 0] is not a mode of T^1"),
+    ("restricted-demo", _set("qx", 0, "dim", _set), "qx[0].dim: missing from the series record"),
+], ids=["freq-omega-number", "freq-list", "a-number", "a-modes-number", "B-number", "g-dict", "term-number",
+        "term-series-null", "no-m", "a-mode-short", "qx-number", "qx-mode-long", "qx-no-dim"])
+def test_record_with_a_malformed_container_exits_2(tmp_path, command, edit, message):
+    # each exited 5 before, with a bare TypeError, AttributeError, KeyError
+    # or DimensionMismatch that named no field
+    from paratori.celestial import PrimarySystem
+
+    if command == "solve-map":
+        obj, flag = ser.model_to_obj(torus2_model(1)), "--model"
+    else:
+        obj, flag = ser.primary_system_to_obj(PrimarySystem.circular_binary()), "--system"
+    edit(obj)
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main([command, flag, str(path), "--order", "2", "--outdir", str(out)]) == 2
+    rec = _read(out / "summary.json")
+    assert (rec["error_kind"], rec["error"]) == ("HypothesisViolation", message)
+
+
 def test_restricted_demo_validates_its_model_once(tmp_path, monkeypatch):
     # the solve's base step is the one place the hypotheses are checked
     from paratori import cli, cohomology

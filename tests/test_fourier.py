@@ -408,7 +408,6 @@ def test_table_and_product_memory_follow_the_stored_modes():
     takes a few arrays over its modes, and a product on T^7 at cap 8 whose
     pairs land beyond the cap a few more, never one over a box."""
     fourier._table.cache_clear()
-    fourier._centre_out.cache_clear()
     tracemalloc.start()
     try:
         table = fourier._table(7, 8)
@@ -424,7 +423,6 @@ def test_table_and_product_memory_follow_the_stored_modes():
     finally:
         tracemalloc.stop()
         fourier._table.cache_clear()
-        fourier._centre_out.cache_clear()
     assert table.size == 108_545 and p.trunc_loss > 0.0
     assert table_peak < 4 * (7 + 2) * 8 * table.size  # the modes, |k|_1 and coordinates, four times over
     assert product_peak < 64 * table.size

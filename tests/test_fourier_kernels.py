@@ -247,7 +247,7 @@ def test_product_builds_no_wide_box(monkeypatch):
         built.append((dim, cap))
         init(self, dim, cap)
 
-    caches = (fourier._table, fourier._centre_out, fourier._modes_of, fourier._pair_index)
+    caches = (fourier._table, fourier._modes_of, fourier._sum_index, fourier._pair_index)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(fourier._Table, "__init__", recording)
@@ -374,36 +374,39 @@ def test_product_paths_match_the_box_product(seed, dim, cap, reaches, within, si
 
 
 def _assert_kept_supports_hold(s):
-    """The support, centre-out support and reach a series keeps are the ones
-    its box array gives now, and the bins its products with itself use are
-    those of the pairs' modes in the box: a mode's stored position under the
-    cap, and past the stored modes one bin per mode beyond it, in
-    lexicographic order; all in arrays that no one can write to."""
+    """A series stores one nonzero value per position of its support, whose
+    record holds the positions, centre-out order and reach that its box
+    array gives; the bins its products with itself use are those of the
+    pairs' modes in the box: under the cap the stored modes they land on,
+    in order, and past those one bin per mode beyond it, in lexicographic
+    order; all in arrays that no one can write to."""
     box, stored = box_of(s), stored_positions(s.dim, s.order_cap)
     lex = box.nonzero()[0]
     order = box_centre_out(s.dim, s.order_cap)
     centre = order[box[order].nonzero()[0]]
-    kept = s._modes()
-    assert np.array_equal(stored[kept.lex], lex) and np.array_equal(kept.lex, s._data.nonzero()[0])
-    assert np.array_equal(stored[kept.centre], centre) and kept.key == kept.lex.tobytes()
+    kept = s._support
+    assert s._values.shape == kept.lex.shape and s._values.all()
+    assert np.array_equal(stored[kept.lex], lex) and kept.key == kept.lex.tobytes()
+    assert np.array_equal(stored[kept.lex[kept.centre]], centre)
     modes, norm1 = box_tables(s.dim, s.order_cap)
     assert kept.reach == (int(norm1[lex].max()) if lex.size else 0)
-    at, bins = fourier._pair_index(s.dim, s.order_cap, kept.key, kept.key)
+    at, lands, bins = fourier._pair_index(s.dim, s.order_cap, kept.key, kept.key)
     pairs = (modes[centre][:, None] + modes[lex]).reshape(centre.size * lex.size, s.dim)
     under = np.abs(pairs).sum(axis=1) <= s.order_cap
     box_at = (pairs[under] + s.order_cap) @ (2 * s.order_cap + 1) ** np.arange(s.dim - 1, -1, -1)
-    assert np.array_equal(at[under], np.searchsorted(stored, box_at))
+    landing = np.searchsorted(stored, box_at)
+    assert np.array_equal(lands.lex, np.unique(landing)) and np.array_equal(lands.lex[at[under]], landing)
     wide, rank = np.unique(pairs[~under], axis=0, return_inverse=True)
-    assert np.array_equal(at[~under], stored.size + rank.ravel()) and bins == stored.size + len(wide)
-    assert not any(a.flags.writeable for a in (kept.lex, kept.centre, at))
+    assert np.array_equal(at[~under], lands.lex.size + rank.ravel()) and bins == lands.lex.size + len(wide)
+    assert not any(a.flags.writeable for a in (kept.lex, kept.centre, at, lands.lex))
 
 
 @_PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(0, 3), cap=st.integers(0, 5))
 def test_kept_supports_match_the_array(seed, dim, cap):
-    """No public operation writes to a series' array once it is built: the
-    supports and reaches kept by the operands before each operation, and by
-    every result, are those of the arrays afterwards."""
+    """No public operation writes to a series once it is built: the
+    operands before each operation, and every result, store their nonzero
+    modes alone, with the support records their box arrays give."""
     rng = np.random.default_rng(seed)
     a, b = _random_sparse(rng, dim, cap), _random_sparse(rng, dim, cap, fill=0.1)
     for s in (a, b):
@@ -461,18 +464,19 @@ def _cross_polytope_size(dim, cap):
 
 
 def test_series_stores_the_modes_under_its_cap():
-    """A series on T^d at cap c holds one entry per mode |k|_1 <= c, not one
-    per mode of the box [-c, c]^d: 313 of 625 on the torus2 model's T^2 at
-    cap 12, and 3,649 of 83,521 on the n = 3 skeleton's T^4 at cap 8."""
+    """The mode table of T^d at cap c holds the modes |k|_1 <= c, not those
+    of the box [-c, c]^d: 313 of 625 on the torus2 model's T^2 at cap 12,
+    and 3,649 of 83,521 on the n = 3 skeleton's T^4 at cap 8; a series holds
+    only the nonzero ones, none for zero and four for a cosine times a sine."""
     assert (_cross_polytope_size(2, 12), _cross_polytope_size(4, 8)) == (313, 3649)
     for dim in range(5):
         for cap in range(9):
-            s = FourierSeries(dim, cap)
-            assert s._data.size == _cross_polytope_size(dim, cap), (dim, cap)
+            assert fourier._table(dim, cap).size == _cross_polytope_size(dim, cap), (dim, cap)
+            assert FourierSeries(dim, cap)._values.size == 0
     for dim, cap in ((2, 12), (4, 8)):
         p = FourierSeries.cosine((1,) + (0,) * (dim - 1), dim, cap).series_mul(
             FourierSeries.sine((0,) * (dim - 1) + (1,), dim, cap))
-        assert p._data.size == _cross_polytope_size(dim, cap)
+        assert p._values.size == p._support.lex.size == len(p.coeffs) == 4
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -513,12 +517,16 @@ def _same_table(got, want) -> bool:
 
 def _stores(got, want) -> bool:
     """Whether the series ``got`` holds the box array ``want``: the bits and
-    signed zeros of every mode under the cap, and zeros beyond it (whose
-    signs the box kept, and no value ever read)."""
+    signed zeros of every nonzero mode under the cap, at the positions of
+    its support, and no other mode (the zeros, whose signs the box kept and
+    no value ever read, are off the support)."""
     stored = stored_positions(got.dim, got.order_cap)
     beyond = np.ones(want.size, dtype=bool)
     beyond[stored] = False
-    return _same_bits(got._data, want[stored]) and not want[beyond].any()
+    under = want[stored]
+    lex = under.nonzero()[0]
+    return (np.array_equal(got._support.lex, lex) and _same_bits(got._values, under[lex])
+            and not want[beyond].any())
 
 
 _KINDS = st.sampled_from(["empty", "constant", 1, 2, 3, 8, 60])
@@ -583,3 +591,60 @@ def test_store_matches_the_box_algebra(seed, dim, cap, kinds):
         for got, want in zip(evaluate_series((a, b, a + b), th, dtype),
                              box_evaluate_series((a, b, a + b), th, dtype)):
             assert got.dtype == want.dtype and _same_bits(got, want)
+
+
+def _hex_coeffs(s):
+    """Each stored mode of s with the bits of both parts of its coefficient."""
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in s.coeffs.items()]
+
+
+def _box_hex_coeffs(dim, cap, data):
+    """The same for the nonzero entries of a box array."""
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in box_coeffs(dim, cap, data).items()]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(0, 3), cap=st.integers(0, 6),
+       n_modes=st.sampled_from([1, 2, 3, 8, 60]))
+def test_store_drops_exact_zeros_as_the_box_algebra_does(seed, dim, cap, n_modes):
+    """The store keeps the bits of the box algebra, both parts of each
+    coefficient, where values vanish or carry signed zeros: a sum whose
+    common entries cancel loses those modes from ``coeffs`` and from its
+    support, a scale that underflows drops the modes it zeroes, negation
+    keeps signed zeros, and conjugation, the oscillatory part, rotation and
+    the derivatives match; a mode off the support or beyond the cap reads
+    +0.  Every series holds exactly one value per mode of ``coeffs``."""
+    rng = np.random.default_rng(seed)
+    a = _series_on(rng, dim, cap, n_modes, None)
+    A = box_of(a)
+    A[A.nonzero()[0][0]] = complex(0.25, -0.25)  # zeroed by the scale below
+    a = box_series(dim, cap, A, a.trunc_loss)
+    # b cancels a on about half of a's modes and is random elsewhere
+    B = box_of(_series_on(rng, dim, cap, n_modes, None))
+    own = A.nonzero()[0]
+    cancel = rng.choice(own, size=1 + own.size // 2, replace=False)
+    B[cancel] = -A[cancel]
+    b = box_series(dim, cap, B, float(rng.random()))
+    tiny = complex(float(rng.choice([5e-324, -5e-324])), float(rng.choice([0.0, -0.0])))
+    c = b.scale(-1.0)  # cancels a where b does, in a - c
+    results = [(a + b, A + B), (b + a, B + A), (a - c, A + (-box_of(c))), (-a, -A),
+               (a.scale(tiny), A * tiny), (a.conjugate(), A[::-1].conj()),
+               (a.oscillatory(), np.where(np.arange(A.size) == A.size // 2, 0j, A))]
+    if dim:
+        step, freqs = tuple(rng.random(dim)), tuple(rng.standard_normal(dim))
+        results += [(a.rotate(step), box_times(a, "rotation", step)),
+                    (a.directional_derivative(freqs), box_times(a, "derivative", freqs))]
+        results += [(a.derivative(axis), box_times(a, "derivative", tuple(float(i == axis) for i in range(dim))))
+                    for axis in range(dim)]
+    for got, want in results:
+        assert _hex_coeffs(got) == _box_hex_coeffs(dim, cap, want)
+        assert got._values.size == got._support.lex.size == len(got.coeffs)
+    modes = box_tables(dim, cap)[0]
+    for k in map(tuple, modes[cancel].tolist()):
+        assert k not in (a + b).coeffs and k not in (a - c).coeffs
+    assert len(a.scale(tiny).coeffs) < len(a.coeffs)
+    absent = [k for k in map(tuple, modes[stored_positions(dim, cap)].tolist()) if k not in a.coeffs]
+    beyond = [(cap + 1,) + (0,) * (dim - 1)] if dim else []
+    for k in absent[:3] + beyond:
+        got, want = a.coeff(k), box_coeff(a, k)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()) == ("0x0.0p+0",) * 2

@@ -50,8 +50,8 @@ def _fixed_degree_solve(model, order):
 
 
 def _same_series(a, b):
-    return (a.dim, a.order_cap, a.trunc_loss) == (b.dim, b.order_cap, b.trunc_loss) and np.array_equal(
-        a._data, b._data)
+    return ((a.dim, a.order_cap, a.trunc_loss) == (b.dim, b.order_cap, b.trunc_loss)
+            and np.array_equal(a._support.lex, b._support.lex) and np.array_equal(a._values, b._values))
 
 
 def _same_jet(a, b):
@@ -158,44 +158,46 @@ def test_solve_counts_derivatives_and_products(monkeypatch):
     assert counts == {"derivative": 158, "series_mul": 1662}
 
 
-def test_solve_scans_each_support_once_and_sums_in_the_cap_box(monkeypatch):
-    """One T^2 solve to order 5 scans the array of each series at most once,
-    and only 4 of its 1,662 products have pairs that land beyond the cap (877
-    before products summed within the cap's own modes, 21 of 1,887 before
-    each Taylor term was formed only to the degree its product keeps): those
+def test_solve_stores_nonzero_modes_alone_and_sums_in_the_cap_box(monkeypatch):
+    """Every series one T^2 solve to order 5 builds stores one nonzero value
+    per position of its support, in a record that gives its reach, and only
+    4 of its 1,662 products have pairs that land beyond the cap (877 before
+    products summed within the cap's own modes, 21 of 1,887 before each
+    Taylor term was formed only to the degree its product keeps): those
     whose factors' reaches, the largest |k|_1 of their modes, add up to more
     than the cap of 6."""
-    built, scanned, beyond = [], [], []
-    of, modes, pair_index = FourierSeries._of.__func__, FourierSeries._modes, fourier._pair_index
+    built, beyond = [], []
+    of, pair_index = FourierSeries._of.__func__, fourier._pair_index
 
     def building(cls, *args):
         s = of(cls, *args)
         built.append(s)
         return s
 
-    def scanning(self):
-        if self._kept is None:
-            scanned.append(self)  # kept alive, so that no two hold one id
-        return modes(self)
-
     def indexing(dim, cap, *keys):
-        at, bins = pair_index(dim, cap, *keys)
-        if bins > fourier._table(dim, cap).size:
+        at, lands, bins = pair_index(dim, cap, *keys)
+        if bins > lands.lex.size:
             beyond.append(keys)
-        return at, bins
+        return at, lands, bins
 
     monkeypatch.setattr(FourierSeries, "_of", classmethod(building))
-    monkeypatch.setattr(FourierSeries, "_modes", scanning)
     monkeypatch.setattr(fourier, "_pair_index", indexing)
     solve_manifold(_small_torus2_map(), 5)
-    assert len({id(s) for s in scanned}) == len(scanned) <= len(built)
+    assert len(built) > 1000
+    for s in built:
+        support, norm1 = s._support, fourier._table(s.dim, s.order_cap).norm1
+        assert s._values.shape == support.lex.shape and s._values.all()
+        assert (np.diff(support.lex) > 0).all() and support.key == support.lex.tobytes()
+        assert support.reach == int(norm1[support.lex].max(initial=0))
     assert len(beyond) == 4
 
 
 def test_solve_memory_peak():
     """The traced peak of one T^2 solve to order 5, its tables and support
-    records built by a first solve, stays within 10% of the 718 KiB measured
-    when each series began to keep its support (728 KiB before)."""
+    records built by a first solve, stays within 10% of the 193 KiB measured
+    when each series came to store its nonzero modes alone (410 KiB over all
+    the modes under the cap, 718 KiB when each series began to keep its
+    support, 728 KiB before)."""
     model = _small_torus2_map()
     solve_manifold(model, 5)
     tracemalloc.start()
@@ -204,4 +206,4 @@ def test_solve_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 718 * 1024
+    assert peak <= 1.1 * 193 * 1024

@@ -19,7 +19,7 @@ from paratori.jet import (
     jet_compose,
 )
 from conftest import random_real_series
-from oracles import reference_compose, reference_jet_compose
+from oracles import reference_compose, reference_jet_compose, store_bytes
 
 
 def _x(m=0, deg=6, dim=1, cap=8):
@@ -102,10 +102,10 @@ def _sparse_jet(rng, m, deg, dim, cap, low, top=3, n_terms=3):
 
 
 def _same_bits(got: Jet, want: Jet) -> bool:
-    """The same monomials in the same order, each with the same coefficient
-    bits (signs of zero included) and the same truncation loss."""
+    """The same monomials in the same order, each with the same stored modes,
+    coefficient bits (signs of zero included) and truncation loss."""
     return (got.deg == want.deg and list(got.terms) == list(want.terms)
-            and all(a._data.tobytes() == b._data.tobytes() and a.trunc_loss == b.trunc_loss
+            and all(store_bytes(a) == store_bytes(b) and a.trunc_loss == b.trunc_loss
                     for a, b in zip(got.terms.values(), want.terms.values())))
 
 
