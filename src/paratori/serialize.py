@@ -276,15 +276,14 @@ def model_from_obj(obj: dict):
     kind = obj.get("kind", "map")
     if kind not in ("map", "flow"):
         raise HypothesisViolation(f"model kind {kind!r} is neither 'map' nor 'flow'")
-    d = len(_entries(_record(obj["freq"], "freq", "frequency", ("omega",))["omega"], None, "freq.omega"))
+    freq = _freq_from_obj(obj["freq"], kind)
+    d = len(freq.omega)
     if obj.get("d", d) != d:
         raise HypothesisViolation(f"model record has d = {obj['d']} but len(omega) = {d}")
     N, P, m, cap = (_integer(obj, key, "model") for key in ("N", "P", "m", "order_cap"))
     _refuse_off_torus("model", obj, _integer(_record(obj["a"], "a", "series", ("dim",)), "dim", "a"), cap)
-    freq = _freq_from_obj(obj["freq"], kind)
     a = series_from_obj(obj["a"], "a")
-    B = _entries(_record(obj, "", "model", ("B",))["B"], m, "B",
-                 lambda row, path: _entries(row, m, path, series_from_obj)) if m else None
+    B = _entries(obj.get("B"), m, "B", lambda row, path: _entries(row, m, path, series_from_obj)) if m else None
     f = jet_from_obj(obj["f"], "f") if "f" in obj else None
     g = _entries(obj.get("g", []), None, "g", jet_from_obj) or None
     h = _entries(obj.get("h", []), None, "h", jet_from_obj) or None

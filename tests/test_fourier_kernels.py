@@ -648,3 +648,24 @@ def test_store_drops_exact_zeros_as_the_box_algebra_does(seed, dim, cap, n_modes
     for k in absent[:3] + beyond:
         got, want = a.coeff(k), box_coeff(a, k)
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()) == ("0x0.0p+0",) * 2
+
+
+def test_modes_off_the_support_read_plus_zero():
+    """A mode off a series' support reads +0 in both parts, whatever made the
+    series: negation, a scale by -1 or by inf and a rotation leave it +0
+    (an array over all the modes held -0 or NaN there).  So ``coeff`` and
+    ``average`` read +0, a non-finite scale spreads NaN over the support
+    alone, and a sum adds +0 at an operand's missing mode, negated with the
+    operand only in a subtraction."""
+    a = FourierSeries.cosine((1,), 1, 3)
+    with np.errstate(invalid="ignore"):  # 0 * inf in the imaginary parts
+        wild = a.scale(math.inf)
+    assert all(math.isnan(c.imag) for c in wild.coeffs.values())
+    for s in (-a, a.scale(-1.0), a.scale(-1j), wild, a.rotate((0.25,))):
+        assert len(s.coeffs) == 2
+        for got in (s.average(), s.coeff((0,)), s.coeff((2,)), s.coeff((-3,))):
+            assert (got.real.hex(), got.imag.hex()) == ("0x0.0p+0",) * 2
+    b = FourierSeries(1, 3, {(2,): -1.0}).scale(-1.0)
+    assert math.copysign(1.0, b.coeff((2,)).imag) == -1.0
+    assert math.copysign(1.0, (b + (-a)).coeff((2,)).imag) == 1.0
+    assert math.copysign(1.0, (b - a).coeff((2,)).imag) == -1.0
